@@ -10,37 +10,24 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import __version__
 from .evaluate import score_report
 from .ingest import IngestError, ingest_raw
 from .model import FindingKind
 from .report import (
+    CONFIG_KEYS,
     DiagnoseError,
     PipelineConfig,
     config_from_mapping,
     diagnose,
-    load_config,
     parse_report,
+    read_config_file,
     render_report,
 )
 from .simulate import ScenarioError, emit_scenario, load_labels, preset
 from .traceio import TraceParseError, TraceValidationError, load_trace, save_trace
-
-_THRESHOLD_FLAGS = (
-    "bc",
-    "th_ub",
-    "th_size",
-    "th_d",
-    "th_simi",
-    "dmin",
-    "pct",
-    "ccrate",
-    "magnitude_gap",
-    "transform",
-    "representative",
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--config", help="flat key=value configuration file")
     p_diag.add_argument("--out", help="write the report here instead of stdout")
     p_diag.add_argument("--format", default="text", choices=("text", "structured"))
-    for flag in _THRESHOLD_FLAGS:
-        p_diag.add_argument(f"--{flag.replace('_', '-')}", dest=flag)
+    for key in CONFIG_KEYS:
+        p_diag.add_argument(f"--{key.replace('_', '-')}", dest=key, help="config key " + key)
 
     p_sim = sub.add_parser("simulate", help="emit a labeled synthetic trace")
     p_sim.add_argument(
@@ -88,36 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
+    """Config file keys, then the flags that were given; a flag wins."""
     path = args.config or os.environ.get("STAGELENS_CONFIG")
-    cfg = load_config(path) if path else PipelineConfig()
-    overrides: Dict[str, str] = {}
-    for flag in _THRESHOLD_FLAGS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[flag] = value
-    if overrides:
-        # Flag precedence: rebuild from the merged flat view.
-        base = {
-            "bc": cfg.bc,
-            "th_ub": cfg.th_ub,
-            "th_size": cfg.th_size,
-            "th_d": cfg.th_d,
-            "th_simi": cfg.th_simi,
-            "flag_small": cfg.flag_small,
-            "transform": cfg.transform,
-            "representative": cfg.representative,
-            "dmin": cfg.dmin,
-            "pct": cfg.pct,
-            "ccrate": cfg.ccrate,
-            "magnitude_gap": cfg.magnitude_gap,
-            "ultrashort_absolute_ms": cfg.ultrashort_absolute_ms,
-            "ultrashort_median_fraction": cfg.ultrashort_median_fraction,
-            "homogeneous": cfg.homogeneous,
-        }
-        base.update({f"pri_{name.lower()}": w for name, w in cfg.priorities})
-        base.update(overrides)
-        cfg = config_from_mapping({k: str(v) for k, v in base.items()})
-    return cfg
+    values = read_config_file(path) if path else {}
+    for key in CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    return config_from_mapping(values)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:

@@ -257,12 +257,6 @@ class MetricDiagnosis:
     )  # (metric, node, branch, distance)
     warnings: List[str] = field(default_factory=list)
 
-    def by_node(self) -> Dict[str, List[str]]:
-        out: Dict[str, List[str]] = {}
-        for metric, node, _, _ in self.findings:
-            out.setdefault(node, []).append(metric)
-        return {node: sorted(metrics) for node, metrics in sorted(out.items())}
-
 
 def diagnose_outlier_metrics(
     datasets: FeatureDatasets, cfg: OutlierConfig = OutlierConfig()
@@ -280,10 +274,6 @@ def diagnose_outlier_metrics(
     stacked = np.vstack([datasets.matrix[n] for n in nodes])
     selection = pca_select_metrics(stacked, datasets.matrix_metrics, cfg.ccrate)
     warnings: List[str] = []
-    if datasets.missing_metric_nodes:
-        warnings.append(
-            "no in-window samples for: " + ", ".join(datasets.missing_metric_nodes)
-        )
     if selection.degenerate:
         warnings.append("zero-variance stage matrix: PCA fell back to all metrics")
 

@@ -8,8 +8,8 @@ JSON document that round-trips byte-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Mapping, Tuple
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from . import appdetect, metricdetect, nodedetect
 from .appdetect import ImbalanceConfig, PlacementConfig
@@ -18,21 +18,11 @@ from .metricdetect import OutlierConfig
 from .model import Finding, FindingKind, Locality, Trace
 from .nodedetect import SimilarityConfig
 
-REPORT_SCHEMA = "stagelens-report/1"
+REPORT_SCHEMA = "stagelens-report/2"
 
 
 class DiagnoseError(Exception):
     pass
-
-
-_PRIORITY_KEYS = {
-    "pri_process_local": Locality.PROCESS_LOCAL,
-    "pri_node_local": Locality.NODE_LOCAL,
-    "pri_rack_local": Locality.RACK_LOCAL,
-    "pri_any": Locality.ANY,
-    "pri_off_switch": Locality.OFF_SWITCH,
-    "pri_unknown": Locality.UNKNOWN,
-}
 
 
 @dataclass(frozen=True)
@@ -51,7 +41,6 @@ class PipelineConfig:
     transform: str = "mean"
     representative: str = "max_min"
     dmin: float = 0.6
-    pct: float = 1.0
     ccrate: float = 0.95
     magnitude_gap: int = 2
     ultrashort_absolute_ms: int = 1000
@@ -74,7 +63,6 @@ class PipelineConfig:
             transform=self.transform,
             representative=self.representative,
             dmin=self.dmin,
-            pct=self.pct,
             ccrate=self.ccrate,
             magnitude_gap=self.magnitude_gap,
         )
@@ -91,9 +79,22 @@ class PipelineConfig:
         return f"[{transform},{representative},CCRate_d={self.ccrate:g},dmin={self.dmin:g}]"
 
 
-_BOOL_KEYS = ("flag_small", "homogeneous")
-_INT_KEYS = ("magnitude_gap", "ultrashort_absolute_ms")
-_STR_KEYS = ("transform", "representative")
+_PRIORITY_KEYS = {f"pri_{loc.value.lower()}": loc for loc in Locality}
+_PARSERS: Dict[type, Callable[[str], object]] = {
+    bool: lambda raw: str(raw).strip().lower() in ("1", "true", "yes", "on"),
+    int: int,
+    float: float,
+    str: lambda raw: str(raw).strip(),
+}
+# Every flat config key (file line or CLI flag) and the parser for its value,
+# chosen by the type of the field's default. The priorities tuple is set
+# through one pri_<locality> key per Locality instead.
+CONFIG_KEYS: Dict[str, Callable[[str], object]] = {
+    f.name: _PARSERS[type(f.default)]
+    for f in fields(PipelineConfig)
+    if type(f.default) in _PARSERS
+}
+CONFIG_KEYS.update(dict.fromkeys(_PRIORITY_KEYS, float))
 
 
 def config_from_mapping(values: Mapping[str, str]) -> PipelineConfig:
@@ -103,24 +104,18 @@ def config_from_mapping(values: Mapping[str, str]) -> PipelineConfig:
     updates: Dict[str, object] = {}
     for key, raw in values.items():
         key = key.strip().lower()
-        if key in _PRIORITY_KEYS:
-            priorities[_PRIORITY_KEYS[key].value] = float(raw)
-        elif key in _BOOL_KEYS:
-            updates[key] = str(raw).strip().lower() in ("1", "true", "yes", "on")
-        elif key in _INT_KEYS:
-            updates[key] = int(raw)
-        elif key in _STR_KEYS:
-            updates[key] = str(raw).strip()
-        elif key in ("bc", "th_ub", "th_size", "th_d", "th_simi", "dmin", "pct",
-                     "ccrate", "ultrashort_median_fraction"):
-            updates[key] = float(raw)
-        else:
+        if key not in CONFIG_KEYS:
             raise DiagnoseError(f"unknown configuration key {key!r}")
+        value = CONFIG_KEYS[key](raw)
+        if key in _PRIORITY_KEYS:
+            priorities[_PRIORITY_KEYS[key].value] = value
+        else:
+            updates[key] = value
     updates["priorities"] = tuple(sorted(priorities.items()))
     return replace(cfg, **updates)
 
 
-def load_config(path: str) -> PipelineConfig:
+def read_config_file(path: str) -> Dict[str, str]:
     """Flat key=value file; blank lines and #-comments are ignored."""
     values: Dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -131,24 +126,58 @@ def load_config(path: str) -> PipelineConfig:
             if "=" not in stripped:
                 raise DiagnoseError(f"{path}:{line_no}: expected key = value")
             key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
-    return config_from_mapping(values)
+            values[key.strip().lower()] = value.strip()
+    return values
+
+
+def load_config(path: str) -> PipelineConfig:
+    return config_from_mapping(read_config_file(path))
 
 
 @dataclass
 class StageReport:
+    """One stage's verdicts; the per-kind views below are read from findings."""
+
     stage_id: str
-    stragglers: List[str] = field(default_factory=list)
-    imbalance_nodes: List[str] = field(default_factory=list)  # tilt-rank order
-    skew_nodes: List[Tuple[str, float]] = field(default_factory=list)
-    skew_tasks: List[Tuple[str, str, float]] = field(default_factory=list)
-    placement: List[Tuple[str, str, float]] = field(default_factory=list)  # node, locality, ratio
-    similarity_nodes: List[str] = field(default_factory=list)
-    similarity_values: List[float] = field(default_factory=list)
-    abnormal_nodes: List[str] = field(default_factory=list)
-    outliers: Dict[str, List[str]] = field(default_factory=dict)  # node -> metrics
     findings: List[Finding] = field(default_factory=list)
+    similarity: Dict[str, float] = field(default_factory=dict)  # node -> score
     warnings: List[str] = field(default_factory=list)
+
+    def _of(self, kind: FindingKind) -> List[tuple]:
+        """(*subjects, score) of each finding of one kind, in report order."""
+        return [(*f.subjects, f.score) for f in self.findings if f.kind is kind]
+
+    @property
+    def stragglers(self) -> List[str]:
+        return [row[0] for row in self._of(FindingKind.STRAGGLER)]
+
+    @property
+    def imbalance_nodes(self) -> List[str]:  # tilt-rank order
+        return [row[0] for row in self._of(FindingKind.WORKLOAD_IMBALANCE)]
+
+    @property
+    def skew_nodes(self) -> List[Tuple[str, float]]:
+        return [row for row in self._of(FindingKind.SKEW_DATA_SIZE) if len(row) == 2]
+
+    @property
+    def skew_tasks(self) -> List[Tuple[str, str, float]]:
+        rows = [row for row in self._of(FindingKind.SKEW_DATA_SIZE) if len(row) == 3]
+        return [(node, task.removeprefix("task:"), ratio) for node, task, ratio in rows]
+
+    @property
+    def placement(self) -> List[Tuple[str, str, float]]:  # node, locality, ratio
+        return self._of(FindingKind.UNEVEN_PLACEMENT)
+
+    @property
+    def abnormal_nodes(self) -> List[str]:
+        return [row[0] for row in self._of(FindingKind.ABNORMAL_NODE)]
+
+    @property
+    def outliers(self) -> Dict[str, List[str]]:  # node -> sorted metrics
+        out: Dict[str, List[str]] = {}
+        for node, metric, _ in self._of(FindingKind.OUTLIER_METRIC):
+            out.setdefault(node, []).append(metric)
+        return {node: sorted(metrics) for node, metrics in sorted(out.items())}
 
 
 @dataclass
@@ -176,6 +205,10 @@ def _diagnose_stage(
     trace: Trace, stage, cfg: PipelineConfig
 ) -> Tuple[StageReport, appdetect.ImbalanceResult]:
     report = StageReport(stage_id=stage.stage_id)
+
+    def found(kind, subjects, score, threshold, detail=""):
+        report.findings.append(Finding(kind, stage.stage_id, subjects, score, threshold, detail))
+
     window = stage_window(stage)
     slices = slice_metrics(trace, window)
     if slices.gaps:
@@ -193,10 +226,7 @@ def _diagnose_stage(
     straggle = appdetect.detect_stragglers(means, cfg.th_d)
     if straggle.evaluable:
         for node, scale in straggle.stragglers:
-            report.stragglers.append(node)
-            report.findings.append(
-                Finding(FindingKind.STRAGGLER, stage.stage_id, (node,), scale, cfg.th_d)
-            )
+            found(FindingKind.STRAGGLER, (node,), scale, cfg.th_d)
     else:
         report.warnings.append("straggler screen not evaluable")
 
@@ -205,37 +235,18 @@ def _diagnose_stage(
         if imbalance.unbalanced:
             tilt = dict((node, t) for t, node in imbalance.tilt)
             for node in imbalance.flagged:
-                report.imbalance_nodes.append(node)
-                report.findings.append(
-                    Finding(
-                        FindingKind.WORKLOAD_IMBALANCE,
-                        stage.stage_id,
-                        (node,),
-                        tilt[node],
-                        cfg.bc * imbalance.mean,
-                    )
-                )
+                found(FindingKind.WORKLOAD_IMBALANCE, (node,), tilt[node], cfg.bc * imbalance.mean)
     else:
         report.warnings.append("workload imbalance not evaluable (no countable tasks)")
 
     skew = appdetect.detect_skew_data_size(datasets.data_size, cfg.th_size, cfg.flag_small)
     if skew.evaluable:
         for node, ratio in skew.flagged_nodes:
-            report.skew_nodes.append((node, ratio))
-            report.findings.append(
-                Finding(FindingKind.SKEW_DATA_SIZE, stage.stage_id, (node,), ratio, cfg.th_size)
-            )
+            found(FindingKind.SKEW_DATA_SIZE, (node,), ratio, cfg.th_size)
         for node, task_id, ratio in skew.flagged_tasks:
-            report.skew_tasks.append((node, task_id, ratio))
-            report.findings.append(
-                Finding(
-                    FindingKind.SKEW_DATA_SIZE,
-                    stage.stage_id,
-                    (node, f"task:{task_id}"),
-                    ratio,
-                    cfg.th_size,
-                )
-            )
+            found(FindingKind.SKEW_DATA_SIZE, (node, f"task:{task_id}"), ratio, cfg.th_size)
+    elif not datasets.data_size:
+        report.warnings.append("skew screen not evaluable (no successful tasks)")
     else:
         report.warnings.append("skew screen not evaluable (median data size is zero)")
 
@@ -243,34 +254,14 @@ def _diagnose_stage(
         for entry in appdetect.detect_uneven_placement(
             datasets.locality, cfg.placement(), total=len(datasets.locality)
         ):
-            report.placement.append((entry.node, entry.locality.value, entry.ratio))
-            report.findings.append(
-                Finding(
-                    FindingKind.UNEVEN_PLACEMENT,
-                    stage.stage_id,
-                    (entry.node, entry.locality.value),
-                    entry.ratio,
-                    0.0,
-                )
-            )
+            subjects = (entry.node, entry.locality.value)
+            found(FindingKind.UNEVEN_PLACEMENT, subjects, entry.ratio, 0.0)
 
     similarity = nodedetect.detect_abnormal_nodes(datasets.vectors, cfg.similarity())
     if similarity.evaluable:
-        report.similarity_nodes = sorted(similarity.similarity)
-        report.similarity_values = [
-            similarity.similarity[n] for n in report.similarity_nodes
-        ]
+        report.similarity = dict(similarity.similarity)
         for node in similarity.abnormal:
-            report.abnormal_nodes.append(node)
-            report.findings.append(
-                Finding(
-                    FindingKind.ABNORMAL_NODE,
-                    stage.stage_id,
-                    (node,),
-                    similarity.similarity[node],
-                    cfg.th_simi,
-                )
-            )
+            found(FindingKind.ABNORMAL_NODE, (node,), similarity.similarity[node], cfg.th_simi)
         if similarity.caveat:
             report.warnings.append(similarity.caveat)
         if similarity.skipped:
@@ -283,18 +274,9 @@ def _diagnose_stage(
     diagnosis = metricdetect.diagnose_outlier_metrics(datasets, cfg.outlier())
     report.warnings.extend(diagnosis.warnings)
     if diagnosis.evaluable:
-        report.outliers = diagnosis.by_node()
         for metric, node, branch, distance in diagnosis.findings:
-            report.findings.append(
-                Finding(
-                    FindingKind.OUTLIER_METRIC,
-                    stage.stage_id,
-                    (node, metric),
-                    distance,
-                    cfg.dmin,
-                    detail=f"branch={branch}",
-                )
-            )
+            detail = f"branch={branch}"
+            found(FindingKind.OUTLIER_METRIC, (node, metric), distance, cfg.dmin, detail)
     return report, imbalance
 
 
@@ -349,24 +331,25 @@ def _render_text(report: DiagnosisReport) -> str:
         ]
         lines.append(f"    Uneven data placement: {_null_or(placement_parts)}")
         lines.append("--- Abnormal node diagnosis:")
-        if stage.similarity_nodes:
-            names = "[" + ", ".join(f"'{n}'" for n in stage.similarity_nodes) + "]"
-            values = "[" + ", ".join(f"{v:.4f}" for v in stage.similarity_values) + "]"
+        if stage.similarity:
+            nodes = sorted(stage.similarity)
+            names = "[" + ", ".join(f"'{n}'" for n in nodes) + "]"
+            values = "[" + ", ".join(f"{stage.similarity[n]:.4f}" for n in nodes) + "]"
             lines.append(f"    Similarity analysis: Similarity ({names}, other nodes): {values}")
         else:
             lines.append("    Similarity analysis: Null")
         lines.append(f"    Detected abnormal node: {_null_or(stage.abnormal_nodes)}")
         lines.append("--- Outlier metrics diagnosis:")
-        if stage.outliers:
+        outliers = stage.outliers
+        if outliers:
             per_node = "; ".join(
-                f"{node}:({', '.join(metrics)})" for node, metrics in stage.outliers.items()
+                f"{node}:({', '.join(metrics)})" for node, metrics in outliers.items()
             )
             lines.append(f"    Mode: {report.mode_label}: {per_node}")
         else:
             lines.append(f"    Mode: {report.mode_label}: Null")
-        if stage.warnings:
-            for warning in stage.warnings:
-                lines.append(f"    Warning: {warning}")
+        for warning in stage.warnings:
+            lines.append(f"    Warning: {warning}")
         lines.append("")
     return "\n".join(lines)
 
@@ -400,16 +383,8 @@ def report_to_dict(report: DiagnosisReport) -> dict:
         "stages": [
             {
                 "stage_id": s.stage_id,
-                "stragglers": list(s.stragglers),
-                "imbalance_nodes": list(s.imbalance_nodes),
-                "skew_nodes": [[n, r] for n, r in s.skew_nodes],
-                "skew_tasks": [[n, t, r] for n, t, r in s.skew_tasks],
-                "placement": [[n, l, r] for n, l, r in s.placement],
-                "similarity_nodes": list(s.similarity_nodes),
-                "similarity_values": list(s.similarity_values),
-                "abnormal_nodes": list(s.abnormal_nodes),
-                "outliers": {k: list(v) for k, v in s.outliers.items()},
                 "findings": [_finding_to_dict(f) for f in s.findings],
+                "similarity": dict(s.similarity),
                 "warnings": list(s.warnings),
             }
             for s in report.stages
@@ -426,16 +401,8 @@ def report_from_dict(data: dict) -> DiagnosisReport:
         stages.append(
             StageReport(
                 stage_id=s["stage_id"],
-                stragglers=list(s.get("stragglers", [])),
-                imbalance_nodes=list(s.get("imbalance_nodes", [])),
-                skew_nodes=[(n, r) for n, r in s.get("skew_nodes", [])],
-                skew_tasks=[(n, t, r) for n, t, r in s.get("skew_tasks", [])],
-                placement=[(n, l, r) for n, l, r in s.get("placement", [])],
-                similarity_nodes=list(s.get("similarity_nodes", [])),
-                similarity_values=list(s.get("similarity_values", [])),
-                abnormal_nodes=list(s.get("abnormal_nodes", [])),
-                outliers={k: list(v) for k, v in s.get("outliers", {}).items()},
                 findings=[_finding_from_dict(f) for f in s.get("findings", [])],
+                similarity=dict(s.get("similarity", {})),
                 warnings=list(s.get("warnings", [])),
             )
         )

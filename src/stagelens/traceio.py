@@ -170,6 +170,8 @@ def load_trace(path: str) -> Trace:
         job_id = str(_require(row, "job_id", stages_path, i))
         if job_id not in jobs:
             raise TraceParseError(stages_path, i + 2, f"stage references unknown job {job_id!r}")
+        if stage_id in stages:
+            raise TraceParseError(stages_path, i + 2, f"duplicate stage_id {stage_id!r}")
         stage = Stage(stage_id=stage_id, job_id=job_id)
         stages[stage_id] = stage
         jobs[job_id].stages.append(stage)

@@ -258,7 +258,9 @@ def test_diagnose_flags_disk_fault_shape():
     )
     result = diagnose_outlier_metrics(ds, OutlierConfig(representative="median", dmin=0.5))
     assert result.evaluable
-    flagged = result.by_node()
+    flagged = {}
+    for metric, node, _, _ in result.findings:
+        flagged.setdefault(node, []).append(metric)
     assert set(flagged) == {"hw89"}
     assert set(flagged["hw89"]) == {"cpu_usage", "weighted_io"}
 

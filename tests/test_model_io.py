@@ -121,6 +121,23 @@ def test_parse_error_names_file_line_and_rule(tmp_path):
     assert ":2:" in str(err.value)
 
 
+def test_reused_stage_id_rejected(tmp_path):
+    first = make_stage({"hw01": 1}, stage_id="s0", job_id="j0")
+    second = make_stage({"hw01": 1}, stage_id="s1", job_id="j1")
+    trace = Trace(
+        cluster=["hw01"],
+        jobs=[Job(job_id="j0", stages=[first]), Job(job_id="j1", stages=[second])],
+    )
+    out = tmp_path / "trace"
+    save_trace(trace, str(out))
+    stages_file = out / "stages.jsonl"
+    stages_file.write_text(stages_file.read_text().replace('"s1"', '"s0"'))
+    with pytest.raises(TraceParseError) as err:
+        load_trace(str(out))
+    assert "stages.jsonl:3:" in str(err.value)
+    assert "duplicate stage_id 's0'" in str(err.value)
+
+
 def test_schema_header_is_checked(tmp_path):
     trace = Trace(cluster=["hw01"])
     out = tmp_path / "trace"

@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from stagelens.cli import main
+from stagelens.cli import _build_parser, _resolve_config, main
 from stagelens.report import (
     DiagnoseError,
     PipelineConfig,
@@ -68,6 +69,45 @@ def test_structured_round_trip_is_byte_identical():
     assert render_report(reparsed, "structured") == payload
 
 
+def test_derived_views_survive_structured_round_trip():
+    views = ("stragglers", "imbalance_nodes", "skew_nodes", "skew_tasks", "placement",
+             "abnormal_nodes", "outliers", "similarity", "warnings")
+    for case in ("case1", "case2", "case3"):
+        trace, _ = generate_trace(preset(case, seed=1))
+        report = diagnose(trace, MEAN_MEDIAN)
+        reparsed = parse_report(render_report(report, "structured"))
+        assert len(reparsed.stages) == len(report.stages)
+        for before, after in zip(report.stages, reparsed.stages):
+            for view in views:
+                assert getattr(after, view) == getattr(before, view), (case, view)
+
+
+def test_old_report_schema_rejected():
+    trace, _ = generate_trace(preset("case1", seed=1))
+    data = json.loads(render_report(diagnose(trace, MEAN_MEDIAN), "structured"))
+    data["schema"] = "stagelens-report/1"
+    with pytest.raises(DiagnoseError, match="stagelens-report/2"):
+        parse_report(json.dumps(data).encode())
+
+
+def test_all_failed_stage_warns_no_successful_tasks():
+    trace, _ = generate_trace(preset("case1", seed=1))
+    stage = next(trace.stages())
+    stage.tasks[:] = [replace(task, succeeded=False) for task in stage.tasks]
+    warnings = diagnose(trace, PipelineConfig()).stages[0].warnings
+    assert "skew screen not evaluable (no successful tasks)" in warnings
+    assert not any("median data size" in w for w in warnings)
+
+
+def test_gap_node_is_named_in_one_warning():
+    trace, _ = generate_trace(preset("case1", seed=1))
+    trace.metrics["hw02"] = []
+    for stage in diagnose(trace, MEAN_MEDIAN).stages:
+        assert [w for w in stage.warnings if "hw02" in w] == [
+            "no in-window metric samples for: hw02"
+        ]
+
+
 def test_every_finding_appears_once_in_structured_report():
     trace, _ = generate_trace(preset("case1", seed=4))
     report = diagnose(trace, MEAN_MEDIAN)
@@ -128,6 +168,30 @@ def test_unknown_config_key_rejected():
 def test_bad_config_values_rejected():
     with pytest.raises(ValueError):
         config_from_mapping({"bc": "1.4"}).imbalance()
+
+
+def test_cli_flag_beats_config_file(tmp_path, monkeypatch):
+    monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
+    cfg_file = tmp_path / "conf"
+    cfg_file.write_text("dmin = 0.9\nrepresentative = median\n")
+    args = _build_parser().parse_args(
+        ["diagnose", "--trace", "t", "--config", str(cfg_file), "--dmin", "0.5"]
+    )
+    cfg = _resolve_config(args)
+    assert cfg.dmin == 0.5
+    assert cfg.representative == "median"
+
+
+def test_cli_priority_flag_reaches_config(monkeypatch):
+    monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
+    args = _build_parser().parse_args(["diagnose", "--trace", "t", "--pri-any", "3"])
+    assert dict(_resolve_config(args).priorities)["ANY"] == 3.0
+
+
+def test_cli_rejects_removed_pct_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["diagnose", "--trace", str(tmp_path), "--pct", "1.0"])
+    assert exc.value.code == 2
 
 
 def test_cli_simulate_diagnose_evaluate(tmp_path, capsys):
