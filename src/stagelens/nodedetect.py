@@ -1,11 +1,19 @@
 """Abnormal-node detection via pairwise cosine similarity of per-node mean
-metric vectors."""
+metric vectors.
+
+`detect_abnormal_nodes` computes every pair at once in matrix form, one
+array pass per metric dimension. It adds and multiplies in the same order
+and with the same operations as the pairwise `cosine_similarity`, so its
+scores are bit-identical to averaging that function over all peers.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping
+
+import numpy as np
 
 
 class SimilarityError(Exception):
@@ -56,7 +64,6 @@ def detect_abnormal_nodes(
     nodes are abnormal."""
     nodes = sorted(vectors)
     skipped: List[str] = []
-    pair: Dict[Tuple[str, str], float] = {}
     usable: List[str] = []
     for node in nodes:
         vec = vectors[node]
@@ -64,25 +71,45 @@ def detect_abnormal_nodes(
             skipped.append(node)
             continue
         usable.append(node)
-    for i, a in enumerate(usable):
-        for b in usable[i + 1 :]:
-            try:
-                pair[(a, b)] = cosine_similarity(vectors[a], vectors[b])
-            except SimilarityError:
-                pair[(a, b)] = math.nan
+    if len(usable) < 2:
+        return AbnormalNodeResult(evaluable=False, skipped=nodes)
+
+    # x: p nodes x d metrics (0 where missing); mask: True where present.
+    dims = sorted(set().union(*(vectors[n] for n in usable)))
+    x = np.array([[vectors[n].get(k, 0.0) for k in dims] for n in usable])
+    mask = np.array([[k in vectors[n] for k in dims] for n in usable])
+    dots = np.zeros((len(usable), len(usable)))
+    sq = np.zeros_like(dots)
+    # Overflow gives inf here, where cosine_similarity's `** 2` raises
+    # OverflowError; the pairs it touches are dropped below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # float_power calls libm pow, as cosine_similarity's `** 2` does;
+        # x * x rounds differently for about one value in a thousand.
+        x2 = np.float_power(x, 2)
+        # Accumulate dim by dim in sorted order, as cosine_similarity's sums
+        # do; a dim one side lacks adds an exact 0. sq[a, b] is |a|^2 over
+        # the dims b has.
+        for k in range(len(dims)):
+            dots += x[:, k, None] * x[None, :, k]
+            sq += np.where(mask[None, :, k], x2[:, k, None], 0.0)
+        norms = np.sqrt(sq)
+        sims = dots / (norms * norms.T)
+    # A pair counts when both norms over the shared dims are positive and
+    # finite: the cases where cosine_similarity returns a score without
+    # overflowing.
+    ok = (sq > 0) & np.isfinite(sq)
+    valid = ok & ok.T & np.isfinite(sims)
+    np.fill_diagonal(valid, False)
+    # cumsum adds each row left to right, as sum() over the peers does.
+    totals = np.cumsum(np.where(valid, sims, 0.0), axis=1)[:, -1]
 
     # Nodes whose every pairing failed drop out of the evaluable set.
     similarity: Dict[str, float] = {}
-    for node in usable:
-        sims = [
-            s
-            for (a, b), s in pair.items()
-            if node in (a, b) and not math.isnan(s)
-        ]
-        if not sims:
+    for node, total, count in zip(usable, totals.tolist(), valid.sum(axis=1).tolist()):
+        if not count:
             skipped.append(node)
             continue
-        similarity[node] = sum(sims) / len(sims)
+        similarity[node] = total / count
 
     if len(similarity) < 2:
         return AbnormalNodeResult(evaluable=False, skipped=sorted(skipped))

@@ -80,8 +80,19 @@ class PipelineConfig:
 
 
 _PRIORITY_KEYS = {f"pri_{loc.value.lower()}": loc for loc in Locality}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_bool(raw: str) -> bool:
+    word = str(raw).strip().lower()
+    if word not in _BOOL_WORDS:
+        raise ValueError("expected one of " + "/".join(_BOOL_WORDS))
+    return _BOOL_WORDS[word]
+
+
 _PARSERS: Dict[type, Callable[[str], object]] = {
-    bool: lambda raw: str(raw).strip().lower() in ("1", "true", "yes", "on"),
+    bool: _parse_bool,
     int: int,
     float: float,
     str: lambda raw: str(raw).strip(),
@@ -106,7 +117,10 @@ def config_from_mapping(values: Mapping[str, str]) -> PipelineConfig:
         key = key.strip().lower()
         if key not in CONFIG_KEYS:
             raise DiagnoseError(f"unknown configuration key {key!r}")
-        value = CONFIG_KEYS[key](raw)
+        try:
+            value = CONFIG_KEYS[key](raw)
+        except ValueError as exc:
+            raise DiagnoseError(f"bad value {raw!r} for configuration key {key!r}: {exc}") from exc
         if key in _PRIORITY_KEYS:
             priorities[_PRIORITY_KEYS[key].value] = value
         else:

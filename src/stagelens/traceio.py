@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 from .model import Job, Locality, MetricSample, Stage, Task, Trace
 
@@ -105,19 +105,32 @@ def save_trace(trace: Trace, path: str) -> None:
     _write_entity_file(os.path.join(path, "metrics.jsonl"), "metrics", metric_rows)
 
 
-def _read_entity_file(path: str, entity: str) -> List[dict]:
+def _reject_constant(token: str) -> float:
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
+# JSON admits NaN and +-Infinity tokens; a metric value must be finite.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _read_entity_file(path: str, entity: str) -> Iterator[Tuple[int, dict]]:
+    """The records after the header, each with its line number in the file,
+    decoded one line at a time."""
     if not os.path.exists(path):
         raise TraceParseError(path, 0, "file missing from trace directory")
-    records = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
+            if not line and line_no > 1:
                 continue
             try:
-                record = json.loads(line)
+                record = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise TraceParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:
+                raise TraceParseError(path, line_no, str(exc)) from exc
+            if not isinstance(record, dict):
+                raise TraceParseError(path, line_no, "record must be a JSON object")
             if line_no == 1:
                 if record.get("schema") != SCHEMA_VERSION:
                     raise TraceParseError(
@@ -128,13 +141,12 @@ def _read_entity_file(path: str, entity: str) -> List[dict]:
                         path, 1, f"entity header must be {entity!r}, got {record.get('entity')!r}"
                     )
                 continue
-            records.append(record)
-    return records
+            yield line_no, record
 
 
-def _require(record: dict, key: str, path: str, idx: int):
+def _require(record: dict, key: str, path: str, line_no: int):
     if key not in record:
-        raise TraceParseError(path, idx + 2, f"missing required field {key!r}")
+        raise TraceParseError(path, line_no, f"missing required field {key!r}")
     return record[key]
 
 
@@ -144,11 +156,11 @@ def load_trace(path: str) -> Trace:
         raise TraceParseError(path, 0, "trace path is not a directory")
 
     meta_path = os.path.join(path, "meta.jsonl")
-    meta_rows = _read_entity_file(meta_path, "meta")
+    meta_rows = list(_read_entity_file(meta_path, "meta"))
     if len(meta_rows) != 1:
         raise TraceParseError(meta_path, 0, "meta file must hold exactly one record")
-    meta = meta_rows[0]
-    cluster = list(_require(meta, "cluster", meta_path, 0))
+    meta_line, meta = meta_rows[0]
+    cluster = list(_require(meta, "cluster", meta_path, meta_line))
     offsets = {str(k): int(v) for k, v in meta.get("clock_offsets", {}).items()}
     applied = bool(meta.get("offsets_applied", False))
 
@@ -158,60 +170,64 @@ def load_trace(path: str) -> Trace:
     jobs_path = os.path.join(path, "jobs.jsonl")
     job_rows = _read_entity_file(jobs_path, "jobs")
     jobs: Dict[str, Job] = {}
-    for i, row in enumerate(job_rows):
-        job_id = str(_require(row, "job_id", jobs_path, i))
+    for line_no, row in job_rows:
+        job_id = str(_require(row, "job_id", jobs_path, line_no))
         jobs[job_id] = Job(job_id=job_id)
 
     stages_path = os.path.join(path, "stages.jsonl")
     stage_rows = _read_entity_file(stages_path, "stages")
     stages: Dict[str, Stage] = {}
-    for i, row in enumerate(stage_rows):
-        stage_id = str(_require(row, "stage_id", stages_path, i))
-        job_id = str(_require(row, "job_id", stages_path, i))
+    for line_no, row in stage_rows:
+        stage_id = str(_require(row, "stage_id", stages_path, line_no))
+        job_id = str(_require(row, "job_id", stages_path, line_no))
         if job_id not in jobs:
-            raise TraceParseError(stages_path, i + 2, f"stage references unknown job {job_id!r}")
+            raise TraceParseError(stages_path, line_no, f"stage references unknown job {job_id!r}")
         if stage_id in stages:
-            raise TraceParseError(stages_path, i + 2, f"duplicate stage_id {stage_id!r}")
+            raise TraceParseError(stages_path, line_no, f"duplicate stage_id {stage_id!r}")
         stage = Stage(stage_id=stage_id, job_id=job_id)
         stages[stage_id] = stage
         jobs[job_id].stages.append(stage)
 
     tasks_path = os.path.join(path, "tasks.jsonl")
-    for i, row in enumerate(_read_entity_file(tasks_path, "tasks")):
-        stage_id = str(_require(row, "stage_id", tasks_path, i))
+    for line_no, row in _read_entity_file(tasks_path, "tasks"):
+        stage_id = str(_require(row, "stage_id", tasks_path, line_no))
         if stage_id not in stages:
-            raise TraceParseError(tasks_path, i + 2, f"task references unknown stage {stage_id!r}")
-        node = str(_require(row, "node", tasks_path, i))
+            raise TraceParseError(
+                tasks_path, line_no, f"task references unknown stage {stage_id!r}"
+            )
+        node = str(_require(row, "node", tasks_path, line_no))
         try:
+            launch = int(_require(row, "launch_time", tasks_path, line_no))
+            finish = int(_require(row, "finish_time", tasks_path, line_no))
             task = Task(
-                task_id=str(_require(row, "task_id", tasks_path, i)),
+                task_id=str(_require(row, "task_id", tasks_path, line_no)),
                 stage_id=stage_id,
                 node=node,
-                launch_time=shift_task(node, int(_require(row, "launch_time", tasks_path, i))),
-                finish_time=shift_task(node, int(_require(row, "finish_time", tasks_path, i))),
+                launch_time=shift_task(node, launch),
+                finish_time=shift_task(node, finish),
                 locality=Locality(row.get("locality", "UNKNOWN")),
                 data_size=int(row.get("data_size", 0)),
                 succeeded=bool(row.get("succeeded", True)),
             )
         except ValueError as exc:
-            raise TraceParseError(tasks_path, i + 2, f"bad task record: {exc}") from exc
+            raise TraceParseError(tasks_path, line_no, f"bad task record: {exc}") from exc
         stages[stage_id].tasks.append(task)
 
     metrics_path = os.path.join(path, "metrics.jsonl")
     metrics: Dict[str, List[MetricSample]] = {}
-    for i, row in enumerate(_read_entity_file(metrics_path, "metrics")):
-        node = str(_require(row, "node", metrics_path, i))
-        values = _require(row, "values", metrics_path, i)
+    for line_no, row in _read_entity_file(metrics_path, "metrics"):
+        node = str(_require(row, "node", metrics_path, line_no))
+        values = _require(row, "values", metrics_path, line_no)
         if not isinstance(values, dict):
-            raise TraceParseError(metrics_path, i + 2, "values must be a metric->number map")
+            raise TraceParseError(metrics_path, line_no, "values must be a metric->number map")
         try:
             sample = MetricSample(
                 node=node,
-                timestamp=shift_task(node, int(_require(row, "timestamp", metrics_path, i))),
+                timestamp=shift_task(node, int(_require(row, "timestamp", metrics_path, line_no))),
                 values={str(k): float(v) for k, v in values.items()},
             )
         except (TypeError, ValueError) as exc:
-            raise TraceParseError(metrics_path, i + 2, f"bad metric record: {exc}") from exc
+            raise TraceParseError(metrics_path, line_no, f"bad metric record: {exc}") from exc
         metrics.setdefault(node, []).append(sample)
     for node in metrics:
         metrics[node].sort(key=lambda s: s.timestamp)

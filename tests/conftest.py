@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stagelens.ingest import ARCH_COLUMNS, SYSTEM_COLUMNS, RawMetricRow
 from stagelens.model import Job, Locality, MetricSample, Stage, Task, Trace
+
+
+# Property tests draw the same examples on every run, and a slow shared host
+# does not fail them on time.
+settings.register_profile("stagelens", derandomize=True, deadline=None)
+settings.load_profile("stagelens")
 
 
 def make_task(

@@ -138,6 +138,48 @@ def test_reused_stage_id_rejected(tmp_path):
     assert "duplicate stage_id 's0'" in str(err.value)
 
 
+def test_error_line_counts_blank_lines(tmp_path):
+    trace = make_trace(make_stage({"hw01": 1}))
+    out = tmp_path / "trace"
+    save_trace(trace, str(out))
+    stages_file = out / "stages.jsonl"
+    header = stages_file.read_text().splitlines()[0]
+    stages_file.write_text(header + "\n\n" + json.dumps({"job_id": "j0"}) + "\n")
+    with pytest.raises(TraceParseError) as err:
+        load_trace(str(out))
+    assert "stages.jsonl:3:" in str(err.value)
+    assert err.value.line_no == 3
+    assert "missing required field 'stage_id'" in str(err.value)
+
+
+@pytest.mark.parametrize("line", ["5", "[]", '"j0"', "null"])
+def test_non_object_record_rejected(tmp_path, line):
+    out = tmp_path / "trace"
+    save_trace(Trace(cluster=["hw01"]), str(out))
+    jobs_file = out / "jobs.jsonl"
+    jobs_file.write_text(jobs_file.read_text() + line + "\n")
+    with pytest.raises(TraceParseError) as err:
+        load_trace(str(out))
+    assert "jobs.jsonl:2: record must be a JSON object" in str(err.value)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_metric_value_rejected_at_load(tmp_path, token):
+    stage = make_stage({"hw01": 1})
+    metrics = {"hw01": metric_series("hw01", 1_460_000_000_000, 3, lambda i: {"cpu_usage": 0.5})}
+    out = tmp_path / "trace"
+    save_trace(make_trace(stage, metrics=metrics), str(out))
+    metrics_file = out / "metrics.jsonl"
+    lines = metrics_file.read_text().splitlines()
+    lines[2] = lines[2].replace('"cpu_usage":0.5', f'"cpu_usage":{token}')
+    assert token in lines[2]
+    metrics_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError) as err:
+        load_trace(str(out))
+    assert "metrics.jsonl:3:" in str(err.value)
+    assert token in str(err.value)
+
+
 def test_schema_header_is_checked(tmp_path):
     trace = Trace(cluster=["hw01"])
     out = tmp_path / "trace"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stagelens.nodedetect import (
     SimilarityConfig,
@@ -131,3 +133,99 @@ def test_heterogeneous_flag_surfaces_caveat():
 def test_threshold_bounds_are_validated():
     with pytest.raises(ValueError):
         SimilarityConfig(th_simi=1.5)
+
+
+def bruteforce_abnormal_nodes(vectors, cfg=SimilarityConfig()):
+    """The pairwise definition: each node's mean cosine_similarity to every
+    peer it has a defined score with, one cosine_similarity call per pair."""
+    nodes = sorted(vectors)
+    skipped = [n for n in nodes if not any(vectors[n].values())]
+    usable = [n for n in nodes if n not in skipped]
+    pair = {}
+    for i, a in enumerate(usable):
+        for b in usable[i + 1 :]:
+            try:
+                pair[a, b] = pair[b, a] = cosine_similarity(vectors[a], vectors[b])
+            except SimilarityError:
+                pass
+    similarity = {}
+    for node in usable:
+        sims = [
+            pair[node, other]
+            for other in usable
+            if (node, other) in pair and not math.isnan(pair[node, other])
+        ]
+        if sims:
+            similarity[node] = sum(sims) / len(sims)
+        else:
+            skipped.append(node)
+    if len(similarity) < 2:
+        return False, {}, [], sorted(skipped)
+    abnormal = [n for n in sorted(similarity) if similarity[n] < cfg.th_simi]
+    return True, similarity, abnormal, sorted(skipped)
+
+
+def assert_matches_bruteforce(vectors, cfg=SimilarityConfig()):
+    result = detect_abnormal_nodes(vectors, cfg)
+    evaluable, similarity, abnormal, skipped = bruteforce_abnormal_nodes(vectors, cfg)
+    assert result.evaluable == evaluable
+    assert result.skipped == skipped
+    assert result.abnormal == abnormal
+    assert result.similarity == similarity  # exact: the screen is bit-identical
+    assert all(type(v) is float for v in result.similarity.values())
+
+
+# A small metric pool, so that pairs often share few dims, none at all, or
+# only dims where one side is zero. Values stay below 1e150, so that squares
+# and their sums stay finite: cosine_similarity raises OverflowError past
+# that (see test_overflowing_vector_is_skipped).
+_METRICS = ("cpu", "disk", "mem", "net", "swap")
+_VALUES = st.one_of(
+    st.just(0.0),
+    st.floats(-10.0, 10.0),
+    st.floats(-1e150, 1e150),
+)
+_VECTOR = st.one_of(
+    st.dictionaries(st.sampled_from(_METRICS), _VALUES),
+    st.dictionaries(st.sampled_from(_METRICS), st.just(0.0)),
+)
+_VECTORS = st.integers(0, 40).flatmap(
+    lambda p: st.lists(_VECTOR, min_size=p, max_size=p)
+).map(lambda vecs: {f"n{i:02d}": v for i, v in enumerate(vecs)})
+
+
+@given(vectors=_VECTORS, th_simi=st.floats(0.01, 0.99))
+def test_screen_equals_pairwise_bruteforce(vectors, th_simi):
+    assert_matches_bruteforce(vectors, SimilarityConfig(th_simi=th_simi))
+
+
+def test_wide_cluster_with_missing_dims_equals_bruteforce():
+    rng = np.random.default_rng(200)
+    values = rng.uniform(-1.0, 5.0, size=(200, 20)).tolist()
+    present = (rng.random((200, 20)) >= 0.05).tolist()
+    vectors = {
+        f"hw{i:03d}": {f"m{k:02d}": v for k, (v, keep) in enumerate(zip(row, mask)) if keep}
+        for i, (row, mask) in enumerate(zip(values, present))
+    }
+    assert sum(len(v) for v in vectors.values()) < 200 * 20
+    assert_matches_bruteforce(vectors)
+
+
+def test_squares_round_as_pairwise_pow_does():
+    # cosine_similarity squares with `** 2` (libm pow), which for about one
+    # value in a thousand rounds differently from v * v.
+    rng = np.random.default_rng(3)
+    odd = [v for v in rng.uniform(100.0, 1000.0, size=20_000).tolist() if v**2 != v * v]
+    if len(odd) < 8:
+        pytest.skip("this libm's pow squares as v * v does")
+    vectors = {f"n{i}": {"a": v, "b": 0.5, "c": 1.0 + i} for i, v in enumerate(odd[:8])}
+    assert_matches_bruteforce(vectors)
+
+
+def test_overflowing_vector_is_skipped():
+    vectors = {"n0": {"cpu": 1e200}, "n1": {"cpu": 1.0}, "n2": {"cpu": 2.0}}
+    with pytest.raises(OverflowError):
+        cosine_similarity(vectors["n0"], vectors["n1"])
+    result = detect_abnormal_nodes(vectors)
+    assert result.skipped == ["n0"]
+    assert result.similarity == {"n1": 1.0, "n2": 1.0}

@@ -165,6 +165,33 @@ def test_unknown_config_key_rejected():
         config_from_mapping({"thsimi": "0.4"})
 
 
+@pytest.mark.parametrize(
+    "raw,expected",
+    [("1", True), ("TRUE", True), (" Yes ", True), ("on", True),
+     ("0", False), ("False", False), ("NO", False), ("off", False)],
+)
+def test_boolean_config_words(raw, expected):
+    assert config_from_mapping({"homogeneous": raw}).homogeneous is expected
+    assert config_from_mapping({"flag_small": raw}).flag_small is expected
+
+
+@pytest.mark.parametrize("raw", ["ture", "", "2", "y"])
+def test_unknown_boolean_config_word_rejected(raw):
+    with pytest.raises(DiagnoseError) as err:
+        config_from_mapping({"homogeneous": raw})
+    assert "'homogeneous'" in str(err.value)
+    assert repr(raw) in str(err.value)
+
+
+def test_cli_rejects_unknown_boolean_word(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
+    trace_dir = tmp_path / "trace"
+    emit_scenario(preset("case1", seed=1), str(trace_dir))
+    assert main(["diagnose", "--trace", str(trace_dir), "--homogeneous", "ture"]) == 2
+    err = capsys.readouterr().err
+    assert "'ture'" in err and "'homogeneous'" in err
+
+
 def test_bad_config_values_rejected():
     with pytest.raises(ValueError):
         config_from_mapping({"bc": "1.4"}).imbalance()
