@@ -37,7 +37,17 @@ from .metricdetect import (
     reduce_fft,
     reduce_mean,
 )
-from .model import Finding, FindingKind, Job, Locality, MetricSample, Stage, Task, Trace
+from .model import (
+    Finding,
+    FindingKind,
+    Job,
+    Locality,
+    MetricSample,
+    MetricStore,
+    Stage,
+    Task,
+    Trace,
+)
 from .nodedetect import SimilarityConfig, cosine_similarity, detect_abnormal_nodes
 from .report import (
     DiagnosisReport,

@@ -9,8 +9,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .ingest import METRIC_SCHEMA
-from .model import Locality, MetricSample, Stage, Trace
+from .model import METRIC_SCHEMA, Locality, MetricStore, Stage, Trace
 
 
 class CorrelateError(Exception):
@@ -42,22 +41,20 @@ class MetricSlices:
     """In-window metric subseries per node; nodes with no samples are gaps."""
 
     window: StageWindow
-    series: Dict[str, List[MetricSample]]
+    series: Dict[str, MetricStore]
     gaps: List[str]
 
 
 def slice_metrics(trace: Trace, window: StageWindow) -> MetricSlices:
-    """Inclusive-bounds slice of each window node's metric series."""
-    series: Dict[str, List[MetricSample]] = {}
+    """Inclusive-bounds slice of each window node's metric series (views)."""
+    series: Dict[str, MetricStore] = {}
     gaps: List[str] = []
     for node in sorted(window.nodes):
-        samples = [
-            s
-            for s in trace.metrics.get(node, [])
-            if window.start <= s.timestamp <= window.finish
-        ]
-        series[node] = samples
-        if not samples:
+        store = trace.metrics.get(node)
+        if store is None:
+            store = MetricStore.from_samples(node, [])
+        series[node] = store.window(window.start, window.finish)
+        if not len(series[node]):
             gaps.append(node)
     return MetricSlices(window=window, series=series, gaps=gaps)
 
@@ -122,30 +119,35 @@ def build_datasets(
     matrix: Dict[str, np.ndarray] = {}
     missing: List[str] = []
     shared: Optional[Set[str]] = None
-    for node, samples in slices.series.items():
-        if not samples:
+    present: Dict[str, np.ndarray] = {}  # node -> per column: no sample misses it
+    for node, store in slices.series.items():
+        if not len(store):
             missing.append(node)
             continue
-        node_shared = set(samples[0].values)
-        for sample in samples[1:]:
-            node_shared &= set(sample.values)
+        present[node] = ~np.isnan(store.values).any(axis=1)
+        node_shared = {c for c, p in zip(store.columns, present[node].tolist()) if p}
         shared = node_shared if shared is None else shared & node_shared
     # Matrices share one column set: metrics present in every in-window sample.
     columns = [m for m in METRIC_SCHEMA if m in (shared or set())]
 
-    for node, samples in slices.series.items():
-        if not samples:
+    for node, store in slices.series.items():
+        if not len(store):
             continue
+        index = {c: i for i, c in enumerate(store.columns)}
         vec: Dict[str, float] = {}
         for metric in METRIC_SCHEMA:
-            vals = [s.values[metric] for s in samples if metric in s.values]
-            if vals:
-                vec[metric] = float(np.mean(vals))
+            i = index.get(metric)
+            if i is None:
+                continue
+            row = store.values[i]
+            if not present[node][i]:
+                row = row[~np.isnan(row)]
+            if row.size:
+                vec[metric] = float(np.mean(row))
         vectors[node] = vec
         if columns:
-            matrix[node] = np.array(
-                [[s.values[m] for m in columns] for s in samples], dtype=float
-            )
+            block = store.values[[index[m] for m in columns]]
+            matrix[node] = np.ascontiguousarray(block.T)
 
     return FeatureDatasets(
         stage_id=stage.stage_id,

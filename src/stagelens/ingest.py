@@ -8,12 +8,24 @@ per-second metrics are computed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .model import Job, MetricSample, Stage, Task, Trace, parse_locality
+from .model import (  # noqa: F401  (the derived-metric names are re-exported)
+    ARCH_METRICS,
+    METRIC_SCHEMA,
+    SYSTEM_METRICS,
+    Job,
+    MetricSample,
+    MetricStore,
+    Stage,
+    Task,
+    Trace,
+    parse_locality,
+)
 
 # Raw counter column orders (first column is always the sample timestamp).
 SYSTEM_COLUMNS = (
@@ -30,35 +42,6 @@ ARCH_COLUMNS = (
     "L1I_miss L1I_hit MLP MUL_ins DIV_ins FP_ins LOAD_ins STORE_ins BR_ins "
     "BR_miss unc_read unc_write"
 ).split()
-
-SYSTEM_METRICS = (
-    "cpu_usage",
-    "mem_usage",
-    "ioWaitRatio",
-    "weighted_io",
-    "diskR_band",
-    "diskW_band",
-    "netS_band",
-    "netR_band",
-)
-
-ARCH_METRICS = (
-    "IPC",
-    "L2_MPKI",
-    "L3_MPKI",
-    "L1I_MPKI",
-    "ITLB_MPKI",
-    "DTLB_MPKI",
-    "MUL_Ratio",
-    "DIV_Ratio",
-    "FP_Ratio",
-    "LOAD_Ratio",
-    "STORE_Ratio",
-    "BR_Ratio",
-)
-
-#: Full derived-metric schema, system level first, fixed ordering.
-METRIC_SCHEMA = SYSTEM_METRICS + ARCH_METRICS
 
 _SCHEMAS = {"system": SYSTEM_COLUMNS, "architecture": ARCH_COLUMNS, "arch": ARCH_COLUMNS}
 
@@ -175,7 +158,7 @@ def parse_metric_file(
     """Parse one node's raw counter dump into timestamp-ordered rows.
 
     Duplicate timestamps keep the last row seen. A column-count mismatch is a
-    hard error; a non-numeric cell only skips that line.
+    hard error; a non-numeric or non-finite cell only skips that line.
     """
     columns = _SCHEMAS.get(schema)
     if columns is None:
@@ -195,6 +178,10 @@ def parse_metric_file(
             numbers = [float(c) for c in cells]
         except ValueError:
             report.note(line_no, "non-numeric cell")
+            continue
+        if not all(map(math.isfinite, numbers)):
+            # A NaN would read as a missing metric in the trace's store.
+            report.note(line_no, "non-finite cell")
             continue
         row = RawMetricRow(timestamp_ms=_to_ms(numbers[0]), counters=tuple(numbers[1:]))
         by_ts[row.timestamp_ms] = row
@@ -336,8 +323,8 @@ def ingest_raw(
             for sample in derive_series(rows, schema, node, wrap_detection=wrap_detection):
                 merged.setdefault(node, {}).setdefault(sample.timestamp, {}).update(sample.values)
         for node, by_ts in merged.items():
-            trace.metrics[node] = [
-                MetricSample(node=node, timestamp=ts, values=by_ts[ts]) for ts in sorted(by_ts)
-            ]
+            trace.metrics[node] = MetricStore.from_samples(
+                node, (MetricSample(node=node, timestamp=ts, values=v) for ts, v in by_ts.items())
+            )
         trace.cluster = sorted(set(trace.cluster) | set(merged))
     return trace, report

@@ -10,7 +10,38 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
+
+SYSTEM_METRICS = (
+    "cpu_usage",
+    "mem_usage",
+    "ioWaitRatio",
+    "weighted_io",
+    "diskR_band",
+    "diskW_band",
+    "netS_band",
+    "netR_band",
+)
+
+ARCH_METRICS = (
+    "IPC",
+    "L2_MPKI",
+    "L3_MPKI",
+    "L1I_MPKI",
+    "ITLB_MPKI",
+    "DTLB_MPKI",
+    "MUL_Ratio",
+    "DIV_Ratio",
+    "FP_Ratio",
+    "LOAD_Ratio",
+    "STORE_Ratio",
+    "BR_Ratio",
+)
+
+#: Full derived-metric schema, system level first, fixed ordering.
+METRIC_SCHEMA = SYSTEM_METRICS + ARCH_METRICS
 
 
 class Locality(Enum):
@@ -84,21 +115,99 @@ class Job:
 
 @dataclass(frozen=True)
 class MetricSample:
+    """One row of a metric series: the metrics one node reported at one time."""
+
     node: str
     timestamp: int  # ms since epoch
     values: Dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
+def metric_columns(names: Iterable[str]) -> Tuple[str, ...]:
+    """Store column order: METRIC_SCHEMA order first, then other names sorted."""
+    names = set(names)
+    return tuple(m for m in METRIC_SCHEMA if m in names) + tuple(
+        sorted(names.difference(METRIC_SCHEMA))
+    )
+
+
+@dataclass(eq=False)
+class MetricStore:
+    """One node's metric series, held column by column.
+
+    `timestamps` is int64[n], ascending. `values` is float64[len(columns), n]:
+    row i is metric `columns[i]` over time, so one metric's series is a
+    contiguous row. NaN marks a metric a sample does not report, so every
+    reported value must be finite. Iterating yields the rows as MetricSample; two
+    stores are equal when their node and rows are.
+    """
+
+    node: str
+    timestamps: np.ndarray
+    columns: Tuple[str, ...]
+    values: np.ndarray
+
+    @classmethod
+    def from_samples(cls, node: str, samples: Iterable[MetricSample]) -> "MetricStore":
+        """Build a store from rows in any order; equal timestamps keep theirs."""
+        rows = sorted(samples, key=lambda s: s.timestamp)
+        columns = metric_columns(k for s in rows for k in s.values)
+        nan = float("nan")
+        block = np.array(
+            [[s.values.get(c, nan) for c in columns] for s in rows], dtype=np.float64
+        ).reshape(len(rows), len(columns))
+        return cls(
+            node=node,
+            timestamps=np.array([s.timestamp for s in rows], dtype=np.int64),
+            columns=columns,
+            values=np.ascontiguousarray(block.T),
+        )
+
+    def window(self, start: int, finish: int) -> "MetricStore":
+        """The rows with start <= timestamp <= finish, as views of this store."""
+        lo = int(np.searchsorted(self.timestamps, start, side="left"))
+        hi = int(np.searchsorted(self.timestamps, finish, side="right"))
+        return MetricStore(
+            self.node, self.timestamps[lo:hi], self.columns, self.values[:, lo:hi]
+        )
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __iter__(self) -> Iterator[MetricSample]:
+        for ts, row in zip(self.timestamps.tolist(), self.values.T.tolist()):
+            values = {c: v for c, v in zip(self.columns, row) if v == v}
+            yield MetricSample(node=self.node, timestamp=ts, values=values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MetricStore):
+            return NotImplemented
+        return self.node == other.node and list(self) == list(other)
+
+
+@dataclass(eq=False)
 class Trace:
+    """A node whose series has no rows equals a node with no series: both
+    write no metrics line and slice to a gap."""
+
     cluster: List[str] = field(default_factory=list)
     jobs: List[Job] = field(default_factory=list)
-    metrics: Dict[str, List[MetricSample]] = field(default_factory=dict)
+    metrics: Dict[str, MetricStore] = field(default_factory=dict)
     clock_offsets: Dict[str, int] = field(default_factory=dict)
 
     def stages(self) -> Iterator[Stage]:
         for job in self.jobs:
             yield from job.stages
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+
+        def series(trace: Trace) -> Dict[str, MetricStore]:
+            return {node: store for node, store in trace.metrics.items() if len(store)}
+
+        return (self.cluster, self.jobs, self.clock_offsets, series(self)) == (
+            other.cluster, other.jobs, other.clock_offsets, series(other)
+        )
 
     def validate(self) -> List[str]:
         """Collect every invariant violation instead of stopping at the first."""
@@ -106,8 +215,16 @@ class Trace:
         if not self.cluster:
             problems.append("cluster must list at least one node")
         known = set(self.cluster)
+        stage_ids = set()
+        task_ids = set()
         for stage in self.stages():
+            if stage.stage_id in stage_ids:
+                problems.append(f"stage {stage.stage_id}: duplicate stage_id")
+            stage_ids.add(stage.stage_id)
             for task in stage.tasks:
+                if task.task_id in task_ids:
+                    problems.append(f"task {task.task_id}: duplicate task_id")
+                task_ids.add(task.task_id)
                 if task.finish_time < task.launch_time:
                     problems.append(
                         f"task {task.task_id}: finish_time {task.finish_time} "
@@ -124,19 +241,19 @@ class Trace:
                     problems.append(
                         f"task {task.task_id}: node {task.node!r} not in cluster"
                     )
-        for node, series in self.metrics.items():
-            prev = None
-            for sample in series:
-                if sample.node != node:
-                    problems.append(
-                        f"metric sample under {node!r} carries node {sample.node!r}"
-                    )
-                if prev is not None and sample.timestamp <= prev:
-                    problems.append(
-                        f"metric series for {node}: timestamps not strictly "
-                        f"increasing at {sample.timestamp}"
-                    )
-                prev = sample.timestamp
+        for node, store in self.metrics.items():
+            if node not in known:
+                problems.append(f"metric series for {node}: node not in cluster")
+            if store.node != node:
+                problems.append(f"metric series under {node!r} carries node {store.node!r}")
+            ts = store.timestamps
+            for bad in ts[1:][np.diff(ts) <= 0].tolist():
+                problems.append(
+                    f"metric series for {node}: timestamps not strictly "
+                    f"increasing at {bad}"
+                )
+            if np.isinf(store.values).any():
+                problems.append(f"metric series for {node}: infinite value")
         return problems
 
 

@@ -20,12 +20,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ingest import METRIC_SCHEMA
 from .model import (
+    METRIC_SCHEMA,
     FindingKind,
     Job,
     Locality,
-    MetricSample,
+    MetricStore,
     Stage,
     Task,
     Trace,
@@ -328,14 +328,12 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
                     series[mask] = series[mask] * (1.0 + deviation * wave[mask])
 
     metrics = {
-        node: [
-            MetricSample(
-                node=node,
-                timestamp=int(ts),
-                values={m: float(per_node[node][m][i]) for m in METRIC_SCHEMA},
-            )
-            for i, ts in enumerate(timestamps)
-        ]
+        node: MetricStore(
+            node=node,
+            timestamps=timestamps,
+            columns=METRIC_SCHEMA,
+            values=np.array([per_node[node][m] for m in METRIC_SCHEMA]),
+        )
         for node in nodes
     }
 

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterator, List, Tuple
+from array import array
+from typing import Dict, Iterable, Iterator, List, Tuple
 
-from .model import Job, Locality, MetricSample, Stage, Task, Trace
+import numpy as np
+
+from .model import Job, Locality, MetricStore, Stage, Task, Trace, metric_columns
 
 SCHEMA_VERSION = "stagelens-trace/1"
 
@@ -40,11 +43,22 @@ def _dumps(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _write_entity_file(path: str, entity: str, records) -> None:
+def _write_entity_file(path: str, entity: str, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dumps({"schema": SCHEMA_VERSION, "entity": entity}) + "\n")
-        for record in records:
-            fh.write(_dumps(record) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def _metric_lines(node: str, store: MetricStore) -> Iterator[str]:
+    """The store's rows as `_dumps` would write {node, timestamp, values},
+    leaving out missing (NaN) cells, formatted without building dicts."""
+    order = sorted(range(len(store.columns)), key=store.columns.__getitem__)
+    keys = [json.dumps(store.columns[i]) for i in order]
+    head = '{"node":' + json.dumps(node) + ',"timestamp":'
+    for ts, row in zip(store.timestamps.tolist(), store.values[order].T.tolist()):
+        cells = ",".join(f"{k}:{v!r}" for k, v in zip(keys, row) if v == v)
+        yield f"{head}{ts},\"values\":{{{cells}}}}}"
 
 
 def save_trace(trace: Trace, path: str) -> None:
@@ -65,11 +79,11 @@ def save_trace(trace: Trace, path: str) -> None:
             "offsets_applied": True,
         }
     ]
-    _write_entity_file(os.path.join(path, "meta.jsonl"), "meta", meta)
+    _write_entity_file(os.path.join(path, "meta.jsonl"), "meta", map(_dumps, meta))
 
     jobs = sorted(trace.jobs, key=lambda j: j.job_id)
     _write_entity_file(
-        os.path.join(path, "jobs.jsonl"), "jobs", ({"job_id": j.job_id} for j in jobs)
+        os.path.join(path, "jobs.jsonl"), "jobs", (_dumps({"job_id": j.job_id}) for j in jobs)
     )
     stage_rows = []
     task_rows = []
@@ -89,20 +103,13 @@ def save_trace(trace: Trace, path: str) -> None:
                         "succeeded": task.succeeded,
                     }
                 )
-    _write_entity_file(os.path.join(path, "stages.jsonl"), "stages", stage_rows)
-    _write_entity_file(os.path.join(path, "tasks.jsonl"), "tasks", task_rows)
-
-    metric_rows = []
-    for node in sorted(trace.metrics):
-        for sample in trace.metrics[node]:
-            metric_rows.append(
-                {
-                    "node": node,
-                    "timestamp": sample.timestamp,
-                    "values": {k: sample.values[k] for k in sorted(sample.values)},
-                }
-            )
-    _write_entity_file(os.path.join(path, "metrics.jsonl"), "metrics", metric_rows)
+    _write_entity_file(os.path.join(path, "stages.jsonl"), "stages", map(_dumps, stage_rows))
+    _write_entity_file(os.path.join(path, "tasks.jsonl"), "tasks", map(_dumps, task_rows))
+    _write_entity_file(
+        os.path.join(path, "metrics.jsonl"),
+        "metrics",
+        (line for node in sorted(trace.metrics) for line in _metric_lines(node, trace.metrics[node])),
+    )
 
 
 def _reject_constant(token: str) -> float:
@@ -119,6 +126,7 @@ def _read_entity_file(path: str, entity: str) -> Iterator[Tuple[int, dict]]:
     if not os.path.exists(path):
         raise TraceParseError(path, 0, "file missing from trace directory")
     with open(path, encoding="utf-8") as fh:
+        line_no = 0
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line and line_no > 1:
@@ -142,12 +150,48 @@ def _read_entity_file(path: str, entity: str) -> Iterator[Tuple[int, dict]]:
                     )
                 continue
             yield line_no, record
+    if line_no == 0:
+        raise TraceParseError(path, 1, f"schema header must declare {SCHEMA_VERSION!r}")
 
 
 def _require(record: dict, key: str, path: str, line_no: int):
     if key not in record:
         raise TraceParseError(path, line_no, f"missing required field {key!r}")
     return record[key]
+
+
+def _check_finite(buffers, path: str) -> None:
+    """Reject the first line (in file order) that holds a non-finite value,
+    such as an overflowing 1e999: NaN in a store means missing."""
+    bad_lines = []
+    for layouts in buffers.values():
+        for keys, (_, vals, lines) in layouts.items():
+            bad = np.flatnonzero(~np.isfinite(np.frombuffer(vals)))
+            if bad.size:
+                bad_lines.append(lines[int(bad[0]) // len(keys)])
+    if bad_lines:
+        raise TraceParseError(path, min(bad_lines), "metric values must be finite numbers")
+
+
+def _node_store(node: str, layouts) -> MetricStore:
+    """One node's store from its per-layout buffers, rows in timestamp order
+    (file order among equal timestamps, which validate then reports)."""
+    columns = metric_columns(k for keys in layouts for k in keys)
+    index = {c: i for i, c in enumerate(columns)}
+    n = sum(len(ts) for ts, _, _ in layouts.values())
+    timestamps = np.empty(n, dtype=np.int64)
+    line_nos = np.empty(n, dtype=np.int64)
+    block = np.full((len(columns), n), np.nan)
+    at = 0
+    for keys, (ts, vals, lines) in layouts.items():
+        end = at + len(ts)
+        timestamps[at:end] = np.frombuffer(ts, dtype=np.int64)
+        line_nos[at:end] = np.frombuffer(lines, dtype=np.int64)
+        if keys:
+            block[[index[k] for k in keys], at:end] = np.frombuffer(vals).reshape(-1, len(keys)).T
+        at = end
+    order = np.lexsort((line_nos, timestamps))
+    return MetricStore(node, timestamps[order], columns, block[:, order])
 
 
 def load_trace(path: str) -> Trace:
@@ -209,28 +253,32 @@ def load_trace(path: str) -> Trace:
                 data_size=int(row.get("data_size", 0)),
                 succeeded=bool(row.get("succeeded", True)),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise TraceParseError(tasks_path, line_no, f"bad task record: {exc}") from exc
         stages[stage_id].tasks.append(task)
 
     metrics_path = os.path.join(path, "metrics.jsonl")
-    metrics: Dict[str, List[MetricSample]] = {}
+    # node -> the tuple of value keys a row carries -> flat buffers of its
+    # rows' timestamps, values (row after row) and line numbers.
+    buffers: Dict[str, Dict[Tuple[str, ...], Tuple[array, array, array]]] = {}
     for line_no, row in _read_entity_file(metrics_path, "metrics"):
         node = str(_require(row, "node", metrics_path, line_no))
         values = _require(row, "values", metrics_path, line_no)
         if not isinstance(values, dict):
             raise TraceParseError(metrics_path, line_no, "values must be a metric->number map")
+        layouts = buffers.setdefault(node, {})
+        keys = tuple(values)
+        rows = layouts.get(keys)
+        if rows is None:
+            rows = layouts[keys] = (array("q"), array("d"), array("q"))
         try:
-            sample = MetricSample(
-                node=node,
-                timestamp=shift_task(node, int(_require(row, "timestamp", metrics_path, line_no))),
-                values={str(k): float(v) for k, v in values.items()},
-            )
-        except (TypeError, ValueError) as exc:
+            rows[0].append(shift_task(node, int(_require(row, "timestamp", metrics_path, line_no))))
+            rows[1].fromlist(list(values.values()))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TraceParseError(metrics_path, line_no, f"bad metric record: {exc}") from exc
-        metrics.setdefault(node, []).append(sample)
-    for node in metrics:
-        metrics[node].sort(key=lambda s: s.timestamp)
+        rows[2].append(line_no)
+    _check_finite(buffers, metrics_path)
+    metrics = {node: _node_store(node, layouts) for node, layouts in buffers.items()}
 
     trace = Trace(
         cluster=sorted(cluster),

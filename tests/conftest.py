@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from stagelens.ingest import ARCH_COLUMNS, SYSTEM_COLUMNS, RawMetricRow
-from stagelens.model import Job, Locality, MetricSample, Stage, Task, Trace
+from stagelens.model import Job, Locality, MetricSample, MetricStore, Stage, Task, Trace
 
 
 # Property tests draw the same examples on every run, and a slow shared host
@@ -59,10 +59,11 @@ def make_trace(stage, metrics=None, extra_nodes=()):
 
 def metric_series(node, start, count, values_fn, step=1000):
     """values_fn(i) -> dict of metric values for sample i."""
-    return [
-        MetricSample(node=node, timestamp=start + i * step, values=values_fn(i))
-        for i in range(count)
-    ]
+    return MetricStore.from_samples(
+        node,
+        [MetricSample(node=node, timestamp=start + i * step, values=values_fn(i))
+         for i in range(count)],
+    )
 
 
 def system_row(ts_ms, **overrides):

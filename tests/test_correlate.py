@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_stage, make_task, make_trace, metric_series
 from stagelens.correlate import (
@@ -8,9 +11,135 @@ from stagelens.correlate import (
     slice_metrics,
     stage_window,
 )
-from stagelens.model import Stage
+from stagelens.model import METRIC_SCHEMA, MetricSample, MetricStore, Stage, Trace
 
 T0 = 1_460_000_000_000
+
+
+def per_sample_oracle(series, start, finish):
+    """The metric half of slice_metrics + build_datasets as they were written
+    over one MetricSample per sample: an inclusive filter, then set
+    intersections and Python-list means. `series` maps each window node to
+    its rows in timestamp order (absent: no series).
+
+    Returns (vectors, matrix, matrix_metrics, missing_metric_nodes).
+    """
+    sliced = {
+        node: [s for s in series.get(node, []) if start <= s.timestamp <= finish]
+        for node in sorted(series)
+    }
+    vectors, matrix, missing, shared = {}, {}, [], None
+    for node, samples in sliced.items():
+        if not samples:
+            missing.append(node)
+            continue
+        node_shared = set(samples[0].values)
+        for sample in samples[1:]:
+            node_shared &= set(sample.values)
+        shared = node_shared if shared is None else shared & node_shared
+    columns = [m for m in METRIC_SCHEMA if m in (shared or set())]
+    for node, samples in sliced.items():
+        if not samples:
+            continue
+        vec = {}
+        for metric in METRIC_SCHEMA:
+            vals = [s.values[metric] for s in samples if metric in s.values]
+            if vals:
+                vec[metric] = float(np.mean(vals))
+        vectors[node] = vec
+        if columns:
+            matrix[node] = np.array(
+                [[s.values[m] for m in columns] for s in samples], dtype=float
+            )
+    return vectors, matrix, columns, sorted(set(missing))
+
+
+# A few schema metrics plus names outside the schema, which the store keeps
+# as sorted trailing columns and the datasets ignore.
+_NAMES = METRIC_SCHEMA[:3] + ("L3_MPKI", "aa_extra", "zz_extra")
+_VALUES = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _node_rows(draw, node):
+    """Rows with unique timestamps, in random order; `always` metrics are in
+    every row, the others come and go."""
+    steps = draw(st.lists(st.integers(0, 40), unique=True, max_size=20))
+    always = draw(st.sets(st.sampled_from(_NAMES)))
+    rows = []
+    for step in steps:
+        names = always | draw(st.sets(st.sampled_from(_NAMES), max_size=3))
+        values = {m: draw(_VALUES) for m in sorted(names)}
+        rows.append(MetricSample(node=node, timestamp=T0 + step * 250, values=values))
+    return rows
+
+
+def assert_datasets_equal_oracle(rows, with_series, start, finish):
+    """build_datasets over stores made from `rows` (node -> rows in any
+    order) equals the per-sample oracle exactly, bit for bit."""
+    nodes = sorted(rows)
+    stage = Stage(stage_id="s0", job_id="j0")
+    for node in nodes:
+        stage.tasks.append(make_task(task_id=node, node=node, launch=start,
+                                     runtime=finish - start))
+    trace = Trace(
+        cluster=nodes,
+        metrics={n: MetricStore.from_samples(n, rows[n]) for n in with_series},
+    )
+    ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), nodes)
+
+    ordered = {n: sorted(rows[n], key=lambda s: s.timestamp) for n in with_series}
+    ordered.update({n: [] for n in nodes if n not in with_series})
+    vectors, matrix, columns, missing = per_sample_oracle(ordered, start, finish)
+    assert ds.vectors == vectors
+    assert ds.matrix_metrics == columns
+    assert ds.missing_metric_nodes == missing
+    assert sorted(ds.matrix) == sorted(matrix)
+    for node, expected in matrix.items():
+        got = ds.matrix[node]
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.flags.c_contiguous
+        assert (got == expected).all()
+
+
+@given(data=st.data())
+def test_store_datasets_equal_per_sample_oracle(data):
+    nodes = [f"hw{i:02d}" for i in range(data.draw(st.integers(1, 4)))]
+    rows = {node: data.draw(_node_rows(node)) for node in nodes}
+    with_series = data.draw(st.sets(st.sampled_from(nodes)))
+    start = T0 + data.draw(st.integers(-8, 40)) * 250
+    finish = start + data.draw(st.integers(0, 48)) * 250
+    assert_datasets_equal_oracle(rows, with_series, start, finish)
+
+
+def test_long_gappy_series_equal_per_sample_oracle():
+    # Long enough for numpy's pairwise sums to differ from a row-by-row sum
+    # of a samples x metrics block; about 3 % of cells missing.
+    rng = np.random.default_rng(11)
+    names = METRIC_SCHEMA + ("aa_extra", "zz_extra")
+    rows = {}
+    for i in range(6):
+        node = f"hw{i:02d}"
+        values = rng.lognormal(0.0, 2.0, size=(400, len(names)))
+        gone = rng.random(values.shape) < 0.03
+        gone[:, :4] = False  # a few metrics stay shared by every sample
+        rows[node] = [
+            MetricSample(node=node, timestamp=T0 + int(j) * 250, values={
+                m: float(values[j, k]) for k, m in enumerate(names) if not gone[j, k]
+            })
+            for j in rng.permutation(400)
+        ]
+    nodes = sorted(rows)
+    assert_datasets_equal_oracle(rows, set(nodes[1:]), T0 + 37 * 250, T0 + 351 * 250)
+
+
+def test_slices_are_views_of_the_store():
+    stage = make_stage({"hw01": 1}, runtime=2_000)
+    metrics = {"hw01": metric_series("hw01", T0, 5, lambda i: {"m": float(i)})}
+    trace = make_trace(stage, metrics=metrics)
+    cut = slice_metrics(trace, stage_window(stage)).series["hw01"]
+    assert np.shares_memory(cut.values, metrics["hw01"].values)
+    assert np.shares_memory(cut.timestamps, metrics["hw01"].timestamps)
 
 
 def test_singleton_window():
@@ -61,7 +190,7 @@ def test_window_before_samples_reports_gap():
     metrics = {"hw01": metric_series("hw01", T0 + 60_000, 5, lambda i: {"m": 1.0})}
     trace = make_trace(stage, metrics=metrics)
     sliced = slice_metrics(trace, stage_window(stage))
-    assert sliced.series["hw01"] == []
+    assert len(sliced.series["hw01"]) == 0
     assert sliced.gaps == ["hw01"]
 
 

@@ -134,6 +134,15 @@ def test_non_numeric_cell_is_recoverable():
     assert report.errors and report.errors[0][0] == 1
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_cell_is_recoverable(cell):
+    n = len(SYSTEM_COLUMNS)
+    bad = row_text(10, n).replace("1.0", cell, 1)
+    rows, report = parse_metric_file([row_text(5, n), bad, row_text(20, n)], "system")
+    assert [r.timestamp_ms for r in rows] == [5_000, 20_000]
+    assert report.errors == [(2, "non-finite cell")]
+
+
 def test_sixty_rows_at_one_hz_span_59s():
     n = len(SYSTEM_COLUMNS)
     rows, _ = parse_metric_file([row_text(100 + i, n) for i in range(60)], "system")

@@ -14,7 +14,7 @@ from stagelens.report import (
     render_report,
 )
 from stagelens.simulate import ScenarioSpec, emit_scenario, generate_trace, preset
-from stagelens.model import Trace
+from stagelens.model import MetricStore, Trace
 
 MEAN_MEDIAN = PipelineConfig(representative="median", dmin=0.5)
 
@@ -101,7 +101,7 @@ def test_all_failed_stage_warns_no_successful_tasks():
 
 def test_gap_node_is_named_in_one_warning():
     trace, _ = generate_trace(preset("case1", seed=1))
-    trace.metrics["hw02"] = []
+    trace.metrics["hw02"] = MetricStore.from_samples("hw02", [])
     for stage in diagnose(trace, MEAN_MEDIAN).stages:
         assert [w for w in stage.warnings if "hw02" in w] == [
             "no in-window metric samples for: hw02"

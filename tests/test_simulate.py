@@ -156,7 +156,7 @@ def test_metric_rate_controls_sampling():
     spec = ScenarioSpec(seed=2, nodes=2, stages=1, tasks_per_stage=4, metric_rate_hz=2.0)
     trace, _ = generate_trace(spec)
     series = trace.metrics["hw01"]
-    assert series[1].timestamp - series[0].timestamp == 500
+    assert series.timestamps[1] - series.timestamps[0] == 500
 
 
 def test_trace_is_save_load_stable(tmp_path):
