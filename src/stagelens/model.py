@@ -186,8 +186,10 @@ class MetricStore:
 
 @dataclass(eq=False)
 class Trace:
-    """A node whose series has no rows equals a node with no series: both
-    write no metrics line and slice to a gap."""
+    """Two traces are equal when they save to the same files: the order of
+    nodes, jobs, stages and tasks does not count (a save sorts them by id),
+    and a node whose series has no rows equals a node with no series (both
+    write no metrics line and slice to a gap)."""
 
     cluster: List[str] = field(default_factory=list)
     jobs: List[Job] = field(default_factory=list)
@@ -202,12 +204,18 @@ class Trace:
         if not isinstance(other, Trace):
             return NotImplemented
 
-        def series(trace: Trace) -> Dict[str, MetricStore]:
-            return {node: store for node, store in trace.metrics.items() if len(store)}
+        def content(trace: Trace) -> tuple:
+            jobs = {
+                job.job_id: {
+                    (stage.stage_id, stage.job_id): sorted(stage.tasks, key=lambda t: t.task_id)
+                    for stage in job.stages
+                }
+                for job in trace.jobs
+            }
+            series = {node: store for node, store in trace.metrics.items() if len(store)}
+            return sorted(trace.cluster), jobs, trace.clock_offsets, series
 
-        return (self.cluster, self.jobs, self.clock_offsets, series(self)) == (
-            other.cluster, other.jobs, other.clock_offsets, series(other)
-        )
+        return content(self) == content(other)
 
     def validate(self) -> List[str]:
         """Collect every invariant violation instead of stopping at the first."""
@@ -246,13 +254,28 @@ class Trace:
                 problems.append(f"metric series for {node}: node not in cluster")
             if store.node != node:
                 problems.append(f"metric series under {node!r} carries node {store.node!r}")
-            ts = store.timestamps
+            columns = tuple(store.columns)
+            if not (all(isinstance(c, str) for c in columns) and columns == metric_columns(columns)):
+                problems.append(
+                    f"metric series for {node}: columns must be distinct names in store order"
+                )
+            ts, values = store.timestamps, store.values
+            if not (
+                isinstance(ts, np.ndarray) and ts.ndim == 1 and ts.dtype == np.int64
+                and isinstance(values, np.ndarray) and values.dtype == np.float64
+                and values.shape == (len(columns), len(ts))
+            ):
+                problems.append(
+                    f"metric series for {node}: needs int64[n] timestamps and "
+                    f"float64[{len(columns)}, n] values"
+                )
+                continue
             for bad in ts[1:][np.diff(ts) <= 0].tolist():
                 problems.append(
                     f"metric series for {node}: timestamps not strictly "
                     f"increasing at {bad}"
                 )
-            if np.isinf(store.values).any():
+            if np.isinf(values).any():
                 problems.append(f"metric series for {node}: infinite value")
         return problems
 

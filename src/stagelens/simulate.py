@@ -434,20 +434,39 @@ def save_labels(labels: Sequence[LabeledAnomaly], path: str) -> None:
 
 
 def load_labels(path: str) -> List[LabeledAnomaly]:
+    """Read a labels file; a malformed line is a ScenarioError naming
+    `path:line`."""
+
+    def fail(line_no: int, rule: str) -> ScenarioError:
+        return ScenarioError(f"{path}:{line_no}: {rule}")
+
     labels = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise fail(line_no, f"invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise fail(line_no, "record must be a JSON object")
             if line_no == 1:
                 if row.get("entity") != "labels":
-                    raise ScenarioError(f"{path}: not a labels file")
+                    raise fail(line_no, "not a labels file")
                 continue
-            expected = frozenset(
-                (FindingKind(kind), metric) for kind, metric in row["expected"]
-            )
+            for key in ("stage_id", "node", "expected"):
+                if key not in row:
+                    raise fail(line_no, f"missing required field {key!r}")
+            if not (isinstance(row["stage_id"], str) and isinstance(row["node"], str)):
+                raise fail(line_no, "stage_id and node must be strings")
+            try:
+                expected = frozenset(
+                    (FindingKind(kind), metric) for kind, metric in row["expected"]
+                )
+            except (TypeError, ValueError) as exc:
+                raise fail(line_no, f"bad expected findings: {exc}") from exc
             labels.append(
                 LabeledAnomaly(stage_id=row["stage_id"], node=row["node"],
                                expected_findings=expected)

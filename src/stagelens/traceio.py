@@ -1,24 +1,31 @@
-"""On-disk trace format: a directory of line-delimited JSON files.
+"""On-disk trace format: a directory of line-delimited JSON files plus two
+.npy columns for the metric series.
 
-One file per entity kind (meta, jobs, stages, tasks, metrics), each starting
-with a schema-version header line. Output is deterministic: entities are
-sorted, keys are sorted, floats use repr round-tripping.
+One JSON file per entity kind (meta, jobs, stages, tasks, metrics), each
+starting with a schema-version header line; `metrics.jsonl` is the index of
+the series, whose timestamps and values sit back to back in
+`metrics.timestamps.npy` and `metrics.values.npy`. Output is deterministic:
+entities are sorted, keys are sorted, and every missing value is the one
+canonical NaN.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
-from array import array
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
 from .model import Job, Locality, MetricStore, Stage, Task, Trace, metric_columns
 
-SCHEMA_VERSION = "stagelens-trace/1"
+SCHEMA_VERSION = "stagelens-trace/2"
 
-_FILES = ("meta", "jobs", "stages", "tasks", "metrics")
+# The metric columns: file name and little-endian dtype of each.
+_TIMESTAMPS = ("metrics.timestamps.npy", "<i8")
+_VALUES = ("metrics.values.npy", "<f8")
+_INT64 = np.iinfo(np.int64)
 
 
 class TraceParseError(Exception):
@@ -50,15 +57,25 @@ def _write_entity_file(path: str, entity: str, lines: Iterable[str]) -> None:
             fh.write(line + "\n")
 
 
-def _metric_lines(node: str, store: MetricStore) -> Iterator[str]:
-    """The store's rows as `_dumps` would write {node, timestamp, values},
-    leaving out missing (NaN) cells, formatted without building dicts."""
-    order = sorted(range(len(store.columns)), key=store.columns.__getitem__)
-    keys = [json.dumps(store.columns[i]) for i in order]
-    head = '{"node":' + json.dumps(node) + ',"timestamp":'
-    for ts, row in zip(store.timestamps.tolist(), store.values[order].T.tolist()):
-        cells = ",".join(f"{k}:{v!r}" for k, v in zip(keys, row) if v == v)
-        yield f"{head}{ts},\"values\":{{{cells}}}}}"
+def _npy_header(dtype: str, length: int) -> bytes:
+    """The header np.save writes for a 1-D array of `length` values."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": dtype, "fortran_order": False, "shape": (length,)}
+    )
+    return buf.getvalue()
+
+
+def _write_npy(
+    path: str, column: Tuple[str, str], length: int, blocks: Iterable[np.ndarray]
+) -> None:
+    """The blocks, `length` values in all, back to back as one 1-D .npy
+    array, made and written one at a time."""
+    dtype = column[1]
+    with open(os.path.join(path, column[0]), "wb") as fh:
+        fh.write(_npy_header(dtype, length))
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype=dtype).data)
 
 
 def save_trace(trace: Trace, path: str) -> None:
@@ -105,10 +122,23 @@ def save_trace(trace: Trace, path: str) -> None:
                 )
     _write_entity_file(os.path.join(path, "stages.jsonl"), "stages", map(_dumps, stage_rows))
     _write_entity_file(os.path.join(path, "tasks.jsonl"), "tasks", map(_dumps, task_rows))
+    stores = [trace.metrics[node] for node in sorted(trace.metrics) if len(trace.metrics[node])]
     _write_entity_file(
         os.path.join(path, "metrics.jsonl"),
         "metrics",
-        (line for node in sorted(trace.metrics) for line in _metric_lines(node, trace.metrics[node])),
+        (
+            _dumps({"columns": list(s.columns), "node": s.node, "samples": len(s)})
+            for s in stores
+        ),
+    )
+    _write_npy(path, _TIMESTAMPS, sum(len(s) for s in stores), (s.timestamps for s in stores))
+    # One NaN bit pattern for every missing value, so payloads never reach
+    # the bytes.
+    _write_npy(
+        path,
+        _VALUES,
+        sum(s.values.size for s in stores),
+        (np.where(np.isnan(s.values), np.nan, s.values) for s in stores),
     )
 
 
@@ -116,7 +146,7 @@ def _reject_constant(token: str) -> float:
     raise ValueError(f"non-finite number {token} is not allowed")
 
 
-# JSON admits NaN and +-Infinity tokens; a metric value must be finite.
+# JSON admits NaN and +-Infinity tokens; no trace field takes them.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
@@ -125,14 +155,14 @@ def _read_entity_file(path: str, entity: str) -> Iterator[Tuple[int, dict]]:
     decoded one line at a time."""
     if not os.path.exists(path):
         raise TraceParseError(path, 0, "file missing from trace directory")
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         line_no = 0
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line and line_no > 1:
                 continue
             try:
-                record = _DECODER.decode(line)
+                record = _DECODER.decode(line.decode("utf-8"))
             except json.JSONDecodeError as exc:
                 raise TraceParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
             except ValueError as exc:
@@ -160,38 +190,48 @@ def _require(record: dict, key: str, path: str, line_no: int):
     return record[key]
 
 
-def _check_finite(buffers, path: str) -> None:
-    """Reject the first line (in file order) that holds a non-finite value,
-    such as an overflowing 1e999: NaN in a store means missing."""
-    bad_lines = []
-    for layouts in buffers.values():
-        for keys, (_, vals, lines) in layouts.items():
-            bad = np.flatnonzero(~np.isfinite(np.frombuffer(vals)))
-            if bad.size:
-                bad_lines.append(lines[int(bad[0]) // len(keys)])
-    if bad_lines:
-        raise TraceParseError(path, min(bad_lines), "metric values must be finite numbers")
+def _index_entry(record: dict, path: str, line_no: int) -> Tuple[str, Tuple[str, ...], int]:
+    """One metrics.jsonl line: node, its columns in store order, its sample count."""
+    node = _require(record, "node", path, line_no)
+    columns = _require(record, "columns", path, line_no)
+    samples = _require(record, "samples", path, line_no)
+    if not isinstance(node, str):
+        raise TraceParseError(path, line_no, "node must be a string")
+    if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
+        raise TraceParseError(path, line_no, "columns must be a list of metric names")
+    if tuple(columns) != metric_columns(columns):
+        raise TraceParseError(path, line_no, "columns must be distinct and in store order")
+    if type(samples) is not int or samples < 0:
+        raise TraceParseError(path, line_no, "samples must be a non-negative integer")
+    return node, tuple(columns), samples
 
 
-def _node_store(node: str, layouts) -> MetricStore:
-    """One node's store from its per-layout buffers, rows in timestamp order
-    (file order among equal timestamps, which validate then reports)."""
-    columns = metric_columns(k for keys in layouts for k in keys)
-    index = {c: i for i, c in enumerate(columns)}
-    n = sum(len(ts) for ts, _, _ in layouts.values())
-    timestamps = np.empty(n, dtype=np.int64)
-    line_nos = np.empty(n, dtype=np.int64)
-    block = np.full((len(columns), n), np.nan)
-    at = 0
-    for keys, (ts, vals, lines) in layouts.items():
-        end = at + len(ts)
-        timestamps[at:end] = np.frombuffer(ts, dtype=np.int64)
-        line_nos[at:end] = np.frombuffer(lines, dtype=np.int64)
-        if keys:
-            block[[index[k] for k in keys], at:end] = np.frombuffer(vals).reshape(-1, len(keys)).T
-        at = end
-    order = np.lexsort((line_nos, timestamps))
-    return MetricStore(node, timestamps[order], columns, block[:, order])
+def _read_npy(trace_dir: str, column: Tuple[str, str], length: int) -> np.ndarray:
+    """The 1-D array of `length` values that save_trace wrote to a column file.
+
+    The header is checked against the one np.save writes for that array (any
+    padding) and the file size against the header, before anything is
+    allocated: a corrupt header cannot make the loader unpickle or allocate.
+    """
+    name, dtype = column
+    path = os.path.join(trace_dir, name)
+    if not os.path.exists(path):
+        raise TraceParseError(path, 0, "file missing from trace directory")
+    want = _npy_header(dtype, length)
+    with open(path, "rb") as fh:
+        head = fh.read(10)  # magic string, version, header length
+        header = fh.read(int.from_bytes(head[8:], "little")) if len(head) == 10 else b""
+        if head[:8] != want[:8] or header.rstrip() != want[10:].rstrip():
+            raise TraceParseError(
+                path, 0, f"not a 1-D {np.dtype(dtype).name} .npy array of the "
+                f"{length} values metrics.jsonl lists"
+            )
+        data = os.fstat(fh.fileno()).st_size - fh.tell()
+        if data != length * np.dtype(dtype).itemsize:
+            raise TraceParseError(
+                path, 0, f"holds {data} data bytes, its header gives {length} values"
+            )
+        return np.fromfile(fh, dtype=dtype, count=length)
 
 
 def load_trace(path: str) -> Trace:
@@ -204,8 +244,17 @@ def load_trace(path: str) -> Trace:
     if len(meta_rows) != 1:
         raise TraceParseError(meta_path, 0, "meta file must hold exactly one record")
     meta_line, meta = meta_rows[0]
-    cluster = list(_require(meta, "cluster", meta_path, meta_line))
-    offsets = {str(k): int(v) for k, v in meta.get("clock_offsets", {}).items()}
+    cluster = _require(meta, "cluster", meta_path, meta_line)
+    offsets = meta.get("clock_offsets", {})
+    if not (isinstance(cluster, list) and all(isinstance(n, str) for n in cluster)):
+        raise TraceParseError(meta_path, meta_line, "cluster must be a list of node names")
+    if not (
+        isinstance(offsets, dict)
+        and all(type(v) is int and _INT64.min <= v <= _INT64.max for v in offsets.values())
+    ):
+        raise TraceParseError(
+            meta_path, meta_line, "clock_offsets must map node names to integer milliseconds"
+        )
     applied = bool(meta.get("offsets_applied", False))
 
     def shift_task(node: str, ts: int) -> int:
@@ -253,32 +302,37 @@ def load_trace(path: str) -> Trace:
                 data_size=int(row.get("data_size", 0)),
                 succeeded=bool(row.get("succeeded", True)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TraceParseError(tasks_path, line_no, f"bad task record: {exc}") from exc
         stages[stage_id].tasks.append(task)
 
     metrics_path = os.path.join(path, "metrics.jsonl")
-    # node -> the tuple of value keys a row carries -> flat buffers of its
-    # rows' timestamps, values (row after row) and line numbers.
-    buffers: Dict[str, Dict[Tuple[str, ...], Tuple[array, array, array]]] = {}
+    index: Dict[str, Tuple[int, Tuple[str, ...], int]] = {}
     for line_no, row in _read_entity_file(metrics_path, "metrics"):
-        node = str(_require(row, "node", metrics_path, line_no))
-        values = _require(row, "values", metrics_path, line_no)
-        if not isinstance(values, dict):
-            raise TraceParseError(metrics_path, line_no, "values must be a metric->number map")
-        layouts = buffers.setdefault(node, {})
-        keys = tuple(values)
-        rows = layouts.get(keys)
-        if rows is None:
-            rows = layouts[keys] = (array("q"), array("d"), array("q"))
-        try:
-            rows[0].append(shift_task(node, int(_require(row, "timestamp", metrics_path, line_no))))
-            rows[1].fromlist(list(values.values()))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise TraceParseError(metrics_path, line_no, f"bad metric record: {exc}") from exc
-        rows[2].append(line_no)
-    _check_finite(buffers, metrics_path)
-    metrics = {node: _node_store(node, layouts) for node, layouts in buffers.items()}
+        node, columns, samples = _index_entry(row, metrics_path, line_no)
+        if node in index:
+            raise TraceParseError(metrics_path, line_no, f"duplicate node {node!r}")
+        index[node] = (line_no, columns, samples)
+    timestamps = _read_npy(path, _TIMESTAMPS, sum(n for _, _, n in index.values()))
+    values = _read_npy(path, _VALUES, sum(len(c) * n for _, c, n in index.values()))
+    metrics: Dict[str, MetricStore] = {}
+    at = cell = 0
+    for node, (line_no, columns, samples) in index.items():
+        ts = timestamps[at : at + samples]
+        block = values[cell : cell + len(columns) * samples].reshape(len(columns), samples)
+        at += samples
+        cell += block.size
+        # NaN marks a missing value, so a reported one must be finite.
+        if np.isinf(block).any():
+            raise TraceParseError(metrics_path, line_no, "metric values must be finite numbers")
+        offset = 0 if applied else offsets.get(node, 0)
+        if offset and samples:
+            if not (_INT64.min <= int(ts.min()) + offset and int(ts.max()) + offset <= _INT64.max):
+                raise TraceParseError(
+                    metrics_path, line_no, f"clock offset {offset} moves timestamps out of range"
+                )
+            ts = ts + offset
+        metrics[node] = MetricStore(node, ts, columns, block)
 
     trace = Trace(
         cluster=sorted(cluster),

@@ -15,6 +15,7 @@ from stagelens.ingest import (
     parse_spark_event_log,
 )
 from stagelens.model import Locality
+from stagelens.traceio import load_trace, save_trace
 
 TABLE_SAMPLE = {
     "Event": "SparkListenerTaskEnd",
@@ -268,6 +269,29 @@ def test_ingest_raw_end_to_end(tmp_path):
     assert trace.cluster == ["hw073", "hw074"]
     assert len(trace.metrics["hw073"]) == 4  # derived samples: one per interval
     assert sum(len(s.tasks) for s in trace.stages()) == 2
+
+
+def test_ingested_trace_round_trips(tmp_path):
+    """Event order is not task-id order ("10" sorts before "9"), and a save
+    sorts by id: the reloaded trace still equals the ingested one."""
+    events = tmp_path / "app.log"
+    events.write_text(
+        "\n".join([event(1, 9, launch=1_000_000, finish=1_010_000),
+                   event(0, 10, host="hw074", launch=1_000_000, finish=1_012_000),
+                   event(1, 11, launch=1_001_000, finish=1_011_000)]) + "\n"
+    )
+    mdir = tmp_path / "metrics"
+    mdir.mkdir()
+    (mdir / "hw073.system.tsv").write_text(
+        "\n".join(row_text(1000 + i, len(SYSTEM_COLUMNS), fill=float(i)) for i in range(5)) + "\n"
+    )
+    trace, _ = ingest_raw(str(events), str(mdir))
+    save_trace(trace, str(tmp_path / "trace"))
+    loaded = load_trace(str(tmp_path / "trace"))
+    assert [t.task_id for s in loaded.stages() for t in s.tasks] != [
+        t.task_id for s in trace.stages() for t in s.tasks
+    ]
+    assert loaded == trace
 
 
 def test_derive_series_pairs():

@@ -1,5 +1,8 @@
+import io
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -22,6 +25,16 @@ from stagelens.traceio import (
     TraceValidationError,
     load_trace,
     save_trace,
+)
+
+TRACE_FILES = (
+    "meta.jsonl",
+    "jobs.jsonl",
+    "stages.jsonl",
+    "tasks.jsonl",
+    "metrics.jsonl",
+    "metrics.timestamps.npy",
+    "metrics.values.npy",
 )
 
 
@@ -99,7 +112,7 @@ def test_round_trip_identity_and_determinism(tmp_path):
     assert any(t.locality is Locality.UNKNOWN for t in loaded.jobs[0].stages[0].tasks)
 
     save_trace(loaded, str(b))
-    for name in ("meta.jsonl", "jobs.jsonl", "stages.jsonl", "tasks.jsonl", "metrics.jsonl"):
+    for name in TRACE_FILES:
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -175,21 +188,36 @@ def test_non_object_record_rejected(tmp_path, line):
     assert "jobs.jsonl:2: record must be a JSON object" in str(err.value)
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-def test_non_finite_metric_value_rejected_at_load(tmp_path, token):
-    stage = make_stage({"hw01": 1})
-    metrics = {"hw01": metric_series("hw01", 1_460_000_000_000, 3, lambda i: {"cpu_usage": 0.5})}
-    out = tmp_path / "trace"
+def save_two_nodes(out):
+    """A trace whose metrics.jsonl indexes hw01 on line 2 and hw02 on line 3,
+    three samples each."""
+    stage = make_stage({"hw01": 1, "hw02": 1})
+    metrics = {
+        node: metric_series(node, 1_460_000_000_000, 3, lambda i: {"cpu_usage": 0.5, "x": 1.0})
+        for node in ("hw01", "hw02")
+    }
     save_trace(make_trace(stage, metrics=metrics), str(out))
-    metrics_file = out / "metrics.jsonl"
-    lines = metrics_file.read_text().splitlines()
-    lines[2] = lines[2].replace('"cpu_usage":0.5', f'"cpu_usage":{token}')
-    assert token in lines[2]
-    metrics_file.write_text("\n".join(lines) + "\n")
+    return out
+
+
+def load_error(out) -> TraceParseError:
     with pytest.raises(TraceParseError) as err:
         load_trace(str(out))
-    assert "metrics.jsonl:3:" in str(err.value)
-    assert token in str(err.value)
+    return err.value
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_metric_value_rejected_at_load(tmp_path, token):
+    """The JSON tokens are rejected in the metrics index too, at their line."""
+    out = save_two_nodes(tmp_path / "trace")
+    metrics_file = out / "metrics.jsonl"
+    lines = metrics_file.read_text().splitlines()
+    lines[2] = lines[2].replace('"samples":3', f'"samples":{token}')
+    assert token in lines[2]
+    metrics_file.write_text("\n".join(lines) + "\n")
+    error = load_error(out)
+    assert "metrics.jsonl:3:" in str(error)
+    assert token in str(error)
 
 
 @pytest.mark.parametrize(
@@ -197,24 +225,133 @@ def test_non_finite_metric_value_rejected_at_load(tmp_path, token):
     [
         ("1e999", "metric values must be finite numbers"),  # overflows to inf
         ("-1e999", "metric values must be finite numbers"),
-        ('"nan"', "bad metric record"),  # a string, even one float() takes
-        ('"0.5"', "bad metric record"),
-        ("null", "bad metric record"),
-        ("[0.5]", "bad metric record"),
     ],
 )
 def test_non_number_metric_value_rejected_at_load(tmp_path, value, rule):
-    stage = make_stage({"hw01": 1})
-    metrics = {"hw01": metric_series("hw01", 1_460_000_000_000, 3, lambda i: {"cpu_usage": 0.5})}
-    out = tmp_path / "trace"
-    save_trace(make_trace(stage, metrics=metrics), str(out))
+    """An infinity in metrics.values.npy fails at the index line of its node."""
+    out = save_two_nodes(tmp_path / "trace")
+    values = np.load(out / "metrics.values.npy")
+    values[7] = float(value)  # hw02's block starts at 2 columns x 3 samples
+    np.save(out / "metrics.values.npy", values)
+    assert f"metrics.jsonl:3: {rule}" in str(load_error(out))
+
+
+def test_first_infinite_node_in_index_order_is_named(tmp_path):
+    out = save_two_nodes(tmp_path / "trace")
+    values = np.load(out / "metrics.values.npy")
+    values[[1, 8]] = np.inf
+    np.save(out / "metrics.values.npy", values)
+    assert "metrics.jsonl:2: metric values must be finite numbers" in str(load_error(out))
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        # A JSON string, null or list value has no float64 cell; in /2 its
+        # counterparts are column files of another dtype or shape.
+        pytest.param("metrics.values.npy", np.array(["nan"] * 12), id="str-nan"),
+        pytest.param("metrics.values.npy", np.array(["0.5"] * 12), id="str-0.5"),
+        pytest.param("metrics.values.npy", np.array([None] * 12, dtype=object), id="pickled"),
+        pytest.param("metrics.values.npy", np.full((12, 1), 0.5), id="2-d"),
+        pytest.param("metrics.values.npy", np.full(12, 0.5, dtype=np.float32), id="float32"),
+        pytest.param("metrics.values.npy", np.full(12, 0.5, dtype=">f8"), id="big-endian"),
+        pytest.param("metrics.values.npy", np.asfortranarray(np.full((2, 6), 0.5)), id="fortran"),
+        pytest.param("metrics.values.npy", np.full(13, 0.5), id="index-length"),
+        pytest.param("metrics.timestamps.npy", np.arange(6, dtype=np.int32), id="int32-timestamps"),
+        pytest.param("metrics.timestamps.npy", np.arange(6.0), id="float-timestamps"),
+        pytest.param("metrics.timestamps.npy", np.arange(7), id="timestamps-index-length"),
+    ],
+)
+def test_bad_column_file_rejected(tmp_path, name, content):
+    out = save_two_nodes(tmp_path / "trace")
+    np.save(out / name, content, allow_pickle=True)
+    error = load_error(out)
+    assert error.path.endswith(name)
+    assert error.line_no == 0
+
+
+@pytest.mark.parametrize("name", ["metrics.values.npy", "metrics.timestamps.npy"])
+@pytest.mark.parametrize("cut", [0, 5, 64, -1])
+def test_truncated_or_padded_column_file_rejected(tmp_path, name, cut):
+    out = save_two_nodes(tmp_path / "trace")
+    column = out / name
+    data = column.read_bytes()
+    column.write_bytes(data[:cut] if cut >= 0 else data + b"\0")
+    error = load_error(out)
+    assert str(error).startswith(f"{column}:0: ")
+
+
+@pytest.mark.parametrize("name", ["metrics.values.npy", "metrics.timestamps.npy"])
+def test_missing_column_file_rejected(tmp_path, name):
+    out = save_two_nodes(tmp_path / "trace")
+    (out / name).unlink()
+    assert str(load_error(out)) == f"{out / name}:0: file missing from trace directory"
+
+
+def test_column_file_written_by_another_numpy_padding_loads(tmp_path):
+    """Any padding of the .npy header is accepted: only the dict is compared."""
+    out = save_two_nodes(tmp_path / "trace")
+    column = out / "metrics.values.npy"
+    data = column.read_bytes()
+    header_len = int.from_bytes(data[8:10], "little")
+    header = data[10 : 10 + header_len].rstrip() + b"    \n"
+    column.write_bytes(data[:8] + len(header).to_bytes(2, "little") + header + data[10 + header_len :])
+    assert load_trace(str(out)) == load_trace(str(save_two_nodes(tmp_path / "again")))
+
+
+@pytest.mark.parametrize(
+    "edit, rule",
+    [
+        (lambda row: row.pop("samples"), "missing required field 'samples'"),
+        (lambda row: row.pop("columns"), "missing required field 'columns'"),
+        (lambda row: row.pop("node"), "missing required field 'node'"),
+        (lambda row: row.update(node=2), "node must be a string"),
+        (lambda row: row.update(columns="cpu_usage"), "columns must be a list of metric names"),
+        (lambda row: row.update(columns=["cpu_usage", 1]), "columns must be a list of metric names"),
+        (lambda row: row.update(columns=["x", "cpu_usage"]), "columns must be distinct and in store order"),
+        (lambda row: row.update(columns=["cpu_usage", "cpu_usage"]), "columns must be distinct and in store order"),
+        (lambda row: row.update(samples=-1), "samples must be a non-negative integer"),
+        (lambda row: row.update(samples=3.0), "samples must be a non-negative integer"),
+        (lambda row: row.update(samples="3"), "samples must be a non-negative integer"),
+        (lambda row: row.update(samples=True), "samples must be a non-negative integer"),
+        (lambda row: row.update(node="hw01"), "duplicate node 'hw01'"),
+    ],
+)
+def test_bad_index_line_rejected(tmp_path, edit, rule):
+    out = save_two_nodes(tmp_path / "trace")
     metrics_file = out / "metrics.jsonl"
     lines = metrics_file.read_text().splitlines()
-    lines[2] = lines[2].replace('"cpu_usage":0.5', f'"cpu_usage":{value}')
+    row = json.loads(lines[2])
+    edit(row)
+    lines[2] = json.dumps(row)
     metrics_file.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceParseError) as err:
-        load_trace(str(out))
-    assert f"metrics.jsonl:3: {rule}" in str(err.value)
+    assert f"metrics.jsonl:3: {rule}" in str(load_error(out))
+
+
+@pytest.mark.parametrize("name", ["meta", "jobs", "stages", "tasks", "metrics"])
+def test_version_1_trace_rejected(tmp_path, name):
+    out = save_two_nodes(tmp_path / "trace")
+    path = out / f"{name}.jsonl"
+    path.write_text(path.read_text().replace("stagelens-trace/2", "stagelens-trace/1", 1))
+    assert str(load_error(out)) == (
+        f"{path}:1: schema header must declare 'stagelens-trace/2'"
+    )
+
+
+def test_nan_payload_does_not_reach_the_bytes(tmp_path):
+    def trace_with(missing: float) -> Trace:
+        store = metric_series("hw01", 0, 3, lambda i: {"cpu_usage": 0.5, "x": 1.0})
+        store.values[1, 1] = missing
+        return Trace(cluster=["hw01"], metrics={"hw01": store})
+
+    payload = np.array([0x7FF8_0000_0000_1234], dtype=np.uint64).view(np.float64)[0]
+    assert np.isnan(payload) and payload.tobytes() != np.float64(np.nan).tobytes()
+    save_trace(trace_with(np.nan), str(tmp_path / "a"))
+    save_trace(trace_with(payload), str(tmp_path / "b"))
+    save_trace(trace_with(-np.nan), str(tmp_path / "c"))
+    for name in ("metrics.jsonl", "metrics.timestamps.npy", "metrics.values.npy"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
 
 
 @pytest.mark.parametrize("field", ["launch_time", "finish_time", "data_size"])
@@ -231,6 +368,49 @@ def test_non_number_task_field_rejected_at_load(tmp_path, field, value):
     with pytest.raises(TraceParseError) as err:
         load_trace(str(out))
     assert "tasks.jsonl:3: bad task record" in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["launch_time", "finish_time", "data_size"])
+def test_overflowing_task_field_rejected_at_load(tmp_path, field):
+    out = tmp_path / "trace"
+    save_trace(make_trace(make_stage({"hw01": 2})), str(out))
+    tasks_file = out / "tasks.jsonl"
+    lines = tasks_file.read_text().splitlines()
+    lines[2] = re.sub(f'"{field}":-?[0-9]+', f'"{field}":1e999', lines[2])
+    assert "1e999" in lines[2]
+    tasks_file.write_text("\n".join(lines) + "\n")
+    assert "tasks.jsonl:3: bad task record" in str(load_error(out))
+
+
+@pytest.mark.parametrize(
+    "change, rule",
+    [
+        ({"cluster": "hw01"}, "cluster must be a list of node names"),
+        ({"cluster": ["hw01", 2]}, "cluster must be a list of node names"),
+        ({"clock_offsets": []}, "clock_offsets must map node names to integer milliseconds"),
+        ({"clock_offsets": {"hw01": 1.5}}, "clock_offsets must map node names to integer"),
+        ({"clock_offsets": {"hw01": "5"}}, "clock_offsets must map node names to integer"),
+        ({"clock_offsets": {"hw01": True}}, "clock_offsets must map node names to integer"),
+        ({"clock_offsets": {"hw01": 2**63}}, "clock_offsets must map node names to integer"),
+    ],
+)
+def test_bad_meta_record_rejected(tmp_path, change, rule):
+    out = save_two_nodes(tmp_path / "trace")
+    meta = out / "meta.jsonl"
+    header, body = meta.read_text().splitlines()
+    meta.write_text(header + "\n" + json.dumps({**json.loads(body), **change}) + "\n")
+    assert f"meta.jsonl:2: {rule}" in str(load_error(out))
+
+
+def test_clock_offset_past_int64_rejected(tmp_path):
+    out = save_two_nodes(tmp_path / "trace")
+    meta = out / "meta.jsonl"
+    header, body = meta.read_text().splitlines()
+    change = {"clock_offsets": {"hw02": 2**63 - 1}, "offsets_applied": False}
+    meta.write_text(header + "\n" + json.dumps({**json.loads(body), **change}) + "\n")
+    assert f"metrics.jsonl:3: clock offset {2**63 - 1} moves timestamps out of range" in str(
+        load_error(out)
+    )
 
 
 @pytest.mark.parametrize("name", ["meta", "jobs", "stages", "tasks", "metrics"])
@@ -265,6 +445,37 @@ def test_infinite_metric_value_fails_validation(tmp_path):
         save_trace(trace, str(tmp_path / "trace"))
 
 
+def _store(**changes) -> MetricStore:
+    store = metric_series("hw01", 0, 3, lambda i: {"cpu_usage": 0.5, "x": 1.0})
+    for name, value in changes.items():
+        setattr(store, name, value)
+    return store
+
+
+@pytest.mark.parametrize(
+    "store, problem",
+    [
+        (_store(timestamps=np.arange(3, dtype=np.int32)), "needs int64[n] timestamps"),
+        (_store(timestamps=np.arange(3.0)), "needs int64[n] timestamps"),
+        (_store(timestamps=np.arange(3, dtype=np.int64).reshape(3, 1)), "needs int64[n]"),
+        (_store(timestamps=[0, 1, 2]), "needs int64[n] timestamps"),
+        (_store(values=np.zeros((2, 3), dtype=np.float32)), "float64[2, n] values"),
+        (_store(values=np.zeros((3, 2))), "float64[2, n] values"),
+        (_store(values=np.zeros((2, 4))), "float64[2, n] values"),
+        (_store(values=np.zeros(6)), "float64[2, n] values"),
+        (_store(columns=("cpu_usage",)), "float64[1, n] values"),
+        (_store(columns=("x", "x")), "columns must be distinct names in store order"),
+        (_store(columns=("x", "cpu_usage")), "columns must be distinct names in store order"),
+        (_store(columns=("cpu_usage", 7)), "columns must be distinct names in store order"),
+    ],
+)
+def test_validate_checks_store_shape(tmp_path, store, problem):
+    trace = Trace(cluster=["hw01"], metrics={"hw01": store})
+    assert any(problem in p for p in trace.validate()), trace.validate()
+    with pytest.raises(TraceValidationError):
+        save_trace(trace, str(tmp_path / "trace"))
+
+
 # Names that need JSON escapes or that a %-format would misread.
 _NAMES = st.text(st.characters() | st.sampled_from('%"\\\u00e9\n'), min_size=1, max_size=6)
 _ROW_VALUES = st.dictionaries(
@@ -286,8 +497,10 @@ _ROW_VALUES = st.dictionaries(
 @example(series={"0": {}})
 def test_store_round_trip_property(tmp_path_factory, series):
     """Any node and metric names (escapes, %, non-ASCII), any finite floats,
-    rows in any order: each metrics line is the sorted-key JSON of its row,
-    load(save(t)) == t, and saving again gives the same bytes."""
+    rows in any order: each metrics line is the sorted-key JSON of its
+    node's index entry, the column files are what np.save writes for the
+    stores joined in index order, load(save(t)) == t, and saving again gives
+    the same bytes."""
     trace = Trace(
         cluster=sorted(series),
         metrics={
@@ -300,16 +513,21 @@ def test_store_round_trip_property(tmp_path_factory, series):
     a = tmp_path_factory.mktemp("a")
     b = tmp_path_factory.mktemp("b")
     save_trace(trace, str(a))
+    stores = [trace.metrics[node] for node in sorted(trace.metrics) if len(trace.metrics[node])]
     expected = [
-        json.dumps({"node": row.node, "timestamp": row.timestamp, "values": row.values},
+        json.dumps({"columns": list(store.columns), "node": store.node, "samples": len(store)},
                    sort_keys=True, separators=(",", ":"))
-        for node in sorted(trace.metrics) for row in trace.metrics[node]
+        for store in stores
     ]
     assert (a / "metrics.jsonl").read_text().splitlines()[1:] == expected
+    for name, column in (("timestamps", np.zeros(0, np.int64)), ("values", np.zeros(0))):
+        saved = io.BytesIO()
+        np.save(saved, np.concatenate([column] + [getattr(s, name).ravel() for s in stores]))
+        assert (a / f"metrics.{name}.npy").read_bytes() == saved.getvalue()
     loaded = load_trace(str(a))
     assert loaded == trace
     save_trace(loaded, str(b))
-    for name in ("meta.jsonl", "jobs.jsonl", "stages.jsonl", "tasks.jsonl", "metrics.jsonl"):
+    for name in TRACE_FILES:
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -357,3 +575,48 @@ def test_unapplied_clock_offsets_shift_once(tmp_path):
     out2 = tmp_path / "trace2"
     save_trace(shifted, str(out2))
     assert load_trace(str(out2)) == shifted
+
+
+@pytest.fixture(scope="module")
+def saved_trace_files(tmp_path_factory):
+    """The files of one saved simulator trace, with a metric gap on hw02."""
+    trace, _ = generate_trace(ScenarioSpec(seed=5, nodes=3, stages=2, tasks_per_stage=6))
+    trace.metrics["hw02"].values[3, ::4] = np.nan
+    out = tmp_path_factory.mktemp("saved")
+    save_trace(trace, str(out))
+    return {name: (out / name).read_bytes() for name in TRACE_FILES}
+
+
+_DAMAGE = st.one_of(
+    # (position, xor mask) pairs; small positions hit the headers.
+    st.lists(
+        st.tuples(st.integers(0, 255) | st.integers(0, 2**20), st.integers(1, 255)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(0, 255) | st.integers(0, 2**20),  # truncate at
+    st.none(),  # delete the file
+)
+
+
+@given(name=st.sampled_from(TRACE_FILES), damage=_DAMAGE)
+def test_damaged_trace_loads_or_raises_trace_error(
+    tmp_path_factory, saved_trace_files, name, damage
+):
+    """Flipped bytes, a cut or a deleted file in any file of a trace directory:
+    load_trace returns or raises TraceParseError / TraceValidationError."""
+    out = tmp_path_factory.mktemp("damaged")
+    for file, data in saved_trace_files.items():
+        if file != name:
+            (out / file).write_bytes(data)
+        elif isinstance(damage, list):
+            data = bytearray(data)
+            for at, mask in damage:
+                data[at % len(data)] ^= mask
+            (out / file).write_bytes(bytes(data))
+        elif isinstance(damage, int):
+            (out / file).write_bytes(data[: damage % (len(data) + 1)])
+    try:
+        load_trace(str(out))
+    except (TraceParseError, TraceValidationError):
+        pass

@@ -253,6 +253,22 @@ def test_cli_simulate_diagnose_evaluate(tmp_path, capsys):
     assert "precision=1.0000" in out
 
 
+def test_cli_evaluate_rejects_malformed_labels(tmp_path, capsys):
+    trace_dir = tmp_path / "trace"
+    assert main(["simulate", "--preset", "case1", "--seed", "1", "--out", str(trace_dir)]) == 0
+    report_file = tmp_path / "report.json"
+    main(["diagnose", "--trace", str(trace_dir), "--format", "structured",
+          "--out", str(report_file)])
+    labels = trace_dir / "labels.jsonl"
+    header = labels.read_text().splitlines()[0]
+    labels.write_text(header + "\n" + '{"node":"hw05","stage_id":"stage_0"}\n')
+    capsys.readouterr()
+    assert main(["evaluate", "--report", str(report_file), "--labels", str(labels)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {labels}:2: missing required field 'expected'\n"
+    )
+
+
 def test_cli_clean_trace_exits_zero(tmp_path, capsys):
     trace_dir = tmp_path / "clean"
     emit_scenario(ScenarioSpec(seed=2, nodes=4, stages=1, tasks_per_stage=16), str(trace_dir))

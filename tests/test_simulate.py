@@ -99,6 +99,30 @@ def test_labels_round_trip(tmp_path):
     assert load_labels(str(path)) == labels
 
 
+@pytest.mark.parametrize(
+    "line, rule",
+    [
+        ('{"node":"hw01","stage_id":"stage_0"}', "missing required field 'expected'"),
+        ('{"expected":[],"node":"hw01"}', "missing required field 'stage_id'"),
+        ('{"expected":[],"node":"hw01",', "invalid JSON"),
+        ('{"expected":[["NoSuchKind",null]],"node":"hw01","stage_id":"stage_0"}',
+         "bad expected findings: 'NoSuchKind' is not a valid FindingKind"),
+        ('{"expected":[["OutlierMetric"]],"node":"hw01","stage_id":"stage_0"}',
+         "bad expected findings"),
+        ('{"expected":[],"node":1,"stage_id":"stage_0"}', "stage_id and node must be strings"),
+        ('["stage_0"]', "record must be a JSON object"),
+        ("\xff", "invalid JSON"),
+    ],
+)
+def test_malformed_label_row_rejected(tmp_path, line, rule):
+    path = tmp_path / "labels.jsonl"
+    save_labels([], str(path))
+    path.write_bytes(path.read_bytes() + line.encode("latin-1") + b"\n")
+    with pytest.raises(ScenarioError) as err:
+        load_labels(str(path))
+    assert str(err.value).startswith(f"{path}:2: {rule}")
+
+
 def test_label_soundness_metric_deviation():
     # every injected metric effect moves the target's window mean well past
     # the baseline jitter band
