@@ -22,7 +22,6 @@ from .correlate import (
 from .evaluate import Score, score, score_report
 from .ingest import (
     METRIC_SCHEMA,
-    derive_metrics,
     ingest_raw,
     parse_metric_file,
     parse_spark_event_log,
@@ -42,7 +41,6 @@ from .model import (
     FindingKind,
     Job,
     Locality,
-    MetricSample,
     MetricStore,
     Stage,
     Task,

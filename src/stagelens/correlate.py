@@ -52,7 +52,7 @@ def slice_metrics(trace: Trace, window: StageWindow) -> MetricSlices:
     for node in sorted(window.nodes):
         store = trace.metrics.get(node)
         if store is None:
-            store = MetricStore.from_samples(node, [])
+            store = MetricStore(node, np.empty(0, np.int64), (), np.empty((0, 0)))
         series[node] = store.window(window.start, window.finish)
         if not len(series[node]):
             gaps.append(node)

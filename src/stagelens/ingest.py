@@ -8,22 +8,23 @@ per-second metrics are computed.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .model import (  # noqa: F401  (the derived-metric names are re-exported)
     ARCH_METRICS,
     METRIC_SCHEMA,
     SYSTEM_METRICS,
     Job,
-    MetricSample,
     MetricStore,
     Stage,
     Task,
     Trace,
+    metric_columns,
     parse_locality,
 )
 
@@ -52,12 +53,6 @@ class IngestError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RawMetricRow:
-    timestamp_ms: int
-    counters: Tuple[float, ...]  # schema order, timestamp excluded
-
-
 @dataclass
 class IngestReport:
     """Per-line recoverable problems plus counts of what was skipped."""
@@ -67,14 +62,6 @@ class IngestReport:
 
     def note(self, line_no: int, message: str) -> None:
         self.errors.append((line_no, message))
-
-
-def _to_ms(timestamp: float) -> int:
-    # Epoch seconds are ~1.5e9, epoch ms ~1.5e12; treat small values as seconds.
-    ts = float(timestamp)
-    if abs(ts) < 1e12:
-        ts *= 1000.0
-    return int(round(ts))
 
 
 def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
@@ -152,19 +139,22 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
     return trace, report
 
 
-def parse_metric_file(
-    lines: Iterable[str], schema: str
-) -> Tuple[List[RawMetricRow], IngestReport]:
-    """Parse one node's raw counter dump into timestamp-ordered rows.
+def parse_metric_file(lines: Iterable[str], schema: str) -> Tuple[MetricStore, IngestReport]:
+    """Parse one node's raw counter dump into a block of timestamp-ordered rows.
 
-    Duplicate timestamps keep the last row seen. A column-count mismatch is a
-    hard error; a non-numeric or non-finite cell only skips that line.
+    The block is a MetricStore whose columns are the schema's counters (its
+    node is left empty: the file name names it), so len(block) is the number
+    of rows kept. Timestamps below 1e12 are seconds and become milliseconds,
+    rounded half to even. Duplicate timestamps keep the last row read. A
+    column-count mismatch is a hard error; a non-numeric or non-finite cell,
+    or a timestamp outside int64 milliseconds, only skips that line.
     """
     columns = _SCHEMAS.get(schema)
     if columns is None:
         raise IngestError(f"unknown metric schema {schema!r} (expected system|architecture)")
     report = IngestReport()
-    by_ts: Dict[int, RawMetricRow] = {}
+    rows: List[List[float]] = []
+    line_nos: List[int] = []
     for line_no, line in enumerate(lines, start=1):
         cells = line.split()
         if not cells:
@@ -175,124 +165,136 @@ def parse_metric_file(
                 f"{schema} schema, found {len(cells)}"
             )
         try:
-            numbers = [float(c) for c in cells]
+            rows.append(list(map(float, cells)))
         except ValueError:
             report.note(line_no, "non-numeric cell")
             continue
-        if not all(map(math.isfinite, numbers)):
-            # A NaN would read as a missing metric in the trace's store.
-            report.note(line_no, "non-finite cell")
-            continue
-        row = RawMetricRow(timestamp_ms=_to_ms(numbers[0]), counters=tuple(numbers[1:]))
-        by_ts[row.timestamp_ms] = row
-    rows = [by_ts[ts] for ts in sorted(by_ts)]
-    return rows, report
+        line_nos.append(line_no)
+
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
+    # A NaN would read as a missing metric in the trace's store.
+    finite = np.isfinite(table).all(axis=1)
+    # Epoch seconds are ~1.5e9, epoch ms ~1.5e12; treat small values as seconds.
+    ms = np.rint(np.where(np.abs(table[:, 0]) < 1e12, table[:, 0] * 1000.0, table[:, 0]))
+    # Checked before the cast, which would wrap silently.
+    in_range = (ms >= -(2.0**63)) & (ms < 2.0**63)
+    for i in np.flatnonzero(~(finite & in_range)).tolist():
+        report.note(line_nos[i], "non-finite cell" if not finite[i] else "timestamp out of range")
+    report.errors.sort(key=lambda error: error[0])
+
+    kept = np.flatnonzero(finite & in_range)[::-1]
+    # Read backwards, the first row of each timestamp is the last one in the file.
+    timestamps, first = np.unique(ms[kept], return_index=True)
+    block = MetricStore(
+        node="",
+        timestamps=timestamps.astype(np.int64),
+        columns=tuple(columns[1:]),
+        values=np.ascontiguousarray(table[kept[first], 1:].T),
+    )
+    return block, report
 
 
-def _delta(prev: RawMetricRow, curr: RawMetricRow, idx: Dict[str, int], name: str) -> float:
-    return curr.counters[idx[name]] - prev.counters[idx[name]]
-
-
-def derive_metrics(
-    prev: RawMetricRow,
-    curr: RawMetricRow,
-    schema: str,
-    node: str = "",
-    wrap_detection: bool = True,
-) -> MetricSample:
-    """Compute the derived metrics for one counter interval.
-
-    Rates are delta/dt, ratios are delta-based fractions. A wrapped counter
-    (negative delta) makes the affected metric missing unless wrap detection
-    is disabled, which reproduces raw negative rates.
-    """
-    dt = (curr.timestamp_ms - prev.timestamp_ms) / 1000.0
-    if dt <= 0:
-        raise IngestError("derive_metrics requires curr.timestamp > prev.timestamp")
-    columns = _SCHEMAS[schema]
-    idx = {name: i - 1 for i, name in enumerate(columns) if i > 0}
-    values: Dict[str, float] = {}
-
-    def emit(name: str, value: float, deltas: Sequence[float]) -> None:
-        if wrap_detection and any(d < 0 for d in deltas):
-            return
-        values[name] = value
-
-    def ratio(num: float, den: float) -> Optional[float]:
-        if den == 0:
-            return None
-        return num / den
-
-    if schema == "system":
-        busy = [_delta(prev, curr, idx, n) for n in ("usr", "nice", "sys", "irq", "softirq")]
-        wait = _delta(prev, curr, idx, "iowait")
-        idle = _delta(prev, curr, idx, "idle")
-        total = sum(busy) + wait + idle
-        # Zero total CPU delta reads as an idle interval, not missing data.
-        emit("cpu_usage", (sum(busy) / total) if total else 0.0, busy + [wait, idle])
-        emit("ioWaitRatio", (wait / total) if total else 0.0, busy + [wait, idle])
-        mem_total = curr.counters[idx["mem_total"]]
-        if mem_total > 0:
-            free = sum(curr.counters[idx[n]] for n in ("free", "buffers", "cached"))
-            values["mem_usage"] = 1.0 - free / mem_total
-        emit(
-            "diskR_band",
-            _delta(prev, curr, idx, "read_sectors") * SECTOR_BYTES / dt,
-            [_delta(prev, curr, idx, "read_sectors")],
-        )
-        emit(
-            "diskW_band",
-            _delta(prev, curr, idx, "write_sectors") * SECTOR_BYTES / dt,
-            [_delta(prev, curr, idx, "write_sectors")],
-        )
-        emit("netS_band", _delta(prev, curr, idx, "sbytes") / dt, [_delta(prev, curr, idx, "sbytes")])
-        emit("netR_band", _delta(prev, curr, idx, "rbytes") / dt, [_delta(prev, curr, idx, "rbytes")])
-        emit(
-            "weighted_io",
-            _delta(prev, curr, idx, "io_time_weighted") / dt,
-            [_delta(prev, curr, idx, "io_time_weighted")],
-        )
-    else:
-        d_ins = _delta(prev, curr, idx, "ins")
-        d_cycle = _delta(prev, curr, idx, "cycle")
-        ipc = ratio(d_ins, d_cycle)
-        if ipc is not None:
-            emit("IPC", ipc, [d_ins, d_cycle])
-        for metric, counter in (
-            ("L2_MPKI", "L2_miss"),
-            ("L3_MPKI", "L3_miss"),
-            ("L1I_MPKI", "L1I_miss"),
-            ("ITLB_MPKI", "ITLB_miss"),
-            ("DTLB_MPKI", "DTLB_miss"),
-        ):
-            d = _delta(prev, curr, idx, counter)
-            mpki = ratio(d * 1000.0, d_ins)
-            if mpki is not None:
-                emit(metric, mpki, [d, d_ins])
-        for metric, counter in (
-            ("MUL_Ratio", "MUL_ins"),
-            ("DIV_Ratio", "DIV_ins"),
-            ("FP_Ratio", "FP_ins"),
-            ("LOAD_Ratio", "LOAD_ins"),
-            ("STORE_Ratio", "STORE_ins"),
-            ("BR_Ratio", "BR_ins"),
-        ):
-            d = _delta(prev, curr, idx, counter)
-            r = ratio(d, d_ins)
-            if r is not None:
-                emit(metric, r, [d, d_ins])
-
-    return MetricSample(node=node, timestamp=curr.timestamp_ms, values=values)
+_BUSY = ("usr", "nice", "sys", "irq", "softirq")
+_CPU = _BUSY + ("iowait", "idle")
+_MPKI = (
+    ("L2_MPKI", "L2_miss"),
+    ("L3_MPKI", "L3_miss"),
+    ("L1I_MPKI", "L1I_miss"),
+    ("ITLB_MPKI", "ITLB_miss"),
+    ("DTLB_MPKI", "DTLB_miss"),
+)
+_MIX = (
+    ("MUL_Ratio", "MUL_ins"),
+    ("DIV_Ratio", "DIV_ins"),
+    ("FP_Ratio", "FP_ins"),
+    ("LOAD_Ratio", "LOAD_ins"),
+    ("STORE_Ratio", "STORE_ins"),
+    ("BR_Ratio", "BR_ins"),
+)
 
 
 def derive_series(
-    rows: Sequence[RawMetricRow], schema: str, node: str, wrap_detection: bool = True
-) -> List[MetricSample]:
-    """Run derive_metrics over consecutive row pairs of one node's dump."""
-    samples = []
-    for prev, curr in zip(rows, rows[1:]):
-        samples.append(derive_metrics(prev, curr, schema, node=node, wrap_detection=wrap_detection))
-    return samples
+    block: MetricStore, schema: str, node: str, wrap_detection: bool = True
+) -> MetricStore:
+    """The derived metrics of every interval between consecutive rows of a
+    parse_metric_file block, each stamped with the interval's later row.
+
+    Rates are delta/dt, ratios are delta-based fractions. A zero denominator
+    makes a ratio missing, except that a zero CPU total reads as an idle
+    interval (0.0). A wrapped counter (negative delta) makes the metrics it
+    feeds missing unless wrap detection is disabled, which reproduces raw
+    negative rates. A non-finite result (an overflowing delta) is missing.
+    A metric missing from every interval gets no column; an interval with no
+    metric keeps its row.
+    """
+    col = {name: i for i, name in enumerate(block.columns)}
+    counters = block.values
+    # Timestamps ascend and are distinct, so every true difference lies in
+    # (0, 2**64): read as uint64 it is exact even where int64 would wrap.
+    dt = np.diff(block.timestamps).view(np.uint64) / 1000.0
+    derived: Dict[str, Tuple[np.ndarray, Sequence[str]]] = {}  # value, wrap-voiding counters
+    with np.errstate(all="ignore"):
+        delta = np.diff(counters, axis=1)
+
+        def d(name: str) -> np.ndarray:
+            return delta[col[name]]
+
+        if schema == "system":
+            # Added left to right from 0, usr first: the float order is pinned.
+            busy = sum(d(n) for n in _BUSY)
+            total = busy + d("iowait") + d("idle")
+            derived["cpu_usage"] = np.where(total != 0, busy / total, 0.0), _CPU
+            derived["ioWaitRatio"] = np.where(total != 0, d("iowait") / total, 0.0), _CPU
+            mem_total = counters[col["mem_total"], 1:]
+            free = sum(counters[col[n], 1:] for n in ("free", "buffers", "cached"))
+            derived["mem_usage"] = np.where(mem_total > 0, 1.0 - free / mem_total, np.nan), ()
+            for metric, counter in (("diskR_band", "read_sectors"), ("diskW_band", "write_sectors")):
+                derived[metric] = d(counter) * SECTOR_BYTES / dt, (counter,)
+            for metric, counter in (
+                ("netS_band", "sbytes"),
+                ("netR_band", "rbytes"),
+                ("weighted_io", "io_time_weighted"),
+            ):
+                derived[metric] = d(counter) / dt, (counter,)
+        else:
+            d_ins, d_cycle = d("ins"), d("cycle")
+            derived["IPC"] = np.where(d_cycle != 0, d_ins / d_cycle, np.nan), ("ins", "cycle")
+            for metric, counter in _MPKI:
+                mpki = d(counter) * 1000.0 / d_ins
+                derived[metric] = np.where(d_ins != 0, mpki, np.nan), (counter, "ins")
+            for metric, counter in _MIX:
+                derived[metric] = np.where(d_ins != 0, d(counter) / d_ins, np.nan), (counter, "ins")
+
+    names, rows = [], []
+    for name in METRIC_SCHEMA:
+        if name not in derived:
+            continue
+        values, wrap_counters = derived[name]
+        missing = ~np.isfinite(values)
+        if wrap_detection and wrap_counters:
+            missing |= (delta[[col[c] for c in wrap_counters]] < 0).any(axis=0)
+        if not missing.all():
+            names.append(name)
+            rows.append(np.where(missing, np.nan, values))
+    return MetricStore(
+        node=node,
+        timestamps=block.timestamps[1:],
+        columns=tuple(names),
+        values=np.array(rows, dtype=np.float64).reshape(len(rows), len(dt)),
+    )
+
+
+def _join(node: str, stores: Sequence[MetricStore]) -> MetricStore:
+    """One store on the union of the stores' timestamps, NaN where a store
+    has no row; the stores report disjoint metrics."""
+    timestamps = np.unique(np.concatenate([s.timestamps for s in stores]))
+    columns = metric_columns(c for s in stores for c in s.columns)
+    values = np.full((len(columns), len(timestamps)), np.nan)
+    for store in stores:
+        at = np.searchsorted(timestamps, store.timestamps)
+        for name, row in zip(store.columns, store.values):
+            values[columns.index(name), at] = row
+    return MetricStore(node, timestamps, columns, values)
 
 
 _METRIC_FILE_RE = re.compile(r"^(?P<node>.+)\.(?P<schema>system|arch)\.tsv$")
@@ -310,7 +312,7 @@ def ingest_raw(
         trace, report = parse_spark_event_log(fh)
 
     if metrics_dir:
-        merged: Dict[str, Dict[int, Dict[str, float]]] = {}
+        derived: Dict[str, List[MetricStore]] = {}
         for name in sorted(os.listdir(metrics_dir)):
             match = _METRIC_FILE_RE.match(name)
             if not match:
@@ -318,13 +320,12 @@ def ingest_raw(
             node = match.group("node")
             schema = "architecture" if match.group("schema") == "arch" else "system"
             with open(os.path.join(metrics_dir, name), encoding="utf-8") as fh:
-                rows, sub_report = parse_metric_file(fh, schema)
+                block, sub_report = parse_metric_file(fh, schema)
             report.errors.extend((ln, f"{name}: {msg}") for ln, msg in sub_report.errors)
-            for sample in derive_series(rows, schema, node, wrap_detection=wrap_detection):
-                merged.setdefault(node, {}).setdefault(sample.timestamp, {}).update(sample.values)
-        for node, by_ts in merged.items():
-            trace.metrics[node] = MetricStore.from_samples(
-                node, (MetricSample(node=node, timestamp=ts, values=v) for ts, v in by_ts.items())
-            )
-        trace.cluster = sorted(set(trace.cluster) | set(merged))
+            store = derive_series(block, schema, node, wrap_detection=wrap_detection)
+            if len(store):
+                derived.setdefault(node, []).append(store)
+        for node, stores in derived.items():
+            trace.metrics[node] = _join(node, stores)
+        trace.cluster = sorted(set(trace.cluster) | set(derived))
     return trace, report

@@ -44,7 +44,7 @@ class PcaSelection:
     d: int
     selected_metrics: List[str]
     ccrate: List[float]  # cumulative contribution per dimension count
-    degenerate: bool = False  # zero variance: selection fell back to all metrics
+    degenerate: str = ""  # why the selection fell back to all metrics, if it did
 
 
 def pca_select_metrics(
@@ -62,26 +62,33 @@ def pca_select_metrics(
         raise ValueError("PCA needs a 2-D matrix with at least two rows")
     if x.shape[1] != len(metric_names):
         raise ValueError("metric_names must match the matrix column count")
-    m = x.shape[0]
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / m
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    order = np.argsort(eigenvalues)[::-1]
-    eigenvalues = eigenvalues[order]
-    eigenvectors = eigenvectors[:, order]
-
-    total = float(eigenvalues.sum())
-    if total <= 0:
+    m, k = x.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0)
+        cov = centered.T @ centered / m
+    if np.isfinite(cov).all():
+        eigenvalues, eigenvectors = np.linalg.eigh(cov)
+        order = np.argsort(eigenvalues)[::-1]
+        eigenvalues = eigenvalues[order]
+        eigenvectors = eigenvectors[:, order]
+        total = float(eigenvalues.sum())
+        fallback = "zero-variance stage matrix" if total <= 0 else ""
+    else:
+        # Values near the float range overflow the covariance: no spectrum.
+        eigenvalues, eigenvectors = np.full(k, np.nan), np.full((k, k), np.nan)
+        fallback = "non-finite stage covariance"
+    if fallback:
         return PcaSelection(
             components=eigenvectors,
             eigenvalues=eigenvalues,
-            d=len(metric_names),
+            d=k,
             selected_metrics=list(metric_names),
-            ccrate=[1.0] * len(metric_names),
-            degenerate=True,
+            ccrate=[1.0] * k,
+            degenerate=fallback,
         )
     cumulative = list(np.cumsum(eigenvalues) / total)
-    d = next(i + 1 for i, c in enumerate(cumulative) if c >= ccrate)
+    # Rounding can leave the last cumulative value just below a target of 1.0.
+    d = next((i + 1 for i, c in enumerate(cumulative) if c >= ccrate), len(cumulative))
     attributed: Set[str] = set()
     for w in range(d):
         attributed.add(metric_names[int(np.argmax(np.abs(eigenvectors[:, w])))])
@@ -275,7 +282,7 @@ def diagnose_outlier_metrics(
     selection = pca_select_metrics(stacked, datasets.matrix_metrics, cfg.ccrate)
     warnings: List[str] = []
     if selection.degenerate:
-        warnings.append("zero-variance stage matrix: PCA fell back to all metrics")
+        warnings.append(f"{selection.degenerate}: PCA fell back to all metrics")
 
     col = {m: i for i, m in enumerate(datasets.matrix_metrics)}
     # FFT compares spectra, so series are truncated to the common length.

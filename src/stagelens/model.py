@@ -113,15 +113,6 @@ class Job:
     stages: List[Stage] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    """One row of a metric series: the metrics one node reported at one time."""
-
-    node: str
-    timestamp: int  # ms since epoch
-    values: Dict[str, float] = field(default_factory=dict)
-
-
 def metric_columns(names: Iterable[str]) -> Tuple[str, ...]:
     """Store column order: METRIC_SCHEMA order first, then other names sorted."""
     names = set(names)
@@ -137,30 +128,14 @@ class MetricStore:
     `timestamps` is int64[n], ascending. `values` is float64[len(columns), n]:
     row i is metric `columns[i]` over time, so one metric's series is a
     contiguous row. NaN marks a metric a sample does not report, so every
-    reported value must be finite. Iterating yields the rows as MetricSample; two
-    stores are equal when their node and rows are.
+    reported value must be finite. Two stores are equal when their node,
+    timestamps and values are, an absent column counting as an all-NaN one.
     """
 
     node: str
     timestamps: np.ndarray
     columns: Tuple[str, ...]
     values: np.ndarray
-
-    @classmethod
-    def from_samples(cls, node: str, samples: Iterable[MetricSample]) -> "MetricStore":
-        """Build a store from rows in any order; equal timestamps keep theirs."""
-        rows = sorted(samples, key=lambda s: s.timestamp)
-        columns = metric_columns(k for s in rows for k in s.values)
-        nan = float("nan")
-        block = np.array(
-            [[s.values.get(c, nan) for c in columns] for s in rows], dtype=np.float64
-        ).reshape(len(rows), len(columns))
-        return cls(
-            node=node,
-            timestamps=np.array([s.timestamp for s in rows], dtype=np.int64),
-            columns=columns,
-            values=np.ascontiguousarray(block.T),
-        )
 
     def window(self, start: int, finish: int) -> "MetricStore":
         """The rows with start <= timestamp <= finish, as views of this store."""
@@ -173,15 +148,17 @@ class MetricStore:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def __iter__(self) -> Iterator[MetricSample]:
-        for ts, row in zip(self.timestamps.tolist(), self.values.T.tolist()):
-            values = {c: v for c, v in zip(self.columns, row) if v == v}
-            yield MetricSample(node=self.node, timestamp=ts, values=values)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MetricStore):
             return NotImplemented
-        return self.node == other.node and list(self) == list(other)
+        if self.node != other.node or not np.array_equal(self.timestamps, other.timestamps):
+            return False
+        mine, theirs = dict(zip(self.columns, self.values)), dict(zip(other.columns, other.values))
+        absent = np.full(len(self), np.nan)
+        return all(
+            np.array_equal(mine.get(c, absent), theirs.get(c, absent), equal_nan=True)
+            for c in mine.keys() | theirs.keys()
+        )
 
 
 @dataclass(eq=False)

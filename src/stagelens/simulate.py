@@ -416,7 +416,7 @@ def preset(name: str, seed: int = 1) -> Union[ScenarioSpec, List[ScenarioSpec]]:
     raise ScenarioError(f"unknown preset {name!r}; available: {', '.join(_PRESET_NAMES)}")
 
 
-LABELS_SCHEMA = "stagelens-trace/1"
+LABELS_SCHEMA = "stagelens-labels/1"
 
 
 def save_labels(labels: Sequence[LabeledAnomaly], path: str) -> None:
@@ -455,6 +455,8 @@ def load_labels(path: str) -> List[LabeledAnomaly]:
             if line_no == 1:
                 if row.get("entity") != "labels":
                     raise fail(line_no, "not a labels file")
+                if row.get("schema") != LABELS_SCHEMA:
+                    raise fail(line_no, f"schema header must declare {LABELS_SCHEMA!r}")
                 continue
             for key in ("stage_id", "node", "expected"):
                 if key not in row:

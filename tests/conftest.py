@@ -1,9 +1,11 @@
+from dataclasses import dataclass, field
+from typing import Dict, Iterable
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from stagelens.ingest import ARCH_COLUMNS, SYSTEM_COLUMNS, RawMetricRow
-from stagelens.model import Job, Locality, MetricSample, MetricStore, Stage, Task, Trace
+from stagelens.model import Job, Locality, MetricStore, Stage, Task, Trace, metric_columns
 
 
 # Property tests draw the same examples on every run, and a slow shared host
@@ -57,33 +59,39 @@ def make_trace(stage, metrics=None, extra_nodes=()):
     )
 
 
+@dataclass(frozen=True)
+class MetricSample:
+    """One row of a metric series: the metrics one node reported at one time.
+    The library holds series only as columns; tests write rows."""
+
+    node: str
+    timestamp: int  # ms since epoch
+    values: Dict[str, float] = field(default_factory=dict)
+
+
+def store_from_samples(node: str, samples: Iterable[MetricSample]) -> MetricStore:
+    """A store from rows in any order; equal timestamps keep theirs, and a
+    metric no row reports gets no column."""
+    rows = sorted(samples, key=lambda s: s.timestamp)
+    columns = metric_columns(k for s in rows for k in s.values)
+    nan = float("nan")
+    block = np.array(
+        [[s.values.get(c, nan) for c in columns] for s in rows], dtype=np.float64
+    ).reshape(len(rows), len(columns))
+    return MetricStore(
+        node=node,
+        timestamps=np.array([s.timestamp for s in rows], dtype=np.int64),
+        columns=columns,
+        values=np.ascontiguousarray(block.T),
+    )
+
+
 def metric_series(node, start, count, values_fn, step=1000):
     """values_fn(i) -> dict of metric values for sample i."""
-    return MetricStore.from_samples(
+    return store_from_samples(
         node,
         [MetricSample(node=node, timestamp=start + i * step, values=values_fn(i))
          for i in range(count)],
-    )
-
-
-def system_row(ts_ms, **overrides):
-    """A system-schema RawMetricRow with named counter overrides."""
-    counters = {name: 0.0 for name in SYSTEM_COLUMNS[1:]}
-    counters["mem_total"] = 32_000_000.0
-    counters["free"] = 16_000_000.0
-    counters["buffers"] = 2_000_000.0
-    counters["cached"] = 6_000_000.0
-    counters.update(overrides)
-    return RawMetricRow(
-        timestamp_ms=ts_ms, counters=tuple(counters[n] for n in SYSTEM_COLUMNS[1:])
-    )
-
-
-def arch_row(ts_ms, **overrides):
-    counters = {name: 0.0 for name in ARCH_COLUMNS[1:]}
-    counters.update(overrides)
-    return RawMetricRow(
-        timestamp_ms=ts_ms, counters=tuple(counters[n] for n in ARCH_COLUMNS[1:])
     )
 
 

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_stage, make_task, make_trace, metric_series
+from conftest import (
+    MetricSample,
+    make_stage,
+    make_task,
+    make_trace,
+    metric_series,
+    store_from_samples,
+)
 from stagelens.correlate import (
     CorrelateError,
     UltrashortPolicy,
@@ -11,7 +18,7 @@ from stagelens.correlate import (
     slice_metrics,
     stage_window,
 )
-from stagelens.model import METRIC_SCHEMA, MetricSample, MetricStore, Stage, Trace
+from stagelens.model import METRIC_SCHEMA, Stage, Trace
 
 T0 = 1_460_000_000_000
 
@@ -84,7 +91,7 @@ def assert_datasets_equal_oracle(rows, with_series, start, finish):
                                      runtime=finish - start))
     trace = Trace(
         cluster=nodes,
-        metrics={n: MetricStore.from_samples(n, rows[n]) for n in with_series},
+        metrics={n: store_from_samples(n, rows[n]) for n in with_series},
     )
     ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), nodes)
 
@@ -181,7 +188,7 @@ def test_slice_bounds_inclusive():
     trace = make_trace(stage, metrics=metrics)
     sliced = slice_metrics(trace, stage_window(stage))
     # window [T0, T0+2000] covers samples at T0, T0+1000, T0+2000
-    assert [s.timestamp for s in sliced.series["hw01"]] == [T0, T0 + 1000, T0 + 2000]
+    assert sliced.series["hw01"].timestamps.tolist() == [T0, T0 + 1000, T0 + 2000]
     assert not sliced.gaps
 
 

@@ -1,20 +1,28 @@
 import json
+import math
+import os
+import tempfile
+from dataclasses import dataclass
+from typing import Tuple
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import arch_row, system_row
+from conftest import MetricSample, store_from_samples
 from stagelens.ingest import (
     ARCH_COLUMNS,
     METRIC_SCHEMA,
+    SECTOR_BYTES,
     SYSTEM_COLUMNS,
     IngestError,
-    derive_metrics,
     derive_series,
     ingest_raw,
     parse_metric_file,
     parse_spark_event_log,
 )
-from stagelens.model import Locality
+from stagelens.model import Locality, MetricStore
 from stagelens.traceio import load_trace, save_trace
 
 TABLE_SAMPLE = {
@@ -111,12 +119,179 @@ def row_text(ts, n_cols, fill=1.0):
     return " ".join([str(ts)] + [str(fill)] * (n_cols - 1))
 
 
+# --- the per-row reference --------------------------------------------------
+#
+# Counter ingest as it was written one row at a time, with the timestamp-range
+# and overflow rules added. ingest_raw must equal it exactly.
+
+
+@dataclass(frozen=True)
+class RawMetricRow:
+    timestamp_ms: int
+    counters: Tuple[float, ...]  # schema order, timestamp excluded
+
+
+def added(values):
+    """Left-to-right sum from 0, as the builtin sum adds floats up to Python 3.11."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
+def oracle_parse(lines, schema):
+    columns = SYSTEM_COLUMNS if schema == "system" else ARCH_COLUMNS
+    errors = []
+    by_ts = {}
+    for line_no, line in enumerate(lines, start=1):
+        cells = line.split()
+        if not cells:
+            continue
+        assert len(cells) == len(columns)
+        try:
+            numbers = [float(c) for c in cells]
+        except ValueError:
+            errors.append((line_no, "non-numeric cell"))
+            continue
+        if not all(map(math.isfinite, numbers)):
+            errors.append((line_no, "non-finite cell"))
+            continue
+        ms = round(numbers[0] * 1000.0 if abs(numbers[0]) < 1e12 else numbers[0])
+        if not -(2**63) <= ms < 2**63:
+            errors.append((line_no, "timestamp out of range"))
+            continue
+        by_ts[ms] = RawMetricRow(timestamp_ms=ms, counters=tuple(numbers[1:]))
+    return [by_ts[ts] for ts in sorted(by_ts)], errors
+
+
+_MPKI = (("L2_MPKI", "L2_miss"), ("L3_MPKI", "L3_miss"), ("L1I_MPKI", "L1I_miss"),
+         ("ITLB_MPKI", "ITLB_miss"), ("DTLB_MPKI", "DTLB_miss"))
+_MIX = (("MUL_Ratio", "MUL_ins"), ("DIV_Ratio", "DIV_ins"), ("FP_Ratio", "FP_ins"),
+        ("LOAD_Ratio", "LOAD_ins"), ("STORE_Ratio", "STORE_ins"), ("BR_Ratio", "BR_ins"))
+
+
+def derive_metrics(prev, curr, schema, node="", wrap_detection=True):
+    """The derived metrics of one counter interval."""
+    dt = (curr.timestamp_ms - prev.timestamp_ms) / 1000.0
+    if dt <= 0:
+        raise IngestError("derive_metrics requires curr.timestamp > prev.timestamp")
+    columns = SYSTEM_COLUMNS if schema == "system" else ARCH_COLUMNS
+    idx = {name: i - 1 for i, name in enumerate(columns) if i > 0}
+    values = {}
+
+    def delta(name):
+        return curr.counters[idx[name]] - prev.counters[idx[name]]
+
+    def emit(name, value, deltas):
+        if wrap_detection and any(d < 0 for d in deltas):
+            return
+        if math.isfinite(value):
+            values[name] = value
+
+    if schema == "system":
+        busy = [delta(n) for n in ("usr", "nice", "sys", "irq", "softirq")]
+        wait = delta("iowait")
+        idle = delta("idle")
+        total = added(busy) + wait + idle
+        # Zero total CPU delta reads as an idle interval, not missing data.
+        emit("cpu_usage", (added(busy) / total) if total else 0.0, busy + [wait, idle])
+        emit("ioWaitRatio", (wait / total) if total else 0.0, busy + [wait, idle])
+        mem_total = curr.counters[idx["mem_total"]]
+        if mem_total > 0:
+            free = added(curr.counters[idx[n]] for n in ("free", "buffers", "cached"))
+            emit("mem_usage", 1.0 - free / mem_total, [])
+        for metric, counter in (("diskR_band", "read_sectors"), ("diskW_band", "write_sectors")):
+            emit(metric, delta(counter) * SECTOR_BYTES / dt, [delta(counter)])
+        for metric, counter in (("netS_band", "sbytes"), ("netR_band", "rbytes"),
+                                ("weighted_io", "io_time_weighted")):
+            emit(metric, delta(counter) / dt, [delta(counter)])
+    else:
+        d_ins = delta("ins")
+        d_cycle = delta("cycle")
+        if d_cycle != 0:
+            emit("IPC", d_ins / d_cycle, [d_ins, d_cycle])
+        for metric, counter in _MPKI:
+            d = delta(counter)
+            if d_ins != 0:
+                emit(metric, d * 1000.0 / d_ins, [d, d_ins])
+        for metric, counter in _MIX:
+            d = delta(counter)
+            if d_ins != 0:
+                emit(metric, d / d_ins, [d, d_ins])
+    return MetricSample(node=node, timestamp=curr.timestamp_ms, values=values)
+
+
+def oracle_ingest_raw(event_log_path, metrics_dir, wrap_detection=True):
+    """ingest_raw over well-named counter files, one row at a time."""
+    with open(event_log_path, encoding="utf-8") as fh:
+        trace, report = parse_spark_event_log(fh)
+    merged = {}
+    for name in sorted(os.listdir(metrics_dir)):
+        node, kind, _ = name.rsplit(".", 2)
+        schema = "architecture" if kind == "arch" else "system"
+        with open(os.path.join(metrics_dir, name), encoding="utf-8") as fh:
+            rows, errors = oracle_parse(fh, schema)
+        report.errors.extend((ln, f"{name}: {msg}") for ln, msg in errors)
+        for prev, curr in zip(rows, rows[1:]):
+            sample = derive_metrics(prev, curr, schema, node, wrap_detection)
+            merged.setdefault(node, {}).setdefault(sample.timestamp, {}).update(sample.values)
+    for node, by_ts in merged.items():
+        trace.metrics[node] = store_from_samples(
+            node, (MetricSample(node, ts, values) for ts, values in by_ts.items())
+        )
+    trace.cluster = sorted(set(trace.cluster) | set(merged))
+    return trace, report
+
+
+def system_row(ts_ms, **overrides):
+    """A system-schema RawMetricRow with named counter overrides."""
+    counters = {name: 0.0 for name in SYSTEM_COLUMNS[1:]}
+    counters["mem_total"] = 32_000_000.0
+    counters["free"] = 16_000_000.0
+    counters["buffers"] = 2_000_000.0
+    counters["cached"] = 6_000_000.0
+    counters.update(overrides)
+    return RawMetricRow(
+        timestamp_ms=ts_ms, counters=tuple(counters[n] for n in SYSTEM_COLUMNS[1:])
+    )
+
+
+def arch_row(ts_ms, **overrides):
+    counters = {name: 0.0 for name in ARCH_COLUMNS[1:]}
+    counters.update(overrides)
+    return RawMetricRow(
+        timestamp_ms=ts_ms, counters=tuple(counters[n] for n in ARCH_COLUMNS[1:])
+    )
+
+
+def block_of(rows, schema):
+    """The parse_metric_file block holding these rows."""
+    columns = SYSTEM_COLUMNS if schema == "system" else ARCH_COLUMNS
+    return MetricStore(
+        node="",
+        timestamps=np.array([r.timestamp_ms for r in rows], dtype=np.int64),
+        columns=tuple(columns[1:]),
+        values=np.array([r.counters for r in rows], dtype=np.float64)
+        .reshape(len(rows), len(columns) - 1).T.copy(),
+    )
+
+
+def derived(prev, curr, schema, wrap_detection=True):
+    """derive_series's metrics for the one interval prev -> curr."""
+    store = derive_series(block_of([prev, curr], schema), schema, "n", wrap_detection)
+    return {c: v for c, v in zip(store.columns, store.values[:, 0].tolist()) if v == v}
+
+
+# --- parse_metric_file ------------------------------------------------------
+
+
 def test_metric_rows_ordered_and_duplicates_collapse():
     n = len(SYSTEM_COLUMNS)
     lines = [row_text(20, n, 2.0), row_text(10, n, 1.0), row_text(20, n, 3.0)]
-    rows, report = parse_metric_file(lines, "system")
-    assert [r.timestamp_ms for r in rows] == [10_000, 20_000]
-    assert rows[1].counters[0] == 3.0  # last duplicate wins
+    block, report = parse_metric_file(lines, "system")
+    assert block.timestamps.tolist() == [10_000, 20_000]
+    assert block.values[0, 1] == 3.0  # last duplicate wins
+    assert len(block) == 2
     assert not report.errors
 
 
@@ -130,8 +305,8 @@ def test_column_mismatch_is_hard_error():
 def test_non_numeric_cell_is_recoverable():
     n = len(SYSTEM_COLUMNS)
     bad = row_text(10, n).replace("1.0", "oops", 1)
-    rows, report = parse_metric_file([bad, row_text(20, n)], "system")
-    assert len(rows) == 1
+    block, report = parse_metric_file([bad, row_text(20, n)], "system")
+    assert len(block) == 1
     assert report.errors and report.errors[0][0] == 1
 
 
@@ -139,68 +314,96 @@ def test_non_numeric_cell_is_recoverable():
 def test_non_finite_cell_is_recoverable(cell):
     n = len(SYSTEM_COLUMNS)
     bad = row_text(10, n).replace("1.0", cell, 1)
-    rows, report = parse_metric_file([row_text(5, n), bad, row_text(20, n)], "system")
-    assert [r.timestamp_ms for r in rows] == [5_000, 20_000]
+    block, report = parse_metric_file([row_text(5, n), bad, row_text(20, n)], "system")
+    assert block.timestamps.tolist() == [5_000, 20_000]
     assert report.errors == [(2, "non-finite cell")]
+
+
+@pytest.mark.parametrize("stamp", ["1e20", "-1e20", "9223372036854775807", "9.3e18"])
+def test_timestamp_out_of_range_is_recoverable(stamp):
+    n = len(SYSTEM_COLUMNS)
+    lines = [row_text(5, n), row_text(stamp, n), row_text("x", n), row_text(20, n)]
+    block, report = parse_metric_file(lines, "system")
+    assert block.timestamps.tolist() == [5_000, 20_000]
+    assert report.errors == [(2, "timestamp out of range"), (3, "non-numeric cell")]
+
+
+def test_int64_edge_timestamps_kept():
+    n = len(SYSTEM_COLUMNS)
+    lines = [row_text("-9223372036854775808", n), row_text("9.2233720368547748e18", n)]
+    block, report = parse_metric_file(lines, "system")
+    assert block.timestamps.tolist() == [-(2**63), 9223372036854774784]
+    assert not report.errors
+    # The difference does not fit int64; dt is still exact.
+    prev, curr = system_row(-(2**63)), system_row(9223372036854774784, rbytes=1.0)
+    rate = derived(prev, curr, "system")["netR_band"]
+    assert rate == 1.0 / ((9223372036854774784 + 2**63) / 1000.0)
 
 
 def test_sixty_rows_at_one_hz_span_59s():
     n = len(SYSTEM_COLUMNS)
-    rows, _ = parse_metric_file([row_text(100 + i, n) for i in range(60)], "system")
-    assert rows[-1].timestamp_ms - rows[0].timestamp_ms == 59_000
+    block, _ = parse_metric_file([row_text(100 + i, n) for i in range(60)], "system")
+    assert block.timestamps[-1] - block.timestamps[0] == 59_000
 
 
 def test_blank_lines_and_whitespace_ignored():
     n = len(SYSTEM_COLUMNS)
-    rows, report = parse_metric_file(["", "  ", row_text(5, n) + "   \n"], "system")
-    assert len(rows) == 1 and not report.errors
+    block, report = parse_metric_file(["", "  ", row_text(5, n) + "   \n"], "system")
+    assert len(block) == 1 and not report.errors
+
+
+def test_seconds_and_milliseconds_normalize():
+    block, _ = parse_metric_file([row_text(1456896044, len(SYSTEM_COLUMNS))], "system")
+    assert block.timestamps.tolist() == [1456896044000]
+    block, _ = parse_metric_file([row_text(1456896044081, len(SYSTEM_COLUMNS))], "system")
+    assert block.timestamps.tolist() == [1456896044081]
+
+
+def test_arch_schema_width_matches_table():
+    assert len(ARCH_COLUMNS) == 21  # timestamp + 20 counters, unc_* parsed unused
+
+
+# --- derive_series ----------------------------------------------------------
 
 
 def test_zero_delta_interval():
-    prev = system_row(1_000)
-    curr = system_row(2_000)
-    sample = derive_metrics(prev, curr, "system")
-    assert sample.values["cpu_usage"] == 0.0
-    assert sample.values["ioWaitRatio"] == 0.0
+    values = derived(system_row(1_000), system_row(2_000), "system")
+    assert values["cpu_usage"] == 0.0
+    assert values["ioWaitRatio"] == 0.0
     for band in ("diskR_band", "diskW_band", "netS_band", "netR_band", "weighted_io"):
-        assert sample.values[band] == 0.0
-    arch = derive_metrics(arch_row(1_000), arch_row(2_000), "architecture")
-    assert "IPC" not in arch.values  # 0/0 is missing, not zero
+        assert values[band] == 0.0
+    arch = derived(arch_row(1_000), arch_row(2_000), "architecture")
+    assert "IPC" not in arch  # 0/0 is missing, not zero
 
 
 def test_cpu_usage_from_deltas():
     prev = system_row(1_000, usr=100.0, idle=100.0)
     curr = system_row(2_000, usr=150.0, idle=150.0)
-    sample = derive_metrics(prev, curr, "system")
-    assert sample.values["cpu_usage"] == pytest.approx(0.5)
+    assert derived(prev, curr, "system")["cpu_usage"] == pytest.approx(0.5)
 
 
 def test_ipc_and_mpki():
-    prev = arch_row(1_000)
-    curr = arch_row(2_000, ins=2e9, cycle=1e9, L3_miss=1e6)
-    sample = derive_metrics(prev, curr, "architecture")
-    assert sample.values["IPC"] == pytest.approx(2.0)
-    assert sample.values["L3_MPKI"] == pytest.approx(0.5)
+    values = derived(arch_row(1_000), arch_row(2_000, ins=2e9, cycle=1e9, L3_miss=1e6),
+                     "architecture")
+    assert values["IPC"] == pytest.approx(2.0)
+    assert values["L3_MPKI"] == pytest.approx(0.5)
 
 
 def test_mem_usage_is_instantaneous():
-    prev = system_row(1_000)
-    curr = system_row(2_000)
-    sample = derive_metrics(prev, curr, "system")
-    assert sample.values["mem_usage"] == pytest.approx(1 - 24 / 32)
+    values = derived(system_row(1_000), system_row(2_000), "system")
+    assert values["mem_usage"] == pytest.approx(1 - 24 / 32)
 
 
 def test_counter_wrap_goes_missing_by_default():
     prev = system_row(1_000, io_time_weighted=4294936240.0)
     curr = system_row(2_000, io_time_weighted=258900.0)
-    assert "weighted_io" not in derive_metrics(prev, curr, "system").values
+    assert "weighted_io" not in derived(prev, curr, "system")
 
 
 def test_wrap_detection_off_reproduces_negative_rate():
     prev = system_row(1_000, io_time_weighted=4294936240.0)
     curr = system_row(2_000, io_time_weighted=258900.0)
-    sample = derive_metrics(prev, curr, "system", wrap_detection=False)
-    assert sample.values["weighted_io"] < -4e6
+    assert derived(prev, curr, "system", wrap_detection=False)["weighted_io"] < -4e6
 
 
 def test_nonpositive_dt_rejected():
@@ -227,30 +430,44 @@ def test_ratio_metrics_stay_in_unit_interval(rng):
         }
         arch_prev = arch_row(1_000)
         arch_curr = arch_row(2_000, ins=ins, cycle=float(rng.integers(1, 10**9)), **sub)
-        for sample in (
-            derive_metrics(prev, curr, "system"),
-            derive_metrics(arch_prev, arch_curr, "architecture"),
+        for values in (
+            derived(prev, curr, "system"),
+            derived(arch_prev, arch_curr, "architecture"),
         ):
-            for name, value in sample.values.items():
+            for name, value in values.items():
                 if name in ratio_metrics:
                     assert 0.0 <= value <= 1.0
                 elif name.endswith("_band") or name == "weighted_io":
                     assert value >= 0.0
 
 
-def test_seconds_and_milliseconds_normalize():
-    rows, _ = parse_metric_file(
-        [row_text(1456896044, len(SYSTEM_COLUMNS))], "system"
-    )
-    assert rows[0].timestamp_ms == 1456896044000
-    rows, _ = parse_metric_file(
-        [row_text(1456896044081, len(SYSTEM_COLUMNS))], "system"
-    )
-    assert rows[0].timestamp_ms == 1456896044081
+def test_overflowing_delta_is_missing():
+    prev = system_row(1_000, rbytes=-1e308, usr=-1e308, idle=1e308)
+    curr = system_row(2_000, rbytes=1e308, usr=1e308, idle=-1e308)
+    # rbytes' delta is inf; the CPU total is inf + -inf = NaN.
+    for wrap_detection in (True, False):
+        values = derived(prev, curr, "system", wrap_detection)
+        assert "netR_band" not in values
+        assert "cpu_usage" not in values and "ioWaitRatio" not in values
+        assert values["netS_band"] == 0.0
 
 
-def test_arch_schema_width_matches_table():
-    assert len(ARCH_COLUMNS) == 21  # timestamp + 20 counters, unc_* parsed unused
+def test_derive_series_pairs():
+    rows = [system_row(1_000), system_row(2_000, usr=50.0, idle=50.0),
+            system_row(3_000, usr=100.0, idle=100.0)]
+    store = derive_series(block_of(rows, "system"), "system", "hw01")
+    assert store.timestamps.tolist() == [2_000, 3_000]
+    assert store.node == "hw01"
+    assert store.values[store.columns.index("cpu_usage")].tolist() == [0.5, 0.5]
+
+
+def test_derive_series_of_fewer_than_two_rows_is_empty():
+    for rows in ([], [system_row(1_000)]):
+        store = derive_series(block_of(rows, "system"), "system", "hw01")
+        assert len(store) == 0 and store.columns == ()
+
+
+# --- ingest_raw -------------------------------------------------------------
 
 
 def test_ingest_raw_end_to_end(tmp_path):
@@ -294,8 +511,121 @@ def test_ingested_trace_round_trips(tmp_path):
     assert loaded == trace
 
 
-def test_derive_series_pairs():
-    rows = [system_row(1_000), system_row(2_000, usr=50.0, idle=50.0), system_row(3_000, usr=100.0, idle=100.0)]
-    samples = derive_series(rows, "system", "hw01")
-    assert [s.timestamp for s in samples] == [2_000, 3_000]
-    assert all(s.node == "hw01" for s in samples)
+def test_overflowing_counters_ingest_and_save(tmp_path):
+    """One interval whose rbytes delta overflows used to fail the save with
+    'infinite value'; its netR_band is missing and every other value stays."""
+    events = tmp_path / "app.log"
+    events.write_text(event(0, 1, host="n1", launch=1_000_000, finish=1_010_000) + "\n")
+    mdir = tmp_path / "metrics"
+    mdir.mkdir()
+    n = len(SYSTEM_COLUMNS)
+    rbytes = SYSTEM_COLUMNS.index("rbytes")
+    lines = []
+    for i, value in enumerate(["0", "-1e308", "1e308", "1e308"]):
+        cells = row_text(1000 + i, n, fill=float(i)).split()
+        cells[rbytes] = value
+        lines.append(" ".join(cells))
+    (mdir / "n1.system.tsv").write_text("\n".join(lines) + "\n")
+    trace, report = ingest_raw(str(events), str(mdir), wrap_detection=False)
+    store = trace.metrics["n1"]
+    net_r = store.values[store.columns.index("netR_band")]
+    assert net_r[0] == -1e308 and np.isnan(net_r[1]) and net_r[2] == 0.0
+    assert not np.isnan(store.values[store.columns.index("netS_band")]).any()
+    save_trace(trace, str(tmp_path / "trace"))
+    assert load_trace(str(tmp_path / "trace")) == trace
+
+
+def test_all_nan_interval_keeps_its_row(tmp_path):
+    """An arch interval with no instruction or cycle delta reports nothing,
+    and a node whose other file keeps one row adds no rows of its own."""
+    events = tmp_path / "app.log"
+    events.write_text(event(0, 1, host="n1", launch=1_000_000, finish=1_010_000) + "\n")
+    mdir = tmp_path / "metrics"
+    mdir.mkdir()
+    m = len(ARCH_COLUMNS)
+    (mdir / "n1.arch.tsv").write_text(
+        "\n".join([row_text(1000, m, 5.0), row_text(1001, m, 5.0), row_text(1002, m, 7.0)])
+    )
+    (mdir / "n1.system.tsv").write_text(row_text(1003, len(SYSTEM_COLUMNS)))
+    (mdir / "n2.system.tsv").write_text(row_text(1000, len(SYSTEM_COLUMNS)))
+    trace, _ = ingest_raw(str(events), str(mdir))
+    store = trace.metrics["n1"]
+    assert store.timestamps.tolist() == [1_001_000, 1_002_000]
+    assert np.isnan(store.values[:, 0]).all() and not np.isnan(store.values[:, 1]).any()
+    assert "n2" not in trace.metrics and trace.cluster == ["n1"]
+
+
+# --- columnar ingest against the per-row reference --------------------------
+
+_NODES = ("hw00", "hw01", "hw02")
+_BLANKS = ("", "   ", "\t", "\x0b", "\x1c ")
+# str.split treats each as whitespace; only "\n" ends a line of the file.
+_SEPARATORS = (" ", "  ", "\t", " \x0b", "\x1c", "\x85", " ")
+_TIMESTAMPS = st.one_of(
+    st.integers(0, 4).map(lambda k: str(1_460_000_000 + k)),  # seconds
+    st.integers(0, 4).map(lambda k: str((1_460_000_000 + k) * 1000)),  # the same, in ms
+    st.integers(0, 4).map(lambda k: f"{(1_460_000_000 + k) * 1000}.5"),  # half ms: to even
+    st.integers(0, 4).map(lambda k: f"{1_460_000_000 + k}.0015"),
+    st.sampled_from([
+        "1e20", "-1e20", "9223372036854775807", "-9223372036854775808",
+        "9.2233720368547748e18", "-9.2e18", "9.2e18", "-1e12", "0",
+    ]),
+)
+_COUNTERS = st.one_of(
+    st.sampled_from(["0", "-0", "1", "7", "1_0", "2.5", "-3", "1e308", "-1e308",
+                     "1.7976931348623157e308", "5e-324"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_BAD_CELLS = st.sampled_from(["n/a", "nan", "inf", "-Infinity", "1e999", "0x10", "1__0"])
+
+
+@st.composite
+def counter_file(draw, width):
+    """Lines of one counter dump: new rows, repeats of the last row (every
+    delta zero), rows with a bad cell, and blank lines."""
+    lines, last = [], None
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "repeat", "bad", "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(_BLANKS)))
+            continue
+        if kind == "repeat" and last is not None:
+            counters = list(last)
+        else:
+            counters = [draw(_COUNTERS) for _ in range(width - 1)]
+            last = counters
+        cells = [draw(_TIMESTAMPS)] + counters
+        if kind == "bad":
+            cells[draw(st.integers(0, width - 1))] = draw(_BAD_CELLS)
+        lines.append(draw(st.sampled_from(_SEPARATORS)).join(cells))
+    return lines
+
+
+@given(data=st.data(), wrap_detection=st.booleans())
+def test_ingest_raw_equals_per_row_oracle(data, wrap_detection):
+    with tempfile.TemporaryDirectory() as tmp:
+        events = os.path.join(tmp, "app.log")
+        with open(events, "w", encoding="utf-8") as fh:
+            fh.write(event(0, 1, host="hw00") + "\n")
+        mdir = os.path.join(tmp, "metrics")
+        os.mkdir(mdir)
+        for node in _NODES:
+            for kind, width in (("system", len(SYSTEM_COLUMNS)), ("arch", len(ARCH_COLUMNS))):
+                if data.draw(st.booleans()):
+                    lines = data.draw(counter_file(width))
+                    with open(os.path.join(mdir, f"{node}.{kind}.tsv"), "w",
+                              encoding="utf-8", newline="\n") as fh:
+                        fh.write("".join(line + "\n" for line in lines))
+        trace, report = ingest_raw(events, mdir, wrap_detection=wrap_detection)
+        expected, expected_report = oracle_ingest_raw(events, mdir, wrap_detection)
+
+    assert report.errors == expected_report.errors
+    assert trace.cluster == expected.cluster
+    assert list(trace.metrics) == list(expected.metrics)
+    for node, store in trace.metrics.items():
+        want = expected.metrics[node]
+        assert store == want
+        assert store.columns == want.columns
+        # Bit for bit, signed zeros included, so the saved files match too.
+        assert store.values.tobytes() == want.values.tobytes()
+    assert not trace.validate()

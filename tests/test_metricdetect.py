@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_stage, make_trace, metric_series
 from stagelens.correlate import build_datasets, slice_metrics, stage_window
+from stagelens.report import PipelineConfig, diagnose, render_report
 from stagelens.metricdetect import (
     OutlierConfig,
     db_outlier_oracle,
@@ -44,6 +45,35 @@ def test_zero_variance_falls_back_to_all_metrics():
     sel = pca_select_metrics(x, ["a", "b", "c"], ccrate=0.95)
     assert sel.degenerate
     assert sel.selected_metrics == ["a", "b", "c"]
+
+
+def test_non_finite_covariance_falls_back_to_all_metrics():
+    x = np.array([[1e308, 1.0], [-1e308, 2.0], [1e308, 3.0]])
+    sel = pca_select_metrics(x, ["a", "b"], ccrate=0.95)
+    assert sel.degenerate == "non-finite stage covariance"
+    assert sel.selected_metrics == ["a", "b"] and sel.d == 2
+
+
+@pytest.mark.parametrize("transform", ["mean", "fft"])
+def test_huge_valued_stage_diagnoses_with_a_warning(transform):
+    """Finite values near the float range overflow the stage covariance."""
+    rng = np.random.default_rng(3)
+    nodes = [f"hw{i:02d}" for i in range(1, 6)]
+    stage = make_stage({n: 1 for n in nodes}, runtime=9_000)
+    metrics = {
+        node: metric_series(node, T0, 10, lambda i: {
+            "cpu_usage": float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(200, 308)),
+            "IPC": float(rng.uniform(0.5, 2.0)),
+        })
+        for node in nodes
+    }
+    trace = make_trace(stage, metrics=metrics)
+    assert not trace.validate()
+    report = diagnose(trace, PipelineConfig(transform=transform))
+    (stage_report,) = report.stages
+    assert "non-finite stage covariance: PCA fell back to all metrics" in stage_report.warnings
+    render_report(report)
+    render_report(report, "structured")
 
 
 def test_eigen_reconstruction_and_ccrate_monotone(rng):

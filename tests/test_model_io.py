@@ -7,11 +7,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_stage, make_task, make_trace, metric_series
+from conftest import (
+    MetricSample,
+    make_stage,
+    make_task,
+    make_trace,
+    metric_series,
+    store_from_samples,
+)
 from stagelens.model import (
     Job,
     Locality,
-    MetricSample,
     MetricStore,
     Stage,
     Task,
@@ -80,7 +86,7 @@ def test_metric_timestamps_must_increase():
         MetricSample(node="hw01", timestamp=5, values={"x": 1.0}),
         MetricSample(node="hw01", timestamp=5, values={"x": 2.0}),
     ]
-    trace = Trace(cluster=["hw01"], metrics={"hw01": MetricStore.from_samples("hw01", samples)})
+    trace = Trace(cluster=["hw01"], metrics={"hw01": store_from_samples("hw01", samples)})
     assert any("strictly increasing" in p for p in trace.validate())
 
 
@@ -504,7 +510,7 @@ def test_store_round_trip_property(tmp_path_factory, series):
     trace = Trace(
         cluster=sorted(series),
         metrics={
-            node: MetricStore.from_samples(
+            node: store_from_samples(
                 node, [MetricSample(node, ts, values) for ts, values in rows.items()]
             )
             for node, rows in series.items()

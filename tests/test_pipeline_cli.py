@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import store_from_samples
 from stagelens.cli import _build_parser, _resolve_config, main
 from stagelens.report import (
     DiagnoseError,
@@ -14,7 +15,7 @@ from stagelens.report import (
     render_report,
 )
 from stagelens.simulate import ScenarioSpec, emit_scenario, generate_trace, preset
-from stagelens.model import MetricStore, Trace
+from stagelens.model import Trace
 
 MEAN_MEDIAN = PipelineConfig(representative="median", dmin=0.5)
 
@@ -101,7 +102,7 @@ def test_all_failed_stage_warns_no_successful_tasks():
 
 def test_gap_node_is_named_in_one_warning():
     trace, _ = generate_trace(preset("case1", seed=1))
-    trace.metrics["hw02"] = MetricStore.from_samples("hw02", [])
+    trace.metrics["hw02"] = store_from_samples("hw02", [])
     for stage in diagnose(trace, MEAN_MEDIAN).stages:
         assert [w for w in stage.warnings if "hw02" in w] == [
             "no in-window metric samples for: hw02"
@@ -213,6 +214,16 @@ def test_cli_priority_flag_reaches_config(monkeypatch):
     monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
     args = _build_parser().parse_args(["diagnose", "--trace", "t", "--pri-any", "3"])
     assert dict(_resolve_config(args).priorities)["ANY"] == 3.0
+
+
+def test_cli_diagnose_at_ccrate_one(tmp_path, capsys, monkeypatch):
+    """On case1 no cumulative contribution reaches 1.0 after rounding; PCA
+    keeps every dimension instead of raising StopIteration."""
+    monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
+    trace_dir = tmp_path / "trace"
+    emit_scenario(preset("case1", seed=1), str(trace_dir))
+    assert main(["diagnose", "--trace", str(trace_dir), "--ccrate", "1.0"]) == 1  # findings
+    assert "CCRate_d=1," in capsys.readouterr().out
 
 
 def test_cli_rejects_removed_pct_flag(tmp_path):

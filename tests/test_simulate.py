@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -121,6 +122,24 @@ def test_malformed_label_row_rejected(tmp_path, line, rule):
     with pytest.raises(ScenarioError) as err:
         load_labels(str(path))
     assert str(err.value).startswith(f"{path}:2: {rule}")
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        '{"entity":"labels","schema":"stagelens-trace/1"}',
+        '{"entity":"labels"}',
+        '{"entity":"labels","schema":"stagelens-labels/2"}',
+    ],
+)
+def test_labels_header_must_name_the_labels_schema(tmp_path, header):
+    path = tmp_path / "labels.jsonl"
+    save_labels([], str(path))
+    assert json.loads(path.read_text())["schema"] == "stagelens-labels/1"
+    path.write_text(header + "\n")
+    with pytest.raises(ScenarioError) as err:
+        load_labels(str(path))
+    assert str(err.value) == f"{path}:1: schema header must declare 'stagelens-labels/1'"
 
 
 def test_label_soundness_metric_deviation():
