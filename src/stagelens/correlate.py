@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -73,18 +75,55 @@ class UltrashortPolicy:
         return max(float(self.absolute_ms), self.median_fraction * statistics.median(runtimes))
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureDatasets:
+    """One stage's features. The metric features are arrays over `nodes`,
+    the sorted nodes with in-window samples:
+
+    - `means[i, j]` is node i's window mean of METRIC_SCHEMA[j] over the
+      samples that report it, and `present[i, j]` says whether any does
+      (`means` holds NaN where none does). A mean of finite values can
+      itself overflow to inf or NaN, so only `present` tells presence.
+    - `stacked` is samples x `matrix_metrics`, C-contiguous and read-only:
+      every node's samples in time order, node after node. Node i's rows are
+      `stacked[offsets[i]:offsets[i + 1]]`.
+
+    The detectors read the arrays. `vectors` and `matrix` are read-only
+    views of them for perfbench/spans.py's traced replay of the pipeline.
+    """
+
     stage_id: str
     tnum: Dict[str, int]
     data_size: List[Tuple[str, str, int]]  # (node, task_id, bytes)
     locality: List[Tuple[str, Locality, int]]  # (node, locality, runtime ms)
-    vectors: Dict[str, Dict[str, float]]  # node -> metric -> window mean
-    matrix: Dict[str, np.ndarray]  # node -> samples x metrics, time-ordered
-    matrix_metrics: List[str]  # column order shared by all matrices
+    nodes: List[str]
+    means: np.ndarray  # float64[len(nodes), len(METRIC_SCHEMA)]
+    present: np.ndarray  # bool, the shape of means
+    stacked: np.ndarray  # float64[offsets[-1], len(matrix_metrics)]
+    offsets: np.ndarray  # int64[len(nodes) + 1]
+    matrix_metrics: List[str]  # metrics every in-window sample reports
     ultrashort_count: int = 0
     failed_count: int = 0
     missing_metric_nodes: List[str] = field(default_factory=list)
+
+    @cached_property
+    def vectors(self) -> Mapping[str, Mapping[str, float]]:
+        """node -> metric -> window mean of its present metrics, read-only."""
+        return MappingProxyType({
+            node: MappingProxyType({m: v for m, v, p in zip(METRIC_SCHEMA, row, mask) if p})
+            for node, row, mask in zip(self.nodes, self.means.tolist(), self.present.tolist())
+        })
+
+    @cached_property
+    def matrix(self) -> Mapping[str, np.ndarray]:
+        """node -> its rows of `stacked`; empty without matrix metrics."""
+        bounds = self.offsets.tolist() if self.matrix_metrics else [0]
+        return MappingProxyType({
+            node: self.stacked[lo:hi] for node, lo, hi in zip(self.nodes, bounds, bounds[1:])
+        })
+
+
+_SCHEMA_POSITION = {m: j for j, m in enumerate(METRIC_SCHEMA)}
 
 
 def build_datasets(
@@ -94,7 +133,7 @@ def build_datasets(
     policy: UltrashortPolicy = UltrashortPolicy(),
 ) -> FeatureDatasets:
     """Vectorize one stage: task counts, data sizes, localities and per-node
-    metric means/matrices over the stage window.
+    metric means and samples over the stage window.
 
     Every cluster node appears in tnum (zero-task nodes count as 0). Failed
     tasks never enter tnum or data_size; ultrashort tasks are dropped from
@@ -115,49 +154,65 @@ def build_datasets(
     data_size = [(t.node, t.task_id, t.data_size) for t in ok_tasks]
     locality = [(t.node, t.locality, t.runtime) for t in ok_tasks]
 
-    vectors: Dict[str, Dict[str, float]] = {}
-    matrix: Dict[str, np.ndarray] = {}
-    missing: List[str] = []
-    shared: Optional[Set[str]] = None
-    present: Dict[str, np.ndarray] = {}  # node -> per column: no sample misses it
-    for node, store in slices.series.items():
-        if not len(store):
-            missing.append(node)
-            continue
-        present[node] = ~np.isnan(store.values).any(axis=1)
-        node_shared = {c for c, p in zip(store.columns, present[node].tolist()) if p}
-        shared = node_shared if shared is None else shared & node_shared
-    # Matrices share one column set: metrics present in every in-window sample.
-    columns = [m for m in METRIC_SCHEMA if m in (shared or set())]
+    nodes = sorted(node for node, store in slices.series.items() if len(store))
+    missing = sorted(node for node, store in slices.series.items() if not len(store))
+    stores = [slices.series[node] for node in nodes]
+    offsets = np.cumsum([0] + [len(store) for store in stores])
+    shape = (len(nodes), len(METRIC_SCHEMA))
+    means = np.full(shape, np.nan)
+    present = np.zeros(shape, dtype=bool)
+    complete = np.zeros(shape, dtype=bool)  # every in-window sample reports it
+    layouts: Dict[Tuple[str, ...], List[int]] = {}  # store columns -> node rows
+    for i, store in enumerate(stores):
+        layouts.setdefault(store.columns, []).append(i)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layout, members in layouts.items():
+            rows = [r for r, c in enumerate(layout) if c in _SCHEMA_POSITION]
+            cells = np.ix_(members, [_SCHEMA_POSITION[layout[r]] for r in rows])
+            # np.mean's arithmetic: a pairwise sum of each row, then a division.
+            sums = [np.add.reduce(stores[i].values, axis=1) for i in members]
+            table = np.array(sums).reshape(len(members), len(layout))[:, rows]
+            table /= np.diff(offsets)[members, None]
+            reported = np.ones(table.shape, dtype=bool)
+            full = np.ones(table.shape, dtype=bool)
+            # A NaN mean is a missing value or an overflow; only the former
+            # takes the mean of the row's reported values.
+            for a, b in zip(*(ix.tolist() for ix in np.nonzero(np.isnan(table)))):
+                row = stores[members[a]].values[rows[b]]
+                kept = row[~np.isnan(row)]
+                if kept.size < row.size:
+                    full[a, b] = False
+                    reported[a, b] = kept.size > 0
+                    if kept.size:
+                        table[a, b] = np.mean(kept)
+            means[cells], present[cells], complete[cells] = table, reported, full
+    # The stacked block's columns: metrics every in-window sample reports.
+    shared = complete.all(axis=0).tolist() if nodes else [False] * len(METRIC_SCHEMA)
+    columns = [m for m, keep in zip(METRIC_SCHEMA, shared) if keep]
 
-    for node, store in slices.series.items():
-        if not len(store):
-            continue
-        index = {c: i for i, c in enumerate(store.columns)}
-        vec: Dict[str, float] = {}
-        for metric in METRIC_SCHEMA:
-            i = index.get(metric)
-            if i is None:
-                continue
-            row = store.values[i]
-            if not present[node][i]:
-                row = row[~np.isnan(row)]
-            if row.size:
-                vec[metric] = float(np.mean(row))
-        vectors[node] = vec
-        if columns:
-            block = store.values[[index[m] for m in columns]]
-            matrix[node] = np.ascontiguousarray(block.T)
+    stacked = np.empty((int(offsets[-1]), len(columns)))
+    if columns:
+        bounds = offsets.tolist()
+        for layout, members in layouts.items():
+            index = [layout.index(m) for m in columns]
+            if index == list(range(index[0], index[-1] + 1)):
+                index = slice(index[0], index[-1] + 1)  # a view, not a copy
+            for i in members:
+                stacked[bounds[i]:bounds[i + 1]] = stores[i].values[index].T
+    stacked.flags.writeable = False
 
     return FeatureDatasets(
         stage_id=stage.stage_id,
         tnum=tnum,
         data_size=data_size,
         locality=locality,
-        vectors=vectors,
-        matrix=matrix,
+        nodes=nodes,
+        means=means,
+        present=present,
+        stacked=stacked,
+        offsets=offsets,
         matrix_metrics=columns,
         ultrashort_count=ultrashort,
         failed_count=failed,
-        missing_metric_nodes=sorted(set(missing)),
+        missing_metric_nodes=missing,
     )

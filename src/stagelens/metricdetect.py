@@ -11,6 +11,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .correlate import FeatureDatasets
+from .model import METRIC_SCHEMA
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,14 @@ def reduce_fft(series: Sequence[float]) -> Optional[float]:
     n = len(series)
     if n < 2:
         return None
-    coeffs = np.fft.fft(np.asarray(series, dtype=float))
-    return float(np.sqrt(np.sum(np.abs(coeffs[1:]) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitudes = np.abs(np.fft.fft(np.asarray(series, dtype=float))[1:])
+        norm = np.sqrt(np.sum(magnitudes**2))
+        if not np.isfinite(norm):
+            # Squares overflow past about 1e154: scale by the largest first.
+            peak = magnitudes.max()
+            norm = peak * np.sqrt(np.sum((magnitudes / peak) ** 2))
+    return float(norm)
 
 
 def minmax_normalize(values: Sequence[float]) -> Tuple[List[float], bool]:
@@ -159,11 +166,14 @@ def detect_metric_outliers(
     min-max-normalized values.
     """
     clean = {k: float(v) for k, v in values.items() if v is not None and math.isfinite(v)}
+    warnings: List[str] = []
+    dropped = sorted(k for k, v in values.items() if v is not None and k not in clean)
+    if dropped:
+        warnings.append("non-finite reduction dropped for: " + ", ".join(dropped))
     if len(clean) < 3:
-        return OutlierResult(evaluable=False, warnings=["fewer than 3 usable values"])
+        return OutlierResult(evaluable=False, warnings=warnings + ["fewer than 3 usable values"])
     names = sorted(clean)
     raw = [clean[n] for n in names]
-    warnings: List[str] = []
 
     if all(v > 0 for v in raw):
         orders = [_order_of_magnitude(v) for v in raw]
@@ -268,36 +278,33 @@ class MetricDiagnosis:
 def diagnose_outlier_metrics(
     datasets: FeatureDatasets, cfg: OutlierConfig = OutlierConfig()
 ) -> MetricDiagnosis:
-    """Full per-stage pipeline: PCA once over all nodes' stacked matrices,
-    then reduce / branch-test / normalize / detect per selected metric.
+    """Full per-stage pipeline: PCA once over the stacked samples of every
+    node, then reduce / branch-test / normalize / detect per selected
+    metric. The mean transform reads its reductions from the mean table.
 
     One metric's failure never aborts the stage; it surfaces as a warning.
     """
-    nodes = sorted(datasets.matrix)
+    nodes = datasets.nodes
     if len(nodes) < 3 or not datasets.matrix_metrics:
         return MetricDiagnosis(
             evaluable=False, warnings=["matrix dataset available for fewer than 3 nodes"]
         )
-    stacked = np.vstack([datasets.matrix[n] for n in nodes])
-    selection = pca_select_metrics(stacked, datasets.matrix_metrics, cfg.ccrate)
+    selection = pca_select_metrics(datasets.stacked, datasets.matrix_metrics, cfg.ccrate)
     warnings: List[str] = []
     if selection.degenerate:
         warnings.append(f"{selection.degenerate}: PCA fell back to all metrics")
 
-    col = {m: i for i, m in enumerate(datasets.matrix_metrics)}
+    bounds = list(zip(datasets.offsets.tolist(), datasets.offsets[1:].tolist()))
     # FFT compares spectra, so series are truncated to the common length.
-    common = min(datasets.matrix[n].shape[0] for n in nodes)
+    common = min(hi - lo for lo, hi in bounds)
     findings: List[Tuple[str, str, str, float]] = []
     for metric in selection.selected_metrics:
-        reductions: Dict[str, float] = {}
-        for node in nodes:
-            series = datasets.matrix[node][:, col[metric]]
-            if cfg.transform == "fft":
-                value = reduce_fft(series[:common])
-            else:
-                value = reduce_mean(series)
-            if value is not None:
-                reductions[node] = value
+        if cfg.transform == "fft":
+            column = datasets.stacked[:, datasets.matrix_metrics.index(metric)]
+            values = [reduce_fft(column[lo:lo + common]) for lo, _ in bounds]
+        else:
+            values = datasets.means[:, METRIC_SCHEMA.index(metric)].tolist()
+        reductions = {node: v for node, v in zip(nodes, values) if v is not None}
         result = detect_metric_outliers(reductions, cfg)
         warnings.extend(f"{metric}: {w}" for w in result.warnings)
         if not result.evaluable:

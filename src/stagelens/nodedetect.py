@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Union
 
 import numpy as np
+
+from .correlate import FeatureDatasets
+from .model import METRIC_SCHEMA
 
 
 class SimilarityError(Exception):
@@ -57,29 +60,45 @@ class AbnormalNodeResult:
 
 
 def detect_abnormal_nodes(
-    vectors: Mapping[str, Mapping[str, float]],
+    vectors: Union[FeatureDatasets, Mapping[str, Mapping[str, float]]],
     cfg: SimilarityConfig = SimilarityConfig(),
 ) -> AbnormalNodeResult:
     """Average each node's similarity against all peers; below-threshold
-    nodes are abnormal."""
-    nodes = sorted(vectors)
-    skipped: List[str] = []
-    usable: List[str] = []
-    for node in nodes:
-        vec = vectors[node]
-        if not vec or all(v == 0 for v in vec.values()):
-            skipped.append(node)
-            continue
-        usable.append(node)
-    if len(usable) < 2:
-        return AbnormalNodeResult(evaluable=False, skipped=nodes)
+    nodes are abnormal.
 
-    # x: p nodes x d metrics (0 where missing); mask: True where present.
-    dims = sorted(set().union(*(vectors[n] for n in usable)))
-    x = np.array([[vectors[n].get(k, 0.0) for k in dims] for n in usable])
-    mask = np.array([[k in vectors[n] for k in dims] for n in usable])
+    `vectors` is a stage's datasets, whose mean table is read directly, or a
+    node -> metric -> mean mapping, which is first turned into such a table.
+    """
+    if isinstance(vectors, FeatureDatasets):
+        nodes, dims = vectors.nodes, list(METRIC_SCHEMA)
+        means, present = vectors.means, vectors.present
+    else:
+        nodes = sorted(vectors)
+        dims = sorted(set().union(*vectors.values()))
+        shape = (len(nodes), len(dims))
+        means = np.array([[vectors[n].get(k, 0.0) for k in dims] for n in nodes], float)
+        present = np.array([[k in vectors[n] for k in dims] for n in nodes], bool)
+        means, present = means.reshape(shape), present.reshape(shape)
+    # A node with no metric, or with only zeros, has no direction.
+    usable_rows = (present & (means != 0)).any(axis=1)
+    usable = [n for n, ok in zip(nodes, usable_rows.tolist()) if ok]
+    skipped = [n for n, ok in zip(nodes, usable_rows.tolist()) if not ok]
+    if len(usable) < 2:
+        return AbnormalNodeResult(evaluable=False, skipped=list(nodes))
+
+    # x: p nodes x d metrics in sorted metric order (0 where missing); mask:
+    # True where present. A metric no usable node has adds exact zeros.
+    order = sorted(range(len(dims)), key=dims.__getitem__)
+    mask = present[usable_rows][:, order]
+    x = np.where(mask, means[usable_rows][:, order], 0.0)
     dots = np.zeros((len(usable), len(usable)))
-    sq = np.zeros_like(dots)
+    product = np.empty_like(dots)
+    # sq[a, b] is |a|^2 over the dims b has, so it depends on b only through
+    # b's mask row: sum once per distinct mask row, then spread.
+    distinct: Dict[tuple, int] = {}
+    pattern_of = [distinct.setdefault(tuple(row), len(distinct)) for row in mask.tolist()]
+    patterns = np.array(list(distinct), dtype=bool)
+    per_pattern = np.zeros((len(usable), len(patterns)))
     # Overflow gives inf here, where cosine_similarity's `** 2` raises
     # OverflowError; the pairs it touches are dropped below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -87,13 +106,18 @@ def detect_abnormal_nodes(
         # x * x rounds differently for about one value in a thousand.
         x2 = np.float_power(x, 2)
         # Accumulate dim by dim in sorted order, as cosine_similarity's sums
-        # do; a dim one side lacks adds an exact 0. sq[a, b] is |a|^2 over
-        # the dims b has.
-        for k in range(len(dims)):
-            dots += x[:, k, None] * x[None, :, k]
-            sq += np.where(mask[None, :, k], x2[:, k, None], 0.0)
+        # do; a dim one side lacks adds an exact 0.
+        for k in range(len(order)):
+            np.multiply(x[:, k, None], x[None, :, k], out=product)
+            if not np.isfinite(x[:, k]).all():
+                # 0 * inf is NaN, but a dim one side lacks must add 0.
+                product[~(mask[:, k, None] & mask[None, :, k])] = 0.0
+            dots += product
+            per_pattern += np.where(patterns[None, :, k], x2[:, k, None], 0.0)
+        sq = per_pattern[:, pattern_of]
         norms = np.sqrt(sq)
-        sims = dots / (norms * norms.T)
+        # dots / (norms * norms.T), reusing the p x p buffers.
+        sims = np.divide(dots, np.multiply(norms, norms.T, out=product), out=dots)
     # A pair counts when both norms over the shared dims are positive and
     # finite: the cases where cosine_similarity returns a score without
     # overflowing.

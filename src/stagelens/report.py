@@ -271,7 +271,7 @@ def _diagnose_stage(
             subjects = (entry.node, entry.locality.value)
             found(FindingKind.UNEVEN_PLACEMENT, subjects, entry.ratio, 0.0)
 
-    similarity = nodedetect.detect_abnormal_nodes(datasets.vectors, cfg.similarity())
+    similarity = nodedetect.detect_abnormal_nodes(datasets, cfg.similarity())
     if similarity.evaluable:
         report.similarity = dict(similarity.similarity)
         for node in similarity.abnormal:

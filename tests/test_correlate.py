@@ -98,14 +98,34 @@ def assert_datasets_equal_oracle(rows, with_series, start, finish):
     ordered = {n: sorted(rows[n], key=lambda s: s.timestamp) for n in with_series}
     ordered.update({n: [] for n in nodes if n not in with_series})
     vectors, matrix, columns, missing = per_sample_oracle(ordered, start, finish)
-    assert ds.vectors == vectors
     assert ds.matrix_metrics == columns
     assert ds.missing_metric_nodes == missing
+
+    # The arrays.
+    assert ds.nodes == sorted(vectors)
+    assert ds.means.shape == ds.present.shape == (len(ds.nodes), len(METRIC_SCHEMA))
+    for i, node in enumerate(ds.nodes):
+        for j, metric in enumerate(METRIC_SCHEMA):
+            assert ds.present[i, j] == (metric in vectors[node])
+            if ds.present[i, j]:
+                assert ds.means[i, j] == vectors[node][metric]
+            else:
+                assert np.isnan(ds.means[i, j])
+    assert ds.stacked.dtype == np.float64 and ds.stacked.flags.c_contiguous
+    assert not ds.stacked.flags.writeable
+    assert ds.stacked.shape == (ds.offsets[-1], len(columns))
+    assert ds.offsets[0] == 0 and (np.diff(ds.offsets) > 0).all()
+    if matrix:
+        assert np.diff(ds.offsets).tolist() == [len(matrix[n]) for n in ds.nodes]
+        assert (ds.stacked == np.vstack([matrix[n] for n in ds.nodes])).all()
+
+    # The dict views.
+    assert ds.vectors == vectors
     assert sorted(ds.matrix) == sorted(matrix)
     for node, expected in matrix.items():
         got = ds.matrix[node]
         assert got.dtype == expected.dtype and got.shape == expected.shape
-        assert got.flags.c_contiguous
+        assert got.flags.c_contiguous and not got.flags.writeable
         assert (got == expected).all()
 
 

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_stage, make_trace, metric_series
 from stagelens.correlate import build_datasets, slice_metrics, stage_window
+from stagelens.model import METRIC_SCHEMA, MetricStore
 from stagelens.report import PipelineConfig, diagnose, render_report
 from stagelens.metricdetect import (
     OutlierConfig,
@@ -76,6 +79,23 @@ def test_huge_valued_stage_diagnoses_with_a_warning(transform):
     render_report(report, "structured")
 
 
+def test_overflowing_window_mean_is_named_in_a_stage_warning():
+    nodes = [f"hw{i:02d}" for i in range(1, 6)]
+    stage = make_stage({n: 1 for n in nodes}, runtime=9_000)
+    metrics = {
+        node: metric_series(node, T0, 10, lambda i, node=node: {
+            "cpu_usage": 1e308 if node == "hw02" else 0.5 + i / 10,
+            "IPC": 1.0 + i / 10,
+        })
+        for node in nodes
+    }
+    trace = make_trace(stage, metrics=metrics)
+    ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
+    assert math.isinf(ds.means[1, METRIC_SCHEMA.index("cpu_usage")])
+    result = diagnose_outlier_metrics(ds, OutlierConfig())
+    assert "cpu_usage: non-finite reduction dropped for: hw02" in result.warnings
+
+
 def test_eigen_reconstruction_and_ccrate_monotone(rng):
     for _ in range(20):
         x = rng.normal(0, 1, size=(10, 8))
@@ -128,6 +148,18 @@ def test_fft_positive_homogeneity(rng):
 
 def test_fft_needs_two_samples():
     assert reduce_fft([1.0]) is None
+
+
+def test_fft_of_a_spread_past_1e154_stays_finite(rng):
+    # Squaring a DFT magnitude above about 1e154 overflows.
+    assert reduce_fft([1e160, -1e160]) == 2e160
+    series = rng.normal(0, 1, size=50)
+    assert reduce_fft(1e200 * series) == pytest.approx(1e200 * reduce_fft(series), rel=1e-12)
+    # A huge reduction used to become inf and drop out, so that b was flagged.
+    values = {"a": reduce_fft([1e160, -1e160]), "b": 1.0, "c": 2.0, "d": 1.5}
+    result = detect_metric_outliers(values)
+    assert result.evaluable and "b" not in result.outliers
+    assert not any("dropped" in w for w in result.warnings)
 
 
 # --- normalization ---------------------------------------------------------
@@ -183,6 +215,15 @@ def test_equal_values_have_no_outliers():
 
 def test_requires_three_values():
     assert not detect_metric_outliers({"a": 1.0, "b": 2.0}).evaluable
+
+
+def test_non_finite_reductions_are_named_in_one_warning():
+    values = {"hw03": math.nan, "hw01": math.inf, "hw02": 1.0, "hw04": 2.0, "hw05": 1.5}
+    result = detect_metric_outliers(values)
+    assert result.evaluable
+    assert result.warnings[0] == "non-finite reduction dropped for: hw01, hw03"
+    short = detect_metric_outliers({"a": -math.inf, "b": 1.0, "c": 2.0})
+    assert short.warnings == ["non-finite reduction dropped for: a", "fewer than 3 usable values"]
 
 
 def test_nonpositive_values_skip_magnitude_branch():
@@ -282,6 +323,41 @@ def two_metric_stage(deviations_by_node, n_samples=24):
     return build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
 
 
+@given(
+    lengths=st.lists(st.integers(1, 3000), min_size=1, max_size=4),
+    exponent=st.integers(-300, 307),
+    seed=st.integers(0, 2**32 - 1),
+    start=st.integers(0, 1500),
+    span=st.integers(0, 3000),
+)
+def test_mean_table_equals_reduce_mean_of_each_column(lengths, exponent, seed, start, span):
+    """The mean transform's reductions, read from the mean table, equal
+    reduce_mean over each node's matrix column, bit for bit."""
+    rng = np.random.default_rng(seed)
+    columns = METRIC_SCHEMA[::3]
+    nodes = [f"hw{i:02d}" for i in range(len(lengths))]
+    stage = make_stage({n: 1 for n in nodes}, launch=T0 + 1000 * start, runtime=1000 * span)
+    metrics = {
+        node: MetricStore(
+            node=node,
+            timestamps=T0 + 1000 * np.arange(n, dtype=np.int64),
+            columns=columns,
+            values=rng.standard_normal((len(columns), n)) * 10.0**exponent,
+        )
+        for node, n in zip(nodes, lengths)
+    }
+    trace = make_trace(stage, metrics=metrics)
+    ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
+    assert ds.matrix_metrics == list(columns) or not ds.nodes
+    for i, node in enumerate(ds.nodes):
+        for c, metric in enumerate(ds.matrix_metrics):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = reduce_mean(ds.matrix[node][:, c])
+            got = ds.means[i, METRIC_SCHEMA.index(metric)]
+            assert ds.present[i, METRIC_SCHEMA.index(metric)]
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
 def test_diagnose_flags_disk_fault_shape():
     ds = two_metric_stage(
         {f"hw{i:02d}": (0.0, 0.0) for i in range(1, 6)} | {"hw89": (0.6, 1.0)}
@@ -337,7 +413,6 @@ def test_corpus_selection_mixes_metric_levels():
         trace, _ = generate_trace(spec)
         for stage in trace.stages():
             ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
-            stacked = np.vstack([ds.matrix[n] for n in sorted(ds.matrix)])
-            selected |= set(pca_select_metrics(stacked, ds.matrix_metrics, 0.95).selected_metrics)
+            selected |= set(pca_select_metrics(ds.stacked, ds.matrix_metrics, 0.95).selected_metrics)
     assert selected & set(SYSTEM_METRICS)
     assert selected & set(ARCH_METRICS)

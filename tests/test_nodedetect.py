@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stagelens.correlate import FeatureDatasets
+from stagelens.model import METRIC_SCHEMA
 from stagelens.nodedetect import (
     SimilarityConfig,
     SimilarityError,
@@ -229,3 +231,41 @@ def test_overflowing_vector_is_skipped():
     result = detect_abnormal_nodes(vectors)
     assert result.skipped == ["n0"]
     assert result.similarity == {"n1": 1.0, "n2": 1.0}
+
+
+def datasets_of(vectors):
+    """Datasets whose mean table holds `vectors` (node -> schema metric -> mean)."""
+    nodes = sorted(vectors)
+    means = np.full((len(nodes), len(METRIC_SCHEMA)), np.nan)
+    present = np.zeros(means.shape, dtype=bool)
+    for i, node in enumerate(nodes):
+        for metric, value in vectors[node].items():
+            means[i, METRIC_SCHEMA.index(metric)] = value
+            present[i, METRIC_SCHEMA.index(metric)] = True
+    return FeatureDatasets(
+        stage_id="s0", tnum={}, data_size=[], locality=[], nodes=nodes, means=means,
+        present=present, stacked=np.empty((0, 0)), offsets=np.zeros(len(nodes) + 1, np.int64),
+        matrix_metrics=[],
+    )
+
+
+# Schema metrics whose sorted order differs from the schema order, and means
+# that overflowed to inf or NaN but are still present.
+_SCHEMA_METRICS = ("cpu_usage", "mem_usage", "diskW_band", "IPC", "L2_MPKI")
+_MEANS = st.one_of(_VALUES, st.sampled_from([math.inf, -math.inf, math.nan]))
+_TABLES = st.integers(0, 40).flatmap(
+    lambda p: st.lists(
+        st.dictionaries(st.sampled_from(_SCHEMA_METRICS), _MEANS), min_size=p, max_size=p
+    )
+).map(lambda vecs: {f"n{i:02d}": v for i, v in enumerate(vecs)})
+
+
+@given(vectors=_TABLES, th_simi=st.floats(0.01, 0.99))
+def test_mean_table_screen_equals_dict_input_and_bruteforce(vectors, th_simi):
+    cfg = SimilarityConfig(th_simi=th_simi)
+    result = detect_abnormal_nodes(datasets_of(vectors), cfg)
+    assert result == detect_abnormal_nodes(vectors, cfg)
+    evaluable, similarity, abnormal, skipped = bruteforce_abnormal_nodes(vectors, cfg)
+    assert (result.evaluable, result.similarity, result.abnormal, result.skipped) == (
+        evaluable, similarity, abnormal, skipped
+    )
