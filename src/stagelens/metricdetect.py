@@ -104,10 +104,13 @@ def pca_select_metrics(
 
 
 def reduce_mean(series: Sequence[float]) -> Optional[float]:
-    """Arithmetic mean; empty series reduce to missing."""
+    """Arithmetic mean; empty series reduce to missing. A sum that overflows
+    gives inf (or NaN, from opposite infinities), as in build_datasets' mean
+    table, and no numpy warning."""
     if len(series) == 0:
         return None
-    return float(np.mean(series))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(series))
 
 
 def reduce_fft(series: Sequence[float]) -> Optional[float]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -121,6 +121,23 @@ def metric_columns(names: Iterable[str]) -> Tuple[str, ...]:
     )
 
 
+def checked_once(checked: dict, key: Hashable, check: Callable[[Hashable], object]):
+    """check(key), remembered in `checked`: a caller that checks many equal
+    keys (one column layout shared by every node) runs `check` once per
+    distinct key. An unhashable key is checked every time."""
+    try:
+        return checked[key]
+    except KeyError:
+        result = checked[key] = check(key)
+        return result
+    except TypeError:
+        return check(key)
+
+
+def _in_store_order(columns: Tuple) -> bool:
+    return all(isinstance(c, str) for c in columns) and columns == metric_columns(columns)
+
+
 @dataclass(eq=False)
 class MetricStore:
     """One node's metric series, held column by column.
@@ -206,6 +223,22 @@ class Trace:
             if stage.stage_id in stage_ids:
                 problems.append(f"stage {stage.stage_id}: duplicate stage_id")
             stage_ids.add(stage.stage_id)
+            # A stage that passes every check at once adds no problem; one
+            # that fails any is walked task by task to name each violation.
+            ids = {task.task_id for task in stage.tasks}
+            if (
+                len(ids) == len(stage.tasks)
+                and task_ids.isdisjoint(ids)
+                and known.issuperset([task.node for task in stage.tasks])
+                and all(
+                    task.launch_time <= task.finish_time
+                    and task.data_size >= 0
+                    and task.stage_id == stage.stage_id
+                    for task in stage.tasks
+                )
+            ):
+                task_ids |= ids
+                continue
             for task in stage.tasks:
                 if task.task_id in task_ids:
                     problems.append(f"task {task.task_id}: duplicate task_id")
@@ -226,13 +259,14 @@ class Trace:
                     problems.append(
                         f"task {task.task_id}: node {task.node!r} not in cluster"
                     )
+        layouts: Dict[Hashable, bool] = {}
         for node, store in self.metrics.items():
             if node not in known:
                 problems.append(f"metric series for {node}: node not in cluster")
             if store.node != node:
                 problems.append(f"metric series under {node!r} carries node {store.node!r}")
             columns = tuple(store.columns)
-            if not (all(isinstance(c, str) for c in columns) and columns == metric_columns(columns)):
+            if not checked_once(layouts, columns, _in_store_order):
                 problems.append(
                     f"metric series for {node}: columns must be distinct names in store order"
                 )
@@ -247,7 +281,7 @@ class Trace:
                     f"float64[{len(columns)}, n] values"
                 )
                 continue
-            for bad in ts[1:][np.diff(ts) <= 0].tolist():
+            for bad in ts[1:][ts[1:] <= ts[:-1]].tolist():
                 problems.append(
                     f"metric series for {node}: timestamps not strictly "
                     f"increasing at {bad}"

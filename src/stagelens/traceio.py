@@ -14,11 +14,20 @@ from __future__ import annotations
 import io
 import json
 import os
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from .model import Job, Locality, MetricStore, Stage, Task, Trace, metric_columns
+from .model import (
+    Job,
+    Locality,
+    MetricStore,
+    Stage,
+    Task,
+    Trace,
+    checked_once,
+    metric_columns,
+)
 
 SCHEMA_VERSION = "stagelens-trace/2"
 
@@ -155,18 +164,24 @@ def _read_entity_file(path: str, entity: str) -> Iterator[Tuple[int, dict]]:
     decoded one line at a time."""
     if not os.path.exists(path):
         raise TraceParseError(path, 0, "file missing from trace directory")
+    decode = _DECODER.raw_decode
     with open(path, "rb") as fh:
         line_no = 0
         for line_no, line in enumerate(fh, start=1):
+            # bytes.strip removes every JSON whitespace character, so the
+            # text starts with a value and must end with it.
             line = line.strip()
             if not line and line_no > 1:
                 continue
             try:
-                record = _DECODER.decode(line.decode("utf-8"))
+                text = line.decode("utf-8")
+                record, end = decode(text)
             except json.JSONDecodeError as exc:
                 raise TraceParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
             except ValueError as exc:
                 raise TraceParseError(path, line_no, str(exc)) from exc
+            if end != len(text):
+                raise TraceParseError(path, line_no, "invalid JSON: Extra data")
             if not isinstance(record, dict):
                 raise TraceParseError(path, line_no, "record must be a JSON object")
             if line_no == 1:
@@ -190,20 +205,73 @@ def _require(record: dict, key: str, path: str, line_no: int):
     return record[key]
 
 
-def _index_entry(record: dict, path: str, line_no: int) -> Tuple[str, Tuple[str, ...], int]:
-    """One metrics.jsonl line: node, its columns in store order, its sample count."""
+def _columns_rule(columns) -> str:
+    """The rule a metrics.jsonl `columns` value breaks, or "" for none."""
+    if not (isinstance(columns, tuple) and all(isinstance(c, str) for c in columns)):
+        return "columns must be a list of metric names"
+    if columns != metric_columns(columns):
+        return "columns must be distinct and in store order"
+    return ""
+
+
+def _index_entry(
+    record: dict, path: str, line_no: int, layouts: Dict[Hashable, str]
+) -> Tuple[str, Tuple[str, ...], int]:
+    """One metrics.jsonl line: node, its columns in store order, its sample
+    count. `layouts` holds the rule each columns value already got, so a
+    layout shared by many nodes is checked once."""
     node = _require(record, "node", path, line_no)
     columns = _require(record, "columns", path, line_no)
     samples = _require(record, "samples", path, line_no)
     if not isinstance(node, str):
         raise TraceParseError(path, line_no, "node must be a string")
-    if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
-        raise TraceParseError(path, line_no, "columns must be a list of metric names")
-    if tuple(columns) != metric_columns(columns):
-        raise TraceParseError(path, line_no, "columns must be distinct and in store order")
+    columns = tuple(columns) if isinstance(columns, list) else None
+    rule = checked_once(layouts, columns, _columns_rule)
+    if rule:
+        raise TraceParseError(path, line_no, rule)
     if type(samples) is not int or samples < 0:
         raise TraceParseError(path, line_no, "samples must be a non-negative integer")
-    return node, tuple(columns), samples
+    return node, columns, samples
+
+
+# A task row's fields in the order the first missing or mistyped one is
+# named, each with the JSON type it must have.
+_TASK_FIELDS = (
+    ("stage_id", str),
+    ("node", str),
+    ("launch_time", int),
+    ("finish_time", int),
+    ("task_id", str),
+    ("locality", str),
+    ("data_size", int),
+    ("succeeded", bool),
+)
+# The fields a row may leave out; Task's defaults stand in for them.
+_OPTIONAL_TASK_FIELDS = frozenset(("locality", "data_size", "succeeded"))
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
+_LOCALITIES = {locality.value: locality for locality in Locality}
+
+
+def _task_rule(row: dict, stages: Dict[str, Stage]) -> str:
+    """The first rule a tasks.jsonl record breaks, fields taken in
+    `_TASK_FIELDS` order: a missing or mistyped field, an unknown stage
+    right after `stage_id`, an unknown locality right after `locality`."""
+    for key, kind in _TASK_FIELDS:
+        if key not in row:
+            if key in _OPTIONAL_TASK_FIELDS:
+                continue
+            return f"missing required field {key!r}"
+        value = row[key]
+        if type(value) is not kind:
+            return f"bad task record: {key} must be {_TYPE_NAMES[kind]}"
+        if key == "stage_id" and value not in stages:
+            return f"task references unknown stage {value!r}"
+        if key == "locality" and value not in _LOCALITIES:
+            try:
+                Locality(value)
+            except ValueError as exc:
+                return f"bad task record: {exc}"
+    raise AssertionError(f"task record breaks no rule: {row!r}")
 
 
 def _read_npy(trace_dir: str, column: Tuple[str, str], length: int) -> np.ndarray:
@@ -255,24 +323,28 @@ def load_trace(path: str) -> Trace:
         raise TraceParseError(
             meta_path, meta_line, "clock_offsets must map node names to integer milliseconds"
         )
-    applied = bool(meta.get("offsets_applied", False))
-
-    def shift_task(node: str, ts: int) -> int:
-        return ts if applied else ts + offsets.get(node, 0)
+    applied = meta.get("offsets_applied", False)
+    if type(applied) is not bool:
+        raise TraceParseError(meta_path, meta_line, "offsets_applied must be true or false")
 
     jobs_path = os.path.join(path, "jobs.jsonl")
-    job_rows = _read_entity_file(jobs_path, "jobs")
     jobs: Dict[str, Job] = {}
-    for line_no, row in job_rows:
-        job_id = str(_require(row, "job_id", jobs_path, line_no))
+    for line_no, row in _read_entity_file(jobs_path, "jobs"):
+        job_id = _require(row, "job_id", jobs_path, line_no)
+        if type(job_id) is not str:
+            raise TraceParseError(jobs_path, line_no, "bad job record: job_id must be a string")
         jobs[job_id] = Job(job_id=job_id)
 
     stages_path = os.path.join(path, "stages.jsonl")
-    stage_rows = _read_entity_file(stages_path, "stages")
     stages: Dict[str, Stage] = {}
-    for line_no, row in stage_rows:
-        stage_id = str(_require(row, "stage_id", stages_path, line_no))
-        job_id = str(_require(row, "job_id", stages_path, line_no))
+    for line_no, row in _read_entity_file(stages_path, "stages"):
+        stage_id = _require(row, "stage_id", stages_path, line_no)
+        job_id = _require(row, "job_id", stages_path, line_no)
+        for key, value in (("stage_id", stage_id), ("job_id", job_id)):
+            if type(value) is not str:
+                raise TraceParseError(
+                    stages_path, line_no, f"bad stage record: {key} must be a string"
+                )
         if job_id not in jobs:
             raise TraceParseError(stages_path, line_no, f"stage references unknown job {job_id!r}")
         if stage_id in stages:
@@ -283,48 +355,57 @@ def load_trace(path: str) -> Trace:
 
     tasks_path = os.path.join(path, "tasks.jsonl")
     for line_no, row in _read_entity_file(tasks_path, "tasks"):
-        stage_id = str(_require(row, "stage_id", tasks_path, line_no))
-        if stage_id not in stages:
-            raise TraceParseError(
-                tasks_path, line_no, f"task references unknown stage {stage_id!r}"
-            )
-        node = str(_require(row, "node", tasks_path, line_no))
-        try:
-            launch = int(_require(row, "launch_time", tasks_path, line_no))
-            finish = int(_require(row, "finish_time", tasks_path, line_no))
-            task = Task(
-                task_id=str(_require(row, "task_id", tasks_path, line_no)),
-                stage_id=stage_id,
-                node=node,
-                launch_time=shift_task(node, launch),
-                finish_time=shift_task(node, finish),
-                locality=Locality(row.get("locality", "UNKNOWN")),
-                data_size=int(row.get("data_size", 0)),
-                succeeded=bool(row.get("succeeded", True)),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise TraceParseError(tasks_path, line_no, f"bad task record: {exc}") from exc
-        stages[stage_id].tasks.append(task)
+        # One test of every field; _task_rule names what failed.
+        stage_id = row.get("stage_id")
+        node = row.get("node")
+        launch = row.get("launch_time")
+        finish = row.get("finish_time")
+        task_id = row.get("task_id")
+        locality = row.get("locality", "UNKNOWN")
+        data_size = row.get("data_size", 0)
+        succeeded = row.get("succeeded", True)
+        if not (
+            type(stage_id) is str and type(node) is str and type(task_id) is str
+            and type(launch) is int and type(finish) is int and type(data_size) is int
+            and type(locality) is str and type(succeeded) is bool
+            and stage_id in stages and locality in _LOCALITIES
+        ):
+            raise TraceParseError(tasks_path, line_no, _task_rule(row, stages))
+        if not applied:
+            shift = offsets.get(node, 0)
+            launch += shift
+            finish += shift
+        stages[stage_id].tasks.append(
+            Task(task_id, stage_id, node, launch, finish, _LOCALITIES[locality], data_size, succeeded)
+        )
 
     metrics_path = os.path.join(path, "metrics.jsonl")
     index: Dict[str, Tuple[int, Tuple[str, ...], int]] = {}
+    layouts: Dict[Hashable, str] = {}
     for line_no, row in _read_entity_file(metrics_path, "metrics"):
-        node, columns, samples = _index_entry(row, metrics_path, line_no)
+        node, columns, samples = _index_entry(row, metrics_path, line_no, layouts)
         if node in index:
             raise TraceParseError(metrics_path, line_no, f"duplicate node {node!r}")
         index[node] = (line_no, columns, samples)
     timestamps = _read_npy(path, _TIMESTAMPS, sum(n for _, _, n in index.values()))
-    values = _read_npy(path, _VALUES, sum(len(c) * n for _, c, n in index.values()))
+    cells = [len(c) * n for _, c, n in index.values()]
+    values = _read_npy(path, _VALUES, sum(cells))
+    # NaN marks a missing value, so a reported one must be finite. Blocks
+    # sit in index order, so the first infinite cell is in the first node
+    # that holds one.
+    first_infinite = -1
+    if np.isinf(values).any():
+        first_cell = int(np.isinf(values).argmax())
+        first_infinite = int(np.searchsorted(np.cumsum(cells), first_cell, side="right"))
     metrics: Dict[str, MetricStore] = {}
     at = cell = 0
-    for node, (line_no, columns, samples) in index.items():
+    for i, (node, (line_no, columns, samples)) in enumerate(index.items()):
+        if i == first_infinite:
+            raise TraceParseError(metrics_path, line_no, "metric values must be finite numbers")
         ts = timestamps[at : at + samples]
         block = values[cell : cell + len(columns) * samples].reshape(len(columns), samples)
         at += samples
         cell += block.size
-        # NaN marks a missing value, so a reported one must be finite.
-        if np.isinf(block).any():
-            raise TraceParseError(metrics_path, line_no, "metric values must be finite numbers")
         offset = 0 if applied else offsets.get(node, 0)
         if offset and samples:
             if not (_INT64.min <= int(ts.min()) + offset and int(ts.max()) + offset <= _INT64.max):

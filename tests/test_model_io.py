@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 
 import numpy as np
@@ -26,9 +27,11 @@ from stagelens.model import (
 )
 from stagelens.simulate import ScenarioSpec, generate_trace
 from stagelens.traceio import (
+    _DECODER,
     SCHEMA_VERSION,
     TraceParseError,
     TraceValidationError,
+    _read_entity_file,
     load_trace,
     save_trace,
 )
@@ -88,6 +91,17 @@ def test_metric_timestamps_must_increase():
     ]
     trace = Trace(cluster=["hw01"], metrics={"hw01": store_from_samples("hw01", samples)})
     assert any("strictly increasing" in p for p in trace.validate())
+
+
+def test_int64_edge_timestamps_are_increasing(tmp_path):
+    """The step from the least to the greatest int64 overflows a difference;
+    the order check compares instead."""
+    edges = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+    store = MetricStore("hw01", edges, ("cpu_usage",), np.zeros((1, 2)))
+    trace = Trace(cluster=["hw01"], metrics={"hw01": store})
+    assert trace.validate() == []
+    save_trace(trace, str(tmp_path / "trace"))
+    assert load_trace(str(tmp_path / "trace")) == trace
 
 
 def test_empty_trace_round_trip(tmp_path):
@@ -314,6 +328,7 @@ def test_column_file_written_by_another_numpy_padding_loads(tmp_path):
         (lambda row: row.update(node=2), "node must be a string"),
         (lambda row: row.update(columns="cpu_usage"), "columns must be a list of metric names"),
         (lambda row: row.update(columns=["cpu_usage", 1]), "columns must be a list of metric names"),
+        (lambda row: row.update(columns=["cpu_usage", {}]), "columns must be a list of metric names"),
         (lambda row: row.update(columns=["x", "cpu_usage"]), "columns must be distinct and in store order"),
         (lambda row: row.update(columns=["cpu_usage", "cpu_usage"]), "columns must be distinct and in store order"),
         (lambda row: row.update(samples=-1), "samples must be a non-negative integer"),
@@ -360,8 +375,29 @@ def test_nan_payload_does_not_reach_the_bytes(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
 
 
-@pytest.mark.parametrize("field", ["launch_time", "finish_time", "data_size"])
-@pytest.mark.parametrize("value", [None, [1]])
+@pytest.mark.parametrize(
+    "field, value",
+    # The JSON types are strict: nothing is coerced, a bool is not an integer.
+    [
+        pytest.param(field, value, id=f"{name}-{field}")
+        for field in ("launch_time", "finish_time", "data_size")
+        for name, value in (
+            ("None", None),
+            ("value1", [1]),
+            ("float", 1_460_000_010_000.9),
+            ("true", True),
+            ("str", "12"),
+        )
+    ]
+    + [
+        pytest.param("succeeded", "false", id="str-succeeded"),
+        pytest.param("succeeded", 0, id="int-succeeded"),
+        pytest.param("task_id", 7, id="int-task_id"),
+        pytest.param("stage_id", None, id="None-stage_id"),
+        pytest.param("node", ["hw01"], id="list-node"),
+        pytest.param("locality", 1, id="int-locality"),
+    ],
+)
 def test_non_number_task_field_rejected_at_load(tmp_path, field, value):
     out = tmp_path / "trace"
     save_trace(make_trace(make_stage({"hw01": 2})), str(out))
@@ -374,6 +410,50 @@ def test_non_number_task_field_rejected_at_load(tmp_path, field, value):
     with pytest.raises(TraceParseError) as err:
         load_trace(str(out))
     assert "tasks.jsonl:3: bad task record" in str(err.value)
+    assert f"bad task record: {field} must be" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "name, field, value",
+    [("jobs", "job_id", 0), ("stages", "stage_id", 1.5), ("stages", "job_id", ["j0"])],
+)
+def test_non_string_job_or_stage_id_rejected_at_load(tmp_path, name, field, value):
+    out = tmp_path / "trace"
+    save_trace(make_trace(make_stage({"hw01": 1})), str(out))
+    path = out / f"{name}.jsonl"
+    header, body = path.read_text().splitlines()
+    path.write_text(header + "\n" + json.dumps({**json.loads(body), field: value}) + "\n")
+    entity = name[:-1]
+    assert f"{name}.jsonl:2: bad {entity} record: {field} must be a string" in str(
+        load_error(out)
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, rule",
+    [
+        # A missing field is named in the loader's field order, and an
+        # unknown stage before any field after stage_id.
+        (lambda row: row.clear(), "missing required field 'stage_id'"),
+        (lambda row: row.update(stage_id="s9", launch_time=None), "unknown stage 's9'"),
+        (lambda row: [row.pop(k) for k in ("node", "task_id")], "missing required field 'node'"),
+        (lambda row: [row.pop(k) for k in ("finish_time", "task_id")], "'finish_time'"),
+        (lambda row: row.update(launch_time=1.5, finish_time=None), "launch_time must be"),
+        (lambda row: row.update(locality="NEAR", data_size="12"), "'NEAR' is not a valid Locality"),
+    ],
+)
+def test_first_bad_task_field_is_named(tmp_path, edit, rule):
+    out = tmp_path / "trace"
+    save_trace(make_trace(make_stage({"hw01": 2})), str(out))
+    tasks_file = out / "tasks.jsonl"
+    lines = tasks_file.read_text().splitlines()
+    row = json.loads(lines[2])
+    edit(row)
+    lines[2] = json.dumps(row)
+    tasks_file.write_text("\n".join(lines) + "\n")
+    error = load_error(out)
+    assert error.line_no == 3
+    assert rule in error.rule
 
 
 @pytest.mark.parametrize("field", ["launch_time", "finish_time", "data_size"])
@@ -398,6 +478,8 @@ def test_overflowing_task_field_rejected_at_load(tmp_path, field):
         ({"clock_offsets": {"hw01": "5"}}, "clock_offsets must map node names to integer"),
         ({"clock_offsets": {"hw01": True}}, "clock_offsets must map node names to integer"),
         ({"clock_offsets": {"hw01": 2**63}}, "clock_offsets must map node names to integer"),
+        ({"offsets_applied": "false"}, "offsets_applied must be true or false"),
+        ({"offsets_applied": 0}, "offsets_applied must be true or false"),
     ],
 )
 def test_bad_meta_record_rejected(tmp_path, change, rule):
@@ -473,6 +555,7 @@ def _store(**changes) -> MetricStore:
         (_store(columns=("x", "x")), "columns must be distinct names in store order"),
         (_store(columns=("x", "cpu_usage")), "columns must be distinct names in store order"),
         (_store(columns=("cpu_usage", 7)), "columns must be distinct names in store order"),
+        (_store(columns=("cpu_usage", [])), "columns must be distinct names in store order"),
     ],
 )
 def test_validate_checks_store_shape(tmp_path, store, problem):
@@ -626,3 +709,239 @@ def test_damaged_trace_loads_or_raises_trace_error(
         load_trace(str(out))
     except (TraceParseError, TraceValidationError):
         pass
+
+
+def oracle_read_entity_file(path, entity):
+    """The line-by-line reader the loader's is checked against: one
+    JSONDecoder.decode call per stripped line."""
+    if not os.path.exists(path):
+        raise TraceParseError(path, 0, "file missing from trace directory")
+    with open(path, "rb") as fh:
+        line_no = 0
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line and line_no > 1:
+                continue
+            try:
+                record = _DECODER.decode(line.decode("utf-8"))
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:
+                raise TraceParseError(path, line_no, str(exc)) from exc
+            if not isinstance(record, dict):
+                raise TraceParseError(path, line_no, "record must be a JSON object")
+            if line_no == 1:
+                if record.get("schema") != SCHEMA_VERSION:
+                    raise TraceParseError(
+                        path, 1, f"schema header must declare {SCHEMA_VERSION!r}"
+                    )
+                if record.get("entity") != entity:
+                    raise TraceParseError(
+                        path, 1, f"entity header must be {entity!r}, got {record.get('entity')!r}"
+                    )
+                continue
+            yield line_no, record
+    if line_no == 0:
+        raise TraceParseError(path, 1, f"schema header must declare {SCHEMA_VERSION!r}")
+
+
+def read_outcome(reader, path, entity):
+    """Every record a reader yields, or the (path, line, rule) it fails with."""
+    try:
+        return list(reader(path, entity))
+    except TraceParseError as exc:
+        return (exc.path, exc.line_no, exc.rule)
+
+
+_LINE = st.integers(0, 2**16)  # taken modulo the line count
+_WHOLE_LINES = st.sampled_from(
+    [b"", b" ", b"\x0b\x0c", b"5", b"[]", b'"j0"', b"null", b"{", b"{}", b"\xc3",
+     b'{"a":"\xc3("}', b'{"a":NaN}', b'{"a":[Infinity]}', b"\xef\xbb\xbf{}"]
+)
+_LINE_EDIT = st.one_of(
+    st.tuples(
+        st.just("append"),
+        _LINE,
+        st.sampled_from(
+            [b" x", b"{}", b" 1", b",", b"]", b"\x0b", b"\x0c", b" \x0b\x0c", b"\x0c{}",
+             b"\r", b"\r{}", b"\xff", b"\x85"]
+        ),
+    ),
+    st.tuples(
+        st.just("prepend"),
+        _LINE,
+        st.sampled_from([b"\x0b", b"\x0c", b" \t", b"\r", b"x", b"\xff", b"\xc2\x85"]),
+    ),
+    st.tuples(st.just("replace"), _LINE, _WHOLE_LINES),
+    st.tuples(st.just("insert"), _LINE, _WHOLE_LINES),
+    # In place of the line's first number (or its first key's value).
+    st.tuples(
+        st.just("token"),
+        _LINE,
+        st.sampled_from([b"NaN", b"-NaN", b"Infinity", b"-Infinity", b"1e999", b"1 2", b"0x1"]),
+    ),
+    # An invalid UTF-8 byte somewhere in the line.
+    st.tuples(st.just("byte"), _LINE, st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"])),
+)
+
+
+def _edit_lines(lines, edits, data):
+    for op, at, payload in edits:
+        i = at % len(lines)
+        if op == "append":
+            lines[i] += payload
+        elif op == "prepend":
+            lines[i] = payload + lines[i]
+        elif op == "replace":
+            lines[i] = payload
+        elif op == "insert":
+            lines.insert(i, payload)
+        elif op == "token":
+            lines[i] = re.sub(rb"(?<=:)(-?[0-9][0-9.e+-]*|\"[^\"]*\")", payload, lines[i], count=1)
+        else:
+            cut = data.draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:cut] + payload + lines[i][cut:]
+
+
+@given(
+    name=st.sampled_from([name for name in TRACE_FILES if name.endswith(".jsonl")]),
+    edits=st.lists(_LINE_EDIT, min_size=1, max_size=4),
+    data=st.data(),
+)
+@example(name="tasks.jsonl", edits=[("append", 2, b" x")], data=None)
+def test_entity_reader_equals_line_by_line_oracle(
+    tmp_path_factory, saved_trace_files, name, edits, data
+):
+    """Over line edits of a saved trace's JSON files (trailing data, NaN and
+    Infinity tokens, non-objects, blank lines, \\x0b/\\x0c padding, invalid
+    UTF-8), the loader's reader and the line-by-line oracle yield equal
+    records or fail at the same file, line and rule."""
+    lines = saved_trace_files[name].split(b"\n")
+    _edit_lines(lines, edits, data)
+    path = str(tmp_path_factory.mktemp("edited") / name)
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    entity = name.split(".")[0]
+    assert read_outcome(_read_entity_file, path, entity) == read_outcome(
+        oracle_read_entity_file, path, entity
+    )
+
+
+def test_validate_names_every_node_of_a_shared_bad_layout():
+    """A column layout is checked once, and every node that has it is named."""
+    metrics = {}
+    for node in ("hw01", "hw02", "hw03"):
+        metrics[node] = metric_series(node, 0, 3, lambda i: {"cpu_usage": 0.5, "x": 1.0})
+    for node in ("hw01", "hw03"):
+        metrics[node].columns = ("x", "cpu_usage")
+    trace = Trace(cluster=sorted(metrics), metrics=metrics)
+    assert trace.validate() == [
+        f"metric series for {node}: columns must be distinct names in store order"
+        for node in ("hw01", "hw03")
+    ]
+
+
+def oracle_validate(trace):
+    """Trace.validate as one walk over every task and node, each column
+    layout checked on its own: the reference for validate's checks of a
+    whole stage at once and of each distinct layout once."""
+    from stagelens.model import metric_columns
+
+    problems = []
+    if not trace.cluster:
+        problems.append("cluster must list at least one node")
+    known = set(trace.cluster)
+    stage_ids = set()
+    task_ids = set()
+    for stage in trace.stages():
+        if stage.stage_id in stage_ids:
+            problems.append(f"stage {stage.stage_id}: duplicate stage_id")
+        stage_ids.add(stage.stage_id)
+        for task in stage.tasks:
+            if task.task_id in task_ids:
+                problems.append(f"task {task.task_id}: duplicate task_id")
+            task_ids.add(task.task_id)
+            if task.finish_time < task.launch_time:
+                problems.append(
+                    f"task {task.task_id}: finish_time {task.finish_time} "
+                    f"< launch_time {task.launch_time}"
+                )
+            if task.data_size < 0:
+                problems.append(f"task {task.task_id}: negative data_size")
+            if task.stage_id != stage.stage_id:
+                problems.append(
+                    f"task {task.task_id}: stage_id {task.stage_id!r} does not "
+                    f"match containing stage {stage.stage_id!r}"
+                )
+            if task.node not in known:
+                problems.append(f"task {task.task_id}: node {task.node!r} not in cluster")
+    for node, store in trace.metrics.items():
+        if node not in known:
+            problems.append(f"metric series for {node}: node not in cluster")
+        if store.node != node:
+            problems.append(f"metric series under {node!r} carries node {store.node!r}")
+        columns = tuple(store.columns)
+        if not (all(isinstance(c, str) for c in columns) and columns == metric_columns(columns)):
+            problems.append(
+                f"metric series for {node}: columns must be distinct names in store order"
+            )
+        ts, values = store.timestamps, store.values
+        if not (values.shape == (len(columns), len(ts))):
+            problems.append(
+                f"metric series for {node}: needs int64[n] timestamps and "
+                f"float64[{len(columns)}, n] values"
+            )
+            continue
+        for i in range(1, len(ts)):
+            if ts[i] <= ts[i - 1]:
+                problems.append(
+                    f"metric series for {node}: timestamps not strictly increasing at {ts[i]}"
+                )
+        if np.isinf(values).any():
+            problems.append(f"metric series for {node}: infinite value")
+    return problems
+
+
+_FLAWS = st.sampled_from(["none"] * 6 + ["task_id", "order", "size", "stage", "node"])
+_LAYOUTS = st.sampled_from(
+    [("cpu_usage", "x")] * 4 + [("cpu_usage",), ("x", "cpu_usage"), ("x", "x"), ("cpu_usage", 7), ()]
+)
+
+
+@st.composite
+def small_traces(draw):
+    """Traces in which each task and node has at most one of the flaws
+    validate names, drawn rarely enough that many stages are clean."""
+    stages = []
+    last_id = 0  # task ids t0, t1, ... so far; a duplicate reuses a recent one
+    for stage_id in draw(st.lists(st.sampled_from(["s0", "s1", "s2", "s3", "s4"]), max_size=4)):
+        stage = Stage(stage_id=stage_id, job_id="j0")
+        for _ in range(draw(st.integers(0, 5))):
+            flaw = draw(_FLAWS)
+            last_id += flaw != "task_id"
+            stage.tasks.append(
+                Task(
+                    task_id=f"t{last_id - draw(st.integers(0, 2)) if flaw == 'task_id' else last_id}",
+                    stage_id="s9" if flaw == "stage" else stage_id,
+                    node="ghost" if flaw == "node" else draw(st.sampled_from(["hw01", "hw02"])),
+                    launch_time=5,
+                    finish_time=4 if flaw == "order" else 5 + draw(st.integers(0, 2)),
+                    data_size=-1 if flaw == "size" else draw(st.integers(0, 2)),
+                )
+            )
+        stages.append(stage)
+    metrics = {}
+    for node in draw(st.lists(st.sampled_from(["hw01", "hw02", "ghost"]), unique=True, max_size=3)):
+        columns = draw(_LAYOUTS)
+        steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 0, -1]), max_size=4))
+        ts = np.cumsum(np.array([0] + steps, dtype=np.int64))
+        values = np.full(len(columns) * len(ts), 0.5)
+        values[: draw(st.integers(0, 1)) * draw(st.integers(0, len(values)))][-1:] = np.inf
+        owner = draw(st.sampled_from([node, node, node, "hw02"]))
+        metrics[node] = MetricStore(owner, ts, columns, values.reshape(len(columns), len(ts)))
+    return Trace(cluster=["hw01", "hw02"], jobs=[Job(job_id="j0", stages=stages)], metrics=metrics)
+
+
+@given(trace=small_traces())
+def test_validate_equals_one_walk_oracle(trace):
+    assert trace.validate() == oracle_validate(trace)
