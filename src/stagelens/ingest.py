@@ -11,7 +11,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -139,23 +139,36 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
     return trace, report
 
 
-def parse_metric_file(lines: Iterable[str], schema: str) -> Tuple[MetricStore, IngestReport]:
-    """Parse one node's raw counter dump into a block of timestamp-ordered rows.
+# Each byte's class. Numpy's text reader and float() split a line made of
+# plain bytes alike (at spaces and tabs) and convert each cell with the same
+# CPython function, so such lines are read in one loadtxt call; a line with
+# any other byte is read by float() alone.
+_BLANK, _PLAIN, _OTHER = 0, 1, 2
+_BYTE_CLASS = bytes(
+    _BLANK if c in b" \t\n" else _PLAIN if c in b"0123456789.eE+-" else _OTHER
+    for c in range(256)
+)
 
-    The block is a MetricStore whose columns are the schema's counters (its
-    node is left empty: the file name names it), so len(block) is the number
-    of rows kept. Timestamps below 1e12 are seconds and become milliseconds,
-    rounded half to even. Duplicate timestamps keep the last row read. A
-    column-count mismatch is a hard error; a non-numeric or non-finite cell,
-    or a timestamp outside int64 milliseconds, only skips that line.
-    """
-    columns = _SCHEMAS.get(schema)
-    if columns is None:
-        raise IngestError(f"unknown metric schema {schema!r} (expected system|architecture)")
-    report = IngestReport()
+
+def _line_classes(text: str) -> np.ndarray:
+    """The class of each line of text.split("\n"): the largest class of its
+    bytes, so a blank line is _BLANK and a row of plain cells _PLAIN."""
+    data = (text + "\n").encode("utf-8", "surrogatepass")
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    # Every segment holds at least its line's "\n", so none is empty.
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    classes = np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)
+    return np.maximum.reduceat(classes, starts)
+
+
+def _read_lines(
+    numbered: Iterable[Tuple[int, str]], columns: Sequence[str], schema: str, report: IngestReport
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows float() reads from these numbered lines, with their line
+    numbers; a row with a non-numeric cell is noted and skipped."""
     rows: List[List[float]] = []
     line_nos: List[int] = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in numbered:
         cells = line.split()
         if not cells:
             continue
@@ -170,8 +183,73 @@ def parse_metric_file(lines: Iterable[str], schema: str) -> Tuple[MetricStore, I
             report.note(line_no, "non-numeric cell")
             continue
         line_nos.append(line_no)
-
     table = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
+    return table, np.array(line_nos, dtype=np.int64)
+
+
+def _read_text(
+    text: str, columns: Sequence[str], schema: str, report: IngestReport
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row of text.split("\n") in line order, with its line number.
+
+    Plain rows go through one loadtxt call and the other lines through
+    _read_lines. When loadtxt fails (a ragged row, or a plain cell such as
+    "1.2.3" that float() rejects too), every line goes through _read_lines,
+    so the first wrong-width line and each note come out as they would
+    line by line.
+    """
+    lines = text.split("\n")
+    line_class = _line_classes(text)
+    plain = np.flatnonzero(line_class == _PLAIN)
+    other = np.flatnonzero(line_class == _OTHER).tolist()
+    numbered = [(i + 1, lines[i]) for i in other]
+    for i in other:
+        lines[i] = ""  # loadtxt skips blank lines
+    table = np.empty((0, len(columns)))
+    if len(plain):  # loadtxt warns on input with no row
+        try:
+            table = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            table = None
+    if table is None or table.shape != (len(plain), len(columns)):
+        return _read_lines(enumerate(text.split("\n"), start=1), columns, schema, report)
+    rows, line_nos = _read_lines(numbered, columns, schema, report)
+    if not len(rows):
+        return table, plain + 1
+    line_nos = np.concatenate([plain + 1, line_nos])
+    order = np.argsort(line_nos, kind="stable")
+    return np.concatenate([table, rows])[order], line_nos[order]
+
+
+def parse_metric_file(
+    lines: Union[str, Iterable[str]], schema: str
+) -> Tuple[MetricStore, IngestReport]:
+    """Parse one node's raw counter dump into a block of timestamp-ordered rows.
+
+    `lines` is the file's text, whose lines are its "\n"-separated pieces,
+    or an iterable of its lines. The block is a MetricStore whose columns
+    are the schema's counters (its node is left empty: the file name names
+    it), so len(block) is the number of rows kept. Timestamps below 1e12 are
+    seconds and become milliseconds, rounded half to even. Duplicate
+    timestamps keep the last row read. A column-count mismatch is a hard
+    error; a cell float() cannot read, a non-finite cell, or a timestamp
+    outside int64 milliseconds, only skips that line.
+    """
+    columns = _SCHEMAS.get(schema)
+    if columns is None:
+        raise IngestError(f"unknown metric schema {schema!r} (expected system|architecture)")
+    report = IngestReport()
+    if isinstance(lines, str):
+        table, line_nos = _read_text(lines, columns, schema, report)
+    else:
+        lines = [line[:-1] if line.endswith("\n") else line for line in lines]
+        text = "\n".join(lines)
+        # A line may hold a "\n" of its own, which split() reads as a space.
+        if text.count("\n") + 1 == len(lines):
+            table, line_nos = _read_text(text, columns, schema, report)
+        else:
+            table, line_nos = _read_lines(enumerate(lines, start=1), columns, schema, report)
+
     # A NaN would read as a missing metric in the trace's store.
     finite = np.isfinite(table).all(axis=1)
     # Epoch seconds are ~1.5e9, epoch ms ~1.5e12; treat small values as seconds.
@@ -179,7 +257,9 @@ def parse_metric_file(lines: Iterable[str], schema: str) -> Tuple[MetricStore, I
     # Checked before the cast, which would wrap silently.
     in_range = (ms >= -(2.0**63)) & (ms < 2.0**63)
     for i in np.flatnonzero(~(finite & in_range)).tolist():
-        report.note(line_nos[i], "non-finite cell" if not finite[i] else "timestamp out of range")
+        report.note(
+            int(line_nos[i]), "non-finite cell" if not finite[i] else "timestamp out of range"
+        )
     report.errors.sort(key=lambda error: error[0])
 
     kept = np.flatnonzero(finite & in_range)[::-1]
@@ -320,7 +400,8 @@ def ingest_raw(
             node = match.group("node")
             schema = "architecture" if match.group("schema") == "arch" else "system"
             with open(os.path.join(metrics_dir, name), encoding="utf-8") as fh:
-                block, sub_report = parse_metric_file(fh, schema)
+                text = fh.read()
+            block, sub_report = parse_metric_file(text, schema)
             report.errors.extend((ln, f"{name}: {msg}") for ln, msg in sub_report.errors)
             store = derive_series(block, schema, node, wrap_detection=wrap_detection)
             if len(store):

@@ -217,6 +217,11 @@ class Trace:
         if not self.cluster:
             problems.append("cluster must list at least one node")
         known = set(self.cluster)
+        job_ids = set()
+        for job in self.jobs:
+            if job.job_id in job_ids:
+                problems.append(f"job {job.job_id}: duplicate job_id")
+            job_ids.add(job.job_id)
         stage_ids = set()
         task_ids = set()
         for stage in self.stages():

@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
+from typing import Collection, Dict, Hashable, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -96,6 +96,47 @@ def save_trace(trace: Trace, path: str) -> None:
     problems = trace.validate()
     if problems:
         raise TraceValidationError(problems)
+    job_of = {stage.stage_id: job.job_id for job in trace.jobs for stage in job.stages}
+    task_rows = [
+        # Keys in _TASK_FIELDS order, for the type test below.
+        {
+            "stage_id": task.stage_id,
+            "node": task.node,
+            "launch_time": task.launch_time,
+            "finish_time": task.finish_time,
+            "task_id": task.task_id,
+            "locality": task.locality.value,
+            "data_size": task.data_size,
+            "succeeded": task.succeeded,
+        }
+        for stage in trace.stages()
+        for task in stage.tasks
+    ]
+    # A field type the loader rejects would write a trace it cannot load.
+    problems = [
+        f"job {job.job_id}: bad job record: job_id must be a string"
+        for job in trace.jobs
+        if type(job.job_id) is not str
+    ]
+    problems += [
+        f"stage {stage_id}: bad stage record: stage_id must be a string"
+        for stage_id in job_of
+        if type(stage_id) is not str
+    ]
+    problems += [
+        f"task {row['task_id']}: {_task_rule(row, job_of)}"
+        for row in task_rows
+        if tuple(map(type, row.values())) != _TASK_TYPES
+    ]
+    if problems:
+        raise TraceValidationError(problems)
+    task_rows.sort(key=lambda row: (job_of[row["stage_id"]], row["stage_id"], row["task_id"]))
+    jobs = sorted(trace.jobs, key=lambda j: j.job_id)
+    stage_rows = [
+        {"stage_id": stage.stage_id, "job_id": job.job_id}
+        for job in jobs
+        for stage in sorted(job.stages, key=lambda s: s.stage_id)
+    ]
     os.makedirs(path, exist_ok=True)
 
     meta = [
@@ -106,29 +147,9 @@ def save_trace(trace: Trace, path: str) -> None:
         }
     ]
     _write_entity_file(os.path.join(path, "meta.jsonl"), "meta", map(_dumps, meta))
-
-    jobs = sorted(trace.jobs, key=lambda j: j.job_id)
     _write_entity_file(
         os.path.join(path, "jobs.jsonl"), "jobs", (_dumps({"job_id": j.job_id}) for j in jobs)
     )
-    stage_rows = []
-    task_rows = []
-    for job in jobs:
-        for stage in sorted(job.stages, key=lambda s: s.stage_id):
-            stage_rows.append({"stage_id": stage.stage_id, "job_id": job.job_id})
-            for task in sorted(stage.tasks, key=lambda t: (t.task_id,)):
-                task_rows.append(
-                    {
-                        "task_id": task.task_id,
-                        "stage_id": task.stage_id,
-                        "node": task.node,
-                        "launch_time": task.launch_time,
-                        "finish_time": task.finish_time,
-                        "locality": task.locality.value,
-                        "data_size": task.data_size,
-                        "succeeded": task.succeeded,
-                    }
-                )
     _write_entity_file(os.path.join(path, "stages.jsonl"), "stages", map(_dumps, stage_rows))
     _write_entity_file(os.path.join(path, "tasks.jsonl"), "tasks", map(_dumps, task_rows))
     stores = [trace.metrics[node] for node in sorted(trace.metrics) if len(trace.metrics[node])]
@@ -248,11 +269,12 @@ _TASK_FIELDS = (
 )
 # The fields a row may leave out; Task's defaults stand in for them.
 _OPTIONAL_TASK_FIELDS = frozenset(("locality", "data_size", "succeeded"))
+_TASK_TYPES = tuple(kind for _, kind in _TASK_FIELDS)
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
 _LOCALITIES = {locality.value: locality for locality in Locality}
 
 
-def _task_rule(row: dict, stages: Dict[str, Stage]) -> str:
+def _task_rule(row: dict, stages: Collection[str]) -> str:
     """The first rule a tasks.jsonl record breaks, fields taken in
     `_TASK_FIELDS` order: a missing or mistyped field, an unknown stage
     right after `stage_id`, an unknown locality right after `locality`."""
@@ -333,6 +355,8 @@ def load_trace(path: str) -> Trace:
         job_id = _require(row, "job_id", jobs_path, line_no)
         if type(job_id) is not str:
             raise TraceParseError(jobs_path, line_no, "bad job record: job_id must be a string")
+        if job_id in jobs:
+            raise TraceParseError(jobs_path, line_no, f"duplicate job_id {job_id!r}")
         jobs[job_id] = Job(job_id=job_id)
 
     stages_path = os.path.join(path, "stages.jsonl")

@@ -7,7 +7,7 @@ from typing import Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import MetricSample, store_from_samples
@@ -147,7 +147,11 @@ def oracle_parse(lines, schema):
         cells = line.split()
         if not cells:
             continue
-        assert len(cells) == len(columns)
+        if len(cells) != len(columns):
+            raise IngestError(
+                f"line {line_no}: expected {len(columns)} columns for the "
+                f"{schema} schema, found {len(cells)}"
+            )
         try:
             numbers = [float(c) for c in cells]
         except ValueError:
@@ -601,8 +605,12 @@ def counter_file(draw, width):
     return lines
 
 
-@given(data=st.data(), wrap_detection=st.booleans())
-def test_ingest_raw_equals_per_row_oracle(data, wrap_detection):
+@given(
+    data=st.data(),
+    wrap_detection=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+def test_ingest_raw_equals_per_row_oracle(data, wrap_detection, newline):
     with tempfile.TemporaryDirectory() as tmp:
         events = os.path.join(tmp, "app.log")
         with open(events, "w", encoding="utf-8") as fh:
@@ -613,8 +621,9 @@ def test_ingest_raw_equals_per_row_oracle(data, wrap_detection):
             for kind, width in (("system", len(SYSTEM_COLUMNS)), ("arch", len(ARCH_COLUMNS))):
                 if data.draw(st.booleans()):
                     lines = data.draw(counter_file(width))
+                    # Both read with universal newlines: "\r\n" and "\r" end a line.
                     with open(os.path.join(mdir, f"{node}.{kind}.tsv"), "w",
-                              encoding="utf-8", newline="\n") as fh:
+                              encoding="utf-8", newline=newline) as fh:
                         fh.write("".join(line + "\n" for line in lines))
         trace, report = ingest_raw(events, mdir, wrap_detection=wrap_detection)
         expected, expected_report = oracle_ingest_raw(events, mdir, wrap_detection)
@@ -629,3 +638,113 @@ def test_ingest_raw_equals_per_row_oracle(data, wrap_detection):
         # Bit for bit, signed zeros included, so the saved files match too.
         assert store.values.tobytes() == want.values.tobytes()
     assert not trace.validate()
+
+
+# --- the two readers of parse_metric_file against the per-row reference -----
+#
+# Rows of plain characters (digits, ".", "e", "E", signs, spaces and tabs) are
+# read by numpy in one pass, every other line by float(). The cases below mix
+# the two in one file: rows of both kinds sharing a timestamp (the later line
+# wins), a wrong-width line on either side of the other kind, plain tokens
+# that float() rejects too, and files with no plain row at all.
+
+_PLAIN_SEPARATORS = (" ", "  ", "\t", " \t")
+# str.split reads each as whitespace, numpy's reader does not see the line.
+_OTHER_SEPARATORS = ("\x0b", "\x1c", "\x85", "\u3000", "\x0c", "\r", " \x0b ")
+_PLAIN_STAMPS = st.one_of(
+    st.integers(0, 2).map(lambda k: str(1_460_000_000 + k)),
+    st.integers(0, 2).map(lambda k: f"{(1_460_000_000 + k) * 1000}.5"),
+    st.sampled_from(["1e20", "-9223372036854775808", "1e999", "-0"]),
+)
+_PLAIN_CELLS = st.one_of(
+    st.sampled_from(["0", "-0", "+7", "2.5", ".5", "5.", "1E3", "1e-400", "1e308"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+# float() reads these and numpy's reader never sees them.
+_OTHER_CELLS = st.sampled_from(["1_0", "\u0663", "\uff11", "nan", "-Infinity", "inf", "0x10", "n/a"])
+# Plain characters that float() rejects: numpy's reader raises, so the whole
+# file is read line by line.
+_BAD_PLAIN_CELLS = st.sampled_from(["1.2.3", "-", ".", "e5", "1e", "+-1"])
+_BLANK_LINES = st.sampled_from(["", " ", "\t", " \t  ", "\x0b", "\x1c "])
+
+
+@st.composite
+def metric_lines(draw, width):
+    """Lines of one counter dump: plain rows, rows float() alone reads,
+    rows with a rejected plain token, wrong-width rows and blank lines. Half
+    the rows after the first repeat an earlier row's timestamp."""
+    lines, stamps = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["plain"] * 3 + ["other"] * 3 + ["bad", "wide", "blank"]))
+        if kind == "blank":
+            lines.append(draw(_BLANK_LINES))
+            continue
+        n = width
+        if kind == "wide":
+            n = draw(st.sampled_from([1, width - 1, width + 1]))
+        if stamps and draw(st.booleans()):
+            stamps.append(draw(st.sampled_from(stamps)))
+        else:
+            stamps.append(draw(_PLAIN_STAMPS))
+        cells = [stamps[-1]] + [draw(_PLAIN_CELLS) for _ in range(n - 1)]
+        separator = draw(st.sampled_from(_PLAIN_SEPARATORS))
+        if kind == "bad":
+            cells[draw(st.integers(0, n - 1))] = draw(_BAD_PLAIN_CELLS)
+        if kind == "other" or (kind == "wide" and draw(st.booleans())):
+            if draw(st.booleans()):
+                cells[draw(st.integers(0, n - 1))] = draw(_OTHER_CELLS)
+            else:
+                separator = draw(st.sampled_from(_OTHER_SEPARATORS))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + separator.join(cells))
+    return lines
+
+
+def _metric_case(schema):
+    width = len(SYSTEM_COLUMNS if schema == "system" else ARCH_COLUMNS)
+    return metric_lines(width).map(lambda lines: (schema, lines))
+
+
+def _arch_row(stamp, cell="1", separator=" "):
+    return separator.join([stamp] + [cell] * (len(ARCH_COLUMNS) - 1))
+
+
+@given(
+    case=st.sampled_from(["architecture", "system"]).flatmap(_metric_case),
+    end=st.sampled_from(["", "\n"]),
+)
+# A wrong-width plain row after a line float() alone reads.
+@example(case=("architecture", [_arch_row("1", "1_0"), "1 2 3"]), end="\n")
+# A wrong-width line float() alone reads, between plain rows.
+@example(case=("architecture", [_arch_row("1"), "1_0 2", _arch_row("3")]), end="")
+# Wrong-width lines of both kinds: the first one is named.
+@example(case=("architecture", [_arch_row("1"), "1 2 3", "1_0 2"]), end="")
+@example(case=("architecture", ["1_0 2", "1 2 3", _arch_row("1")]), end="")
+# Rows of both readers on one timestamp: the later line wins.
+@example(case=("architecture", [_arch_row("2", "1\x0b"), _arch_row("2", "3")]), end="")
+@example(case=("architecture", [_arch_row("2", "3"), _arch_row("2", "4", "\x1c")]), end="")
+# A plain token float() rejects, between rows of both readers.
+@example(case=("architecture", [_arch_row("1", "1_0"), _arch_row("2", "1.2.3"),
+                                _arch_row("1")]), end="\n")
+# No plain row; only blank lines.
+@example(case=("architecture", [_arch_row("1", "nan"), "\x0b", " "]), end="")
+@example(case=("architecture", ["", " \t", "\t"]), end="\n")
+def test_parse_metric_file_equals_per_row_oracle(case, end):
+    schema, lines = case
+    text = "\n".join(lines) + end
+    try:
+        expected, expected_errors = oracle_parse(text.split("\n"), schema)
+    except IngestError as exc:
+        with pytest.raises(IngestError) as err:
+            parse_metric_file(text, schema)
+        assert str(err.value) == str(exc)
+        return
+    block, report = parse_metric_file(text, schema)
+    assert report.errors == expected_errors
+    assert block.timestamps.tolist() == [row.timestamp_ms for row in expected]
+    # Bit for bit, signed zeros included.
+    assert block.values.tobytes() == block_of(expected, schema).values.tobytes()
+    # The same file as a list of lines, with or without their "\n".
+    for given_lines in (text.split("\n"), [line + "\n" for line in text.split("\n")]):
+        again, again_report = parse_metric_file(given_lines, schema)
+        assert again_report.errors == expected_errors
+        assert again.values.tobytes() == block.values.tobytes()

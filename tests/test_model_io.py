@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -181,6 +182,53 @@ def test_reused_stage_id_rejected(tmp_path):
         load_trace(str(out))
     assert "stages.jsonl:3:" in str(err.value)
     assert "duplicate stage_id 's0'" in str(err.value)
+
+
+def test_reused_job_id_rejected(tmp_path):
+    out = tmp_path / "trace"
+    save_trace(make_trace(make_stage({"hw01": 1})), str(out))
+    jobs_file = out / "jobs.jsonl"
+    header, line = jobs_file.read_text().splitlines()
+    jobs_file.write_text("\n".join([header, line, line]) + "\n")
+    assert "jobs.jsonl:3: duplicate job_id 'j0'" in str(load_error(out))
+
+
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [
+        ("succeeded", 1, "succeeded must be true or false"),
+        ("launch_time", 1_460_000_000_000.0, "launch_time must be an integer"),
+        ("data_size", True, "data_size must be an integer"),
+        ("task_id", 7, "task_id must be a string"),  # beside string ids: not sortable
+    ],
+)
+def test_save_refuses_task_field_types_the_loader_rejects(tmp_path, field, value, rule):
+    stage = make_stage({"hw01": 2})
+    stage.tasks[0] = dataclasses.replace(stage.tasks[0], **{field: value})
+    task_id = stage.tasks[0].task_id
+    out = tmp_path / "trace"
+    with pytest.raises(TraceValidationError) as err:
+        save_trace(make_trace(stage), str(out))
+    assert err.value.problems == [f"task {task_id}: bad task record: {rule}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "job_id, stage_id, problem",
+    [
+        (5, "s0", "job 5: bad job record: job_id must be a string"),
+        ("j0", 3, "stage 3: bad stage record: stage_id must be a string"),
+    ],
+)
+def test_save_refuses_job_or_stage_id_types_the_loader_rejects(
+    tmp_path, job_id, stage_id, problem
+):
+    stage = make_stage({"hw01": 1}, stage_id=stage_id, job_id=job_id)
+    out = tmp_path / "trace"
+    with pytest.raises(TraceValidationError) as err:
+        save_trace(make_trace(stage), str(out))
+    assert err.value.problems[0] == problem
+    assert not out.exists()
 
 
 def test_error_line_counts_blank_lines(tmp_path):
@@ -516,10 +564,11 @@ def test_validate_reports_duplicate_ids_and_stray_metric_nodes():
     again = make_stage({"hw01": 1}, stage_id="s0")
     trace = Trace(
         cluster=["hw01"],
-        jobs=[Job(job_id="j0", stages=[first, again])],
+        jobs=[Job(job_id="j0", stages=[first, again]), Job(job_id="j0")],
         metrics={"hw09": metric_series("hw09", 0, 2, lambda i: {"cpu_usage": 0.5})},
     )
     problems = trace.validate()
+    assert "job j0: duplicate job_id" in problems
     assert "stage s0: duplicate stage_id" in problems
     assert "task t0: duplicate task_id" in problems
     assert "metric series for hw09: node not in cluster" in problems
@@ -850,6 +899,11 @@ def oracle_validate(trace):
     problems = []
     if not trace.cluster:
         problems.append("cluster must list at least one node")
+    job_ids = set()
+    for job in trace.jobs:
+        if job.job_id in job_ids:
+            problems.append(f"job {job.job_id}: duplicate job_id")
+        job_ids.add(job.job_id)
     known = set(trace.cluster)
     stage_ids = set()
     task_ids = set()
@@ -939,7 +993,8 @@ def small_traces(draw):
         values[: draw(st.integers(0, 1)) * draw(st.integers(0, len(values)))][-1:] = np.inf
         owner = draw(st.sampled_from([node, node, node, "hw02"]))
         metrics[node] = MetricStore(owner, ts, columns, values.reshape(len(columns), len(ts)))
-    return Trace(cluster=["hw01", "hw02"], jobs=[Job(job_id="j0", stages=stages)], metrics=metrics)
+    jobs = [Job(job_id="j0", stages=stages)] + [Job(job_id="j0")] * draw(st.integers(0, 1))
+    return Trace(cluster=["hw01", "hw02"], jobs=jobs, metrics=metrics)
 
 
 @given(trace=small_traces())
