@@ -128,23 +128,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     with open(args.report, "rb") as fh:
         report = parse_report(fh.read())
     labels = load_labels(args.labels)
-    findings = report.findings()
-    if args.kind:
-        from dataclasses import replace
-
-        kind = FindingKind(args.kind)
-        findings = [f for f in findings if f.kind is kind]
-        labels = [
-            replace(
-                rec,
-                expected_findings=frozenset(
-                    (k, m) for k, m in rec.expected_findings if k is kind
-                ),
-            )
-            for rec in labels
-            if any(k is kind for k, _ in rec.expected_findings)
-        ]
-    sys.stdout.write(score_report(findings, labels))
+    kinds = {FindingKind(args.kind)} if args.kind else None
+    sys.stdout.write(score_report(report.findings(), labels, kinds))
     return 0
 
 

@@ -83,31 +83,24 @@ def score(
 
 
 def score_report(
-    findings: Sequence[Finding], labels: Sequence[LabeledAnomaly]
+    findings: Sequence[Finding],
+    labels: Sequence[LabeledAnomaly],
+    kinds: Optional[Set[FindingKind]] = None,
 ) -> str:
-    """Structured-text score table: overall plus one row per detector kind."""
-    lines = []
-    overall = score(findings, labels)
-    lines.append(
-        "overall"
-        f"\tprecision={overall.precision:.4f}"
-        f"\trecall={overall.recall:.4f}"
-        f"\taccuracy={overall.accuracy:.4f}"
-        f"\tsuccesses={overall.successes}"
-        f"\talarms={overall.alarms}"
-        f"\toutliers={overall.outliers}"
-    )
+    """Structured-text score table: overall plus one row per detector kind,
+    both restricted to `kinds` when given."""
+    rows = [("overall", score(findings, labels, kinds))]
     for kind in FindingKind:
-        s = score(findings, labels, kinds={kind})
-        if s.alarms == 0 and s.outliers == 0:
-            continue
-        lines.append(
-            f"{kind.value}"
-            f"\tprecision={s.precision:.4f}"
-            f"\trecall={s.recall:.4f}"
-            f"\taccuracy={s.accuracy:.4f}"
-            f"\tsuccesses={s.successes}"
-            f"\talarms={s.alarms}"
-            f"\toutliers={s.outliers}"
-        )
-    return "\n".join(lines) + "\n"
+        if kinds is None or kind in kinds:
+            s = score(findings, labels, kinds={kind})
+            if s.alarms or s.outliers:
+                rows.append((kind.value, s))
+    return "".join(
+        f"{name}\tprecision={s.precision:.4f}"
+        f"\trecall={s.recall:.4f}"
+        f"\taccuracy={s.accuracy:.4f}"
+        f"\tsuccesses={s.successes}"
+        f"\talarms={s.alarms}"
+        f"\toutliers={s.outliers}\n"
+        for name, s in rows
+    )

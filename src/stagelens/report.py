@@ -47,6 +47,12 @@ class PipelineConfig:
     ultrashort_median_fraction: float = 0.05
     homogeneous: bool = True
 
+    def __post_init__(self) -> None:
+        # The detector configs hold the rules; building each one checks them.
+        for build in (self.imbalance, self.placement, self.similarity, self.outlier,
+                      self.ultrashort):
+            build()
+
     def imbalance(self) -> ImbalanceConfig:
         return ImbalanceConfig(bc=self.bc, th_ub=self.th_ub)
 
@@ -233,9 +239,8 @@ def _diagnose_stage(
 
     # Straggler screen over per-node mean runtimes of successful tasks.
     runtimes: Dict[str, List[int]] = {}
-    for task in stage.tasks:
-        if task.succeeded:
-            runtimes.setdefault(task.node, []).append(task.runtime)
+    for node, _, runtime in datasets.locality:
+        runtimes.setdefault(node, []).append(runtime)
     means = {node: sum(rs) / len(rs) for node, rs in runtimes.items()}
     straggle = appdetect.detect_stragglers(means, cfg.th_d)
     if straggle.evaluable:
@@ -300,8 +305,8 @@ def diagnose(trace: Trace, cfg: PipelineConfig = PipelineConfig()) -> DiagnosisR
     if not stages:
         raise DiagnoseError("trace holds no stages to diagnose")
     report = DiagnosisReport(mode_label=cfg.mode_label())
-    per_job_results: Dict[str, List[appdetect.ImbalanceResult]] = {}
     for job in trace.jobs:
+        results: List[appdetect.ImbalanceResult] = []
         for stage in job.stages:
             if not stage.tasks:
                 report.stages.append(
@@ -310,11 +315,8 @@ def diagnose(trace: Trace, cfg: PipelineConfig = PipelineConfig()) -> DiagnosisR
                 continue
             stage_report, imbalance = _diagnose_stage(trace, stage, cfg)
             report.stages.append(stage_report)
-            per_job_results.setdefault(job.job_id, []).append(imbalance)
-    for job in trace.jobs:
-        verdict = appdetect.judge_job_imbalance(
-            per_job_results.get(job.job_id, []), cfg.imbalance()
-        )
+            results.append(imbalance)
+        verdict = appdetect.judge_job_imbalance(results, cfg.imbalance())
         report.jobs.append(
             JobSummary(
                 job_id=job.job_id,

@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -113,72 +113,56 @@ class ScenarioError(Exception):
     pass
 
 
-# Per-kind effect tables at intensity 1. Metric effects are (multiplier,
-# modulation): the deviation from baseline is (mult-1)*intensity*(1+mod*wave)
-# with an alternating per-(node,metric) wave. Modulating the deviation rather
-# than the value keeps the window mean at the multiplier while decorrelating
-# co-perturbed metric columns, so covariance PCA sees one direction per
-# metric instead of a single joint fault direction. Bounded-ratio metrics
-# keep their peaks inside [0,1] at intensity 1.
-_RUNTIME_MULT: Dict[FaultKind, float] = {
-    FaultKind.SLOW_NODE: 2.5,
-    FaultKind.DISK_FILL: 1.0,
-    FaultKind.STRESS_INTERFERENCE: 1.8,
-    FaultKind.CACHE_FLUSH: 1.8,
-    FaultKind.UNEVEN_PLACEMENT: 3.0,
-    FaultKind.SKEW_DATA_SIZE: 1.0,
-    FaultKind.TASK_IMBALANCE: 1.0,
-}
+class _Effect(NamedTuple):
+    """What one fault kind injects at intensity 1.
 
-_METRIC_EFFECTS: Dict[FaultKind, Dict[str, Tuple[float, float]]] = {
-    FaultKind.SLOW_NODE: {"IPC": (0.45, 0.15)},
-    FaultKind.DISK_FILL: {
-        "weighted_io": (39.0, 1.0),
-        "ioWaitRatio": (25.0, 1.0),
-        "cpu_usage": (3.0, 1.0),
-    },
-    FaultKind.STRESS_INTERFERENCE: {
-        "cpu_usage": (3.0, 1.0),
-        "mem_usage": (1.7, 1.0),
-        "ioWaitRatio": (25.0, 1.0),
-        "weighted_io": (18.0, 1.0),
-    },
-    FaultKind.CACHE_FLUSH: {"L3_MPKI": (8.0, 1.0)},
-    FaultKind.UNEVEN_PLACEMENT: {"netR_band": (21.0, 1.0)},
-    FaultKind.SKEW_DATA_SIZE: {},
-    FaultKind.TASK_IMBALANCE: {},
-}
+    Metric effects are (multiplier, modulation): the deviation from baseline
+    is (mult-1)*intensity*(1+mod*wave) with an alternating per-(node,metric)
+    wave. Modulating the deviation rather than the value keeps the window mean
+    at the multiplier while decorrelating co-perturbed metric columns, so
+    covariance PCA sees one direction per metric instead of a single joint
+    fault direction. Bounded-ratio metrics keep their peaks inside [0,1] at
+    intensity 1.
+    """
 
-_LABELS: Dict[FaultKind, Tuple[Tuple[FindingKind, Optional[str]], ...]] = {
-    FaultKind.SLOW_NODE: (
-        (FindingKind.STRAGGLER, None),
-        (FindingKind.OUTLIER_METRIC, "IPC"),
+    runtime_mult: float
+    metrics: Dict[str, Tuple[float, float]]
+    findings: Tuple[FindingKind, ...] = ()  # those the injection does not imply
+
+    def expected_findings(self) -> frozenset:
+        """The ground truth: a fault that slows tasks is a straggler, each
+        metric it perturbs an outlier metric, plus the listed findings."""
+        expected = {(kind, None) for kind in self.findings}
+        expected.update((FindingKind.OUTLIER_METRIC, metric) for metric in self.metrics)
+        if self.runtime_mult > 1:
+            expected.add((FindingKind.STRAGGLER, None))
+        return frozenset(expected)
+
+
+_EFFECTS: Dict[FaultKind, _Effect] = {
+    FaultKind.SLOW_NODE: _Effect(2.5, {"IPC": (0.45, 0.15)}),
+    FaultKind.DISK_FILL: _Effect(
+        1.0,
+        {"weighted_io": (39.0, 1.0), "ioWaitRatio": (25.0, 1.0), "cpu_usage": (3.0, 1.0)},
+        (FindingKind.ABNORMAL_NODE,),
     ),
-    FaultKind.DISK_FILL: (
-        (FindingKind.ABNORMAL_NODE, None),
-        (FindingKind.OUTLIER_METRIC, "ioWaitRatio"),
-        (FindingKind.OUTLIER_METRIC, "weighted_io"),
-        (FindingKind.OUTLIER_METRIC, "cpu_usage"),
+    FaultKind.STRESS_INTERFERENCE: _Effect(
+        1.8,
+        {
+            "cpu_usage": (3.0, 1.0),
+            "mem_usage": (1.7, 1.0),
+            "ioWaitRatio": (25.0, 1.0),
+            "weighted_io": (18.0, 1.0),
+        },
     ),
-    FaultKind.STRESS_INTERFERENCE: (
-        (FindingKind.STRAGGLER, None),
-        (FindingKind.OUTLIER_METRIC, "cpu_usage"),
-        (FindingKind.OUTLIER_METRIC, "mem_usage"),
-        (FindingKind.OUTLIER_METRIC, "ioWaitRatio"),
-        (FindingKind.OUTLIER_METRIC, "weighted_io"),
+    FaultKind.CACHE_FLUSH: _Effect(1.8, {"L3_MPKI": (8.0, 1.0)}),
+    FaultKind.UNEVEN_PLACEMENT: _Effect(
+        3.0,
+        {"netR_band": (21.0, 1.0)},
+        (FindingKind.UNEVEN_PLACEMENT, FindingKind.ABNORMAL_NODE),
     ),
-    FaultKind.CACHE_FLUSH: (
-        (FindingKind.STRAGGLER, None),
-        (FindingKind.OUTLIER_METRIC, "L3_MPKI"),
-    ),
-    FaultKind.UNEVEN_PLACEMENT: (
-        (FindingKind.STRAGGLER, None),
-        (FindingKind.UNEVEN_PLACEMENT, None),
-        (FindingKind.ABNORMAL_NODE, None),
-        (FindingKind.OUTLIER_METRIC, "netR_band"),
-    ),
-    FaultKind.SKEW_DATA_SIZE: ((FindingKind.SKEW_DATA_SIZE, None),),
-    FaultKind.TASK_IMBALANCE: ((FindingKind.WORKLOAD_IMBALANCE, None),),
+    FaultKind.SKEW_DATA_SIZE: _Effect(1.0, {}, (FindingKind.SKEW_DATA_SIZE,)),
+    FaultKind.TASK_IMBALANCE: _Effect(1.0, {}, (FindingKind.WORKLOAD_IMBALANCE,)),
 }
 
 _SKEW_FRACTION = 0.3
@@ -233,7 +217,7 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
     skew_mult: Dict[Tuple[str, str], float] = {}
     count_shift: Dict[Tuple[str, str], int] = {}
     for fault in spec.faults:
-        mult = 1.0 + (_RUNTIME_MULT[fault.kind] - 1.0) * fault.intensity
+        mult = 1.0 + (_EFFECTS[fault.kind].runtime_mult - 1.0) * fault.intensity
         for sid in _fault_stages(fault, sids):
             for node in fault.nodes:
                 key = (sid, node)
@@ -309,7 +293,7 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
         node: {m: baseline_series[m].copy() for m in METRIC_SCHEMA} for node in nodes
     }
     for fault in spec.faults:
-        effects = _METRIC_EFFECTS[fault.kind]
+        effects = _EFFECTS[fault.kind].metrics
         for sid in _fault_stages(fault, sids):
             lo, hi = windows[sid]
             mask = (timestamps >= lo) & (timestamps <= hi)
@@ -337,23 +321,14 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
         for node in nodes
     }
 
-    labels: List[LabeledAnomaly] = []
-    seen = set()
-    for fault in spec.faults:
-        for sid in _fault_stages(fault, sids):
-            for node in fault.nodes:
-                key = (sid, node, fault.kind)
-                if key in seen:
-                    continue
-                seen.add(key)
-                labels.append(
-                    LabeledAnomaly(
-                        stage_id=sid,
-                        node=node,
-                        expected_findings=frozenset(_LABELS[fault.kind]),
-                    )
-                )
-    labels.sort(key=lambda rec: (rec.stage_id, rec.node))
+    # One label per (stage, node, fault kind), however many faults repeat it.
+    labeled = {
+        (sid, node, fault.kind): LabeledAnomaly(sid, node, _EFFECTS[fault.kind].expected_findings())
+        for fault in spec.faults
+        for sid in _fault_stages(fault, sids)
+        for node in fault.nodes
+    }
+    labels = sorted(labeled.values(), key=lambda rec: (rec.stage_id, rec.node))
 
     trace = Trace(
         cluster=list(nodes),
@@ -363,37 +338,22 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
     return trace, labels
 
 
-_PRESET_NAMES = ("case1", "case2", "case3", "eval-corpus")
+# The case studies share ScenarioSpec's defaults (6 nodes, 1 stage, 48 tasks)
+# and differ in their one fault: kind and target nodes.
+_CASES: Dict[str, Tuple[FaultKind, Tuple[str, ...]]] = {
+    "case1": (FaultKind.UNEVEN_PLACEMENT, ("hw05",)),
+    "case2": (FaultKind.DISK_FILL, ("hw03",)),
+    "case3": (FaultKind.CACHE_FLUSH, ("hw02", "hw06")),
+}
+_PRESET_NAMES = (*_CASES, "eval-corpus")
 _CORPUS_SIZE = 50
 _CORPUS_SEED_BASE = 20_260_000
 
 
 def preset(name: str, seed: int = 1) -> Union[ScenarioSpec, List[ScenarioSpec]]:
     """Named scenarios: the three case studies plus the evaluation corpus."""
-    if name == "case1":
-        return ScenarioSpec(
-            seed=seed,
-            nodes=6,
-            stages=1,
-            tasks_per_stage=48,
-            faults=(FaultSpec(FaultKind.UNEVEN_PLACEMENT, ("hw05",)),),
-        )
-    if name == "case2":
-        return ScenarioSpec(
-            seed=seed,
-            nodes=6,
-            stages=1,
-            tasks_per_stage=48,
-            faults=(FaultSpec(FaultKind.DISK_FILL, ("hw03",)),),
-        )
-    if name == "case3":
-        return ScenarioSpec(
-            seed=seed,
-            nodes=6,
-            stages=1,
-            tasks_per_stage=48,
-            faults=(FaultSpec(FaultKind.CACHE_FLUSH, ("hw02", "hw06")),),
-        )
+    if name in _CASES:
+        return ScenarioSpec(seed=seed, faults=(FaultSpec(*_CASES[name]),))
     if name == "eval-corpus":
         kinds = list(FaultKind)
         specs = []

@@ -111,6 +111,7 @@ def save_trace(trace: Trace, path: str) -> None:
         }
         for stage in trace.stages()
         for task in stage.tasks
+        if isinstance(task.locality, Locality)
     ]
     # A field type the loader rejects would write a trace it cannot load.
     problems = [
@@ -122,6 +123,14 @@ def save_trace(trace: Trace, path: str) -> None:
         f"stage {stage_id}: bad stage record: stage_id must be a string"
         for stage_id in job_of
         if type(stage_id) is not str
+    ]
+    # A row holds a locality's JSON value, which a str would pass for; a task
+    # without a Locality has no row.
+    problems += [
+        f"task {task.task_id}: bad task record: locality must be a Locality"
+        for stage in trace.stages()
+        for task in stage.tasks
+        if not isinstance(task.locality, Locality)
     ]
     problems += [
         f"task {row['task_id']}: {_task_rule(row, job_of)}"

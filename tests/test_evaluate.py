@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from stagelens.evaluate import Score, score, score_report
@@ -102,3 +104,25 @@ def test_score_report_lists_overall_and_kinds():
     assert text.startswith("overall")
     assert "Straggler" in text
     assert "precision=1.0000" in text
+
+    # Restricted to kinds, the table is that of the filtered inputs.
+    findings += [
+        finding(FindingKind.ABNORMAL_NODE, node="n2"),
+        finding(FindingKind.OUTLIER_METRIC, metric="IPC"),
+    ]
+    labels += [
+        label(node="n2", expected=((FindingKind.ABNORMAL_NODE, None), (FindingKind.STRAGGLER, None))),
+        label(node="n3", expected=((FindingKind.SKEW_DATA_SIZE, None),)),
+    ]
+    for kinds in ({FindingKind.ABNORMAL_NODE}, {FindingKind.STRAGGLER, FindingKind.OUTLIER_METRIC}):
+        text = score_report(findings, labels, kinds=kinds)
+        kept = [f for f in findings if f.kind in kinds]
+        narrowed = [
+            replace(rec, expected_findings=frozenset(e for e in rec.expected_findings if e[0] in kinds))
+            for rec in labels
+            if any(e[0] in kinds for e in rec.expected_findings)
+        ]
+        assert text == score_report(kept, narrowed)
+        assert [row.split("\t")[0] for row in text.splitlines()] == ["overall"] + [
+            kind.value for kind in FindingKind if kind in kinds
+        ]

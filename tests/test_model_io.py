@@ -200,6 +200,7 @@ def test_reused_job_id_rejected(tmp_path):
         ("launch_time", 1_460_000_000_000.0, "launch_time must be an integer"),
         ("data_size", True, "data_size must be an integer"),
         ("task_id", 7, "task_id must be a string"),  # beside string ids: not sortable
+        ("locality", "NODE_LOCAL", "locality must be a Locality"),  # passes the JSON rule
     ],
 )
 def test_save_refuses_task_field_types_the_loader_rejects(tmp_path, field, value, rule):

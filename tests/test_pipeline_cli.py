@@ -194,8 +194,16 @@ def test_cli_rejects_unknown_boolean_word(tmp_path, capsys, monkeypatch):
 
 
 def test_bad_config_values_rejected():
-    with pytest.raises(ValueError):
-        config_from_mapping({"bc": "1.4"}).imbalance()
+    with pytest.raises(ValueError, match="balance coefficient"):
+        config_from_mapping({"bc": "1.4"})
+    with pytest.raises(ValueError, match="dmin"):
+        PipelineConfig(dmin=2)
+
+
+def test_cli_checks_config_before_loading_the_trace(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
+    assert main(["diagnose", "--trace", str(tmp_path / "missing"), "--dmin", "2"]) == 2
+    assert capsys.readouterr().err == "error: dmin must be in (0,1)\n"
 
 
 def test_cli_flag_beats_config_file(tmp_path, monkeypatch):

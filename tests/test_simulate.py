@@ -44,18 +44,43 @@ def test_clean_spec_has_no_labels_and_no_findings():
     assert report.findings() == []
 
 
-def test_case2_labels_match_published_pattern():
-    trace, labels = generate_trace(preset("case2", seed=4))
+# Each fault kind's ground truth as published; the DiskFill row is case2.
+PUBLISHED_LABELS = {
+    FaultKind.SLOW_NODE: {(FindingKind.STRAGGLER, None), (FindingKind.OUTLIER_METRIC, "IPC")},
+    FaultKind.DISK_FILL: {
+        (FindingKind.ABNORMAL_NODE, None),
+        (FindingKind.OUTLIER_METRIC, "ioWaitRatio"),
+        (FindingKind.OUTLIER_METRIC, "weighted_io"),
+        (FindingKind.OUTLIER_METRIC, "cpu_usage"),
+    },
+    FaultKind.STRESS_INTERFERENCE: {
+        (FindingKind.STRAGGLER, None),
+        (FindingKind.OUTLIER_METRIC, "cpu_usage"),
+        (FindingKind.OUTLIER_METRIC, "mem_usage"),
+        (FindingKind.OUTLIER_METRIC, "ioWaitRatio"),
+        (FindingKind.OUTLIER_METRIC, "weighted_io"),
+    },
+    FaultKind.CACHE_FLUSH: {(FindingKind.STRAGGLER, None), (FindingKind.OUTLIER_METRIC, "L3_MPKI")},
+    FaultKind.UNEVEN_PLACEMENT: {
+        (FindingKind.STRAGGLER, None),
+        (FindingKind.UNEVEN_PLACEMENT, None),
+        (FindingKind.ABNORMAL_NODE, None),
+        (FindingKind.OUTLIER_METRIC, "netR_band"),
+    },
+    FaultKind.SKEW_DATA_SIZE: {(FindingKind.SKEW_DATA_SIZE, None)},
+    FaultKind.TASK_IMBALANCE: {(FindingKind.WORKLOAD_IMBALANCE, None)},
+}
+
+
+@pytest.mark.parametrize("kind", list(FaultKind), ids=lambda kind: kind.value)
+def test_labels_match_published_pattern(kind):
+    spec = ScenarioSpec(seed=4, faults=(FaultSpec(kind, ("hw03",)),))
+    if kind is FaultKind.DISK_FILL:
+        assert spec == preset("case2", seed=4)
+    trace, labels = generate_trace(spec)
     (label,) = labels
     assert label.node == "hw03"
-    assert label.expected_findings == frozenset(
-        {
-            (FindingKind.ABNORMAL_NODE, None),
-            (FindingKind.OUTLIER_METRIC, "ioWaitRatio"),
-            (FindingKind.OUTLIER_METRIC, "weighted_io"),
-            (FindingKind.OUTLIER_METRIC, "cpu_usage"),
-        }
-    )
+    assert label.expected_findings == frozenset(PUBLISHED_LABELS[kind])
 
 
 def test_case_presets_shapes():
@@ -145,7 +170,7 @@ def test_labels_header_must_name_the_labels_schema(tmp_path, header):
 def test_label_soundness_metric_deviation():
     # every injected metric effect moves the target's window mean well past
     # the baseline jitter band
-    from stagelens.simulate import _METRIC_EFFECTS
+    from stagelens.simulate import _EFFECTS
 
     for name in ("case1", "case2", "case3"):
         spec = preset(name, seed=6)
@@ -153,7 +178,7 @@ def test_label_soundness_metric_deviation():
         stage = trace.jobs[0].stages[0]
         ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
         for fault in spec.faults:
-            effects = _METRIC_EFFECTS[fault.kind]
+            effects = _EFFECTS[fault.kind].metrics
             peers = [n for n in trace.cluster if n not in fault.nodes]
             for metric, (mult, _) in effects.items():
                 mean_level, jitter = BASELINE_V1[metric]
