@@ -44,6 +44,7 @@ from .model import (
     MetricStore,
     Stage,
     Task,
+    TaskTable,
     Trace,
 )
 from .nodedetect import SimilarityConfig, cosine_similarity, detect_abnormal_nodes

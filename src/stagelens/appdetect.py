@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .model import Locality
+import numpy as np
+
+from . import model
+from .model import LOCALITY_CODES, Locality, TaskTable
 
 DEFAULT_PRIORITIES: Dict[Locality, float] = {
     Locality.PROCESS_LOCAL: 0.0,
@@ -123,47 +126,77 @@ class SkewResult:
     flagged_nodes: List[Tuple[str, float]] = field(default_factory=list)  # (node, ratio)
 
 
+def _node_totals(
+    tasks: TaskTable, values: np.ndarray
+) -> Tuple[Sequence[str], List[int], List[int]]:
+    """The table's nodes in name order, with each one's task count and the
+    exact integer sum of its tasks' values."""
+    if not len(tasks):
+        return (), [], []
+    counts = np.bincount(tasks.node)
+    if len(values) * int(np.abs(values).max()) >= 2**63:
+        values = values.astype(object)  # Python ints: an int64 sum could wrap
+    by_node = values[np.argsort(tasks.node, kind="stable")]
+    sums = np.add.reduceat(by_node, np.cumsum(counts) - counts)
+    return tasks.nodes, counts.tolist(), sums.tolist()
+
+
+def mean_runtimes(tasks: TaskTable) -> Dict[str, float]:
+    """Each node's mean task runtime, the straggler screen's input."""
+    nodes, counts, totals = _node_totals(tasks, tasks.runtime)
+    return {node: total / count for node, count, total in zip(nodes, counts, totals)}
+
+
 def detect_skew_data_size(
-    data_size: Sequence[Tuple[str, str, int]],
+    data_size: Union[TaskTable, Sequence[Tuple[str, str, int]]],
     th_size: float = 1.5,
     flag_small: bool = False,
 ) -> SkewResult:
     """Flag tasks/nodes whose data size outruns the stage median by th_size.
 
-    flag_small additionally tests the reciprocal ratio, catching much-smaller
-    sizes; it defaults off.
+    `data_size` is a table of tasks or (node, task_id, bytes) rows. Flagged
+    tasks are listed by task id. flag_small additionally tests the
+    reciprocal ratio, catching much-smaller sizes; it defaults off.
     """
     if th_size <= 1:
         raise ValueError("th_size must exceed 1")
-    if not data_size:
+    tasks = data_size
+    if not isinstance(tasks, TaskTable):
+        nodes, ids, sizes = zip(*data_size) if len(data_size) else ((), (), ())
+        tasks = TaskTable(ids, nodes, [0] * len(ids), [0] * len(ids), data_size=sizes)
+    if not len(tasks):
         return SkewResult(evaluable=False)
-    sizes = [s for _, _, s in data_size]
-    median = statistics.median(sizes)
+    sizes = tasks.data_size
+    median = model.median(sizes)
     if median == 0:
         return SkewResult(evaluable=False)
 
-    def skewed(value: float) -> Optional[float]:
-        ratio = value / median
-        if ratio > th_size:
-            return ratio
-        if flag_small and value > 0 and median / value > th_size:
-            return median / value
-        return None
+    def skewed(values: np.ndarray) -> np.ndarray:
+        """Each value's ratio to the median (or, with flag_small, the
+        median's to it) where that passes th_size, else 0. Values and
+        median are exact as floats, so each ratio is the one Python's
+        division of the numbers gives."""
+        ratio = values / median
+        small = np.zeros(len(values))
+        if flag_small:
+            np.divide(median, values, out=small, where=values > 0)
+        ratio = np.where(ratio > th_size, ratio, small)
+        return np.where(ratio > th_size, ratio, 0.0)
 
-    flagged_tasks = []
-    for node, task_id, size in data_size:
-        ratio = skewed(size)
-        if ratio is not None:
-            flagged_tasks.append((node, task_id, ratio))
-
-    per_node: Dict[str, List[int]] = {}
-    for node, _, size in data_size:
-        per_node.setdefault(node, []).append(size)
-    flagged_nodes = []
-    for node in sorted(per_node):
-        ratio = skewed(statistics.fmean(per_node[node]))
-        if ratio is not None:
-            flagged_nodes.append((node, ratio))
+    ratio = skewed(sizes)
+    hit = np.flatnonzero(ratio).tolist()
+    flagged_tasks = sorted(
+        zip(
+            map(tasks.nodes.__getitem__, tasks.node[hit].tolist()),
+            map(tasks.task_id.__getitem__, hit),
+            ratio[hit].tolist(),
+        ),
+        key=lambda row: row[1],
+    )
+    # statistics.fmean of a node's sizes: their exact sum, rounded once.
+    nodes, counts, totals = _node_totals(tasks, sizes)
+    means = np.array([float(total) / count for count, total in zip(counts, totals)])
+    flagged_nodes = [(node, r) for node, r in zip(nodes, skewed(means).tolist()) if r]
     return SkewResult(
         evaluable=True,
         median=median,
@@ -181,40 +214,49 @@ class PlacementEntry:
 
 
 def detect_uneven_placement(
-    locality: Sequence[Tuple[str, Locality, int]],
+    locality: Union[TaskTable, Sequence[Tuple[str, Locality, int]]],
     cfg: PlacementConfig = PlacementConfig(),
     total: Optional[int] = None,
 ) -> List[PlacementEntry]:
     """Locality-weighted share of long-runtime outlier tasks per node.
 
+    `locality` is a table of tasks or (node, locality, runtime ms) rows.
     Distances are runtimes minus the stage median; the suspicion group holds
     tasks beyond the mean absolute deviation, and an outlier must additionally
     clear 1.96 standard deviations on the long-runtime side.
     """
     if len(locality) < 2:
         raise ValueError("uneven placement needs at least two tasks")
-    runtimes = [float(r) for _, _, r in locality]
-    num = total if total is not None else len(locality)
-    med = statistics.median(runtimes)
-    mean_rt = sum(runtimes) / len(runtimes)
-    std = (sum((r - mean_rt) ** 2 for r in runtimes) / len(runtimes)) ** 0.5
+    tasks = locality
+    if not isinstance(tasks, TaskTable):
+        nodes, localities, runtimes = zip(*locality)
+        tasks = TaskTable([""] * len(nodes), nodes, [0] * len(nodes), runtimes, localities)
+    runtimes = tasks.runtime.astype(np.float64)
+    n = len(runtimes)
+    num = total if total is not None else n
+    # Sums run left to right, as Python's sum() of floats does.
+    med = model.median(runtimes)
+    mean_rt = np.cumsum(runtimes)[-1].item() / n
+    deviation = runtimes - mean_rt
+    std = (np.cumsum(deviation * deviation)[-1].item() / n) ** 0.5
     if std == 0:
         return []
-    dis = [r - med for r in runtimes]
-    mad = sum(abs(d) for d in dis) / len(dis)
+    dis = runtimes - med
+    mad = np.cumsum(np.abs(dis))[-1].item() / n
 
-    counts: Dict[Tuple[str, Locality], int] = {}
-    for (node, loc, _), d in zip(locality, dis):
-        if abs(d) <= mad:
-            continue
-        if abs(abs(d) - mad) > 1.96 * std and d > 0:
-            counts[(node, loc)] = counts.get((node, loc), 0) + 1
-
+    outlier = (np.abs(dis) > mad) & (np.abs(np.abs(dis) - mad) > 1.96 * std) & (dis > 0)
+    # One count per (node, locality) pair of outliers.
+    width = len(LOCALITY_CODES)
+    counts = np.bincount(tasks.node[outlier].astype(np.int64) * width + tasks.locality[outlier])
     entries = []
-    for (node, loc), count in sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
+    for pair in np.flatnonzero(counts).tolist():
+        code, loc = divmod(pair, width)
+        loc, count = LOCALITY_CODES[loc], int(counts[pair])
         ratio = count / num * cfg.priorities.get(loc, DEFAULT_PRIORITIES[Locality.UNKNOWN])
         if ratio > 0:
-            entries.append(PlacementEntry(locality=loc, node=node, ratio=ratio, outlier_count=count))
+            entries.append(
+                PlacementEntry(locality=loc, node=tasks.nodes[code], ratio=ratio, outlier_count=count)
+            )
     entries.sort(key=lambda e: (-e.ratio, e.node, e.locality.value))
     return entries
 

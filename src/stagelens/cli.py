@@ -26,7 +26,7 @@ from .report import (
     read_config_file,
     render_report,
 )
-from .simulate import ScenarioError, emit_scenario, load_labels, preset
+from .simulate import _PRESET_NAMES, ScenarioError, emit_scenario, load_labels, preset
 from .traceio import TraceParseError, TraceValidationError, load_trace, save_trace
 
 
@@ -57,9 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p_diag.add_argument(f"--{key.replace('_', '-')}", dest=key, help="config key " + key)
 
     p_sim = sub.add_parser("simulate", help="emit a labeled synthetic trace")
-    p_sim.add_argument(
-        "--preset", required=True, choices=("case1", "case2", "case3", "eval-corpus")
-    )
+    p_sim.add_argument("--preset", required=True, choices=_PRESET_NAMES)
     p_sim.add_argument("--seed", type=int, default=1)
     p_sim.add_argument("--out", required=True, help="output directory")
 

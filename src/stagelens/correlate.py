@@ -3,7 +3,6 @@ the per-stage feature datasets consumed by the detectors."""
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -11,7 +10,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .model import METRIC_SCHEMA, Locality, MetricStore, Stage, Trace
+from .model import METRIC_SCHEMA, MetricStore, Stage, TaskTable, Trace, median
 
 
 class CorrelateError(Exception):
@@ -32,9 +31,9 @@ def stage_window(stage: Stage) -> StageWindow:
         raise CorrelateError(f"stage {stage.stage_id}: cannot window an empty stage")
     return StageWindow(
         stage_id=stage.stage_id,
-        start=min(t.launch_time for t in stage.tasks),
-        finish=max(t.finish_time for t in stage.tasks),
-        nodes=frozenset(t.node for t in stage.tasks),
+        start=stage.start_time,
+        finish=stage.finish_time,
+        nodes=frozenset(stage.tasks.nodes),
     )
 
 
@@ -70,9 +69,9 @@ class UltrashortPolicy:
     median_fraction: float = 0.05
 
     def threshold(self, runtimes: Sequence[int]) -> float:
-        if not runtimes:
+        if not len(runtimes):
             return float(self.absolute_ms)
-        return max(float(self.absolute_ms), self.median_fraction * statistics.median(runtimes))
+        return max(float(self.absolute_ms), self.median_fraction * median(np.asarray(runtimes)))
 
 
 @dataclass(eq=False)
@@ -90,12 +89,15 @@ class FeatureDatasets:
 
     The detectors read the arrays. `vectors` and `matrix` are read-only
     views of them for perfbench/spans.py's traced replay of the pipeline.
+
+    `data_size` and `locality` both hold the table of the stage's successful
+    tasks, under the names the skew and placement screens take it by.
     """
 
     stage_id: str
     tnum: Dict[str, int]
-    data_size: List[Tuple[str, str, int]]  # (node, task_id, bytes)
-    locality: List[Tuple[str, Locality, int]]  # (node, locality, runtime ms)
+    data_size: TaskTable  # the successful tasks
+    locality: TaskTable  # the same table
     nodes: List[str]
     means: np.ndarray  # float64[len(nodes), len(METRIC_SCHEMA)]
     present: np.ndarray  # bool, the shape of means
@@ -139,20 +141,17 @@ def build_datasets(
     tasks never enter tnum or data_size; ultrashort tasks are dropped from
     tnum only.
     """
-    ok_tasks = [t for t in stage.tasks if t.succeeded]
-    failed = len(stage.tasks) - len(ok_tasks)
-    cutoff = policy.threshold([t.runtime for t in ok_tasks])
-
-    tnum = {node: 0 for node in cluster}
-    ultrashort = 0
-    for task in ok_tasks:
-        if task.runtime < cutoff:
-            ultrashort += 1
-            continue
-        tnum[task.node] = tnum.get(task.node, 0) + 1
-
-    data_size = [(t.node, t.task_id, t.data_size) for t in ok_tasks]
-    locality = [(t.node, t.locality, t.runtime) for t in ok_tasks]
+    tasks = stage.tasks
+    ok = tasks if tasks.succeeded.all() else tasks.take(tasks.succeeded)
+    runtime = ok.runtime
+    counted = ok.node[~(runtime < policy.threshold(runtime))]
+    tally = np.bincount(counted, minlength=len(ok.nodes)).tolist()
+    # Cluster nodes first; a node outside the cluster follows at its first
+    # counted task.
+    tnum = dict.fromkeys(cluster, 0)
+    first = np.unique(counted, return_index=True)[1]
+    for code in counted[np.sort(first)].tolist():
+        tnum[ok.nodes[code]] = tally[code]
 
     nodes = sorted(node for node, store in slices.series.items() if len(store))
     missing = sorted(node for node, store in slices.series.items() if not len(store))
@@ -204,15 +203,15 @@ def build_datasets(
     return FeatureDatasets(
         stage_id=stage.stage_id,
         tnum=tnum,
-        data_size=data_size,
-        locality=locality,
+        data_size=ok,
+        locality=ok,
         nodes=nodes,
         means=means,
         present=present,
         stacked=stacked,
         offsets=offsets,
         matrix_metrics=columns,
-        ultrashort_count=ultrashort,
-        failed_count=failed,
+        ultrashort_count=len(ok) - len(counted),
+        failed_count=len(tasks) - len(ok),
         missing_metric_nodes=missing,
     )

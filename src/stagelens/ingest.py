@@ -21,8 +21,10 @@ from .model import (  # noqa: F401  (the derived-metric names are re-exported)
     SYSTEM_METRICS,
     Job,
     MetricStore,
+    TASK_INT_BOUND,
     Stage,
     Task,
+    TaskTable,
     Trace,
     metric_columns,
     parse_locality,
@@ -71,7 +73,7 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
     Raises IngestError when no usable task-end event is found.
     """
     report = IngestReport()
-    tasks: List[Task] = []
+    tasks: Dict[str, List[Task]] = {}  # stage id -> its tasks, in event order
     stage_to_job: Dict[str, str] = {}
 
     for line_no, line in enumerate(lines, start=1):
@@ -102,9 +104,9 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
             host = info.get("Host") or metrics.get("Host Name")
             if not host:
                 raise KeyError("Host")
+            stage_id = str(event["Stage ID"])
             task = Task(
                 task_id=str(info["Task ID"]),
-                stage_id=str(event["Stage ID"]),
                 node=str(host),
                 launch_time=launch,
                 finish_time=finish,
@@ -115,27 +117,29 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
         except (KeyError, TypeError, ValueError) as exc:
             report.note(line_no, f"unusable task-end event: {exc!r}")
             continue
-        if task.finish_time < task.launch_time:
+        outside = [
+            name for name in ("launch_time", "finish_time", "data_size")
+            if not 0 <= getattr(task, name) < TASK_INT_BOUND
+        ]
+        if outside:
+            report.note(line_no, f"unusable task-end event: {outside[0]} outside [0, 2**53)")
+        elif task.finish_time < task.launch_time:
             report.note(line_no, "task finishes before it launches")
-            continue
-        tasks.append(task)
+        else:
+            tasks.setdefault(stage_id, []).append(task)
 
     if not tasks:
         raise IngestError("no tasks: the event stream held no usable task-end events")
 
-    stages: Dict[str, Stage] = {}
-    for task in tasks:
-        job_id = stage_to_job.get(task.stage_id, "job_0")
-        stage = stages.setdefault(task.stage_id, Stage(stage_id=task.stage_id, job_id=job_id))
-        stage.tasks.append(task)
     jobs: Dict[str, Job] = {}
-    for stage in stages.values():
-        jobs.setdefault(stage.job_id, Job(job_id=stage.job_id)).stages.append(stage)
-    for job in jobs.values():
-        job.stages.sort(key=lambda s: s.stage_id)
+    cluster = set()
+    for stage_id in sorted(tasks):
+        job_id = stage_to_job.get(stage_id, "job_0")
+        stage = Stage(stage_id=stage_id, job_id=job_id, tasks=TaskTable.from_rows(tasks[stage_id]))
+        jobs.setdefault(job_id, Job(job_id=job_id)).stages.append(stage)
+        cluster.update(stage.tasks.nodes)
 
-    cluster = sorted({t.node for t in tasks})
-    trace = Trace(cluster=cluster, jobs=[jobs[k] for k in sorted(jobs)])
+    trace = Trace(cluster=sorted(cluster), jobs=[jobs[k] for k in sorted(jobs)])
     return trace, report
 
 

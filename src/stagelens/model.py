@@ -10,7 +10,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -72,10 +83,32 @@ def parse_locality(text: str) -> Locality:
     return _LOCALITY_ALIASES.get(str(text).strip().upper(), Locality.UNKNOWN)
 
 
-@dataclass(frozen=True)
-class Task:
+#: launch_time, finish_time and data_size are integers in [0, TASK_INT_BOUND).
+#: Below 2**53 an int64 converts to float64 exactly, so the screens' float
+#: arithmetic on these columns gives the bits it would give on Python ints.
+TASK_INT_BOUND = 2**53
+
+#: TaskTable.locality holds each task's position in this tuple.
+LOCALITY_CODES: Tuple[Locality, ...] = tuple(Locality)
+_LOCALITY_CODE = {loc: code for code, loc in enumerate(LOCALITY_CODES)}
+
+
+def median(values: np.ndarray):
+    """statistics.median of a non-empty 1-D int64 or float64 array, as a
+    Python number: the middle value, or the mean of the two middle values.
+    For int64 values below 2**53 in magnitude this is statistics.median's
+    result on the same values as Python ints."""
+    mid = len(values) // 2
+    if len(values) % 2:
+        return np.partition(values, mid)[mid].item()
+    part = np.partition(values, (mid - 1, mid))
+    return (part[mid - 1].item() + part[mid].item()) / 2
+
+
+class Task(NamedTuple):
+    """One task as a row: what producers build and what a TaskTable yields."""
+
     task_id: str
-    stage_id: str
     node: str
     launch_time: int  # ms since epoch
     finish_time: int  # ms since epoch
@@ -88,23 +121,221 @@ class Task:
         return self.finish_time - self.launch_time
 
 
+class TaskTableError(ValueError):
+    """A value a TaskTable refuses; the message names the task and field."""
+
+
+def _first(flags: Sequence[bool]) -> int:
+    return next(i for i, flag in enumerate(flags) if flag)
+
+
+def _typed(name: str, values, kind: type, what: str, task_id: Sequence) -> list:
+    """`values` as a list, each value of exactly `kind` (a bool is no int)."""
+    values = list(values)
+    if not set(map(type, values)) <= {kind}:
+        i = _first([type(v) is not kind for v in values])
+        raise TaskTableError(f"task {task_id[i]}: {name} must be {what}")
+    return values
+
+
+def _int_column(name: str, values, task_id: Sequence, high: int) -> np.ndarray:
+    """A read-only int64 column of integers in [0, high): an integer array,
+    or a sequence of ints."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iu" or values.ndim != 1:
+            raise TaskTableError(f"{name} must be a 1-D integer array")
+        bounds = (values.min(), values.max()) if len(values) else (0, -1)
+    else:
+        values = _typed(name, values, int, "an integer", task_id)
+        bounds = (min(values), max(values)) if values else (0, -1)
+    if len(values) != len(task_id):
+        raise TaskTableError(f"{name} holds {len(values)} values for {len(task_id)} tasks")
+    if bounds[0] < 0 or bounds[1] >= high:
+        i = _first([not 0 <= v < high for v in values])
+        limit = "2**53" if high == TASK_INT_BOUND else high
+        raise TaskTableError(f"task {task_id[i]}: {name} {values[i]} is outside [0, {limit})")
+    column = np.array(values, dtype=np.int64)
+    column.flags.writeable = False
+    return column
+
+
+class TaskTable:
+    """One stage's tasks, held column by column; row i is task i.
+
+    - `task_id`: tuple of str.
+    - `node`: int32 codes into `nodes`, the sorted names of the nodes that
+      ran a task (each name is used).
+    - `launch_time`, `finish_time`, `data_size`: int64 in [0, TASK_INT_BOUND).
+    - `locality`: int8 codes into LOCALITY_CODES.
+    - `succeeded`: bool.
+
+    Columns are read-only. Build a table from per-task values: `node` as
+    names, `locality` as Locality members, `succeeded` as bools (None takes
+    Task's default for every task). With `nodes` given, `node` holds codes
+    into it and `locality` may hold codes. Iterating yields Task rows.
+    """
+
+    __slots__ = (
+        "task_id", "nodes", "node", "launch_time", "finish_time", "locality", "data_size",
+        "succeeded",
+    )
+
+    def __init__(
+        self,
+        task_id: Sequence[str],
+        node: Sequence,
+        launch_time: Sequence[int],
+        finish_time: Sequence[int],
+        locality: Optional[Sequence] = None,
+        data_size: Optional[Sequence[int]] = None,
+        succeeded: Optional[Sequence[bool]] = None,
+        nodes: Optional[Sequence[str]] = None,
+    ):
+        task_id = tuple(task_id)
+        n = len(task_id)
+        _typed("task_id", task_id, str, "a string", task_id)
+        if nodes is None:
+            node = _typed("node", node, str, "a string", task_id)
+            nodes = sorted(set(node))
+            code = {name: i for i, name in enumerate(nodes)}
+            node = np.fromiter(map(code.__getitem__, node), np.int64, len(node))
+        else:
+            nodes = list(nodes)
+            if not set(map(type, nodes)) <= {str} or len(set(nodes)) != len(nodes):
+                raise TaskTableError("nodes must be distinct strings")
+            node = _int_column("node", node, task_id, len(nodes))
+        if len(node) != n:
+            raise TaskTableError(f"node holds {len(node)} values for {n} tasks")
+        # Keep the names of the nodes the codes use, sorted.
+        used = np.bincount(node, minlength=len(nodes)) > 0
+        if not used.all() or nodes != sorted(nodes):
+            keep = sorted(np.flatnonzero(used).tolist(), key=nodes.__getitem__)
+            recode = np.zeros(len(nodes), dtype=np.int64)
+            recode[keep] = np.arange(len(keep))
+            nodes, node = [nodes[i] for i in keep], recode[node]
+        self.task_id = task_id
+        self.nodes = tuple(nodes)
+        self.node = node.astype(np.int32)
+        self.launch_time = _int_column("launch_time", launch_time, task_id, TASK_INT_BOUND)
+        self.finish_time = _int_column("finish_time", finish_time, task_id, TASK_INT_BOUND)
+        self.data_size = _int_column(
+            "data_size", np.zeros(n, np.int64) if data_size is None else data_size, task_id,
+            TASK_INT_BOUND,
+        )
+        if locality is None:
+            locality = np.full(n, _LOCALITY_CODE[Locality.UNKNOWN])
+        elif not isinstance(locality, np.ndarray):
+            locality = _typed("locality", locality, Locality, "a Locality", task_id)
+            locality = np.fromiter(map(_LOCALITY_CODE.__getitem__, locality), np.int64, n)
+        self.locality = _int_column("locality", locality, task_id, len(LOCALITY_CODES)).astype(
+            np.int8
+        )
+        if succeeded is None:
+            succeeded = np.ones(n, dtype=bool)
+        elif not isinstance(succeeded, np.ndarray):
+            succeeded = np.array(_typed("succeeded", succeeded, bool, "true or false", task_id),
+                                 dtype=bool)
+        if succeeded.dtype != bool or succeeded.shape != (n,):
+            raise TaskTableError(f"succeeded must be {n} bools")
+        self.succeeded = succeeded.copy()
+        for column in (self.node, self.locality, self.succeeded):
+            column.flags.writeable = False
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Task]) -> "TaskTable":
+        """The table of Task rows (or tuples in Task's field order)."""
+        columns = list(zip(*rows))
+        if not columns:
+            return cls((), (), (), ())
+        return cls(*columns)
+
+    def take(self, index) -> "TaskTable":
+        """The rows that a bool mask or an integer index array selects."""
+        rows = np.arange(len(self))[index].tolist()
+        return TaskTable(
+            list(map(self.task_id.__getitem__, rows)),
+            self.node[index],
+            self.launch_time[index],
+            self.finish_time[index],
+            self.locality[index],
+            self.data_size[index],
+            self.succeeded[index],
+            nodes=self.nodes,
+        )
+
+    def sorted_by_id(self) -> "TaskTable":
+        order = sorted(range(len(self)), key=self.task_id.__getitem__)
+        return self if order == list(range(len(self))) else self.take(np.array(order, np.int64))
+
+    @property
+    def runtime(self) -> np.ndarray:
+        return self.finish_time - self.launch_time
+
+    def __len__(self) -> int:
+        return len(self.task_id)
+
+    def __iter__(self) -> Iterator[Task]:
+        return map(
+            Task._make,
+            zip(
+                self.task_id,
+                map(self.nodes.__getitem__, self.node.tolist()),
+                self.launch_time.tolist(),
+                self.finish_time.tolist(),
+                map(LOCALITY_CODES.__getitem__, self.locality.tolist()),
+                self.data_size.tolist(),
+                self.succeeded.tolist(),
+            ),
+        )
+
+    def __getitem__(self, i: int) -> Task:
+        return Task(
+            self.task_id[i],
+            self.nodes[self.node[i]],
+            int(self.launch_time[i]),
+            int(self.finish_time[i]),
+            LOCALITY_CODES[self.locality[i]],
+            int(self.data_size[i]),
+            bool(self.succeeded[i]),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        """Equal tables hold the same rows in the same order."""
+        if not isinstance(other, TaskTable):
+            return NotImplemented
+        return (
+            self.task_id == other.task_id
+            and self.nodes == other.nodes
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("node", "launch_time", "finish_time", "locality", "data_size",
+                             "succeeded")
+            )
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"TaskTable({len(self)} tasks on {len(self.nodes)} nodes)"
+
+
 @dataclass
 class Stage:
     stage_id: str
     job_id: str
-    tasks: List[Task] = field(default_factory=list)
+    tasks: TaskTable = field(default_factory=lambda: TaskTable((), (), (), ()))
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.tasks, TaskTable):
+            raise TypeError("Stage.tasks must be a TaskTable (see TaskTable.from_rows)")
 
     @property
     def start_time(self) -> Optional[int]:
-        if not self.tasks:
-            return None
-        return min(t.launch_time for t in self.tasks)
+        return int(self.tasks.launch_time.min()) if len(self.tasks) else None
 
     @property
     def finish_time(self) -> Optional[int]:
-        if not self.tasks:
-            return None
-        return max(t.finish_time for t in self.tasks)
+        return int(self.tasks.finish_time.max()) if len(self.tasks) else None
 
 
 @dataclass
@@ -201,7 +432,7 @@ class Trace:
         def content(trace: Trace) -> tuple:
             jobs = {
                 job.job_id: {
-                    (stage.stage_id, stage.job_id): sorted(stage.tasks, key=lambda t: t.task_id)
+                    (stage.stage_id, stage.job_id): stage.tasks.sorted_by_id()
                     for stage in job.stages
                 }
                 for job in trace.jobs
@@ -230,21 +461,17 @@ class Trace:
             stage_ids.add(stage.stage_id)
             # A stage that passes every check at once adds no problem; one
             # that fails any is walked task by task to name each violation.
-            ids = {task.task_id for task in stage.tasks}
+            tasks = stage.tasks
+            ids = set(tasks.task_id)
             if (
-                len(ids) == len(stage.tasks)
+                len(ids) == len(tasks)
                 and task_ids.isdisjoint(ids)
-                and known.issuperset([task.node for task in stage.tasks])
-                and all(
-                    task.launch_time <= task.finish_time
-                    and task.data_size >= 0
-                    and task.stage_id == stage.stage_id
-                    for task in stage.tasks
-                )
+                and known.issuperset(tasks.nodes)
+                and bool((tasks.launch_time <= tasks.finish_time).all())
             ):
                 task_ids |= ids
                 continue
-            for task in stage.tasks:
+            for task in tasks:
                 if task.task_id in task_ids:
                     problems.append(f"task {task.task_id}: duplicate task_id")
                 task_ids.add(task.task_id)
@@ -252,13 +479,6 @@ class Trace:
                     problems.append(
                         f"task {task.task_id}: finish_time {task.finish_time} "
                         f"< launch_time {task.launch_time}"
-                    )
-                if task.data_size < 0:
-                    problems.append(f"task {task.task_id}: negative data_size")
-                if task.stage_id != stage.stage_id:
-                    problems.append(
-                        f"task {task.task_id}: stage_id {task.stage_id!r} does not "
-                        f"match containing stage {stage.stage_id!r}"
                     )
                 if task.node not in known:
                     problems.append(

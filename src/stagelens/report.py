@@ -238,11 +238,7 @@ def _diagnose_stage(
     datasets = build_datasets(stage, slices, trace.cluster, cfg.ultrashort())
 
     # Straggler screen over per-node mean runtimes of successful tasks.
-    runtimes: Dict[str, List[int]] = {}
-    for node, _, runtime in datasets.locality:
-        runtimes.setdefault(node, []).append(runtime)
-    means = {node: sum(rs) / len(rs) for node, rs in runtimes.items()}
-    straggle = appdetect.detect_stragglers(means, cfg.th_d)
+    straggle = appdetect.detect_stragglers(appdetect.mean_runtimes(datasets.locality), cfg.th_d)
     if straggle.evaluable:
         for node, scale in straggle.stragglers:
             found(FindingKind.STRAGGLER, (node,), scale, cfg.th_d)

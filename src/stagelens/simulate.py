@@ -28,6 +28,7 @@ from .model import (
     MetricStore,
     Stage,
     Task,
+    TaskTable,
     Trace,
 )
 
@@ -249,32 +250,25 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
                 counts[donor] -= donated
                 counts[node] += donated
 
-        stage = Stage(stage_id=sid, job_id="job_0")
-        task_idx = 0
+        rows: List[Task] = []
         stage_end = clock
         for node in nodes:
             cursor = clock
             n_skewed = math.ceil(_SKEW_FRACTION * counts[node]) if (sid, node) in skew_mult else 0
+            locality = locality_override.get((sid, node), Locality.PROCESS_LOCAL)
             for k in range(counts[node]):
                 runtime = BASE_RUNTIME_MS * runtime_mult.get((sid, node), 1.0)
                 runtime *= 1.0 + RUNTIME_JITTER * rng.uniform(-1.0, 1.0)
                 size = BASE_DATA_SIZE * (1.0 + DATA_JITTER * rng.uniform(-1.0, 1.0))
                 if k < n_skewed:
                     size *= skew_mult[(sid, node)]
-                task = Task(
-                    task_id=f"{sid}-t{task_idx:04d}",
-                    stage_id=sid,
-                    node=node,
-                    launch_time=int(cursor),
-                    finish_time=int(cursor + max(1.0, runtime)),
-                    locality=locality_override.get((sid, node), Locality.PROCESS_LOCAL),
-                    data_size=int(size),
+                finish = int(cursor + max(1.0, runtime))
+                rows.append(
+                    Task(f"{sid}-t{len(rows):04d}", node, cursor, finish, locality, int(size))
                 )
-                stage.tasks.append(task)
-                cursor = task.finish_time
-                task_idx += 1
+                cursor = finish
             stage_end = max(stage_end, cursor)
-        stages.append(stage)
+        stages.append(Stage(stage_id=sid, job_id="job_0", tasks=TaskTable.from_rows(rows)))
         windows[sid] = (clock, int(stage_end))
         clock = int(stage_end) + STAGE_GAP_MS
 

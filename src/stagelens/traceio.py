@@ -1,9 +1,10 @@
-"""On-disk trace format: a directory of line-delimited JSON files plus two
-.npy columns for the metric series.
+"""On-disk trace format: a directory of line-delimited JSON files plus
+three .npy columns, one for the task numbers and two for the metric series.
 
 One JSON file per entity kind (meta, jobs, stages, tasks, metrics), each
-starting with a schema-version header line; `metrics.jsonl` is the index of
-the series, whose timestamps and values sit back to back in
+starting with a schema-version header line. `tasks.jsonl` is the index of
+each stage's tasks, whose numbers sit in `tasks.values.npy`; `metrics.jsonl`
+is the index of the series, whose timestamps and values sit back to back in
 `metrics.timestamps.npy` and `metrics.values.npy`. Output is deterministic:
 entities are sorted, keys are sorted, and every missing value is the one
 canonical NaN.
@@ -14,24 +15,28 @@ from __future__ import annotations
 import io
 import json
 import os
-from typing import Collection, Dict, Hashable, Iterable, Iterator, List, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
 from .model import (
+    TASK_INT_BOUND,
     Job,
-    Locality,
     MetricStore,
     Stage,
-    Task,
+    TaskTable,
+    TaskTableError,
     Trace,
     checked_once,
     metric_columns,
 )
 
-SCHEMA_VERSION = "stagelens-trace/2"
+SCHEMA_VERSION = "stagelens-trace/3"
 
-# The metric columns: file name and little-endian dtype of each.
+# The column files: file name and little-endian dtype of each.
+_TASK_VALUES = ("tasks.values.npy", "<i8")
+# The rows of one stage's block in tasks.values.npy, `count` values each.
+_TASK_ROWS = ("launch_time", "finish_time", "data_size", "node", "locality", "succeeded")
 _TIMESTAMPS = ("metrics.timestamps.npy", "<i8")
 _VALUES = ("metrics.values.npy", "<f8")
 _INT64 = np.iinfo(np.int64)
@@ -96,50 +101,19 @@ def save_trace(trace: Trace, path: str) -> None:
     problems = trace.validate()
     if problems:
         raise TraceValidationError(problems)
-    job_of = {stage.stage_id: job.job_id for job in trace.jobs for stage in job.stages}
-    task_rows = [
-        # Keys in _TASK_FIELDS order, for the type test below.
-        {
-            "stage_id": task.stage_id,
-            "node": task.node,
-            "launch_time": task.launch_time,
-            "finish_time": task.finish_time,
-            "task_id": task.task_id,
-            "locality": task.locality.value,
-            "data_size": task.data_size,
-            "succeeded": task.succeeded,
-        }
-        for stage in trace.stages()
-        for task in stage.tasks
-        if isinstance(task.locality, Locality)
-    ]
-    # A field type the loader rejects would write a trace it cannot load.
+    # An id type the loader rejects would write a trace it cannot load.
     problems = [
         f"job {job.job_id}: bad job record: job_id must be a string"
         for job in trace.jobs
         if type(job.job_id) is not str
     ]
     problems += [
-        f"stage {stage_id}: bad stage record: stage_id must be a string"
-        for stage_id in job_of
-        if type(stage_id) is not str
-    ]
-    # A row holds a locality's JSON value, which a str would pass for; a task
-    # without a Locality has no row.
-    problems += [
-        f"task {task.task_id}: bad task record: locality must be a Locality"
+        f"stage {stage.stage_id}: bad stage record: stage_id must be a string"
         for stage in trace.stages()
-        for task in stage.tasks
-        if not isinstance(task.locality, Locality)
-    ]
-    problems += [
-        f"task {row['task_id']}: {_task_rule(row, job_of)}"
-        for row in task_rows
-        if tuple(map(type, row.values())) != _TASK_TYPES
+        if type(stage.stage_id) is not str
     ]
     if problems:
         raise TraceValidationError(problems)
-    task_rows.sort(key=lambda row: (job_of[row["stage_id"]], row["stage_id"], row["task_id"]))
     jobs = sorted(trace.jobs, key=lambda j: j.job_id)
     stage_rows = [
         {"stage_id": stage.stage_id, "job_id": job.job_id}
@@ -160,7 +134,28 @@ def save_trace(trace: Trace, path: str) -> None:
         os.path.join(path, "jobs.jsonl"), "jobs", (_dumps({"job_id": j.job_id}) for j in jobs)
     )
     _write_entity_file(os.path.join(path, "stages.jsonl"), "stages", map(_dumps, stage_rows))
-    _write_entity_file(os.path.join(path, "tasks.jsonl"), "tasks", map(_dumps, task_rows))
+    tables = [
+        (stage.stage_id, stage.tasks.sorted_by_id())
+        for job in jobs
+        for stage in sorted(job.stages, key=lambda s: s.stage_id)
+        if len(stage.tasks)
+    ]
+    _write_entity_file(
+        os.path.join(path, "tasks.jsonl"),
+        "tasks",
+        (
+            _dumps({"count": len(t), "nodes": list(t.nodes), "stage_id": stage_id,
+                    "task_ids": list(t.task_id)})
+            for stage_id, t in tables
+        ),
+    )
+    _write_npy(
+        path,
+        _TASK_VALUES,
+        len(_TASK_ROWS) * sum(len(t) for _, t in tables),
+        (np.concatenate([getattr(t, row) for row in _TASK_ROWS], dtype=np.int64)
+         for _, t in tables),
+    )
     stores = [trace.metrics[node] for node in sorted(trace.metrics) if len(trace.metrics[node])]
     _write_entity_file(
         os.path.join(path, "metrics.jsonl"),
@@ -264,47 +259,6 @@ def _index_entry(
     return node, columns, samples
 
 
-# A task row's fields in the order the first missing or mistyped one is
-# named, each with the JSON type it must have.
-_TASK_FIELDS = (
-    ("stage_id", str),
-    ("node", str),
-    ("launch_time", int),
-    ("finish_time", int),
-    ("task_id", str),
-    ("locality", str),
-    ("data_size", int),
-    ("succeeded", bool),
-)
-# The fields a row may leave out; Task's defaults stand in for them.
-_OPTIONAL_TASK_FIELDS = frozenset(("locality", "data_size", "succeeded"))
-_TASK_TYPES = tuple(kind for _, kind in _TASK_FIELDS)
-_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
-_LOCALITIES = {locality.value: locality for locality in Locality}
-
-
-def _task_rule(row: dict, stages: Collection[str]) -> str:
-    """The first rule a tasks.jsonl record breaks, fields taken in
-    `_TASK_FIELDS` order: a missing or mistyped field, an unknown stage
-    right after `stage_id`, an unknown locality right after `locality`."""
-    for key, kind in _TASK_FIELDS:
-        if key not in row:
-            if key in _OPTIONAL_TASK_FIELDS:
-                continue
-            return f"missing required field {key!r}"
-        value = row[key]
-        if type(value) is not kind:
-            return f"bad task record: {key} must be {_TYPE_NAMES[kind]}"
-        if key == "stage_id" and value not in stages:
-            return f"task references unknown stage {value!r}"
-        if key == "locality" and value not in _LOCALITIES:
-            try:
-                Locality(value)
-            except ValueError as exc:
-                return f"bad task record: {exc}"
-    raise AssertionError(f"task record breaks no rule: {row!r}")
-
-
 def _read_npy(trace_dir: str, column: Tuple[str, str], length: int) -> np.ndarray:
     """The 1-D array of `length` values that save_trace wrote to a column file.
 
@@ -323,7 +277,7 @@ def _read_npy(trace_dir: str, column: Tuple[str, str], length: int) -> np.ndarra
         if head[:8] != want[:8] or header.rstrip() != want[10:].rstrip():
             raise TraceParseError(
                 path, 0, f"not a 1-D {np.dtype(dtype).name} .npy array of the "
-                f"{length} values metrics.jsonl lists"
+                f"{length} values its index lists"
             )
         data = os.fstat(fh.fileno()).st_size - fh.tell()
         if data != length * np.dtype(dtype).itemsize:
@@ -331,6 +285,61 @@ def _read_npy(trace_dir: str, column: Tuple[str, str], length: int) -> np.ndarra
                 path, 0, f"holds {data} data bytes, its header gives {length} values"
             )
         return np.fromfile(fh, dtype=dtype, count=length)
+
+
+def _task_entry(
+    record: dict, path: str, line_no: int, stages: Dict[str, Stage]
+) -> Tuple[str, list, list]:
+    """One tasks.jsonl line: stage id, task ids and node names. TaskTable
+    checks the ids and names when the stage's numbers are read."""
+    stage_id = _require(record, "stage_id", path, line_no)
+    if type(stage_id) is not str:
+        raise TraceParseError(path, line_no, "stage_id must be a string")
+    if stage_id not in stages:
+        raise TraceParseError(path, line_no, f"tasks reference unknown stage {stage_id!r}")
+    count = _require(record, "count", path, line_no)
+    if type(count) is not int or count < 0:
+        raise TraceParseError(path, line_no, "count must be a non-negative integer")
+    ids = _require(record, "task_ids", path, line_no)
+    if not (isinstance(ids, list) and len(ids) == count):
+        raise TraceParseError(path, line_no, f"task_ids must be a list of {count} task ids")
+    nodes = _require(record, "nodes", path, line_no)
+    if not isinstance(nodes, list):
+        raise TraceParseError(path, line_no, "nodes must be a list of node names")
+    return stage_id, ids, nodes
+
+
+def _task_table(
+    block: np.ndarray, ids: list, nodes: list, offsets: Dict[str, int], applied: bool,
+    path: str, line_no: int,
+) -> TaskTable:
+    """One stage's tasks from its tasks.values.npy rows (_TASK_ROWS), with
+    its clock offsets applied unless they already are."""
+    launch, finish, size, node, locality, succeeded = block
+    try:
+        flags = (succeeded != 0) & (succeeded != 1)
+        if flags.any():
+            i = int(np.flatnonzero(flags)[0])
+            raise TaskTableError(f"task {ids[i]}: succeeded {succeeded[i]} is not 0 or 1")
+        tasks = TaskTable(ids, node, launch, finish, locality, size, succeeded == 1, nodes=nodes)
+    except TaskTableError as exc:
+        raise TraceParseError(path, line_no, str(exc)) from exc
+    shift = np.array([0 if applied else offsets.get(n, 0) for n in tasks.nodes], np.int64)
+    if not shift.any():
+        return tasks
+    # Offsets lie in int64 and times in [0, 2**53), so a clipped offset moves
+    # a time out of range exactly when the offset does, and never wraps.
+    shift = np.clip(shift, -TASK_INT_BOUND, TASK_INT_BOUND)[tasks.node]
+    launch, finish = tasks.launch_time + shift, tasks.finish_time + shift
+    flags = (np.minimum(launch, finish) < 0) | (np.maximum(launch, finish) >= TASK_INT_BOUND)
+    if flags.any():
+        i = int(np.flatnonzero(flags)[0])
+        offset = offsets[tasks.nodes[tasks.node[i]]]
+        raise TraceParseError(
+            path, line_no, f"clock offset {offset} moves task {ids[i]} out of [0, 2**53)"
+        )
+    return TaskTable(ids, tasks.node, launch, finish, tasks.locality, tasks.data_size,
+                     tasks.succeeded, nodes=tasks.nodes)
 
 
 def load_trace(path: str) -> Trace:
@@ -386,32 +395,6 @@ def load_trace(path: str) -> Trace:
         stages[stage_id] = stage
         jobs[job_id].stages.append(stage)
 
-    tasks_path = os.path.join(path, "tasks.jsonl")
-    for line_no, row in _read_entity_file(tasks_path, "tasks"):
-        # One test of every field; _task_rule names what failed.
-        stage_id = row.get("stage_id")
-        node = row.get("node")
-        launch = row.get("launch_time")
-        finish = row.get("finish_time")
-        task_id = row.get("task_id")
-        locality = row.get("locality", "UNKNOWN")
-        data_size = row.get("data_size", 0)
-        succeeded = row.get("succeeded", True)
-        if not (
-            type(stage_id) is str and type(node) is str and type(task_id) is str
-            and type(launch) is int and type(finish) is int and type(data_size) is int
-            and type(locality) is str and type(succeeded) is bool
-            and stage_id in stages and locality in _LOCALITIES
-        ):
-            raise TraceParseError(tasks_path, line_no, _task_rule(row, stages))
-        if not applied:
-            shift = offsets.get(node, 0)
-            launch += shift
-            finish += shift
-        stages[stage_id].tasks.append(
-            Task(task_id, stage_id, node, launch, finish, _LOCALITIES[locality], data_size, succeeded)
-        )
-
     metrics_path = os.path.join(path, "metrics.jsonl")
     index: Dict[str, Tuple[int, Tuple[str, ...], int]] = {}
     layouts: Dict[Hashable, str] = {}
@@ -447,6 +430,24 @@ def load_trace(path: str) -> Trace:
                 )
             ts = ts + offset
         metrics[node] = MetricStore(node, ts, columns, block)
+
+    tasks_path = os.path.join(path, "tasks.jsonl")
+    task_index: Dict[str, Tuple[int, list, list]] = {}
+    for line_no, row in _read_entity_file(tasks_path, "tasks"):
+        stage_id, ids, nodes = _task_entry(row, tasks_path, line_no, stages)
+        if stage_id in task_index:
+            raise TraceParseError(tasks_path, line_no, f"duplicate stage_id {stage_id!r}")
+        task_index[stage_id] = (line_no, ids, nodes)
+    width = len(_TASK_ROWS)
+    task_values = _read_npy(
+        path, _TASK_VALUES, width * sum(len(ids) for _, ids, _ in task_index.values())
+    )
+    at = 0
+    for stage_id, (line_no, ids, nodes) in task_index.items():
+        block = task_values[at : at + width * len(ids)].reshape(width, len(ids))
+        at += block.size
+        stages[stage_id].tasks = _task_table(block, ids, nodes, offsets, applied, tasks_path,
+                                             line_no)
 
     trace = Trace(
         cluster=sorted(cluster),

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from stagelens.model import Job, Locality, MetricStore, Stage, Task, Trace, metric_columns
+from stagelens.model import (
+    Job,
+    Locality,
+    MetricStore,
+    Stage,
+    Task,
+    TaskTable,
+    Trace,
+    metric_columns,
+)
 
 
 # Property tests draw the same examples on every run, and a slow shared host
@@ -16,7 +25,6 @@ settings.load_profile("stagelens")
 
 def make_task(
     task_id="t0",
-    stage_id="s0",
     node="hw01",
     launch=1_460_000_000_000,
     runtime=10_000,
@@ -26,7 +34,6 @@ def make_task(
 ):
     return Task(
         task_id=task_id,
-        stage_id=stage_id,
         node=node,
         launch_time=launch,
         finish_time=launch + runtime,
@@ -36,22 +43,24 @@ def make_task(
     )
 
 
+def stage_of(rows, stage_id="s0", job_id="j0"):
+    """A stage holding these Task rows."""
+    return Stage(stage_id=stage_id, job_id=job_id, tasks=TaskTable.from_rows(rows))
+
+
 def make_stage(counts, stage_id="s0", job_id="j0", runtime=10_000, launch=1_460_000_000_000):
     """counts: mapping node -> task count."""
-    stage = Stage(stage_id=stage_id, job_id=job_id)
-    i = 0
-    for node in sorted(counts):
-        for _ in range(counts[node]):
-            stage.tasks.append(
-                make_task(task_id=f"t{i}", stage_id=stage_id, node=node,
-                          launch=launch, runtime=runtime)
-            )
-            i += 1
-    return stage
+    nodes = [node for node in sorted(counts) for _ in range(counts[node])]
+    return stage_of(
+        [make_task(task_id=f"t{i}", node=node, launch=launch, runtime=runtime)
+         for i, node in enumerate(nodes)],
+        stage_id,
+        job_id,
+    )
 
 
 def make_trace(stage, metrics=None, extra_nodes=()):
-    nodes = sorted({t.node for t in stage.tasks} | set(extra_nodes))
+    nodes = sorted(set(stage.tasks.nodes) | set(extra_nodes))
     return Trace(
         cluster=nodes,
         jobs=[Job(job_id=stage.job_id, stages=[stage])],

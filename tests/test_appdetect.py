@@ -1,15 +1,24 @@
-import pytest
+import statistics
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import make_task
 from stagelens.appdetect import (
     ImbalanceConfig,
     PlacementConfig,
+    PlacementEntry,
+    SkewResult,
     detect_skew_data_size,
     detect_stragglers,
     detect_uneven_placement,
     detect_workload_imbalance,
     judge_job_imbalance,
+    mean_runtimes,
 )
-from stagelens.model import Locality
+from stagelens.correlate import UltrashortPolicy, build_datasets, slice_metrics, stage_window
+from stagelens.model import Locality, Stage, Task, TaskTable, Trace
 
 HADOOP_COUNTS = {"hw106": 228, "hw114": 159, "hw062": 44, "hw073": 23}
 
@@ -219,3 +228,160 @@ def test_equal_means_no_stragglers():
 def test_straggler_needs_two_nodes_and_nonzero_median():
     assert not detect_stragglers({"n1": 10.0}).evaluable
     assert not detect_stragglers({"n1": 0.0, "n2": 0.0}).evaluable
+
+
+# --- the task screens against their per-task reference -----------------------
+
+
+def left_to_right(values):
+    """sum() of floats as CPython before 3.12 runs it: one addition per value."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def per_task_oracle(tasks, cluster, policy, th_size, flag_small, cfg):
+    """The task half of build_datasets and the straggler, skew and placement
+    screens as they were written over one Task per task. Skewed tasks are
+    listed by task id.
+
+    Returns (tnum, ultrashort, failed, data_size, mean runtimes, skew, placement).
+    """
+    ok_tasks = [t for t in tasks if t.succeeded]
+    failed = len(tasks) - len(ok_tasks)
+    runtimes = [t.runtime for t in ok_tasks]
+    cutoff = float(policy.absolute_ms)
+    if runtimes:
+        cutoff = max(cutoff, policy.median_fraction * statistics.median(runtimes))
+    tnum = {node: 0 for node in cluster}
+    ultrashort = 0
+    for task in ok_tasks:
+        if task.runtime < cutoff:
+            ultrashort += 1
+            continue
+        tnum[task.node] = tnum.get(task.node, 0) + 1
+    data_size = [(t.node, t.task_id, t.data_size) for t in ok_tasks]
+    locality = [(t.node, t.locality, t.runtime) for t in ok_tasks]
+
+    by_node = {}
+    for node, _, runtime in locality:
+        by_node.setdefault(node, []).append(runtime)
+    means = {node: sum(rs) / len(rs) for node, rs in by_node.items()}
+
+    skew = SkewResult(evaluable=False)
+    median = statistics.median([s for _, _, s in data_size]) if data_size else 0
+    if median != 0:
+
+        def skewed(value):
+            ratio = value / median
+            if ratio > th_size:
+                return ratio
+            if flag_small and value > 0 and median / value > th_size:
+                return median / value
+            return None
+
+        flagged_tasks = []
+        for node, task_id, size in data_size:
+            ratio = skewed(size)
+            if ratio is not None:
+                flagged_tasks.append((node, task_id, ratio))
+        per_node = {}
+        for node, _, size in data_size:
+            per_node.setdefault(node, []).append(size)
+        flagged_nodes = []
+        for node in sorted(per_node):
+            ratio = skewed(statistics.fmean(per_node[node]))
+            if ratio is not None:
+                flagged_nodes.append((node, ratio))
+        skew = SkewResult(True, median, sorted(flagged_tasks, key=lambda t: t[1]), flagged_nodes)
+
+    placement = None
+    if len(locality) >= 2:
+        rts = [float(r) for _, _, r in locality]
+        med = statistics.median(rts)
+        mean_rt = left_to_right(rts) / len(rts)
+        std = (left_to_right((r - mean_rt) ** 2 for r in rts) / len(rts)) ** 0.5
+        placement = []
+        if std != 0:
+            dis = [r - med for r in rts]
+            mad = left_to_right(abs(d) for d in dis) / len(dis)
+            counts = {}
+            for (node, loc, _), d in zip(locality, dis):
+                if abs(d) <= mad:
+                    continue
+                if abs(abs(d) - mad) > 1.96 * std and d > 0:
+                    counts[(node, loc)] = counts.get((node, loc), 0) + 1
+            for (node, loc), count in counts.items():
+                ratio = count / len(locality) * cfg.priorities.get(loc, 1.0)
+                if ratio > 0:
+                    placement.append(PlacementEntry(loc, node, ratio, count))
+            placement.sort(key=lambda e: (-e.ratio, e.node, e.locality.value))
+    return tnum, ultrashort, failed, data_size, means, skew, placement
+
+
+_BIG = 2**53 - 1
+_TIME = st.one_of(st.integers(0, 40_000), st.integers(_BIG - 10**6, _BIG))
+_SIZE = st.one_of(st.integers(0, 300), st.integers(_BIG - 300, _BIG), st.just(0))
+
+
+@st.composite
+def task_rows(draw):
+    """Tasks on four nodes, times and sizes up to the 2**53 bound, some with
+    finish before launch (which validate would reject), ids out of order."""
+    rows = []
+    for i in draw(st.permutations(range(draw(st.integers(1, 30))))):
+        launch = draw(_TIME)
+        step = draw(st.one_of(st.integers(0, 3_000), st.integers(-500, 0), st.integers(0, _BIG)))
+        rows.append(Task(
+            task_id=f"t{i}",
+            node=draw(st.sampled_from(["n0", "n1", "n2", "n3"])),
+            launch_time=launch,
+            finish_time=min(_BIG, max(0, launch + step)),
+            locality=draw(st.sampled_from(list(Locality))),
+            data_size=draw(_SIZE),
+            succeeded=draw(st.booleans()) or draw(st.booleans()),
+        ))
+    return rows
+
+
+@given(
+    rows=task_rows(),
+    cluster=st.lists(st.sampled_from(["n0", "n1", "n2", "n4"]), unique=True),
+    policy=st.builds(UltrashortPolicy, st.integers(0, 5_000), st.floats(0.0, 1.0)),
+    th_size=st.floats(1.01, 4.0),
+    flag_small=st.booleans(),
+)
+def test_task_columns_equal_per_task_oracle(rows, cluster, policy, th_size, flag_small):
+    """build_datasets' task counts and the straggler, skew and placement
+    screens on the task table equal the per-task reference bit for bit."""
+    stage = Stage("s0", "j0", TaskTable.from_rows(rows))
+    trace = Trace(cluster=cluster)
+    ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), cluster, policy)
+    cfg = PlacementConfig()
+    tnum, ultrashort, failed, data_size, means, skew, placement = per_task_oracle(
+        rows, cluster, policy, th_size, flag_small, cfg
+    )
+    assert list(ds.tnum.items()) == list(tnum.items())
+    assert (ds.ultrashort_count, ds.failed_count) == (ultrashort, failed)
+    assert [(t.node, t.task_id, t.data_size) for t in ds.data_size] == data_size
+    assert mean_runtimes(ds.locality) == means
+    assert detect_stragglers(mean_runtimes(ds.locality)) == detect_stragglers(means)
+    assert detect_skew_data_size(ds.data_size, th_size, flag_small) == skew
+    assert detect_skew_data_size(data_size, th_size, flag_small) == skew
+    if placement is not None:
+        assert detect_uneven_placement(ds.locality, cfg, total=len(ds.locality)) == placement
+
+
+def test_node_sums_past_int64_stay_exact():
+    """2,048 sizes just under 2**53 on one node sum past 2**63; the node's
+    mean size is still the exact one."""
+    rows = [make_task(task_id=f"t{i:04d}", data_size=_BIG - i % 2) for i in range(2048)]
+    rows.append(make_task(task_id="u", node="hw02", data_size=1))
+    tasks = TaskTable.from_rows(rows)
+    result = detect_skew_data_size(tasks, th_size=1.5, flag_small=True)
+    assert result == per_task_oracle(rows, [], UltrashortPolicy(), 1.5, True, PlacementConfig())[5]
+    assert mean_runtimes(TaskTable.from_rows(r._replace(launch_time=0, finish_time=_BIG - i % 2)
+                                             for i, r in enumerate(rows[:2048]))) == {
+        "hw01": (1024 * _BIG + 1024 * (_BIG - 1)) / 2048
+    }

@@ -9,6 +9,7 @@ from conftest import (
     make_task,
     make_trace,
     metric_series,
+    stage_of,
     store_from_samples,
 )
 from stagelens.correlate import (
@@ -85,10 +86,10 @@ def assert_datasets_equal_oracle(rows, with_series, start, finish):
     """build_datasets over stores made from `rows` (node -> rows in any
     order) equals the per-sample oracle exactly, bit for bit."""
     nodes = sorted(rows)
-    stage = Stage(stage_id="s0", job_id="j0")
-    for node in nodes:
-        stage.tasks.append(make_task(task_id=node, node=node, launch=start,
-                                     runtime=finish - start))
+    stage = stage_of(
+        [make_task(task_id=node, node=node, launch=start, runtime=finish - start)
+         for node in nodes]
+    )
     trace = Trace(
         cluster=nodes,
         metrics={n: store_from_samples(n, rows[n]) for n in with_series},
@@ -170,19 +171,17 @@ def test_slices_are_views_of_the_store():
 
 
 def test_singleton_window():
-    stage = Stage(stage_id="s0", job_id="j0")
-    stage.tasks.append(make_task(node="hw073", launch=T0, runtime=5_000))
+    stage = stage_of([make_task(node="hw073", launch=T0, runtime=5_000)])
     window = stage_window(stage)
     assert (window.start, window.finish) == (T0, T0 + 5_000)
     assert window.nodes == {"hw073"}
 
 
 def test_union_envelope_over_six_nodes():
-    stage = Stage(stage_id="s0", job_id="j0")
-    for i in range(6):
-        stage.tasks.append(
-            make_task(task_id=f"t{i}", node=f"hw{i:02d}", launch=T0 + i * 1000, runtime=5_000)
-        )
+    stage = stage_of(
+        [make_task(task_id=f"t{i}", node=f"hw{i:02d}", launch=T0 + i * 1000, runtime=5_000)
+         for i in range(6)]
+    )
     window = stage_window(stage)
     assert window.start == T0
     assert window.finish == T0 + 5 * 1000 + 5_000
@@ -190,9 +189,8 @@ def test_union_envelope_over_six_nodes():
 
 
 def test_disjoint_tasks_share_one_window():
-    stage = Stage(stage_id="s0", job_id="j0")
-    stage.tasks.append(make_task(task_id="a", launch=T0, runtime=1_000))
-    stage.tasks.append(make_task(task_id="b", launch=T0 + 10_000, runtime=1_000))
+    stage = stage_of([make_task(task_id="a", launch=T0, runtime=1_000),
+                      make_task(task_id="b", launch=T0 + 10_000, runtime=1_000)])
     window = stage_window(stage)
     assert (window.start, window.finish) == (T0, T0 + 11_000)
 
@@ -252,9 +250,11 @@ def test_tnum_matches_case_counts():
 
 
 def test_conservation_with_ultrashort_and_failed():
-    stage = make_stage({"hw01": 5, "hw02": 5}, runtime=20_000)
-    stage.tasks.append(make_task(task_id="u1", node="hw01", runtime=300))  # ultrashort
-    stage.tasks.append(make_task(task_id="f1", node="hw02", succeeded=False))
+    stage = stage_of(
+        list(make_stage({"hw01": 5, "hw02": 5}, runtime=20_000).tasks)
+        + [make_task(task_id="u1", node="hw01", runtime=300),  # ultrashort
+           make_task(task_id="f1", node="hw02", succeeded=False)]
+    )
     trace = make_trace(stage)
     ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
     assert sum(ds.tnum.values()) == 10
@@ -262,9 +262,9 @@ def test_conservation_with_ultrashort_and_failed():
     assert ds.failed_count == 1
     assert sum(ds.tnum.values()) + ds.ultrashort_count + ds.failed_count == len(stage.tasks)
     # failed tasks never reach the data-size dataset
-    assert all(task_id != "f1" for _, task_id, _ in ds.data_size)
+    assert all(task_id != "f1" for task_id in ds.data_size.task_id)
     # ultrashort tasks stay in data_size (only tnum filters them)
-    assert any(task_id == "u1" for _, task_id, _ in ds.data_size)
+    assert any(task_id == "u1" for task_id in ds.data_size.task_id)
 
 
 def test_all_ultrashort_yields_empty_tnum():

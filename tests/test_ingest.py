@@ -23,6 +23,7 @@ from stagelens.ingest import (
     parse_spark_event_log,
 )
 from stagelens.model import Locality, MetricStore
+from stagelens.report import PipelineConfig, diagnose, render_report
 from stagelens.traceio import load_trace, save_trace
 
 TABLE_SAMPLE = {
@@ -69,7 +70,7 @@ def test_sample_task_end_record():
     (stage,) = list(trace.stages())
     (task,) = stage.tasks
     assert task.task_id == "2"
-    assert task.stage_id == "0"
+    assert stage.stage_id == "0"
     assert task.node == "hw073"
     assert task.locality is Locality.PROCESS_LOCAL
     assert task.launch_time == 1456896044081
@@ -513,6 +514,44 @@ def test_ingested_trace_round_trips(tmp_path):
         t.task_id for s in trace.stages() for t in s.tasks
     ]
     assert loaded == trace
+
+
+def test_ingested_trace_reports_the_same_after_a_save(tmp_path):
+    """Skewed tasks are listed by task id, so event order (9 before 10) and
+    the id order a save writes (10 before 9) give one report."""
+    lines = []
+    for task, size in ((9, 900), (10, 800), (11, 100), (12, 100), (13, 100)):
+        data = json.loads(event(0, task, launch=1_000_000, finish=1_010_000))
+        data["Task Metrics"]["Input Metrics"] = {"Bytes Read": size}
+        lines.append(json.dumps(data))
+    trace, report = parse_spark_event_log(lines)
+    assert not report.errors
+    save_trace(trace, str(tmp_path / "trace"))
+    before = render_report(diagnose(trace, PipelineConfig()))
+    assert "Skew data size: hw073 (x4.00), hw073/10 (x8.00), hw073/9 (x9.00)" in before.decode()
+    assert render_report(diagnose(load_trace(str(tmp_path / "trace")), PipelineConfig())) == before
+
+
+@pytest.mark.parametrize(
+    "field, key, value",
+    [
+        ("launch_time", "Launch Time", -1),
+        ("launch_time", "Launch Time", 2**63),
+        ("finish_time", "Finish Time", 2**53),
+        ("data_size", "Bytes Read", 2**53),
+    ],
+)
+def test_task_number_outside_the_bound_is_an_unusable_event(field, key, value):
+    """A task-end event whose launch, finish or size lies outside [0, 2**53)
+    is noted at its line and skipped; the table build never sees it."""
+    data = json.loads(event(0, 7))
+    if key == "Bytes Read":
+        data["Task Metrics"]["Input Metrics"] = {key: value}
+    else:
+        data["Task Info"][key] = value
+    trace, report = parse_spark_event_log([event(0, 1), json.dumps(data), event(0, 2)])
+    assert report.errors == [(2, f"unusable task-end event: {field} outside [0, 2**53)")]
+    assert [t.task_id for t in next(trace.stages()).tasks] == ["1", "2"]
 
 
 def test_overflowing_counters_ingest_and_save(tmp_path):

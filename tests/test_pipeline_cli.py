@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -14,8 +13,14 @@ from stagelens.report import (
     parse_report,
     render_report,
 )
-from stagelens.simulate import ScenarioSpec, emit_scenario, generate_trace, preset
-from stagelens.model import Trace
+from stagelens.simulate import (
+    _PRESET_NAMES,
+    ScenarioSpec,
+    emit_scenario,
+    generate_trace,
+    preset,
+)
+from stagelens.model import TaskTable, Trace
 
 MEAN_MEDIAN = PipelineConfig(representative="median", dmin=0.5)
 
@@ -94,7 +99,7 @@ def test_old_report_schema_rejected():
 def test_all_failed_stage_warns_no_successful_tasks():
     trace, _ = generate_trace(preset("case1", seed=1))
     stage = next(trace.stages())
-    stage.tasks[:] = [replace(task, succeeded=False) for task in stage.tasks]
+    stage.tasks = TaskTable.from_rows(task._replace(succeeded=False) for task in stage.tasks)
     warnings = diagnose(trace, PipelineConfig()).stages[0].warnings
     assert "skew screen not evaluable (no successful tasks)" in warnings
     assert not any("median data size" in w for w in warnings)
@@ -333,3 +338,10 @@ def test_cli_ingest(tmp_path, capsys):
 
     trace = load_trace(str(out_dir))
     assert trace.cluster == ["hw073"]
+
+
+@pytest.mark.parametrize("name", _PRESET_NAMES)
+def test_every_preset_name_parses(name):
+    """The simulate --preset choices are the simulator's preset table."""
+    args = _build_parser().parse_args(["simulate", "--preset", name, "--out", "x"])
+    assert args.preset == name

@@ -17,6 +17,7 @@ from stagelens.model import (
     MetricStore,
     Stage,
     Task,
+    TaskTable,
     Trace,
     metric_columns,
 )
@@ -66,12 +67,11 @@ def _trace(draw):
     nodes = [f"hw{i:02d}" for i in range(draw(st.integers(1, 7)))]
     stages = []
     for s in range(draw(st.integers(1, 3))):
-        stage = Stage(stage_id=f"s{s}", job_id="j0")
+        rows = []
         for t in range(draw(st.integers(0, 14))):
             launch = T0 + draw(st.integers(0, 30)) * 500
-            stage.tasks.append(Task(
+            rows.append(Task(
                 task_id=f"s{s}t{t}",
-                stage_id=stage.stage_id,
                 node=draw(st.sampled_from(nodes)),
                 launch_time=launch,
                 finish_time=launch + draw(st.integers(0, 20_000)),
@@ -79,7 +79,7 @@ def _trace(draw):
                 data_size=draw(st.integers(0, 10**12)),
                 succeeded=draw(st.booleans()),
             ))
-        stages.append(stage)
+        stages.append(Stage(stage_id=f"s{s}", job_id="j0", tasks=TaskTable.from_rows(rows)))
     without_series = draw(st.sets(st.sampled_from(nodes), max_size=1))
     shared = draw(st.sets(st.sampled_from(_METRICS), min_size=1, max_size=4))
     metrics = {
@@ -113,3 +113,23 @@ def test_diagnose_and_render_never_raise(trace, cfg):
         metrics=dict(reversed(list(trace.metrics.items()))),
     )
     assert _rendered(reordered, cfg) == (text, structured)
+
+
+@given(trace=_trace(), cfg=_CONFIG, data=st.data())
+def test_reports_ignore_task_order(trace, cfg, data):
+    """Shuffling the tasks within each stage changes no report: skewed tasks
+    are listed by task id, not in task file order."""
+    shuffled = Trace(
+        cluster=trace.cluster,
+        jobs=[
+            Job(job.job_id, [
+                Stage(stage.stage_id, stage.job_id, stage.tasks.take(
+                    np.array(data.draw(st.permutations(range(len(stage.tasks)))), dtype=np.int64)
+                ))
+                for stage in job.stages
+            ])
+            for job in trace.jobs
+        ],
+        metrics=trace.metrics,
+    )
+    assert _rendered(shuffled, cfg) == _rendered(trace, cfg)
