@@ -2,6 +2,10 @@
 
 __version__ = "0.1.0"
 
+from ._alloc import fix_malloc_thresholds
+
+fix_malloc_thresholds()
+
 from .appdetect import (
     ImbalanceConfig,
     PlacementConfig,

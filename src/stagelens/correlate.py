@@ -54,8 +54,8 @@ def slice_metrics(trace: Trace, window: StageWindow) -> MetricSlices:
         store = trace.metrics.get(node)
         if store is None:
             store = MetricStore(node, np.empty(0, np.int64), (), np.empty((0, 0)))
-        series[node] = store.window(window.start, window.finish)
-        if not len(series[node]):
+        cut = series[node] = store.window(window.start, window.finish)
+        if not len(cut.timestamps):
             gaps.append(node)
     return MetricSlices(window=window, series=series, gaps=gaps)
 

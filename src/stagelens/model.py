@@ -319,11 +319,16 @@ class TaskTable:
         return f"TaskTable({len(self)} tasks on {len(self.nodes)} nodes)"
 
 
+#: The tasks of a stage built without any. Table columns are read-only, so
+#: every such stage shares this one table.
+_NO_TASKS = TaskTable((), (), (), ())
+
+
 @dataclass
 class Stage:
     stage_id: str
     job_id: str
-    tasks: TaskTable = field(default_factory=lambda: TaskTable((), (), (), ()))
+    tasks: TaskTable = field(default_factory=lambda: _NO_TASKS)
 
     def __post_init__(self) -> None:
         if not isinstance(self.tasks, TaskTable):
@@ -369,6 +374,9 @@ def _in_store_order(columns: Tuple) -> bool:
     return all(isinstance(c, str) for c in columns) and columns == metric_columns(columns)
 
 
+_INT64_MAX = 2**63 - 1
+
+
 @dataclass(eq=False)
 class MetricStore:
     """One node's metric series, held column by column.
@@ -386,9 +394,14 @@ class MetricStore:
     values: np.ndarray
 
     def window(self, start: int, finish: int) -> "MetricStore":
-        """The rows with start <= timestamp <= finish, as views of this store."""
-        lo = int(np.searchsorted(self.timestamps, start, side="left"))
-        hi = int(np.searchsorted(self.timestamps, finish, side="right"))
+        """The rows with start <= timestamp <= finish (int64 bounds), as views
+        of this store."""
+        # Timestamps are integers, so ts <= finish exactly when ts < finish + 1:
+        # one search finds both ends. No timestamp passes the int64 maximum.
+        if finish < _INT64_MAX:
+            lo, hi = self.timestamps.searchsorted((start, finish + 1)).tolist()
+        else:
+            lo, hi = int(self.timestamps.searchsorted(start)), len(self.timestamps)
         return MetricStore(
             self.node, self.timestamps[lo:hi], self.columns, self.values[:, lo:hi]
         )

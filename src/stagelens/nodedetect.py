@@ -1,10 +1,12 @@
 """Abnormal-node detection via pairwise cosine similarity of per-node mean
 metric vectors.
 
-`detect_abnormal_nodes` computes every pair at once in matrix form, one
-array pass per metric dimension. It adds and multiplies in the same order
-and with the same operations as the pairwise `cosine_similarity`, so its
-scores are bit-identical to averaging that function over all peers.
+`detect_abnormal_nodes` computes the pairs in blocks of rows: a block of
+nodes against all p nodes at a time, its products over every metric in as
+few calls as fit, every temporary within _BLOCK_BYTES. The sums add and
+multiply in the same order and with the same operations as the pairwise
+`cosine_similarity`, so the scores are bit-identical to averaging that
+function over all peers.
 """
 
 from __future__ import annotations
@@ -59,6 +61,87 @@ class AbnormalNodeResult:
     caveat: str = ""
 
 
+#: The byte budget of each temporary array of the screen: a block of rows
+#: of the p x p pair tables, or the metrics x rows x p products behind it.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _similarity_totals(x: np.ndarray, mask: np.ndarray):
+    """Each node's sum of cosine similarities over the peers it has a valid
+    score with, and the count of those peers.
+
+    x is p nodes x d metrics (0 where missing), mask True where present,
+    p >= 2. The pair tables are built `rows` nodes against all p at a time,
+    and their products over every metric `step` rows at a time, one call
+    each, so no temporary holds more than _BLOCK_BYTES. The exceptions are
+    the inputs, the p x (distinct presence patterns) table of squared norms,
+    and a single row when d * p * 8 > _BLOCK_BYTES.
+    """
+    p, d = x.shape
+    rows = max(1, min(p, _BLOCK_BYTES // (8 * p)))
+    # The rows whose products over every metric fit the budget.
+    step = max(1, min(rows, _BLOCK_BYTES // (8 * d * p)))
+    # Metrics x nodes, so that each metric is a contiguous row.
+    xT, maskT = np.ascontiguousarray(x.T), np.ascontiguousarray(mask.T)
+    finite = bool(np.isfinite(xT).all())
+    # |a|^2 over the dims b has depends on b only through b's mask row: sum
+    # once per distinct mask row, then spread.
+    distinct: Dict[tuple, int] = {}
+    pattern_of = np.array([distinct.setdefault(tuple(row), len(distinct))
+                           for row in mask.tolist()])
+    patternsT = np.array(list(distinct), dtype=bool).T
+    per_pattern = np.empty((p, len(distinct)))
+    totals, counts = np.empty(p), np.empty(p, dtype=np.int64)
+    dots_buffer = np.empty((rows, p))
+    # Overflow gives inf here, where cosine_similarity's `** 2` raises
+    # OverflowError; the pairs it touches are dropped below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # float_power calls libm pow, as cosine_similarity's `** 2` does;
+        # x * x rounds differently for about one value in a thousand.
+        x2T = np.float_power(xT, 2)
+        # Each reduce below runs over the metric axis, outermost in memory
+        # (the products are built in C order; np.where keeps its inputs'),
+        # and each slice holds at least p >= 2 values; so it adds slice after
+        # slice in sorted metric order, as cosine_similarity's sums do. Only
+        # a reduce along the innermost axis sums pairwise.
+        for lo in range(0, len(distinct), step):
+            # per_pattern[b, j] is |b|^2 over the dims of pattern j, `step`
+            # patterns at a time; a dim outside the pattern adds an exact 0,
+            # and no square is -0.0.
+            chunk = patternsT[:, None, lo : lo + step]
+            per_pattern[:, lo : lo + step] = np.add.reduce(
+                np.where(chunk, x2T[:, :, None], 0.0), axis=0
+            )
+        # A pair counts when both norms over the shared dims are positive and
+        # finite: the cases where cosine_similarity returns a score without
+        # overflowing. Any other norm is NaN here, and so is its pairs' score.
+        roots = np.where(
+            (per_pattern > 0) & np.isfinite(per_pattern), np.sqrt(per_pattern), np.nan
+        )
+        for lo in range(0, p, rows):
+            hi = min(lo + rows, p)
+            dots = dots_buffer[: hi - lo]
+            for top in range(lo, hi, step):
+                end = min(top + step, hi)
+                block = np.multiply(xT[:, top:end, None], xT[:, None, :], order="C")
+                if not finite:
+                    # 0 * inf is NaN, but a dim one side lacks must add 0.
+                    block[~(maskT[:, top:end, None] & maskT[:, None, :])] = 0.0
+                np.add.reduce(block, axis=0, out=dots[top - lo : end - lo])
+            # Some numpy versions start a reduce from its first slice, not
+            # from +0.0: adding 0.0 turns a sum of only -0.0 into +0.0.
+            dots += 0.0
+            # Row a, column b: |a| over b's dims times |b| over a's dims.
+            norms = roots[lo:hi][:, pattern_of] * roots[:, pattern_of[lo:hi]].T
+            sims = np.divide(dots, norms, out=dots)
+            valid = np.isfinite(sims)  # C-contiguous, as dots is
+            valid.reshape(-1)[lo :: p + 1] = False  # the diagonal
+            # cumsum adds each row left to right, as sum() over the peers does.
+            totals[lo:hi] = np.cumsum(np.where(valid, sims, 0.0), axis=1)[:, -1]
+            counts[lo:hi] = valid.sum(axis=1)
+    return totals, counts
+
+
 def detect_abnormal_nodes(
     vectors: Union[FeatureDatasets, Mapping[str, Mapping[str, float]]],
     cfg: SimilarityConfig = SimilarityConfig(),
@@ -91,45 +174,11 @@ def detect_abnormal_nodes(
     order = sorted(range(len(dims)), key=dims.__getitem__)
     mask = present[usable_rows][:, order]
     x = np.where(mask, means[usable_rows][:, order], 0.0)
-    dots = np.zeros((len(usable), len(usable)))
-    product = np.empty_like(dots)
-    # sq[a, b] is |a|^2 over the dims b has, so it depends on b only through
-    # b's mask row: sum once per distinct mask row, then spread.
-    distinct: Dict[tuple, int] = {}
-    pattern_of = [distinct.setdefault(tuple(row), len(distinct)) for row in mask.tolist()]
-    patterns = np.array(list(distinct), dtype=bool)
-    per_pattern = np.zeros((len(usable), len(patterns)))
-    # Overflow gives inf here, where cosine_similarity's `** 2` raises
-    # OverflowError; the pairs it touches are dropped below.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # float_power calls libm pow, as cosine_similarity's `** 2` does;
-        # x * x rounds differently for about one value in a thousand.
-        x2 = np.float_power(x, 2)
-        # Accumulate dim by dim in sorted order, as cosine_similarity's sums
-        # do; a dim one side lacks adds an exact 0.
-        for k in range(len(order)):
-            np.multiply(x[:, k, None], x[None, :, k], out=product)
-            if not np.isfinite(x[:, k]).all():
-                # 0 * inf is NaN, but a dim one side lacks must add 0.
-                product[~(mask[:, k, None] & mask[None, :, k])] = 0.0
-            dots += product
-            per_pattern += np.where(patterns[None, :, k], x2[:, k, None], 0.0)
-        sq = per_pattern[:, pattern_of]
-        norms = np.sqrt(sq)
-        # dots / (norms * norms.T), reusing the p x p buffers.
-        sims = np.divide(dots, np.multiply(norms, norms.T, out=product), out=dots)
-    # A pair counts when both norms over the shared dims are positive and
-    # finite: the cases where cosine_similarity returns a score without
-    # overflowing.
-    ok = (sq > 0) & np.isfinite(sq)
-    valid = ok & ok.T & np.isfinite(sims)
-    np.fill_diagonal(valid, False)
-    # cumsum adds each row left to right, as sum() over the peers does.
-    totals = np.cumsum(np.where(valid, sims, 0.0), axis=1)[:, -1]
+    totals, counts = _similarity_totals(x, mask)
 
     # Nodes whose every pairing failed drop out of the evaluable set.
     similarity: Dict[str, float] = {}
-    for node, total, count in zip(usable, totals.tolist(), valid.sum(axis=1).tolist()):
+    for node, total, count in zip(usable, totals.tolist(), counts.tolist()):
         if not count:
             skipped.append(node)
             continue

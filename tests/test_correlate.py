@@ -19,7 +19,7 @@ from stagelens.correlate import (
     slice_metrics,
     stage_window,
 )
-from stagelens.model import METRIC_SCHEMA, Stage, Trace
+from stagelens.model import METRIC_SCHEMA, MetricStore, Stage, Trace
 
 T0 = 1_460_000_000_000
 
@@ -235,6 +235,44 @@ def test_slicing_is_idempotent():
     once = slice_metrics(trace, window)
     again = slice_metrics(make_trace(stage, metrics=dict(once.series)), window)
     assert again.series == once.series
+
+
+_INT64 = (-(2**63), 2**63 - 1)
+_INT64_EDGES = (-(2**63), -(2**63) + 1, -1, 0, 1, 2**53, 2**63 - 2, 2**63 - 1)
+_STAMP = st.one_of(st.integers(*_INT64), st.sampled_from(_INT64_EDGES))
+
+
+def assert_window_equals_filter(timestamps, start, finish):
+    store = MetricStore(
+        "hw01", np.array(timestamps, dtype=np.int64), ("m",),
+        np.arange(len(timestamps), dtype=float)[None, :],
+    )
+    cut = store.window(start, finish)
+    kept = [i for i, t in enumerate(timestamps) if start <= t <= finish]
+    assert cut.timestamps.tolist() == [timestamps[i] for i in kept]
+    assert cut.values[0].tolist() == [float(i) for i in kept]
+
+
+@pytest.mark.parametrize("start, finish", [
+    (-(2**63), 2**63 - 1),
+    (2**63 - 1, 2**63 - 1),
+    (2**63 - 2, 2**63 - 2),
+    (-(2**63), -(2**63)),
+    (-(2**63) + 1, 2**63 - 2),
+    (0, -1),
+    (2**63 - 1, -(2**63)),
+])
+def test_window_at_int64_extremes(start, finish):
+    assert_window_equals_filter(sorted(_INT64_EDGES), start, finish)
+
+
+@given(
+    timestamps=st.lists(_STAMP, max_size=12, unique=True).map(sorted),
+    start=_STAMP,
+    finish=_STAMP,
+)
+def test_window_equals_inclusive_filter(timestamps, start, finish):
+    assert_window_equals_filter(timestamps, start, finish)
 
 
 def hadoop_case_counts():

@@ -21,6 +21,7 @@ from stagelens.model import (
     Job,
     Locality,
     MetricStore,
+    Stage,
     Task,
     TaskTable,
     TaskTableError,
@@ -580,6 +581,16 @@ def test_task_table_refuses_values_outside_the_bound():
                 TaskTable(["t0"], ["hw01"], **{**zero, field: array})
     edge = make_task(launch=2**53 - 1, runtime=0, data_size=2**53 - 1)
     assert list(TaskTable.from_rows([edge])) == [edge]
+
+
+def test_stages_without_tasks_share_one_read_only_empty_table():
+    first, second = Stage("s0", "j0"), Stage("s1", "j0")
+    assert first.tasks is second.tasks
+    assert first.tasks == TaskTable.from_rows([])
+    assert (len(first.tasks), first.tasks.task_id, first.tasks.nodes) == (0, (), ())
+    for name in ("node", "launch_time", "finish_time", "locality", "data_size", "succeeded"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(first.tasks, name)[...] = 0
 
 
 def test_bad_succeeded_cell_rejected_at_load(tmp_path):

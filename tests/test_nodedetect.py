@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stagelens import nodedetect
 from stagelens.correlate import FeatureDatasets
 from stagelens.model import METRIC_SCHEMA
 from stagelens.nodedetect import (
@@ -269,3 +272,94 @@ def test_mean_table_screen_equals_dict_input_and_bruteforce(vectors, th_simi):
     assert (result.evaluable, result.similarity, result.abnormal, result.skipped) == (
         evaluable, similarity, abnormal, skipped
     )
+
+
+# Budgets that force each block size of the screen. At 8 bytes every block
+# is one row, and so is every product (a block never has fewer); at 2560
+# bytes, blocks of several rows take their products a few rows or one row at
+# a time, the last step often shorter; at 2**40 every node is in one block,
+# its products taken in one call.
+_BUDGETS = {"one-row": 8, "steps": 2560, "default": nodedetect._BLOCK_BYTES, "one-block": 2**40}
+_SHAPES = pytest.mark.parametrize("budget", _BUDGETS.values(), ids=_BUDGETS.keys())
+
+
+@st.composite
+def _schema_tables(draw):
+    """node -> schema metric -> mean over all 20 schema metrics: two nodes
+    often, each node with one of a few presence patterns, and means picked
+    from a small pool, so that +-0.0, inf, NaN and magnitudes far apart meet
+    in one sum."""
+    p = draw(st.one_of(st.just(2), st.integers(0, 24)))
+    patterns = draw(st.lists(
+        st.one_of(st.just(METRIC_SCHEMA), st.sets(st.sampled_from(METRIC_SCHEMA)).map(sorted)),
+        min_size=1, max_size=3,
+    ))
+    pool = draw(st.lists(st.one_of(_MEANS, st.just(-0.0)), min_size=1, max_size=6))
+    pick = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return {
+        f"n{i:02d}": {m: pool[pick.integers(len(pool))] for m in draw(st.sampled_from(patterns))}
+        for i in range(p)
+    }
+
+
+def assert_bits_match_bruteforce(vectors, cfg=SimilarityConfig()):
+    """Table and mapping input give one result, and it is the brute force's
+    bit for bit."""
+    result = detect_abnormal_nodes(datasets_of(vectors), cfg)
+    assert result == detect_abnormal_nodes(vectors, cfg)
+    evaluable, similarity, abnormal, skipped = bruteforce_abnormal_nodes(vectors, cfg)
+    assert (result.evaluable, result.abnormal, result.skipped) == (evaluable, abnormal, skipped)
+    assert {n: v.hex() for n, v in result.similarity.items()} == {
+        n: v.hex() for n, v in similarity.items()
+    }
+
+
+@_SHAPES
+@given(vectors=_schema_tables(), th_simi=st.floats(0.01, 0.99))
+def test_every_block_shape_equals_bruteforce(budget, vectors, th_simi):
+    with mock.patch.object(nodedetect, "_BLOCK_BYTES", budget):
+        assert_bits_match_bruteforce(vectors, SimilarityConfig(th_simi=th_simi))
+
+
+@_SHAPES
+def test_blocks_of_a_wide_cluster_equal_bruteforce(budget):
+    # 200 nodes: at the default budget, a block of 163 rows and one of 37,
+    # their products and the squared norms of the many presence patterns
+    # that missing values make taken 8 at a time.
+    rng = np.random.default_rng(200)
+    values = rng.lognormal(0.0, 4.0, size=(200, 20)) * rng.choice([-1.0, 1.0], size=(200, 20))
+    values[rng.random(values.shape) < 0.05] = np.nan  # missing
+    values[3, 7], values[11, 0], values[40, 19] = math.inf, -0.0, 0.0
+    vectors = {
+        f"hw{i:03d}": {m: v for m, v in zip(METRIC_SCHEMA, row) if not math.isnan(v)}
+        for i, row in enumerate(values.tolist())
+    }
+    with mock.patch.object(nodedetect, "_BLOCK_BYTES", budget):
+        assert_bits_match_bruteforce(vectors)
+
+
+@_SHAPES
+def test_products_that_are_all_minus_zero_sum_to_plus_zero(budget):
+    # Both products are -0.0, so the pair's dot is 0 and its score +0.0, as
+    # cosine_similarity's sum from 0 gives: not -0.0.
+    vectors = {"n0": {"IPC": 5.0, "cpu_usage": -0.0}, "n1": {"IPC": -0.0, "cpu_usage": 3.0}}
+    assert cosine_similarity(vectors["n0"], vectors["n1"]).hex() == "0x0.0p+0"
+    with mock.patch.object(nodedetect, "_BLOCK_BYTES", budget):
+        assert_bits_match_bruteforce(vectors)
+
+
+def test_screen_holds_no_table_of_all_pairs():
+    # At 600 nodes one p x p float table is 2.88 MB; a block of the products
+    # is at most _BLOCK_BYTES.
+    rng = np.random.default_rng(600)
+    means = rng.lognormal(0.0, 1.0, size=(600, len(METRIC_SCHEMA)))
+    nodes = [f"hw{i:03d}" for i in range(600)]
+    datasets = datasets_of({n: dict(zip(METRIC_SCHEMA, row)) for n, row in zip(nodes, means)})
+    tracemalloc.start()
+    try:
+        result = detect_abnormal_nodes(datasets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.evaluable and len(result.similarity) == 600
+    assert peak < 600 * 600 * 8

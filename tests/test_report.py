@@ -74,7 +74,10 @@ def _trace(draw):
                 task_id=f"s{s}t{t}",
                 node=draw(st.sampled_from(nodes)),
                 launch_time=launch,
-                finish_time=launch + draw(st.integers(0, 20_000)),
+                # Often on the 500 ms sample grid, so that window edges meet samples.
+                finish_time=launch + draw(st.one_of(
+                    st.integers(0, 20_000), st.integers(0, 40).map(lambda k: 500 * k)
+                )),
                 locality=draw(st.sampled_from(list(Locality))),
                 data_size=draw(st.integers(0, 10**12)),
                 succeeded=draw(st.booleans()),
@@ -133,3 +136,40 @@ def test_reports_ignore_task_order(trace, cfg, data):
         metrics=trace.metrics,
     )
     assert _rendered(shuffled, cfg) == _rendered(trace, cfg)
+
+
+# Task times lie in [0, 2**53): a shift moves the earliest possible launch to
+# 0 at one end, and the latest possible finish to 2**53 - 1 at the other.
+_LATEST = T0 + 30 * 500 + 20_000
+_SHIFT = st.one_of(
+    st.sampled_from([-T0, 2**53 - 1 - _LATEST]),
+    st.integers(-T0, 2**53 - 1 - _LATEST),
+)
+
+
+def _shifted(trace, shift):
+    """The trace with `shift` ms added to every task time and sample time."""
+    def tasks(table):
+        return TaskTable(
+            table.task_id, table.node, table.launch_time + shift, table.finish_time + shift,
+            table.locality, table.data_size, table.succeeded, nodes=table.nodes,
+        )
+
+    return Trace(
+        cluster=trace.cluster,
+        jobs=[
+            Job(job.job_id, [Stage(s.stage_id, s.job_id, tasks(s.tasks)) for s in job.stages])
+            for job in trace.jobs
+        ],
+        metrics={
+            node: MetricStore(store.node, store.timestamps + shift, store.columns, store.values)
+            for node, store in trace.metrics.items()
+        },
+    )
+
+
+@given(trace=_trace(), cfg=_CONFIG, shift=_SHIFT)
+def test_reports_ignore_a_shift_of_every_timestamp(trace, cfg, shift):
+    """Adding one constant to every task and metric timestamp changes no
+    report: each window keeps the samples it had, edges included."""
+    assert _rendered(_shifted(trace, shift), cfg) == _rendered(trace, cfg)
