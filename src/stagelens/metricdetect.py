@@ -113,40 +113,52 @@ def reduce_mean(series: Sequence[float]) -> Optional[float]:
         return float(np.mean(series))
 
 
+def _fft_norms(rows: np.ndarray) -> np.ndarray:
+    """reduce_fft of each row of a 2-D float array with at least two columns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitudes = np.abs(np.fft.fft(rows, axis=1)[:, 1:])
+        norms = np.sqrt(np.sum(magnitudes**2, axis=1))
+        wide = ~np.isfinite(norms)
+        if wide.any():
+            # Squares overflow past about 1e154: scale by the largest first.
+            peak = magnitudes[wide].max(axis=1, keepdims=True)
+            norms[wide] = peak[:, 0] * np.sqrt(np.sum((magnitudes[wide] / peak) ** 2, axis=1))
+    return norms
+
+
 def reduce_fft(series: Sequence[float]) -> Optional[float]:
     """Spectral magnitude of a series: the L2 norm of all non-DC DFT bins.
 
     Excluding the DC term keeps the statistic orthogonal to the mean-value
     reduction; by Parseval it equals sqrt(N * sum((x - mean)^2)).
     """
-    n = len(series)
-    if n < 2:
+    if len(series) < 2:
         return None
+    return float(_fft_norms(np.asarray(series, dtype=float)[None, :])[0])
+
+
+def _minmax_rows(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row of a 2-D array of finite values scaled onto [0,1], and which
+    rows are constant: those are all 0.5. A row that is not constant scales
+    its minimum to exactly 0 and its maximum to exactly 1."""
+    lo = np.minimum.reduce(x, axis=1, keepdims=True)
+    hi = np.maximum.reduce(x, axis=1, keepdims=True)
+    degenerate = (hi == lo)[:, 0]
+    # A span past the float range is inf: a value whose distance from the
+    # minimum overflows too normalizes to NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        magnitudes = np.abs(np.fft.fft(np.asarray(series, dtype=float))[1:])
-        norm = np.sqrt(np.sum(magnitudes**2))
-        if not np.isfinite(norm):
-            # Squares overflow past about 1e154: scale by the largest first.
-            peak = magnitudes.max()
-            norm = peak * np.sqrt(np.sum((magnitudes / peak) ** 2))
-    return float(norm)
+        normalized = np.divide(
+            x - lo, hi - lo, out=np.full(x.shape, 0.5), where=~degenerate[:, None]
+        )
+    return normalized, degenerate
 
 
 def minmax_normalize(values: Sequence[float]) -> Tuple[List[float], bool]:
-    """Scale values onto [0,1]; a constant input degenerates to all 0.5."""
+    """Scale finite values onto [0,1]; a constant input degenerates to all 0.5."""
     if len(values) < 2:
         raise ValueError("min-max normalization needs at least two values")
-    lo = min(values)
-    hi = max(values)
-    if hi == lo:
-        return [0.5] * len(values), True
-    span = hi - lo
-    return [(v - lo) / span for v in values], False
-
-
-def _order_of_magnitude(value: float) -> int:
-    # Truncated toward zero: 0.006838 -> -2, 0.156 -> 0, 500 -> 2.
-    return int(math.log10(value))
+    normalized, degenerate = _minmax_rows(np.array([values], dtype=float))
+    return normalized[0].tolist(), bool(degenerate[0])
 
 
 @dataclass
@@ -161,95 +173,132 @@ class OutlierResult:
 def detect_metric_outliers(
     values: Mapping[str, float], cfg: OutlierConfig = OutlierConfig()
 ) -> OutlierResult:
-    """Alg-style combined detector over one metric's per-node reductions.
+    """Alg-style combined detector over one metric's per-node reductions
+    (None marks a node without one).
 
     The branch test runs on the raw reductions: positive values spanning at
     least magnitude_gap decades (truncated orders of magnitude) go to the
     log-scale branch, everything else to the class-split distance branch on
-    min-max-normalized values.
+    min-max-normalized values. Non-finite reductions are dropped.
     """
-    clean = {k: float(v) for k, v in values.items() if v is not None and math.isfinite(v)}
-    warnings: List[str] = []
-    dropped = sorted(k for k, v in values.items() if v is not None and k not in clean)
-    if dropped:
-        warnings.append("non-finite reduction dropped for: " + ", ".join(dropped))
-    if len(clean) < 3:
-        return OutlierResult(evaluable=False, warnings=warnings + ["fewer than 3 usable values"])
-    names = sorted(clean)
-    raw = [clean[n] for n in names]
-
-    if all(v > 0 for v in raw):
-        orders = [_order_of_magnitude(v) for v in raw]
-        if min(orders) - max(orders) <= -cfg.magnitude_gap:
-            return _magnitude_branch(names, raw, warnings)
-    elif any(v <= 0 for v in raw):
-        warnings.append("nonpositive values: magnitude branch not applicable")
-
-    return _distance_branch(names, raw, cfg, warnings)
+    names = sorted(k for k, v in values.items() if v is not None)
+    return _detect_rows(names, np.array([[float(values[k]) for k in names]]), cfg)[0]
 
 
-def _magnitude_branch(names: List[str], raw: List[float], warnings: List[str]) -> OutlierResult:
-    logs = [math.log10(v) for v in raw]
-    center = float(np.median(logs))
-    dist = [abs(v - center) for v in logs]
-    mean_dist = sum(dist) / len(dist)
-    variance = float(np.var(dist))
-    outliers = []
-    distances = {}
-    for name, d in zip(names, dist):
-        if d > mean_dist and (d - mean_dist) > variance:
-            outliers.append(name)
-            distances[name] = d
-    return OutlierResult(
-        evaluable=True,
-        branch="magnitude",
-        outliers=outliers,
-        distances=distances,
-        warnings=warnings,
-    )
+def _detect_rows(
+    names: Sequence[str], table: np.ndarray, cfg: OutlierConfig
+) -> List[OutlierResult]:
+    """detect_metric_outliers on each row of `table`, a metrics x nodes array
+    of the reductions of the nodes `names` (sorted)."""
+    finite = np.isfinite(table)
+    warnings: List[List[str]] = [[] for _ in range(len(table))]
+    for r in (~np.logical_and.reduce(finite, axis=1)).nonzero()[0].tolist():
+        dropped = ", ".join(names[i] for i in (~finite[r]).nonzero()[0].tolist())
+        warnings[r].append("non-finite reduction dropped for: " + dropped)
+    # Rows whose finite values sit on the same nodes are detected together.
+    groups: Dict[bytes, List[int]] = {}
+    for r, row in enumerate(finite):
+        groups.setdefault(row.tobytes(), []).append(r)
+    results: Dict[int, OutlierResult] = {}
+    for rows in groups.values():
+        columns = finite[rows[0]].nonzero()[0].tolist()
+        if len(columns) < 3:
+            for r in rows:
+                warnings[r].append("fewer than 3 usable values")
+                results[r] = OutlierResult(evaluable=False, warnings=warnings[r])
+            continue
+        whole = len(rows) == len(table) and len(columns) == len(names)
+        x = table if whole else table[np.ix_(rows, columns)]
+        magnitude, flagged, distances = _detect_group(x, cfg, [warnings[r] for r in rows])
+        found: List[Dict[str, float]] = [{} for _ in rows]
+        at_row, at_column = flagged.nonzero()
+        for i, j, d in zip(at_row.tolist(), at_column.tolist(), distances[flagged].tolist()):
+            found[i][names[columns[j]]] = d
+        for r, log_branch, outliers in zip(rows, magnitude.tolist(), found):
+            results[r] = OutlierResult(
+                evaluable=True,
+                branch="magnitude" if log_branch else "distance",
+                outliers=list(outliers),
+                distances=outliers,
+                warnings=warnings[r],
+            )
+    return [results[r] for r in range(len(table))]
+
+
+def _detect_group(
+    x: np.ndarray, cfg: OutlierConfig, warnings: List[List[str]]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The branch test and both branches on rows of at least three finite
+    reductions each: which rows took the magnitude branch, which values are
+    outliers and every value's distance. Each row's warnings are appended to
+    its list."""
+    n = x.shape[1]
+    positive = np.logical_and.reduce(x > 0, axis=1)
+    for r in (~positive).nonzero()[0].tolist():
+        warnings[r].append("nonpositive values: magnitude branch not applicable")
+    # Every row gets the distance branch; the magnitude branch's rows, never
+    # constant ones, then take its results instead.
+    flagged, distances = _distance_branch(x, cfg, warnings)
+    magnitude = np.zeros(len(x), dtype=bool)
+    rows = positive.nonzero()[0]
+    if len(rows):
+        # math.log10, not np.log10: the two differ in the last bit for some
+        # values, which moves a distance and can move a truncated order.
+        logs = np.array(list(map(math.log10, x[rows].ravel().tolist()))).reshape(len(rows), n)
+        orders = np.trunc(logs)  # toward zero: 0.006838 -> -2, 0.156 -> 0, 500 -> 2
+        spread = np.minimum.reduce(orders, axis=1) - np.maximum.reduce(orders, axis=1)
+        wide = spread <= -cfg.magnitude_gap
+        rows, logs = rows[wide], logs[wide]
+        if len(rows):
+            magnitude[rows] = True
+            dist = np.abs(logs - _medians(logs, np.full(len(rows), n))[:, None])
+            # The mean adds the distances left to right, as cumsum does; the
+            # variance takes np.var's steps.
+            mean = np.cumsum(dist, axis=1)[:, -1:] / n
+            deviation = dist - np.add.reduce(dist, axis=1, keepdims=True) / n
+            variance = np.add.reduce(deviation * deviation, axis=1, keepdims=True) / n
+            flagged[rows] = (dist > mean) & (dist - mean > variance)
+            distances[rows] = dist
+    return magnitude, flagged, distances
 
 
 def _distance_branch(
-    names: List[str], raw: List[float], cfg: OutlierConfig, warnings: List[str]
-) -> OutlierResult:
-    normalized, degenerate = minmax_normalize(raw)
-    if degenerate:
-        warnings.append("degenerate normalization: all values equal")
-    hi = max(normalized)
-    lo = min(normalized)
-    class_a = []  # seeded at the maximum
-    class_b = []  # seeded at the minimum
-    for name, v in zip(names, normalized):
-        if abs(v - hi) <= abs(v - lo):
-            class_a.append((name, v))
-        else:
-            class_b.append((name, v))
-
-    if len(class_a) <= len(class_b):  # ties keep the max-seeded class as candidates
-        candidates, larger, extremum = class_a, class_b, lo
-    else:
-        candidates, larger, extremum = class_b, class_a, hi
-    if not candidates or not larger:
-        return OutlierResult(evaluable=True, branch="distance", warnings=warnings)
-
+    x: np.ndarray, cfg: OutlierConfig, warnings: List[List[str]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Class split on min-max-normalized rows: which values are outliers and
+    every value's distance from its row's representative."""
+    normalized, degenerate = _minmax_rows(x)
+    for r in degenerate.nonzero()[0].tolist():
+        warnings[r].append("degenerate normalization: all values equal")
+    # A row's extremes are 1 and 0 (a constant row's 0.5s all join the
+    # max-seeded class). A row's NaNs come from a span past the float range,
+    # where every other value is 0: no value joins the max-seeded class, so
+    # none is a candidate.
+    upper = np.abs(normalized - 1.0) <= np.abs(normalized)  # seeded at the maximum
+    n_upper = np.add.reduce(upper, axis=1)
+    upper_candidates = n_upper <= x.shape[1] - n_upper  # ties keep the max-seeded class
+    candidates = upper == upper_candidates[:, None]
     if cfg.representative == "median":
-        representative = float(np.median([v for _, v in larger]))
+        larger = ~candidates
+        representative = _medians(
+            np.where(larger, normalized, np.inf), np.add.reduce(larger, axis=1)
+        )
     else:
-        representative = extremum
-    outliers = []
-    distances = {}
-    for name, v in candidates:
-        d = abs(v - representative)
-        if d >= cfg.dmin:
-            outliers.append(name)
-            distances[name] = d
-    return OutlierResult(
-        evaluable=True,
-        branch="distance",
-        outliers=outliers,
-        distances=distances,
-        warnings=warnings,
-    )
+        representative = np.where(upper_candidates, 0.0, 1.0)  # the other extreme
+    dist = np.abs(normalized - representative[:, None])
+    split = (n_upper > 0) & (n_upper < x.shape[1])
+    return candidates & (dist >= cfg.dmin) & split[:, None], dist
+
+
+def _medians(x: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """np.median of the count[r] least values of each row r, for values
+    below 1e308 in magnitude. A row with count 0 or with a NaN gets an
+    arbitrary number."""
+    ordered = np.sort(x, axis=1).ravel()
+    starts = np.arange(0, ordered.size, x.shape[1])
+    # The mean of the two middle values, or of the middle one with itself.
+    return (ordered.take(starts + np.maximum(count - 1, 0) // 2)
+            + ordered.take(starts + count // 2)) / 2
 
 
 def db_outlier_oracle(
@@ -282,8 +331,9 @@ def diagnose_outlier_metrics(
     datasets: FeatureDatasets, cfg: OutlierConfig = OutlierConfig()
 ) -> MetricDiagnosis:
     """Full per-stage pipeline: PCA once over the stacked samples of every
-    node, then reduce / branch-test / normalize / detect per selected
-    metric. The mean transform reads its reductions from the mean table.
+    node, then reduce / branch-test / normalize / detect on one selected
+    metrics x nodes table. The mean transform reads its reductions from the
+    mean table.
 
     One metric's failure never aborts the stage; it surfaces as a warning.
     """
@@ -297,21 +347,21 @@ def diagnose_outlier_metrics(
     if selection.degenerate:
         warnings.append(f"{selection.degenerate}: PCA fell back to all metrics")
 
-    bounds = list(zip(datasets.offsets.tolist(), datasets.offsets[1:].tolist()))
-    # FFT compares spectra, so series are truncated to the common length.
-    common = min(hi - lo for lo, hi in bounds)
-    findings: List[Tuple[str, str, str, float]] = []
-    for metric in selection.selected_metrics:
-        if cfg.transform == "fft":
-            column = datasets.stacked[:, datasets.matrix_metrics.index(metric)]
-            values = [reduce_fft(column[lo:lo + common]) for lo, _ in bounds]
+    selected = selection.selected_metrics
+    if cfg.transform == "fft":
+        # FFT compares spectra, so series are truncated to the common length.
+        common = int(np.diff(datasets.offsets).min())
+        if common < 2:
+            nodes, table = [], np.empty((len(selected), 0))
         else:
-            values = datasets.means[:, METRIC_SCHEMA.index(metric)].tolist()
-        reductions = {node: v for node, v in zip(nodes, values) if v is not None}
-        result = detect_metric_outliers(reductions, cfg)
+            at = datasets.offsets[:-1, None] + np.arange(common)
+            columns = [datasets.matrix_metrics.index(m) for m in selected]
+            table = np.array([_fft_norms(datasets.stacked[at, j]) for j in columns])
+    else:
+        table = datasets.means[:, [METRIC_SCHEMA.index(m) for m in selected]].T
+    findings: List[Tuple[str, str, str, float]] = []
+    for metric, result in zip(selected, _detect_rows(nodes, table, cfg)):
         warnings.extend(f"{metric}: {w}" for w in result.warnings)
-        if not result.evaluable:
-            continue
         for node in result.outliers:
             findings.append((metric, node, result.branch, result.distances[node]))
     findings.sort(key=lambda f: (f[0], f[1]))

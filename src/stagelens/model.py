@@ -457,6 +457,10 @@ class Trace:
 
     def validate(self) -> List[str]:
         """Collect every invariant violation instead of stopping at the first."""
+        return self._hierarchy_problems() + self._series_problems()
+
+    def _hierarchy_problems(self) -> List[str]:
+        """validate's problems with the cluster, jobs, stages and tasks."""
         problems: List[str] = []
         if not self.cluster:
             problems.append("cluster must list at least one node")
@@ -497,6 +501,12 @@ class Trace:
                     problems.append(
                         f"task {task.task_id}: node {task.node!r} not in cluster"
                     )
+        return problems
+
+    def _series_problems(self) -> List[str]:
+        """validate's problems with the metric series."""
+        problems: List[str] = []
+        known = set(self.cluster)
         layouts: Dict[Hashable, bool] = {}
         for node, store in self.metrics.items():
             if node not in known:

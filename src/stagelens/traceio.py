@@ -3,19 +3,25 @@ three .npy columns, one for the task numbers and two for the metric series.
 
 One JSON file per entity kind (meta, jobs, stages, tasks, metrics), each
 starting with a schema-version header line. `tasks.jsonl` is the index of
-each stage's tasks, whose numbers sit in `tasks.values.npy`; `metrics.jsonl`
-is the index of the series, whose timestamps and values sit back to back in
-`metrics.timestamps.npy` and `metrics.values.npy`. Output is deterministic:
+each stage's tasks, whose numbers sit in `tasks.values.npy`. `metrics.jsonl`
+is the index of the series: one line per column layout, listing the nodes
+whose series have it and each one's sample count. The series' timestamps
+and values sit back to back in `metrics.timestamps.npy` and
+`metrics.values.npy`, node by node in index order. Output is deterministic:
 entities are sorted, keys are sorted, and every missing value is the one
 canonical NaN.
-"""
+
+The loader checks what the index and blocks settle as it reads them, and
+the two remaining series invariants (rising timestamps, indexed nodes in
+the cluster) on the whole arrays; only a trace that fails one of those is
+walked node by node by `Trace.validate`."""
 
 from __future__ import annotations
 
 import io
 import json
 import os
-from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -27,11 +33,10 @@ from .model import (
     TaskTable,
     TaskTableError,
     Trace,
-    checked_once,
     metric_columns,
 )
 
-SCHEMA_VERSION = "stagelens-trace/3"
+SCHEMA_VERSION = "stagelens-trace/4"
 
 # The column files: file name and little-endian dtype of each.
 _TASK_VALUES = ("tasks.values.npy", "<i8")
@@ -156,15 +161,22 @@ def save_trace(trace: Trace, path: str) -> None:
         (np.concatenate([getattr(t, row) for row in _TASK_ROWS], dtype=np.int64)
          for _, t in tables),
     )
-    stores = [trace.metrics[node] for node in sorted(trace.metrics) if len(trace.metrics[node])]
+    # One index line per column layout, its nodes sorted; a layout's line
+    # sits at its first node.
+    layouts: Dict[Tuple[str, ...], List[MetricStore]] = {}
+    for node in sorted(trace.metrics):
+        if len(trace.metrics[node]):
+            layouts.setdefault(tuple(trace.metrics[node].columns), []).append(trace.metrics[node])
     _write_entity_file(
         os.path.join(path, "metrics.jsonl"),
         "metrics",
         (
-            _dumps({"columns": list(s.columns), "node": s.node, "samples": len(s)})
-            for s in stores
+            _dumps({"columns": list(columns), "nodes": [s.node for s in stores],
+                    "samples": [len(s) for s in stores]})
+            for columns, stores in layouts.items()
         ),
     )
+    stores = [s for group in layouts.values() for s in group]
     _write_npy(path, _TIMESTAMPS, sum(len(s) for s in stores), (s.timestamps for s in stores))
     # One NaN bit pattern for every missing value, so payloads never reach
     # the bytes.
@@ -184,13 +196,22 @@ def _reject_constant(token: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+def _open(path: str) -> BinaryIO:
+    """A trace file, opened for reading; opening is the only check that it
+    is there and is a file."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise TraceParseError(path, 0, "file missing from trace directory") from None
+    except IsADirectoryError:
+        raise TraceParseError(path, 0, "a directory stands in place of the file") from None
+
+
 def _read_entity_file(path: str, entity: str) -> Iterator[Tuple[int, dict]]:
     """The records after the header, each with its line number in the file,
     decoded one line at a time."""
-    if not os.path.exists(path):
-        raise TraceParseError(path, 0, "file missing from trace directory")
     decode = _DECODER.raw_decode
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         line_no = 0
         for line_no, line in enumerate(fh, start=1):
             # bytes.strip removes every JSON whitespace character, so the
@@ -232,31 +253,35 @@ def _require(record: dict, key: str, path: str, line_no: int):
 
 def _columns_rule(columns) -> str:
     """The rule a metrics.jsonl `columns` value breaks, or "" for none."""
-    if not (isinstance(columns, tuple) and all(isinstance(c, str) for c in columns)):
+    if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
         return "columns must be a list of metric names"
-    if columns != metric_columns(columns):
+    if tuple(columns) != metric_columns(columns):
         return "columns must be distinct and in store order"
     return ""
 
 
-def _index_entry(
-    record: dict, path: str, line_no: int, layouts: Dict[Hashable, str]
-) -> Tuple[str, Tuple[str, ...], int]:
-    """One metrics.jsonl line: node, its columns in store order, its sample
-    count. `layouts` holds the rule each columns value already got, so a
-    layout shared by many nodes is checked once."""
-    node = _require(record, "node", path, line_no)
+def _index_line(record: dict, path: str, line_no: int) -> Tuple[Tuple[str, ...], list, list]:
+    """One metrics.jsonl line: a column layout in store order, the nodes
+    whose series have it and each node's sample count."""
     columns = _require(record, "columns", path, line_no)
+    nodes = _require(record, "nodes", path, line_no)
     samples = _require(record, "samples", path, line_no)
-    if not isinstance(node, str):
-        raise TraceParseError(path, line_no, "node must be a string")
-    columns = tuple(columns) if isinstance(columns, list) else None
-    rule = checked_once(layouts, columns, _columns_rule)
+    rule = _columns_rule(columns)
     if rule:
         raise TraceParseError(path, line_no, rule)
-    if type(samples) is not int or samples < 0:
-        raise TraceParseError(path, line_no, "samples must be a non-negative integer")
-    return node, columns, samples
+    if not isinstance(nodes, list):
+        raise TraceParseError(path, line_no, "nodes must be a list of node names")
+    if not (isinstance(samples, list) and len(samples) == len(nodes)):
+        raise TraceParseError(path, line_no, f"samples must be a list of {len(nodes)} counts")
+    if not set(map(type, nodes)) <= {str}:
+        node = next(n for n in nodes if type(n) is not str)
+        raise TraceParseError(path, line_no, f"node {node!r}: node must be a string")
+    if not (set(map(type, samples)) <= {int} and min(samples, default=0) >= 0):
+        i = next(i for i, n in enumerate(samples) if type(n) is not int or n < 0)
+        raise TraceParseError(
+            path, line_no, f"node {nodes[i]!r}: samples must be a non-negative integer"
+        )
+    return tuple(columns), nodes, samples
 
 
 def _read_npy(trace_dir: str, column: Tuple[str, str], length: int) -> np.ndarray:
@@ -268,10 +293,8 @@ def _read_npy(trace_dir: str, column: Tuple[str, str], length: int) -> np.ndarra
     """
     name, dtype = column
     path = os.path.join(trace_dir, name)
-    if not os.path.exists(path):
-        raise TraceParseError(path, 0, "file missing from trace directory")
     want = _npy_header(dtype, length)
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         head = fh.read(10)  # magic string, version, header length
         header = fh.read(int.from_bytes(head[8:], "little")) if len(head) == 10 else b""
         if head[:8] != want[:8] or header.rstrip() != want[10:].rstrip():
@@ -397,12 +420,16 @@ def load_trace(path: str) -> Trace:
 
     metrics_path = os.path.join(path, "metrics.jsonl")
     index: Dict[str, Tuple[int, Tuple[str, ...], int]] = {}
-    layouts: Dict[Hashable, str] = {}
     for line_no, row in _read_entity_file(metrics_path, "metrics"):
-        node, columns, samples = _index_entry(row, metrics_path, line_no, layouts)
-        if node in index:
-            raise TraceParseError(metrics_path, line_no, f"duplicate node {node!r}")
-        index[node] = (line_no, columns, samples)
+        columns, nodes, samples = _index_line(row, metrics_path, line_no)
+        entries = {node: (line_no, columns, n) for node, n in zip(nodes, samples)}
+        if len(entries) < len(nodes) or not index.keys().isdisjoint(entries):
+            seen = set(index)
+            for node in nodes:
+                if node in seen:
+                    raise TraceParseError(metrics_path, line_no, f"duplicate node {node!r}")
+                seen.add(node)
+        index.update(entries)
     timestamps = _read_npy(path, _TIMESTAMPS, sum(n for _, _, n in index.values()))
     cells = [len(c) * n for _, c, n in index.values()]
     values = _read_npy(path, _VALUES, sum(cells))
@@ -413,11 +440,21 @@ def load_trace(path: str) -> Trace:
     if np.isinf(values).any():
         first_cell = int(np.isinf(values).argmax())
         first_infinite = int(np.searchsorted(np.cumsum(cells), first_cell, side="right"))
+    # The index and the blocks settle every series invariant validate checks
+    # but two, checked here on the whole arrays: timestamps rise within each
+    # node's block (a block's first one may be below its predecessor's last),
+    # and every indexed node is in the cluster.
+    rises = timestamps[1:] > timestamps[:-1]
+    firsts = np.cumsum([n for _, _, n in index.values()], dtype=np.int64)[:-1]  # of later blocks
+    rises[firsts[(firsts > 0) & (firsts < len(timestamps))] - 1] = True
+    series_valid = bool(rises.all()) and set(cluster).issuperset(index)
     metrics: Dict[str, MetricStore] = {}
     at = cell = 0
     for i, (node, (line_no, columns, samples)) in enumerate(index.items()):
         if i == first_infinite:
-            raise TraceParseError(metrics_path, line_no, "metric values must be finite numbers")
+            raise TraceParseError(
+                metrics_path, line_no, f"node {node!r}: metric values must be finite numbers"
+            )
         ts = timestamps[at : at + samples]
         block = values[cell : cell + len(columns) * samples].reshape(len(columns), samples)
         at += samples
@@ -426,7 +463,8 @@ def load_trace(path: str) -> Trace:
         if offset and samples:
             if not (_INT64.min <= int(ts.min()) + offset and int(ts.max()) + offset <= _INT64.max):
                 raise TraceParseError(
-                    metrics_path, line_no, f"clock offset {offset} moves timestamps out of range"
+                    metrics_path, line_no,
+                    f"node {node!r}: clock offset {offset} moves timestamps out of range",
                 )
             ts = ts + offset
         metrics[node] = MetricStore(node, ts, columns, block)
@@ -455,7 +493,9 @@ def load_trace(path: str) -> Trace:
         metrics=metrics,
         clock_offsets=offsets,
     )
-    problems = trace.validate()
+    # With the series valid, validate's problems are those of the hierarchy;
+    # otherwise it lists them all, in its order.
+    problems = trace._hierarchy_problems() if series_valid else trace.validate()
     if problems:
         raise TraceValidationError(problems)
     return trace

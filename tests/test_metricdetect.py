@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_stage, make_trace, metric_series
@@ -11,6 +11,9 @@ from stagelens.model import METRIC_SCHEMA, MetricStore
 from stagelens.report import PipelineConfig, diagnose, render_report
 from stagelens.metricdetect import (
     OutlierConfig,
+    OutlierResult,
+    _detect_rows,
+    _fft_norms,
     db_outlier_oracle,
     detect_metric_outliers,
     diagnose_outlier_metrics,
@@ -417,3 +420,186 @@ def test_corpus_selection_mixes_metric_levels():
             selected |= set(pca_select_metrics(ds.stacked, ds.matrix_metrics, 0.95).selected_metrics)
     assert selected & set(SYSTEM_METRICS)
     assert selected & set(ARCH_METRICS)
+
+
+# --- the table detector against the scalar oracle ---------------------------
+
+def oracle_minmax(values):
+    lo = min(values)
+    hi = max(values)
+    if hi == lo:
+        return [0.5] * len(values), True
+    span = hi - lo
+    return [(v - lo) / span for v in values], False
+
+
+def oracle_detect(values, cfg=OutlierConfig()):
+    """detect_metric_outliers as one Python walk over one metric's
+    reductions: the reference for the table detector. Sums add left to
+    right."""
+    clean = {k: float(v) for k, v in values.items() if v is not None and math.isfinite(v)}
+    warnings = []
+    dropped = sorted(k for k, v in values.items() if v is not None and k not in clean)
+    if dropped:
+        warnings.append("non-finite reduction dropped for: " + ", ".join(dropped))
+    if len(clean) < 3:
+        return OutlierResult(evaluable=False, warnings=warnings + ["fewer than 3 usable values"])
+    names = sorted(clean)
+    raw = [clean[n] for n in names]
+
+    if all(v > 0 for v in raw):
+        orders = [int(math.log10(v)) for v in raw]  # truncated toward zero
+        if min(orders) - max(orders) <= -cfg.magnitude_gap:
+            logs = [math.log10(v) for v in raw]
+            center = float(np.median(logs))
+            dist = [abs(v - center) for v in logs]
+            total = 0.0
+            for d in dist:
+                total += d
+            mean_dist = total / len(dist)
+            variance = float(np.var(dist))
+            outliers, distances = [], {}
+            for name, d in zip(names, dist):
+                if d > mean_dist and d - mean_dist > variance:
+                    outliers.append(name)
+                    distances[name] = d
+            return OutlierResult(True, "magnitude", outliers, distances, warnings)
+    elif any(v <= 0 for v in raw):
+        warnings.append("nonpositive values: magnitude branch not applicable")
+
+    normalized, degenerate = oracle_minmax(raw)
+    if degenerate:
+        warnings.append("degenerate normalization: all values equal")
+    hi = max(normalized)
+    lo = min(normalized)
+    class_a = []  # seeded at the maximum
+    class_b = []  # seeded at the minimum
+    for name, v in zip(names, normalized):
+        if abs(v - hi) <= abs(v - lo):
+            class_a.append((name, v))
+        else:
+            class_b.append((name, v))
+    if len(class_a) <= len(class_b):  # ties keep the max-seeded class as candidates
+        candidates, larger, extremum = class_a, class_b, lo
+    else:
+        candidates, larger, extremum = class_b, class_a, hi
+    if not candidates or not larger:
+        return OutlierResult(True, "distance", warnings=warnings)
+    if cfg.representative == "median":
+        representative = float(np.median([v for _, v in larger]))
+    else:
+        representative = extremum
+    outliers, distances = [], {}
+    for name, v in candidates:
+        d = abs(v - representative)
+        if d >= cfg.dmin:
+            outliers.append(name)
+            distances[name] = d
+    return OutlierResult(True, "distance", outliers, distances, warnings)
+
+
+def outcome(result):
+    """Everything a result says, distances as float.hex."""
+    return (result.evaluable, result.branch, result.outliers,
+            {k: float.hex(v) for k, v in result.distances.items()}, result.warnings)
+
+
+_POWERS = st.integers(-12, 12).map(lambda k: 10.0**k)
+# Positive values over many decades, so spreads pass magnitude_gap; powers
+# of ten and their neighbours sit where a truncated order changes.
+_POSITIVE = st.one_of(
+    _POWERS,
+    _POWERS.map(lambda v: math.nextafter(v, 0.0)),
+    st.tuples(st.floats(1.0, 10.0, exclude_max=True), st.integers(-8, 8)).map(
+        lambda t: t[0] * 10.0 ** t[1]
+    ),
+)
+_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e308, -1e308, 5e-324]),
+    _POSITIVE,
+)
+# A spread past the float range: values far from the minimum normalize to NaN.
+_EXTREME = st.sampled_from([1.7e308, 1e308, -1e308, -1.7e308, 0.0, 1.0])
+# Few distinct values: ties, even class splits and outliers are common.
+_CLOSE = st.integers(-3, 3).map(float) | st.floats(0.0, 1.0)
+_CONFIGS = st.builds(
+    OutlierConfig,
+    representative=st.sampled_from(["median", "max_min"]),
+    dmin=st.sampled_from([0.5, 0.6]) | st.floats(0.01, 0.99),
+    magnitude_gap=st.integers(1, 3),
+)
+
+
+def _rows(width):
+    """A row of reductions: any values, positive ones, ones spread past the
+    float range, close ones, or one value repeated."""
+    return st.one_of(
+        [st.lists(values, min_size=width, max_size=width)
+         for values in (_VALUES, _POSITIVE, _EXTREME, _CLOSE)]
+        + [_VALUES.map(lambda v: [v] * width)]
+    )
+
+
+@st.composite
+def _tables(draw):
+    """Rows of reductions of the same nodes."""
+    width = draw(st.integers(0, 12))
+    return [draw(_rows(width)) for _ in range(draw(st.integers(1, 4)))]
+
+
+@given(rows=_tables(), cfg=_CONFIGS)
+# np.log10 differs from math.log10 in the last bit on the first value, and
+# the median log is 0, so the distance is that log.
+@example(rows=[[496.45406687382786, 1.0, 1.0, 1.0]], cfg=OutlierConfig())
+# An even split, and a median of an even class.
+@example(rows=[[0.0, 0.0, 1.0, 1.0, 1.0], [0.0, 0.1, 0.2, 0.3, 1.0]],
+         cfg=OutlierConfig(representative="median", dmin=0.5))
+def test_table_detector_equals_scalar_oracle(rows, cfg):
+    """Each row of a metrics x nodes table gets the oracle's outliers,
+    branch, warnings and distances, bit for bit."""
+    names = [f"hw{i:02d}" for i in range(len(rows[0]))]
+    table = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    for row, result in zip(rows, _detect_rows(names, table, cfg)):
+        assert outcome(result) == outcome(oracle_detect(dict(zip(names, row)), cfg))
+
+
+@given(
+    values=st.dictionaries(
+        st.text(max_size=3), st.none() | _VALUES | _POSITIVE | _CLOSE, max_size=12
+    ),
+    cfg=_CONFIGS,
+)
+def test_detect_metric_outliers_equals_scalar_oracle(values, cfg):
+    """The mapping adapter, missing (None) reductions included."""
+    assert outcome(detect_metric_outliers(values, cfg)) == outcome(oracle_detect(values, cfg))
+
+
+def oracle_reduce_fft(series):
+    n = len(series)
+    if n < 2:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitudes = np.abs(np.fft.fft(np.asarray(series, dtype=float))[1:])
+        norm = np.sqrt(np.sum(magnitudes**2))
+        if not np.isfinite(norm):
+            peak = magnitudes.max()
+            norm = peak * np.sqrt(np.sum((magnitudes / peak) ** 2))
+    return float(norm)
+
+
+@given(
+    width=st.integers(2, 40),
+    count=st.integers(1, 5),
+    exponent=st.integers(-300, 307),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fft_table_equals_one_series_at_a_time(width, count, exponent, seed):
+    """The FFT reductions of many series in one call equal the one-series
+    computation, bit for bit, also where the squares overflow."""
+    rows = np.random.default_rng(seed).standard_normal((count, width)) * 10.0**exponent
+    got = _fft_norms(rows)
+    for row, norm in zip(rows, got.tolist()):
+        expected = oracle_reduce_fft(row)
+        assert float.hex(norm) == float.hex(expected)
+        assert float.hex(reduce_fft(row)) == float.hex(expected)

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from stagelens.model import (
     Trace,
     parse_locality,
 )
-from stagelens.simulate import ScenarioSpec, generate_trace
+from stagelens.report import PipelineConfig, diagnose, render_report
+from stagelens.simulate import ScenarioSpec, generate_trace, preset
 from stagelens.traceio import (
     _DECODER,
     _TASK_ROWS,
@@ -256,8 +258,8 @@ def test_non_object_record_rejected(tmp_path, line):
 
 
 def save_two_nodes(out):
-    """A trace whose metrics.jsonl indexes hw01 on line 2 and hw02 on line 3,
-    three samples each."""
+    """A trace whose metrics.jsonl indexes hw01 and hw02, one column layout
+    and three samples each, on line 2."""
     stage = make_stage({"hw01": 1, "hw02": 1})
     metrics = {
         node: metric_series(node, 1_460_000_000_000, 3, lambda i: {"cpu_usage": 0.5, "x": 1.0})
@@ -279,11 +281,11 @@ def test_non_finite_metric_value_rejected_at_load(tmp_path, token):
     out = save_two_nodes(tmp_path / "trace")
     metrics_file = out / "metrics.jsonl"
     lines = metrics_file.read_text().splitlines()
-    lines[2] = lines[2].replace('"samples":3', f'"samples":{token}')
-    assert token in lines[2]
+    lines[1] = lines[1].replace('"samples":[3,3]', f'"samples":[3,{token}]')
+    assert token in lines[1]
     metrics_file.write_text("\n".join(lines) + "\n")
     error = load_error(out)
-    assert "metrics.jsonl:3:" in str(error)
+    assert "metrics.jsonl:2:" in str(error)
     assert token in str(error)
 
 
@@ -295,20 +297,48 @@ def test_non_finite_metric_value_rejected_at_load(tmp_path, token):
     ],
 )
 def test_non_number_metric_value_rejected_at_load(tmp_path, value, rule):
-    """An infinity in metrics.values.npy fails at the index line of its node."""
+    """An infinity in metrics.values.npy fails at the index line of its node,
+    which it names."""
     out = save_two_nodes(tmp_path / "trace")
     values = np.load(out / "metrics.values.npy")
     values[7] = float(value)  # hw02's block starts at 2 columns x 3 samples
     np.save(out / "metrics.values.npy", values)
-    assert f"metrics.jsonl:3: {rule}" in str(load_error(out))
+    assert f"metrics.jsonl:2: node 'hw02': {rule}" in str(load_error(out))
+
+
+def save_three_nodes(out):
+    """A trace whose metrics.jsonl indexes hw01 and hw03 (columns cpu_usage
+    and x) on line 2 and hw02 (cpu_usage and y) on line 3, three samples
+    each: the blocks are hw01's, hw03's, then hw02's."""
+    stage = make_stage({"hw01": 1, "hw02": 1, "hw03": 1})
+    metrics = {
+        node: metric_series(node, 1_460_000_000_000, 3, lambda i: {"cpu_usage": 0.5, x: 1.0})
+        for node, x in (("hw01", "x"), ("hw02", "y"), ("hw03", "x"))
+    }
+    save_trace(make_trace(stage, metrics=metrics), str(out))
+    return out
+
+
+def test_index_holds_one_line_per_layout_in_first_node_order(tmp_path):
+    out = save_three_nodes(tmp_path / "trace")
+    assert (out / "metrics.jsonl").read_text().splitlines()[1:] == [
+        '{"columns":["cpu_usage","x"],"nodes":["hw01","hw03"],"samples":[3,3]}',
+        '{"columns":["cpu_usage","y"],"nodes":["hw02"],"samples":[3]}',
+    ]
+    timestamps = np.load(out / "metrics.timestamps.npy")
+    assert len(timestamps) == 9
+    assert np.array_equal(timestamps[:3], timestamps[3:6])
 
 
 def test_first_infinite_node_in_index_order_is_named(tmp_path):
-    out = save_two_nodes(tmp_path / "trace")
+    """hw03's block comes before hw02's, so hw03 is named."""
+    out = save_three_nodes(tmp_path / "trace")
     values = np.load(out / "metrics.values.npy")
-    values[[1, 8]] = np.inf
+    values[[8, 13]] = np.inf  # in hw03's block (cells 6-11) and hw02's (12-17)
     np.save(out / "metrics.values.npy", values)
-    assert "metrics.jsonl:2: metric values must be finite numbers" in str(load_error(out))
+    assert "metrics.jsonl:2: node 'hw03': metric values must be finite numbers" in str(
+        load_error(out)
+    )
 
 
 @pytest.mark.parametrize(
@@ -348,11 +378,16 @@ def test_truncated_or_padded_column_file_rejected(tmp_path, name, cut):
     assert str(error).startswith(f"{column}:0: ")
 
 
-@pytest.mark.parametrize("name", ["metrics.values.npy", "metrics.timestamps.npy"])
+@pytest.mark.parametrize(
+    "name", ["metrics.values.npy", "metrics.timestamps.npy", "metrics.jsonl"]
+)
 def test_missing_column_file_rejected(tmp_path, name):
+    """A missing file, or a directory in its place, fails at line 0."""
     out = save_two_nodes(tmp_path / "trace")
     (out / name).unlink()
     assert str(load_error(out)) == f"{out / name}:0: file missing from trace directory"
+    (out / name).mkdir()
+    assert str(load_error(out)) == f"{out / name}:0: a directory stands in place of the file"
 
 
 def test_column_file_written_by_another_numpy_padding_loads(tmp_path):
@@ -371,29 +406,61 @@ def test_column_file_written_by_another_numpy_padding_loads(tmp_path):
     [
         (lambda row: row.pop("samples"), "missing required field 'samples'"),
         (lambda row: row.pop("columns"), "missing required field 'columns'"),
-        (lambda row: row.pop("node"), "missing required field 'node'"),
-        (lambda row: row.update(node=2), "node must be a string"),
+        (lambda row: row.pop("nodes"), "missing required field 'nodes'"),
+        (lambda row: row.update(nodes="hw01"), "nodes must be a list of node names"),
+        (lambda row: row.update(nodes=["hw01", 2]), "node must be a string"),
         (lambda row: row.update(columns="cpu_usage"), "columns must be a list of metric names"),
         (lambda row: row.update(columns=["cpu_usage", 1]), "columns must be a list of metric names"),
         (lambda row: row.update(columns=["cpu_usage", {}]), "columns must be a list of metric names"),
         (lambda row: row.update(columns=["x", "cpu_usage"]), "columns must be distinct and in store order"),
         (lambda row: row.update(columns=["cpu_usage", "cpu_usage"]), "columns must be distinct and in store order"),
-        (lambda row: row.update(samples=-1), "samples must be a non-negative integer"),
-        (lambda row: row.update(samples=3.0), "samples must be a non-negative integer"),
-        (lambda row: row.update(samples="3"), "samples must be a non-negative integer"),
-        (lambda row: row.update(samples=True), "samples must be a non-negative integer"),
-        (lambda row: row.update(node="hw01"), "duplicate node 'hw01'"),
+        (lambda row: row.update(samples=[3, -1]), "samples must be a non-negative integer"),
+        (lambda row: row.update(samples=[3, 3.0]), "samples must be a non-negative integer"),
+        (lambda row: row.update(samples=[3, "3"]), "samples must be a non-negative integer"),
+        (lambda row: row.update(samples=[3, True]), "samples must be a non-negative integer"),
+        (lambda row: row.update(samples=3), "samples must be a list of 2 counts"),
+        (lambda row: row.update(samples=[3]), "samples must be a list of 2 counts"),
+        (lambda row: row.update(nodes=["hw01", "hw01"]), "duplicate node 'hw01'"),
     ],
 )
 def test_bad_index_line_rejected(tmp_path, edit, rule):
+    """Each rule fails at the line (both nodes sit on line 2); a rule about
+    one node's entry names it, as the next test shows."""
     out = save_two_nodes(tmp_path / "trace")
     metrics_file = out / "metrics.jsonl"
     lines = metrics_file.read_text().splitlines()
-    row = json.loads(lines[2])
+    row = json.loads(lines[1])
     edit(row)
-    lines[2] = json.dumps(row)
+    lines[1] = json.dumps(row)
     metrics_file.write_text("\n".join(lines) + "\n")
-    assert f"metrics.jsonl:3: {rule}" in str(load_error(out))
+    error = str(load_error(out))
+    assert error.startswith(f"{metrics_file}:2: ") and error.endswith(rule)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: row.update(nodes=["hw01", 2]), "node 2: node must be a string"),
+        (lambda row: row.update(samples=[3, -1]),
+         "node 'hw02': samples must be a non-negative integer"),
+    ],
+)
+def test_bad_index_entry_names_its_node(tmp_path, edit, message):
+    out = save_two_nodes(tmp_path / "trace")
+    metrics_file = out / "metrics.jsonl"
+    lines = metrics_file.read_text().splitlines()
+    row = json.loads(lines[1])
+    edit(row)
+    metrics_file.write_text(lines[0] + "\n" + json.dumps(row) + "\n")
+    assert str(load_error(out)) == f"{metrics_file}:2: {message}"
+
+
+def test_node_indexed_on_two_lines_rejected(tmp_path):
+    out = save_two_nodes(tmp_path / "trace")
+    metrics_file = out / "metrics.jsonl"
+    with open(metrics_file, "a") as fh:
+        fh.write('{"columns":["cpu_usage"],"nodes":["hw03","hw02"],"samples":[0,0]}\n')
+    assert str(load_error(out)) == f"{metrics_file}:3: duplicate node 'hw02'"
 
 
 @pytest.mark.parametrize("name", ["meta", "jobs", "stages", "tasks", "metrics"])
@@ -402,7 +469,7 @@ def test_version_1_trace_rejected(tmp_path, name):
     path = out / f"{name}.jsonl"
     path.write_text(path.read_text().replace(SCHEMA_VERSION, "stagelens-trace/1", 1))
     assert str(load_error(out)) == (
-        f"{path}:1: schema header must declare 'stagelens-trace/3'"
+        f"{path}:1: schema header must declare 'stagelens-trace/4'"
     )
 
 
@@ -414,7 +481,24 @@ def test_version_2_trace_rejected(tmp_path):
         path = out / f"{name}.jsonl"
         path.write_text(path.read_text().replace(SCHEMA_VERSION, "stagelens-trace/2", 1))
     assert str(load_error(out)) == (
-        f"{out / 'meta.jsonl'}:1: schema header must declare 'stagelens-trace/3'"
+        f"{out / 'meta.jsonl'}:1: schema header must declare 'stagelens-trace/4'"
+    )
+
+
+def test_version_3_trace_rejected(tmp_path):
+    """A stagelens-trace/3 directory (one metrics.jsonl line per node) fails
+    at its first header: there is no reader for it."""
+    out = save_two_nodes(tmp_path / "trace")
+    for name in ("meta", "jobs", "stages", "tasks", "metrics"):
+        path = out / f"{name}.jsonl"
+        path.write_text(path.read_text().replace(SCHEMA_VERSION, "stagelens-trace/3", 1))
+    (out / "metrics.jsonl").write_text(
+        '{"entity":"metrics","schema":"stagelens-trace/3"}\n'
+        '{"columns":["cpu_usage","x"],"node":"hw01","samples":3}\n'
+        '{"columns":["cpu_usage","x"],"node":"hw02","samples":3}\n'
+    )
+    assert str(load_error(out)) == (
+        f"{out / 'meta.jsonl'}:1: schema header must declare 'stagelens-trace/4'"
     )
 
 
@@ -627,8 +711,9 @@ def test_clock_offset_past_int64_rejected(tmp_path):
     header, body = meta.read_text().splitlines()
     change = {"clock_offsets": {"hw02": 2**63 - 1}, "offsets_applied": False}
     meta.write_text(header + "\n" + json.dumps({**json.loads(body), **change}) + "\n")
-    assert f"metrics.jsonl:3: clock offset {2**63 - 1} moves timestamps out of range" in str(
-        load_error(out)
+    assert (
+        f"metrics.jsonl:2: node 'hw02': clock offset {2**63 - 1} moves timestamps out of range"
+        in str(load_error(out))
     )
 
 
@@ -710,8 +795,9 @@ def test_validate_checks_store_shape(tmp_path, store, problem):
 
 # Names that need JSON escapes or that a %-format would misread.
 _NAMES = st.text(st.characters() | st.sampled_from('%"\\\u00e9\n'), min_size=1, max_size=6)
+# Schema names and a short one recur, so nodes often share a column layout.
 _ROW_VALUES = st.dictionaries(
-    _NAMES,
+    st.sampled_from(["cpu_usage", "IPC", "x"]) | _NAMES,
     st.floats(allow_nan=False, allow_infinity=False),
     max_size=5,
 )
@@ -719,20 +805,22 @@ _ROW_VALUES = st.dictionaries(
 
 @given(
     series=st.dictionaries(
-        _NAMES,
+        _NAMES | st.sampled_from(["hw01", "hw02", "hw03"]),
         st.dictionaries(st.integers(-2**53, 2**53), _ROW_VALUES, max_size=6),
         # save_trace rejects a trace whose cluster is empty.
         min_size=1,
-        max_size=3,
+        max_size=5,
     )
 )
 @example(series={"0": {}})
+@example(series={"b": {0: {"x": 1.0}}, "a": {}, "c": {1: {"x": 2.0}}, "d": {2: {"IPC": 3.0}}})
 def test_store_round_trip_property(tmp_path_factory, series):
     """Any node and metric names (escapes, %, non-ASCII), any finite floats,
-    rows in any order: each metrics line is the sorted-key JSON of its
-    node's index entry, the column files are what np.save writes for the
-    stores joined in index order, load(save(t)) == t, and saving again gives
-    the same bytes."""
+    rows in any order, several column layouts and nodes without samples:
+    metrics.jsonl holds one sorted-key JSON line per layout, listing its
+    nodes sorted with their sample counts, lines in order of their first
+    node; the column files are what np.save writes for the stores joined in
+    that order; load(save(t)) == t, and saving again gives the same bytes."""
     trace = Trace(
         cluster=sorted(series),
         metrics={
@@ -745,13 +833,17 @@ def test_store_round_trip_property(tmp_path_factory, series):
     a = tmp_path_factory.mktemp("a")
     b = tmp_path_factory.mktemp("b")
     save_trace(trace, str(a))
-    stores = [trace.metrics[node] for node in sorted(trace.metrics) if len(trace.metrics[node])]
+    layouts = {}
+    for node in sorted(trace.metrics):
+        if len(trace.metrics[node]):
+            layouts.setdefault(trace.metrics[node].columns, []).append(trace.metrics[node])
     expected = [
-        json.dumps({"columns": list(store.columns), "node": store.node, "samples": len(store)},
-                   sort_keys=True, separators=(",", ":"))
-        for store in stores
+        json.dumps({"columns": list(columns), "nodes": [s.node for s in group],
+                    "samples": [len(s) for s in group]}, sort_keys=True, separators=(",", ":"))
+        for columns, group in layouts.items()
     ]
     assert (a / "metrics.jsonl").read_text().splitlines()[1:] == expected
+    stores = [store for group in layouts.values() for store in group]
     for name, column in (("timestamps", np.zeros(0, np.int64)), ("values", np.zeros(0))):
         saved = io.BytesIO()
         np.save(saved, np.concatenate([column] + [getattr(s, name).ravel() for s in stores]))
@@ -871,6 +963,54 @@ def test_unapplied_clock_offsets_shift_once(tmp_path):
     out2 = tmp_path / "trace2"
     save_trace(shifted, str(out2))
     assert load_trace(str(out2)) == shifted
+
+
+def stored_before_offsets(trace, offsets):
+    """The trace as stored by a collector whose clocks run `offsets` ms
+    behind the cluster clock: every task and metric time of a node moved
+    back by its offset, the offsets recorded."""
+    jobs = []
+    for job in trace.jobs:
+        stages = []
+        for stage in job.stages:
+            t = stage.tasks
+            back = np.array([offsets[n] for n in t.nodes], np.int64)[t.node]
+            tasks = TaskTable(t.task_id, t.node, t.launch_time - back, t.finish_time - back,
+                              t.locality, t.data_size, t.succeeded, nodes=t.nodes)
+            stages.append(Stage(stage.stage_id, stage.job_id, tasks))
+        jobs.append(Job(job.job_id, stages))
+    metrics = {
+        node: MetricStore(node, store.timestamps - offsets[node], store.columns, store.values)
+        for node, store in trace.metrics.items()
+    }
+    return Trace(cluster=trace.cluster, jobs=jobs, metrics=metrics, clock_offsets=dict(offsets))
+
+
+@given(
+    case=st.sampled_from(["case1", "case2", "case3"]),
+    seed=st.integers(1, 3),
+    shifts=st.lists(st.integers(-10**9, 10**9), min_size=6, max_size=6),
+)
+def test_unapplied_offsets_give_the_reports_of_applied_ones(tmp_path_factory, case, seed, shifts):
+    """A trace saved with offsets_applied false and its stored times moved
+    back by each node's offset reports, text and structured, byte for byte
+    what the same trace with the offsets applied reports."""
+    trace, _ = generate_trace(preset(case, seed))
+    offsets = dict(zip(trace.cluster, shifts))
+    applied = tmp_path_factory.mktemp("applied")
+    save_trace(Trace(trace.cluster, trace.jobs, trace.metrics, offsets), str(applied))
+    unapplied = tmp_path_factory.mktemp("unapplied")
+    save_trace(stored_before_offsets(trace, offsets), str(unapplied))
+    meta = unapplied / "meta.jsonl"
+    header, body = meta.read_text().splitlines()
+    body = json.dumps({**json.loads(body), "offsets_applied": False})
+    meta.write_text(header + "\n" + body + "\n")
+    fft = PipelineConfig(transform="fft", representative="median", dmin=0.5)
+    for cfg in (PipelineConfig(), fft):
+        want = diagnose(load_trace(str(applied)), cfg)
+        got = diagnose(load_trace(str(unapplied)), cfg)
+        for form in ("text", "structured"):
+            assert render_report(got, form) == render_report(want, form)
 
 
 @pytest.fixture(scope="module")
@@ -1150,3 +1290,104 @@ def small_traces(draw):
 @given(trace=small_traces())
 def test_validate_equals_one_walk_oracle(trace):
     assert trace.validate() == oracle_validate(trace)
+
+
+def loadable(trace):
+    """A drawn small trace without what the loader rejects before it
+    validates (one j0 job, distinct stage ids, every store under its own
+    node with a layout in store order and finite values) and with rising
+    timestamps. Task flaws and nodes outside the cluster stay."""
+    stages = {}
+    for stage in trace.jobs[0].stages:
+        stages.setdefault(stage.stage_id, stage)
+    layouts = {0: (), 1: ("cpu_usage",), 2: ("cpu_usage", "x")}
+    metrics = {
+        node: MetricStore(node, 2 * np.arange(len(store), dtype=np.int64),
+                          layouts[len(store.columns)],
+                          np.where(np.isinf(store.values), 0.5, store.values))
+        for node, store in trace.metrics.items()
+    }
+    return Trace(cluster=trace.cluster, jobs=[Job("j0", list(stages.values()))], metrics=metrics)
+
+
+def save_unchecked(trace, out):
+    """save_trace's files for a trace it would refuse for failing validate."""
+    with mock.patch.object(Trace, "validate", return_value=[]):
+        save_trace(trace, str(out))
+
+
+# Two clean nodes, three samples each.
+_CLEAN = Trace(
+    cluster=["hw01", "hw02"],
+    jobs=[Job("j0", [make_stage({"hw01": 1, "hw02": 1}, launch=5)])],
+    metrics={
+        node: metric_series(node, 0, 3, lambda i: {"cpu_usage": 0.5}) for node in ("hw01", "hw02")
+    },
+)
+
+
+@given(
+    trace=small_traces(),
+    fault=st.sampled_from(["none", "inside", "boundary", "cluster"]),
+    at=st.integers(0, 2**16),  # taken modulo the places the fault can go
+    drop=st.integers(0, 2),
+)
+@example(trace=_CLEAN, fault="inside", at=4, drop=0)
+@example(trace=_CLEAN, fault="boundary", at=0, drop=2)
+@example(trace=_CLEAN, fault="cluster", at=1, drop=0)
+def test_load_checks_equal_validate(tmp_path_factory, trace, fault, at, drop):
+    """With one more metric fault written into a saved trace's files (a
+    timestamp `drop` below its predecessor inside a node's block; the same
+    drop at a block's first sample, which is no fault; a node left out of
+    the cluster), load_trace raises exactly validate's problems for the
+    trace it read, or loads that trace when there are none."""
+    trace = loadable(trace)
+    out = tmp_path_factory.mktemp("faulty")
+    save_unchecked(trace, out)
+    rows = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()[1:]]
+    entries = [(node, n, row["columns"]) for row in rows
+               for node, n in zip(row["nodes"], row["samples"])]
+    ends = np.cumsum([n for _, n, _ in entries], dtype=np.int64).tolist()
+    ts = np.load(out / "metrics.timestamps.npy")
+    cluster = list(trace.cluster)
+    # Sample positions whose predecessor is in the same block, or in another.
+    inside = [i for i in range(1, len(ts)) if i not in ends]
+    firsts = sorted({e for e in ends[:-1] if 0 < e < len(ts)})
+    places = {"inside": inside, "boundary": firsts}.get(fault, [])
+    if places:
+        i = places[at % len(places)]
+        ts[i] = ts[i - 1] - drop
+    indexed = sorted(set(cluster) & {node for node, _, _ in entries})
+    if fault == "cluster" and indexed:
+        cluster.remove(indexed[at % len(indexed)])
+        meta = out / "meta.jsonl"
+        header, body = meta.read_text().splitlines()
+        meta.write_text(header + "\n" + json.dumps({**json.loads(body), "cluster": cluster}) + "\n")
+    np.save(out / "metrics.timestamps.npy", ts)
+    values = np.load(out / "metrics.values.npy")
+    metrics, at, cell = {}, 0, 0
+    for node, n, columns in entries:
+        block = values[cell : cell + len(columns) * n].reshape(len(columns), n)
+        metrics[node] = MetricStore(node, ts[at : at + n], tuple(columns), block)
+        at, cell = at + n, cell + block.size
+    stages = [Stage(s.stage_id, "j0", s.tasks.sorted_by_id())
+              for s in sorted(trace.jobs[0].stages, key=lambda s: s.stage_id)]
+    read = Trace(cluster=sorted(cluster), jobs=[Job("j0", stages)], metrics=metrics)
+    problems = read.validate()
+    if problems:
+        with pytest.raises(TraceValidationError) as err:
+            load_trace(str(out))
+        assert err.value.problems == problems
+    else:
+        assert load_trace(str(out)) == read
+
+
+def test_rising_blocks_skip_the_series_walk(tmp_path):
+    """A trace whose blocks each rise loads without validate's node-by-node
+    walk over the series, also where a block starts below the one before."""
+    out = save_two_nodes(tmp_path / "trace")
+    ts = np.load(out / "metrics.timestamps.npy")
+    assert ts[3] < ts[2]  # hw02's first sample, below hw01's last
+    with mock.patch.object(Trace, "_series_problems", side_effect=AssertionError("walked")):
+        loaded = load_trace(str(out))
+    assert loaded == load_trace(str(save_two_nodes(tmp_path / "again")))
