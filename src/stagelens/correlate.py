@@ -1,16 +1,32 @@
 """Stage-resource correlation: slice node metrics by stage windows and build
-the per-stage feature datasets consumed by the detectors."""
+the per-stage feature datasets consumed by the detectors.
+
+Both work on the trace's clock groups (see `model`): a window is found
+with one search per group, and means and sample rows are taken once per
+batch of groups that share a column layout and a window length, not once
+per node."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import METRIC_SCHEMA, MetricStore, Stage, TaskTable, Trace, median
+from .model import (
+    METRIC_SCHEMA,
+    ClockGroup,
+    ClockGroups,
+    MetricStore,
+    Stage,
+    TaskTable,
+    Trace,
+    median,
+    window_bounds,
+)
 
 
 class CorrelateError(Exception):
@@ -37,27 +53,91 @@ def stage_window(stage: Stage) -> StageWindow:
     )
 
 
-@dataclass
+class GroupCut(NamedTuple):
+    """The window's part of one clock group: sample columns lo:hi of the
+    group rows `rows` (None: every row)."""
+
+    group: ClockGroup
+    rows: Optional[List[int]]
+    lo: int
+    hi: int
+
+    @property
+    def nodes(self) -> Tuple[str, ...]:
+        nodes = self.group.nodes
+        return nodes if self.rows is None else tuple(map(nodes.__getitem__, self.rows))
+
+    @property
+    def values(self) -> np.ndarray:
+        """float64[len(nodes), columns, hi - lo]: a view when `rows` is None,
+        else a copy of the picked rows' window only."""
+        block = self.group.values[:, :, self.lo : self.hi]
+        return block if self.rows is None else block[self.rows]
+
+
+_NO_SERIES = MetricStore("", np.empty(0, np.int64), (), np.empty((0, 0)))
+_NO_SERIES.timestamps.flags.writeable = _NO_SERIES.values.flags.writeable = False
+
+
+@dataclass(eq=False)
 class MetricSlices:
-    """In-window metric subseries per node; nodes with no samples are gaps."""
+    """A stage window's metric samples: `cuts` holds, per clock group, the
+    in-window samples of the group's window nodes (only cuts that hold
+    samples), and `gaps` the sorted window nodes without any.
+
+    `series` is node -> in-window MetricStore (views; an empty store for a
+    gap node), for every window node in sorted order, built when first read.
+    """
 
     window: StageWindow
-    series: Dict[str, MetricStore]
+    cuts: List[GroupCut]
     gaps: List[str]
+
+    @cached_property
+    def series(self) -> Dict[str, MetricStore]:
+        series = {
+            node: MetricStore(node, _NO_SERIES.timestamps, (), _NO_SERIES.values)
+            for node in self.gaps
+        }
+        for cut in self.cuts:
+            group, lo, hi = cut.group, cut.lo, cut.hi
+            rows = range(len(group.nodes)) if cut.rows is None else cut.rows
+            for row, node in zip(rows, cut.nodes):
+                series[node] = MetricStore(
+                    node, group.timestamps[lo:hi], group.columns, group.values[row, :, lo:hi]
+                )
+        return dict(sorted(series.items()))
 
 
 def slice_metrics(trace: Trace, window: StageWindow) -> MetricSlices:
-    """Inclusive-bounds slice of each window node's metric series (views)."""
-    series: Dict[str, MetricStore] = {}
+    """Inclusive-bounds slice of the window nodes' metric series: one search
+    per clock group."""
+    metrics: ClockGroups = trace.metrics  # type: ignore[assignment]
+    cuts: List[GroupCut] = []
     gaps: List[str] = []
-    for node in sorted(window.nodes):
-        store = trace.metrics.get(node)
-        if store is None:
-            store = MetricStore(node, np.empty(0, np.int64), (), np.empty((0, 0)))
-        cut = series[node] = store.window(window.start, window.finish)
-        if not len(cut.timestamps):
+    inside = window.nodes
+    for group in metrics.groups:
+        rows: Optional[List[int]] = None
+        if not inside.issuperset(group.nodes):
+            rows = [i for i, node in enumerate(group.nodes) if node in inside]
+            if not rows:
+                continue
+        lo, hi = window_bounds(group.timestamps, window.start, window.finish)
+        cut = GroupCut(group, rows, lo, hi)
+        if hi > lo:
+            cuts.append(cut)
+        else:
+            gaps += cut.nodes
+    # A loose store (one validate rejects) is cut on its own.
+    for node in inside.difference(metrics.grouped):
+        store = metrics.loose.get(node)
+        cut = store.window(window.start, window.finish) if store is not None else _NO_SERIES
+        if len(cut.timestamps):
+            group = ClockGroup((node,), cut.columns, cut.timestamps, cut.values[None])
+            cuts.append(GroupCut(group, None, 0, len(cut.timestamps)))
+        else:
             gaps.append(node)
-    return MetricSlices(window=window, series=series, gaps=gaps)
+    return MetricSlices(window=window, cuts=cuts, gaps=sorted(gaps))
 
 
 @dataclass(frozen=True)
@@ -86,6 +166,11 @@ class FeatureDatasets:
     - `stacked` is samples x `matrix_metrics`, C-contiguous and read-only:
       every node's samples in time order, node after node. Node i's rows are
       `stacked[offsets[i]:offsets[i + 1]]`.
+
+    Each batch of window cuts with one column layout and window length
+    gives its means with one `np.add.reduce` (the pairwise sums np.mean
+    takes, node by node) and its rows of `stacked` with one transposing
+    copy per run of nodes adjacent in `nodes`.
 
     The detectors read the arrays. `vectors` and `matrix` are read-only
     views of them for perfbench/spans.py's traced replay of the pipeline.
@@ -128,6 +213,17 @@ class FeatureDatasets:
 _SCHEMA_POSITION = {m: j for j, m in enumerate(METRIC_SCHEMA)}
 
 
+def _schema_rows(layout: Tuple[str, ...]) -> Tuple[Union[slice, List[int]], List[int]]:
+    """The rows of a column layout that hold schema metrics (a slice when
+    they are consecutive, as in store order, where they lead), and those
+    metrics' positions in METRIC_SCHEMA."""
+    rows = [r for r, c in enumerate(layout) if c in _SCHEMA_POSITION]
+    cells = [_SCHEMA_POSITION[layout[r]] for r in rows]
+    if rows == list(range(len(rows))):
+        return slice(0, len(rows)), cells
+    return rows, cells
+
+
 def build_datasets(
     stage: Stage,
     slices: MetricSlices,
@@ -153,51 +249,67 @@ def build_datasets(
     for code in counted[np.sort(first)].tolist():
         tnum[ok.nodes[code]] = tally[code]
 
-    nodes = sorted(node for node, store in slices.series.items() if len(store))
-    missing = sorted(node for node, store in slices.series.items() if not len(store))
-    stores = [slices.series[node] for node in nodes]
-    offsets = np.cumsum([0] + [len(store) for store in stores])
+    # Cuts with one column layout and window length form one batch, whose
+    # block holds their nodes' windows (a copy only for several cuts). The
+    # batches' nodes, concatenated, land at `position` of the sorted nodes.
+    batches: Dict[Tuple[Tuple[str, ...], int], List[GroupCut]] = {}
+    for cut in slices.cuts:
+        batches.setdefault((cut.group.columns, cut.hi - cut.lo), []).append(cut)
+    blocks = [
+        cuts[0].values if len(cuts) == 1 else np.concatenate([cut.values for cut in cuts])
+        for cuts in batches.values()
+    ]
+    names = [node for cuts in batches.values() for cut in cuts for node in cut.nodes]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    nodes = [names[j] for j in order]
+    position = np.empty(len(names), np.int64)
+    position[order] = np.arange(len(names))
+    at = list(accumulate(map(len, blocks), initial=0))  # each batch's first node
+    sizes = np.repeat(np.array([n for _, n in batches], np.int64), list(map(len, blocks)))
+    offsets = np.zeros(len(nodes) + 1, np.int64)
+    np.cumsum(sizes[order], out=offsets[1:])
     shape = (len(nodes), len(METRIC_SCHEMA))
     means = np.full(shape, np.nan)
     present = np.zeros(shape, dtype=bool)
     complete = np.zeros(shape, dtype=bool)  # every in-window sample reports it
-    layouts: Dict[Tuple[str, ...], List[int]] = {}  # store columns -> node rows
-    for i, store in enumerate(stores):
-        layouts.setdefault(store.columns, []).append(i)
     with np.errstate(over="ignore", invalid="ignore"):
-        for layout, members in layouts.items():
-            rows = [r for r, c in enumerate(layout) if c in _SCHEMA_POSITION]
-            cells = np.ix_(members, [_SCHEMA_POSITION[layout[r]] for r in rows])
+        for (layout, n), block, a, b in zip(batches, blocks, at, at[1:]):
+            rows, cells = _schema_rows(layout)
             # np.mean's arithmetic: a pairwise sum of each row, then a division.
-            sums = [np.add.reduce(stores[i].values, axis=1) for i in members]
-            table = np.array(sums).reshape(len(members), len(layout))[:, rows]
-            table /= np.diff(offsets)[members, None]
+            table = np.add.reduce(block[:, rows], axis=2)
+            table /= n
             reported = np.ones(table.shape, dtype=bool)
             full = np.ones(table.shape, dtype=bool)
             # A NaN mean is a missing value or an overflow; only the former
             # takes the mean of the row's reported values.
-            for a, b in zip(*(ix.tolist() for ix in np.nonzero(np.isnan(table)))):
-                row = stores[members[a]].values[rows[b]]
+            for i, j in zip(*(ix.tolist() for ix in np.nonzero(np.isnan(table)))):
+                row = block[i, rows][j]
                 kept = row[~np.isnan(row)]
                 if kept.size < row.size:
-                    full[a, b] = False
-                    reported[a, b] = kept.size > 0
+                    full[i, j] = False
+                    reported[i, j] = kept.size > 0
                     if kept.size:
-                        table[a, b] = np.mean(kept)
-            means[cells], present[cells], complete[cells] = table, reported, full
+                        table[i, j] = np.mean(kept)
+            index = np.ix_(position[a:b], cells)
+            means[index], present[index], complete[index] = table, reported, full
     # The stacked block's columns: metrics every in-window sample reports.
     shared = complete.all(axis=0).tolist() if nodes else [False] * len(METRIC_SCHEMA)
     columns = [m for m, keep in zip(METRIC_SCHEMA, shared) if keep]
 
     stacked = np.empty((int(offsets[-1]), len(columns)))
     if columns:
-        bounds = offsets.tolist()
-        for layout, members in layouts.items():
+        # Samples x metrics per node: one transposing copy per run of a
+        # batch's nodes that sit next to each other in `nodes`.
+        starts = offsets[position].tolist()  # each concatenated node's first row
+        for (layout, n), block, a, b in zip(batches, blocks, at, at[1:]):
             index = [layout.index(m) for m in columns]
             if index == list(range(index[0], index[-1] + 1)):
                 index = slice(index[0], index[-1] + 1)  # a view, not a copy
-            for i in members:
-                stacked[bounds[i]:bounds[i + 1]] = stores[i].values[index].T
+            source = block[:, index].transpose(0, 2, 1)
+            breaks = (np.flatnonzero(np.diff(position[a:b]) != 1) + 1).tolist()
+            for i, j in zip([0] + breaks, breaks + [b - a]):
+                top = starts[a + i]
+                stacked[top : top + (j - i) * n].reshape(j - i, n, len(columns))[...] = source[i:j]
     stacked.flags.writeable = False
 
     return FeatureDatasets(
@@ -213,5 +325,5 @@ def build_datasets(
         matrix_metrics=columns,
         ultrashort_count=len(ok) - len(counted),
         failed_count=len(tasks) - len(ok),
-        missing_metric_nodes=missing,
+        missing_metric_nodes=list(slices.gaps),
     )

@@ -368,17 +368,31 @@ def derive_series(
     )
 
 
-def _join(node: str, stores: Sequence[MetricStore]) -> MetricStore:
-    """One store on the union of the stores' timestamps, NaN where a store
-    has no row; the stores report disjoint metrics."""
-    timestamps = np.unique(np.concatenate([s.timestamps for s in stores]))
-    columns = metric_columns(c for s in stores for c in s.columns)
-    values = np.full((len(columns), len(timestamps)), np.nan)
-    for store in stores:
-        at = np.searchsorted(timestamps, store.timestamps)
-        for name, row in zip(store.columns, store.values):
-            values[columns.index(name), at] = row
-    return MetricStore(node, timestamps, columns, values)
+def _join(derived: Dict[str, List[MetricStore]]) -> Dict[str, MetricStore]:
+    """Each node's stores as one store on the union of their timestamps, NaN
+    where a store has no row; a node's stores report disjoint metrics. Nodes
+    that end with one column layout and one timestamp vector get the rows of
+    one nodes x metrics x samples block, which a Trace takes as their clock
+    group's block without a copy."""
+    shapes = {
+        node: (metric_columns(c for s in stores for c in s.columns),
+               np.unique(np.concatenate([s.timestamps for s in stores])))
+        for node, stores in derived.items()
+    }
+    shared: Dict[tuple, List[str]] = {}
+    for node, (columns, timestamps) in shapes.items():
+        shared.setdefault((columns, timestamps.tobytes()), []).append(node)
+    joined = {}
+    for (columns, _), nodes in shared.items():
+        timestamps = shapes[nodes[0]][1]
+        block = np.full((len(nodes), len(columns), len(timestamps)), np.nan)
+        for node, values in zip(nodes, block):
+            for store in derived[node]:
+                at = np.searchsorted(timestamps, store.timestamps)
+                for name, row in zip(store.columns, store.values):
+                    values[columns.index(name), at] = row
+            joined[node] = MetricStore(node, timestamps, columns, values)
+    return {node: joined[node] for node in derived}
 
 
 _METRIC_FILE_RE = re.compile(r"^(?P<node>.+)\.(?P<schema>system|arch)\.tsv$")
@@ -410,7 +424,6 @@ def ingest_raw(
             store = derive_series(block, schema, node, wrap_detection=wrap_detection)
             if len(store):
                 derived.setdefault(node, []).append(store)
-        for node, stores in derived.items():
-            trace.metrics[node] = _join(node, stores)
+        trace.metrics = _join(derived)
         trace.cluster = sorted(set(trace.cluster) | set(derived))
     return trace, report

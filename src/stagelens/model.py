@@ -3,6 +3,13 @@
 A Trace bundles one complete observation of a cluster run: the job/stage/task
 hierarchy recovered from application logs plus per-node metric time series,
 all on a single cluster clock (integer milliseconds UTC).
+
+Producers build a node's series as a MetricStore. A Trace holds them as
+clock groups: the nodes whose series share one column layout and one
+timestamp vector sit in one read-only float64[nodes, columns, samples]
+block (ClockGroup), so windowing and averaging run once per group.
+`Trace.metrics` is the read-only mapping node -> MetricStore over them
+(ClockGroups); each store it returns is a view of its group.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import (
     Callable,
     Dict,
@@ -17,10 +25,12 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -377,6 +387,17 @@ def _in_store_order(columns: Tuple) -> bool:
 _INT64_MAX = 2**63 - 1
 
 
+def window_bounds(timestamps: np.ndarray, start: int, finish: int) -> Tuple[int, int]:
+    """lo, hi such that timestamps[lo:hi] are those with start <= t <= finish
+    (int64 bounds), for ascending int64 timestamps."""
+    # Timestamps are integers, so ts <= finish exactly when ts < finish + 1:
+    # one search finds both ends. No timestamp passes the int64 maximum.
+    if finish < _INT64_MAX:
+        lo, hi = timestamps.searchsorted((start, finish + 1)).tolist()
+        return lo, hi
+    return int(timestamps.searchsorted(start)), len(timestamps)
+
+
 @dataclass(eq=False)
 class MetricStore:
     """One node's metric series, held column by column.
@@ -396,12 +417,7 @@ class MetricStore:
     def window(self, start: int, finish: int) -> "MetricStore":
         """The rows with start <= timestamp <= finish (int64 bounds), as views
         of this store."""
-        # Timestamps are integers, so ts <= finish exactly when ts < finish + 1:
-        # one search finds both ends. No timestamp passes the int64 maximum.
-        if finish < _INT64_MAX:
-            lo, hi = self.timestamps.searchsorted((start, finish + 1)).tolist()
-        else:
-            lo, hi = int(self.timestamps.searchsorted(start)), len(self.timestamps)
+        lo, hi = window_bounds(self.timestamps, start, finish)
         return MetricStore(
             self.node, self.timestamps[lo:hi], self.columns, self.values[:, lo:hi]
         )
@@ -422,17 +438,188 @@ class MetricStore:
         )
 
 
+def _well_formed(columns: Tuple, ts, values) -> bool:
+    """Whether a store holds int64[n] timestamps and float64[len(columns), n]
+    values."""
+    return (
+        isinstance(ts, np.ndarray) and ts.ndim == 1 and ts.dtype == np.int64
+        and isinstance(values, np.ndarray) and values.dtype == np.float64
+        and values.shape == (len(columns), len(ts))
+    )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """The array if it is read-only, else a read-only view of it (the array
+    itself keeps its flags)."""
+    if not array.flags.writeable:
+        return array
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+class ClockGroup:
+    """Nodes whose series share one column layout and one timestamp vector.
+
+    `values` is float64[len(nodes), len(columns), len(timestamps)]: node
+    `nodes[i]`'s series is `values[i]`. Both arrays are read-only. A group
+    holds only series that `Trace.validate` accepts, whatever their nodes'
+    cluster membership.
+    """
+
+    __slots__ = ("nodes", "columns", "timestamps", "values")
+
+    def __init__(
+        self, nodes: Sequence[str], columns: Tuple[str, ...], timestamps: np.ndarray,
+        values: np.ndarray,
+    ):
+        self.nodes = tuple(nodes)
+        self.columns = columns
+        self.timestamps = _read_only(timestamps)
+        self.values = _read_only(values)
+
+    def __repr__(self) -> str:
+        return (f"ClockGroup({len(self.nodes)} nodes, {len(self.columns)} columns, "
+                f"{len(self.timestamps)} samples)")
+
+
+def _clock_key(
+    node: str, store: MetricStore, layouts: dict, clocks: Dict[int, tuple]
+) -> Optional[tuple]:
+    """(columns, timestamp bytes) of a store that validate accepts but for its
+    node's cluster membership and its values' finiteness, or None. Each
+    distinct layout and timestamps array is checked once."""
+    ts = store.timestamps
+    columns = tuple(store.columns)
+    if not (
+        store.node == node and checked_once(layouts, columns, _in_store_order)
+        and _well_formed(columns, ts, store.values)
+    ):
+        return None
+    # The array is kept with its key, so its id is not reused meanwhile.
+    _, key = checked_once(
+        clocks, id(ts),
+        lambda _: (ts, ts.tobytes() if bool((ts[1:] > ts[:-1]).all()) else None),
+    )
+    return None if key is None else (columns, key)
+
+
+def _block_of(rows: List[np.ndarray]) -> np.ndarray:
+    """The arrays as one block, row i being rows[i]: a view of a lone array,
+    or the 3-D array that owns them when they are its rows in order; else a
+    stacked copy."""
+    if len(rows) == 1:
+        return rows[0][None]
+    base = rows[0].base
+    if isinstance(base, np.ndarray) and base.ndim == 3 and len(base) == len(rows) and all(
+        row.base is base and row.__array_interface__ == view.__array_interface__
+        for row, view in zip(rows, base)
+    ):
+        return base
+    return np.stack(rows)
+
+
+class ClockGroups(Mapping):
+    """A trace's metric series: a read-only mapping node -> MetricStore,
+    held as clock groups.
+
+    Each store it returns is a view of its group's rows. A store that
+    `Trace.validate` rejects for anything but its node's cluster membership
+    stays as it was given (`loose`), so validate names exactly its problems.
+    The mapping keeps the order it was built in.
+    """
+
+    __slots__ = ("groups", "grouped", "loose", "_at")
+
+    def __init__(
+        self,
+        at: Dict[str, Union[Tuple[ClockGroup, int], MetricStore]],
+        groups: Sequence[ClockGroup],
+        loose: Dict[str, MetricStore],
+    ):
+        """`at` maps each node, in order, to its (group, row) in one of
+        `groups` or to its store in `loose`."""
+        self._at = at
+        self.groups = tuple(groups)
+        self.loose = loose
+        self.grouped = frozenset(at).difference(loose)
+
+    @classmethod
+    def of(cls, stores: Mapping[str, MetricStore]) -> "ClockGroups":
+        """Group stores by column layout and timestamp values: one pass, and
+        one block per group (a view of a lone store, or the 3-D array whose
+        rows the stores' values are; else a stacked copy)."""
+        if isinstance(stores, ClockGroups):
+            return stores
+        at: Dict[str, Union[Tuple[ClockGroup, int], MetricStore]] = dict(stores)
+        members: Dict[tuple, List[str]] = {}
+        layouts: dict = {}
+        clocks: Dict[int, tuple] = {}
+        for node, store in at.items():
+            key = _clock_key(node, store, layouts, clocks)
+            if key is not None:
+                members.setdefault(key, []).append(node)
+        groups = []
+        for (columns, _), nodes in members.items():
+            stores_ = [at[node] for node in nodes]
+            block = _block_of([store.values for store in stores_])
+            # fmax and fmin pass over NaN, and need no block-sized temporary.
+            if block.size and (np.isinf(np.fmax.reduce(block, axis=None))
+                               or np.isinf(np.fmin.reduce(block, axis=None))):
+                finite = ~np.isinf(block).any(axis=(1, 2))
+                nodes = [node for node, ok in zip(nodes, finite.tolist()) if ok]
+                block = block[finite]
+                if not nodes:
+                    continue
+            group = ClockGroup(nodes, columns, stores_[0].timestamps, block)
+            groups.append(group)
+            at.update(zip(nodes, zip(repeat(group), range(len(nodes)))))
+        loose = {node: store for node, store in at.items() if type(store) is not tuple}
+        return cls(at, groups, loose)
+
+    def __getitem__(self, node: str) -> MetricStore:
+        entry = self._at[node]
+        if type(entry) is not tuple:
+            return entry
+        group, row = entry
+        return MetricStore(node, group.timestamps, group.columns, group.values[row])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._at)
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def __contains__(self, node: object) -> bool:
+        return node in self._at
+
+    def __repr__(self) -> str:
+        return (f"ClockGroups({len(self)} nodes in {len(self.groups)} groups, "
+                f"{len(self.loose)} loose)")
+
+
 @dataclass(eq=False)
 class Trace:
     """Two traces are equal when they save to the same files: the order of
     nodes, jobs, stages and tasks does not count (a save sorts them by id),
     and a node whose series has no rows equals a node with no series (both
-    write no metrics line and slice to a gap)."""
+    write no metrics line and slice to a gap).
+
+    `metrics` is read-only: a mapping of stores given to it (or assigned to
+    it) is grouped once into ClockGroups, and the trace no longer reads the
+    stores' arrays but through their groups, or as given for a store
+    validate rejects.
+    """
 
     cluster: List[str] = field(default_factory=list)
     jobs: List[Job] = field(default_factory=list)
-    metrics: Dict[str, MetricStore] = field(default_factory=dict)
+    metrics: Mapping[str, MetricStore] = field(default_factory=dict)
     clock_offsets: Dict[str, int] = field(default_factory=dict)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "metrics":
+            value = ClockGroups.of(value)
+        super().__setattr__(name, value)
 
     def stages(self) -> Iterator[Stage]:
         for job in self.jobs:
@@ -504,39 +691,49 @@ class Trace:
         return problems
 
     def _series_problems(self) -> List[str]:
-        """validate's problems with the metric series."""
-        problems: List[str] = []
+        """validate's problems with the metric series. A grouped store's only
+        possible problem is a node outside the cluster."""
         known = set(self.cluster)
+        metrics: ClockGroups = self.metrics  # type: ignore[assignment]
+        if not metrics.loose and known.issuperset(metrics):
+            return []
+        problems: List[str] = []
         layouts: Dict[Hashable, bool] = {}
-        for node, store in self.metrics.items():
+        for node in metrics:
             if node not in known:
                 problems.append(f"metric series for {node}: node not in cluster")
-            if store.node != node:
-                problems.append(f"metric series under {node!r} carries node {store.node!r}")
-            columns = tuple(store.columns)
-            if not checked_once(layouts, columns, _in_store_order):
-                problems.append(
-                    f"metric series for {node}: columns must be distinct names in store order"
-                )
-            ts, values = store.timestamps, store.values
-            if not (
-                isinstance(ts, np.ndarray) and ts.ndim == 1 and ts.dtype == np.int64
-                and isinstance(values, np.ndarray) and values.dtype == np.float64
-                and values.shape == (len(columns), len(ts))
-            ):
-                problems.append(
-                    f"metric series for {node}: needs int64[n] timestamps and "
-                    f"float64[{len(columns)}, n] values"
-                )
-                continue
-            for bad in ts[1:][ts[1:] <= ts[:-1]].tolist():
-                problems.append(
-                    f"metric series for {node}: timestamps not strictly "
-                    f"increasing at {bad}"
-                )
-            if np.isinf(values).any():
-                problems.append(f"metric series for {node}: infinite value")
+            store = metrics.loose.get(node)
+            if store is not None:
+                problems += _store_problems(node, store, layouts)
         return problems
+
+
+def _store_problems(node: str, store: MetricStore, layouts: Dict[Hashable, bool]) -> List[str]:
+    """validate's problems with one store, but for its node's cluster
+    membership; `layouts` remembers the column layouts checked."""
+    problems: List[str] = []
+    if store.node != node:
+        problems.append(f"metric series under {node!r} carries node {store.node!r}")
+    columns = tuple(store.columns)
+    if not checked_once(layouts, columns, _in_store_order):
+        problems.append(
+            f"metric series for {node}: columns must be distinct names in store order"
+        )
+    ts, values = store.timestamps, store.values
+    if not _well_formed(columns, ts, values):
+        problems.append(
+            f"metric series for {node}: needs int64[n] timestamps and "
+            f"float64[{len(columns)}, n] values"
+        )
+        return problems
+    for bad in ts[1:][ts[1:] <= ts[:-1]].tolist():
+        problems.append(
+            f"metric series for {node}: timestamps not strictly "
+            f"increasing at {bad}"
+        )
+    if np.isinf(values).any():
+        problems.append(f"metric series for {node}: infinite value")
+    return problems
 
 
 class FindingKind(Enum):

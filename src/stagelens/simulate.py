@@ -305,14 +305,11 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
                     series = per_node[node][metric]
                     series[mask] = series[mask] * (1.0 + deviation * wave[mask])
 
+    # One nodes x metrics x samples block; each node's store is a row of it.
+    values = np.array([[per_node[node][m] for m in METRIC_SCHEMA] for node in nodes])
     metrics = {
-        node: MetricStore(
-            node=node,
-            timestamps=timestamps,
-            columns=METRIC_SCHEMA,
-            values=np.array([per_node[node][m] for m in METRIC_SCHEMA]),
-        )
-        for node in nodes
+        node: MetricStore(node=node, timestamps=timestamps, columns=METRIC_SCHEMA, values=row)
+        for node, row in zip(nodes, values)
     }
 
     # One label per (stage, node, fault kind), however many faults repeat it.

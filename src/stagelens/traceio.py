@@ -14,19 +14,25 @@ canonical NaN.
 The loader checks what the index and blocks settle as it reads them, and
 the two remaining series invariants (rising timestamps, indexed nodes in
 the cluster) on the whole arrays; only a trace that fails one of those is
-walked node by node by `Trace.validate`."""
+walked node by node by `Trace.validate`. A loaded trace's series are clock
+groups (see `model`) whose blocks are views of the two column files: per
+index line, the nodes whose timestamps are equal form one group."""
 
 from __future__ import annotations
 
 import io
 import json
 import os
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Tuple
+from bisect import bisect_right
+from itertools import accumulate, repeat
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
 from .model import (
     TASK_INT_BOUND,
+    ClockGroup,
+    ClockGroups,
     Job,
     MetricStore,
     Stage,
@@ -165,8 +171,9 @@ def save_trace(trace: Trace, path: str) -> None:
     # sits at its first node.
     layouts: Dict[Tuple[str, ...], List[MetricStore]] = {}
     for node in sorted(trace.metrics):
-        if len(trace.metrics[node]):
-            layouts.setdefault(tuple(trace.metrics[node].columns), []).append(trace.metrics[node])
+        store = trace.metrics[node]
+        if len(store):
+            layouts.setdefault(tuple(store.columns), []).append(store)
     _write_entity_file(
         os.path.join(path, "metrics.jsonl"),
         "metrics",
@@ -365,6 +372,65 @@ def _task_table(
                      tasks.succeeded, nodes=tasks.nodes)
 
 
+def _line_groups(
+    nodes: list, samples: list, columns: Tuple[str, ...], ts: np.ndarray, vals: np.ndarray
+) -> Iterator[ClockGroup]:
+    """The clock groups of one index line, whose stretches of the two column
+    files are `ts` and `vals`: its nodes grouped by equal timestamps. Where
+    every node has the same sample count, one compare usually finds a single
+    group, and each group's block is a view of `vals` when its nodes are
+    consecutive on the line."""
+    width = len(columns)
+    if nodes and samples.count(samples[0]) == len(nodes):
+        clocks = ts.reshape(len(nodes), samples[0])
+        blocks = vals.reshape(len(nodes), width, samples[0])
+        if bool((clocks[1:] == clocks[:-1]).all()):
+            yield ClockGroup(nodes, columns, clocks[0], blocks)
+            return
+
+        def block(rows: List[int]) -> np.ndarray:
+            if rows[-1] - rows[0] == len(rows) - 1:
+                return blocks[rows[0] : rows[-1] + 1]
+            return blocks[rows]
+
+    else:
+        at = list(accumulate(samples, initial=0))
+        clocks = [ts[a:b] for a, b in zip(at, at[1:])]
+
+        def block(rows: List[int]) -> np.ndarray:
+            parts = [vals[width * at[i] : width * at[i + 1]].reshape(width, samples[i])
+                     for i in rows]
+            return parts[0][None] if len(parts) == 1 else np.stack(parts)
+
+    members: Dict[bytes, List[int]] = {}
+    for i, clock in enumerate(clocks):
+        members.setdefault(clock.tobytes(), []).append(i)
+    for rows in members.values():
+        yield ClockGroup([nodes[i] for i in rows], columns, clocks[rows[0]], block(rows))
+
+
+def _index_groups(
+    lines: List[Tuple[int, Tuple[str, ...], list, list]], timestamps: np.ndarray,
+    values: np.ndarray,
+) -> ClockGroups:
+    """The series of every indexed node, in index order, as clock groups:
+    views of the two column files, which are made read-only."""
+    timestamps.flags.writeable = values.flags.writeable = False
+    at: Dict[str, Tuple[ClockGroup, int]] = dict.fromkeys(
+        node for _, _, nodes, _ in lines for node in nodes
+    )
+    groups = []
+    t = c = 0
+    for _, columns, nodes, samples in lines:
+        n = sum(samples)
+        ts, vals = timestamps[t : t + n], values[c : c + len(columns) * n]
+        t, c = t + n, c + len(columns) * n
+        for group in _line_groups(nodes, samples, columns, ts, vals):
+            groups.append(group)
+            at.update(zip(group.nodes, zip(repeat(group), range(len(group.nodes)))))
+    return ClockGroups(at, groups, {})
+
+
 def load_trace(path: str) -> Trace:
     """Read a trace directory, applying any not-yet-applied clock offsets."""
     if not os.path.isdir(path):
@@ -419,55 +485,78 @@ def load_trace(path: str) -> Trace:
         jobs[job_id].stages.append(stage)
 
     metrics_path = os.path.join(path, "metrics.jsonl")
-    index: Dict[str, Tuple[int, Tuple[str, ...], int]] = {}
+    lines: List[Tuple[int, Tuple[str, ...], list, list]] = []
+    indexed: Dict[str, Tuple[int, Tuple[str, ...]]] = {}  # node -> its line and columns
     for line_no, row in _read_entity_file(metrics_path, "metrics"):
         columns, nodes, samples = _index_line(row, metrics_path, line_no)
-        entries = {node: (line_no, columns, n) for node, n in zip(nodes, samples)}
-        if len(entries) < len(nodes) or not index.keys().isdisjoint(entries):
-            seen = set(index)
+        entries = dict.fromkeys(nodes, (line_no, columns))
+        if len(entries) < len(nodes) or not indexed.keys().isdisjoint(entries):
+            seen = set(indexed)
             for node in nodes:
                 if node in seen:
                     raise TraceParseError(metrics_path, line_no, f"duplicate node {node!r}")
                 seen.add(node)
-        index.update(entries)
-    timestamps = _read_npy(path, _TIMESTAMPS, sum(n for _, _, n in index.values()))
-    cells = [len(c) * n for _, c, n in index.values()]
-    values = _read_npy(path, _VALUES, sum(cells))
-    # NaN marks a missing value, so a reported one must be finite. Blocks
-    # sit in index order, so the first infinite cell is in the first node
-    # that holds one.
-    first_infinite = -1
+        indexed.update(entries)
+        lines.append((line_no, columns, nodes, samples))
+    order = list(indexed)
+    counts = [n for _, _, _, samples in lines for n in samples]
+    cells = [len(columns) * n for _, columns, _, samples in lines for n in samples]
+    starts = list(accumulate(counts, initial=0))  # each node's first sample
+    cell_starts = list(accumulate(cells, initial=0))
+    timestamps = _read_npy(path, _TIMESTAMPS, starts[-1])
+    values = _read_npy(path, _VALUES, cell_starts[-1])
+    # NaN marks a missing value, so a reported one must be finite, and an
+    # unapplied clock offset must keep a node's timestamps in int64. Blocks
+    # sit in index order; the first node that breaks either rule is named,
+    # for its infinite value if it has one.
+    first_infinite = len(order)
     if np.isinf(values).any():
         first_cell = int(np.isinf(values).argmax())
-        first_infinite = int(np.searchsorted(np.cumsum(cells), first_cell, side="right"))
+        first_infinite = bisect_right(cell_starts, first_cell) - 1
+    first_bad, shifts = first_infinite, None
+    if not applied and offsets:
+        shifts = np.array([offsets.get(node, 0) for node in order], np.int64)
+        held = np.flatnonzero(counts)  # nodes with samples
+        if len(held):
+            blocks = np.array(starts[:-1], np.int64)[held]
+            low = np.minimum.reduceat(timestamps, blocks)
+            high = np.maximum.reduceat(timestamps, blocks)
+            shift = shifts[held]
+            # Room left in int64 below and above, which cannot overflow.
+            outside = (low < _INT64.min - np.minimum(shift, 0)) | (
+                high > _INT64.max - np.maximum(shift, 0)
+            )
+            if outside.any():
+                first_bad = min(first_bad, int(held[outside.argmax()]))
+    if first_bad < len(order):
+        node = order[first_bad]
+        offset = offsets.get(node, 0)
+        raise TraceParseError(
+            metrics_path, indexed[node][0],
+            f"node {node!r}: metric values must be finite numbers" if first_bad == first_infinite
+            else f"node {node!r}: clock offset {offset} moves timestamps out of range",
+        )
     # The index and the blocks settle every series invariant validate checks
     # but two, checked here on the whole arrays: timestamps rise within each
     # node's block (a block's first one may be below its predecessor's last),
     # and every indexed node is in the cluster.
     rises = timestamps[1:] > timestamps[:-1]
-    firsts = np.cumsum([n for _, _, n in index.values()], dtype=np.int64)[:-1]  # of later blocks
+    firsts = np.array(starts[1:-1], dtype=np.int64)  # of later blocks
     rises[firsts[(firsts > 0) & (firsts < len(timestamps))] - 1] = True
-    series_valid = bool(rises.all()) and set(cluster).issuperset(index)
-    metrics: Dict[str, MetricStore] = {}
-    at = cell = 0
-    for i, (node, (line_no, columns, samples)) in enumerate(index.items()):
-        if i == first_infinite:
-            raise TraceParseError(
-                metrics_path, line_no, f"node {node!r}: metric values must be finite numbers"
+    series_valid = bool(rises.all()) and set(cluster).issuperset(indexed)
+    if shifts is not None and shifts.any():
+        timestamps = timestamps + np.repeat(shifts, counts)
+    if series_valid:
+        metrics: Mapping[str, MetricStore] = _index_groups(lines, timestamps, values)
+    else:
+        # validate names each fault in the store of the node that holds it.
+        metrics = {
+            node: MetricStore(
+                node, timestamps[starts[i] : starts[i + 1]], columns,
+                values[cell_starts[i] : cell_starts[i + 1]].reshape(len(columns), counts[i]),
             )
-        ts = timestamps[at : at + samples]
-        block = values[cell : cell + len(columns) * samples].reshape(len(columns), samples)
-        at += samples
-        cell += block.size
-        offset = 0 if applied else offsets.get(node, 0)
-        if offset and samples:
-            if not (_INT64.min <= int(ts.min()) + offset and int(ts.max()) + offset <= _INT64.max):
-                raise TraceParseError(
-                    metrics_path, line_no,
-                    f"node {node!r}: clock offset {offset} moves timestamps out of range",
-                )
-            ts = ts + offset
-        metrics[node] = MetricStore(node, ts, columns, block)
+            for i, (node, (_, columns)) in enumerate(indexed.items())
+        }
 
     tasks_path = os.path.join(path, "tasks.jsonl")
     task_index: Dict[str, Tuple[int, list, list]] = {}

@@ -1,6 +1,8 @@
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -20,6 +22,7 @@ from stagelens.correlate import (
     stage_window,
 )
 from stagelens.model import METRIC_SCHEMA, MetricStore, Stage, Trace
+from stagelens.traceio import load_trace, save_trace
 
 T0 = 1_460_000_000_000
 
@@ -66,39 +69,123 @@ def per_sample_oracle(series, start, finish):
 # as sorted trailing columns and the datasets ignore.
 _NAMES = METRIC_SCHEMA[:3] + ("L3_MPKI", "aa_extra", "zz_extra")
 _VALUES = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
+# Column layouts a node draws from: few, so that nodes on one clock often
+# share one, and the empty layout.
+_LAYOUTS = (_NAMES[:3],) * 4 + (_NAMES, ("cpu_usage", "zz_extra"), ())
 
 
 @st.composite
-def _node_rows(draw, node):
-    """Rows with unique timestamps, in random order; `always` metrics are in
-    every row, the others come and go."""
-    steps = draw(st.lists(st.integers(0, 40), unique=True, max_size=20))
-    always = draw(st.sets(st.sampled_from(_NAMES)))
+def _node_rows(draw, node, clock, layout):
+    """Rows at the clock's steps (unique, in random order). The first row
+    reports every metric of the layout, so the layout is the store's
+    columns; the others leave metrics out often, and some metrics always,
+    so that window cells are partly or wholly missing."""
+    sparse = draw(st.sets(st.sampled_from(layout))) if layout else set()
     rows = []
-    for step in steps:
-        names = always | draw(st.sets(st.sampled_from(_NAMES), max_size=3))
+    for i, step in enumerate(clock):
+        names = set(layout) if i == 0 else {
+            m for m in layout if m not in sparse and draw(st.sampled_from([True, True, False]))
+        }
         values = {m: draw(_VALUES) for m in sorted(names)}
         rows.append(MetricSample(node=node, timestamp=T0 + step * 250, values=values))
-    return rows
+    return draw(st.permutations(rows))
 
 
-def assert_datasets_equal_oracle(rows, with_series, start, finish):
+@st.composite
+def _grouped_cases(draw):
+    """Window nodes (one task each) and outside nodes (series, no task) on
+    two or three clocks (a moved clock may equal the base) with a few
+    layouts, so that clock groups of several nodes, lone nodes, nodes on one
+    clock with different layouts and window nodes without series all occur
+    often."""
+    nodes = [f"hw{i:02d}" for i in range(draw(st.integers(1, 7)))]
+    outside = set(draw(st.sets(st.sampled_from(nodes), max_size=2)))
+    if outside == set(nodes):
+        outside.discard(nodes[0])
+    # A base clock, and one or two more: each the base moved by a few steps
+    # (the same sample count, as for per-node clock offsets) or its own.
+    steps = st.lists(st.integers(0, 40), unique=True, min_size=1, max_size=20).map(sorted)
+    base = draw(steps)
+    moved = st.integers(-3, 3).map(lambda d: [step + d for step in base])
+    clocks = [base] + draw(st.lists(st.one_of(moved, moved, steps), min_size=1, max_size=2))
+    rows = {
+        node: draw(_node_rows(node, draw(st.sampled_from(clocks)),
+                              draw(st.sampled_from(_LAYOUTS))))
+        for node in nodes
+    }
+    with_series = set(nodes) - draw(st.sets(st.sampled_from(nodes), max_size=2)) | outside
+    start = T0 + draw(st.integers(-8, 40)) * 250
+    finish = start + draw(st.integers(0, 48)) * 250
+    return rows, with_series, start, finish, outside, draw(st.booleans())
+
+
+def _stores(rows, with_series, shared):
+    """Stores from rows; with `shared`, stores whose timestamps are equal hold
+    one timestamps array."""
+    stores = {n: store_from_samples(n, rows[n]) for n in sorted(with_series)}
+    if shared:
+        clocks = {}
+        for node, store in stores.items():
+            ts = clocks.setdefault(store.timestamps.tobytes(), store.timestamps)
+            stores[node] = MetricStore(node, ts, store.columns, store.values)
+    return stores
+
+
+def assert_grouped(trace):
+    """trace.metrics holds one read-only clock group per distinct column
+    layout and timestamp vector of its stores, and each store is its
+    group's row."""
+    metrics = trace.metrics
+    assert not metrics.loose
+    keys = {(store.columns, store.timestamps.tobytes()) for store in metrics.values()}
+    assert len(metrics.groups) == len(keys)
+    assert sorted(n for g in metrics.groups for n in g.nodes) == sorted(metrics)
+    for group in metrics.groups:
+        assert not group.values.flags.writeable and not group.timestamps.flags.writeable
+        assert group.values.shape == (len(group.nodes), len(group.columns), len(group.timestamps))
+        for row, node in enumerate(group.nodes):
+            store = metrics[node]
+            assert store.columns == group.columns
+            assert store.timestamps is group.timestamps
+            assert not group.values.size or np.shares_memory(store.values, group.values)
+            assert np.array_equal(store.values, group.values[row], equal_nan=True)
+
+
+def assert_datasets_equal_oracle(rows, with_series, start, finish, outside=(), shared=False):
     """build_datasets over stores made from `rows` (node -> rows in any
-    order) equals the per-sample oracle exactly, bit for bit."""
-    nodes = sorted(rows)
+    order) equals the per-sample oracle exactly, bit for bit, on the trace
+    and on the trace saved and loaded. Nodes in `outside` run no task, so
+    their series lie outside the window; with `shared`, stores with equal
+    timestamps hold one array."""
+    nodes = sorted(n for n in rows if n not in outside)
     stage = stage_of(
         [make_task(task_id=node, node=node, launch=start, runtime=finish - start)
          for node in nodes]
     )
-    trace = Trace(
-        cluster=nodes,
-        metrics={n: store_from_samples(n, rows[n]) for n in with_series},
-    )
-    ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), nodes)
+    window = stage_window(stage)
+    trace = Trace(cluster=sorted(rows), metrics=_stores(rows, with_series, shared))
+    with tempfile.TemporaryDirectory() as out:
+        save_trace(trace, out)
+        loaded = load_trace(out)
+    assert loaded == trace
 
-    ordered = {n: sorted(rows[n], key=lambda s: s.timestamp) for n in with_series}
+    ordered = {n: sorted(rows[n], key=lambda s: s.timestamp) for n in with_series if n in nodes}
     ordered.update({n: [] for n in nodes if n not in with_series})
     vectors, matrix, columns, missing = per_sample_oracle(ordered, start, finish)
+    for t in (trace, loaded):
+        assert_grouped(t)
+        slices = slice_metrics(t, window)
+        assert slices.gaps == missing
+        assert list(slices.series) == nodes
+        for node, cut in slices.series.items():
+            assert cut == t.metrics.get(node, store_from_samples(node, [])).window(start, finish)
+        ds = build_datasets(stage, slices, t.cluster)
+        assert_datasets_equal(ds, vectors, matrix, columns, missing)
+
+
+def assert_datasets_equal(ds, vectors, matrix, columns, missing):
+    """The datasets equal the oracle's vectors, matrix, matrix columns and
+    nodes without samples."""
     assert ds.matrix_metrics == columns
     assert ds.missing_metric_nodes == missing
 
@@ -115,6 +202,7 @@ def assert_datasets_equal_oracle(rows, with_series, start, finish):
     assert ds.stacked.dtype == np.float64 and ds.stacked.flags.c_contiguous
     assert not ds.stacked.flags.writeable
     assert ds.stacked.shape == (ds.offsets[-1], len(columns))
+    assert ds.offsets.dtype == np.int64
     assert ds.offsets[0] == 0 and (np.diff(ds.offsets) > 0).all()
     if matrix:
         assert np.diff(ds.offsets).tolist() == [len(matrix[n]) for n in ds.nodes]
@@ -130,14 +218,45 @@ def assert_datasets_equal_oracle(rows, with_series, start, finish):
         assert (got == expected).all()
 
 
-@given(data=st.data())
-def test_store_datasets_equal_per_sample_oracle(data):
-    nodes = [f"hw{i:02d}" for i in range(data.draw(st.integers(1, 4)))]
-    rows = {node: data.draw(_node_rows(node)) for node in nodes}
-    with_series = data.draw(st.sets(st.sampled_from(nodes)))
-    start = T0 + data.draw(st.integers(-8, 40)) * 250
-    finish = start + data.draw(st.integers(0, 48)) * 250
-    assert_datasets_equal_oracle(rows, with_series, start, finish)
+def _rows_on(node, steps, layout, gaps=()):
+    """Rows at `steps`, distinct values for each node, sample and metric;
+    `gaps` are (step, metric) cells the node does not report."""
+    return [
+        MetricSample(node, T0 + step * 250, {
+            m: 100 * int(node[2:]) + i + 0.01 * k for k, m in enumerate(layout)
+            if (step, m) not in gaps
+        })
+        for i, step in enumerate(steps)
+    ]
+
+
+_SCHEMA3 = METRIC_SCHEMA[:3]
+
+
+@given(case=_grouped_cases())
+# One clock array shared by three window nodes.
+@example(case=({n: _rows_on(n, range(10), _SCHEMA3) for n in ("hw00", "hw01", "hw02")},
+               {"hw00", "hw01", "hw02"}, T0 + 500, T0 + 1500, set(), True))
+# Equal clocks in distinct arrays, and a node on that clock with another layout.
+@example(case=({"hw00": _rows_on("hw00", range(10), _SCHEMA3),
+                "hw01": _rows_on("hw01", range(10), _SCHEMA3),
+                "hw02": _rows_on("hw02", range(10), _NAMES)},
+               {"hw00", "hw01", "hw02"}, T0, T0 + 1000, set(), False))
+# Distinct clocks, a window node without series and a series node outside
+# the window between two window nodes of one group.
+@example(case=({"hw00": _rows_on("hw00", range(0, 20, 2), _SCHEMA3),
+                "hw01": _rows_on("hw01", range(1, 20, 2), _SCHEMA3),
+                "hw02": _rows_on("hw02", range(0, 20, 2), _SCHEMA3),
+                "hw03": _rows_on("hw03", range(0, 20, 2), _SCHEMA3),
+                "hw04": _rows_on("hw04", range(5), _SCHEMA3)},
+               {"hw00", "hw01", "hw02", "hw03"}, T0 + 750, T0 + 3000, {"hw02"}, True))
+# A wholly missing window cell and a partly missing one in one group.
+@example(case=({n: _rows_on(n, range(6), _SCHEMA3, gaps={(s, "cpu_usage") for s in range(1, 6)}
+                            | {(3, "mem_usage")})
+                for n in ("hw00", "hw01")},
+               {"hw00", "hw01"}, T0 + 250, T0 + 1250, set(), True))
+def test_store_datasets_equal_per_sample_oracle(case):
+    assert_datasets_equal_oracle(*case)
 
 
 def test_long_gappy_series_equal_per_sample_oracle():
@@ -158,7 +277,10 @@ def test_long_gappy_series_equal_per_sample_oracle():
             for j in rng.permutation(400)
         ]
     nodes = sorted(rows)
-    assert_datasets_equal_oracle(rows, set(nodes[1:]), T0 + 37 * 250, T0 + 351 * 250)
+    for shared in (False, True):
+        assert_datasets_equal_oracle(
+            rows, set(nodes[1:]), T0 + 37 * 250, T0 + 351 * 250, shared=shared
+        )
 
 
 def test_slices_are_views_of_the_store():

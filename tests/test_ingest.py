@@ -240,10 +240,12 @@ def oracle_ingest_raw(event_log_path, metrics_dir, wrap_detection=True):
         for prev, curr in zip(rows, rows[1:]):
             sample = derive_metrics(prev, curr, schema, node, wrap_detection)
             merged.setdefault(node, {}).setdefault(sample.timestamp, {}).update(sample.values)
-    for node, by_ts in merged.items():
-        trace.metrics[node] = store_from_samples(
+    trace.metrics = {
+        node: store_from_samples(
             node, (MetricSample(node, ts, values) for ts, values in by_ts.items())
         )
+        for node, by_ts in merged.items()
+    }
     trace.cluster = sorted(set(trace.cluster) | set(merged))
     return trace, report
 

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -1017,7 +1018,11 @@ def test_unapplied_offsets_give_the_reports_of_applied_ones(tmp_path_factory, ca
 def saved_trace_files(tmp_path_factory):
     """The files of one saved simulator trace, with a metric gap on hw02."""
     trace, _ = generate_trace(ScenarioSpec(seed=5, nodes=3, stages=2, tasks_per_stage=6))
-    trace.metrics["hw02"].values[3, ::4] = np.nan
+    store = trace.metrics["hw02"]
+    values = store.values.copy()
+    values[3, ::4] = np.nan
+    trace.metrics = {**trace.metrics, "hw02": MetricStore("hw02", store.timestamps, store.columns,
+                                                          values)}
     out = tmp_path_factory.mktemp("saved")
     save_trace(trace, str(out))
     return {name: (out / name).read_bytes() for name in TRACE_FILES}
@@ -1231,7 +1236,11 @@ def oracle_validate(trace):
                 f"metric series for {node}: columns must be distinct names in store order"
             )
         ts, values = store.timestamps, store.values
-        if not (values.shape == (len(columns), len(ts))):
+        if not (
+            isinstance(ts, np.ndarray) and ts.ndim == 1 and ts.dtype == np.int64
+            and isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.shape == (len(columns), len(ts))
+        ):
             problems.append(
                 f"metric series for {node}: needs int64[n] timestamps and "
                 f"float64[{len(columns)}, n] values"
@@ -1290,6 +1299,76 @@ def small_traces(draw):
 @given(trace=small_traces())
 def test_validate_equals_one_walk_oracle(trace):
     assert trace.validate() == oracle_validate(trace)
+
+
+_MALFORMED = {
+    "int32 timestamps": ({"timestamps": np.arange(3, dtype=np.int32)}, "needs int64[n]"),
+    "float timestamps": ({"timestamps": np.arange(3.0)}, "needs int64[n]"),
+    "2-D timestamps": ({"timestamps": np.arange(3, dtype=np.int64).reshape(3, 1)}, "needs"),
+    "list timestamps": ({"timestamps": [0, 1000, 2000]}, "needs int64[n]"),
+    "float32 values": ({"values": np.zeros((2, 3), dtype=np.float32)}, "float64[2, n]"),
+    "extra value row": ({"values": np.zeros((3, 3))}, "float64[2, n]"),
+    "extra sample": ({"values": np.zeros((2, 4))}, "float64[2, n]"),
+    "1-D values": ({"values": np.zeros(6)}, "float64[2, n]"),
+    "too few columns": ({"columns": ("cpu_usage",)}, "float64[1, n]"),
+    "repeated column": ({"columns": ("x", "x")}, "store order"),
+    "columns out of order": ({"columns": ("x", "cpu_usage")}, "store order"),
+    "non-name column": ({"columns": ("cpu_usage", 7)}, "store order"),
+    "unhashable column": ({"columns": ("cpu_usage", [])}, "store order"),
+    "other node": ({"node": "hw09"}, "carries node 'hw09'"),
+    "equal timestamps": ({"timestamps": np.array([0, 1000, 1000])}, "not strictly increasing"),
+    "falling timestamps": ({"timestamps": np.array([2000, 1000, 3000])}, "at 1000"),
+    "infinite value": ({"values": np.array([[0.5, -np.inf, 0.5], [1.0] * 3])}, "infinite"),
+}
+
+
+@pytest.mark.parametrize("changes, problem", list(_MALFORMED.values()), ids=list(_MALFORMED))
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_construction_keeps_validate(changes, problem, at):
+    """A trace built from a dict of four stores, one of them malformed (at
+    `at`; the others valid, two on one timestamps array and two on equal
+    copies of it), lists exactly the problems validate names for the
+    stores as given, and gives every store back: the malformed one as
+    given, the others equal."""
+    nodes = ["hw01", "hw02", "hw03", "hw04"]
+    base = metric_series("hw01", 0, 3, lambda i: {"cpu_usage": 0.5 + i, "x": 1.0})
+    given = {
+        node: MetricStore(node, base.timestamps if i < 2 else base.timestamps.copy(),
+                          base.columns, base.values + i)
+        for i, node in enumerate(nodes)
+    }
+    bad = MetricStore(nodes[at], given[nodes[at]].timestamps, base.columns, base.values)
+    for name, value in changes.items():
+        setattr(bad, name, value)
+    given[nodes[at]] = bad
+    trace = Trace(cluster=nodes, metrics=given)
+    as_given = SimpleNamespace(cluster=nodes, jobs=[], metrics=given, stages=lambda: iter(()))
+    problems = trace.validate()
+    assert problems == oracle_validate(as_given)
+    assert [p for p in problems if problem in p] and all(nodes[at] in p for p in problems)
+    assert list(trace.metrics) == nodes
+    assert trace.metrics[nodes[at]] is bad
+    assert all(trace.metrics[node] == given[node] for node in nodes if node != nodes[at])
+    # The valid stores form one clock group.
+    assert [sorted(g.nodes) for g in trace.metrics.groups] == [
+        [node for node in nodes if node != nodes[at]]
+    ]
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1], [0, 1]])
+def test_rows_of_one_block_are_grouped_without_a_copy(order):
+    """Stores whose values are the rows of one nodes x metrics x samples
+    array that owns its data, in order, take that array as their group's
+    block; in another order, or only some of its rows, they are stacked
+    into a copy."""
+    base = np.arange(3 * 2 * 4, dtype=np.float64).reshape(3, 2, 4).copy()
+    ts = np.arange(4, dtype=np.int64)
+    nodes = ["hw01", "hw02", "hw03"]
+    stores = {nodes[i]: MetricStore(nodes[i], ts, ("cpu_usage", "x"), base[i]) for i in order}
+    (group,) = Trace(cluster=nodes, metrics=stores).metrics.groups
+    assert group.nodes == tuple(stores)
+    assert np.array_equal(group.values, base[order])
+    assert np.shares_memory(group.values, base) == (order == [0, 1, 2])
 
 
 def loadable(trace):

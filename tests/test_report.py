@@ -22,6 +22,7 @@ from stagelens.model import (
     metric_columns,
 )
 from stagelens.report import PipelineConfig, diagnose, render_report
+from stagelens.simulate import generate_trace, preset
 
 T0 = 1_460_000_000_000
 
@@ -173,3 +174,54 @@ def test_reports_ignore_a_shift_of_every_timestamp(trace, cfg, shift):
     """Adding one constant to every task and metric timestamp changes no
     report: each window keeps the samples it had, edges included."""
     assert _rendered(_shifted(trace, shift), cfg) == _rendered(trace, cfg)
+
+
+def _renamed(trace, rename):
+    """The trace with node `n` renamed `rename[n]` everywhere."""
+    def tasks(table):
+        return TaskTable(
+            table.task_id, table.node, table.launch_time, table.finish_time, table.locality,
+            table.data_size, table.succeeded, nodes=[rename[n] for n in table.nodes],
+        )
+
+    return Trace(
+        cluster=[rename[n] for n in trace.cluster],
+        jobs=[
+            Job(job.job_id, [Stage(s.stage_id, s.job_id, tasks(s.tasks)) for s in job.stages])
+            for job in trace.jobs
+        ],
+        metrics={
+            rename[node]: MetricStore(rename[node], store.timestamps, store.columns, store.values)
+            for node, store in trace.metrics.items()
+        },
+        clock_offsets={rename[n]: offset for n, offset in trace.clock_offsets.items()},
+    )
+
+
+# Marks no report holds, so that a marked name maps back unambiguously.
+_MARKS = "#%&+<>@^|~"
+
+
+@given(
+    case=st.sampled_from(["case1", "case2", "case3"]),
+    seed=st.integers(1, 3),
+    prefix=st.text(_MARKS, min_size=1, max_size=3),
+    suffix=st.text(_MARKS, max_size=3),
+)
+def test_reports_ignore_a_node_rename_that_keeps_their_order(case, seed, prefix, suffix):
+    """Renaming every node so that the names sort as before changes no
+    report, text or structured, once the names are mapped back."""
+    trace, _ = generate_trace(preset(case, seed))
+    rename = {node: prefix + node + suffix for node in trace.cluster}
+    assert sorted(rename.values()) == [rename[n] for n in sorted(rename)]
+    renamed = _renamed(trace, rename)
+    fft = PipelineConfig(transform="fft", representative="median", dmin=0.5)
+    for cfg in (PipelineConfig(), fft):
+        want = _rendered(trace, cfg)
+        assert not any(mark.encode() in form for form in want for mark in _MARKS)
+        got = []
+        for form in _rendered(renamed, cfg):
+            for old, new in rename.items():
+                form = form.replace(new.encode(), old.encode())
+            got.append(form)
+        assert tuple(got) == want
