@@ -163,17 +163,21 @@ class FeatureDatasets:
       samples that report it, and `present[i, j]` says whether any does
       (`means` holds NaN where none does). A mean of finite values can
       itself overflow to inf or NaN, so only `present` tells presence.
-    - `stacked` is samples x `matrix_metrics`, C-contiguous and read-only:
-      every node's samples in time order, node after node. Node i's rows are
-      `stacked[offsets[i]:offsets[i + 1]]`.
+    - `blocks` holds the samples of `matrix_metrics`, one read-only block
+      per batch of window cuts (the cuts with one column layout and window
+      length): `blocks[b][r, j, t]` is sample t of `matrix_metrics[j]` on
+      node `nodes[positions[b][r]]`. A block is a view of its clock group's
+      values when the batch is one cut of whole group rows and the matrix
+      columns are consecutive in its layout; else a copy.
+    - `counts[i]` is node i's number of in-window samples.
 
-    Each batch of window cuts with one column layout and window length
-    gives its means with one `np.add.reduce` (the pairwise sums np.mean
-    takes, node by node) and its rows of `stacked` with one transposing
-    copy per run of nodes adjacent in `nodes`.
+    Each batch gives its means with one `np.add.reduce` (the pairwise sums
+    np.mean takes, node by node). The detectors read the arrays; PCA and the
+    FFT screen read the blocks a chunk of nodes at a time.
 
-    The detectors read the arrays. `vectors` and `matrix` are read-only
-    views of them for perfbench/spans.py's traced replay of the pipeline.
+    `vectors` (a view of the means) and `matrix` (built from the blocks
+    when first read) are read-only, for perfbench/spans.py's traced replay
+    of the pipeline.
 
     `data_size` and `locality` both hold the table of the stage's successful
     tasks, under the names the skew and placement screens take it by.
@@ -186,8 +190,9 @@ class FeatureDatasets:
     nodes: List[str]
     means: np.ndarray  # float64[len(nodes), len(METRIC_SCHEMA)]
     present: np.ndarray  # bool, the shape of means
-    stacked: np.ndarray  # float64[offsets[-1], len(matrix_metrics)]
-    offsets: np.ndarray  # int64[len(nodes) + 1]
+    blocks: List[np.ndarray]  # float64[batch nodes, len(matrix_metrics), window length]
+    positions: List[np.ndarray]  # int64[batch nodes]: each block row's index in nodes
+    counts: np.ndarray  # int64[len(nodes)]
     matrix_metrics: List[str]  # metrics every in-window sample reports
     ultrashort_count: int = 0
     failed_count: int = 0
@@ -203,11 +208,37 @@ class FeatureDatasets:
 
     @cached_property
     def matrix(self) -> Mapping[str, np.ndarray]:
-        """node -> its rows of `stacked`; empty without matrix metrics."""
-        bounds = self.offsets.tolist() if self.matrix_metrics else [0]
+        """node -> its samples x `matrix_metrics`, C-contiguous and read-only;
+        empty without matrix metrics."""
+        if not self.matrix_metrics:
+            return MappingProxyType({})
+        stacked = stack_samples(self.blocks, self.positions, self.counts)
+        stacked.flags.writeable = False
+        ends = np.cumsum(self.counts).tolist()
         return MappingProxyType({
-            node: self.stacked[lo:hi] for node, lo, hi in zip(self.nodes, bounds, bounds[1:])
+            node: stacked[end - n : end]
+            for node, n, end in zip(self.nodes, self.counts.tolist(), ends)
         })
+
+
+def stack_samples(
+    blocks: Sequence[np.ndarray], positions: Sequence[np.ndarray], counts: np.ndarray
+) -> np.ndarray:
+    """The blocks' samples as one C-contiguous samples x metrics array: node
+    after node in position order, each node's samples in time order. One
+    transposing copy per run of a block's rows whose positions follow each
+    other."""
+    starts = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=starts[1:])
+    stacked = np.empty((int(starts[-1]), blocks[0].shape[1] if blocks else 0))
+    for block, at in zip(blocks, positions):
+        rows, columns, n = block.shape
+        source = block.transpose(0, 2, 1)
+        breaks = (np.flatnonzero(np.diff(at) != 1) + 1).tolist()
+        for i, j in zip([0] + breaks, breaks + [rows]):
+            top = int(starts[at[i]])
+            stacked[top : top + (j - i) * n].reshape(j - i, n, columns)[...] = source[i:j]
+    return stacked
 
 
 _SCHEMA_POSITION = {m: j for j, m in enumerate(METRIC_SCHEMA)}
@@ -265,9 +296,7 @@ def build_datasets(
     position = np.empty(len(names), np.int64)
     position[order] = np.arange(len(names))
     at = list(accumulate(map(len, blocks), initial=0))  # each batch's first node
-    sizes = np.repeat(np.array([n for _, n in batches], np.int64), list(map(len, blocks)))
-    offsets = np.zeros(len(nodes) + 1, np.int64)
-    np.cumsum(sizes[order], out=offsets[1:])
+    counts = np.repeat(np.array([n for _, n in batches], np.int64), list(map(len, blocks)))[order]
     shape = (len(nodes), len(METRIC_SCHEMA))
     means = np.full(shape, np.nan)
     present = np.zeros(shape, dtype=bool)
@@ -292,25 +321,18 @@ def build_datasets(
                         table[i, j] = np.mean(kept)
             index = np.ix_(position[a:b], cells)
             means[index], present[index], complete[index] = table, reported, full
-    # The stacked block's columns: metrics every in-window sample reports.
+    # The matrix metrics: those every in-window sample reports.
     shared = complete.all(axis=0).tolist() if nodes else [False] * len(METRIC_SCHEMA)
     columns = [m for m, keep in zip(METRIC_SCHEMA, shared) if keep]
-
-    stacked = np.empty((int(offsets[-1]), len(columns)))
-    if columns:
-        # Samples x metrics per node: one transposing copy per run of a
-        # batch's nodes that sit next to each other in `nodes`.
-        starts = offsets[position].tolist()  # each concatenated node's first row
-        for (layout, n), block, a, b in zip(batches, blocks, at, at[1:]):
-            index = [layout.index(m) for m in columns]
-            if index == list(range(index[0], index[-1] + 1)):
-                index = slice(index[0], index[-1] + 1)  # a view, not a copy
-            source = block[:, index].transpose(0, 2, 1)
-            breaks = (np.flatnonzero(np.diff(position[a:b]) != 1) + 1).tolist()
-            for i, j in zip([0] + breaks, breaks + [b - a]):
-                top = starts[a + i]
-                stacked[top : top + (j - i) * n].reshape(j - i, n, len(columns))[...] = source[i:j]
-    stacked.flags.writeable = False
+    matrix_blocks = []
+    for (layout, _), block in zip(batches, blocks):
+        index: Union[slice, List[int]] = [layout.index(m) for m in columns]
+        first = index[0] if index else 0
+        if index == list(range(first, first + len(index))):
+            index = slice(first, first + len(index))  # a view, not a copy
+        matrix_block = block[:, index]
+        matrix_block.flags.writeable = False
+        matrix_blocks.append(matrix_block)
 
     return FeatureDatasets(
         stage_id=stage.stage_id,
@@ -320,8 +342,9 @@ def build_datasets(
         nodes=nodes,
         means=means,
         present=present,
-        stacked=stacked,
-        offsets=offsets,
+        blocks=matrix_blocks,
+        positions=[position[a:b] for a, b in zip(at, at[1:])],
+        counts=counts,
         matrix_metrics=columns,
         ultrashort_count=len(ok) - len(counted),
         failed_count=len(tasks) - len(ok),

@@ -10,7 +10,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .correlate import FeatureDatasets
+from . import nodedetect
+from .correlate import FeatureDatasets, stack_samples
 from .model import METRIC_SCHEMA
 
 
@@ -51,7 +52,8 @@ class PcaSelection:
 def pca_select_metrics(
     matrix: np.ndarray, metric_names: Sequence[str], ccrate: float = 0.95
 ) -> PcaSelection:
-    """Pick the metrics that own the top principal components.
+    """Pick the metrics that own the top principal components of a samples x
+    metrics matrix.
 
     Columns are mean-centered, the covariance spectrum is taken, d is the
     smallest dimension whose cumulative contribution reaches the target, and
@@ -63,10 +65,68 @@ def pca_select_metrics(
         raise ValueError("PCA needs a 2-D matrix with at least two rows")
     if x.shape[1] != len(metric_names):
         raise ValueError("metric_names must match the matrix column count")
-    m, k = x.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = x - x.mean(axis=0)
-        cov = centered.T @ centered / m
+        cov = _centered_gram([x.T[None]], x.mean(axis=0)) / len(x)
+    return _spectrum_selection(cov, metric_names, ccrate)
+
+
+def _stage_selection(datasets: FeatureDatasets, ccrate: float) -> PcaSelection:
+    """pca_select_metrics over the stage's samples of its matrix metrics,
+    read from the blocks, with the column means of the mean table weighted
+    by sample counts.
+
+    A stage falls back to all metrics when its covariance has no variance,
+    and that can turn on the rounding of the mean: a constant column has
+    variance only where its mean is not exactly its value. Any mean of m
+    samples of a constant column is within (m + 8) eps of its value. So
+    when no column's variance clears twice the square of twice that bound,
+    the mean is taken again as pca_select_metrics takes it, a row-by-row sum
+    of the samples. (A mean that overflows here and not row by row needs
+    values near the float range of both signs, and their squares overflow
+    the covariance about any mean.)
+    """
+    counts = datasets.counts
+    columns = [METRIC_SCHEMA.index(m) for m in datasets.matrix_metrics]
+    m = int(counts.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add.reduce(datasets.means[:, columns] * counts[:, None], axis=0) / m
+        cov = _centered_gram(datasets.blocks, mean) / m
+        slack = 2 * (m + 8) * np.finfo(float).eps * np.abs(mean)
+        if not (np.diagonal(cov) > 2 * slack * slack + np.finfo(float).tiny).any():
+            mean = stack_samples(datasets.blocks, datasets.positions, counts).mean(axis=0)
+            cov = _centered_gram(datasets.blocks, mean) / m
+    return _spectrum_selection(cov, datasets.matrix_metrics, ccrate)
+
+
+def _centered_gram(blocks: Sequence[np.ndarray], mean: np.ndarray) -> np.ndarray:
+    """The sum over all samples of the blocks (nodes x metrics x samples
+    each) of (x - mean)(x - mean)^T. Each chunk of a block's nodes, or of
+    one node's samples when a node exceeds the budget, is centered into one
+    metrics x samples copy within _BLOCK_BYTES and multiplied by its
+    transpose."""
+    k = len(mean)
+    gram = np.zeros((k, k))
+    budget = max(1, nodedetect._BLOCK_BYTES // (8 * max(k, 1)))  # samples per chunk
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            nodes, _, n = block.shape
+            width = min(n, budget)
+            rows = max(1, budget // width)
+            for a in range(0, nodes, rows):
+                for t in range(0, n, width):
+                    piece = block[a : a + rows, :, t : t + width]
+                    centered = np.empty((k, len(piece), piece.shape[2]))
+                    np.subtract(piece.transpose(1, 0, 2), mean[:, None, None], out=centered)
+                    centered = centered.reshape(k, -1)
+                    gram += centered @ centered.T
+    return gram
+
+
+def _spectrum_selection(
+    cov: np.ndarray, metric_names: Sequence[str], ccrate: float
+) -> PcaSelection:
+    """The selection from a covariance matrix (see pca_select_metrics)."""
+    k = len(metric_names)
     if np.isfinite(cov).all():
         eigenvalues, eigenvectors = np.linalg.eigh(cov)
         order = np.argsort(eigenvalues)[::-1]
@@ -87,13 +147,11 @@ def pca_select_metrics(
             ccrate=[1.0] * k,
             degenerate=fallback,
         )
-    cumulative = list(np.cumsum(eigenvalues) / total)
+    cumulative = (np.cumsum(eigenvalues) / total).tolist()
     # Rounding can leave the last cumulative value just below a target of 1.0.
     d = next((i + 1 for i, c in enumerate(cumulative) if c >= ccrate), len(cumulative))
-    attributed: Set[str] = set()
-    for w in range(d):
-        attributed.add(metric_names[int(np.argmax(np.abs(eigenvectors[:, w])))])
-    selected = [name for name in metric_names if name in attributed]
+    owners = set(np.argmax(np.abs(eigenvectors[:, :d]), axis=0).tolist())
+    selected = [name for i, name in enumerate(metric_names) if i in owners]
     return PcaSelection(
         components=eigenvectors,
         eigenvalues=eigenvalues,
@@ -327,13 +385,30 @@ class MetricDiagnosis:
     warnings: List[str] = field(default_factory=list)
 
 
+def _fft_table(datasets: FeatureDatasets, columns: Sequence[int], common: int) -> np.ndarray:
+    """reduce_fft of the first `common` samples of each node and each matrix
+    column in `columns`: a columns x nodes table. The series of as many
+    columns as fit in _BLOCK_BYTES go to one _fft_norms call."""
+    nodes = len(datasets.nodes)
+    table = np.empty((len(columns), nodes))
+    step = max(1, nodedetect._BLOCK_BYTES // (8 * nodes * common))
+    for a in range(0, len(columns), step):
+        picked = list(columns[a : a + step])
+        series = np.empty((len(picked), nodes, common))
+        for block, at in zip(datasets.blocks, datasets.positions):
+            series[:, at] = block[:, picked, :common].transpose(1, 0, 2)
+        table[a : a + step] = _fft_norms(series.reshape(-1, common)).reshape(len(picked), nodes)
+    return table
+
+
 def diagnose_outlier_metrics(
     datasets: FeatureDatasets, cfg: OutlierConfig = OutlierConfig()
 ) -> MetricDiagnosis:
-    """Full per-stage pipeline: PCA once over the stacked samples of every
-    node, then reduce / branch-test / normalize / detect on one selected
-    metrics x nodes table. The mean transform reads its reductions from the
-    mean table.
+    """Full per-stage pipeline: PCA once over every node's samples, read
+    from the blocks, then reduce / branch-test / normalize / detect on one
+    selected metrics x nodes table. The mean transform reads its reductions
+    from the mean table; the FFT transform takes them from the blocks, as
+    many selected metrics per call as fit in _BLOCK_BYTES.
 
     One metric's failure never aborts the stage; it surfaces as a warning.
     """
@@ -342,7 +417,7 @@ def diagnose_outlier_metrics(
         return MetricDiagnosis(
             evaluable=False, warnings=["matrix dataset available for fewer than 3 nodes"]
         )
-    selection = pca_select_metrics(datasets.stacked, datasets.matrix_metrics, cfg.ccrate)
+    selection = _stage_selection(datasets, cfg.ccrate)
     warnings: List[str] = []
     if selection.degenerate:
         warnings.append(f"{selection.degenerate}: PCA fell back to all metrics")
@@ -350,13 +425,12 @@ def diagnose_outlier_metrics(
     selected = selection.selected_metrics
     if cfg.transform == "fft":
         # FFT compares spectra, so series are truncated to the common length.
-        common = int(np.diff(datasets.offsets).min())
+        common = int(datasets.counts.min())
         if common < 2:
             nodes, table = [], np.empty((len(selected), 0))
         else:
-            at = datasets.offsets[:-1, None] + np.arange(common)
             columns = [datasets.matrix_metrics.index(m) for m in selected]
-            table = np.array([_fft_norms(datasets.stacked[at, j]) for j in columns])
+            table = _fft_table(datasets, columns, common)
     else:
         table = datasets.means[:, [METRIC_SCHEMA.index(m) for m in selected]].T
     findings: List[Tuple[str, str, str, float]] = []

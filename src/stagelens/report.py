@@ -295,8 +295,15 @@ def _diagnose_stage(
     return report, imbalance
 
 
+#: The one warning of a stage whose diagnosis raised.
+STAGE_FAILED = "stage not diagnosed: internal error"
+
+
 def diagnose(trace: Trace, cfg: PipelineConfig = PipelineConfig()) -> DiagnosisReport:
-    """Run every detector per stage; partial failures become warnings."""
+    """Run every detector per stage; partial failures become warnings. A
+    stage whose diagnosis raises reports only STAGE_FAILED, its traceback
+    goes to the "stagelens" logger, and its job's verdict counts the other
+    stages."""
     stages = list(trace.stages())
     if not stages:
         raise DiagnoseError("trace holds no stages to diagnose")
@@ -309,7 +316,18 @@ def diagnose(trace: Trace, cfg: PipelineConfig = PipelineConfig()) -> DiagnosisR
                     StageReport(stage_id=stage.stage_id, warnings=["stage has no tasks"])
                 )
                 continue
-            stage_report, imbalance = _diagnose_stage(trace, stage, cfg)
+            try:
+                stage_report, imbalance = _diagnose_stage(trace, stage, cfg)
+            except Exception:
+                # Imported here: importing logging costs more than a report,
+                # and only a failing stage needs it.
+                import logging
+
+                logging.getLogger("stagelens").exception(
+                    "stage %s: diagnosis failed", stage.stage_id
+                )
+                report.stages.append(StageReport(stage_id=stage.stage_id, warnings=[STAGE_FAILED]))
+                continue
             report.stages.append(stage_report)
             results.append(imbalance)
         verdict = appdetect.judge_job_imbalance(results, cfg.imbalance())

@@ -111,3 +111,19 @@ def metric_series(node, start, count, values_fn, step=1000):
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+def stacked_samples(datasets):
+    """The stage's samples x matrix metrics array, C-contiguous, built from
+    the blocks one node at a time: node after node in `datasets.nodes`
+    order, each node's samples in time order."""
+    rows = [None] * len(datasets.nodes)
+    for block, at in zip(datasets.blocks, datasets.positions):
+        for r, i in enumerate(at.tolist()):
+            rows[i] = block[r].T
+    stacked = np.empty((int(datasets.counts.sum()), len(datasets.matrix_metrics)))
+    top = 0
+    for node_rows in rows:
+        stacked[top : top + len(node_rows)] = node_rows
+        top += len(node_rows)
+    return stacked

@@ -11,6 +11,7 @@ from conftest import (
     make_task,
     make_trace,
     metric_series,
+    stacked_samples,
     stage_of,
     store_from_samples,
 )
@@ -199,14 +200,17 @@ def assert_datasets_equal(ds, vectors, matrix, columns, missing):
                 assert ds.means[i, j] == vectors[node][metric]
             else:
                 assert np.isnan(ds.means[i, j])
-    assert ds.stacked.dtype == np.float64 and ds.stacked.flags.c_contiguous
-    assert not ds.stacked.flags.writeable
-    assert ds.stacked.shape == (ds.offsets[-1], len(columns))
-    assert ds.offsets.dtype == np.int64
-    assert ds.offsets[0] == 0 and (np.diff(ds.offsets) > 0).all()
+    for block, at in zip(ds.blocks, ds.positions):
+        assert block.dtype == np.float64 and not block.flags.writeable
+        assert block.shape[:2] == (len(at), len(columns))
+        assert ds.counts[at].tolist() == [block.shape[2]] * len(at)
+    assert sorted(i for at in ds.positions for i in at.tolist()) == list(range(len(ds.nodes)))
+    assert ds.counts.dtype == np.int64 and (ds.counts > 0).all()
+    stacked = stacked_samples(ds)
+    assert stacked.shape == (ds.counts.sum(), len(columns))
     if matrix:
-        assert np.diff(ds.offsets).tolist() == [len(matrix[n]) for n in ds.nodes]
-        assert (ds.stacked == np.vstack([matrix[n] for n in ds.nodes])).all()
+        assert ds.counts.tolist() == [len(matrix[n]) for n in ds.nodes]
+        assert (stacked == np.vstack([matrix[n] for n in ds.nodes])).all()
 
     # The dict views.
     assert ds.vectors == vectors
@@ -484,3 +488,25 @@ def test_node_without_samples_is_marked_missing():
     ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
     assert "hw02" in ds.missing_metric_nodes
     assert "hw02" not in ds.vectors
+
+
+def test_matrix_block_is_a_view_when_its_columns_are_consecutive():
+    stage = make_stage({"hw01": 1, "hw02": 1}, runtime=10_000)
+    for hole, shared in ((False, True), (True, False)):
+        # With a hole, mem_usage is no matrix metric, and it sits between
+        # the two that are.
+        metrics = {
+            node: metric_series(node, T0, 11, lambda i: {
+                "cpu_usage": float(i), "IPC": 2.0 * i,
+                **({"mem_usage": 1.0} if not (hole and i == 3) else {}),
+            })
+            for node in ("hw01", "hw02")
+        }
+        trace = make_trace(stage, metrics=metrics)
+        ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
+        (block,) = ds.blocks
+        (group,) = trace.metrics.groups
+        expected = ["cpu_usage", "IPC"] if hole else ["cpu_usage", "mem_usage", "IPC"]
+        assert ds.matrix_metrics == expected
+        assert np.shares_memory(block, group.values) == shared
+        assert (stacked_samples(ds) == np.vstack([ds.matrix[n] for n in ds.nodes])).all()

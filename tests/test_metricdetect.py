@@ -1,19 +1,25 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_stage, make_trace, metric_series
+from conftest import make_stage, make_trace, metric_series, stacked_samples
 from stagelens.correlate import build_datasets, slice_metrics, stage_window
-from stagelens.model import METRIC_SCHEMA, MetricStore
+from stagelens import nodedetect
+from stagelens.model import METRIC_SCHEMA, MetricStore, metric_columns
 from stagelens.report import PipelineConfig, diagnose, render_report
 from stagelens.metricdetect import (
     OutlierConfig,
     OutlierResult,
+    PcaSelection,
     _detect_rows,
     _fft_norms,
+    _fft_table,
+    _stage_selection,
     db_outlier_oracle,
     detect_metric_outliers,
     diagnose_outlier_metrics,
@@ -27,6 +33,41 @@ T0 = 1_460_000_000_000
 
 
 # --- PCA -------------------------------------------------------------------
+
+def oracle_pca(matrix, metric_names, ccrate=0.95):
+    """pca_select_metrics as written over one samples x metrics array: the
+    reference for the selection over a stage's blocks."""
+    x = np.asarray(matrix, dtype=float)
+    m, k = x.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0)
+        cov = centered.T @ centered / m
+    if np.isfinite(cov).all():
+        eigenvalues, eigenvectors = np.linalg.eigh(cov)
+        order = np.argsort(eigenvalues)[::-1]
+        eigenvalues = eigenvalues[order]
+        eigenvectors = eigenvectors[:, order]
+        total = float(eigenvalues.sum())
+        fallback = "zero-variance stage matrix" if total <= 0 else ""
+    else:
+        eigenvalues, eigenvectors = np.full(k, np.nan), np.full((k, k), np.nan)
+        fallback = "non-finite stage covariance"
+    if fallback:
+        return PcaSelection(
+            components=eigenvectors, eigenvalues=eigenvalues, d=k,
+            selected_metrics=list(metric_names), ccrate=[1.0] * k, degenerate=fallback,
+        )
+    cumulative = list(np.cumsum(eigenvalues) / total)
+    d = next((i + 1 for i, c in enumerate(cumulative) if c >= ccrate), len(cumulative))
+    attributed = set()
+    for w in range(d):
+        attributed.add(metric_names[int(np.argmax(np.abs(eigenvectors[:, w])))])
+    selected = [name for name in metric_names if name in attributed]
+    return PcaSelection(
+        components=eigenvectors, eigenvalues=eigenvalues, d=d,
+        selected_metrics=selected, ccrate=cumulative,
+    )
+
 
 def test_single_varying_column_selected():
     rng = np.random.default_rng(0)
@@ -417,7 +458,8 @@ def test_corpus_selection_mixes_metric_levels():
         trace, _ = generate_trace(spec)
         for stage in trace.stages():
             ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
-            selected |= set(pca_select_metrics(ds.stacked, ds.matrix_metrics, 0.95).selected_metrics)
+            stacked = stacked_samples(ds)
+            selected |= set(pca_select_metrics(stacked, ds.matrix_metrics, 0.95).selected_metrics)
     assert selected & set(SYSTEM_METRICS)
     assert selected & set(ARCH_METRICS)
 
@@ -603,3 +645,208 @@ def test_fft_table_equals_one_series_at_a_time(width, count, exponent, seed):
         expected = oracle_reduce_fft(row)
         assert float.hex(norm) == float.hex(expected)
         assert float.hex(reduce_fft(row)) == float.hex(expected)
+
+
+# --- PCA and the FFT table over a stage's blocks ----------------------------
+
+_CORE = ("cpu_usage", "IPC")  # in every layout
+_OPTIONAL = ("mem_usage", "diskW_band", "L2_MPKI", "zz_extra")
+_BIG = np.finfo(float).max
+# Constants whose row-by-row mean is or is not exact, values near the float
+# range (half the largest float sums to it without overflow) and subnormals.
+_EDGE_VALUES = (0.0, 0.1, 1.0, 2.5, 1e-300, 5e-324, 6e307, _BIG / 2, 1e308, -1e308, _BIG, -_BIG)
+
+
+def block_stage(series, start, span):
+    """A stage with one task per node over [start, start + span] and a trace
+    whose series are `series`: node -> (sample step in ms, columns, values
+    as columns x samples). Nodes with equal steps, sample counts and
+    columns form one clock group."""
+    stage = make_stage({node: 1 for node in series}, launch=T0 + start, runtime=span)
+    metrics = {
+        node: MetricStore(node, T0 + step * np.arange(values.shape[1], dtype=np.int64),
+                          columns, np.asarray(values, dtype=float))
+        for node, (step, columns, values) in series.items()
+    }
+    trace = make_trace(stage, metrics=metrics)
+    return build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
+
+
+@st.composite
+def _block_stages(draw):
+    """Series for block_stage: 2-7 nodes, each on one of up to three clocks
+    (steps and lengths differ, so window lengths do) with one of a few
+    layouts, so that a stage has several batches whose nodes interleave in
+    sorted order. An optional metric with a hole is no matrix metric, so
+    the matrix columns of a layout that holds it are not consecutive.
+    Values come from a spectrum (columns of distinct scales around drawn
+    offsets, node shifts, one column mixed into another) or from a pool of
+    edge values, per cell or one constant per metric."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clocks = draw(st.lists(st.tuples(st.sampled_from([250, 400, 1000]), st.integers(1, 60)),
+                           min_size=1, max_size=3))
+    layouts = draw(st.lists(st.sets(st.sampled_from(_OPTIONAL)), min_size=1, max_size=3))
+    holed = draw(st.sets(st.sampled_from(_OPTIONAL), max_size=1))
+    pool = draw(st.none() | st.lists(st.sampled_from(_EDGE_VALUES) | st.floats(-10, 10),
+                                     min_size=1, max_size=3))
+    constant = draw(st.booleans())
+    names = _CORE + _OPTIONAL
+    scale = dict(zip(names, 10.0 ** rng.uniform(-3, 3, len(names))))
+    offset = dict(zip(names, rng.uniform(-1e3, 1e3, len(names)) * draw(st.sampled_from([0, 1]))))
+    fixed = dict(zip(names, rng.integers(0, len(pool or [0]), len(names)).tolist()))
+    series = {}
+    for i in range(draw(st.integers(2, 7))):
+        step, count = draw(st.sampled_from(clocks))
+        columns = metric_columns(set(_CORE) | draw(st.sampled_from(layouts)))
+        if pool is None:
+            values = rng.standard_normal((len(columns), count)) + rng.uniform(-2, 2)
+            values[columns.index("IPC")] += 0.5 * values[columns.index("cpu_usage")]
+            values *= np.array([scale[c] for c in columns])[:, None]
+            values += np.array([offset[c] for c in columns])[:, None]
+        elif constant:
+            values = np.array([[pool[fixed[c]]] * count for c in columns])
+        else:
+            values = np.array(pool)[rng.integers(0, len(pool), (len(columns), count))]
+        for metric in holed & set(columns):
+            values[columns.index(metric), rng.integers(0, count)] = np.nan
+        series[f"hw{i:02d}"] = (step, columns, values)
+    return series, draw(st.integers(0, 10_000)), draw(st.integers(0, 40_000))
+
+
+def _decided(sel, ccrate, gap=1e-6):
+    """Whether rounding far below `gap` leaves the selection as it is: no
+    cumulative contribution lies within gap of the target, each kept
+    eigenvalue is gap (relative to the largest) from its neighbours, and
+    each kept component's largest absolute loading leads the next by gap."""
+    values = sel.eigenvalues
+    if any(abs(c - ccrate) <= gap for c in sel.ccrate):
+        return False
+    for w in range(sel.d):
+        neighbours = [values[v] for v in (w - 1, w + 1) if 0 <= v < len(values)]
+        if any(abs(values[w] - v) <= gap * values[0] for v in neighbours):
+            return False
+        top = np.sort(np.abs(sel.components[:, w]))[::-1]
+        if len(top) > 1 and top[0] - top[1] <= gap:
+            return False
+    return True
+
+
+def _ones(count, value):
+    return np.full((2, count), value)
+
+
+_WITH_MEM = metric_columns(_CORE + ("mem_usage",))
+
+
+@given(case=_block_stages(), ccrate=st.sampled_from([0.5, 0.8, 0.95, 1.0]),
+       budget=st.sampled_from([8, 2560, nodedetect._BLOCK_BYTES]))
+# 0.1 everywhere on three clocks, 4 + 2 + 1 samples: the node means
+# weighted by counts give 0.1 exactly, the row-by-row mean does not, so
+# the oracle's covariance is not zero.
+@example(case=({"hw00": (250, _CORE, _ones(4, 0.1)), "hw01": (400, _CORE, _ones(2, 0.1)),
+                "hw02": (1000, _CORE, _ones(1, 0.1))}, 0, 750), ccrate=0.95, budget=8)
+# The same at 4 + 5 + 5 samples, where the row-by-row mean is exact and
+# the weighted node means are not: the oracle's covariance is zero.
+@example(case=({"hw00": (250, _CORE, _ones(4, 0.1)), "hw01": (400, _CORE, _ones(5, 0.1)),
+                "hw02": (1000, _CORE, _ones(5, 0.1))}, 0, 4000), ccrate=0.95, budget=2560)
+# Half the largest float on two nodes: the column sums to the largest
+# float, so the covariance is finite and zero.
+@example(case=({"hw00": (250, _CORE, _ones(1, _BIG / 2)),
+                "hw01": (400, _CORE, _ones(1, _BIG / 2))}, 0, 0),
+         ccrate=0.95, budget=nodedetect._BLOCK_BYTES)
+# +-1e308 alternating on one node of nine samples: its pairwise sum
+# overflows, a row-by-row sum does not; the other nodes stay small.
+@example(case=({"hw00": (250, _CORE, np.array([[1e308, -1e308] * 4 + [1e308], [1.0] * 9])),
+                "hw01": (250, _CORE, np.array([[2.0] * 9, [3.0] * 9]))}, 0, 2000),
+         ccrate=0.95, budget=nodedetect._BLOCK_BYTES)
+# Three batches whose nodes interleave; hw00 and hw02 are two clocks cut
+# to one window length, so their batch is a copy, and mem_usage (a hole on
+# hw02) sits between its matrix columns.
+@example(case=({"hw00": (250, _WITH_MEM, np.arange(30.0).reshape(3, 10) ** 1.5),
+                "hw01": (400, _CORE, np.sin(np.arange(16.0)).reshape(2, 8)),
+                "hw02": (250, _WITH_MEM, np.array([np.cos(np.arange(12.0)), [np.nan] + [1.0] * 11,
+                                                   np.arange(12.0) % 3])),
+                "hw03": (1000, _CORE, np.array([[5.0, 1.0, 4.0], [2.0, 7.0, 1.0]]))}, 0, 2250),
+         ccrate=0.8, budget=2560)
+def test_stage_selection_equals_oracle_pca(case, ccrate, budget):
+    """PCA over the blocks (and pca_select_metrics, the one-block case)
+    against the oracle over the stacked samples: the same degenerate reason
+    always, the covariance rebuilt from the spectrum within
+    64 (m + k) eps sum_j max|x_j|^2 of the oracle's in every entry, and the
+    same d and metrics where rounding cannot move them."""
+    ds = block_stage(*case)
+    if not ds.matrix_metrics or ds.counts.sum() < 2:
+        return
+    stacked = stacked_samples(ds)
+    expected = oracle_pca(stacked, ds.matrix_metrics, ccrate)
+    with mock.patch.object(nodedetect, "_BLOCK_BYTES", budget):
+        selections = [_stage_selection(ds, ccrate),
+                      pca_select_metrics(stacked, ds.matrix_metrics, ccrate)]
+    m, k = stacked.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = stacked - stacked.mean(axis=0)
+        cov = centered.T @ centered / m
+        bound = 64 * (m + k) * np.finfo(float).eps * (np.abs(stacked).max(axis=0) ** 2).sum()
+    for got in selections:
+        assert got.degenerate == expected.degenerate
+        if got.degenerate:
+            assert got.d == k and got.selected_metrics == ds.matrix_metrics
+            continue
+        rebuilt = got.components @ np.diag(got.eigenvalues) @ got.components.T
+        assert (np.abs(rebuilt - cov) <= bound).all()
+        if _decided(expected, ccrate):
+            assert got.d == expected.d
+            assert got.selected_metrics == expected.selected_metrics
+
+
+@given(case=_block_stages(), budget=st.sampled_from([8, 2560, nodedetect._BLOCK_BYTES]),
+       data=st.data())
+# Interleaved groups of unequal window lengths, truncated to the shortest.
+@example(case=({"hw00": (250, _CORE, np.arange(20.0).reshape(2, 10) ** 2),
+                "hw01": (400, _CORE, np.sin(np.arange(16.0)).reshape(2, 8)),
+                "hw02": (250, _CORE, np.cos(np.arange(20.0)).reshape(2, 10))}, 0, 2250),
+         budget=8, data=None)
+def test_fft_table_from_blocks_equals_stacked_gather(case, budget, data):
+    """The FFT table read from the blocks equals _fft_norms of each matrix
+    column's rows gathered from the stacked samples, one column at a time,
+    bit for bit."""
+    ds = block_stage(*case)
+    if len(ds.nodes) < 1 or not ds.matrix_metrics:
+        return
+    common = int(ds.counts.min())
+    if common < 2:
+        return
+    k = len(ds.matrix_metrics)
+    columns = data.draw(st.permutations(range(k))) if data is not None else list(range(k))
+    stacked = stacked_samples(ds)
+    offsets = np.concatenate([[0], np.cumsum(ds.counts)])
+    at = offsets[:-1, None] + np.arange(common)
+    expected = np.array([_fft_norms(stacked[at, j]) for j in columns])
+    with mock.patch.object(nodedetect, "_BLOCK_BYTES", budget):
+        got = _fft_table(ds, columns, common)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("transform", ["mean", "fft"])
+def test_outlier_screen_holds_no_samples_by_metrics_array(transform):
+    # 8 nodes x 4,000 samples x 20 metrics: one samples x metrics float64
+    # array is 5.12 MB; the blocks are views of the group's values.
+    rng = np.random.default_rng(8)
+    nodes = [f"hw{i:02d}" for i in range(8)]
+    stage = make_stage({n: 1 for n in nodes}, runtime=3_999_000)
+    metrics = {
+        node: MetricStore(node, T0 + 1000 * np.arange(4000, dtype=np.int64), METRIC_SCHEMA,
+                          rng.lognormal(0.0, 1.0, (len(METRIC_SCHEMA), 4000)))
+        for node in nodes
+    }
+    trace = make_trace(stage, metrics=metrics)
+    slices = slice_metrics(trace, stage_window(stage))
+    tracemalloc.start()
+    try:
+        ds = build_datasets(stage, slices, trace.cluster)
+        result = diagnose_outlier_metrics(ds, OutlierConfig(transform=transform))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.evaluable and ds.counts.tolist() == [4000] * 8
+    assert peak < 4000 * 8 * len(METRIC_SCHEMA) * 8

@@ -247,7 +247,8 @@ def datasets_of(vectors):
             present[i, METRIC_SCHEMA.index(metric)] = True
     return FeatureDatasets(
         stage_id="s0", tnum={}, data_size=[], locality=[], nodes=nodes, means=means,
-        present=present, stacked=np.empty((0, 0)), offsets=np.zeros(len(nodes) + 1, np.int64),
+        present=present, blocks=[np.empty((len(nodes), 0, 1))],
+        positions=[np.arange(len(nodes))], counts=np.ones(len(nodes), np.int64),
         matrix_metrics=[],
     )
 

@@ -21,7 +21,14 @@ from stagelens.model import (
     Trace,
     metric_columns,
 )
-from stagelens.report import PipelineConfig, diagnose, render_report
+from stagelens import metricdetect
+from stagelens.report import (
+    STAGE_FAILED,
+    PipelineConfig,
+    _diagnose_stage,
+    diagnose,
+    render_report,
+)
 from stagelens.simulate import generate_trace, preset
 
 T0 = 1_460_000_000_000
@@ -108,7 +115,12 @@ def _rendered(trace, cfg):
 @given(trace=_trace(), cfg=_CONFIG)
 def test_diagnose_and_render_never_raise(trace, cfg):
     assert trace.validate() == []
+    # diagnose turns a stage's exception into a warning; no stage raises.
+    for stage in trace.stages():
+        if stage.tasks:
+            _diagnose_stage(trace, stage, cfg)
     text, structured = _rendered(trace, cfg)
+    assert STAGE_FAILED.encode() not in text
 
     # Reports do not depend on the order of `cluster` or of `metrics`.
     reordered = Trace(
@@ -225,3 +237,26 @@ def test_reports_ignore_a_node_rename_that_keeps_their_order(case, seed, prefix,
                 form = form.replace(new.encode(), old.encode())
             got.append(form)
         assert tuple(got) == want
+
+
+def test_a_stage_that_raises_costs_no_other_stage_its_report(monkeypatch, caplog):
+    trace, _ = generate_trace(preset("eval-corpus")[0])  # its fault is in stage_00
+    before = diagnose(trace)
+    assert [s.stage_id for s in before.stages] == ["stage_00", "stage_01"]
+    assert before.stages[0].findings
+    original = metricdetect.diagnose_outlier_metrics
+
+    def failing(datasets, cfg):
+        if datasets.stage_id == "stage_01":
+            raise FloatingPointError("injected")
+        return original(datasets, cfg)
+
+    monkeypatch.setattr(metricdetect, "diagnose_outlier_metrics", failing)
+    after = diagnose(trace)
+    assert after.stages[0] == before.stages[0]
+    assert after.stages[1].stage_id == "stage_01"
+    assert after.stages[1].warnings == [STAGE_FAILED]
+    assert after.stages[1].findings == [] and after.stages[1].similarity == {}
+    assert "FloatingPointError: injected" in caplog.text
+    assert STAGE_FAILED.encode() in render_report(after)
+    render_report(after, "structured")
