@@ -128,15 +128,7 @@ def slice_metrics(trace: Trace, window: StageWindow) -> MetricSlices:
             cuts.append(cut)
         else:
             gaps += cut.nodes
-    # A loose store (one validate rejects) is cut on its own.
-    for node in inside.difference(metrics.grouped):
-        store = metrics.loose.get(node)
-        cut = store.window(window.start, window.finish) if store is not None else _NO_SERIES
-        if len(cut.timestamps):
-            group = ClockGroup((node,), cut.columns, cut.timestamps, cut.values[None])
-            cuts.append(GroupCut(group, None, 0, len(cut.timestamps)))
-        else:
-            gaps.append(node)
+    gaps += inside.difference(metrics)  # window nodes without a series
     return MetricSlices(window=window, cuts=cuts, gaps=sorted(gaps))
 
 

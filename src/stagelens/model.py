@@ -9,7 +9,9 @@ clock groups: the nodes whose series share one column layout and one
 timestamp vector sit in one read-only float64[nodes, columns, samples]
 block (ClockGroup), so windowing and averaging run once per group.
 `Trace.metrics` is the read-only mapping node -> MetricStore over them
-(ClockGroups); each store it returns is a view of its group.
+(ClockGroups); each store it returns is a view of its group. Grouping
+refuses a malformed series with a MetricSeriesError, so a trace holds
+only well-formed ones.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -402,11 +403,14 @@ def window_bounds(timestamps: np.ndarray, start: int, finish: int) -> Tuple[int,
 class MetricStore:
     """One node's metric series, held column by column.
 
-    `timestamps` is int64[n], ascending. `values` is float64[len(columns), n]:
-    row i is metric `columns[i]` over time, so one metric's series is a
-    contiguous row. NaN marks a metric a sample does not report, so every
-    reported value must be finite. Two stores are equal when their node,
-    timestamps and values are, an absent column counting as an all-NaN one.
+    `timestamps` is int64[n], strictly increasing. `values` is
+    float64[len(columns), n]: row i is metric `columns[i]` over time, so one
+    metric's series is a contiguous row; `columns` are distinct names in
+    metric_columns order. NaN marks a metric a sample does not report, so
+    every reported value must be finite. A Trace refuses a store that breaks
+    one of these rules, or that sits under another node's name, with a
+    MetricSeriesError. Two stores are equal when their node, timestamps and
+    values are, an absent column counting as an all-NaN one.
     """
 
     node: str
@@ -463,8 +467,8 @@ class ClockGroup:
 
     `values` is float64[len(nodes), len(columns), len(timestamps)]: node
     `nodes[i]`'s series is `values[i]`. Both arrays are read-only. A group
-    holds only series that `Trace.validate` accepts, whatever their nodes'
-    cluster membership.
+    holds only well-formed series (MetricSeriesError's rules), whatever
+    their nodes' cluster membership.
     """
 
     __slots__ = ("nodes", "columns", "timestamps", "values")
@@ -483,25 +487,39 @@ class ClockGroup:
                 f"{len(self.timestamps)} samples)")
 
 
-def _clock_key(
-    node: str, store: MetricStore, layouts: dict, clocks: Dict[int, tuple]
-) -> Optional[tuple]:
-    """(columns, timestamp bytes) of a store that validate accepts but for its
-    node's cluster membership and its values' finiteness, or None. Each
+class MetricSeriesError(ValueError):
+    """A metric series a Trace refuses; the message names the node and rule."""
+
+
+def _clock_key(node: str, store: MetricStore, layouts: dict, clocks: Dict[int, tuple]) -> tuple:
+    """(columns, timestamp bytes) of a store under its own node, with a
+    layout in store order, well-formed arrays and rising timestamps; else
+    MetricSeriesError names the first of those rules it breaks. Each
     distinct layout and timestamps array is checked once."""
+    if store.node != node:
+        raise MetricSeriesError(f"metric series under {node!r} carries node {store.node!r}")
     ts = store.timestamps
     columns = tuple(store.columns)
-    if not (
-        store.node == node and checked_once(layouts, columns, _in_store_order)
-        and _well_formed(columns, ts, store.values)
-    ):
-        return None
+    if not checked_once(layouts, columns, _in_store_order):
+        raise MetricSeriesError(
+            f"metric series for {node}: columns must be distinct names in store order"
+        )
+    if not _well_formed(columns, ts, store.values):
+        raise MetricSeriesError(
+            f"metric series for {node}: needs int64[n] timestamps and "
+            f"float64[{len(columns)}, n] values"
+        )
     # The array is kept with its key, so its id is not reused meanwhile.
     _, key = checked_once(
         clocks, id(ts),
         lambda _: (ts, ts.tobytes() if bool((ts[1:] > ts[:-1]).all()) else None),
     )
-    return None if key is None else (columns, key)
+    if key is None:
+        bad = ts[1:][ts[1:] <= ts[:-1]][0].item()
+        raise MetricSeriesError(
+            f"metric series for {node}: timestamps not strictly increasing at {bad}"
+        )
+    return columns, key
 
 
 def _block_of(rows: List[np.ndarray]) -> np.ndarray:
@@ -523,65 +541,61 @@ class ClockGroups(Mapping):
     """A trace's metric series: a read-only mapping node -> MetricStore,
     held as clock groups.
 
-    Each store it returns is a view of its group's rows. A store that
-    `Trace.validate` rejects for anything but its node's cluster membership
-    stays as it was given (`loose`), so validate names exactly its problems.
-    The mapping keeps the order it was built in.
+    Each store it returns is a view of its group's rows. The mapping keeps
+    the order it was built in.
     """
 
-    __slots__ = ("groups", "grouped", "loose", "_at")
+    __slots__ = ("groups", "_at")
 
-    def __init__(
-        self,
-        at: Dict[str, Union[Tuple[ClockGroup, int], MetricStore]],
-        groups: Sequence[ClockGroup],
-        loose: Dict[str, MetricStore],
-    ):
-        """`at` maps each node, in order, to its (group, row) in one of
-        `groups` or to its store in `loose`."""
+    def __init__(self, at: Dict[str, Tuple[ClockGroup, int]], groups: Sequence[ClockGroup]):
+        """`at` maps each node, in order, to its (group, row) in `groups`."""
         self._at = at
         self.groups = tuple(groups)
-        self.loose = loose
-        self.grouped = frozenset(at).difference(loose)
 
     @classmethod
     def of(cls, stores: Mapping[str, MetricStore]) -> "ClockGroups":
         """Group stores by column layout and timestamp values: one pass, and
         one block per group (a view of a lone store, or the 3-D array whose
-        rows the stores' values are; else a stacked copy)."""
+        rows the stores' values are; else a stacked copy). The first store
+        that breaks a series rule raises MetricSeriesError."""
         if isinstance(stores, ClockGroups):
             return stores
-        at: Dict[str, Union[Tuple[ClockGroup, int], MetricStore]] = dict(stores)
         members: Dict[tuple, List[str]] = {}
         layouts: dict = {}
         clocks: Dict[int, tuple] = {}
-        for node, store in at.items():
-            key = _clock_key(node, store, layouts, clocks)
-            if key is not None:
-                members.setdefault(key, []).append(node)
+        refused: Optional[MetricSeriesError] = None
+        for node, store in stores.items():
+            try:
+                key = _clock_key(node, store, layouts, clocks)
+            except MetricSeriesError as exc:
+                refused = exc
+                break
+            members.setdefault(key, []).append(node)
+        at: Dict[str, Tuple[ClockGroup, int]] = dict.fromkeys(stores)
         groups = []
+        infinite = []  # per group, its first node with an infinite value
         for (columns, _), nodes in members.items():
-            stores_ = [at[node] for node in nodes]
+            stores_ = [stores[node] for node in nodes]
             block = _block_of([store.values for store in stores_])
             # fmax and fmin pass over NaN, and need no block-sized temporary.
             if block.size and (np.isinf(np.fmax.reduce(block, axis=None))
                                or np.isinf(np.fmin.reduce(block, axis=None))):
-                finite = ~np.isinf(block).any(axis=(1, 2))
-                nodes = [node for node, ok in zip(nodes, finite.tolist()) if ok]
-                block = block[finite]
-                if not nodes:
-                    continue
+                infinite.append(nodes[int(np.isinf(block).any(axis=(1, 2)).argmax())])
+                continue
             group = ClockGroup(nodes, columns, stores_[0].timestamps, block)
             groups.append(group)
             at.update(zip(nodes, zip(repeat(group), range(len(nodes)))))
-        loose = {node: store for node, store in at.items() if type(store) is not tuple}
-        return cls(at, groups, loose)
+        # Only the stores before a refused one were grouped, so an infinite
+        # value among them comes first.
+        if infinite:
+            node = min(infinite, key=list(stores).index)
+            raise MetricSeriesError(f"metric series for {node}: infinite value")
+        if refused is not None:
+            raise refused
+        return cls(at, groups)
 
     def __getitem__(self, node: str) -> MetricStore:
-        entry = self._at[node]
-        if type(entry) is not tuple:
-            return entry
-        group, row = entry
+        group, row = self._at[node]
         return MetricStore(node, group.timestamps, group.columns, group.values[row])
 
     def __iter__(self) -> Iterator[str]:
@@ -594,8 +608,7 @@ class ClockGroups(Mapping):
         return node in self._at
 
     def __repr__(self) -> str:
-        return (f"ClockGroups({len(self)} nodes in {len(self.groups)} groups, "
-                f"{len(self.loose)} loose)")
+        return f"ClockGroups({len(self)} nodes in {len(self.groups)} groups)"
 
 
 @dataclass(eq=False)
@@ -606,9 +619,9 @@ class Trace:
     write no metrics line and slice to a gap).
 
     `metrics` is read-only: a mapping of stores given to it (or assigned to
-    it) is grouped once into ClockGroups, and the trace no longer reads the
-    stores' arrays but through their groups, or as given for a store
-    validate rejects.
+    it) is grouped once into ClockGroups, and the trace reads the stores'
+    arrays only through their groups. A store that breaks a series rule
+    raises MetricSeriesError there, so the trace is never built.
     """
 
     cluster: List[str] = field(default_factory=list)
@@ -643,11 +656,9 @@ class Trace:
         return content(self) == content(other)
 
     def validate(self) -> List[str]:
-        """Collect every invariant violation instead of stopping at the first."""
-        return self._hierarchy_problems() + self._series_problems()
-
-    def _hierarchy_problems(self) -> List[str]:
-        """validate's problems with the cluster, jobs, stages and tasks."""
+        """Collect every invariant violation instead of stopping at the first.
+        A series can break only one: its node outside the cluster (building
+        the trace checks the rest)."""
         problems: List[str] = []
         if not self.cluster:
             problems.append("cluster must list at least one node")
@@ -688,52 +699,12 @@ class Trace:
                     problems.append(
                         f"task {task.task_id}: node {task.node!r} not in cluster"
                     )
+        problems += [
+            f"metric series for {node}: node not in cluster"
+            for node in self.metrics
+            if node not in known
+        ]
         return problems
-
-    def _series_problems(self) -> List[str]:
-        """validate's problems with the metric series. A grouped store's only
-        possible problem is a node outside the cluster."""
-        known = set(self.cluster)
-        metrics: ClockGroups = self.metrics  # type: ignore[assignment]
-        if not metrics.loose and known.issuperset(metrics):
-            return []
-        problems: List[str] = []
-        layouts: Dict[Hashable, bool] = {}
-        for node in metrics:
-            if node not in known:
-                problems.append(f"metric series for {node}: node not in cluster")
-            store = metrics.loose.get(node)
-            if store is not None:
-                problems += _store_problems(node, store, layouts)
-        return problems
-
-
-def _store_problems(node: str, store: MetricStore, layouts: Dict[Hashable, bool]) -> List[str]:
-    """validate's problems with one store, but for its node's cluster
-    membership; `layouts` remembers the column layouts checked."""
-    problems: List[str] = []
-    if store.node != node:
-        problems.append(f"metric series under {node!r} carries node {store.node!r}")
-    columns = tuple(store.columns)
-    if not checked_once(layouts, columns, _in_store_order):
-        problems.append(
-            f"metric series for {node}: columns must be distinct names in store order"
-        )
-    ts, values = store.timestamps, store.values
-    if not _well_formed(columns, ts, values):
-        problems.append(
-            f"metric series for {node}: needs int64[n] timestamps and "
-            f"float64[{len(columns)}, n] values"
-        )
-        return problems
-    for bad in ts[1:][ts[1:] <= ts[:-1]].tolist():
-        problems.append(
-            f"metric series for {node}: timestamps not strictly "
-            f"increasing at {bad}"
-        )
-    if np.isinf(values).any():
-        problems.append(f"metric series for {node}: infinite value")
-    return problems
 
 
 class FindingKind(Enum):

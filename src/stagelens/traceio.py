@@ -11,12 +11,13 @@ and values sit back to back in `metrics.timestamps.npy` and
 entities are sorted, keys are sorted, and every missing value is the one
 canonical NaN.
 
-The loader checks what the index and blocks settle as it reads them, and
-the two remaining series invariants (rising timestamps, indexed nodes in
-the cluster) on the whole arrays; only a trace that fails one of those is
-walked node by node by `Trace.validate`. A loaded trace's series are clock
-groups (see `model`) whose blocks are views of the two column files: per
-index line, the nodes whose timestamps are equal form one group."""
+The loader checks each series rule (see `model.MetricSeriesError`) on
+the whole arrays, and fails at the `metrics.jsonl` line of the first node
+in index order that breaks one. A loaded trace's series are clock groups
+(see `model`) whose blocks are views of the two column files: per index
+line, the nodes whose timestamps are equal form one group; they are not
+checked again. `Trace.validate` then checks the rest: the hierarchy, and
+that each indexed node is in the cluster."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import json
 import os
 from bisect import bisect_right
 from itertools import accumulate, repeat
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -112,8 +113,14 @@ def save_trace(trace: Trace, path: str) -> None:
     problems = trace.validate()
     if problems:
         raise TraceValidationError(problems)
-    # An id type the loader rejects would write a trace it cannot load.
+    # An id or offset type the loader rejects would write a trace it cannot
+    # load.
     problems = [
+        f"node {node}: clock offset {offset!r} must be integer milliseconds in int64"
+        for node, offset in trace.clock_offsets.items()
+        if type(offset) is not int or not _INT64.min <= offset <= _INT64.max
+    ]
+    problems += [
         f"job {job.job_id}: bad job record: job_id must be a string"
         for job in trace.jobs
         if type(job.job_id) is not str
@@ -428,7 +435,7 @@ def _index_groups(
         for group in _line_groups(nodes, samples, columns, ts, vals):
             groups.append(group)
             at.update(zip(group.nodes, zip(repeat(group), range(len(group.nodes)))))
-    return ClockGroups(at, groups, {})
+    return ClockGroups(at, groups)
 
 
 def load_trace(path: str) -> Trace:
@@ -505,15 +512,22 @@ def load_trace(path: str) -> Trace:
     cell_starts = list(accumulate(cells, initial=0))
     timestamps = _read_npy(path, _TIMESTAMPS, starts[-1])
     values = _read_npy(path, _VALUES, cell_starts[-1])
-    # NaN marks a missing value, so a reported one must be finite, and an
-    # unapplied clock offset must keep a node's timestamps in int64. Blocks
-    # sit in index order; the first node that breaks either rule is named,
-    # for its infinite value if it has one.
-    first_infinite = len(order)
+    # NaN marks a missing value, so a reported one must be finite; each
+    # node's timestamps must rise (a block's first one may be below its
+    # predecessor's last); and an unapplied clock offset must keep a node's
+    # timestamps in int64. Blocks sit in index order; the first node that
+    # breaks a rule is named, for the first of these rules it breaks.
+    first_infinite = first_unsorted = first_outside = len(order)
     if np.isinf(values).any():
         first_cell = int(np.isinf(values).argmax())
         first_infinite = bisect_right(cell_starts, first_cell) - 1
-    first_bad, shifts = first_infinite, None
+    rises = timestamps[1:] > timestamps[:-1]
+    firsts = np.array(starts[1:-1], dtype=np.int64)  # of later blocks
+    rises[firsts[(firsts > 0) & (firsts < len(timestamps))] - 1] = True
+    if not rises.all():
+        unsorted = int(rises.argmin()) + 1  # the first sample not above its predecessor
+        first_unsorted = bisect_right(starts, unsorted) - 1
+    shifts = None
     if not applied and offsets:
         shifts = np.array([offsets.get(node, 0) for node in order], np.int64)
         held = np.flatnonzero(counts)  # nodes with samples
@@ -527,36 +541,20 @@ def load_trace(path: str) -> Trace:
                 high > _INT64.max - np.maximum(shift, 0)
             )
             if outside.any():
-                first_bad = min(first_bad, int(held[outside.argmax()]))
+                first_outside = int(held[outside.argmax()])
+    first_bad = min(first_infinite, first_unsorted, first_outside)
     if first_bad < len(order):
         node = order[first_bad]
-        offset = offsets.get(node, 0)
-        raise TraceParseError(
-            metrics_path, indexed[node][0],
-            f"node {node!r}: metric values must be finite numbers" if first_bad == first_infinite
-            else f"node {node!r}: clock offset {offset} moves timestamps out of range",
-        )
-    # The index and the blocks settle every series invariant validate checks
-    # but two, checked here on the whole arrays: timestamps rise within each
-    # node's block (a block's first one may be below its predecessor's last),
-    # and every indexed node is in the cluster.
-    rises = timestamps[1:] > timestamps[:-1]
-    firsts = np.array(starts[1:-1], dtype=np.int64)  # of later blocks
-    rises[firsts[(firsts > 0) & (firsts < len(timestamps))] - 1] = True
-    series_valid = bool(rises.all()) and set(cluster).issuperset(indexed)
+        if first_bad == first_infinite:
+            rule = "metric values must be finite numbers"
+        elif first_bad == first_unsorted:
+            rule = f"timestamps not strictly increasing at {timestamps[unsorted]}"
+        else:
+            rule = f"clock offset {offsets[node]} moves timestamps out of range"
+        raise TraceParseError(metrics_path, indexed[node][0], f"node {node!r}: {rule}")
     if shifts is not None and shifts.any():
         timestamps = timestamps + np.repeat(shifts, counts)
-    if series_valid:
-        metrics: Mapping[str, MetricStore] = _index_groups(lines, timestamps, values)
-    else:
-        # validate names each fault in the store of the node that holds it.
-        metrics = {
-            node: MetricStore(
-                node, timestamps[starts[i] : starts[i + 1]], columns,
-                values[cell_starts[i] : cell_starts[i + 1]].reshape(len(columns), counts[i]),
-            )
-            for i, (node, (_, columns)) in enumerate(indexed.items())
-        }
+    metrics = _index_groups(lines, timestamps, values)
 
     tasks_path = os.path.join(path, "tasks.jsonl")
     task_index: Dict[str, Tuple[int, list, list]] = {}
@@ -582,9 +580,7 @@ def load_trace(path: str) -> Trace:
         metrics=metrics,
         clock_offsets=offsets,
     )
-    # With the series valid, validate's problems are those of the hierarchy;
-    # otherwise it lists them all, in its order.
-    problems = trace._hierarchy_problems() if series_valid else trace.validate()
+    problems = trace.validate()
     if problems:
         raise TraceValidationError(problems)
     return trace

@@ -137,7 +137,6 @@ def assert_grouped(trace):
     layout and timestamp vector of its stores, and each store is its
     group's row."""
     metrics = trace.metrics
-    assert not metrics.loose
     keys = {(store.columns, store.timestamps.tobytes()) for store in metrics.values()}
     assert len(metrics.groups) == len(keys)
     assert sorted(n for g in metrics.groups for n in g.nodes) == sorted(metrics)

@@ -22,6 +22,7 @@ from conftest import (
 from stagelens.model import (
     Job,
     Locality,
+    MetricSeriesError,
     MetricStore,
     Stage,
     Task,
@@ -93,8 +94,9 @@ def test_metric_timestamps_must_increase():
         MetricSample(node="hw01", timestamp=5, values={"x": 1.0}),
         MetricSample(node="hw01", timestamp=5, values={"x": 2.0}),
     ]
-    trace = Trace(cluster=["hw01"], metrics={"hw01": store_from_samples("hw01", samples)})
-    assert any("strictly increasing" in p for p in trace.validate())
+    with pytest.raises(MetricSeriesError) as err:
+        Trace(cluster=["hw01"], metrics={"hw01": store_from_samples("hw01", samples)})
+    assert str(err.value) == "metric series for hw01: timestamps not strictly increasing at 5"
 
 
 def test_int64_edge_timestamps_are_increasing(tmp_path):
@@ -231,6 +233,23 @@ def test_save_refuses_job_or_stage_id_types_the_loader_rejects(
         save_trace(make_trace(stage), str(out))
     assert err.value.problems[0] == problem
     assert not out.exists()
+
+
+@pytest.mark.parametrize("offset", [1.5, True, 2**70])
+def test_save_refuses_clock_offsets_the_loader_rejects(tmp_path, offset):
+    out = tmp_path / "trace"
+    with pytest.raises(TraceValidationError) as err:
+        save_trace(Trace(cluster=["hw01"], clock_offsets={"hw01": offset}), str(out))
+    assert err.value.problems == [
+        f"node hw01: clock offset {offset!r} must be integer milliseconds in int64"
+    ]
+    assert not out.exists()
+
+
+def test_int64_edge_clock_offsets_round_trip(tmp_path):
+    trace = Trace(cluster=["hw01", "hw02"], clock_offsets={"hw01": -(2**63), "hw02": 2**63 - 1})
+    save_trace(trace, str(tmp_path / "trace"))
+    assert load_trace(str(tmp_path / "trace")) == trace
 
 
 def test_error_line_counts_blank_lines(tmp_path):
@@ -754,12 +773,13 @@ def test_validate_reports_duplicate_ids_and_stray_metric_nodes():
     assert "metric series for hw09: node not in cluster" in problems
 
 
-def test_infinite_metric_value_fails_validation(tmp_path):
+def test_infinite_metric_value_fails_validation():
+    """An infinite value is refused when the trace is built, so no trace
+    holds one to save."""
     store = metric_series("hw01", 0, 3, lambda i: {"cpu_usage": [0.5, float("inf"), 0.5][i]})
-    trace = Trace(cluster=["hw01"], metrics={"hw01": store})
-    assert trace.validate() == ["metric series for hw01: infinite value"]
-    with pytest.raises(TraceValidationError):
-        save_trace(trace, str(tmp_path / "trace"))
+    with pytest.raises(MetricSeriesError) as err:
+        Trace(cluster=["hw01"], metrics={"hw01": store})
+    assert str(err.value) == "metric series for hw01: infinite value"
 
 
 def _store(**changes) -> MetricStore:
@@ -787,11 +807,18 @@ def _store(**changes) -> MetricStore:
         (_store(columns=("cpu_usage", [])), "columns must be distinct names in store order"),
     ],
 )
-def test_validate_checks_store_shape(tmp_path, store, problem):
-    trace = Trace(cluster=["hw01"], metrics={"hw01": store})
-    assert any(problem in p for p in trace.validate()), trace.validate()
-    with pytest.raises(TraceValidationError):
-        save_trace(trace, str(tmp_path / "trace"))
+def test_validate_checks_store_shape(store, problem):
+    """A trace of one node refuses a store of the wrong shape when it is
+    built or its metrics are assigned, naming the node and the rule, so no
+    trace holds the store to validate or save."""
+    with pytest.raises(MetricSeriesError) as err:
+        Trace(cluster=["hw01"], metrics={"hw01": store})
+    assert problem in str(err.value) and str(err.value).startswith("metric series for hw01: ")
+    trace = Trace(cluster=["hw01"])
+    with pytest.raises(MetricSeriesError) as err:
+        trace.metrics = {"hw01": store}
+    assert problem in str(err.value)
+    assert len(trace.metrics) == 0
 
 
 # Names that need JSON escapes or that a %-format would misread.
@@ -1179,26 +1206,45 @@ def test_entity_reader_equals_line_by_line_oracle(
     )
 
 
-def test_validate_names_every_node_of_a_shared_bad_layout():
-    """A column layout is checked once, and every node that has it is named."""
-    metrics = {}
-    for node in ("hw01", "hw02", "hw03"):
-        metrics[node] = metric_series(node, 0, 3, lambda i: {"cpu_usage": 0.5, "x": 1.0})
-    for node in ("hw01", "hw03"):
-        metrics[node].columns = ("x", "cpu_usage")
-    trace = Trace(cluster=sorted(metrics), metrics=metrics)
-    assert trace.validate() == [
-        f"metric series for {node}: columns must be distinct names in store order"
-        for node in ("hw01", "hw03")
-    ]
+def oracle_store_problems(node, store):
+    """The problems of one store as given, but for its node's cluster
+    membership, each rule checked on its own: the reference for the checks
+    a trace makes of its stores when it is built."""
+    from stagelens.model import metric_columns
+
+    problems = []
+    if store.node != node:
+        problems.append(f"metric series under {node!r} carries node {store.node!r}")
+    columns = tuple(store.columns)
+    if not (all(isinstance(c, str) for c in columns) and columns == metric_columns(columns)):
+        problems.append(
+            f"metric series for {node}: columns must be distinct names in store order"
+        )
+    ts, values = store.timestamps, store.values
+    if not (
+        isinstance(ts, np.ndarray) and ts.ndim == 1 and ts.dtype == np.int64
+        and isinstance(values, np.ndarray) and values.dtype == np.float64
+        and values.shape == (len(columns), len(ts))
+    ):
+        problems.append(
+            f"metric series for {node}: needs int64[n] timestamps and "
+            f"float64[{len(columns)}, n] values"
+        )
+        return problems
+    for i in range(1, len(ts)):
+        if ts[i] <= ts[i - 1]:
+            problems.append(
+                f"metric series for {node}: timestamps not strictly increasing at {ts[i]}"
+            )
+    if np.isinf(values).any():
+        problems.append(f"metric series for {node}: infinite value")
+    return problems
 
 
 def oracle_validate(trace):
-    """Trace.validate as one walk over every task and node, each column
-    layout checked on its own: the reference for validate's checks of a
-    whole stage at once and of each distinct layout once."""
-    from stagelens.model import metric_columns
-
+    """Trace.validate as one walk over every task and node, with each
+    store's problems: the reference for validate's checks of a whole stage
+    at once. `trace` may be a Trace or its parts as given (as_given)."""
     problems = []
     if not trace.cluster:
         problems.append("cluster must list at least one node")
@@ -1228,32 +1274,20 @@ def oracle_validate(trace):
     for node, store in trace.metrics.items():
         if node not in known:
             problems.append(f"metric series for {node}: node not in cluster")
-        if store.node != node:
-            problems.append(f"metric series under {node!r} carries node {store.node!r}")
-        columns = tuple(store.columns)
-        if not (all(isinstance(c, str) for c in columns) and columns == metric_columns(columns)):
-            problems.append(
-                f"metric series for {node}: columns must be distinct names in store order"
-            )
-        ts, values = store.timestamps, store.values
-        if not (
-            isinstance(ts, np.ndarray) and ts.ndim == 1 and ts.dtype == np.int64
-            and isinstance(values, np.ndarray) and values.dtype == np.float64
-            and values.shape == (len(columns), len(ts))
-        ):
-            problems.append(
-                f"metric series for {node}: needs int64[n] timestamps and "
-                f"float64[{len(columns)}, n] values"
-            )
-            continue
-        for i in range(1, len(ts)):
-            if ts[i] <= ts[i - 1]:
-                problems.append(
-                    f"metric series for {node}: timestamps not strictly increasing at {ts[i]}"
-                )
-        if np.isinf(values).any():
-            problems.append(f"metric series for {node}: infinite value")
+        problems += oracle_store_problems(node, store)
     return problems
+
+
+def as_given(cluster, jobs, metrics):
+    """A trace's parts, not built into a Trace: stores stay as given."""
+    return SimpleNamespace(
+        cluster=cluster, jobs=jobs, metrics=metrics,
+        stages=lambda: (stage for job in jobs for stage in job.stages),
+    )
+
+
+def build(parts):
+    return Trace(cluster=parts.cluster, jobs=parts.jobs, metrics=parts.metrics)
 
 
 _FLAWS = st.sampled_from(["none"] * 6 + ["task_id", "order", "node"])
@@ -1264,8 +1298,10 @@ _LAYOUTS = st.sampled_from(
 
 @st.composite
 def small_traces(draw):
-    """Traces in which each task and node has at most one of the flaws
-    validate names, drawn rarely enough that many stages are clean."""
+    """A trace's parts as given, in which each task and node has at most one
+    of the flaws validate names, and each store may break rules a trace
+    refuses: flaws drawn rarely enough that many stages and stores are
+    clean."""
     stages = []
     last_id = 0  # task ids t0, t1, ... so far; a duplicate reuses a recent one
     for stage_id in draw(st.lists(st.sampled_from(["s0", "s1", "s2", "s3", "s4"]), max_size=4)):
@@ -1288,17 +1324,45 @@ def small_traces(draw):
         columns = draw(_LAYOUTS)
         steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 0, -1]), max_size=4))
         ts = np.cumsum(np.array([0] + steps, dtype=np.int64))
-        values = np.full(len(columns) * len(ts), 0.5)
+        rows = len(columns) + draw(st.sampled_from([0, 0, 0, 0, 0, 1]))  # 1: a row too many
+        values = np.full(rows * len(ts), 0.5)
         values[: draw(st.integers(0, 1)) * draw(st.integers(0, len(values)))][-1:] = np.inf
         owner = draw(st.sampled_from([node, node, node, "hw02"]))
-        metrics[node] = MetricStore(owner, ts, columns, values.reshape(len(columns), len(ts)))
+        metrics[node] = MetricStore(owner, ts, columns, values.reshape(rows, len(ts)))
     jobs = [Job(job_id="j0", stages=stages)] + [Job(job_id="j0")] * draw(st.integers(0, 1))
-    return Trace(cluster=["hw01", "hw02"], jobs=jobs, metrics=metrics)
+    return as_given(["hw01", "hw02"], jobs, metrics)
 
 
-@given(trace=small_traces())
-def test_validate_equals_one_walk_oracle(trace):
-    assert trace.validate() == oracle_validate(trace)
+def _one_store(node="hw01", ts=(0, 1, 2), columns=("cpu_usage", "x"), values=None, rows=2):
+    """The parts of a trace of one task on hw01 and one store under `node`."""
+    values = np.full((rows, len(ts)), 0.5) if values is None else np.array(values)
+    store = MetricStore(node, np.array(ts, dtype=np.int64), columns, values)
+    return as_given(["hw01", "hw02"], [Job("j0", [make_stage({"hw01": 1})])], {"hw01": store})
+
+
+@given(parts=small_traces())
+@example(parts=_one_store())
+@example(parts=_one_store(node="hw02"))
+@example(parts=_one_store(columns=("x", "cpu_usage")))
+@example(parts=_one_store(rows=3))
+@example(parts=_one_store(ts=(0, 2, 1)))
+@example(parts=_one_store(values=[[0.5, np.inf, 0.5], [0.5] * 3]))
+@example(parts=as_given(["hw01"], [], {  # an infinite value before a refused store
+    "hw01": MetricStore("hw01", np.arange(2), ("x",), np.array([[0.5, -np.inf]])),
+    "hw02": MetricStore("hw09", np.arange(2), ("x",), np.zeros((1, 2))),
+}))
+def test_validate_equals_one_walk_oracle(parts):
+    """Building a trace raises MetricSeriesError exactly when the oracle
+    names a store problem, with the first of those problems (the first
+    broken rule of the first malformed store); otherwise the trace's
+    validate() equals the oracle's list."""
+    store_problems = [p for n, s in parts.metrics.items() for p in oracle_store_problems(n, s)]
+    if store_problems:
+        with pytest.raises(MetricSeriesError) as err:
+            build(parts)
+        assert str(err.value) == store_problems[0]
+    else:
+        assert build(parts).validate() == oracle_validate(parts)
 
 
 _MALFORMED = {
@@ -1308,6 +1372,7 @@ _MALFORMED = {
     "list timestamps": ({"timestamps": [0, 1000, 2000]}, "needs int64[n]"),
     "float32 values": ({"values": np.zeros((2, 3), dtype=np.float32)}, "float64[2, n]"),
     "extra value row": ({"values": np.zeros((3, 3))}, "float64[2, n]"),
+    "transposed values": ({"values": np.zeros((3, 2))}, "float64[2, n]"),
     "extra sample": ({"values": np.zeros((2, 4))}, "float64[2, n]"),
     "1-D values": ({"values": np.zeros(6)}, "float64[2, n]"),
     "too few columns": ({"columns": ("cpu_usage",)}, "float64[1, n]"),
@@ -1325,11 +1390,12 @@ _MALFORMED = {
 @pytest.mark.parametrize("changes, problem", list(_MALFORMED.values()), ids=list(_MALFORMED))
 @pytest.mark.parametrize("at", [0, 1, 3])
 def test_construction_keeps_validate(changes, problem, at):
-    """A trace built from a dict of four stores, one of them malformed (at
-    `at`; the others valid, two on one timestamps array and two on equal
-    copies of it), lists exactly the problems validate names for the
-    stores as given, and gives every store back: the malformed one as
-    given, the others equal."""
+    """Construction keeps validate's store rules: building a trace from a
+    dict of four stores, one of them malformed (at `at`; the others valid,
+    two on one timestamps array and two on equal copies of it), or assigning
+    the dict to a trace's metrics, raises MetricSeriesError with the
+    malformed store's first problem, which names its node and the rule. An
+    assignment that raises leaves the trace's metrics as they were."""
     nodes = ["hw01", "hw02", "hw03", "hw04"]
     base = metric_series("hw01", 0, 3, lambda i: {"cpu_usage": 0.5 + i, "x": 1.0})
     given = {
@@ -1341,18 +1407,16 @@ def test_construction_keeps_validate(changes, problem, at):
     for name, value in changes.items():
         setattr(bad, name, value)
     given[nodes[at]] = bad
-    trace = Trace(cluster=nodes, metrics=given)
-    as_given = SimpleNamespace(cluster=nodes, jobs=[], metrics=given, stages=lambda: iter(()))
-    problems = trace.validate()
-    assert problems == oracle_validate(as_given)
-    assert [p for p in problems if problem in p] and all(nodes[at] in p for p in problems)
-    assert list(trace.metrics) == nodes
-    assert trace.metrics[nodes[at]] is bad
-    assert all(trace.metrics[node] == given[node] for node in nodes if node != nodes[at])
-    # The valid stores form one clock group.
-    assert [sorted(g.nodes) for g in trace.metrics.groups] == [
-        [node for node in nodes if node != nodes[at]]
-    ]
+    message = oracle_store_problems(nodes[at], bad)[0]
+    assert problem in message and nodes[at] in message
+    with pytest.raises(MetricSeriesError) as err:
+        Trace(cluster=nodes, metrics=given)
+    assert str(err.value) == message
+    trace = Trace(cluster=nodes)
+    with pytest.raises(MetricSeriesError) as err:
+        trace.metrics = given
+    assert str(err.value) == message
+    assert len(trace.metrics) == 0
 
 
 @pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1], [0, 1]])
@@ -1371,22 +1435,22 @@ def test_rows_of_one_block_are_grouped_without_a_copy(order):
     assert np.shares_memory(group.values, base) == (order == [0, 1, 2])
 
 
-def loadable(trace):
-    """A drawn small trace without what the loader rejects before it
-    validates (one j0 job, distinct stage ids, every store under its own
-    node with a layout in store order and finite values) and with rising
-    timestamps. Task flaws and nodes outside the cluster stay."""
+def loadable(parts):
+    """The trace of drawn parts without what the loader rejects before it
+    validates: one j0 job, distinct stage ids, and every store under its
+    own node with a layout in store order, rising timestamps and finite
+    values. Task flaws and nodes outside the cluster stay."""
     stages = {}
-    for stage in trace.jobs[0].stages:
+    for stage in parts.jobs[0].stages:
         stages.setdefault(stage.stage_id, stage)
     layouts = {0: (), 1: ("cpu_usage",), 2: ("cpu_usage", "x")}
-    metrics = {
-        node: MetricStore(node, 2 * np.arange(len(store), dtype=np.int64),
-                          layouts[len(store.columns)],
-                          np.where(np.isinf(store.values), 0.5, store.values))
-        for node, store in trace.metrics.items()
-    }
-    return Trace(cluster=trace.cluster, jobs=[Job("j0", list(stages.values()))], metrics=metrics)
+    metrics = {}
+    for node, store in parts.metrics.items():
+        columns = layouts[len(store.columns)]
+        values = np.where(np.isinf(store.values), 0.5, store.values)[: len(columns)]
+        metrics[node] = MetricStore(node, 2 * np.arange(len(store), dtype=np.int64), columns,
+                                    values)
+    return Trace(cluster=parts.cluster, jobs=[Job("j0", list(stages.values()))], metrics=metrics)
 
 
 def save_unchecked(trace, out):
@@ -1396,77 +1460,80 @@ def save_unchecked(trace, out):
 
 
 # Two clean nodes, three samples each.
-_CLEAN = Trace(
-    cluster=["hw01", "hw02"],
-    jobs=[Job("j0", [make_stage({"hw01": 1, "hw02": 1}, launch=5)])],
-    metrics={
-        node: metric_series(node, 0, 3, lambda i: {"cpu_usage": 0.5}) for node in ("hw01", "hw02")
-    },
+_CLEAN = as_given(
+    ["hw01", "hw02"],
+    [Job("j0", [make_stage({"hw01": 1, "hw02": 1}, launch=5)])],
+    {node: metric_series(node, 0, 3, lambda i: {"cpu_usage": 0.5}) for node in ("hw01", "hw02")},
 )
 
 
 @given(
-    trace=small_traces(),
+    parts=small_traces(),
     fault=st.sampled_from(["none", "inside", "boundary", "cluster"]),
     at=st.integers(0, 2**16),  # taken modulo the places the fault can go
     drop=st.integers(0, 2),
 )
-@example(trace=_CLEAN, fault="inside", at=4, drop=0)
-@example(trace=_CLEAN, fault="boundary", at=0, drop=2)
-@example(trace=_CLEAN, fault="cluster", at=1, drop=0)
-def test_load_checks_equal_validate(tmp_path_factory, trace, fault, at, drop):
-    """With one more metric fault written into a saved trace's files (a
-    timestamp `drop` below its predecessor inside a node's block; the same
-    drop at a block's first sample, which is no fault; a node left out of
-    the cluster), load_trace raises exactly validate's problems for the
-    trace it read, or loads that trace when there are none."""
-    trace = loadable(trace)
+@example(parts=_CLEAN, fault="inside", at=4, drop=0)
+@example(parts=_CLEAN, fault="boundary", at=0, drop=2)
+@example(parts=_CLEAN, fault="cluster", at=1, drop=0)
+def test_load_checks_equal_validate(tmp_path_factory, parts, fault, at, drop):
+    """A saved trace with one more metric fault:
+    - a timestamp `drop` below its predecessor inside a node's block fails
+      at that node's metrics.jsonl line, naming the node and the timestamp;
+    - a node's series moved so that its block starts `drop` below the last
+      timestamp of the block before it is no fault: the trace loads, equal
+      to the trace saved;
+    - a node left out of the cluster raises validate's problems.
+    Without a fault, a trace loads equal to the one saved, or raises its
+    validate problems."""
+    trace = loadable(parts)
     out = tmp_path_factory.mktemp("faulty")
     save_unchecked(trace, out)
-    rows = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()[1:]]
-    entries = [(node, n, row["columns"]) for row in rows
+    rows = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    # Each node with samples, in index order, with its index line number.
+    entries = [(node, n, line_no) for line_no, row in enumerate(rows[1:], start=2)
                for node, n in zip(row["nodes"], row["samples"])]
     ends = np.cumsum([n for _, n, _ in entries], dtype=np.int64).tolist()
     ts = np.load(out / "metrics.timestamps.npy")
-    cluster = list(trace.cluster)
     # Sample positions whose predecessor is in the same block, or in another.
-    inside = [i for i in range(1, len(ts)) if i not in ends]
-    firsts = sorted({e for e in ends[:-1] if 0 < e < len(ts)})
-    places = {"inside": inside, "boundary": firsts}.get(fault, [])
+    places = {
+        "inside": [i for i in range(1, len(ts)) if i not in ends],
+        "boundary": sorted({e for e in ends[:-1] if 0 < e < len(ts)}),
+    }.get(fault)
+    cluster = list(trace.cluster)
+    metrics = {node: trace.metrics[node] for node, _, _ in entries}
     if places:
         i = places[at % len(places)]
-        ts[i] = ts[i - 1] - drop
-    indexed = sorted(set(cluster) & {node for node, _, _ in entries})
+        node, _, line_no = entries[int(np.searchsorted(ends, i, side="right"))]
+        if fault == "inside":
+            ts[i] = ts[i - 1] - drop
+            np.save(out / "metrics.timestamps.npy", ts)
+            with pytest.raises(TraceParseError) as err:
+                load_trace(str(out))
+            assert str(err.value) == (
+                f"{out / 'metrics.jsonl'}:{line_no}: node {node!r}: "
+                f"timestamps not strictly increasing at {ts[i]}"
+            )
+            return
+        store = metrics[node]
+        moved = store.timestamps + (ts[i - 1] - drop - ts[i])
+        metrics[node] = MetricStore(node, moved, store.columns, store.values)
+        save_unchecked(Trace(cluster, trace.jobs, metrics), out)
+        assert np.load(out / "metrics.timestamps.npy")[i] == ts[i - 1] - drop
+    indexed = sorted(set(cluster) & set(metrics))
     if fault == "cluster" and indexed:
         cluster.remove(indexed[at % len(indexed)])
         meta = out / "meta.jsonl"
         header, body = meta.read_text().splitlines()
         meta.write_text(header + "\n" + json.dumps({**json.loads(body), "cluster": cluster}) + "\n")
-    np.save(out / "metrics.timestamps.npy", ts)
-    values = np.load(out / "metrics.values.npy")
-    metrics, at, cell = {}, 0, 0
-    for node, n, columns in entries:
-        block = values[cell : cell + len(columns) * n].reshape(len(columns), n)
-        metrics[node] = MetricStore(node, ts[at : at + n], tuple(columns), block)
-        at, cell = at + n, cell + block.size
+    # The trace as saved: stages and tasks sorted by id, series in index order.
     stages = [Stage(s.stage_id, "j0", s.tasks.sorted_by_id())
               for s in sorted(trace.jobs[0].stages, key=lambda s: s.stage_id)]
-    read = Trace(cluster=sorted(cluster), jobs=[Job("j0", stages)], metrics=metrics)
-    problems = read.validate()
+    saved = Trace(cluster=sorted(cluster), jobs=[Job("j0", stages)], metrics=metrics)
+    problems = saved.validate()
     if problems:
         with pytest.raises(TraceValidationError) as err:
             load_trace(str(out))
         assert err.value.problems == problems
     else:
-        assert load_trace(str(out)) == read
-
-
-def test_rising_blocks_skip_the_series_walk(tmp_path):
-    """A trace whose blocks each rise loads without validate's node-by-node
-    walk over the series, also where a block starts below the one before."""
-    out = save_two_nodes(tmp_path / "trace")
-    ts = np.load(out / "metrics.timestamps.npy")
-    assert ts[3] < ts[2]  # hw02's first sample, below hw01's last
-    with mock.patch.object(Trace, "_series_problems", side_effect=AssertionError("walked")):
-        loaded = load_trace(str(out))
-    assert loaded == load_trace(str(save_two_nodes(tmp_path / "again")))
+        assert load_trace(str(out)) == saved
