@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -23,7 +24,6 @@ from .model import (  # noqa: F401  (the derived-metric names are re-exported)
     MetricStore,
     TASK_INT_BOUND,
     Stage,
-    Task,
     TaskTable,
     Trace,
     metric_columns,
@@ -73,7 +73,9 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
     Raises IngestError when no usable task-end event is found.
     """
     report = IngestReport()
-    tasks: Dict[str, List[Task]] = {}  # stage id -> its tasks, in event order
+    # Stage id -> its tasks as plain tuples in Task's field order, in event
+    # order; from_rows turns each stage's tuples into its table's columns.
+    rows: Dict[str, List[tuple]] = {}
     stage_to_job: Dict[str, str] = {}
 
     for line_no, line in enumerate(lines, start=1):
@@ -105,37 +107,36 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
             if not host:
                 raise KeyError("Host")
             stage_id = str(event["Stage ID"])
-            task = Task(
-                task_id=str(info["Task ID"]),
-                node=str(host),
-                launch_time=launch,
-                finish_time=finish,
-                locality=parse_locality(info.get("Locality", "UNKNOWN")),
-                data_size=data_size,
-                succeeded=(reason == "Success") and not info.get("Failed", False),
+            row = (
+                str(info["Task ID"]),
+                str(host),
+                launch,
+                finish,
+                parse_locality(info.get("Locality", "UNKNOWN")),
+                data_size,
+                (reason == "Success") and not info.get("Failed", False),
             )
         except (KeyError, TypeError, ValueError) as exc:
             report.note(line_no, f"unusable task-end event: {exc!r}")
             continue
-        outside = [
-            name for name in ("launch_time", "finish_time", "data_size")
-            if not 0 <= getattr(task, name) < TASK_INT_BOUND
-        ]
-        if outside:
-            report.note(line_no, f"unusable task-end event: {outside[0]} outside [0, 2**53)")
-        elif task.finish_time < task.launch_time:
+        bounded = (launch, finish, data_size)
+        if min(bounded) < 0 or max(bounded) >= TASK_INT_BOUND:
+            name = next(n for n, v in zip(("launch_time", "finish_time", "data_size"), bounded)
+                        if not 0 <= v < TASK_INT_BOUND)
+            report.note(line_no, f"unusable task-end event: {name} outside [0, 2**53)")
+        elif finish < launch:
             report.note(line_no, "task finishes before it launches")
         else:
-            tasks.setdefault(stage_id, []).append(task)
+            rows.setdefault(stage_id, []).append(row)
 
-    if not tasks:
+    if not rows:
         raise IngestError("no tasks: the event stream held no usable task-end events")
 
     jobs: Dict[str, Job] = {}
     cluster = set()
-    for stage_id in sorted(tasks):
+    for stage_id in sorted(rows):
         job_id = stage_to_job.get(stage_id, "job_0")
-        stage = Stage(stage_id=stage_id, job_id=job_id, tasks=TaskTable.from_rows(tasks[stage_id]))
+        stage = Stage(stage_id=stage_id, job_id=job_id, tasks=TaskTable.from_rows(rows[stage_id]))
         jobs.setdefault(job_id, Job(job_id=job_id)).stages.append(stage)
         cluster.update(stage.tasks.nodes)
 
@@ -143,20 +144,23 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
     return trace, report
 
 
-# Each byte's class. Numpy's text reader and float() split a line made of
-# plain bytes alike (at spaces and tabs) and convert each cell with the same
-# CPython function, so such lines are read in one loadtxt call; a line with
-# any other byte is read by float() alone.
-_BLANK, _PLAIN, _OTHER = 0, 1, 2
+# Each byte's class. Numpy's text reader and float() split a line of digit
+# and plain bytes alike (at spaces and tabs) and read each cell to the same
+# double, so such lines are read in one loadtxt call; a line with any other
+# byte is read by float() alone. A file whose rows hold digits alone is read
+# as int64 first: float() of a digit string and the int64 -> float64 cast
+# both round to nearest, ties to even, and with no sign no cell is -0.
+_BLANK, _DIGIT, _PLAIN, _OTHER = 0, 1, 2, 3
 _BYTE_CLASS = bytes(
-    _BLANK if c in b" \t\n" else _PLAIN if c in b"0123456789.eE+-" else _OTHER
+    _BLANK if c in b" \t\n" else _DIGIT if c in b"0123456789" else _PLAIN if c in b".eE+-"
+    else _OTHER
     for c in range(256)
 )
 
 
 def _line_classes(text: str) -> np.ndarray:
     """The class of each line of text.split("\n"): the largest class of its
-    bytes, so a blank line is _BLANK and a row of plain cells _PLAIN."""
+    bytes, so a blank line is _BLANK and a row of digit cells _DIGIT."""
     data = (text + "\n").encode("utf-8", "surrogatepass")
     ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
     # Every segment holds at least its line's "\n", so none is empty.
@@ -191,12 +195,32 @@ def _read_lines(
     return table, np.array(line_nos, dtype=np.int64)
 
 
+def _load_rows(lines: List[str], digits_only: bool) -> Optional[np.ndarray]:
+    """loadtxt's float64 table of these lines, or None where it fails.
+    Digit-only lines are read as int64 first; a cell outside int64 or a
+    ragged row falls through to the float64 read."""
+    if digits_only:
+        try:
+            with warnings.catch_warnings():
+                # numpy < 2 reads an int cell it cannot parse "via a float"
+                # (a 20-digit cell loses its low digits) and only warns.
+                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+                table = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+            return table.astype(np.float64)
+        except ValueError:
+            pass
+    try:
+        return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
 def _read_text(
     text: str, columns: Sequence[str], schema: str, report: IngestReport
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every row of text.split("\n") in line order, with its line number.
 
-    Plain rows go through one loadtxt call and the other lines through
+    Digit and plain rows go through _load_rows and the other lines through
     _read_lines. When loadtxt fails (a ragged row, or a plain cell such as
     "1.2.3" that float() rejects too), every line goes through _read_lines,
     so the first wrong-width line and each note come out as they would
@@ -204,23 +228,20 @@ def _read_text(
     """
     lines = text.split("\n")
     line_class = _line_classes(text)
-    plain = np.flatnonzero(line_class == _PLAIN)
+    numeric = np.flatnonzero((line_class == _DIGIT) | (line_class == _PLAIN))
     other = np.flatnonzero(line_class == _OTHER).tolist()
     numbered = [(i + 1, lines[i]) for i in other]
     for i in other:
         lines[i] = ""  # loadtxt skips blank lines
     table = np.empty((0, len(columns)))
-    if len(plain):  # loadtxt warns on input with no row
-        try:
-            table = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            table = None
-    if table is None or table.shape != (len(plain), len(columns)):
+    if len(numeric):  # loadtxt warns on input with no row
+        table = _load_rows(lines, digits_only=not (line_class == _PLAIN).any())
+    if table is None or table.shape != (len(numeric), len(columns)):
         return _read_lines(enumerate(text.split("\n"), start=1), columns, schema, report)
     rows, line_nos = _read_lines(numbered, columns, schema, report)
     if not len(rows):
-        return table, plain + 1
-    line_nos = np.concatenate([plain + 1, line_nos])
+        return table, numeric + 1
+    line_nos = np.concatenate([numeric + 1, line_nos])
     order = np.argsort(line_nos, kind="stable")
     return np.concatenate([table, rows])[order], line_nos[order]
 
@@ -280,6 +301,14 @@ def parse_metric_file(
 
 _BUSY = ("usr", "nice", "sys", "irq", "softirq")
 _CPU = _BUSY + ("iowait", "idle")
+# The families, each (metric, counter[, scale]) in METRIC_SCHEMA order.
+_BANDS = (
+    ("weighted_io", "io_time_weighted", 1.0),
+    ("diskR_band", "read_sectors", float(SECTOR_BYTES)),
+    ("diskW_band", "write_sectors", float(SECTOR_BYTES)),
+    ("netS_band", "sbytes", 1.0),
+    ("netR_band", "rbytes", 1.0),
+)
 _MPKI = (
     ("L2_MPKI", "L2_miss"),
     ("L3_MPKI", "L3_miss"),
@@ -316,55 +345,56 @@ def derive_series(
     # Timestamps ascend and are distinct, so every true difference lies in
     # (0, 2**64): read as uint64 it is exact even where int64 would wrap.
     dt = np.diff(block.timestamps).view(np.uint64) / 1000.0
-    derived: Dict[str, Tuple[np.ndarray, Sequence[str]]] = {}  # value, wrap-voiding counters
     with np.errstate(all="ignore"):
         delta = np.diff(counters, axis=1)
-
-        def d(name: str) -> np.ndarray:
-            return delta[col[name]]
-
+        wrapped = delta < 0
+        # Each metric's values and the wrapped counters that void them, one
+        # family of metrics to an array operation.
         if schema == "system":
             # Added left to right from 0, usr first: the float order is pinned.
-            busy = sum(d(n) for n in _BUSY)
-            total = busy + d("iowait") + d("idle")
-            derived["cpu_usage"] = np.where(total != 0, busy / total, 0.0), _CPU
-            derived["ioWaitRatio"] = np.where(total != 0, d("iowait") / total, 0.0), _CPU
+            busy = sum(delta[col[n]] for n in _BUSY)
+            total = busy + delta[col["iowait"]] + delta[col["idle"]]
+            cpu_wrapped = wrapped[[col[n] for n in _CPU]].any(axis=0)
             mem_total = counters[col["mem_total"], 1:]
             free = sum(counters[col[n], 1:] for n in ("free", "buffers", "cached"))
-            derived["mem_usage"] = np.where(mem_total > 0, 1.0 - free / mem_total, np.nan), ()
-            for metric, counter in (("diskR_band", "read_sectors"), ("diskW_band", "write_sectors")):
-                derived[metric] = d(counter) * SECTOR_BYTES / dt, (counter,)
-            for metric, counter in (
-                ("netS_band", "sbytes"),
-                ("netR_band", "rbytes"),
-                ("weighted_io", "io_time_weighted"),
-            ):
-                derived[metric] = d(counter) / dt, (counter,)
+            bands, band_counters, scale = zip(*_BANDS)
+            at = [col[c] for c in band_counters]
+            names = ("cpu_usage", "mem_usage", "ioWaitRatio") + bands
+            values = [
+                np.where(total != 0, busy / total, 0.0),
+                np.where(mem_total > 0, 1.0 - free / mem_total, np.nan),
+                np.where(total != 0, delta[col["iowait"]] / total, 0.0),
+                delta[at] * np.array(scale)[:, None] / dt,
+            ]
+            voided = [cpu_wrapped, np.zeros_like(cpu_wrapped), cpu_wrapped, wrapped[at]]
         else:
-            d_ins, d_cycle = d("ins"), d("cycle")
-            derived["IPC"] = np.where(d_cycle != 0, d_ins / d_cycle, np.nan), ("ins", "cycle")
-            for metric, counter in _MPKI:
-                mpki = d(counter) * 1000.0 / d_ins
-                derived[metric] = np.where(d_ins != 0, mpki, np.nan), (counter, "ins")
-            for metric, counter in _MIX:
-                derived[metric] = np.where(d_ins != 0, d(counter) / d_ins, np.nan), (counter, "ins")
-
-    names, rows = [], []
-    for name in METRIC_SCHEMA:
-        if name not in derived:
-            continue
-        values, wrap_counters = derived[name]
-        missing = ~np.isfinite(values)
-        if wrap_detection and wrap_counters:
-            missing |= (delta[[col[c] for c in wrap_counters]] < 0).any(axis=0)
-        if not missing.all():
-            names.append(name)
-            rows.append(np.where(missing, np.nan, values))
+            d_ins, d_cycle = delta[col["ins"]], delta[col["cycle"]]
+            mpki, mpki_counters = zip(*_MPKI)
+            mix, mix_counters = zip(*_MIX)
+            mpki_at = [col[c] for c in mpki_counters]
+            mix_at = [col[c] for c in mix_counters]
+            names = ("IPC",) + mpki + mix
+            values = [
+                np.where(d_cycle != 0, d_ins / d_cycle, np.nan),
+                np.where(d_ins != 0, delta[mpki_at] * 1000.0 / d_ins, np.nan),
+                np.where(d_ins != 0, delta[mix_at] / d_ins, np.nan),
+            ]
+            ins_wrapped = wrapped[col["ins"]]
+            voided = [ins_wrapped | wrapped[col["cycle"]], wrapped[mpki_at] | ins_wrapped,
+                      wrapped[mix_at] | ins_wrapped]
+        values = np.vstack(values)
+    missing = ~np.isfinite(values)
+    if wrap_detection:
+        missing |= np.vstack(voided)
+    keep = ~missing.all(axis=1)
+    values[missing] = np.nan
     return MetricStore(
         node=node,
         timestamps=block.timestamps[1:],
-        columns=tuple(names),
-        values=np.array(rows, dtype=np.float64).reshape(len(rows), len(dt)),
+        # From a list: tuple() of a generator resizes its tuple, so CPython's
+        # free list of the final size would grow on every call.
+        columns=tuple([name for name, kept in zip(names, keep.tolist()) if kept]),
+        values=values if keep.all() else values[keep],
     )
 
 

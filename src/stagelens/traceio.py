@@ -113,9 +113,20 @@ def save_trace(trace: Trace, path: str) -> None:
     problems = trace.validate()
     if problems:
         raise TraceValidationError(problems)
-    # An id or offset type the loader rejects would write a trace it cannot
-    # load.
+    # An id, name or offset type the loader rejects would write a trace it
+    # cannot load, and an int clock_offsets key would reload as a str. A
+    # node name that is not a str would also not sort beside the others.
     problems = [
+        f"node {node!r}: bad cluster entry: node name must be a string"
+        for node in trace.cluster
+        if type(node) is not str
+    ]
+    problems += [
+        f"node {node!r}: bad clock offset: node name must be a string"
+        for node in trace.clock_offsets
+        if type(node) is not str
+    ]
+    problems += [
         f"node {node}: clock offset {offset!r} must be integer milliseconds in int64"
         for node, offset in trace.clock_offsets.items()
         if type(offset) is not int or not _INT64.min <= offset <= _INT64.max

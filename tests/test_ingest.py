@@ -4,6 +4,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from typing import Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,12 +18,23 @@ from stagelens.ingest import (
     SECTOR_BYTES,
     SYSTEM_COLUMNS,
     IngestError,
+    IngestReport,
     derive_series,
     ingest_raw,
     parse_metric_file,
     parse_spark_event_log,
 )
-from stagelens.model import Locality, MetricStore
+from stagelens.model import (
+    TASK_INT_BOUND,
+    Job,
+    Locality,
+    MetricStore,
+    Stage,
+    Task,
+    TaskTable,
+    Trace,
+    parse_locality,
+)
 from stagelens.report import PipelineConfig, diagnose, render_report
 from stagelens.traceio import load_trace, save_trace
 
@@ -114,6 +126,192 @@ def test_job_start_groups_stages():
     trace, _ = parse_spark_event_log(lines)
     jobs = {j.job_id: sorted(s.stage_id for s in j.stages) for j in trace.jobs}
     assert jobs == {"job_7": ["0", "1"], "job_0": ["2"]}
+
+
+# --- the event parser against the per-task reference -------------------------
+#
+# The event parser as it was written, with one Task per event.
+# parse_spark_event_log must give the same tables, notes and skipped count.
+
+
+def oracle_parse_spark_event_log(lines):
+    report = IngestReport()
+    tasks = {}  # stage id -> its tasks, in event order
+    stage_to_job = {}
+
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError as exc:
+            report.note(line_no, f"invalid JSON: {exc.msg}")
+            continue
+        kind = event.get("Event")
+        if kind == "SparkListenerJobStart":
+            job_id = str(event.get("Job ID", "job_0"))
+            for sid in event.get("Stage IDs", []):
+                stage_to_job[str(sid)] = f"job_{job_id}"
+            continue
+        if kind != "SparkListenerTaskEnd":
+            report.skipped_events += 1
+            continue
+        try:
+            info = event["Task Info"]
+            launch = int(info["Launch Time"])
+            finish = int(info["Finish Time"])
+            metrics = event.get("Task Metrics", {}) or {}
+            data_size = int(metrics.get("Input Metrics", {}).get("Bytes Read", 0))
+            reason = event.get("Task End Reason", {}).get("Reason", "Success")
+            host = info.get("Host") or metrics.get("Host Name")
+            if not host:
+                raise KeyError("Host")
+            stage_id = str(event["Stage ID"])
+            task = Task(
+                task_id=str(info["Task ID"]),
+                node=str(host),
+                launch_time=launch,
+                finish_time=finish,
+                locality=parse_locality(info.get("Locality", "UNKNOWN")),
+                data_size=data_size,
+                succeeded=(reason == "Success") and not info.get("Failed", False),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            report.note(line_no, f"unusable task-end event: {exc!r}")
+            continue
+        outside = [
+            name for name in ("launch_time", "finish_time", "data_size")
+            if not 0 <= getattr(task, name) < TASK_INT_BOUND
+        ]
+        if outside:
+            report.note(line_no, f"unusable task-end event: {outside[0]} outside [0, 2**53)")
+        elif task.finish_time < task.launch_time:
+            report.note(line_no, "task finishes before it launches")
+        else:
+            tasks.setdefault(stage_id, []).append(task)
+
+    if not tasks:
+        raise IngestError("no tasks: the event stream held no usable task-end events")
+
+    jobs = {}
+    cluster = set()
+    for stage_id in sorted(tasks):
+        job_id = stage_to_job.get(stage_id, "job_0")
+        stage = Stage(stage_id=stage_id, job_id=job_id, tasks=TaskTable.from_rows(tasks[stage_id]))
+        jobs.setdefault(job_id, Job(job_id=job_id)).stages.append(stage)
+        cluster.update(stage.tasks.nodes)
+
+    trace = Trace(cluster=sorted(cluster), jobs=[jobs[k] for k in sorted(jobs)])
+    return trace, report
+
+
+_HOSTS = ("hw01", "hw02", "hw10")
+# Just outside [0, 2**53); a string or float int() reads; a value int() rejects.
+_ODD_INTS = st.sampled_from(
+    [-1, 2**53, 2**63, -(2**63), "1005", " 1007 ", 1004.5, True, "12a", None, [1], {}, "1e3"]
+)
+
+
+@st.composite
+def task_end_event(draw):
+    """A task-end event; half of them have one field dropped or made odd."""
+    launch = draw(st.integers(1_000, 1_010))
+    info = {
+        "Task ID": draw(st.one_of(st.integers(0, 30), st.sampled_from(["t1", None]))),
+        "Launch Time": launch,
+        "Finish Time": launch + draw(st.integers(-2, 20)),
+        "Host": draw(st.sampled_from(_HOSTS)),
+    }
+    if draw(st.booleans()):
+        info["Locality"] = draw(st.sampled_from(
+            ["NODE_LOCAL", "process_local", " rack_locality ", "ANY", "elsewhere", 3]))
+    if draw(st.booleans()):
+        info["Failed"] = draw(st.sampled_from([False, True, 0, 1, None]))
+    data = {
+        "Event": "SparkListenerTaskEnd",
+        "Stage ID": draw(st.one_of(st.integers(0, 3), st.just("2"))),
+        "Task Info": info,
+    }
+    if draw(st.booleans()):
+        data["Task Metrics"] = {"Input Metrics": {"Bytes Read": draw(st.integers(0, 10**6))}}
+    if draw(st.booleans()):
+        data["Task End Reason"] = {"Reason": draw(st.sampled_from(["Success", "FetchFailed"]))}
+    fault = draw(st.sampled_from(
+        ["none"] * 6 + ["drop", "odd", "bytes", "host", "metrics"]))
+    if fault == "drop":
+        key = draw(st.sampled_from(["Launch Time", "Finish Time", "Task ID", "Host"]))
+        if draw(st.booleans()):
+            del info[key]
+        else:
+            del data[draw(st.sampled_from(["Task Info", "Stage ID"]))]
+    elif fault == "odd":
+        for key in draw(st.sampled_from([("Launch Time",), ("Finish Time",),
+                                         ("Launch Time", "Finish Time")])):
+            info[key] = draw(_ODD_INTS)
+    elif fault == "bytes":
+        data["Task Metrics"] = {"Input Metrics": {"Bytes Read": draw(_ODD_INTS)}}
+    elif fault == "host":
+        # No host, or only the one under the task's metrics.
+        info["Host"] = draw(st.sampled_from(["", None]))
+        if draw(st.booleans()):
+            data["Task Metrics"] = {"Host Name": draw(st.sampled_from(_HOSTS + ("",)))}
+    elif fault == "metrics":
+        data["Task Metrics"] = draw(st.sampled_from([None, {}, {"Input Metrics": {}}]))
+    return json.dumps(data)
+
+
+_EVENT_LINES = st.one_of(
+    task_end_event(),
+    task_end_event(),
+    task_end_event(),
+    task_end_event().map(lambda line: line[: len(line) // 2]),  # truncated JSON
+    st.builds(
+        lambda job, stages: json.dumps(
+            {"Event": "SparkListenerJobStart", "Job ID": job, "Stage IDs": stages}),
+        st.integers(0, 2), st.lists(st.integers(0, 3), max_size=3),
+    ),
+    st.sampled_from([
+        json.dumps({"Event": "SparkListenerStageCompleted"}),
+        json.dumps({"Event": "SparkListenerJobStart"}),
+        json.dumps({}),
+        "", "   ", "not json",
+    ]),
+)
+
+
+def _outcome(parse, lines):
+    """What parse returns for these lines, or the exception it raises."""
+    try:
+        return parse(lines)
+    except Exception as exc:  # both parsers must fail alike, whatever the error
+        return type(exc), str(exc)
+
+
+@given(lines=st.lists(_EVENT_LINES, min_size=1, max_size=12))
+# The events of one stage, out of their id order, with every kind of note.
+@example(lines=[
+    event(1, 9), event(0, 10, host="hw074"), event(1, 11, launch=5, finish=4),
+    event(0, 12, launch=-1), "{broken", json.dumps({"Event": "SparkListenerStageCompleted"}),
+])
+@example(lines=[json.dumps({"Event": "SparkListenerJobStart", "Job ID": 7, "Stage IDs": [1]}),
+                event(1, 1), event(2, 2)])
+def test_event_parser_equals_per_task_oracle(lines):
+    got = _outcome(parse_spark_event_log, lines)
+    want = _outcome(oracle_parse_spark_event_log, lines)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (trace, report), (expected, expected_report) = got, want
+    assert report.errors == expected_report.errors
+    assert report.skipped_events == expected_report.skipped_events
+    assert trace.cluster == expected.cluster
+    assert [j.job_id for j in trace.jobs] == [j.job_id for j in expected.jobs]
+    for job, want_job in zip(trace.jobs, expected.jobs):
+        assert [s.stage_id for s in job.stages] == [s.stage_id for s in want_job.stages]
+        for stage, want_stage in zip(job.stages, want_job.stages):
+            assert stage.tasks == want_stage.tasks
+            assert list(stage.tasks) == list(want_stage.tasks)
 
 
 def row_text(ts, n_cols, fill=1.0):
@@ -364,6 +562,22 @@ def test_seconds_and_milliseconds_normalize():
     assert block.timestamps.tolist() == [1456896044000]
     block, _ = parse_metric_file([row_text(1456896044081, len(SYSTEM_COLUMNS))], "system")
     assert block.timestamps.tolist() == [1456896044081]
+
+
+@pytest.mark.parametrize(
+    "cell, dtypes",
+    [
+        ("7", [np.int64]),  # digits alone: one int64 read
+        ("99999999999999999999", [np.int64, np.float64]),  # outside int64: read again as float
+        ("7.5", [np.float64]),  # a plain cell: the float read alone
+    ],
+)
+def test_digit_only_files_are_read_as_int64(cell, dtypes):
+    lines = [row_text(10, len(SYSTEM_COLUMNS), cell), row_text(20, len(SYSTEM_COLUMNS), 1)]
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+        block, report = parse_metric_file("\n".join(lines), "system")
+    assert [call.kwargs["dtype"] for call in spy.call_args_list] == dtypes
+    assert block.values[0, 0] == float(cell) and not report.errors
 
 
 def test_arch_schema_width_matches_table():
@@ -622,12 +836,28 @@ _COUNTERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
 )
 _BAD_CELLS = st.sampled_from(["n/a", "nan", "inf", "-Infinity", "1e999", "0x10", "1__0"])
+# Digits alone: a file of such rows is read as int64 first. The 20-digit
+# cells lie outside int64, so a file holding one goes to the float reader.
+_DIGIT_TIMESTAMPS = st.one_of(
+    st.integers(0, 4).map(lambda k: str(1_460_000_000 + k)),
+    st.integers(0, 4).map(lambda k: str((1_460_000_000 + k) * 1000)),
+    st.sampled_from(["9223372036854775807", "0", "99999999999999999999"]),
+)
+_DIGIT_COUNTERS = st.one_of(
+    st.sampled_from(["0", "7", "007", "9007199254740993", "9223372036854775807",
+                     "18446744073709551616"]),
+    st.integers(0, 2**63 - 1).map(str),
+)
 
 
 @st.composite
 def counter_file(draw, width):
     """Lines of one counter dump: new rows, repeats of the last row (every
-    delta zero), rows with a bad cell, and blank lines."""
+    delta zero), rows with a bad cell, and blank lines. Half the files hold
+    digit cells alone, apart from their bad cells."""
+    stamps, numbers = (
+        (_DIGIT_TIMESTAMPS, _DIGIT_COUNTERS) if draw(st.booleans()) else (_TIMESTAMPS, _COUNTERS)
+    )
     lines, last = [], None
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["row", "row", "repeat", "bad", "blank"]))
@@ -637,9 +867,9 @@ def counter_file(draw, width):
         if kind == "repeat" and last is not None:
             counters = list(last)
         else:
-            counters = [draw(_COUNTERS) for _ in range(width - 1)]
+            counters = [draw(numbers) for _ in range(width - 1)]
             last = counters
-        cells = [draw(_TIMESTAMPS)] + counters
+        cells = [draw(stamps)] + counters
         if kind == "bad":
             cells[draw(st.integers(0, width - 1))] = draw(_BAD_CELLS)
         lines.append(draw(st.sampled_from(_SEPARATORS)).join(cells))
@@ -713,10 +943,15 @@ _BLANK_LINES = st.sampled_from(["", " ", "\t", " \t  ", "\x0b", "\x1c "])
 def metric_lines(draw, width):
     """Lines of one counter dump: plain rows, rows float() alone reads,
     rows with a rejected plain token, wrong-width rows and blank lines. Half
-    the rows after the first repeat an earlier row's timestamp."""
+    the rows after the first repeat an earlier row's timestamp. Half the
+    files draw digit rows in place of plain ones and no rejected token."""
+    digits = draw(st.booleans())
+    row_stamps, row_cells = (_DIGIT_TIMESTAMPS, _DIGIT_COUNTERS) if digits else (
+        _PLAIN_STAMPS, _PLAIN_CELLS)
+    kinds = ["plain"] * 3 + ["other"] * 3 + ["wide", "blank"] + ([] if digits else ["bad"])
     lines, stamps = [], []
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["plain"] * 3 + ["other"] * 3 + ["bad", "wide", "blank"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "blank":
             lines.append(draw(_BLANK_LINES))
             continue
@@ -726,8 +961,8 @@ def metric_lines(draw, width):
         if stamps and draw(st.booleans()):
             stamps.append(draw(st.sampled_from(stamps)))
         else:
-            stamps.append(draw(_PLAIN_STAMPS))
-        cells = [stamps[-1]] + [draw(_PLAIN_CELLS) for _ in range(n - 1)]
+            stamps.append(draw(row_stamps))
+        cells = [stamps[-1]] + [draw(row_cells) for _ in range(n - 1)]
         separator = draw(st.sampled_from(_PLAIN_SEPARATORS))
         if kind == "bad":
             cells[draw(st.integers(0, n - 1))] = draw(_BAD_PLAIN_CELLS)
@@ -769,6 +1004,20 @@ def _arch_row(stamp, cell="1", separator=" "):
 # No plain row; only blank lines.
 @example(case=("architecture", [_arch_row("1", "nan"), "\x0b", " "]), end="")
 @example(case=("architecture", ["", " \t", "\t"]), end="\n")
+# Digit files. The largest int64 cell; a 20-digit cell, read by the float
+# reader to the same bits; a cell that rounds to even; leading zeros.
+@example(case=("architecture", [_arch_row("1", "9223372036854775807")]), end="")
+@example(case=("architecture", [_arch_row("1", "99999999999999999999"), _arch_row("2")]), end="")
+@example(case=("architecture", [_arch_row("1", "9007199254740993")]), end="\n")
+@example(case=("architecture", [_arch_row("007", "007")]), end="")
+# A "-0" row among digit rows: the float reader keeps -0.0.
+@example(case=("architecture", [_arch_row("1"), _arch_row("2", "-0"), _arch_row("3")]), end="")
+# A wrong-width digit row: the first wrong-width line is named.
+@example(case=("architecture", [_arch_row("1"), "2 3 4", _arch_row("3"), "5 6"]), end="")
+@example(case=("architecture", ["2 3 4", "5 6 7"]), end="")
+# Digit rows around a row that float() alone reads.
+@example(case=("architecture", [_arch_row("1", "12"), _arch_row("2", "34", " \x0b "),
+                                _arch_row("3", "56")]), end="\n")
 def test_parse_metric_file_equals_per_row_oracle(case, end):
     schema, lines = case
     text = "\n".join(lines) + end

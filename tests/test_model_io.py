@@ -246,6 +246,29 @@ def test_save_refuses_clock_offsets_the_loader_rejects(tmp_path, offset):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cluster, offsets, problem",
+    [
+        # The load would fail at meta.jsonl:2.
+        ([7], {}, "node 7: bad cluster entry: node name must be a string"),
+        # The names would not sort.
+        (["hw01", 7], {}, "node 7: bad cluster entry: node name must be a string"),
+        # The key would reload as "1".
+        (["hw01"], {1: 5}, "node 1: bad clock offset: node name must be a string"),
+    ],
+    ids=["int-cluster", "mixed-cluster", "int-offset-key"],
+)
+def test_save_refuses_node_names_that_are_not_strings(tmp_path, cluster, offsets, problem):
+    metrics = {7: MetricStore(7, np.array([1, 2]), ("cpu_usage",), np.zeros((1, 2)))}
+    trace = Trace(cluster=cluster, clock_offsets=offsets,
+                  metrics=metrics if 7 in cluster else {})
+    out = tmp_path / "trace"
+    with pytest.raises(TraceValidationError) as err:
+        save_trace(trace, str(out))
+    assert err.value.problems == [problem]
+    assert not out.exists()
+
+
 def test_int64_edge_clock_offsets_round_trip(tmp_path):
     trace = Trace(cluster=["hw01", "hw02"], clock_offsets={"hw01": -(2**63), "hw02": 2**63 - 1})
     save_trace(trace, str(tmp_path / "trace"))
