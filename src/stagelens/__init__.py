@@ -41,10 +41,13 @@ from .metricdetect import (
     reduce_mean,
 )
 from .model import (
+    ClockGroup,
+    ClockGroups,
     Finding,
     FindingKind,
     Job,
     Locality,
+    MetricSeriesError,
     MetricStore,
     Stage,
     Task,

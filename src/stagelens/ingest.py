@@ -20,6 +20,7 @@ from .model import (  # noqa: F401  (the derived-metric names are re-exported)
     ARCH_METRICS,
     METRIC_SCHEMA,
     SYSTEM_METRICS,
+    ClockGroup,
     Job,
     MetricStore,
     TASK_INT_BOUND,
@@ -87,10 +88,17 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
         except json.JSONDecodeError as exc:
             report.note(line_no, f"invalid JSON: {exc.msg}")
             continue
+        if not isinstance(event, dict):
+            report.note(line_no, "event is not a JSON object")
+            continue
         kind = event.get("Event")
         if kind == "SparkListenerJobStart":
+            stage_ids = event.get("Stage IDs", [])
+            if not isinstance(stage_ids, list):
+                report.note(line_no, "unusable job-start event: Stage IDs must be a list")
+                continue
             job_id = str(event.get("Job ID", "job_0"))
-            for sid in event.get("Stage IDs", []):
+            for sid in stage_ids:
                 stage_to_job[str(sid)] = f"job_{job_id}"
             continue
         if kind != "SparkListenerTaskEnd":
@@ -116,7 +124,7 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
                 data_size,
                 (reason == "Success") and not info.get("Failed", False),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             report.note(line_no, f"unusable task-end event: {exc!r}")
             continue
         bounded = (launch, finish, data_size)
@@ -398,12 +406,12 @@ def derive_series(
     )
 
 
-def _join(derived: Dict[str, List[MetricStore]]) -> Dict[str, MetricStore]:
-    """Each node's stores as one store on the union of their timestamps, NaN
-    where a store has no row; a node's stores report disjoint metrics. Nodes
-    that end with one column layout and one timestamp vector get the rows of
-    one nodes x metrics x samples block, which a Trace takes as their clock
-    group's block without a copy."""
+def _join(derived: Dict[str, List[MetricStore]]) -> List[ClockGroup]:
+    """Each node's stores as one series on the union of their timestamps,
+    NaN where a store has no row; a node's stores report disjoint metrics.
+    Nodes that end with one column layout and one timestamp vector are the
+    rows of one clock group, built on the nodes x metrics x samples block
+    they are written into."""
     shapes = {
         node: (metric_columns(c for s in stores for c in s.columns),
                np.unique(np.concatenate([s.timestamps for s in stores])))
@@ -412,7 +420,7 @@ def _join(derived: Dict[str, List[MetricStore]]) -> Dict[str, MetricStore]:
     shared: Dict[tuple, List[str]] = {}
     for node, (columns, timestamps) in shapes.items():
         shared.setdefault((columns, timestamps.tobytes()), []).append(node)
-    joined = {}
+    groups = []
     for (columns, _), nodes in shared.items():
         timestamps = shapes[nodes[0]][1]
         block = np.full((len(nodes), len(columns), len(timestamps)), np.nan)
@@ -421,8 +429,8 @@ def _join(derived: Dict[str, List[MetricStore]]) -> Dict[str, MetricStore]:
                 at = np.searchsorted(timestamps, store.timestamps)
                 for name, row in zip(store.columns, store.values):
                     values[columns.index(name), at] = row
-            joined[node] = MetricStore(node, timestamps, columns, values)
-    return {node: joined[node] for node in derived}
+        groups.append(ClockGroup(nodes, columns, timestamps, block))
+    return groups
 
 
 _METRIC_FILE_RE = re.compile(r"^(?P<node>.+)\.(?P<schema>system|arch)\.tsv$")

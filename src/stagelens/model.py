@@ -4,14 +4,15 @@ A Trace bundles one complete observation of a cluster run: the job/stage/task
 hierarchy recovered from application logs plus per-node metric time series,
 all on a single cluster clock (integer milliseconds UTC).
 
-Producers build a node's series as a MetricStore. A Trace holds them as
-clock groups: the nodes whose series share one column layout and one
-timestamp vector sit in one read-only float64[nodes, columns, samples]
-block (ClockGroup), so windowing and averaging run once per group.
-`Trace.metrics` is the read-only mapping node -> MetricStore over them
-(ClockGroups); each store it returns is a view of its group. Grouping
-refuses a malformed series with a MetricSeriesError, so a trace holds
-only well-formed ones.
+A trace holds its metric series as clock groups: the nodes whose series
+share one column layout and one timestamp vector sit in one read-only
+float64[nodes, columns, samples] block (ClockGroup), so windowing and
+averaging run once per group. Producers (the simulator, ingest, the
+loader) hand a Trace the groups they build, and each group checks its own
+arrays, refusing a malformed series with a MetricSeriesError, so a trace
+holds only well-formed ones. `Trace.metrics` is the read-only mapping
+node -> MetricStore over the groups (ClockGroups); each store it returns
+is a view of its group's row.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from typing import (
-    Callable,
     Dict,
-    Hashable,
     Iterable,
     Iterator,
     List,
@@ -363,26 +362,9 @@ class Job:
 def metric_columns(names: Iterable[str]) -> Tuple[str, ...]:
     """Store column order: METRIC_SCHEMA order first, then other names sorted."""
     names = set(names)
-    return tuple(m for m in METRIC_SCHEMA if m in names) + tuple(
+    return tuple([m for m in METRIC_SCHEMA if m in names]) + tuple(
         sorted(names.difference(METRIC_SCHEMA))
     )
-
-
-def checked_once(checked: dict, key: Hashable, check: Callable[[Hashable], object]):
-    """check(key), remembered in `checked`: a caller that checks many equal
-    keys (one column layout shared by every node) runs `check` once per
-    distinct key. An unhashable key is checked every time."""
-    try:
-        return checked[key]
-    except KeyError:
-        result = checked[key] = check(key)
-        return result
-    except TypeError:
-        return check(key)
-
-
-def _in_store_order(columns: Tuple) -> bool:
-    return all(isinstance(c, str) for c in columns) and columns == metric_columns(columns)
 
 
 _INT64_MAX = 2**63 - 1
@@ -407,10 +389,9 @@ class MetricStore:
     float64[len(columns), n]: row i is metric `columns[i]` over time, so one
     metric's series is a contiguous row; `columns` are distinct names in
     metric_columns order. NaN marks a metric a sample does not report, so
-    every reported value must be finite. A Trace refuses a store that breaks
-    one of these rules, or that sits under another node's name, with a
-    MetricSeriesError. Two stores are equal when their node, timestamps and
-    values are, an absent column counting as an all-NaN one.
+    every reported value must be finite. A ClockGroup checks these rules for
+    its rows. Two stores are equal when their node, timestamps and values
+    are, an absent column counting as an all-NaN one.
     """
 
     node: str
@@ -442,16 +423,6 @@ class MetricStore:
         )
 
 
-def _well_formed(columns: Tuple, ts, values) -> bool:
-    """Whether a store holds int64[n] timestamps and float64[len(columns), n]
-    values."""
-    return (
-        isinstance(ts, np.ndarray) and ts.ndim == 1 and ts.dtype == np.int64
-        and isinstance(values, np.ndarray) and values.dtype == np.float64
-        and values.shape == (len(columns), len(ts))
-    )
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     """The array if it is read-only, else a read-only view of it (the array
     itself keeps its flags)."""
@@ -462,24 +433,61 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
+class MetricSeriesError(ValueError):
+    """A metric series a Trace refuses: `node` breaks `rule`."""
+
+    def __init__(self, node: str, rule: str):
+        super().__init__(f"metric series for {node}: {rule}")
+        self.node = node
+        self.rule = rule
+
+
 class ClockGroup:
     """Nodes whose series share one column layout and one timestamp vector.
 
     `values` is float64[len(nodes), len(columns), len(timestamps)]: node
-    `nodes[i]`'s series is `values[i]`. Both arrays are read-only. A group
-    holds only well-formed series (MetricSeriesError's rules), whatever
-    their nodes' cluster membership.
+    `nodes[i]`'s series is `values[i]`. Both arrays are held without a copy,
+    read-only. A group checks its arrays when it is built: `columns` are
+    distinct names in metric_columns order, `timestamps` are int64[n] and
+    strictly increasing, and `values` have that shape and no infinite
+    value. The first node that breaks a rule raises MetricSeriesError
+    naming it and the rule. The layout, the shape and the timestamps are
+    every node's, so their rules name the first node; an infinite value
+    names the node whose row holds it, and comes before the timestamps'
+    rule.
     """
 
     __slots__ = ("nodes", "columns", "timestamps", "values")
 
     def __init__(
-        self, nodes: Sequence[str], columns: Tuple[str, ...], timestamps: np.ndarray,
+        self, nodes: Sequence[str], columns: Sequence[str], timestamps: np.ndarray,
         values: np.ndarray,
     ):
         self.nodes = tuple(nodes)
-        self.columns = columns
-        self.timestamps = _read_only(timestamps)
+        self.columns = columns = tuple(columns)
+        if not self.nodes:
+            raise ValueError("a clock group holds at least one node")
+        first = self.nodes[0]
+        if not (all(isinstance(c, str) for c in columns) and columns == metric_columns(columns)):
+            raise MetricSeriesError(first, "columns must be distinct names in store order")
+        ts = timestamps
+        if not (
+            isinstance(ts, np.ndarray) and ts.ndim == 1 and ts.dtype == np.int64
+            and isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.shape == (len(self.nodes), len(columns), len(ts))
+        ):
+            raise MetricSeriesError(
+                first, f"needs int64[n] timestamps and float64[{len(columns)}, n] values"
+            )
+        cells = np.isinf(values)
+        infinite = int(cells.any(axis=(1, 2)).argmax()) if cells.any() else len(self.nodes)
+        rising = bool((ts[1:] > ts[:-1]).all())
+        if infinite == 0 or (rising and infinite < len(self.nodes)):
+            raise MetricSeriesError(self.nodes[infinite], "infinite value")
+        if not rising:
+            bad = ts[1:][ts[1:] <= ts[:-1]][0].item()
+            raise MetricSeriesError(first, f"timestamps not strictly increasing at {bad}")
+        self.timestamps = _read_only(ts)
         self.values = _read_only(values)
 
     def __repr__(self) -> str:
@@ -487,112 +495,31 @@ class ClockGroup:
                 f"{len(self.timestamps)} samples)")
 
 
-class MetricSeriesError(ValueError):
-    """A metric series a Trace refuses; the message names the node and rule."""
-
-
-def _clock_key(node: str, store: MetricStore, layouts: dict, clocks: Dict[int, tuple]) -> tuple:
-    """(columns, timestamp bytes) of a store under its own node, with a
-    layout in store order, well-formed arrays and rising timestamps; else
-    MetricSeriesError names the first of those rules it breaks. Each
-    distinct layout and timestamps array is checked once."""
-    if store.node != node:
-        raise MetricSeriesError(f"metric series under {node!r} carries node {store.node!r}")
-    ts = store.timestamps
-    columns = tuple(store.columns)
-    if not checked_once(layouts, columns, _in_store_order):
-        raise MetricSeriesError(
-            f"metric series for {node}: columns must be distinct names in store order"
-        )
-    if not _well_formed(columns, ts, store.values):
-        raise MetricSeriesError(
-            f"metric series for {node}: needs int64[n] timestamps and "
-            f"float64[{len(columns)}, n] values"
-        )
-    # The array is kept with its key, so its id is not reused meanwhile.
-    _, key = checked_once(
-        clocks, id(ts),
-        lambda _: (ts, ts.tobytes() if bool((ts[1:] > ts[:-1]).all()) else None),
-    )
-    if key is None:
-        bad = ts[1:][ts[1:] <= ts[:-1]][0].item()
-        raise MetricSeriesError(
-            f"metric series for {node}: timestamps not strictly increasing at {bad}"
-        )
-    return columns, key
-
-
-def _block_of(rows: List[np.ndarray]) -> np.ndarray:
-    """The arrays as one block, row i being rows[i]: a view of a lone array,
-    or the 3-D array that owns them when they are its rows in order; else a
-    stacked copy."""
-    if len(rows) == 1:
-        return rows[0][None]
-    base = rows[0].base
-    if isinstance(base, np.ndarray) and base.ndim == 3 and len(base) == len(rows) and all(
-        row.base is base and row.__array_interface__ == view.__array_interface__
-        for row, view in zip(rows, base)
-    ):
-        return base
-    return np.stack(rows)
-
-
 class ClockGroups(Mapping):
-    """A trace's metric series: a read-only mapping node -> MetricStore,
-    held as clock groups.
+    """A trace's metric series: a read-only mapping node -> MetricStore over
+    a sequence of clock groups, nodes in group order.
 
-    Each store it returns is a view of its group's rows. The mapping keeps
-    the order it was built in.
+    Each store it returns is a view of its group's row. A node held by two
+    rows raises MetricSeriesError; an item that is not a ClockGroup (a
+    mapping of stores, say) raises TypeError.
     """
 
     __slots__ = ("groups", "_at")
 
-    def __init__(self, at: Dict[str, Tuple[ClockGroup, int]], groups: Sequence[ClockGroup]):
-        """`at` maps each node, in order, to its (group, row) in `groups`."""
-        self._at = at
+    def __init__(self, groups: Iterable[ClockGroup] = ()):
         self.groups = tuple(groups)
-
-    @classmethod
-    def of(cls, stores: Mapping[str, MetricStore]) -> "ClockGroups":
-        """Group stores by column layout and timestamp values: one pass, and
-        one block per group (a view of a lone store, or the 3-D array whose
-        rows the stores' values are; else a stacked copy). The first store
-        that breaks a series rule raises MetricSeriesError."""
-        if isinstance(stores, ClockGroups):
-            return stores
-        members: Dict[tuple, List[str]] = {}
-        layouts: dict = {}
-        clocks: Dict[int, tuple] = {}
-        refused: Optional[MetricSeriesError] = None
-        for node, store in stores.items():
-            try:
-                key = _clock_key(node, store, layouts, clocks)
-            except MetricSeriesError as exc:
-                refused = exc
-                break
-            members.setdefault(key, []).append(node)
-        at: Dict[str, Tuple[ClockGroup, int]] = dict.fromkeys(stores)
-        groups = []
-        infinite = []  # per group, its first node with an infinite value
-        for (columns, _), nodes in members.items():
-            stores_ = [stores[node] for node in nodes]
-            block = _block_of([store.values for store in stores_])
-            # fmax and fmin pass over NaN, and need no block-sized temporary.
-            if block.size and (np.isinf(np.fmax.reduce(block, axis=None))
-                               or np.isinf(np.fmin.reduce(block, axis=None))):
-                infinite.append(nodes[int(np.isinf(block).any(axis=(1, 2)).argmax())])
-                continue
-            group = ClockGroup(nodes, columns, stores_[0].timestamps, block)
-            groups.append(group)
-            at.update(zip(nodes, zip(repeat(group), range(len(nodes)))))
-        # Only the stores before a refused one were grouped, so an infinite
-        # value among them comes first.
-        if infinite:
-            node = min(infinite, key=list(stores).index)
-            raise MetricSeriesError(f"metric series for {node}: infinite value")
-        if refused is not None:
-            raise refused
-        return cls(at, groups)
+        if isinstance(groups, Mapping) or not all(isinstance(g, ClockGroup) for g in self.groups):
+            raise TypeError("metrics are a sequence of ClockGroup, not a mapping of stores")
+        self._at: Dict[str, Tuple[ClockGroup, int]] = {}
+        for group in self.groups:
+            rows = dict(zip(group.nodes, zip(repeat(group), range(len(group.nodes)))))
+            if len(rows) < len(group.nodes) or not self._at.keys().isdisjoint(rows):
+                seen = set(self._at)
+                for node in group.nodes:
+                    if node in seen:
+                        raise MetricSeriesError(node, "node held twice")
+                    seen.add(node)
+            self._at.update(rows)
 
     def __getitem__(self, node: str) -> MetricStore:
         group, row = self._at[node]
@@ -618,20 +545,20 @@ class Trace:
     and a node whose series has no rows equals a node with no series (both
     write no metrics line and slice to a gap).
 
-    `metrics` is read-only: a mapping of stores given to it (or assigned to
-    it) is grouped once into ClockGroups, and the trace reads the stores'
-    arrays only through their groups. A store that breaks a series rule
-    raises MetricSeriesError there, so the trace is never built.
+    `metrics` takes ClockGroups, or a sequence of ClockGroup that it makes
+    into one; the groups have checked their series. A mapping of stores
+    raises TypeError. `trace.metrics[node]` is a MetricStore view of the
+    node's row.
     """
 
     cluster: List[str] = field(default_factory=list)
     jobs: List[Job] = field(default_factory=list)
-    metrics: Mapping[str, MetricStore] = field(default_factory=dict)
+    metrics: ClockGroups = field(default_factory=ClockGroups)
     clock_offsets: Dict[str, int] = field(default_factory=dict)
 
     def __setattr__(self, name: str, value) -> None:
-        if name == "metrics":
-            value = ClockGroups.of(value)
+        if name == "metrics" and not isinstance(value, ClockGroups):
+            value = ClockGroups(value)
         super().__setattr__(name, value)
 
     def stages(self) -> Iterator[Stage]:

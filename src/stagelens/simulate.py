@@ -22,10 +22,10 @@ import numpy as np
 
 from .model import (
     METRIC_SCHEMA,
+    ClockGroup,
     FindingKind,
     Job,
     Locality,
-    MetricStore,
     Stage,
     Task,
     TaskTable,
@@ -305,12 +305,8 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
                     series = per_node[node][metric]
                     series[mask] = series[mask] * (1.0 + deviation * wave[mask])
 
-    # One nodes x metrics x samples block; each node's store is a row of it.
+    # Every node's series on one clock: one nodes x metrics x samples block.
     values = np.array([[per_node[node][m] for m in METRIC_SCHEMA] for node in nodes])
-    metrics = {
-        node: MetricStore(node=node, timestamps=timestamps, columns=METRIC_SCHEMA, values=row)
-        for node, row in zip(nodes, values)
-    }
 
     # One label per (stage, node, fault kind), however many faults repeat it.
     labeled = {
@@ -324,7 +320,7 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
     trace = Trace(
         cluster=list(nodes),
         jobs=[Job(job_id="job_0", stages=stages)],
-        metrics=metrics,
+        metrics=[ClockGroup(nodes, METRIC_SCHEMA, timestamps, values)],
     )
     return trace, labels
 

@@ -11,22 +11,22 @@ and values sit back to back in `metrics.timestamps.npy` and
 entities are sorted, keys are sorted, and every missing value is the one
 canonical NaN.
 
-The loader checks each series rule (see `model.MetricSeriesError`) on
-the whole arrays, and fails at the `metrics.jsonl` line of the first node
-in index order that breaks one. A loaded trace's series are clock groups
-(see `model`) whose blocks are views of the two column files: per index
-line, the nodes whose timestamps are equal form one group; they are not
-checked again. `Trace.validate` then checks the rest: the hierarchy, and
-that each indexed node is in the cluster."""
+A loaded trace's series are clock groups (see `model`) whose blocks are
+views of the two column files: per index line, the nodes whose timestamps
+are equal form one group. The loader builds the groups on the stored
+timestamps, so each group checks its series, and fails at the
+`metrics.jsonl` line of the first node in index order that a group refuses
+or whose unapplied clock offset would move its timestamps out of int64.
+`Trace.validate` then checks the rest: the hierarchy, and that each
+indexed node is in the cluster."""
 
 from __future__ import annotations
 
 import io
 import json
 import os
-from bisect import bisect_right
-from itertools import accumulate, repeat
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Tuple
+from itertools import accumulate
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .model import (
     ClockGroup,
     ClockGroups,
     Job,
+    MetricSeriesError,
     MetricStore,
     Stage,
     TaskTable,
@@ -391,19 +392,18 @@ def _task_table(
 
 
 def _line_groups(
-    nodes: list, samples: list, columns: Tuple[str, ...], ts: np.ndarray, vals: np.ndarray
-) -> Iterator[ClockGroup]:
-    """The clock groups of one index line, whose stretches of the two column
-    files are `ts` and `vals`: its nodes grouped by equal timestamps. Where
-    every node has the same sample count, one compare usually finds a single
-    group, and each group's block is a view of `vals` when its nodes are
-    consecutive on the line."""
-    width = len(columns)
-    if nodes and samples.count(samples[0]) == len(nodes):
-        clocks = ts.reshape(len(nodes), samples[0])
-        blocks = vals.reshape(len(nodes), width, samples[0])
+    samples: list, width: int, ts: np.ndarray, vals: np.ndarray
+) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
+    """One index line's nodes grouped by equal timestamps, as (rows,
+    timestamps, block) per group; `ts` and `vals` are the line's stretches
+    of the two column files. Where every node has the same sample count, one
+    compare usually finds a single group, and each group's block is a view
+    of `vals` when its nodes are consecutive on the line."""
+    if samples and samples.count(samples[0]) == len(samples):
+        clocks = ts.reshape(len(samples), samples[0])
+        blocks = vals.reshape(len(samples), width, samples[0])
         if bool((clocks[1:] == clocks[:-1]).all()):
-            yield ClockGroup(nodes, columns, clocks[0], blocks)
+            yield list(range(len(samples))), clocks[0], blocks
             return
 
         def block(rows: List[int]) -> np.ndarray:
@@ -424,29 +424,30 @@ def _line_groups(
     for i, clock in enumerate(clocks):
         members.setdefault(clock.tobytes(), []).append(i)
     for rows in members.values():
-        yield ClockGroup([nodes[i] for i in rows], columns, clocks[rows[0]], block(rows))
+        yield rows, clocks[rows[0]], block(rows)
 
 
 def _index_groups(
-    lines: List[Tuple[int, Tuple[str, ...], list, list]], timestamps: np.ndarray,
-    values: np.ndarray,
-) -> ClockGroups:
-    """The series of every indexed node, in index order, as clock groups:
-    views of the two column files, which are made read-only."""
-    timestamps.flags.writeable = values.flags.writeable = False
-    at: Dict[str, Tuple[ClockGroup, int]] = dict.fromkeys(
-        node for _, _, nodes, _ in lines for node in nodes
-    )
+    lines: List[Tuple[Tuple[str, ...], list, list]], timestamps: np.ndarray, values: np.ndarray
+) -> Tuple[List[ClockGroup], Optional[MetricSeriesError]]:
+    """The series of every indexed node as clock groups on views of the two
+    column files, in index order; and the error of the first node in index
+    order that a group refuses, or None."""
     groups = []
     t = c = 0
-    for _, columns, nodes, samples in lines:
+    for columns, nodes, samples in lines:
         n = sum(samples)
         ts, vals = timestamps[t : t + n], values[c : c + len(columns) * n]
         t, c = t + n, c + len(columns) * n
-        for group in _line_groups(nodes, samples, columns, ts, vals):
-            groups.append(group)
-            at.update(zip(group.nodes, zip(repeat(group), range(len(group.nodes)))))
-    return ClockGroups(at, groups)
+        refused = []
+        for rows, clock, block in _line_groups(samples, len(columns), ts, vals):
+            try:
+                groups.append(ClockGroup([nodes[i] for i in rows], columns, clock, block))
+            except MetricSeriesError as exc:
+                refused.append(exc)
+        if refused:
+            return groups, min(refused, key=lambda exc: nodes.index(exc.node))
+    return groups, None
 
 
 def load_trace(path: str) -> Trace:
@@ -503,11 +504,11 @@ def load_trace(path: str) -> Trace:
         jobs[job_id].stages.append(stage)
 
     metrics_path = os.path.join(path, "metrics.jsonl")
-    lines: List[Tuple[int, Tuple[str, ...], list, list]] = []
-    indexed: Dict[str, Tuple[int, Tuple[str, ...]]] = {}  # node -> its line and columns
+    lines: List[Tuple[Tuple[str, ...], list, list]] = []  # columns, nodes, samples
+    indexed: Dict[str, int] = {}  # node -> its line
     for line_no, row in _read_entity_file(metrics_path, "metrics"):
         columns, nodes, samples = _index_line(row, metrics_path, line_no)
-        entries = dict.fromkeys(nodes, (line_no, columns))
+        entries = dict.fromkeys(nodes, line_no)
         if len(entries) < len(nodes) or not indexed.keys().isdisjoint(entries):
             seen = set(indexed)
             for node in nodes:
@@ -515,29 +516,20 @@ def load_trace(path: str) -> Trace:
                     raise TraceParseError(metrics_path, line_no, f"duplicate node {node!r}")
                 seen.add(node)
         indexed.update(entries)
-        lines.append((line_no, columns, nodes, samples))
+        lines.append((columns, nodes, samples))
     order = list(indexed)
-    counts = [n for _, _, _, samples in lines for n in samples]
-    cells = [len(columns) * n for _, columns, _, samples in lines for n in samples]
+    counts = [n for _, _, samples in lines for n in samples]
     starts = list(accumulate(counts, initial=0))  # each node's first sample
-    cell_starts = list(accumulate(cells, initial=0))
     timestamps = _read_npy(path, _TIMESTAMPS, starts[-1])
-    values = _read_npy(path, _VALUES, cell_starts[-1])
-    # NaN marks a missing value, so a reported one must be finite; each
-    # node's timestamps must rise (a block's first one may be below its
-    # predecessor's last); and an unapplied clock offset must keep a node's
-    # timestamps in int64. Blocks sit in index order; the first node that
-    # breaks a rule is named, for the first of these rules it breaks.
-    first_infinite = first_unsorted = first_outside = len(order)
-    if np.isinf(values).any():
-        first_cell = int(np.isinf(values).argmax())
-        first_infinite = bisect_right(cell_starts, first_cell) - 1
-    rises = timestamps[1:] > timestamps[:-1]
-    firsts = np.array(starts[1:-1], dtype=np.int64)  # of later blocks
-    rises[firsts[(firsts > 0) & (firsts < len(timestamps))] - 1] = True
-    if not rises.all():
-        unsorted = int(rises.argmin()) + 1  # the first sample not above its predecessor
-        first_unsorted = bisect_right(starts, unsorted) - 1
+    values = _read_npy(
+        path, _VALUES, sum(len(columns) * sum(samples) for columns, _, samples in lines)
+    )
+    # The groups check the series on the stored timestamps. An unapplied
+    # clock offset must also keep a node's timestamps in int64. The first
+    # node in index order that breaks a rule is named, for the first rule it
+    # breaks: an infinite value, falling timestamps, then its offset.
+    groups, refused = _index_groups(lines, timestamps, values)
+    first_bad = order.index(refused.node) if refused else len(order)
     shifts = None
     if not applied and offsets:
         shifts = np.array([offsets.get(node, 0) for node in order], np.int64)
@@ -551,21 +543,20 @@ def load_trace(path: str) -> Trace:
             outside = (low < _INT64.min - np.minimum(shift, 0)) | (
                 high > _INT64.max - np.maximum(shift, 0)
             )
-            if outside.any():
-                first_outside = int(held[outside.argmax()])
-    first_bad = min(first_infinite, first_unsorted, first_outside)
-    if first_bad < len(order):
-        node = order[first_bad]
-        if first_bad == first_infinite:
+            if outside.any() and held[outside.argmax()] < first_bad:
+                node = order[int(held[outside.argmax()])]
+                raise TraceParseError(
+                    metrics_path, indexed[node],
+                    f"node {node!r}: clock offset {offsets[node]} moves timestamps out of range",
+                )
+    if refused:
+        rule = refused.rule
+        if rule == "infinite value":
             rule = "metric values must be finite numbers"
-        elif first_bad == first_unsorted:
-            rule = f"timestamps not strictly increasing at {timestamps[unsorted]}"
-        else:
-            rule = f"clock offset {offsets[node]} moves timestamps out of range"
-        raise TraceParseError(metrics_path, indexed[node][0], f"node {node!r}: {rule}")
+        raise TraceParseError(metrics_path, indexed[refused.node], f"node {refused.node!r}: {rule}")
     if shifts is not None and shifts.any():
-        timestamps = timestamps + np.repeat(shifts, counts)
-    metrics = _index_groups(lines, timestamps, values)
+        groups, _ = _index_groups(lines, timestamps + np.repeat(shifts, counts), values)
+    metrics = ClockGroups(groups)
 
     tasks_path = os.path.join(path, "tasks.jsonl")
     task_index: Dict[str, Tuple[int, list, list]] = {}

@@ -1,11 +1,12 @@
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Mapping
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from stagelens.model import (
+    ClockGroup,
     Job,
     Locality,
     MetricStore,
@@ -63,12 +64,37 @@ def make_stage(counts, stage_id="s0", job_id="j0", runtime=10_000, launch=1_460_
     )
 
 
-def make_trace(stage, metrics=None, extra_nodes=()):
+def row_groups(stores):
+    """One clock group of one row per store (a mapping's values, or an
+    iterable of stores), in order: each group's block is a view of its
+    store's values."""
+    if isinstance(stores, Mapping):
+        stores = stores.values()
+    return [ClockGroup([s.node], s.columns, s.timestamps, s.values[None]) for s in stores]
+
+
+def clock_groups(stores: Mapping[str, MetricStore]):
+    """The stores grouped as the loader groups them: one clock group per
+    column layout and timestamp vector, nodes in the mapping's order, their
+    values stacked into one block."""
+    members: Dict[tuple, list] = {}
+    for s in stores.values():
+        members.setdefault((s.columns, s.timestamps.tobytes()), []).append(s)
+    return [
+        ClockGroup([s.node for s in group], group[0].columns, group[0].timestamps,
+                   np.stack([s.values for s in group]))
+        for group in members.values()
+    ]
+
+
+def make_trace(stage, stores=None, extra_nodes=(), group=row_groups):
+    """A trace of one stage, its cluster the stage's nodes and `extra_nodes`,
+    and the stores (node -> MetricStore) made into clock groups by `group`."""
     nodes = sorted(set(stage.tasks.nodes) | set(extra_nodes))
     return Trace(
         cluster=nodes,
         jobs=[Job(job_id=stage.job_id, stages=[stage])],
-        metrics=metrics or {},
+        metrics=group(stores or {}),
     )
 
 

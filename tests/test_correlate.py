@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     MetricSample,
+    clock_groups,
     make_stage,
     make_task,
     make_trace,
     metric_series,
+    row_groups,
     stacked_samples,
     stage_of,
     store_from_samples,
@@ -120,21 +122,9 @@ def _grouped_cases(draw):
     return rows, with_series, start, finish, outside, draw(st.booleans())
 
 
-def _stores(rows, with_series, shared):
-    """Stores from rows; with `shared`, stores whose timestamps are equal hold
-    one timestamps array."""
-    stores = {n: store_from_samples(n, rows[n]) for n in sorted(with_series)}
-    if shared:
-        clocks = {}
-        for node, store in stores.items():
-            ts = clocks.setdefault(store.timestamps.tobytes(), store.timestamps)
-            stores[node] = MetricStore(node, ts, store.columns, store.values)
-    return stores
-
-
 def assert_grouped(trace):
     """trace.metrics holds one read-only clock group per distinct column
-    layout and timestamp vector of its stores, and each store is its
+    layout and timestamp vector of its series, and each series is its
     group's row."""
     metrics = trace.metrics
     keys = {(store.columns, store.timestamps.tobytes()) for store in metrics.values()}
@@ -155,25 +145,29 @@ def assert_datasets_equal_oracle(rows, with_series, start, finish, outside=(), s
     """build_datasets over stores made from `rows` (node -> rows in any
     order) equals the per-sample oracle exactly, bit for bit, on the trace
     and on the trace saved and loaded. Nodes in `outside` run no task, so
-    their series lie outside the window; with `shared`, stores with equal
-    timestamps hold one array."""
+    their series lie outside the window. The trace holds each store as a
+    one-row group; with `shared`, the stores with equal layouts and
+    timestamps are the rows of one group, as in the loaded trace."""
     nodes = sorted(n for n in rows if n not in outside)
     stage = stage_of(
         [make_task(task_id=node, node=node, launch=start, runtime=finish - start)
          for node in nodes]
     )
     window = stage_window(stage)
-    trace = Trace(cluster=sorted(rows), metrics=_stores(rows, with_series, shared))
+    stores = {n: store_from_samples(n, rows[n]) for n in sorted(with_series)}
+    trace = Trace(cluster=sorted(rows), metrics=(clock_groups if shared else row_groups)(stores))
     with tempfile.TemporaryDirectory() as out:
         save_trace(trace, out)
         loaded = load_trace(out)
     assert loaded == trace
+    assert_grouped(loaded)
+    if shared:
+        assert_grouped(trace)
 
     ordered = {n: sorted(rows[n], key=lambda s: s.timestamp) for n in with_series if n in nodes}
     ordered.update({n: [] for n in nodes if n not in with_series})
     vectors, matrix, columns, missing = per_sample_oracle(ordered, start, finish)
     for t in (trace, loaded):
-        assert_grouped(t)
         slices = slice_metrics(t, window)
         assert slices.gaps == missing
         assert list(slices.series) == nodes
@@ -289,7 +283,7 @@ def test_long_gappy_series_equal_per_sample_oracle():
 def test_slices_are_views_of_the_store():
     stage = make_stage({"hw01": 1}, runtime=2_000)
     metrics = {"hw01": metric_series("hw01", T0, 5, lambda i: {"m": float(i)})}
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     cut = slice_metrics(trace, stage_window(stage)).series["hw01"]
     assert np.shares_memory(cut.values, metrics["hw01"].values)
     assert np.shares_memory(cut.timestamps, metrics["hw01"].timestamps)
@@ -328,7 +322,7 @@ def test_empty_stage_errors():
 def test_slice_bounds_inclusive():
     stage = make_stage({"hw01": 1}, runtime=2_000)
     metrics = {"hw01": metric_series("hw01", T0, 5, lambda i: {"m": float(i)})}
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     sliced = slice_metrics(trace, stage_window(stage))
     # window [T0, T0+2000] covers samples at T0, T0+1000, T0+2000
     assert sliced.series["hw01"].timestamps.tolist() == [T0, T0 + 1000, T0 + 2000]
@@ -338,7 +332,7 @@ def test_slice_bounds_inclusive():
 def test_window_before_samples_reports_gap():
     stage = make_stage({"hw01": 1})
     metrics = {"hw01": metric_series("hw01", T0 + 60_000, 5, lambda i: {"m": 1.0})}
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     sliced = slice_metrics(trace, stage_window(stage))
     assert len(sliced.series["hw01"]) == 0
     assert sliced.gaps == ["hw01"]
@@ -347,7 +341,7 @@ def test_window_before_samples_reports_gap():
 def test_thirty_second_window_has_31_samples():
     stage = make_stage({"hw01": 1}, runtime=30_000)
     metrics = {"hw01": metric_series("hw01", T0 - 10_000, 120, lambda i: {"m": 1.0})}
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     sliced = slice_metrics(trace, stage_window(stage))
     assert len(sliced.series["hw01"]) == 31
 
@@ -355,10 +349,10 @@ def test_thirty_second_window_has_31_samples():
 def test_slicing_is_idempotent():
     stage = make_stage({"hw01": 2}, runtime=10_000)
     metrics = {"hw01": metric_series("hw01", T0 - 5_000, 40, lambda i: {"m": float(i)})}
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     window = stage_window(stage)
     once = slice_metrics(trace, window)
-    again = slice_metrics(make_trace(stage, metrics=dict(once.series)), window)
+    again = slice_metrics(make_trace(stage, stores=dict(once.series)), window)
     assert again.series == once.series
 
 
@@ -460,7 +454,7 @@ def test_constant_metric_vector_mean():
         node: metric_series(node, T0, 11, lambda i: {"cpu_usage": 0.25, "IPC": 1.5})
         for node in ("hw01", "hw02")
     }
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
     assert ds.vectors["hw01"]["cpu_usage"] == pytest.approx(0.25)
     assert ds.vectors["hw01"]["IPC"] == pytest.approx(1.5)
@@ -474,7 +468,7 @@ def test_vector_mean_within_sample_bounds(rng):
     metrics = {
         "hw01": metric_series("hw01", T0, 21, lambda i: {"cpu_usage": float(values[i])})
     }
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
     mean = ds.vectors["hw01"]["cpu_usage"]
     assert values.min() <= mean <= values.max()
@@ -483,7 +477,7 @@ def test_vector_mean_within_sample_bounds(rng):
 def test_node_without_samples_is_marked_missing():
     stage = make_stage({"hw01": 1, "hw02": 1}, runtime=10_000)
     metrics = {"hw01": metric_series("hw01", T0, 11, lambda i: {"cpu_usage": 0.2})}
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
     assert "hw02" in ds.missing_metric_nodes
     assert "hw02" not in ds.vectors
@@ -501,7 +495,7 @@ def test_matrix_block_is_a_view_when_its_columns_are_consecutive():
             })
             for node in ("hw01", "hw02")
         }
-        trace = make_trace(stage, metrics=metrics)
+        trace = make_trace(stage, stores=metrics, group=clock_groups)
         ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
         (block,) = ds.blocks
         (group,) = trace.metrics.groups

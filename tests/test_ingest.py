@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import MetricSample, store_from_samples
+from conftest import MetricSample, row_groups, store_from_samples
+from stagelens import ingest
 from stagelens.ingest import (
     ARCH_COLUMNS,
     METRIC_SCHEMA,
@@ -116,6 +117,37 @@ def test_unknown_events_skipped_and_bad_lines_collected():
     assert sum(len(s.tasks) for s in trace.stages()) == 1
 
 
+@pytest.mark.parametrize("line", ["[1]", "5", '"SparkListenerTaskEnd"', "null"])
+def test_event_that_is_not_an_object_is_a_note(line):
+    trace, report = parse_spark_event_log([line, event(0, 1)])
+    assert report.errors == [(1, "event is not a JSON object")]
+    assert report.skipped_events == 0
+    assert sum(len(s.tasks) for s in trace.stages()) == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("Task Metrics", [1]),
+    ("Task Metrics", {"Input Metrics": 5}),
+    ("Task End Reason", "Success"),
+    ("Task End Reason", None),
+])
+def test_task_end_event_with_a_part_that_is_not_an_object_is_a_note(key, value):
+    bad = json.loads(event(0, 1))
+    bad[key] = value
+    trace, report = parse_spark_event_log([event(0, 2), json.dumps(bad)])
+    ((line_no, note),) = report.errors
+    assert line_no == 2 and note.startswith("unusable task-end event: AttributeError(")
+    assert [t.task_id for s in trace.stages() for t in s.tasks] == ["2"]
+
+
+@pytest.mark.parametrize("stage_ids", [5, None, {"0": 1}])
+def test_job_start_whose_stage_ids_are_not_a_list_is_a_note(stage_ids):
+    start = {"Event": "SparkListenerJobStart", "Job ID": 7, "Stage IDs": stage_ids}
+    trace, report = parse_spark_event_log([json.dumps(start), event(0, 1)])
+    assert report.errors == [(1, "unusable job-start event: Stage IDs must be a list")]
+    assert [j.job_id for j in trace.jobs] == ["job_0"]
+
+
 def test_job_start_groups_stages():
     lines = [
         json.dumps({"Event": "SparkListenerJobStart", "Job ID": 7, "Stage IDs": [0, 1]}),
@@ -148,10 +180,17 @@ def oracle_parse_spark_event_log(lines):
         except json.JSONDecodeError as exc:
             report.note(line_no, f"invalid JSON: {exc.msg}")
             continue
+        if not isinstance(event, dict):
+            report.note(line_no, "event is not a JSON object")
+            continue
         kind = event.get("Event")
         if kind == "SparkListenerJobStart":
+            stage_ids = event.get("Stage IDs", [])
+            if not isinstance(stage_ids, list):
+                report.note(line_no, "unusable job-start event: Stage IDs must be a list")
+                continue
             job_id = str(event.get("Job ID", "job_0"))
-            for sid in event.get("Stage IDs", []):
+            for sid in stage_ids:
                 stage_to_job[str(sid)] = f"job_{job_id}"
             continue
         if kind != "SparkListenerTaskEnd":
@@ -177,7 +216,7 @@ def oracle_parse_spark_event_log(lines):
                 data_size=data_size,
                 succeeded=(reason == "Success") and not info.get("Failed", False),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             report.note(line_no, f"unusable task-end event: {exc!r}")
             continue
         outside = [
@@ -238,7 +277,7 @@ def task_end_event(draw):
     if draw(st.booleans()):
         data["Task End Reason"] = {"Reason": draw(st.sampled_from(["Success", "FetchFailed"]))}
     fault = draw(st.sampled_from(
-        ["none"] * 6 + ["drop", "odd", "bytes", "host", "metrics"]))
+        ["none"] * 6 + ["drop", "odd", "bytes", "host", "metrics", "reason"]))
     if fault == "drop":
         key = draw(st.sampled_from(["Launch Time", "Finish Time", "Task ID", "Host"]))
         if draw(st.booleans()):
@@ -257,7 +296,10 @@ def task_end_event(draw):
         if draw(st.booleans()):
             data["Task Metrics"] = {"Host Name": draw(st.sampled_from(_HOSTS + ("",)))}
     elif fault == "metrics":
-        data["Task Metrics"] = draw(st.sampled_from([None, {}, {"Input Metrics": {}}]))
+        data["Task Metrics"] = draw(st.sampled_from(
+            [None, {}, {"Input Metrics": {}}, [1], 5, {"Input Metrics": [2]}]))
+    elif fault == "reason":
+        data["Task End Reason"] = draw(st.sampled_from([None, "Success", [1]]))
     return json.dumps(data)
 
 
@@ -269,13 +311,14 @@ _EVENT_LINES = st.one_of(
     st.builds(
         lambda job, stages: json.dumps(
             {"Event": "SparkListenerJobStart", "Job ID": job, "Stage IDs": stages}),
-        st.integers(0, 2), st.lists(st.integers(0, 3), max_size=3),
+        st.integers(0, 2),
+        st.one_of(st.lists(st.integers(0, 3), max_size=3), st.sampled_from([5, None, "01"])),
     ),
     st.sampled_from([
         json.dumps({"Event": "SparkListenerStageCompleted"}),
         json.dumps({"Event": "SparkListenerJobStart"}),
         json.dumps({}),
-        "", "   ", "not json",
+        "", "   ", "not json", "[1]", "5", "null",
     ]),
 )
 
@@ -438,12 +481,10 @@ def oracle_ingest_raw(event_log_path, metrics_dir, wrap_detection=True):
         for prev, curr in zip(rows, rows[1:]):
             sample = derive_metrics(prev, curr, schema, node, wrap_detection)
             merged.setdefault(node, {}).setdefault(sample.timestamp, {}).update(sample.values)
-    trace.metrics = {
-        node: store_from_samples(
-            node, (MetricSample(node, ts, values) for ts, values in by_ts.items())
-        )
+    trace.metrics = row_groups(
+        store_from_samples(node, (MetricSample(node, ts, values) for ts, values in by_ts.items()))
         for node, by_ts in merged.items()
-    }
+    )
     trace.cluster = sorted(set(trace.cluster) | set(merged))
     return trace, report
 
@@ -707,6 +748,33 @@ def test_ingest_raw_end_to_end(tmp_path):
     assert trace.cluster == ["hw073", "hw074"]
     assert len(trace.metrics["hw073"]) == 4  # derived samples: one per interval
     assert sum(len(s.tasks) for s in trace.stages()) == 2
+
+
+def test_ingest_raw_hands_over_the_blocks_it_joins(tmp_path):
+    """ingest_raw's clock groups are the ones _join builds, each holding
+    the nodes x metrics x samples block _join filled: no copy. Two nodes
+    share a clock and a third has its own."""
+    events = tmp_path / "app.log"
+    events.write_text(event(0, 1, launch=1_000_000, finish=1_010_000) + "\n")
+    mdir = tmp_path / "metrics"
+    mdir.mkdir()
+    for node, start in (("hw01", 1000), ("hw02", 1000), ("hw03", 1002)):
+        (mdir / f"{node}.system.tsv").write_text(
+            "\n".join(row_text(start + i, len(SYSTEM_COLUMNS), fill=float(i)) for i in range(5))
+        )
+    real, made = ingest._join, []
+
+    def join(derived):
+        made.extend(real(derived))
+        return made
+
+    with mock.patch.object(ingest, "_join", join):
+        trace, _ = ingest_raw(str(events), str(mdir))
+    assert [group.nodes for group in made] == [("hw01", "hw02"), ("hw03",)]
+    assert trace.metrics.groups == tuple(made)
+    for group in made:
+        block = group.values.base
+        assert block.flags.owndata and block.shape == group.values.shape
 
 
 def test_ingested_trace_round_trips(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_stage, make_trace, metric_series, stacked_samples
+from conftest import clock_groups, make_stage, make_trace, metric_series, stacked_samples
 from stagelens.correlate import build_datasets, slice_metrics, stage_window
 from stagelens import nodedetect
 from stagelens.model import METRIC_SCHEMA, MetricStore, metric_columns
@@ -114,7 +114,7 @@ def test_huge_valued_stage_diagnoses_with_a_warning(transform):
         })
         for node in nodes
     }
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     assert not trace.validate()
     report = diagnose(trace, PipelineConfig(transform=transform))
     (stage_report,) = report.stages
@@ -133,7 +133,7 @@ def test_overflowing_window_mean_is_named_in_a_stage_warning():
         })
         for node in nodes
     }
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
     assert math.isinf(ds.means[1, METRIC_SCHEMA.index("cpu_usage")])
     result = diagnose_outlier_metrics(ds, OutlierConfig())
@@ -365,7 +365,7 @@ def two_metric_stage(deviations_by_node, n_samples=24):
             }
 
         metrics[node] = metric_series(node, T0, n_samples, values)
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     return build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
 
 
@@ -392,7 +392,7 @@ def test_mean_table_equals_reduce_mean_of_each_column(lengths, exponent, seed, s
         )
         for node, n in zip(nodes, lengths)
     }
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
     assert ds.matrix_metrics == list(columns) or not ds.nodes
     for i, node in enumerate(ds.nodes):
@@ -668,7 +668,7 @@ def block_stage(series, start, span):
                           columns, np.asarray(values, dtype=float))
         for node, (step, columns, values) in series.items()
     }
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     return build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
 
 
@@ -839,7 +839,7 @@ def test_outlier_screen_holds_no_samples_by_metrics_array(transform):
                           rng.lognormal(0.0, 1.0, (len(METRIC_SCHEMA), 4000)))
         for node in nodes
     }
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics, group=clock_groups)
     slices = slice_metrics(trace, stage_window(stage))
     tracemalloc.start()
     try:

@@ -12,14 +12,17 @@ from hypothesis import strategies as st
 
 from conftest import (
     MetricSample,
+    clock_groups,
     make_stage,
     make_task,
     make_trace,
     metric_series,
+    row_groups,
     stage_of,
     store_from_samples,
 )
 from stagelens.model import (
+    ClockGroup,
     Job,
     Locality,
     MetricSeriesError,
@@ -95,7 +98,7 @@ def test_metric_timestamps_must_increase():
         MetricSample(node="hw01", timestamp=5, values={"x": 2.0}),
     ]
     with pytest.raises(MetricSeriesError) as err:
-        Trace(cluster=["hw01"], metrics={"hw01": store_from_samples("hw01", samples)})
+        Trace(cluster=["hw01"], metrics=row_groups([store_from_samples("hw01", samples)]))
     assert str(err.value) == "metric series for hw01: timestamps not strictly increasing at 5"
 
 
@@ -104,7 +107,7 @@ def test_int64_edge_timestamps_are_increasing(tmp_path):
     the order check compares instead."""
     edges = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max])
     store = MetricStore("hw01", edges, ("cpu_usage",), np.zeros((1, 2)))
-    trace = Trace(cluster=["hw01"], metrics={"hw01": store})
+    trace = Trace(cluster=["hw01"], metrics=row_groups([store]))
     assert trace.validate() == []
     save_trace(trace, str(tmp_path / "trace"))
     assert load_trace(str(tmp_path / "trace")) == trace
@@ -127,7 +130,7 @@ def test_round_trip_identity_and_determinism(tmp_path):
         "hw01": metric_series("hw01", 1_460_000_000_000, 5, lambda i: {"cpu_usage": 0.1 * i}),
         "hw02": metric_series("hw02", 1_460_000_000_000, 5, lambda i: {"cpu_usage": 0.2}),
     }
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
 
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -259,9 +262,9 @@ def test_save_refuses_clock_offsets_the_loader_rejects(tmp_path, offset):
     ids=["int-cluster", "mixed-cluster", "int-offset-key"],
 )
 def test_save_refuses_node_names_that_are_not_strings(tmp_path, cluster, offsets, problem):
-    metrics = {7: MetricStore(7, np.array([1, 2]), ("cpu_usage",), np.zeros((1, 2)))}
+    metrics = [MetricStore(7, np.array([1, 2]), ("cpu_usage",), np.zeros((1, 2)))]
     trace = Trace(cluster=cluster, clock_offsets=offsets,
-                  metrics=metrics if 7 in cluster else {})
+                  metrics=row_groups(metrics) if 7 in cluster else ())
     out = tmp_path / "trace"
     with pytest.raises(TraceValidationError) as err:
         save_trace(trace, str(out))
@@ -308,7 +311,7 @@ def save_two_nodes(out):
         node: metric_series(node, 1_460_000_000_000, 3, lambda i: {"cpu_usage": 0.5, "x": 1.0})
         for node in ("hw01", "hw02")
     }
-    save_trace(make_trace(stage, metrics=metrics), str(out))
+    save_trace(make_trace(stage, stores=metrics), str(out))
     return out
 
 
@@ -358,7 +361,7 @@ def save_three_nodes(out):
         node: metric_series(node, 1_460_000_000_000, 3, lambda i: {"cpu_usage": 0.5, x: 1.0})
         for node, x in (("hw01", "x"), ("hw02", "y"), ("hw03", "x"))
     }
-    save_trace(make_trace(stage, metrics=metrics), str(out))
+    save_trace(make_trace(stage, stores=metrics), str(out))
     return out
 
 
@@ -549,7 +552,7 @@ def test_nan_payload_does_not_reach_the_bytes(tmp_path):
     def trace_with(missing: float) -> Trace:
         store = metric_series("hw01", 0, 3, lambda i: {"cpu_usage": 0.5, "x": 1.0})
         store.values[1, 1] = missing
-        return Trace(cluster=["hw01"], metrics={"hw01": store})
+        return Trace(cluster=["hw01"], metrics=row_groups([store]))
 
     payload = np.array([0x7FF8_0000_0000_1234], dtype=np.uint64).view(np.float64)[0]
     assert np.isnan(payload) and payload.tobytes() != np.float64(np.nan).tobytes()
@@ -787,7 +790,7 @@ def test_validate_reports_duplicate_ids_and_stray_metric_nodes():
     trace = Trace(
         cluster=["hw01"],
         jobs=[Job(job_id="j0", stages=[first, again]), Job(job_id="j0")],
-        metrics={"hw09": metric_series("hw09", 0, 2, lambda i: {"cpu_usage": 0.5})},
+        metrics=row_groups([metric_series("hw09", 0, 2, lambda i: {"cpu_usage": 0.5})]),
     )
     problems = trace.validate()
     assert "job j0: duplicate job_id" in problems
@@ -801,7 +804,7 @@ def test_infinite_metric_value_fails_validation():
     holds one to save."""
     store = metric_series("hw01", 0, 3, lambda i: {"cpu_usage": [0.5, float("inf"), 0.5][i]})
     with pytest.raises(MetricSeriesError) as err:
-        Trace(cluster=["hw01"], metrics={"hw01": store})
+        Trace(cluster=["hw01"], metrics=row_groups([store]))
     assert str(err.value) == "metric series for hw01: infinite value"
 
 
@@ -831,17 +834,13 @@ def _store(**changes) -> MetricStore:
     ],
 )
 def test_validate_checks_store_shape(store, problem):
-    """A trace of one node refuses a store of the wrong shape when it is
-    built or its metrics are assigned, naming the node and the rule, so no
-    trace holds the store to validate or save."""
+    """A clock group of one node refuses a store of the wrong shape when it
+    is built, naming the node and the rule, so no trace holds the store to
+    validate or save."""
     with pytest.raises(MetricSeriesError) as err:
-        Trace(cluster=["hw01"], metrics={"hw01": store})
-    assert problem in str(err.value) and str(err.value).startswith("metric series for hw01: ")
-    trace = Trace(cluster=["hw01"])
-    with pytest.raises(MetricSeriesError) as err:
-        trace.metrics = {"hw01": store}
-    assert problem in str(err.value)
-    assert len(trace.metrics) == 0
+        row_groups([store])
+    assert str(err.value) == f"metric series for hw01: {err.value.rule}"
+    assert err.value.node == "hw01" and problem in err.value.rule
 
 
 # Names that need JSON escapes or that a %-format would misread.
@@ -874,12 +873,12 @@ def test_store_round_trip_property(tmp_path_factory, series):
     that order; load(save(t)) == t, and saving again gives the same bytes."""
     trace = Trace(
         cluster=sorted(series),
-        metrics={
+        metrics=clock_groups({
             node: store_from_samples(
                 node, [MetricSample(node, ts, values) for ts, values in rows.items()]
             )
             for node, rows in series.items()
-        },
+        }),
     )
     a = tmp_path_factory.mktemp("a")
     b = tmp_path_factory.mktemp("b")
@@ -995,7 +994,7 @@ def test_validation_error_lists_every_problem(tmp_path):
 def test_unapplied_clock_offsets_shift_once(tmp_path):
     stage = make_stage({"hw01": 1}, launch=1_000_000)
     metrics = {"hw01": metric_series("hw01", 1_000_000, 3, lambda i: {"cpu_usage": 0.1})}
-    trace = make_trace(stage, metrics=metrics)
+    trace = make_trace(stage, stores=metrics)
     out = tmp_path / "trace"
     save_trace(trace, str(out))
 
@@ -1034,7 +1033,8 @@ def stored_before_offsets(trace, offsets):
         node: MetricStore(node, store.timestamps - offsets[node], store.columns, store.values)
         for node, store in trace.metrics.items()
     }
-    return Trace(cluster=trace.cluster, jobs=jobs, metrics=metrics, clock_offsets=dict(offsets))
+    return Trace(cluster=trace.cluster, jobs=jobs, metrics=clock_groups(metrics),
+                 clock_offsets=dict(offsets))
 
 
 @given(
@@ -1071,8 +1071,8 @@ def saved_trace_files(tmp_path_factory):
     store = trace.metrics["hw02"]
     values = store.values.copy()
     values[3, ::4] = np.nan
-    trace.metrics = {**trace.metrics, "hw02": MetricStore("hw02", store.timestamps, store.columns,
-                                                          values)}
+    trace.metrics = row_groups({**trace.metrics, "hw02": MetricStore("hw02", store.timestamps,
+                                                                     store.columns, values)})
     out = tmp_path_factory.mktemp("saved")
     save_trace(trace, str(out))
     return {name: (out / name).read_bytes() for name in TRACE_FILES}
@@ -1236,8 +1236,6 @@ def oracle_store_problems(node, store):
     from stagelens.model import metric_columns
 
     problems = []
-    if store.node != node:
-        problems.append(f"metric series under {node!r} carries node {store.node!r}")
     columns = tuple(store.columns)
     if not (all(isinstance(c, str) for c in columns) and columns == metric_columns(columns)):
         problems.append(
@@ -1254,13 +1252,13 @@ def oracle_store_problems(node, store):
             f"float64[{len(columns)}, n] values"
         )
         return problems
+    if np.isinf(values).any():
+        problems.append(f"metric series for {node}: infinite value")
     for i in range(1, len(ts)):
         if ts[i] <= ts[i - 1]:
             problems.append(
                 f"metric series for {node}: timestamps not strictly increasing at {ts[i]}"
             )
-    if np.isinf(values).any():
-        problems.append(f"metric series for {node}: infinite value")
     return problems
 
 
@@ -1310,7 +1308,7 @@ def as_given(cluster, jobs, metrics):
 
 
 def build(parts):
-    return Trace(cluster=parts.cluster, jobs=parts.jobs, metrics=parts.metrics)
+    return Trace(cluster=parts.cluster, jobs=parts.jobs, metrics=row_groups(parts.metrics))
 
 
 _FLAWS = st.sampled_from(["none"] * 6 + ["task_id", "order", "node"])
@@ -1350,8 +1348,7 @@ def small_traces(draw):
         rows = len(columns) + draw(st.sampled_from([0, 0, 0, 0, 0, 1]))  # 1: a row too many
         values = np.full(rows * len(ts), 0.5)
         values[: draw(st.integers(0, 1)) * draw(st.integers(0, len(values)))][-1:] = np.inf
-        owner = draw(st.sampled_from([node, node, node, "hw02"]))
-        metrics[node] = MetricStore(owner, ts, columns, values.reshape(rows, len(ts)))
+        metrics[node] = MetricStore(node, ts, columns, values.reshape(rows, len(ts)))
     jobs = [Job(job_id="j0", stages=stages)] + [Job(job_id="j0")] * draw(st.integers(0, 1))
     return as_given(["hw01", "hw02"], jobs, metrics)
 
@@ -1372,8 +1369,9 @@ def _one_store(node="hw01", ts=(0, 1, 2), columns=("cpu_usage", "x"), values=Non
 @example(parts=_one_store(values=[[0.5, np.inf, 0.5], [0.5] * 3]))
 @example(parts=as_given(["hw01"], [], {  # an infinite value before a refused store
     "hw01": MetricStore("hw01", np.arange(2), ("x",), np.array([[0.5, -np.inf]])),
-    "hw02": MetricStore("hw09", np.arange(2), ("x",), np.zeros((1, 2))),
+    "hw02": MetricStore("hw02", np.array([1, 0]), ("x",), np.zeros((1, 2))),
 }))
+@example(parts=_one_store(ts=(0, 2, 1), values=[[0.5, np.inf, 0.5], [0.5] * 3]))
 def test_validate_equals_one_walk_oracle(parts):
     """Building a trace raises MetricSeriesError exactly when the oracle
     names a store problem, with the first of those problems (the first
@@ -1403,7 +1401,6 @@ _MALFORMED = {
     "columns out of order": ({"columns": ("x", "cpu_usage")}, "store order"),
     "non-name column": ({"columns": ("cpu_usage", 7)}, "store order"),
     "unhashable column": ({"columns": ("cpu_usage", [])}, "store order"),
-    "other node": ({"node": "hw09"}, "carries node 'hw09'"),
     "equal timestamps": ({"timestamps": np.array([0, 1000, 1000])}, "not strictly increasing"),
     "falling timestamps": ({"timestamps": np.array([2000, 1000, 3000])}, "at 1000"),
     "infinite value": ({"values": np.array([[0.5, -np.inf, 0.5], [1.0] * 3])}, "infinite"),
@@ -1413,49 +1410,71 @@ _MALFORMED = {
 @pytest.mark.parametrize("changes, problem", list(_MALFORMED.values()), ids=list(_MALFORMED))
 @pytest.mark.parametrize("at", [0, 1, 3])
 def test_construction_keeps_validate(changes, problem, at):
-    """Construction keeps validate's store rules: building a trace from a
-    dict of four stores, one of them malformed (at `at`; the others valid,
-    two on one timestamps array and two on equal copies of it), or assigning
-    the dict to a trace's metrics, raises MetricSeriesError with the
-    malformed store's first problem, which names its node and the rule. An
-    assignment that raises leaves the trace's metrics as they were."""
+    """Clock groups keep validate's store rules: building the one-row
+    groups of four stores, one of them malformed (at `at`; the others
+    valid), raises MetricSeriesError with the malformed store's first
+    problem, which names its node and the rule."""
     nodes = ["hw01", "hw02", "hw03", "hw04"]
     base = metric_series("hw01", 0, 3, lambda i: {"cpu_usage": 0.5 + i, "x": 1.0})
-    given = {
-        node: MetricStore(node, base.timestamps if i < 2 else base.timestamps.copy(),
-                          base.columns, base.values + i)
-        for i, node in enumerate(nodes)
-    }
-    bad = MetricStore(nodes[at], given[nodes[at]].timestamps, base.columns, base.values)
+    given = [MetricStore(node, base.timestamps, base.columns, base.values + i)
+             for i, node in enumerate(nodes)]
+    bad = given[at] = MetricStore(nodes[at], base.timestamps, base.columns, base.values)
     for name, value in changes.items():
         setattr(bad, name, value)
-    given[nodes[at]] = bad
     message = oracle_store_problems(nodes[at], bad)[0]
     assert problem in message and nodes[at] in message
     with pytest.raises(MetricSeriesError) as err:
-        Trace(cluster=nodes, metrics=given)
+        Trace(cluster=nodes, metrics=row_groups(given))
     assert str(err.value) == message
-    trace = Trace(cluster=nodes)
+
+
+def test_group_names_its_first_failing_node():
+    """A group's layout, shape and timestamps are every node's, so their
+    rules name its first node; an infinite value names the node whose row
+    holds it, and comes first for that node."""
+    values = np.zeros((3, 1, 3))
+    values[2, 0, 1] = np.inf
+    falling = np.array([0, 2, 1])
+    for ts, first, rule in (
+        (np.arange(3), "hw03", "infinite value"),
+        (falling, "hw01", "timestamps not strictly increasing at 1"),
+    ):
+        with pytest.raises(MetricSeriesError) as err:
+            ClockGroup(["hw01", "hw02", "hw03"], ("x",), ts, values)
+        assert (err.value.node, err.value.rule) == (first, rule)
+    values[0, 0, 2] = -np.inf
     with pytest.raises(MetricSeriesError) as err:
-        trace.metrics = given
-    assert str(err.value) == message
-    assert len(trace.metrics) == 0
+        ClockGroup(["hw01", "hw02", "hw03"], ("x",), falling, values)
+    assert str(err.value) == "metric series for hw01: infinite value"
+    with pytest.raises(ValueError):
+        ClockGroup([], ("x",), np.arange(3), np.zeros((0, 1, 3)))
 
 
-@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1], [0, 1]])
-def test_rows_of_one_block_are_grouped_without_a_copy(order):
-    """Stores whose values are the rows of one nodes x metrics x samples
-    array that owns its data, in order, take that array as their group's
-    block; in another order, or only some of its rows, they are stacked
-    into a copy."""
-    base = np.arange(3 * 2 * 4, dtype=np.float64).reshape(3, 2, 4).copy()
-    ts = np.arange(4, dtype=np.int64)
-    nodes = ["hw01", "hw02", "hw03"]
-    stores = {nodes[i]: MetricStore(nodes[i], ts, ("cpu_usage", "x"), base[i]) for i in order}
-    (group,) = Trace(cluster=nodes, metrics=stores).metrics.groups
-    assert group.nodes == tuple(stores)
-    assert np.array_equal(group.values, base[order])
-    assert np.shares_memory(group.values, base) == (order == [0, 1, 2])
+def test_trace_metrics_take_only_clock_groups():
+    """Trace.metrics takes ClockGroups, or a sequence of ClockGroup. A
+    mapping of stores, or a store, raises TypeError naming ClockGroup; a
+    node held by two rows raises MetricSeriesError. An assignment that
+    raises leaves the metrics as they were, and the groups hold the arrays
+    they were given, read-only."""
+    store = metric_series("hw01", 0, 3, lambda i: {"cpu_usage": 0.5})
+    trace = Trace(cluster=["hw01"], metrics=row_groups([store]))
+    before = trace.metrics
+    for given in ({"hw01": store}, [store]):
+        with pytest.raises(TypeError, match="ClockGroup"):
+            trace.metrics = given
+        with pytest.raises(TypeError, match="ClockGroup"):
+            Trace(cluster=["hw01"], metrics=given)
+    twice = ClockGroup(["hw01", "hw01"], store.columns, store.timestamps,
+                       np.stack([store.values, store.values]))
+    for given in (row_groups([store, store]), [twice]):
+        with pytest.raises(MetricSeriesError) as err:
+            trace.metrics = given
+        assert str(err.value) == "metric series for hw01: node held twice"
+    assert trace.metrics is before and Trace(metrics=before).metrics is before
+    (group,) = before.groups
+    assert np.shares_memory(group.values, store.values) and group.timestamps.base is store.timestamps
+    assert not group.values.flags.writeable and not group.timestamps.flags.writeable
+    assert trace.metrics["hw01"] == store
 
 
 def loadable(parts):
@@ -1473,7 +1492,8 @@ def loadable(parts):
         values = np.where(np.isinf(store.values), 0.5, store.values)[: len(columns)]
         metrics[node] = MetricStore(node, 2 * np.arange(len(store), dtype=np.int64), columns,
                                     values)
-    return Trace(cluster=parts.cluster, jobs=[Job("j0", list(stages.values()))], metrics=metrics)
+    return Trace(cluster=parts.cluster, jobs=[Job("j0", list(stages.values()))],
+                 metrics=row_groups(metrics))
 
 
 def save_unchecked(trace, out):
@@ -1541,7 +1561,7 @@ def test_load_checks_equal_validate(tmp_path_factory, parts, fault, at, drop):
         store = metrics[node]
         moved = store.timestamps + (ts[i - 1] - drop - ts[i])
         metrics[node] = MetricStore(node, moved, store.columns, store.values)
-        save_unchecked(Trace(cluster, trace.jobs, metrics), out)
+        save_unchecked(Trace(cluster, trace.jobs, row_groups(metrics)), out)
         assert np.load(out / "metrics.timestamps.npy")[i] == ts[i - 1] - drop
     indexed = sorted(set(cluster) & set(metrics))
     if fault == "cluster" and indexed:
@@ -1549,10 +1569,11 @@ def test_load_checks_equal_validate(tmp_path_factory, parts, fault, at, drop):
         meta = out / "meta.jsonl"
         header, body = meta.read_text().splitlines()
         meta.write_text(header + "\n" + json.dumps({**json.loads(body), "cluster": cluster}) + "\n")
-    # The trace as saved: stages and tasks sorted by id, series in index order.
+    # The trace as saved: stages and tasks sorted by id, series grouped as
+    # the loader groups them.
     stages = [Stage(s.stage_id, "j0", s.tasks.sorted_by_id())
               for s in sorted(trace.jobs[0].stages, key=lambda s: s.stage_id)]
-    saved = Trace(cluster=sorted(cluster), jobs=[Job("j0", stages)], metrics=metrics)
+    saved = Trace(cluster=sorted(cluster), jobs=[Job("j0", stages)], metrics=clock_groups(metrics))
     problems = saved.validate()
     if problems:
         with pytest.raises(TraceValidationError) as err:
@@ -1560,3 +1581,69 @@ def test_load_checks_equal_validate(tmp_path_factory, parts, fault, at, drop):
         assert err.value.problems == problems
     else:
         assert load_trace(str(out)) == saved
+
+
+# Clocks the nodes draw from: equal ones group nodes, and the negative one
+# lets an offset of -2**63 move a timestamp out of int64.
+_CLOCKS = (np.array([0, 10, 20, 30]), np.array([10, 20, 30, 40]), np.array([-5, 0, 5]))
+
+
+@given(data=st.data())
+def test_load_names_the_first_bad_node_of_a_per_node_walk(tmp_path_factory, data):
+    """Saved series with infinite cells, falling timestamps and unapplied
+    clock offsets drawn into the files fail at the metrics.jsonl line of
+    the first node, in index order, that a walk over each node's own block
+    finds at fault, with the first rule it breaks in the order: an infinite
+    value, falling timestamps, then its offset. Without a fault, each node
+    loads with its stored timestamps moved by its offset."""
+    draw = data.draw
+    nodes = [f"hw{i}" for i in range(draw(st.integers(1, 5)))]
+    stores = []
+    for node in nodes:
+        columns = draw(st.sampled_from([("cpu_usage",), ("cpu_usage", "x")]))
+        ts = _CLOCKS[draw(st.integers(0, len(_CLOCKS) - 1))]
+        stores.append(MetricStore(node, ts, columns, np.full((len(columns), len(ts)), 0.5)))
+    out = tmp_path_factory.mktemp("damaged")
+    save_trace(Trace(cluster=nodes, metrics=row_groups(stores)), str(out))
+    ts = np.load(out / "metrics.timestamps.npy")
+    values = np.load(out / "metrics.values.npy")
+    for i in draw(st.lists(st.integers(0, len(values) - 1), max_size=2)):
+        values[i] = draw(st.sampled_from([np.inf, -np.inf]))
+    for i in draw(st.lists(st.integers(1, len(ts) - 1), max_size=2)):
+        ts[i] = ts[i - 1] - draw(st.integers(0, 1))
+    offsets = draw(st.dictionaries(st.sampled_from(nodes),
+                                   st.sampled_from([0, 5, 2**63 - 1, -(2**63)]), max_size=3))
+    np.save(out / "metrics.timestamps.npy", ts)
+    np.save(out / "metrics.values.npy", values)
+    meta = out / "meta.jsonl"
+    header, body = meta.read_text().splitlines()
+    body = {**json.loads(body), "clock_offsets": offsets, "offsets_applied": False}
+    meta.write_text(header + "\n" + json.dumps(body) + "\n")
+
+    expected, stored = None, {}
+    t = c = 0
+    for line_no, line in enumerate((out / "metrics.jsonl").read_text().splitlines()[1:], 2):
+        row = json.loads(line)
+        for node, n in zip(row["nodes"], row["samples"]):
+            own, cells = ts[t : t + n], values[c : c + len(row["columns"]) * n]
+            t, c = t + n, c + len(row["columns"]) * n
+            stored[node] = own
+            offset = offsets.get(node, 0)
+            falling = [int(own[i]) for i in range(1, n) if own[i] <= own[i - 1]]
+            if np.isinf(cells).any():
+                rule = "metric values must be finite numbers"
+            elif falling:
+                rule = f"timestamps not strictly increasing at {falling[0]}"
+            elif n and not -(2**63) <= int(own.min()) + offset <= int(own.max()) + offset < 2**63:
+                rule = f"clock offset {offset} moves timestamps out of range"
+            else:
+                continue
+            expected = expected or f"{out / 'metrics.jsonl'}:{line_no}: node {node!r}: {rule}"
+    if expected:
+        assert str(load_error(out)) == expected
+        return
+    loaded = load_trace(str(out))
+    for node, own in stored.items():
+        assert loaded.metrics[node].timestamps.tolist() == [
+            v + offsets.get(node, 0) for v in own.tolist()
+        ]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import store_from_samples
+from conftest import row_groups, store_from_samples
 from stagelens.cli import _build_parser, _resolve_config, main
 from stagelens.report import (
     DiagnoseError,
@@ -107,7 +107,7 @@ def test_all_failed_stage_warns_no_successful_tasks():
 
 def test_gap_node_is_named_in_one_warning():
     trace, _ = generate_trace(preset("case1", seed=1))
-    trace.metrics = {**trace.metrics, "hw02": store_from_samples("hw02", [])}
+    trace.metrics = row_groups({**trace.metrics, "hw02": store_from_samples("hw02", [])})
     for stage in diagnose(trace, MEAN_MEDIAN).stages:
         assert [w for w in stage.warnings if "hw02" in w] == [
             "no in-window metric samples for: hw02"

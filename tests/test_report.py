@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import clock_groups
 from stagelens.model import (
     METRIC_SCHEMA,
     Job,
@@ -96,7 +97,8 @@ def _trace(draw):
     metrics = {
         node: draw(_store(node, shared)) for node in nodes if node not in without_series
     }
-    return Trace(cluster=nodes, jobs=[Job(job_id="j0", stages=stages)], metrics=metrics)
+    return Trace(cluster=nodes, jobs=[Job(job_id="j0", stages=stages)],
+                 metrics=clock_groups(metrics))
 
 
 _CONFIG = st.builds(
@@ -126,7 +128,7 @@ def test_diagnose_and_render_never_raise(trace, cfg):
     reordered = Trace(
         cluster=trace.cluster[::-1],
         jobs=trace.jobs,
-        metrics=dict(reversed(list(trace.metrics.items()))),
+        metrics=clock_groups(dict(reversed(list(trace.metrics.items())))),
     )
     assert _rendered(reordered, cfg) == (text, structured)
 
@@ -174,10 +176,10 @@ def _shifted(trace, shift):
             Job(job.job_id, [Stage(s.stage_id, s.job_id, tasks(s.tasks)) for s in job.stages])
             for job in trace.jobs
         ],
-        metrics={
+        metrics=clock_groups({
             node: MetricStore(store.node, store.timestamps + shift, store.columns, store.values)
             for node, store in trace.metrics.items()
-        },
+        }),
     )
 
 
@@ -202,10 +204,10 @@ def _renamed(trace, rename):
             Job(job.job_id, [Stage(s.stage_id, s.job_id, tasks(s.tasks)) for s in job.stages])
             for job in trace.jobs
         ],
-        metrics={
+        metrics=clock_groups({
             rename[node]: MetricStore(rename[node], store.timestamps, store.columns, store.values)
             for node, store in trace.metrics.items()
-        },
+        }),
         clock_offsets={rename[n]: offset for n, offset in trace.clock_offsets.items()},
     )
 

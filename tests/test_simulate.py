@@ -1,10 +1,13 @@
 import json
 import os
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from stagelens import simulate
 from stagelens.correlate import build_datasets, slice_metrics, stage_window
-from stagelens.model import FindingKind
+from stagelens.model import ClockGroup, FindingKind
 from stagelens.report import PipelineConfig, diagnose
 from stagelens.simulate import (
     BASELINE_V1,
@@ -19,6 +22,24 @@ from stagelens.simulate import (
     save_labels,
 )
 from stagelens.traceio import load_trace, save_trace
+
+
+def test_simulator_hands_over_its_block():
+    """The trace holds one clock group, whose values share memory with the
+    nodes x metrics x samples block the simulator built: no copy."""
+    made = []
+
+    def group(*args):
+        made.append(args)
+        return ClockGroup(*args)
+
+    with mock.patch.object(simulate, "ClockGroup", group):
+        trace, _ = generate_trace(preset("case3", seed=2))
+    (args,) = made
+    (held,) = trace.metrics.groups
+    block = args[3]
+    assert held.nodes == tuple(trace.cluster)
+    assert held.values.shape == block.shape and np.shares_memory(held.values, block)
 
 
 def test_same_seed_is_bitwise_identical(tmp_path):
