@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import re
-import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -47,7 +47,9 @@ ARCH_COLUMNS = (
     "BR_miss unc_read unc_write"
 ).split()
 
-_SCHEMAS = {"system": SYSTEM_COLUMNS, "architecture": ARCH_COLUMNS, "arch": ARCH_COLUMNS}
+# Each schema's columns, and its counters as the one tuple all its blocks share.
+_SYSTEM, _ARCH = ((columns, tuple(columns[1:])) for columns in (SYSTEM_COLUMNS, ARCH_COLUMNS))
+_SCHEMAS = {"system": _SYSTEM, "architecture": _ARCH, "arch": _ARCH}
 
 SECTOR_BYTES = 512
 
@@ -154,27 +156,16 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
 
 # Each byte's class. Numpy's text reader and float() split a line of digit
 # and plain bytes alike (at spaces and tabs) and read each cell to the same
-# double, so such lines are read in one loadtxt call; a line with any other
-# byte is read by float() alone. A file whose rows hold digits alone is read
-# as int64 first: float() of a digit string and the int64 -> float64 cast
-# both round to nearest, ties to even, and with no sign no cell is -0.
+# double, so such lines are read by numpy; a line with any other byte is
+# read by float() alone. A file whose rows hold digits alone is read as
+# int64: float() of a digit string and the int64 -> float64 cast both round
+# to nearest, ties to even, and with no sign no cell is -0.
 _BLANK, _DIGIT, _PLAIN, _OTHER = 0, 1, 2, 3
 _BYTE_CLASS = bytes(
     _BLANK if c in b" \t\n" else _DIGIT if c in b"0123456789" else _PLAIN if c in b".eE+-"
     else _OTHER
     for c in range(256)
 )
-
-
-def _line_classes(text: str) -> np.ndarray:
-    """The class of each line of text.split("\n"): the largest class of its
-    bytes, so a blank line is _BLANK and a row of digit cells _DIGIT."""
-    data = (text + "\n").encode("utf-8", "surrogatepass")
-    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
-    # Every segment holds at least its line's "\n", so none is empty.
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    classes = np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)
-    return np.maximum.reduceat(classes, starts)
 
 
 def _read_lines(
@@ -203,24 +194,25 @@ def _read_lines(
     return table, np.array(line_nos, dtype=np.int64)
 
 
-def _load_rows(lines: List[str], digits_only: bool) -> Optional[np.ndarray]:
-    """loadtxt's float64 table of these lines, or None where it fails.
-    Digit-only lines are read as int64 first; a cell outside int64 or a
-    ragged row falls through to the float64 read."""
-    if digits_only:
-        try:
-            with warnings.catch_warnings():
-                # numpy < 2 reads an int cell it cannot parse "via a float"
-                # (a 20-digit cell loses its low digits) and only warns.
-                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-                table = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
-            return table.astype(np.float64)
-        except ValueError:
-            pass
-    try:
-        return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
+def _read_digits(
+    data: bytes, classes: np.ndarray, bounds: np.ndarray, numeric: np.ndarray, other: np.ndarray,
+    width: int,
+) -> Optional[np.ndarray]:
+    """The int64 rows of a file whose numeric lines hold digits alone (line i
+    is data[bounds[i]:bounds[i + 1]]), read by one np.fromstring call with the
+    other lines cut out; or None where the scan, which raises on none of them,
+    would not read loadtxt's rows: cell counts that differ between rows, not
+    rows x `width` cells, or a value of 2**63 - 1, strtoll's for a cell above int64."""
+    # A cell of a digit line ends where a digit is followed by a blank.
+    row_cells = np.diff(np.flatnonzero(classes[:-1] > classes[1:]).searchsorted(bounds))[numeric]
+    if len(other):
+        cuts = [0, *np.column_stack((bounds[other], bounds[other + 1])).ravel().tolist(), len(data)]
+        data = b"".join(data[a:b] for a, b in zip(cuts[::2], cuts[1::2]))
+    cells = np.fromstring(data, dtype=np.int64, sep=" ")
+    saturated = (cells == 2**63 - 1).any()
+    if saturated or (row_cells != row_cells[0]).any() or cells.size != len(numeric) * width:
         return None
+    return cells.reshape(len(numeric), width)
 
 
 def _read_text(
@@ -228,24 +220,34 @@ def _read_text(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every row of text.split("\n") in line order, with its line number.
 
-    Digit and plain rows go through _load_rows and the other lines through
-    _read_lines. When loadtxt fails (a ragged row, or a plain cell such as
-    "1.2.3" that float() rejects too), every line goes through _read_lines,
-    so the first wrong-width line and each note come out as they would
-    line by line.
+    Digit and plain rows are read by _read_digits (an int64 table) where they
+    hold digits alone, else by one float64 loadtxt call; the other lines by
+    _read_lines. Where loadtxt fails (a ragged row, or a plain cell such as
+    "1.2.3" that float() rejects), every line is read by _read_lines, so the
+    first wrong-width line and each note come out as they would line by line.
     """
-    lines = text.split("\n")
-    line_class = _line_classes(text)
+    data = (text + "\n").encode("utf-8", "surrogatepass")
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    # Every line holds at least its "\n", so none is empty.
+    bounds = np.concatenate(([0], ends + 1))
+    classes = np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)
+    line_class = np.maximum.reduceat(classes, bounds[:-1])
     numeric = np.flatnonzero((line_class == _DIGIT) | (line_class == _PLAIN))
-    other = np.flatnonzero(line_class == _OTHER).tolist()
-    numbered = [(i + 1, lines[i]) for i in other]
-    for i in other:
-        lines[i] = ""  # loadtxt skips blank lines
+    other = np.flatnonzero(line_class == _OTHER)
     table = np.empty((0, len(columns)))
     if len(numeric):  # loadtxt warns on input with no row
-        table = _load_rows(lines, digits_only=not (line_class == _PLAIN).any())
+        table = None if (line_class == _PLAIN).any() else _read_digits(
+            data, classes, bounds, numeric, other, len(columns))
+        if table is None:
+            lines = text.split("\n")
+            for i in other.tolist():
+                lines[i] = ""  # loadtxt skips blank lines
+            with suppress(ValueError):
+                table = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
     if table is None or table.shape != (len(numeric), len(columns)):
         return _read_lines(enumerate(text.split("\n"), start=1), columns, schema, report)
+    numbered = [(i + 1, data[bounds[i] : bounds[i + 1] - 1].decode("utf-8", "surrogatepass"))
+                for i in other.tolist()]
     rows, line_nos = _read_lines(numbered, columns, schema, report)
     if not len(rows):
         return table, numeric + 1
@@ -268,9 +270,9 @@ def parse_metric_file(
     error; a cell float() cannot read, a non-finite cell, or a timestamp
     outside int64 milliseconds, only skips that line.
     """
-    columns = _SCHEMAS.get(schema)
-    if columns is None:
+    if schema not in _SCHEMAS:
         raise IngestError(f"unknown metric schema {schema!r} (expected system|architecture)")
+    columns, counters = _SCHEMAS[schema]
     report = IngestReport()
     if isinstance(lines, str):
         table, line_nos = _read_text(lines, columns, schema, report)
@@ -290,21 +292,16 @@ def parse_metric_file(
     # Checked before the cast, which would wrap silently.
     in_range = (ms >= -(2.0**63)) & (ms < 2.0**63)
     for i in np.flatnonzero(~(finite & in_range)).tolist():
-        report.note(
-            int(line_nos[i]), "non-finite cell" if not finite[i] else "timestamp out of range"
-        )
+        report.note(int(line_nos[i]), "timestamp out of range" if finite[i] else "non-finite cell")
     report.errors.sort(key=lambda error: error[0])
 
-    kept = np.flatnonzero(finite & in_range)[::-1]
-    # Read backwards, the first row of each timestamp is the last one in the file.
-    timestamps, first = np.unique(ms[kept], return_index=True)
-    block = MetricStore(
-        node="",
-        timestamps=timestamps.astype(np.int64),
-        columns=tuple(columns[1:]),
-        values=np.ascontiguousarray(table[kept[first], 1:].T),
-    )
-    return block, report
+    kept = np.flatnonzero(finite & in_range)
+    if len(kept) < len(table) or not (ms[1:] > ms[:-1]).all():
+        # Read backwards, the first row of each timestamp is the last one in the file.
+        ms, first = np.unique(ms[kept[::-1]], return_index=True)
+        table = table[kept[::-1][first]]
+    values = table[:, 1:].T.astype(np.float64, order="C")
+    return MetricStore("", ms.astype(np.int64), counters, values), report
 
 
 _BUSY = ("usr", "nice", "sys", "irq", "softirq")
@@ -412,11 +409,12 @@ def _join(derived: Dict[str, List[MetricStore]]) -> List[ClockGroup]:
     Nodes that end with one column layout and one timestamp vector are the
     rows of one clock group, built on the nodes x metrics x samples block
     they are written into."""
-    shapes = {
-        node: (metric_columns(c for s in stores for c in s.columns),
-               np.unique(np.concatenate([s.timestamps for s in stores])))
-        for node, stores in derived.items()
-    }
+    shapes = {}
+    for node, stores in derived.items():
+        clock = stores[0].timestamps
+        if not all(np.array_equal(s.timestamps, clock) for s in stores[1:]):
+            clock = np.unique(np.concatenate([s.timestamps for s in stores]))
+        shapes[node] = (metric_columns(c for s in stores for c in s.columns), clock)
     shared: Dict[tuple, List[str]] = {}
     for node, (columns, timestamps) in shapes.items():
         shared.setdefault((columns, timestamps.tobytes()), []).append(node)
@@ -426,9 +424,12 @@ def _join(derived: Dict[str, List[MetricStore]]) -> List[ClockGroup]:
         block = np.full((len(nodes), len(columns), len(timestamps)), np.nan)
         for node, values in zip(nodes, block):
             for store in derived[node]:
-                at = np.searchsorted(timestamps, store.timestamps)
-                for name, row in zip(store.columns, store.values):
-                    values[columns.index(name), at] = row
+                rows = [columns.index(name) for name in store.columns]
+                # Distinct timestamps within the union: as many means the same.
+                if len(store) == len(timestamps):
+                    values[rows] = store.values
+                else:
+                    values[np.ix_(rows, timestamps.searchsorted(store.timestamps))] = store.values
         groups.append(ClockGroup(nodes, columns, timestamps, block))
     return groups
 
@@ -456,8 +457,7 @@ def ingest_raw(
             node = match.group("node")
             schema = "architecture" if match.group("schema") == "arch" else "system"
             with open(os.path.join(metrics_dir, name), encoding="utf-8") as fh:
-                text = fh.read()
-            block, sub_report = parse_metric_file(text, schema)
+                block, sub_report = parse_metric_file(fh.read(), schema)
             report.errors.extend((ln, f"{name}: {msg}") for ln, msg in sub_report.errors)
             store = derive_series(block, schema, node, wrap_detection=wrap_detection)
             if len(store):

@@ -20,9 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import repeat
 from typing import (
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -360,8 +362,14 @@ class Job:
 
 
 def metric_columns(names: Iterable[str]) -> Tuple[str, ...]:
-    """Store column order: METRIC_SCHEMA order first, then other names sorted."""
-    names = set(names)
+    """Store column order: METRIC_SCHEMA order first, then other names sorted.
+    The tuple of each set of names is kept (a bounded few), so the stores
+    and groups of one layout share one tuple."""
+    return _store_order(frozenset(names))
+
+
+@lru_cache(maxsize=64)
+def _store_order(names: FrozenSet[str]) -> Tuple[str, ...]:
     return tuple([m for m in METRIC_SCHEMA if m in names]) + tuple(
         sorted(names.difference(METRIC_SCHEMA))
     )

@@ -13,10 +13,10 @@ canonical NaN.
 
 A loaded trace's series are clock groups (see `model`) whose blocks are
 views of the two column files: per index line, the nodes whose timestamps
-are equal form one group. The loader builds the groups on the stored
-timestamps, so each group checks its series, and fails at the
-`metrics.jsonl` line of the first node in index order that a group refuses
-or whose unapplied clock offset would move its timestamps out of int64.
+are equal form one group, built once on the timestamps moved by any
+unapplied clock offset. Each group checks its series; the loader fails at
+the `metrics.jsonl` line of the first node in index order that a group
+refuses or whose unapplied offset would move its timestamps out of int64.
 `Trace.validate` then checks the rest: the hierarchy, and that each
 indexed node is in the cluster."""
 
@@ -307,7 +307,7 @@ def _index_line(record: dict, path: str, line_no: int) -> Tuple[Tuple[str, ...],
         raise TraceParseError(
             path, line_no, f"node {nodes[i]!r}: samples must be a non-negative integer"
         )
-    return tuple(columns), nodes, samples
+    return metric_columns(columns), nodes, samples
 
 
 def _read_npy(trace_dir: str, column: Tuple[str, str], length: int) -> np.ndarray:
@@ -524,38 +524,38 @@ def load_trace(path: str) -> Trace:
     values = _read_npy(
         path, _VALUES, sum(len(columns) * sum(samples) for columns, _, samples in lines)
     )
-    # The groups check the series on the stored timestamps. An unapplied
-    # clock offset must also keep a node's timestamps in int64. The first
-    # node in index order that breaks a rule is named, for the first rule it
-    # breaks: an infinite value, falling timestamps, then its offset.
+    # The groups check the series once, on the timestamps moved by unapplied
+    # offsets (a node that its offset would move out of int64 stays unmoved).
+    # The first node in index order that breaks a rule is named, for its first
+    # rule: an infinite value, falling timestamps (at the stored one), its offset.
+    shifts = np.array([0 if applied else offsets.get(node, 0) for node in order], np.int64)
+    held = np.flatnonzero(counts)  # nodes with samples
+    shift = shifts[held]
+    outside: List[int] = []
+    if shift.any():
+        blocks = np.array(starts[:-1], np.int64)[held]
+        low = np.minimum.reduceat(timestamps, blocks)
+        high = np.maximum.reduceat(timestamps, blocks)
+        # Room left in int64 below and above, which cannot overflow.
+        outside = held[(low < _INT64.min - np.minimum(shift, 0))
+                       | (high > _INT64.max - np.maximum(shift, 0))].tolist()
+        shifts[outside] = 0
+        timestamps = timestamps + np.repeat(shifts, counts)
     groups, refused = _index_groups(lines, timestamps, values)
     first_bad = order.index(refused.node) if refused else len(order)
-    shifts = None
-    if not applied and offsets:
-        shifts = np.array([offsets.get(node, 0) for node in order], np.int64)
-        held = np.flatnonzero(counts)  # nodes with samples
-        if len(held):
-            blocks = np.array(starts[:-1], np.int64)[held]
-            low = np.minimum.reduceat(timestamps, blocks)
-            high = np.maximum.reduceat(timestamps, blocks)
-            shift = shifts[held]
-            # Room left in int64 below and above, which cannot overflow.
-            outside = (low < _INT64.min - np.minimum(shift, 0)) | (
-                high > _INT64.max - np.maximum(shift, 0)
-            )
-            if outside.any() and held[outside.argmax()] < first_bad:
-                node = order[int(held[outside.argmax()])]
-                raise TraceParseError(
-                    metrics_path, indexed[node],
-                    f"node {node!r}: clock offset {offsets[node]} moves timestamps out of range",
-                )
+    if outside and outside[0] < first_bad:
+        node = order[outside[0]]
+        raise TraceParseError(
+            metrics_path, indexed[node],
+            f"node {node!r}: clock offset {offsets[node]} moves timestamps out of range",
+        )
     if refused:
-        rule = refused.rule
+        rule, falling = refused.rule, "timestamps not strictly increasing at "
         if rule == "infinite value":
             rule = "metric values must be finite numbers"
+        elif rule.startswith(falling):
+            rule = f"{falling}{int(rule[len(falling):]) - int(shifts[first_bad])}"
         raise TraceParseError(metrics_path, indexed[refused.node], f"node {refused.node!r}: {rule}")
-    if shifts is not None and shifts.any():
-        groups, _ = _index_groups(lines, timestamps + np.repeat(shifts, counts), values)
     metrics = ClockGroups(groups)
 
     tasks_path = os.path.join(path, "tasks.jsonl")

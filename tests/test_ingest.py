@@ -608,17 +608,31 @@ def test_seconds_and_milliseconds_normalize():
 @pytest.mark.parametrize(
     "cell, dtypes",
     [
-        ("7", [np.int64]),  # digits alone: one int64 read
-        ("99999999999999999999", [np.int64, np.float64]),  # outside int64: read again as float
-        ("7.5", [np.float64]),  # a plain cell: the float read alone
+        ("7", ([np.int64], [])),  # digits alone: one int64 scan
+        # Above int64 strtoll saturates to 2**63 - 1: read again as float.
+        ("99999999999999999999", ([np.int64], [np.float64])),
+        ("7.5", ([], [np.float64])),  # a plain cell: the float read alone
+        ("9223372036854775808", ([np.int64], [np.float64])),
+        ("9223372036854775807", ([np.int64], [np.float64])),  # the saturated value itself
     ],
 )
 def test_digit_only_files_are_read_as_int64(cell, dtypes):
     lines = [row_text(10, len(SYSTEM_COLUMNS), cell), row_text(20, len(SYSTEM_COLUMNS), 1)]
-    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+    with mock.patch.object(np, "fromstring", wraps=np.fromstring) as scans, \
+            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as reads:
         block, report = parse_metric_file("\n".join(lines), "system")
-    assert [call.kwargs["dtype"] for call in spy.call_args_list] == dtypes
+    assert ([call.kwargs["dtype"] for call in scans.call_args_list],
+            [call.kwargs["dtype"] for call in reads.call_args_list]) == dtypes
     assert block.values[0, 0] == float(cell) and not report.errors
+
+
+def test_saturated_cell_is_read_as_float():
+    # The int64 scan reads both rows' first counter as 2**63 - 1; float()
+    # tells them apart.
+    lines = [row_text(10, len(SYSTEM_COLUMNS), "99999999999999999999"),
+             row_text(20, len(SYSTEM_COLUMNS), "9223372036854775807")]
+    block, report = parse_metric_file("\n".join(lines) + "\n", "system")
+    assert block.values[0].tolist() == [1e20, float(2**63 - 1)] and not report.errors
 
 
 def test_arch_schema_width_matches_table():
@@ -775,6 +789,49 @@ def test_ingest_raw_hands_over_the_blocks_it_joins(tmp_path):
     for group in made:
         block = group.values.base
         assert block.flags.owndata and block.shape == group.values.shape
+
+
+def test_join_writes_each_store_on_its_node_clock(tmp_path):
+    """hw01's arch file holds fewer rows than its system file, hw02's as
+    many: each store lands on its node's union of timestamps, NaN where it
+    has no row, as the per-row reference joins them."""
+    events = tmp_path / "app.log"
+    events.write_text(event(0, 1, launch=1_000_000, finish=1_010_000) + "\n")
+    mdir = tmp_path / "metrics"
+    mdir.mkdir()
+    for node, arch_rows in (("hw01", range(1, 4)), ("hw02", range(5))):
+        (mdir / f"{node}.system.tsv").write_text(
+            "\n".join(row_text(1000 + i, len(SYSTEM_COLUMNS), fill=i) for i in range(5)))
+        (mdir / f"{node}.arch.tsv").write_text(
+            "\n".join(row_text(1000 + i, len(ARCH_COLUMNS), fill=i * i) for i in arch_rows))
+    trace, _ = ingest_raw(str(events), str(mdir))
+    expected, _ = oracle_ingest_raw(str(events), str(mdir))
+    for node in ("hw01", "hw02"):
+        store, want = trace.metrics[node], expected.metrics[node]
+        assert store.columns == want.columns and store.values.tobytes() == want.values.tobytes()
+        assert store.timestamps.tolist() == [1_001_000, 1_002_000, 1_003_000, 1_004_000]
+    ipc = trace.metrics["hw01"].columns.index("IPC")
+    assert np.isnan(trace.metrics["hw01"].values[ipc]).tolist() == [True, False, False, True]
+
+
+def test_ingests_share_one_column_tuple_per_layout(tmp_path):
+    """Blocks and groups of one layout hold one column tuple, so no ingest
+    frees a 20-name tuple of its own."""
+    events = tmp_path / "app.log"
+    events.write_text(event(0, 1, launch=1_000_000, finish=1_010_000) + "\n")
+    mdir = tmp_path / "metrics"
+    mdir.mkdir()
+    for schema, columns in (("system", SYSTEM_COLUMNS), ("arch", ARCH_COLUMNS)):
+        (mdir / f"hw01.{schema}.tsv").write_text(
+            "\n".join(row_text(1000 + i, len(columns), fill=i) for i in range(5))
+        )
+    first, _ = ingest_raw(str(events), str(mdir))
+    second, _ = ingest_raw(str(events), str(mdir))
+    (group,) = first.metrics.groups
+    assert len(group.columns) == 20 and second.metrics.groups[0].columns is group.columns
+    text = (mdir / "hw01.arch.tsv").read_text()
+    assert (parse_metric_file(text, "architecture")[0].columns
+            is parse_metric_file(text.split("\n"), "architecture")[0].columns)
 
 
 def test_ingested_trace_round_trips(tmp_path):
@@ -1083,6 +1140,17 @@ def _arch_row(stamp, cell="1", separator=" "):
 # A wrong-width digit row: the first wrong-width line is named.
 @example(case=("architecture", [_arch_row("1"), "2 3 4", _arch_row("3"), "5 6"]), end="")
 @example(case=("architecture", ["2 3 4", "5 6 7"]), end="")
+# Digit rows one cell short and one long, so the file's cell count is right.
+@example(case=("architecture", [_arch_row("1") + " 5", _arch_row("2").rsplit(" ", 1)[0]]), end="")
+@example(case=("architecture", [_arch_row("1").rsplit(" ", 1)[0], _arch_row("2") + " 5"]), end="")
+# A cell above int64, which the int64 scan saturates.
+@example(case=("architecture", [_arch_row("1"), _arch_row("2", "9223372036854775808")]), end="")
+# Tab-separated digit rows; an n/a line between digit rows.
+@example(case=("architecture", [_arch_row("1", "3", "\t"), _arch_row("2", "4", "\t")]), end="\n")
+@example(case=("architecture", [_arch_row("1"), _arch_row("2", "n/a"), _arch_row("3")]), end="")
+# Whitespace alone.
+@example(case=("architecture", [" "]), end="")
+@example(case=("architecture", ["\t \t", " "]), end="\n")
 # Digit rows around a row that float() alone reads.
 @example(case=("architecture", [_arch_row("1", "12"), _arch_row("2", "34", " \x0b "),
                                 _arch_row("3", "56")]), end="\n")

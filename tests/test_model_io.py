@@ -21,6 +21,7 @@ from conftest import (
     stage_of,
     store_from_samples,
 )
+from stagelens import traceio
 from stagelens.model import (
     ClockGroup,
     Job,
@@ -1013,6 +1014,33 @@ def test_unapplied_clock_offsets_shift_once(tmp_path):
     out2 = tmp_path / "trace2"
     save_trace(shifted, str(out2))
     assert load_trace(str(out2)) == shifted
+
+
+def test_unapplied_offsets_build_each_clock_group_once(tmp_path, monkeypatch):
+    # Three nodes on one stored clock; their offsets part hw02 from the others.
+    stage = make_stage({"hw01": 1, "hw02": 1, "hw03": 1}, launch=1_000_000)
+    metrics = {node: metric_series(node, 1_000_000, 3, lambda i: {"cpu_usage": 0.1})
+               for node in ("hw01", "hw02", "hw03")}
+    out = tmp_path / "trace"
+    save_trace(make_trace(stage, stores=metrics, group=clock_groups), str(out))
+    meta = out / "meta.jsonl"
+    header, body = meta.read_text().splitlines()
+    body = {**json.loads(body), "clock_offsets": {"hw01": 500, "hw03": 500},
+            "offsets_applied": False}
+    meta.write_text(header + "\n" + json.dumps(body) + "\n")
+
+    built = []
+
+    class Counted(ClockGroup):
+        def __init__(self, nodes, *args):
+            built.append(tuple(nodes))
+            super().__init__(nodes, *args)
+
+    monkeypatch.setattr(traceio, "ClockGroup", Counted)
+    loaded = load_trace(str(out))
+    assert built == [("hw01", "hw03"), ("hw02",)]
+    assert [group.nodes for group in loaded.metrics.groups] == built
+    assert loaded.metrics["hw03"].timestamps.tolist() == [1_000_500, 1_001_500, 1_002_500]
 
 
 def stored_before_offsets(trace, offsets):
