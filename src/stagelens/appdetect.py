@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,22 +148,17 @@ def mean_runtimes(tasks: TaskTable) -> Dict[str, float]:
 
 
 def detect_skew_data_size(
-    data_size: Union[TaskTable, Sequence[Tuple[str, str, int]]],
-    th_size: float = 1.5,
-    flag_small: bool = False,
+    data_size: TaskTable, th_size: float = 1.5, flag_small: bool = False
 ) -> SkewResult:
     """Flag tasks/nodes whose data size outruns the stage median by th_size.
 
-    `data_size` is a table of tasks or (node, task_id, bytes) rows. Flagged
-    tasks are listed by task id. flag_small additionally tests the
-    reciprocal ratio, catching much-smaller sizes; it defaults off.
+    `data_size` is a table of tasks, as in `FeatureDatasets`. Flagged tasks
+    are listed by task id. flag_small additionally tests the reciprocal
+    ratio, catching much-smaller sizes; it defaults off.
     """
     if th_size <= 1:
         raise ValueError("th_size must exceed 1")
     tasks = data_size
-    if not isinstance(tasks, TaskTable):
-        nodes, ids, sizes = zip(*data_size) if len(data_size) else ((), (), ())
-        tasks = TaskTable(ids, nodes, [0] * len(ids), [0] * len(ids), data_size=sizes)
     if not len(tasks):
         return SkewResult(evaluable=False)
     sizes = tasks.data_size
@@ -214,23 +209,18 @@ class PlacementEntry:
 
 
 def detect_uneven_placement(
-    locality: Union[TaskTable, Sequence[Tuple[str, Locality, int]]],
-    cfg: PlacementConfig = PlacementConfig(),
-    total: Optional[int] = None,
+    locality: TaskTable, cfg: PlacementConfig = PlacementConfig(), total: Optional[int] = None
 ) -> List[PlacementEntry]:
     """Locality-weighted share of long-runtime outlier tasks per node.
 
-    `locality` is a table of tasks or (node, locality, runtime ms) rows.
-    Distances are runtimes minus the stage median; the suspicion group holds
-    tasks beyond the mean absolute deviation, and an outlier must additionally
-    clear 1.96 standard deviations on the long-runtime side.
+    `locality` is a table of tasks, as in `FeatureDatasets`. Distances are
+    runtimes minus the stage median; the suspicion group holds tasks beyond
+    the mean absolute deviation, and an outlier must additionally clear 1.96
+    standard deviations on the long-runtime side.
     """
-    if len(locality) < 2:
-        raise ValueError("uneven placement needs at least two tasks")
     tasks = locality
-    if not isinstance(tasks, TaskTable):
-        nodes, localities, runtimes = zip(*locality)
-        tasks = TaskTable([""] * len(nodes), nodes, [0] * len(nodes), runtimes, localities)
+    if len(tasks) < 2:
+        raise ValueError("uneven placement needs at least two tasks")
     runtimes = tasks.runtime.astype(np.float64)
     n = len(runtimes)
     num = total if total is not None else n

@@ -17,6 +17,11 @@ from .model import METRIC_SCHEMA
 
 @dataclass(frozen=True)
 class OutlierConfig:
+    """The outlier-metric detector's settings. The detector implements
+    DB(1, dmin) only: a node's normalized value of a metric is an outlier
+    when every other node's lies farther than dmin from it. So `pct` must
+    be 1.0; any other value raises ValueError naming it."""
+
     transform: str = "mean"  # mean | fft
     representative: str = "max_min"  # median | max_min
     dmin: float = 0.6
@@ -31,8 +36,10 @@ class OutlierConfig:
             raise ValueError("representative must be 'median' or 'max_min'")
         if not 0 < self.dmin < 1:
             raise ValueError("dmin must be in (0,1)")
-        if not 0 < self.pct <= 1:
-            raise ValueError("pct must be in (0,1]")
+        if self.pct != 1.0:
+            raise ValueError(
+                f"pct must be 1.0 (the detector implements DB(1, dmin)), got {self.pct!r}"
+            )
         if not 0 < self.ccrate <= 1:
             raise ValueError("ccrate must be in (0,1]")
         if self.magnitude_gap <= 0:

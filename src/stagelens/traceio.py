@@ -4,29 +4,27 @@ three .npy columns, one for the task numbers and two for the metric series.
 One JSON file per entity kind (meta, jobs, stages, tasks, metrics), each
 starting with a schema-version header line. `tasks.jsonl` is the index of
 each stage's tasks, whose numbers sit in `tasks.values.npy`. `metrics.jsonl`
-is the index of the series: one line per column layout, listing the nodes
-whose series have it and each one's sample count. The series' timestamps
-and values sit back to back in `metrics.timestamps.npy` and
-`metrics.values.npy`, node by node in index order. Output is deterministic:
-entities are sorted, keys are sorted, and every missing value is the one
-canonical NaN.
+is the index of the series: one line per clock group, its column layout,
+its nodes and its sample count. `metrics.timestamps.npy` holds each line's
+clock once, in line order, and `metrics.values.npy` each node's block, node
+by node in index order. Output is deterministic: entities are sorted, keys
+are sorted, a trace's groups are merged by layout and clock, and every
+missing value is the one canonical NaN.
 
 A loaded trace's series are clock groups (see `model`) whose blocks are
-views of the two column files: per index line, the nodes whose timestamps
-are equal form one group, built once on the timestamps moved by any
-unapplied clock offset. Each group checks its series; the loader fails at
-the `metrics.jsonl` line of the first node in index order that a group
-refuses or whose unapplied offset would move its timestamps out of int64.
-`Trace.validate` then checks the rest: the hierarchy, and that each
-indexed node is in the cluster."""
+views of the two column files, one per index line; a line splits only by
+the values of unapplied clock offsets. Each group checks its series; the
+loader fails at the `metrics.jsonl` line of the first node in index order
+that a group refuses or whose unapplied offset would move its timestamps
+out of int64. `Trace.validate` then checks the rest: the hierarchy, and
+that each indexed node is in the cluster."""
 
 from __future__ import annotations
 
 import io
 import json
 import os
-from itertools import accumulate
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Set, Tuple
 
 import numpy as np
 
@@ -36,7 +34,6 @@ from .model import (
     ClockGroups,
     Job,
     MetricSeriesError,
-    MetricStore,
     Stage,
     TaskTable,
     TaskTableError,
@@ -44,7 +41,7 @@ from .model import (
     metric_columns,
 )
 
-SCHEMA_VERSION = "stagelens-trace/4"
+SCHEMA_VERSION = "stagelens-trace/5"
 
 # The column files: file name and little-endian dtype of each.
 _TASK_VALUES = ("tasks.values.npy", "<i8")
@@ -186,31 +183,37 @@ def save_trace(trace: Trace, path: str) -> None:
         (np.concatenate([getattr(t, row) for row in _TASK_ROWS], dtype=np.int64)
          for _, t in tables),
     )
-    # One index line per column layout, its nodes sorted; a layout's line
-    # sits at its first node.
-    layouts: Dict[Tuple[str, ...], List[MetricStore]] = {}
-    for node in sorted(trace.metrics):
-        store = trace.metrics[node]
-        if len(store):
-            layouts.setdefault(tuple(store.columns), []).append(store)
+    # One index line per clock group: the groups' rows merged by column
+    # layout and timestamps, each line's nodes sorted, lines in order of
+    # their first node.
+    merged: Dict[Tuple[Tuple[str, ...], bytes], Tuple[ClockGroup, list]] = {}
+    for group in trace.metrics.groups:
+        if len(group.timestamps):
+            key = (group.columns, group.timestamps.tobytes())
+            merged.setdefault(key, (group, []))[1].extend(zip(group.nodes, group.values))
+    index = sorted(
+        ((group, sorted(rows, key=lambda row: row[0])) for group, rows in merged.values()),
+        key=lambda line: line[1][0][0],
+    )
     _write_entity_file(
         os.path.join(path, "metrics.jsonl"),
         "metrics",
         (
-            _dumps({"columns": list(columns), "nodes": [s.node for s in stores],
-                    "samples": [len(s) for s in stores]})
-            for columns, stores in layouts.items()
+            _dumps({"columns": list(group.columns), "nodes": [node for node, _ in rows],
+                    "samples": len(group.timestamps)})
+            for group, rows in index
         ),
     )
-    stores = [s for group in layouts.values() for s in group]
-    _write_npy(path, _TIMESTAMPS, sum(len(s) for s in stores), (s.timestamps for s in stores))
+    _write_npy(path, _TIMESTAMPS, sum(len(group.timestamps) for group, _ in index),
+               (group.timestamps for group, _ in index))
     # One NaN bit pattern for every missing value, so payloads never reach
     # the bytes.
+    blocks = [block for _, rows in index for _, block in rows]
     _write_npy(
         path,
         _VALUES,
-        sum(s.values.size for s in stores),
-        (np.where(np.isnan(s.values), np.nan, s.values) for s in stores),
+        sum(block.size for block in blocks),
+        (np.where(np.isnan(block), np.nan, block) for block in blocks),
     )
 
 
@@ -286,9 +289,9 @@ def _columns_rule(columns) -> str:
     return ""
 
 
-def _index_line(record: dict, path: str, line_no: int) -> Tuple[Tuple[str, ...], list, list]:
-    """One metrics.jsonl line: a column layout in store order, the nodes
-    whose series have it and each node's sample count."""
+def _index_line(record: dict, path: str, line_no: int) -> Tuple[Tuple[str, ...], list, int]:
+    """One metrics.jsonl line: a clock group's column layout in store order,
+    its nodes and its sample count."""
     columns = _require(record, "columns", path, line_no)
     nodes = _require(record, "nodes", path, line_no)
     samples = _require(record, "samples", path, line_no)
@@ -297,16 +300,13 @@ def _index_line(record: dict, path: str, line_no: int) -> Tuple[Tuple[str, ...],
         raise TraceParseError(path, line_no, rule)
     if not isinstance(nodes, list):
         raise TraceParseError(path, line_no, "nodes must be a list of node names")
-    if not (isinstance(samples, list) and len(samples) == len(nodes)):
-        raise TraceParseError(path, line_no, f"samples must be a list of {len(nodes)} counts")
+    if not nodes:
+        raise TraceParseError(path, line_no, "nodes must list at least one node")
+    if type(samples) is not int or samples < 0:
+        raise TraceParseError(path, line_no, "samples must be a non-negative integer")
     if not set(map(type, nodes)) <= {str}:
         node = next(n for n in nodes if type(n) is not str)
         raise TraceParseError(path, line_no, f"node {node!r}: node must be a string")
-    if not (set(map(type, samples)) <= {int} and min(samples, default=0) >= 0):
-        i = next(i for i, n in enumerate(samples) if type(n) is not int or n < 0)
-        raise TraceParseError(
-            path, line_no, f"node {nodes[i]!r}: samples must be a non-negative integer"
-        )
     return metric_columns(columns), nodes, samples
 
 
@@ -391,63 +391,47 @@ def _task_table(
                      tasks.succeeded, nodes=tasks.nodes)
 
 
-def _line_groups(
-    samples: list, width: int, ts: np.ndarray, vals: np.ndarray
-) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
-    """One index line's nodes grouped by equal timestamps, as (rows,
-    timestamps, block) per group; `ts` and `vals` are the line's stretches
-    of the two column files. Where every node has the same sample count, one
-    compare usually finds a single group, and each group's block is a view
-    of `vals` when its nodes are consecutive on the line."""
-    if samples and samples.count(samples[0]) == len(samples):
-        clocks = ts.reshape(len(samples), samples[0])
-        blocks = vals.reshape(len(samples), width, samples[0])
-        if bool((clocks[1:] == clocks[:-1]).all()):
-            yield list(range(len(samples))), clocks[0], blocks
-            return
-
-        def block(rows: List[int]) -> np.ndarray:
-            if rows[-1] - rows[0] == len(rows) - 1:
-                return blocks[rows[0] : rows[-1] + 1]
-            return blocks[rows]
-
-    else:
-        at = list(accumulate(samples, initial=0))
-        clocks = [ts[a:b] for a, b in zip(at, at[1:])]
-
-        def block(rows: List[int]) -> np.ndarray:
-            parts = [vals[width * at[i] : width * at[i + 1]].reshape(width, samples[i])
-                     for i in rows]
-            return parts[0][None] if len(parts) == 1 else np.stack(parts)
-
-    members: Dict[bytes, List[int]] = {}
-    for i, clock in enumerate(clocks):
-        members.setdefault(clock.tobytes(), []).append(i)
-    for rows in members.values():
-        yield rows, clocks[rows[0]], block(rows)
-
-
-def _index_groups(
-    lines: List[Tuple[Tuple[str, ...], list, list]], timestamps: np.ndarray, values: np.ndarray
-) -> Tuple[List[ClockGroup], Optional[MetricSeriesError]]:
-    """The series of every indexed node as clock groups on views of the two
-    column files, in index order; and the error of the first node in index
-    order that a group refuses, or None."""
-    groups = []
-    t = c = 0
-    for columns, nodes, samples in lines:
-        n = sum(samples)
-        ts, vals = timestamps[t : t + n], values[c : c + len(columns) * n]
-        t, c = t + n, c + len(columns) * n
-        refused = []
-        for rows, clock, block in _line_groups(samples, len(columns), ts, vals):
-            try:
-                groups.append(ClockGroup([nodes[i] for i in rows], columns, clock, block))
-            except MetricSeriesError as exc:
-                refused.append(exc)
-        if refused:
-            return groups, min(refused, key=lambda exc: nodes.index(exc.node))
-    return groups, None
+def _clock_groups(
+    nodes: list, columns: Tuple[str, ...], clock: np.ndarray, block: np.ndarray,
+    shifts: List[int], path: str, line_no: int,
+) -> List[ClockGroup]:
+    """One metrics.jsonl line's clock group, on views of the column files, its
+    clock moved by each node's unapplied offset `shifts`: the nodes share
+    the stored clock, so equal offsets share the moved one, and the line
+    splits only by offset (a node whose offset would move the clock out of
+    int64 stays unmoved). Fails at the line naming its first node that
+    breaks a rule, for the first it breaks: an infinite value, a timestamp
+    that does not rise (named as stored), then the offset."""
+    low, high = (int(clock.min()), int(clock.max())) if any(shifts) and len(clock) else (0, 0)
+    members: Dict[int, List[int]] = {}  # shift -> rows
+    outside = len(nodes)  # the first node whose offset is refused
+    for i, shift in enumerate(shifts):
+        if not _INT64.min <= low + shift <= high + shift <= _INT64.max:
+            outside, shift = min(outside, i), 0
+        members.setdefault(shift, []).append(i)
+    groups, refused = [], []
+    for shift, rows in members.items():
+        part = block if len(rows) == len(nodes) else block[rows]
+        try:
+            groups.append(ClockGroup([nodes[i] for i in rows], columns,
+                                     clock + shift if shift else clock, part))
+        except MetricSeriesError as exc:
+            refused.append((nodes.index(exc.node), exc.rule, shift))
+    if refused:
+        first, rule, shift = min(refused)
+        if first <= outside:
+            falling = "timestamps not strictly increasing at "
+            if rule == "infinite value":
+                rule = "metric values must be finite numbers"
+            elif rule.startswith(falling):
+                rule = f"{falling}{int(rule[len(falling):]) - shift}"
+            raise TraceParseError(path, line_no, f"node {nodes[first]!r}: {rule}")
+    if outside < len(nodes):
+        raise TraceParseError(
+            path, line_no,
+            f"node {nodes[outside]!r}: clock offset {shifts[outside]} moves timestamps out of range",
+        )
+    return groups
 
 
 def load_trace(path: str) -> Trace:
@@ -504,58 +488,31 @@ def load_trace(path: str) -> Trace:
         jobs[job_id].stages.append(stage)
 
     metrics_path = os.path.join(path, "metrics.jsonl")
-    lines: List[Tuple[Tuple[str, ...], list, list]] = []  # columns, nodes, samples
-    indexed: Dict[str, int] = {}  # node -> its line
+    lines: List[Tuple[int, Tuple[str, ...], list, int]] = []  # line, columns, nodes, samples
+    indexed: Set[str] = set()
     for line_no, row in _read_entity_file(metrics_path, "metrics"):
         columns, nodes, samples = _index_line(row, metrics_path, line_no)
-        entries = dict.fromkeys(nodes, line_no)
-        if len(entries) < len(nodes) or not indexed.keys().isdisjoint(entries):
+        if len(set(nodes)) < len(nodes) or not indexed.isdisjoint(nodes):
             seen = set(indexed)
             for node in nodes:
                 if node in seen:
                     raise TraceParseError(metrics_path, line_no, f"duplicate node {node!r}")
                 seen.add(node)
-        indexed.update(entries)
-        lines.append((columns, nodes, samples))
-    order = list(indexed)
-    counts = [n for _, _, samples in lines for n in samples]
-    starts = list(accumulate(counts, initial=0))  # each node's first sample
-    timestamps = _read_npy(path, _TIMESTAMPS, starts[-1])
+        indexed.update(nodes)
+        lines.append((line_no, columns, nodes, samples))
+    timestamps = _read_npy(path, _TIMESTAMPS, sum(samples for *_, samples in lines))
     values = _read_npy(
-        path, _VALUES, sum(len(columns) * sum(samples) for columns, _, samples in lines)
+        path, _VALUES, sum(len(columns) * len(nodes) * n for _, columns, nodes, n in lines)
     )
-    # The groups check the series once, on the timestamps moved by unapplied
-    # offsets (a node that its offset would move out of int64 stays unmoved).
-    # The first node in index order that breaks a rule is named, for its first
-    # rule: an infinite value, falling timestamps (at the stored one), its offset.
-    shifts = np.array([0 if applied else offsets.get(node, 0) for node in order], np.int64)
-    held = np.flatnonzero(counts)  # nodes with samples
-    shift = shifts[held]
-    outside: List[int] = []
-    if shift.any():
-        blocks = np.array(starts[:-1], np.int64)[held]
-        low = np.minimum.reduceat(timestamps, blocks)
-        high = np.maximum.reduceat(timestamps, blocks)
-        # Room left in int64 below and above, which cannot overflow.
-        outside = held[(low < _INT64.min - np.minimum(shift, 0))
-                       | (high > _INT64.max - np.maximum(shift, 0))].tolist()
-        shifts[outside] = 0
-        timestamps = timestamps + np.repeat(shifts, counts)
-    groups, refused = _index_groups(lines, timestamps, values)
-    first_bad = order.index(refused.node) if refused else len(order)
-    if outside and outside[0] < first_bad:
-        node = order[outside[0]]
-        raise TraceParseError(
-            metrics_path, indexed[node],
-            f"node {node!r}: clock offset {offsets[node]} moves timestamps out of range",
-        )
-    if refused:
-        rule, falling = refused.rule, "timestamps not strictly increasing at "
-        if rule == "infinite value":
-            rule = "metric values must be finite numbers"
-        elif rule.startswith(falling):
-            rule = f"{falling}{int(rule[len(falling):]) - int(shifts[first_bad])}"
-        raise TraceParseError(metrics_path, indexed[refused.node], f"node {refused.node!r}: {rule}")
+    shift = {} if applied else offsets
+    groups: List[ClockGroup] = []
+    t = c = 0
+    for line_no, columns, nodes, samples in lines:
+        size = len(nodes) * len(columns) * samples
+        block = values[c : c + size].reshape(len(nodes), len(columns), samples)
+        groups += _clock_groups(nodes, columns, timestamps[t : t + samples], block,
+                                [shift.get(node, 0) for node in nodes], metrics_path, line_no)
+        t, c = t + samples, c + size
     metrics = ClockGroups(groups)
 
     tasks_path = os.path.join(path, "tasks.jsonl")

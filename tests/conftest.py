@@ -74,9 +74,9 @@ def row_groups(stores):
 
 
 def clock_groups(stores: Mapping[str, MetricStore]):
-    """The stores grouped as the loader groups them: one clock group per
-    column layout and timestamp vector, nodes in the mapping's order, their
-    values stacked into one block."""
+    """The stores grouped as a save merges them: one clock group per column
+    layout and timestamp vector, nodes in the mapping's order, their values
+    stacked into one block."""
     members: Dict[tuple, list] = {}
     for s in stores.values():
         members.setdefault((s.columns, s.timestamps.tobytes()), []).append(s)
@@ -96,6 +96,19 @@ def make_trace(stage, stores=None, extra_nodes=(), group=row_groups):
         jobs=[Job(job_id=stage.job_id, stages=[stage])],
         metrics=group(stores or {}),
     )
+
+
+def sized_tasks(rows):
+    """The TaskTable of (node, task_id, bytes) rows: a skew screen input."""
+    nodes, ids, sizes = zip(*rows) if rows else ((), (), ())
+    return TaskTable(ids, nodes, [0] * len(ids), [0] * len(ids), data_size=sizes)
+
+
+def placed_tasks(rows):
+    """The TaskTable of (node, locality, runtime ms) rows: a placement
+    screen input."""
+    nodes, localities, runtimes = zip(*rows) if rows else ((), (), ())
+    return TaskTable([""] * len(nodes), nodes, [0] * len(nodes), runtimes, localities)
 
 
 @dataclass(frozen=True)

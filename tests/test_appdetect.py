@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_task
+from conftest import make_task, placed_tasks, sized_tasks
 from stagelens.appdetect import (
     ImbalanceConfig,
     PlacementConfig,
@@ -135,7 +135,7 @@ MB = 1024 * 1024
 def test_skew_flags_the_big_task():
     data = [("n1", "t1", 100 * MB), ("n2", "t2", 100 * MB), ("n3", "t3", 100 * MB),
             ("n4", "t4", 400 * MB)]
-    result = detect_skew_data_size(data, th_size=1.5)
+    result = detect_skew_data_size(sized_tasks(data), th_size=1.5)
     assert [(n, t) for n, t, _ in result.flagged_tasks] == [("n4", "t4")]
     assert result.flagged_tasks[0][2] == pytest.approx(4.0)
     assert [n for n, _ in result.flagged_nodes] == ["n4"]
@@ -143,19 +143,19 @@ def test_skew_flags_the_big_task():
 
 def test_equal_sizes_have_no_skew():
     data = [(f"n{i}", f"t{i}", 128 * MB) for i in range(6)]
-    result = detect_skew_data_size(data)
+    result = detect_skew_data_size(sized_tasks(data))
     assert not result.flagged_tasks and not result.flagged_nodes
 
 
 def test_zero_median_not_evaluable():
-    assert not detect_skew_data_size([("n1", "t1", 0), ("n2", "t2", 0)]).evaluable
+    assert not detect_skew_data_size(sized_tasks([("n1", "t1", 0), ("n2", "t2", 0)])).evaluable
 
 
 def test_flag_small_catches_the_reciprocal_side():
     data = [("n1", "t1", 100), ("n2", "t2", 100), ("n3", "t3", 100), ("n4", "t4", 10)]
-    off = detect_skew_data_size(data, th_size=1.5)
+    off = detect_skew_data_size(sized_tasks(data), th_size=1.5)
     assert not off.flagged_tasks
-    on = detect_skew_data_size(data, th_size=1.5, flag_small=True)
+    on = detect_skew_data_size(sized_tasks(data), th_size=1.5, flag_small=True)
     assert [(n, t) for n, t, _ in on.flagged_tasks] == [("n4", "t4")]
 
 
@@ -163,11 +163,11 @@ def test_skew_monotonicity(rng):
     for _ in range(50):
         sizes = [int(s) for s in rng.integers(50, 150, size=8)]
         data = [(f"n{i}", f"t{i}", s) for i, s in enumerate(sizes)]
-        base = detect_skew_data_size(data, th_size=1.5)
+        base = detect_skew_data_size(sized_tasks(data), th_size=1.5)
         flagged = {t for _, t, _ in base.flagged_tasks}
         bumped = list(data)
         bumped[3] = ("n3", "t3", sizes[3] * 3)
-        again = detect_skew_data_size(bumped, th_size=1.5)
+        again = detect_skew_data_size(sized_tasks(bumped), th_size=1.5)
         if "t3" in flagged:
             assert "t3" in {t for _, t, _ in again.flagged_tasks}
 
@@ -183,7 +183,7 @@ def uneven_case_data():
 
 
 def test_published_ratio_value():
-    entries = detect_uneven_placement(uneven_case_data())
+    entries = detect_uneven_placement(placed_tasks(uneven_case_data()))
     assert len(entries) == 1
     entry = entries[0]
     assert entry.node == "hw114"
@@ -194,7 +194,7 @@ def test_published_ratio_value():
 
 def test_constant_runtimes_have_no_outliers():
     data = [(f"n{i}", Locality.ANY, 5_000) for i in range(10)]
-    assert detect_uneven_placement(data) == []
+    assert detect_uneven_placement(placed_tasks(data)) == []
 
 
 def test_zero_priority_suppresses():
@@ -203,14 +203,14 @@ def test_zero_priority_suppresses():
         data.append(("n1", Locality.PROCESS_LOCAL, 10_000))
     data += [("n2", Locality.PROCESS_LOCAL, 100_000)] * 3
     cfg = PlacementConfig(priorities={loc: 0.0 for loc in Locality})
-    assert detect_uneven_placement(data, cfg) == []
+    assert detect_uneven_placement(placed_tasks(data), cfg) == []
     # with the default priorities PROCESS_LOCAL is already weight 0
-    assert detect_uneven_placement(data) == []
+    assert detect_uneven_placement(placed_tasks(data)) == []
 
 
 def test_short_side_never_counts():
     data = [("n1", Locality.ANY, 10_000)] * 20 + [("n2", Locality.ANY, 100)] * 2
-    entries = detect_uneven_placement(data)
+    entries = detect_uneven_placement(placed_tasks(data))
     assert all(e.node != "n2" for e in entries)
 
 
@@ -368,7 +368,7 @@ def test_task_columns_equal_per_task_oracle(rows, cluster, policy, th_size, flag
     assert mean_runtimes(ds.locality) == means
     assert detect_stragglers(mean_runtimes(ds.locality)) == detect_stragglers(means)
     assert detect_skew_data_size(ds.data_size, th_size, flag_small) == skew
-    assert detect_skew_data_size(data_size, th_size, flag_small) == skew
+    assert detect_skew_data_size(sized_tasks(data_size), th_size, flag_small) == skew
     if placement is not None:
         assert detect_uneven_placement(ds.locality, cfg, total=len(ds.locality)) == placement
 

@@ -447,6 +447,14 @@ def test_config_validation():
         OutlierConfig(pct=0.0)
 
 
+def test_pct_other_than_one_is_refused():
+    """The detector implements DB(1, dmin) only, so a pct it would not
+    read is refused, named."""
+    with pytest.raises(ValueError, match=r"pct must be 1\.0 .*got 0\.5"):
+        OutlierConfig(pct=0.5)
+    assert OutlierConfig(pct=1.0) == OutlierConfig() and OutlierConfig(pct=1).pct == 1
+
+
 def test_corpus_selection_mixes_metric_levels():
     # across the evaluation corpus, the 0.95 cut keeps both system-level and
     # architecture-level metrics in play

@@ -328,7 +328,7 @@ def test_non_finite_metric_value_rejected_at_load(tmp_path, token):
     out = save_two_nodes(tmp_path / "trace")
     metrics_file = out / "metrics.jsonl"
     lines = metrics_file.read_text().splitlines()
-    lines[1] = lines[1].replace('"samples":[3,3]', f'"samples":[3,{token}]')
+    lines[1] = lines[1].replace('"samples":3', f'"samples":{token}')
     assert token in lines[1]
     metrics_file.write_text("\n".join(lines) + "\n")
     error = load_error(out)
@@ -367,13 +367,15 @@ def save_three_nodes(out):
 
 
 def test_index_holds_one_line_per_layout_in_first_node_order(tmp_path):
+    """Here each layout's nodes share one clock, so a line per clock group
+    is a line per layout; the timestamps file holds each line's clock once."""
     out = save_three_nodes(tmp_path / "trace")
     assert (out / "metrics.jsonl").read_text().splitlines()[1:] == [
-        '{"columns":["cpu_usage","x"],"nodes":["hw01","hw03"],"samples":[3,3]}',
-        '{"columns":["cpu_usage","y"],"nodes":["hw02"],"samples":[3]}',
+        '{"columns":["cpu_usage","x"],"nodes":["hw01","hw03"],"samples":3}',
+        '{"columns":["cpu_usage","y"],"nodes":["hw02"],"samples":3}',
     ]
     timestamps = np.load(out / "metrics.timestamps.npy")
-    assert len(timestamps) == 9
+    assert len(timestamps) == 6
     assert np.array_equal(timestamps[:3], timestamps[3:6])
 
 
@@ -461,18 +463,20 @@ def test_column_file_written_by_another_numpy_padding_loads(tmp_path):
         (lambda row: row.update(columns=["cpu_usage", {}]), "columns must be a list of metric names"),
         (lambda row: row.update(columns=["x", "cpu_usage"]), "columns must be distinct and in store order"),
         (lambda row: row.update(columns=["cpu_usage", "cpu_usage"]), "columns must be distinct and in store order"),
-        (lambda row: row.update(samples=[3, -1]), "samples must be a non-negative integer"),
-        (lambda row: row.update(samples=[3, 3.0]), "samples must be a non-negative integer"),
-        (lambda row: row.update(samples=[3, "3"]), "samples must be a non-negative integer"),
-        (lambda row: row.update(samples=[3, True]), "samples must be a non-negative integer"),
-        (lambda row: row.update(samples=3), "samples must be a list of 2 counts"),
-        (lambda row: row.update(samples=[3]), "samples must be a list of 2 counts"),
+        (lambda row: row.update(nodes=[]), "nodes must list at least one node"),
+        (lambda row: row.update(samples=-1), "samples must be a non-negative integer"),
+        (lambda row: row.update(samples=3.0), "samples must be a non-negative integer"),
+        (lambda row: row.update(samples="3"), "samples must be a non-negative integer"),
+        (lambda row: row.update(samples=True), "samples must be a non-negative integer"),
+        # One count per line: a list of counts, one per node, fails at its line.
+        (lambda row: row.update(samples=[3, 3]), "samples must be a non-negative integer"),
+        (lambda row: row.update(samples=[3]), "samples must be a non-negative integer"),
         (lambda row: row.update(nodes=["hw01", "hw01"]), "duplicate node 'hw01'"),
     ],
 )
 def test_bad_index_line_rejected(tmp_path, edit, rule):
-    """Each rule fails at the line (both nodes sit on line 2); a rule about
-    one node's entry names it, as the next test shows."""
+    """Each rule fails at the line (both nodes sit on line 2); a node that
+    is not a string is named, as the next test shows."""
     out = save_two_nodes(tmp_path / "trace")
     metrics_file = out / "metrics.jsonl"
     lines = metrics_file.read_text().splitlines()
@@ -488,8 +492,6 @@ def test_bad_index_line_rejected(tmp_path, edit, rule):
     "edit, message",
     [
         (lambda row: row.update(nodes=["hw01", 2]), "node 2: node must be a string"),
-        (lambda row: row.update(samples=[3, -1]),
-         "node 'hw02': samples must be a non-negative integer"),
     ],
 )
 def test_bad_index_entry_names_its_node(tmp_path, edit, message):
@@ -506,7 +508,7 @@ def test_node_indexed_on_two_lines_rejected(tmp_path):
     out = save_two_nodes(tmp_path / "trace")
     metrics_file = out / "metrics.jsonl"
     with open(metrics_file, "a") as fh:
-        fh.write('{"columns":["cpu_usage"],"nodes":["hw03","hw02"],"samples":[0,0]}\n')
+        fh.write('{"columns":["cpu_usage"],"nodes":["hw03","hw02"],"samples":0}\n')
     assert str(load_error(out)) == f"{metrics_file}:3: duplicate node 'hw02'"
 
 
@@ -516,7 +518,7 @@ def test_version_1_trace_rejected(tmp_path, name):
     path = out / f"{name}.jsonl"
     path.write_text(path.read_text().replace(SCHEMA_VERSION, "stagelens-trace/1", 1))
     assert str(load_error(out)) == (
-        f"{path}:1: schema header must declare 'stagelens-trace/4'"
+        f"{path}:1: schema header must declare {SCHEMA_VERSION!r}"
     )
 
 
@@ -528,7 +530,7 @@ def test_version_2_trace_rejected(tmp_path):
         path = out / f"{name}.jsonl"
         path.write_text(path.read_text().replace(SCHEMA_VERSION, "stagelens-trace/2", 1))
     assert str(load_error(out)) == (
-        f"{out / 'meta.jsonl'}:1: schema header must declare 'stagelens-trace/4'"
+        f"{out / 'meta.jsonl'}:1: schema header must declare {SCHEMA_VERSION!r}"
     )
 
 
@@ -545,7 +547,30 @@ def test_version_3_trace_rejected(tmp_path):
         '{"columns":["cpu_usage","x"],"node":"hw02","samples":3}\n'
     )
     assert str(load_error(out)) == (
-        f"{out / 'meta.jsonl'}:1: schema header must declare 'stagelens-trace/4'"
+        f"{out / 'meta.jsonl'}:1: schema header must declare {SCHEMA_VERSION!r}"
+    )
+
+
+def test_version_4_trace_rejected(tmp_path):
+    """A stagelens-trace/4 directory (one metrics.jsonl line per column
+    layout, a sample count and a timestamp block per node) fails at line 1
+    of its first file: there is no reader for it."""
+    out = save_two_nodes(tmp_path / "trace")
+    for name in ("meta", "jobs", "stages", "tasks", "metrics"):
+        path = out / f"{name}.jsonl"
+        path.write_text(path.read_text().replace(SCHEMA_VERSION, "stagelens-trace/4", 1))
+    (out / "metrics.jsonl").write_text(
+        '{"entity":"metrics","schema":"stagelens-trace/4"}\n'
+        '{"columns":["cpu_usage","x"],"nodes":["hw01","hw02"],"samples":[3,3]}\n'
+    )
+    ts = np.load(out / "metrics.timestamps.npy")
+    np.save(out / "metrics.timestamps.npy", np.concatenate([ts, ts]))
+    assert str(load_error(out)) == (
+        f"{out / 'meta.jsonl'}:1: schema header must declare {SCHEMA_VERSION!r}"
+    )
+    metrics = str(out / "metrics.jsonl")
+    assert read_outcome(_read_entity_file, metrics, "metrics") == (
+        metrics, 1, f"schema header must declare {SCHEMA_VERSION!r}"
     )
 
 
@@ -868,10 +893,12 @@ _ROW_VALUES = st.dictionaries(
 def test_store_round_trip_property(tmp_path_factory, series):
     """Any node and metric names (escapes, %, non-ASCII), any finite floats,
     rows in any order, several column layouts and nodes without samples:
-    metrics.jsonl holds one sorted-key JSON line per layout, listing its
-    nodes sorted with their sample counts, lines in order of their first
-    node; the column files are what np.save writes for the stores joined in
-    that order; load(save(t)) == t, and saving again gives the same bytes."""
+    metrics.jsonl holds one sorted-key JSON line per column layout and
+    timestamp vector, listing its nodes sorted and its sample count, lines
+    in order of their first node; the timestamps file is what np.save
+    writes for the lines' clocks joined in that order, and the values file
+    for the stores' blocks in index order; load(save(t)) == t, and saving
+    again gives the same bytes."""
     trace = Trace(
         cluster=sorted(series),
         metrics=clock_groups({
@@ -884,26 +911,76 @@ def test_store_round_trip_property(tmp_path_factory, series):
     a = tmp_path_factory.mktemp("a")
     b = tmp_path_factory.mktemp("b")
     save_trace(trace, str(a))
-    layouts = {}
+    lines = {}
     for node in sorted(trace.metrics):
-        if len(trace.metrics[node]):
-            layouts.setdefault(trace.metrics[node].columns, []).append(trace.metrics[node])
+        store = trace.metrics[node]
+        if len(store):
+            lines.setdefault((store.columns, store.timestamps.tobytes()), []).append(store)
     expected = [
-        json.dumps({"columns": list(columns), "nodes": [s.node for s in group],
-                    "samples": [len(s) for s in group]}, sort_keys=True, separators=(",", ":"))
-        for columns, group in layouts.items()
+        json.dumps({"columns": list(group[0].columns), "nodes": [s.node for s in group],
+                    "samples": len(group[0])}, sort_keys=True, separators=(",", ":"))
+        for group in lines.values()
     ]
     assert (a / "metrics.jsonl").read_text().splitlines()[1:] == expected
-    stores = [store for group in layouts.values() for store in group]
-    for name, column in (("timestamps", np.zeros(0, np.int64)), ("values", np.zeros(0))):
+    for name, column, parts in (
+        ("timestamps", np.zeros(0, np.int64), [group[0].timestamps for group in lines.values()]),
+        ("values", np.zeros(0), [s.values.ravel() for group in lines.values() for s in group]),
+    ):
         saved = io.BytesIO()
-        np.save(saved, np.concatenate([column] + [getattr(s, name).ravel() for s in stores]))
+        np.save(saved, np.concatenate([column] + parts))
         assert (a / f"metrics.{name}.npy").read_bytes() == saved.getvalue()
     loaded = load_trace(str(a))
     assert loaded == trace
     save_trace(loaded, str(b))
     for name in TRACE_FILES:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# Clocks nodes draw from, so that they often share one; the empty one
+# writes no line.
+_SHARED_CLOCKS = (np.array([0, 10, 20]), np.array([0, 10, 30]), np.array([-7]),
+                  np.zeros(0, np.int64))
+
+
+@given(data=st.data())
+def test_any_grouping_saves_the_same_bytes(tmp_path_factory, data):
+    """However a trace's series are split into clock groups (any partition
+    of the nodes that share a layout and a clock, in any order, groups in
+    any order), save writes the bytes it writes for one group per layout
+    and clock: metrics.jsonl holds one line per distinct (layout, clock)
+    with samples, and a load builds one group per line, its nodes sorted."""
+    draw = data.draw
+    stores = []
+    for node in draw(st.lists(_NAMES, min_size=1, max_size=6, unique=True)):
+        columns = draw(st.sampled_from([("cpu_usage",), ("cpu_usage", "x")]))
+        ts = _SHARED_CLOCKS[draw(st.integers(0, len(_SHARED_CLOCKS) - 1))]
+        cells = draw(st.lists(st.floats(allow_infinity=False), min_size=len(columns) * len(ts),
+                              max_size=len(columns) * len(ts)))
+        stores.append(MetricStore(node, ts, columns,
+                                  np.array(cells, np.float64).reshape(len(columns), len(ts))))
+    classes = {}
+    for store in stores:
+        classes.setdefault((store.columns, store.timestamps.tobytes()), []).append(store)
+    groups = []
+    for members in classes.values():
+        members = draw(st.permutations(members))
+        cuts = [0] + [i for i in range(1, len(members)) if draw(st.booleans())] + [len(members)]
+        groups += [clock_groups({s.node: s for s in members[lo:hi]})[0]
+                   for lo, hi in zip(cuts, cuts[1:])]
+    cluster = sorted(s.node for s in stores)
+    merged, split = tmp_path_factory.mktemp("merged"), tmp_path_factory.mktemp("split")
+    save_trace(Trace(cluster=cluster, metrics=clock_groups({s.node: s for s in stores})),
+               str(merged))
+    save_trace(Trace(cluster=cluster, metrics=draw(st.permutations(groups))), str(split))
+    for name in TRACE_FILES:
+        assert (merged / name).read_bytes() == (split / name).read_bytes()
+    lines = (merged / "metrics.jsonl").read_text().splitlines()[1:]
+    assert len(lines) == sum(1 for _, ts in classes if ts)
+    loaded = load_trace(str(merged))
+    assert [list(g.nodes) for g in loaded.metrics.groups] == [
+        json.loads(line)["nodes"] for line in lines
+    ]
+    assert all(list(g.nodes) == sorted(g.nodes) for g in loaded.metrics.groups)
 
 
 _NUMBERS = st.one_of(st.integers(0, 10**6), st.integers(2**53 - 10**6, 2**53 - 1))
@@ -1041,6 +1118,35 @@ def test_unapplied_offsets_build_each_clock_group_once(tmp_path, monkeypatch):
     assert built == [("hw01", "hw03"), ("hw02",)]
     assert [group.nodes for group in loaded.metrics.groups] == built
     assert loaded.metrics["hw03"].timestamps.tolist() == [1_000_500, 1_001_500, 1_002_500]
+
+
+def test_applied_offsets_build_one_clock_group_per_line(tmp_path, monkeypatch):
+    """Saved one node per group, two layouts and two clocks make three
+    index lines; with offsets applied, a load builds one group per line
+    on the lines' nodes, and moves no timestamp."""
+    stage = make_stage({"hw01": 1, "hw02": 1, "hw03": 1, "hw04": 1}, launch=1_000_000)
+    metrics = {
+        node: metric_series(node, start, 3, lambda i: {"cpu_usage": 0.1, x: 1.0})
+        for node, start, x in (("hw01", 0, "x"), ("hw02", 0, "y"), ("hw03", 0, "x"),
+                               ("hw04", 5, "x"))
+    }
+    trace = make_trace(stage, stores=metrics)
+    trace.clock_offsets = {"hw01": 500, "hw02": -500}
+    out = tmp_path / "trace"
+    save_trace(trace, str(out))
+    built = []
+
+    class Counted(ClockGroup):
+        def __init__(self, nodes, *args):
+            built.append(tuple(nodes))
+            super().__init__(nodes, *args)
+
+    monkeypatch.setattr(traceio, "ClockGroup", Counted)
+    loaded = load_trace(str(out))
+    assert built == [("hw01", "hw03"), ("hw02",), ("hw04",)]
+    assert [group.nodes for group in loaded.metrics.groups] == built
+    assert len((out / "metrics.jsonl").read_text().splitlines()) == 1 + len(built)
+    assert loaded == trace
 
 
 def stored_before_offsets(trace, offsets):
@@ -1549,10 +1655,10 @@ _CLEAN = as_given(
 @example(parts=_CLEAN, fault="cluster", at=1, drop=0)
 def test_load_checks_equal_validate(tmp_path_factory, parts, fault, at, drop):
     """A saved trace with one more metric fault:
-    - a timestamp `drop` below its predecessor inside a node's block fails
-      at that node's metrics.jsonl line, naming the node and the timestamp;
-    - a node's series moved so that its block starts `drop` below the last
-      timestamp of the block before it is no fault: the trace loads, equal
+    - a timestamp `drop` below its predecessor inside a line's clock fails
+      at that line, naming its first node and the timestamp;
+    - a line's series moved so that its clock starts `drop` below the last
+      timestamp of the clock before it is no fault: the trace loads, equal
       to the trace saved;
     - a node left out of the cluster raises validate's problems.
     Without a fault, a trace loads equal to the one saved, or raises its
@@ -1561,34 +1667,35 @@ def test_load_checks_equal_validate(tmp_path_factory, parts, fault, at, drop):
     out = tmp_path_factory.mktemp("faulty")
     save_unchecked(trace, out)
     rows = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
-    # Each node with samples, in index order, with its index line number.
-    entries = [(node, n, line_no) for line_no, row in enumerate(rows[1:], start=2)
-               for node, n in zip(row["nodes"], row["samples"])]
+    # Each line, in index order: its nodes, its sample count, its number.
+    entries = [(row["nodes"], row["samples"], line_no)
+               for line_no, row in enumerate(rows[1:], start=2)]
     ends = np.cumsum([n for _, n, _ in entries], dtype=np.int64).tolist()
     ts = np.load(out / "metrics.timestamps.npy")
-    # Sample positions whose predecessor is in the same block, or in another.
+    # Sample positions whose predecessor is on the same clock, or on another.
     places = {
         "inside": [i for i in range(1, len(ts)) if i not in ends],
         "boundary": sorted({e for e in ends[:-1] if 0 < e < len(ts)}),
     }.get(fault)
     cluster = list(trace.cluster)
-    metrics = {node: trace.metrics[node] for node, _, _ in entries}
+    metrics = {node: trace.metrics[node] for nodes, _, _ in entries for node in nodes}
     if places:
         i = places[at % len(places)]
-        node, _, line_no = entries[int(np.searchsorted(ends, i, side="right"))]
+        nodes, _, line_no = entries[int(np.searchsorted(ends, i, side="right"))]
         if fault == "inside":
             ts[i] = ts[i - 1] - drop
             np.save(out / "metrics.timestamps.npy", ts)
             with pytest.raises(TraceParseError) as err:
                 load_trace(str(out))
             assert str(err.value) == (
-                f"{out / 'metrics.jsonl'}:{line_no}: node {node!r}: "
+                f"{out / 'metrics.jsonl'}:{line_no}: node {nodes[0]!r}: "
                 f"timestamps not strictly increasing at {ts[i]}"
             )
             return
-        store = metrics[node]
-        moved = store.timestamps + (ts[i - 1] - drop - ts[i])
-        metrics[node] = MetricStore(node, moved, store.columns, store.values)
+        for node in nodes:
+            store = metrics[node]
+            moved = store.timestamps + (ts[i - 1] - drop - ts[i])
+            metrics[node] = MetricStore(node, moved, store.columns, store.values)
         save_unchecked(Trace(cluster, trace.jobs, row_groups(metrics)), out)
         assert np.load(out / "metrics.timestamps.npy")[i] == ts[i - 1] - drop
     indexed = sorted(set(cluster) & set(metrics))
@@ -1621,9 +1728,10 @@ def test_load_names_the_first_bad_node_of_a_per_node_walk(tmp_path_factory, data
     """Saved series with infinite cells, falling timestamps and unapplied
     clock offsets drawn into the files fail at the metrics.jsonl line of
     the first node, in index order, that a walk over each node's own block
-    finds at fault, with the first rule it breaks in the order: an infinite
-    value, falling timestamps, then its offset. Without a fault, each node
-    loads with its stored timestamps moved by its offset."""
+    of values and its line's clock finds at fault, with the first rule it
+    breaks in the order: an infinite value, falling timestamps, then its
+    offset. Without a fault, each node loads with its line's stored
+    timestamps moved by its offset."""
     draw = data.draw
     nodes = [f"hw{i}" for i in range(draw(st.integers(1, 5)))]
     stores = []
@@ -1652,9 +1760,12 @@ def test_load_names_the_first_bad_node_of_a_per_node_walk(tmp_path_factory, data
     t = c = 0
     for line_no, line in enumerate((out / "metrics.jsonl").read_text().splitlines()[1:], 2):
         row = json.loads(line)
-        for node, n in zip(row["nodes"], row["samples"]):
-            own, cells = ts[t : t + n], values[c : c + len(row["columns"]) * n]
-            t, c = t + n, c + len(row["columns"]) * n
+        n = row["samples"]
+        own = ts[t : t + n]
+        t += n
+        for node in row["nodes"]:
+            cells = values[c : c + len(row["columns"]) * n]
+            c += len(row["columns"]) * n
             stored[node] = own
             offset = offsets.get(node, 0)
             falling = [int(own[i]) for i in range(1, n) if own[i] <= own[i - 1]]
