@@ -147,6 +147,12 @@ def mean_runtimes(tasks: TaskTable) -> Dict[str, float]:
     return {node: total / count for node, count, total in zip(nodes, counts, totals)}
 
 
+def check_th_size(th_size: float) -> None:
+    """The skew screen's rule for its threshold."""
+    if not th_size > 1:
+        raise ValueError("th_size must exceed 1")
+
+
 def detect_skew_data_size(
     data_size: TaskTable, th_size: float = 1.5, flag_small: bool = False
 ) -> SkewResult:
@@ -156,8 +162,7 @@ def detect_skew_data_size(
     are listed by task id. flag_small additionally tests the reciprocal
     ratio, catching much-smaller sizes; it defaults off.
     """
-    if th_size <= 1:
-        raise ValueError("th_size must exceed 1")
+    check_th_size(th_size)
     tasks = data_size
     if not len(tasks):
         return SkewResult(evaluable=False)

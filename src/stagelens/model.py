@@ -591,21 +591,45 @@ class Trace:
         return content(self) == content(other)
 
     def validate(self) -> List[str]:
-        """Collect every invariant violation instead of stopping at the first.
-        A series can break only one: its node outside the cluster (building
-        the trace checks the rest)."""
+        """Every rule a trace must keep to be saved, each violation listed
+        instead of stopping at the first. A series can break only one: its
+        node outside the cluster (building the trace checks the rest)."""
         problems: List[str] = []
         if not self.cluster:
             problems.append("cluster must list at least one node")
+        # An id, name or offset type the loader rejects would save a trace it
+        # cannot load, and an int clock_offsets key would reload as a str. A
+        # node name that is not a str would also not sort beside the others.
+        problems += [
+            f"node {node!r}: bad cluster entry: node name must be a string"
+            for node in self.cluster
+            if type(node) is not str
+        ]
+        problems += [
+            f"node {node!r}: bad clock offset: node name must be a string"
+            for node in self.clock_offsets
+            if type(node) is not str
+        ]
+        problems += [
+            f"node {node}: clock offset {offset!r} must be integer milliseconds in int64"
+            for node, offset in self.clock_offsets.items()
+            if type(offset) is not int or not -(2**63) <= offset <= _INT64_MAX
+        ]
         known = set(self.cluster)
         job_ids = set()
         for job in self.jobs:
+            if type(job.job_id) is not str:
+                problems.append(f"job {job.job_id}: bad job record: job_id must be a string")
             if job.job_id in job_ids:
                 problems.append(f"job {job.job_id}: duplicate job_id")
             job_ids.add(job.job_id)
         stage_ids = set()
         task_ids = set()
         for stage in self.stages():
+            if type(stage.stage_id) is not str:
+                problems.append(
+                    f"stage {stage.stage_id}: bad stage record: stage_id must be a string"
+                )
             if stage.stage_id in stage_ids:
                 problems.append(f"stage {stage.stage_id}: duplicate stage_id")
             stage_ids.add(stage.stage_id)

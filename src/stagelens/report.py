@@ -17,6 +17,7 @@ from .correlate import UltrashortPolicy, build_datasets, slice_metrics, stage_wi
 from .metricdetect import OutlierConfig
 from .model import Finding, FindingKind, Locality, Trace
 from .nodedetect import SimilarityConfig
+from .traceio import _dumps
 
 REPORT_SCHEMA = "stagelens-report/2"
 
@@ -52,6 +53,7 @@ class PipelineConfig:
         for build in (self.imbalance, self.placement, self.similarity, self.outlier,
                       self.ultrashort):
             build()
+        appdetect.check_th_size(self.th_size)
 
     def imbalance(self) -> ImbalanceConfig:
         return ImbalanceConfig(bc=self.bc, th_ub=self.th_ub)
@@ -424,20 +426,28 @@ def report_to_dict(report: DiagnosisReport) -> dict:
 
 
 def report_from_dict(data: dict) -> DiagnosisReport:
+    """The report a structured document holds; a document that is not one
+    raises DiagnoseError."""
+    if not isinstance(data, dict):
+        raise DiagnoseError("structured report must be a JSON object")
     if data.get("schema") != REPORT_SCHEMA:
         raise DiagnoseError(f"structured report must declare schema {REPORT_SCHEMA!r}")
-    stages = []
-    for s in data.get("stages", []):
-        stages.append(
+    try:
+        stages = [
             StageReport(
                 stage_id=s["stage_id"],
                 findings=[_finding_from_dict(f) for f in s.get("findings", [])],
                 similarity=dict(s.get("similarity", {})),
                 warnings=list(s.get("warnings", [])),
             )
-        )
-    jobs = [JobSummary(**j) for j in data.get("jobs", [])]
-    return DiagnosisReport(mode_label=data["mode_label"], stages=stages, jobs=jobs)
+            for s in data.get("stages", [])
+        ]
+        jobs = [JobSummary(**j) for j in data.get("jobs", [])]
+        return DiagnosisReport(mode_label=data["mode_label"], stages=stages, jobs=jobs)
+    except KeyError as exc:
+        raise DiagnoseError(f"structured report lacks field {exc}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise DiagnoseError(f"malformed structured report: {exc}") from exc
 
 
 def render_report(report: DiagnosisReport, format: str = "text") -> bytes:
@@ -445,10 +455,7 @@ def render_report(report: DiagnosisReport, format: str = "text") -> bytes:
     if format == "text":
         return _render_text(report).encode("utf-8")
     if format == "structured":
-        return (
-            json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":"))
-            + "\n"
-        ).encode("utf-8")
+        return (_dumps(report_to_dict(report)) + "\n").encode("utf-8")
     raise DiagnoseError(f"unknown report format {format!r} (expected text|structured)")
 
 

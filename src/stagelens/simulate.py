@@ -7,16 +7,19 @@ to full scale by min-max normalization and read as an outlier), while faults
 superimpose per-(node,metric) mean shifts with decorrelated alternating
 fluctuation patterns. All randomness flows from one numpy PCG64 generator
 seeded by the scenario, consumed in a fixed order.
+
+The ground truth goes to a labels file, written and read by the trace
+files' code in `traceio` under its own schema header: a malformed file is a
+ScenarioError naming `path:line`, as a trace loader error would.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +33,14 @@ from .model import (
     Task,
     TaskTable,
     Trace,
+)
+from .traceio import (
+    TraceParseError,
+    _dumps,
+    _read_entity_file,
+    _require,
+    _write_entity_file,
+    save_trace,
 )
 
 BASE_EPOCH_MS = 1_460_000_000_000
@@ -367,66 +378,43 @@ LABELS_SCHEMA = "stagelens-labels/1"
 
 
 def save_labels(labels: Sequence[LabeledAnomaly], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps({"schema": LABELS_SCHEMA, "entity": "labels"}, sort_keys=True,
-                       separators=(",", ":")) + "\n"
-        )
-        for rec in labels:
-            expected = sorted(
-                [kind.value, metric] for kind, metric in rec.expected_findings
-            )
-            row = {"stage_id": rec.stage_id, "node": rec.node, "expected": expected}
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+    rows = (
+        {"expected": sorted([kind.value, metric] for kind, metric in rec.expected_findings),
+         "node": rec.node, "stage_id": rec.stage_id}
+        for rec in labels
+    )
+    _write_entity_file(path, LABELS_SCHEMA, "labels", map(_dumps, rows))
+
+
+def _expected_finding(kind: object, metric: object) -> Tuple[FindingKind, Optional[str]]:
+    if metric is not None and type(metric) is not str:
+        raise ValueError(f"metric {metric!r} must be a string or null")
+    return FindingKind(kind), metric
 
 
 def load_labels(path: str) -> List[LabeledAnomaly]:
-    """Read a labels file; a malformed line is a ScenarioError naming
-    `path:line`."""
-
-    def fail(line_no: int, rule: str) -> ScenarioError:
-        return ScenarioError(f"{path}:{line_no}: {rule}")
-
+    """Read a labels file by the trace files' header and line rules; a
+    malformed file is a ScenarioError naming `path:line`."""
     labels = []
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:
-                raise fail(line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise fail(line_no, "record must be a JSON object")
-            if line_no == 1:
-                if row.get("entity") != "labels":
-                    raise fail(line_no, "not a labels file")
-                if row.get("schema") != LABELS_SCHEMA:
-                    raise fail(line_no, f"schema header must declare {LABELS_SCHEMA!r}")
-                continue
-            for key in ("stage_id", "node", "expected"):
-                if key not in row:
-                    raise fail(line_no, f"missing required field {key!r}")
-            if not (isinstance(row["stage_id"], str) and isinstance(row["node"], str)):
-                raise fail(line_no, "stage_id and node must be strings")
-            try:
-                expected = frozenset(
-                    (FindingKind(kind), metric) for kind, metric in row["expected"]
-                )
-            except (TypeError, ValueError) as exc:
-                raise fail(line_no, f"bad expected findings: {exc}") from exc
-            labels.append(
-                LabeledAnomaly(stage_id=row["stage_id"], node=row["node"],
-                               expected_findings=expected)
+    try:
+        for line_no, row in _read_entity_file(path, LABELS_SCHEMA, "labels"):
+            stage_id, node, expected = (
+                _require(row, key, path, line_no) for key in ("stage_id", "node", "expected")
             )
+            if not (isinstance(stage_id, str) and isinstance(node, str)):
+                raise TraceParseError(path, line_no, "stage_id and node must be strings")
+            try:
+                expected = frozenset(_expected_finding(kind, metric) for kind, metric in expected)
+            except (TypeError, ValueError) as exc:
+                raise TraceParseError(path, line_no, f"bad expected findings: {exc}") from exc
+            labels.append(LabeledAnomaly(stage_id, node, expected))
+    except TraceParseError as exc:
+        raise ScenarioError(str(exc)) from exc
     return labels
 
 
 def emit_scenario(spec: ScenarioSpec, out_dir: str) -> Tuple[Trace, List[LabeledAnomaly]]:
     """Generate and persist one scenario: trace directory plus labels file."""
-    from .traceio import save_trace
-
     trace, labels = generate_trace(spec)
     save_trace(trace, out_dir)
     save_labels(labels, os.path.join(out_dir, "labels.jsonl"))

@@ -1,6 +1,11 @@
 """On-disk trace format: a directory of line-delimited JSON files plus
 three .npy columns, one for the task numbers and two for the metric series.
 
+This module owns how stagelens reads and writes its JSON lines: the trace
+files and the simulator's labels file share the header, line and token
+rules of `_read_entity_file` and `_write_entity_file`, each with its own
+schema, and every JSON document is encoded by `_dumps`.
+
 One JSON file per entity kind (meta, jobs, stages, tasks, metrics), each
 starting with a schema-version header line. `tasks.jsonl` is the index of
 each stage's tasks, whose numbers sit in `tasks.values.npy`. `metrics.jsonl`
@@ -17,7 +22,8 @@ the values of unapplied clock offsets. Each group checks its series; the
 loader fails at the `metrics.jsonl` line of the first node in index order
 that a group refuses or whose unapplied offset would move its timestamps
 out of int64. `Trace.validate` then checks the rest: the hierarchy, and
-that each indexed node is in the cluster."""
+that each indexed node is in the cluster. A save makes no check of its
+own: it refuses a trace whose `validate()` lists a problem."""
 
 from __future__ import annotations
 
@@ -74,9 +80,9 @@ def _dumps(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _write_entity_file(path: str, entity: str, lines: Iterable[str]) -> None:
+def _write_entity_file(path: str, schema: str, entity: str, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps({"schema": SCHEMA_VERSION, "entity": entity}) + "\n")
+        fh.write(_dumps({"schema": schema, "entity": entity}) + "\n")
         for line in lines:
             fh.write(line + "\n")
 
@@ -111,36 +117,6 @@ def save_trace(trace: Trace, path: str) -> None:
     problems = trace.validate()
     if problems:
         raise TraceValidationError(problems)
-    # An id, name or offset type the loader rejects would write a trace it
-    # cannot load, and an int clock_offsets key would reload as a str. A
-    # node name that is not a str would also not sort beside the others.
-    problems = [
-        f"node {node!r}: bad cluster entry: node name must be a string"
-        for node in trace.cluster
-        if type(node) is not str
-    ]
-    problems += [
-        f"node {node!r}: bad clock offset: node name must be a string"
-        for node in trace.clock_offsets
-        if type(node) is not str
-    ]
-    problems += [
-        f"node {node}: clock offset {offset!r} must be integer milliseconds in int64"
-        for node, offset in trace.clock_offsets.items()
-        if type(offset) is not int or not _INT64.min <= offset <= _INT64.max
-    ]
-    problems += [
-        f"job {job.job_id}: bad job record: job_id must be a string"
-        for job in trace.jobs
-        if type(job.job_id) is not str
-    ]
-    problems += [
-        f"stage {stage.stage_id}: bad stage record: stage_id must be a string"
-        for stage in trace.stages()
-        if type(stage.stage_id) is not str
-    ]
-    if problems:
-        raise TraceValidationError(problems)
     jobs = sorted(trace.jobs, key=lambda j: j.job_id)
     stage_rows = [
         {"stage_id": stage.stage_id, "job_id": job.job_id}
@@ -149,6 +125,9 @@ def save_trace(trace: Trace, path: str) -> None:
     ]
     os.makedirs(path, exist_ok=True)
 
+    def write(entity: str, lines: Iterable[str]) -> None:
+        _write_entity_file(os.path.join(path, f"{entity}.jsonl"), SCHEMA_VERSION, entity, lines)
+
     meta = [
         {
             "cluster": sorted(trace.cluster),
@@ -156,19 +135,16 @@ def save_trace(trace: Trace, path: str) -> None:
             "offsets_applied": True,
         }
     ]
-    _write_entity_file(os.path.join(path, "meta.jsonl"), "meta", map(_dumps, meta))
-    _write_entity_file(
-        os.path.join(path, "jobs.jsonl"), "jobs", (_dumps({"job_id": j.job_id}) for j in jobs)
-    )
-    _write_entity_file(os.path.join(path, "stages.jsonl"), "stages", map(_dumps, stage_rows))
+    write("meta", map(_dumps, meta))
+    write("jobs", (_dumps({"job_id": j.job_id}) for j in jobs))
+    write("stages", map(_dumps, stage_rows))
     tables = [
         (stage.stage_id, stage.tasks.sorted_by_id())
         for job in jobs
         for stage in sorted(job.stages, key=lambda s: s.stage_id)
         if len(stage.tasks)
     ]
-    _write_entity_file(
-        os.path.join(path, "tasks.jsonl"),
+    write(
         "tasks",
         (
             _dumps({"count": len(t), "nodes": list(t.nodes), "stage_id": stage_id,
@@ -195,8 +171,7 @@ def save_trace(trace: Trace, path: str) -> None:
         ((group, sorted(rows, key=lambda row: row[0])) for group, rows in merged.values()),
         key=lambda line: line[1][0][0],
     )
-    _write_entity_file(
-        os.path.join(path, "metrics.jsonl"),
+    write(
         "metrics",
         (
             _dumps({"columns": list(group.columns), "nodes": [node for node, _ in rows],
@@ -236,9 +211,9 @@ def _open(path: str) -> BinaryIO:
         raise TraceParseError(path, 0, "a directory stands in place of the file") from None
 
 
-def _read_entity_file(path: str, entity: str) -> Iterator[Tuple[int, dict]]:
-    """The records after the header, each with its line number in the file,
-    decoded one line at a time."""
+def _read_entity_file(path: str, schema: str, entity: str) -> Iterator[Tuple[int, dict]]:
+    """The records after the `schema` and `entity` header, each with its
+    line number in the file, decoded one line at a time."""
     decode = _DECODER.raw_decode
     with _open(path) as fh:
         line_no = 0
@@ -260,10 +235,8 @@ def _read_entity_file(path: str, entity: str) -> Iterator[Tuple[int, dict]]:
             if not isinstance(record, dict):
                 raise TraceParseError(path, line_no, "record must be a JSON object")
             if line_no == 1:
-                if record.get("schema") != SCHEMA_VERSION:
-                    raise TraceParseError(
-                        path, 1, f"schema header must declare {SCHEMA_VERSION!r}"
-                    )
+                if record.get("schema") != schema:
+                    raise TraceParseError(path, 1, f"schema header must declare {schema!r}")
                 if record.get("entity") != entity:
                     raise TraceParseError(
                         path, 1, f"entity header must be {entity!r}, got {record.get('entity')!r}"
@@ -271,7 +244,7 @@ def _read_entity_file(path: str, entity: str) -> Iterator[Tuple[int, dict]]:
                 continue
             yield line_no, record
     if line_no == 0:
-        raise TraceParseError(path, 1, f"schema header must declare {SCHEMA_VERSION!r}")
+        raise TraceParseError(path, 1, f"schema header must declare {schema!r}")
 
 
 def _require(record: dict, key: str, path: str, line_no: int):
@@ -440,7 +413,7 @@ def load_trace(path: str) -> Trace:
         raise TraceParseError(path, 0, "trace path is not a directory")
 
     meta_path = os.path.join(path, "meta.jsonl")
-    meta_rows = list(_read_entity_file(meta_path, "meta"))
+    meta_rows = list(_read_entity_file(meta_path, SCHEMA_VERSION, "meta"))
     if len(meta_rows) != 1:
         raise TraceParseError(meta_path, 0, "meta file must hold exactly one record")
     meta_line, meta = meta_rows[0]
@@ -461,7 +434,7 @@ def load_trace(path: str) -> Trace:
 
     jobs_path = os.path.join(path, "jobs.jsonl")
     jobs: Dict[str, Job] = {}
-    for line_no, row in _read_entity_file(jobs_path, "jobs"):
+    for line_no, row in _read_entity_file(jobs_path, SCHEMA_VERSION, "jobs"):
         job_id = _require(row, "job_id", jobs_path, line_no)
         if type(job_id) is not str:
             raise TraceParseError(jobs_path, line_no, "bad job record: job_id must be a string")
@@ -471,7 +444,7 @@ def load_trace(path: str) -> Trace:
 
     stages_path = os.path.join(path, "stages.jsonl")
     stages: Dict[str, Stage] = {}
-    for line_no, row in _read_entity_file(stages_path, "stages"):
+    for line_no, row in _read_entity_file(stages_path, SCHEMA_VERSION, "stages"):
         stage_id = _require(row, "stage_id", stages_path, line_no)
         job_id = _require(row, "job_id", stages_path, line_no)
         for key, value in (("stage_id", stage_id), ("job_id", job_id)):
@@ -490,7 +463,7 @@ def load_trace(path: str) -> Trace:
     metrics_path = os.path.join(path, "metrics.jsonl")
     lines: List[Tuple[int, Tuple[str, ...], list, int]] = []  # line, columns, nodes, samples
     indexed: Set[str] = set()
-    for line_no, row in _read_entity_file(metrics_path, "metrics"):
+    for line_no, row in _read_entity_file(metrics_path, SCHEMA_VERSION, "metrics"):
         columns, nodes, samples = _index_line(row, metrics_path, line_no)
         if len(set(nodes)) < len(nodes) or not indexed.isdisjoint(nodes):
             seen = set(indexed)
@@ -517,7 +490,7 @@ def load_trace(path: str) -> Trace:
 
     tasks_path = os.path.join(path, "tasks.jsonl")
     task_index: Dict[str, Tuple[int, list, list]] = {}
-    for line_no, row in _read_entity_file(tasks_path, "tasks"):
+    for line_no, row in _read_entity_file(tasks_path, SCHEMA_VERSION, "tasks"):
         stage_id, ids, nodes = _task_entry(row, tasks_path, line_no, stages)
         if stage_id in task_index:
             raise TraceParseError(tasks_path, line_no, f"duplicate stage_id {stage_id!r}")

@@ -239,6 +239,13 @@ def test_save_refuses_job_or_stage_id_types_the_loader_rejects(
     assert not out.exists()
 
 
+def test_validate_lists_what_a_save_refuses():
+    """validate() is the one list of what a savable trace must satisfy: it
+    names a non-string job id, as the save that refuses the trace does."""
+    trace = make_trace(make_stage({"hw01": 1}, job_id=5))
+    assert trace.validate() == ["job 5: bad job record: job_id must be a string"]
+
+
 @pytest.mark.parametrize("offset", [1.5, True, 2**70])
 def test_save_refuses_clock_offsets_the_loader_rejects(tmp_path, offset):
     out = tmp_path / "trace"
@@ -1247,7 +1254,7 @@ def test_damaged_trace_loads_or_raises_trace_error(
         pass
 
 
-def oracle_read_entity_file(path, entity):
+def oracle_read_entity_file(path, schema, entity):
     """The line-by-line reader the loader's is checked against: one
     JSONDecoder.decode call per stripped line."""
     if not os.path.exists(path):
@@ -1267,10 +1274,8 @@ def oracle_read_entity_file(path, entity):
             if not isinstance(record, dict):
                 raise TraceParseError(path, line_no, "record must be a JSON object")
             if line_no == 1:
-                if record.get("schema") != SCHEMA_VERSION:
-                    raise TraceParseError(
-                        path, 1, f"schema header must declare {SCHEMA_VERSION!r}"
-                    )
+                if record.get("schema") != schema:
+                    raise TraceParseError(path, 1, f"schema header must declare {schema!r}")
                 if record.get("entity") != entity:
                     raise TraceParseError(
                         path, 1, f"entity header must be {entity!r}, got {record.get('entity')!r}"
@@ -1278,13 +1283,14 @@ def oracle_read_entity_file(path, entity):
                 continue
             yield line_no, record
     if line_no == 0:
-        raise TraceParseError(path, 1, f"schema header must declare {SCHEMA_VERSION!r}")
+        raise TraceParseError(path, 1, f"schema header must declare {schema!r}")
 
 
 def read_outcome(reader, path, entity):
-    """Every record a reader yields, or the (path, line, rule) it fails with."""
+    """Every record a reader yields from a trace file, or the (path, line,
+    rule) it fails with."""
     try:
-        return list(reader(path, entity))
+        return list(reader(path, SCHEMA_VERSION, entity))
     except TraceParseError as exc:
         return (exc.path, exc.line_no, exc.rule)
 
@@ -1403,8 +1409,21 @@ def oracle_validate(trace):
     problems = []
     if not trace.cluster:
         problems.append("cluster must list at least one node")
+    for node in trace.cluster:
+        if type(node) is not str:
+            problems.append(f"node {node!r}: bad cluster entry: node name must be a string")
+    for node in trace.clock_offsets:
+        if type(node) is not str:
+            problems.append(f"node {node!r}: bad clock offset: node name must be a string")
+    for node, offset in trace.clock_offsets.items():
+        if type(offset) is not int or not -(2**63) <= offset < 2**63:
+            problems.append(
+                f"node {node}: clock offset {offset!r} must be integer milliseconds in int64"
+            )
     job_ids = set()
     for job in trace.jobs:
+        if type(job.job_id) is not str:
+            problems.append(f"job {job.job_id}: bad job record: job_id must be a string")
         if job.job_id in job_ids:
             problems.append(f"job {job.job_id}: duplicate job_id")
         job_ids.add(job.job_id)
@@ -1412,6 +1431,8 @@ def oracle_validate(trace):
     stage_ids = set()
     task_ids = set()
     for stage in trace.stages():
+        if type(stage.stage_id) is not str:
+            problems.append(f"stage {stage.stage_id}: bad stage record: stage_id must be a string")
         if stage.stage_id in stage_ids:
             problems.append(f"stage {stage.stage_id}: duplicate stage_id")
         stage_ids.add(stage.stage_id)
@@ -1433,16 +1454,17 @@ def oracle_validate(trace):
     return problems
 
 
-def as_given(cluster, jobs, metrics):
+def as_given(cluster, jobs, metrics, clock_offsets=None):
     """A trace's parts, not built into a Trace: stores stay as given."""
     return SimpleNamespace(
-        cluster=cluster, jobs=jobs, metrics=metrics,
+        cluster=cluster, jobs=jobs, metrics=metrics, clock_offsets=clock_offsets or {},
         stages=lambda: (stage for job in jobs for stage in job.stages),
     )
 
 
 def build(parts):
-    return Trace(cluster=parts.cluster, jobs=parts.jobs, metrics=row_groups(parts.metrics))
+    return Trace(cluster=parts.cluster, jobs=parts.jobs, metrics=row_groups(parts.metrics),
+                 clock_offsets=parts.clock_offsets)
 
 
 _FLAWS = st.sampled_from(["none"] * 6 + ["task_id", "order", "node"])
@@ -1506,6 +1528,10 @@ def _one_store(node="hw01", ts=(0, 1, 2), columns=("cpu_usage", "x"), values=Non
     "hw02": MetricStore("hw02", np.array([1, 0]), ("x",), np.zeros((1, 2))),
 }))
 @example(parts=_one_store(ts=(0, 2, 1), values=[[0.5, np.inf, 0.5], [0.5] * 3]))
+@example(parts=as_given(  # every type a save refuses, beside a duplicate job
+    ["hw01", 7], [Job(5, [make_stage({"hw01": 1}, stage_id=3, job_id=5)]), Job(5)], {},
+    clock_offsets={"hw01": 1.5, 2: 3, "hw02": 2**63},
+))
 def test_validate_equals_one_walk_oracle(parts):
     """Building a trace raises MetricSeriesError exactly when the oracle
     names a store problem, with the first of those problems (the first

@@ -19,6 +19,7 @@ from stagelens.simulate import (
     emit_scenario,
     generate_trace,
     preset,
+    save_labels,
 )
 from stagelens.model import TaskTable, Trace
 
@@ -203,6 +204,17 @@ def test_bad_config_values_rejected():
         config_from_mapping({"bc": "1.4"})
     with pytest.raises(ValueError, match="dmin"):
         PipelineConfig(dmin=2)
+    # The skew screen's rule, checked before any stage is diagnosed.
+    for th_size in (0.5, 1.0):
+        with pytest.raises(ValueError, match="^th_size must exceed 1$"):
+            PipelineConfig(th_size=th_size)
+
+
+def test_cli_rejects_th_size_at_most_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
+    emit_scenario(preset("case1", seed=1), str(tmp_path))
+    assert main(["diagnose", "--trace", str(tmp_path), "--th-size", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: th_size must exceed 1\n"
 
 
 def test_cli_checks_config_before_loading_the_trace(tmp_path, capsys, monkeypatch):
@@ -275,6 +287,39 @@ def test_cli_simulate_diagnose_evaluate(tmp_path, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "precision=1.0000" in out
+
+
+def test_cli_evaluate_names_a_missing_labels_file(tmp_path, capsys):
+    report_file = tmp_path / "report.json"
+    report = diagnose(generate_trace(preset("case1"))[0])
+    report_file.write_bytes(render_report(report, "structured"))
+    labels = tmp_path / "labels.jsonl"
+    assert main(["evaluate", "--report", str(report_file), "--labels", str(labels)]) == 2
+    assert str(labels) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ('{"schema":"stagelens-report/2"}', "structured report lacks field 'mode_label'"),
+        ('{"mode_label":"m","schema":"stagelens-report/2","stages":[{"findings":[{'
+         '"kind":"Straggler","score":2.0,"subjects":["hw01"],"threshold":1.5}],'
+         '"stage_id":"s0"}]}', "structured report lacks field 'stage_id'"),
+        ("[1]", "structured report must be a JSON object"),
+        ('{"jobs":[{"job_id":"j0"}],"mode_label":"m","schema":"stagelens-report/2"}',
+         "malformed structured report: "),
+    ],
+    ids=["no-mode-label", "finding-without-stage-id", "not-an-object", "short-job"],
+)
+def test_cli_evaluate_rejects_malformed_report(tmp_path, capsys, document, message):
+    """A structured report that is not one exits 2 with the field it lacks,
+    not a traceback."""
+    report_file = tmp_path / "report.json"
+    report_file.write_text(document + "\n")
+    labels = tmp_path / "labels.jsonl"
+    save_labels([], str(labels))
+    assert main(["evaluate", "--report", str(report_file), "--labels", str(labels)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_cli_evaluate_rejects_malformed_labels(tmp_path, capsys):

@@ -1,17 +1,18 @@
 """The README's format examples name the schema versions the code writes
-and reads, so a version bump that misses one fails here."""
+and reads, and its configuration table lists the keys and defaults the code
+has, so a version bump or a new default that misses the README fails here."""
 
 import re
 from pathlib import Path
 
-from stagelens.report import REPORT_SCHEMA
+from stagelens.model import Locality
+from stagelens.report import CONFIG_KEYS, REPORT_SCHEMA, PipelineConfig
 from stagelens.simulate import LABELS_SCHEMA
 from stagelens.traceio import SCHEMA_VERSION
 
+TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 # The README with every run of whitespace, line breaks included, as one space.
-README = " ".join(
-    (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").split()
-)
+README = " ".join(TEXT.split())
 
 
 def test_readme_headers_name_the_current_schemas():
@@ -22,3 +23,20 @@ def test_readme_headers_name_the_current_schemas():
     assert re.findall(r"schema header must declare '([^']+)'", README) == [SCHEMA_VERSION]
     assert re.findall(r"\(`([^`]+)`, entity `labels`\)", README) == [LABELS_SCHEMA]
     assert re.findall(r"one JSON document with schema `([^`]+)`", README) == [REPORT_SCHEMA]
+
+
+def test_readme_config_table_lists_every_key_and_default():
+    """Each row of the configuration table is a CONFIG_KEYS key with
+    PipelineConfig's default; the pri_* row spans the locality weights in
+    Locality order, first key to last."""
+    rows = dict(re.findall(r"^\| (`[^|]+`) \| ([^|]+?) \| [^|]+\|$", TEXT, re.M))
+    cfg = PipelineConfig()
+    weights = dict(cfg.priorities)
+    pri = [f"pri_{loc.value.lower()}" for loc in Locality]
+    assert rows.pop(f"`{pri[0]}` … `{pri[-1]}`") == ",".join(
+        f"{weights[loc.value]:g}" for loc in Locality
+    )
+    assert [key.strip("`") for key in rows] + pri == list(CONFIG_KEYS)
+    for key, default in rows.items():
+        value = getattr(cfg, key.strip("`"))
+        assert default == (str(value).lower() if type(value) is bool else str(value)), key

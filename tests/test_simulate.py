@@ -157,8 +157,14 @@ def test_labels_round_trip(tmp_path):
         ('{"expected":[["OutlierMetric"]],"node":"hw01","stage_id":"stage_0"}',
          "bad expected findings"),
         ('{"expected":[],"node":1,"stage_id":"stage_0"}', "stage_id and node must be strings"),
+        ('{"expected":[["OutlierMetric",5]],"node":"hw01","stage_id":"stage_0"}',
+         "bad expected findings: metric 5 must be a string or null"),
+        ('{"expected":[["Straggler",true]],"node":"hw01","stage_id":"stage_0"}',
+         "bad expected findings: metric True must be a string or null"),
+        ('{"expected":[["OutlierMetric",NaN]],"node":"hw01","stage_id":"stage_0"}',
+         "non-finite number NaN is not allowed"),
         ('["stage_0"]', "record must be a JSON object"),
-        ("\xff", "invalid JSON"),
+        ("\xff", "'utf-8' codec can't decode byte 0xff"),
     ],
 )
 def test_malformed_label_row_rejected(tmp_path, line, rule):
@@ -186,6 +192,38 @@ def test_labels_header_must_name_the_labels_schema(tmp_path, header):
     with pytest.raises(ScenarioError) as err:
         load_labels(str(path))
     assert str(err.value) == f"{path}:1: schema header must declare 'stagelens-labels/1'"
+
+
+@pytest.mark.parametrize(
+    "text, rule",
+    [
+        ("", "schema header must declare 'stagelens-labels/1'"),
+        ('\n{"expected":[],"node":"hw01","stage_id":"stage_0"}\n', "invalid JSON: Expecting value"),
+        ('{"expected":[],"node":"hw01","stage_id":"stage_0"}\n',
+         "schema header must declare 'stagelens-labels/1'"),
+    ],
+    ids=["empty", "blank-first-line", "headerless"],
+)
+def test_labels_file_must_start_with_its_header(tmp_path, text, rule):
+    """A labels file follows the trace files' header rule: an empty file, or
+    one whose first line is blank, has no header and fails at line 1."""
+    path = tmp_path / "labels.jsonl"
+    path.write_text(text)
+    with pytest.raises(ScenarioError) as err:
+        load_labels(str(path))
+    assert str(err.value) == f"{path}:1: {rule}"
+
+
+def test_labels_file_bytes(tmp_path):
+    """A labels file is its header, then one sorted-key line per label with
+    its expected findings sorted."""
+    path = tmp_path / "labels.jsonl"
+    save_labels(generate_trace(preset("case1", seed=1))[1], str(path))
+    assert path.read_text() == (
+        '{"entity":"labels","schema":"stagelens-labels/1"}\n'
+        '{"expected":[["AbnormalNode",null],["OutlierMetric","netR_band"],'
+        '["Straggler",null],["UnevenPlacement",null]],"node":"hw05","stage_id":"stage_00"}\n'
+    )
 
 
 def test_label_soundness_metric_deviation():
