@@ -147,10 +147,10 @@ def mean_runtimes(tasks: TaskTable) -> Dict[str, float]:
     return {node: total / count for node, count, total in zip(nodes, counts, totals)}
 
 
-def check_th_size(th_size: float) -> None:
-    """The skew screen's rule for its threshold."""
-    if not th_size > 1:
-        raise ValueError("th_size must exceed 1")
+def check_multiple(name: str, value: float) -> None:
+    """The rule for a multiple of a median (th_size, th_d): it exceeds 1."""
+    if not value > 1:
+        raise ValueError(f"{name} must exceed 1")
 
 
 def detect_skew_data_size(
@@ -162,7 +162,7 @@ def detect_skew_data_size(
     are listed by task id. flag_small additionally tests the reciprocal
     ratio, catching much-smaller sizes; it defaults off.
     """
-    check_th_size(th_size)
+    check_multiple("th_size", th_size)
     tasks = data_size
     if not len(tasks):
         return SkewResult(evaluable=False)
@@ -267,6 +267,7 @@ def detect_stragglers(
     mean_runtime: Mapping[str, float], th_d: float = 1.5
 ) -> StragglerResult:
     """Nodes whose mean task runtime exceeds th_d times the cluster median."""
+    check_multiple("th_d", th_d)
     if len(mean_runtime) < 2:
         return StragglerResult(evaluable=False)
     med = statistics.median(mean_runtime.values())

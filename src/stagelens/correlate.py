@@ -140,6 +140,12 @@ class UltrashortPolicy:
     absolute_ms: int = 1000
     median_fraction: float = 0.05
 
+    def __post_init__(self) -> None:
+        if not self.absolute_ms >= 0:
+            raise ValueError("ultrashort_absolute_ms must be nonnegative")
+        if not 0 <= self.median_fraction <= 1:
+            raise ValueError("ultrashort_median_fraction must be in [0,1]")
+
     def threshold(self, runtimes: Sequence[int]) -> float:
         if not len(runtimes):
             return float(self.absolute_ms)

@@ -146,7 +146,7 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
     cluster = set()
     for stage_id in sorted(rows):
         job_id = stage_to_job.get(stage_id, "job_0")
-        stage = Stage(stage_id=stage_id, job_id=job_id, tasks=TaskTable.from_rows(rows[stage_id]))
+        stage = Stage(stage_id=stage_id, tasks=TaskTable.from_rows(rows[stage_id]))
         jobs.setdefault(job_id, Job(job_id=job_id)).stages.append(stage)
         cluster.update(stage.tasks.nodes)
 

@@ -338,8 +338,9 @@ _NO_TASKS = TaskTable((), (), (), ())
 
 @dataclass
 class Stage:
+    """A stage and its tasks; its job is the Job that holds it."""
+
     stage_id: str
-    job_id: str
     tasks: TaskTable = field(default_factory=lambda: _NO_TASKS)
 
     def __post_init__(self) -> None:
@@ -398,8 +399,9 @@ class MetricStore:
     metric's series is a contiguous row; `columns` are distinct names in
     metric_columns order. NaN marks a metric a sample does not report, so
     every reported value must be finite. A ClockGroup checks these rules for
-    its rows. Two stores are equal when their node, timestamps and values
-    are, an absent column counting as an all-NaN one.
+    its rows. Two stores are equal when their node, columns and timestamps
+    are, and their values are bit for bit, every NaN counting as the one a
+    save writes: 0.0 and -0.0 differ, NaN payloads do not.
     """
 
     node: str
@@ -407,28 +409,25 @@ class MetricStore:
     columns: Tuple[str, ...]
     values: np.ndarray
 
-    def window(self, start: int, finish: int) -> "MetricStore":
-        """The rows with start <= timestamp <= finish (int64 bounds), as views
-        of this store."""
-        lo, hi = window_bounds(self.timestamps, start, finish)
-        return MetricStore(
-            self.node, self.timestamps[lo:hi], self.columns, self.values[:, lo:hi]
-        )
-
     def __len__(self) -> int:
         return len(self.timestamps)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MetricStore):
             return NotImplemented
-        if self.node != other.node or not np.array_equal(self.timestamps, other.timestamps):
-            return False
-        mine, theirs = dict(zip(self.columns, self.values)), dict(zip(other.columns, other.values))
-        absent = np.full(len(self), np.nan)
-        return all(
-            np.array_equal(mine.get(c, absent), theirs.get(c, absent), equal_nan=True)
-            for c in mine.keys() | theirs.keys()
+        return (
+            self.node == other.node
+            and self.columns == other.columns
+            and np.array_equal(self.timestamps, other.timestamps)
+            and np.array_equal(canonical_nan(self.values).view(np.int64),
+                               canonical_nan(other.values).view(np.int64))
         )
+
+
+def canonical_nan(values: np.ndarray) -> np.ndarray:
+    """A copy of float64 `values` with every NaN the one NaN bit pattern a
+    save writes."""
+    return np.where(np.isnan(values), np.nan, values)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -548,10 +547,7 @@ class ClockGroups(Mapping):
 
 @dataclass(eq=False)
 class Trace:
-    """Two traces are equal when they save to the same files: the order of
-    nodes, jobs, stages and tasks does not count (a save sorts them by id),
-    and a node whose series has no rows equals a node with no series (both
-    write no metrics line and slice to a gap).
+    """Two traces are equal when they save to the same files.
 
     `metrics` takes ClockGroups, or a sequence of ClockGroup that it makes
     into one; the groups have checked their series. A mapping of stores
@@ -579,10 +575,7 @@ class Trace:
 
         def content(trace: Trace) -> tuple:
             jobs = {
-                job.job_id: {
-                    (stage.stage_id, stage.job_id): stage.tasks.sorted_by_id()
-                    for stage in job.stages
-                }
+                job.job_id: {stage.stage_id: stage.tasks.sorted_by_id() for stage in job.stages}
                 for job in trace.jobs
             }
             series = {node: store for node, store in trace.metrics.items() if len(store)}
@@ -615,14 +608,16 @@ class Trace:
             for node, offset in self.clock_offsets.items()
             if type(offset) is not int or not -(2**63) <= offset <= _INT64_MAX
         ]
-        known = set(self.cluster)
+        # Only strings go in a set: a bad id or name may be a list.
+        known = {node for node in self.cluster if type(node) is str}
         job_ids = set()
         for job in self.jobs:
             if type(job.job_id) is not str:
                 problems.append(f"job {job.job_id}: bad job record: job_id must be a string")
-            if job.job_id in job_ids:
+            elif job.job_id in job_ids:
                 problems.append(f"job {job.job_id}: duplicate job_id")
-            job_ids.add(job.job_id)
+            else:
+                job_ids.add(job.job_id)
         stage_ids = set()
         task_ids = set()
         for stage in self.stages():
@@ -630,9 +625,10 @@ class Trace:
                 problems.append(
                     f"stage {stage.stage_id}: bad stage record: stage_id must be a string"
                 )
-            if stage.stage_id in stage_ids:
+            elif stage.stage_id in stage_ids:
                 problems.append(f"stage {stage.stage_id}: duplicate stage_id")
-            stage_ids.add(stage.stage_id)
+            else:
+                stage_ids.add(stage.stage_id)
             # A stage that passes every check at once adds no problem; one
             # that fails any is walked task by task to name each violation.
             tasks = stage.tasks
@@ -661,7 +657,8 @@ class Trace:
         problems += [
             f"metric series for {node}: node not in cluster"
             for node in self.metrics
-            if node not in known
+            # A name of another type may match a cluster entry listed as bad.
+            if node not in known and node not in self.cluster
         ]
         return problems
 

@@ -53,7 +53,8 @@ class PipelineConfig:
         for build in (self.imbalance, self.placement, self.similarity, self.outlier,
                       self.ultrashort):
             build()
-        appdetect.check_th_size(self.th_size)
+        appdetect.check_multiple("th_size", self.th_size)
+        appdetect.check_multiple("th_d", self.th_d)
 
     def imbalance(self) -> ImbalanceConfig:
         return ImbalanceConfig(bc=self.bc, th_ub=self.th_ub)

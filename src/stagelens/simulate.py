@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -108,9 +108,6 @@ class ScenarioSpec:
     stages: int = 1
     tasks_per_stage: int = 48
     metric_rate_hz: float = 1.0
-    baseline: Mapping[str, Tuple[float, float]] = field(
-        default_factory=lambda: dict(BASELINE_V1)
-    )
     faults: Tuple[FaultSpec, ...] = ()
 
 
@@ -279,7 +276,7 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
                 )
                 cursor = finish
             stage_end = max(stage_end, cursor)
-        stages.append(Stage(stage_id=sid, job_id="job_0", tasks=TaskTable.from_rows(rows)))
+        stages.append(Stage(stage_id=sid, tasks=TaskTable.from_rows(rows)))
         windows[sid] = (clock, int(stage_end))
         clock = int(stage_end) + STAGE_GAP_MS
 
@@ -290,7 +287,7 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
     timestamps = np.arange(t_start, t_end, step_ms, dtype=np.int64)
     baseline_series: Dict[str, np.ndarray] = {}
     for metric in METRIC_SCHEMA:
-        mean, jitter = spec.baseline[metric]
+        mean, jitter = BASELINE_V1[metric]
         u = rng.uniform(-1.0, 1.0, size=len(timestamps))
         baseline_series[metric] = mean * (1.0 + jitter * u)
 

@@ -44,6 +44,7 @@ from .model import (
     TaskTable,
     TaskTableError,
     Trace,
+    canonical_nan,
     metric_columns,
 )
 
@@ -184,12 +185,7 @@ def save_trace(trace: Trace, path: str) -> None:
     # One NaN bit pattern for every missing value, so payloads never reach
     # the bytes.
     blocks = [block for _, rows in index for _, block in rows]
-    _write_npy(
-        path,
-        _VALUES,
-        sum(block.size for block in blocks),
-        (np.where(np.isnan(block), np.nan, block) for block in blocks),
-    )
+    _write_npy(path, _VALUES, sum(block.size for block in blocks), map(canonical_nan, blocks))
 
 
 def _reject_constant(token: str) -> float:
@@ -456,7 +452,7 @@ def load_trace(path: str) -> Trace:
             raise TraceParseError(stages_path, line_no, f"stage references unknown job {job_id!r}")
         if stage_id in stages:
             raise TraceParseError(stages_path, line_no, f"duplicate stage_id {stage_id!r}")
-        stage = Stage(stage_id=stage_id, job_id=job_id)
+        stage = Stage(stage_id=stage_id)
         stages[stage_id] = stage
         jobs[job_id].stages.append(stage)
 

@@ -48,19 +48,18 @@ def make_task(
     )
 
 
-def stage_of(rows, stage_id="s0", job_id="j0"):
+def stage_of(rows, stage_id="s0"):
     """A stage holding these Task rows."""
-    return Stage(stage_id=stage_id, job_id=job_id, tasks=TaskTable.from_rows(rows))
+    return Stage(stage_id=stage_id, tasks=TaskTable.from_rows(rows))
 
 
-def make_stage(counts, stage_id="s0", job_id="j0", runtime=10_000, launch=1_460_000_000_000):
+def make_stage(counts, stage_id="s0", runtime=10_000, launch=1_460_000_000_000):
     """counts: mapping node -> task count."""
     nodes = [node for node in sorted(counts) for _ in range(counts[node])]
     return stage_of(
         [make_task(task_id=f"t{i}", node=node, launch=launch, runtime=runtime)
          for i, node in enumerate(nodes)],
         stage_id,
-        job_id,
     )
 
 
@@ -87,13 +86,14 @@ def clock_groups(stores: Mapping[str, MetricStore]):
     ]
 
 
-def make_trace(stage, stores=None, extra_nodes=(), group=row_groups):
-    """A trace of one stage, its cluster the stage's nodes and `extra_nodes`,
-    and the stores (node -> MetricStore) made into clock groups by `group`."""
+def make_trace(stage, stores=None, extra_nodes=(), group=row_groups, job_id="j0"):
+    """A trace of one stage in job `job_id`, its cluster the stage's nodes
+    and `extra_nodes`, and the stores (node -> MetricStore) made into clock
+    groups by `group`."""
     nodes = sorted(set(stage.tasks.nodes) | set(extra_nodes))
     return Trace(
         cluster=nodes,
-        jobs=[Job(job_id=stage.job_id, stages=[stage])],
+        jobs=[Job(job_id=job_id, stages=[stage])],
         metrics=group(stores or {}),
     )
 

@@ -355,7 +355,7 @@ def task_rows(draw):
 def test_task_columns_equal_per_task_oracle(rows, cluster, policy, th_size, flag_small):
     """build_datasets' task counts and the straggler, skew and placement
     screens on the task table equal the per-task reference bit for bit."""
-    stage = Stage("s0", "j0", TaskTable.from_rows(rows))
+    stage = Stage("s0", TaskTable.from_rows(rows))
     trace = Trace(cluster=cluster)
     ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), cluster, policy)
     cfg = PlacementConfig()

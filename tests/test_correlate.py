@@ -24,7 +24,7 @@ from stagelens.correlate import (
     slice_metrics,
     stage_window,
 )
-from stagelens.model import METRIC_SCHEMA, MetricStore, Stage, Trace
+from stagelens.model import METRIC_SCHEMA, MetricStore, Stage, Trace, window_bounds
 from stagelens.traceio import load_trace, save_trace
 
 T0 = 1_460_000_000_000
@@ -172,7 +172,13 @@ def assert_datasets_equal_oracle(rows, with_series, start, finish, outside=(), s
         assert slices.gaps == missing
         assert list(slices.series) == nodes
         for node, cut in slices.series.items():
-            assert cut == t.metrics.get(node, store_from_samples(node, [])).window(start, finish)
+            store = t.metrics.get(node, store_from_samples(node, []))
+            lo, hi = window_bounds(store.timestamps, start, finish)
+            if node in slices.gaps:  # an empty placeholder
+                assert len(cut) == hi - lo == 0
+            else:
+                assert cut == MetricStore(node, store.timestamps[lo:hi], store.columns,
+                                          store.values[:, lo:hi])
         ds = build_datasets(stage, slices, t.cluster)
         assert_datasets_equal(ds, vectors, matrix, columns, missing)
 
@@ -316,7 +322,7 @@ def test_disjoint_tasks_share_one_window():
 
 def test_empty_stage_errors():
     with pytest.raises(CorrelateError):
-        stage_window(Stage(stage_id="s0", job_id="j0"))
+        stage_window(Stage(stage_id="s0"))
 
 
 def test_slice_bounds_inclusive():
@@ -366,10 +372,10 @@ def assert_window_equals_filter(timestamps, start, finish):
         "hw01", np.array(timestamps, dtype=np.int64), ("m",),
         np.arange(len(timestamps), dtype=float)[None, :],
     )
-    cut = store.window(start, finish)
+    lo, hi = window_bounds(store.timestamps, start, finish)
     kept = [i for i, t in enumerate(timestamps) if start <= t <= finish]
-    assert cut.timestamps.tolist() == [timestamps[i] for i in kept]
-    assert cut.values[0].tolist() == [float(i) for i in kept]
+    assert store.timestamps[lo:hi].tolist() == [timestamps[i] for i in kept]
+    assert store.values[0, lo:hi].tolist() == [float(i) for i in kept]
 
 
 @pytest.mark.parametrize("start, finish", [

@@ -1,6 +1,8 @@
+import copy
 import io
 import json
 import os
+import random
 import re
 from types import SimpleNamespace
 from unittest import mock
@@ -33,6 +35,7 @@ from stagelens.model import (
     TaskTable,
     TaskTableError,
     Trace,
+    metric_columns,
     parse_locality,
 )
 from stagelens.report import PipelineConfig, diagnose, render_report
@@ -176,8 +179,8 @@ def test_parse_error_names_file_line_and_rule(tmp_path):
 
 
 def test_reused_stage_id_rejected(tmp_path):
-    first = make_stage({"hw01": 1}, stage_id="s0", job_id="j0")
-    second = stage_of([make_task(task_id="t1")], "s1", "j1")  # task ids are trace-wide
+    first = make_stage({"hw01": 1}, stage_id="s0")
+    second = stage_of([make_task(task_id="t1")], "s1")  # task ids are trace-wide
     trace = Trace(
         cluster=["hw01"],
         jobs=[Job(job_id="j0", stages=[first]), Job(job_id="j1", stages=[second])],
@@ -231,10 +234,10 @@ def test_save_refuses_task_field_types_the_loader_rejects(field, value, rule):
 def test_save_refuses_job_or_stage_id_types_the_loader_rejects(
     tmp_path, job_id, stage_id, problem
 ):
-    stage = make_stage({"hw01": 1}, stage_id=stage_id, job_id=job_id)
+    stage = make_stage({"hw01": 1}, stage_id=stage_id)
     out = tmp_path / "trace"
     with pytest.raises(TraceValidationError) as err:
-        save_trace(make_trace(stage), str(out))
+        save_trace(make_trace(stage, job_id=job_id), str(out))
     assert err.value.problems[0] == problem
     assert not out.exists()
 
@@ -242,7 +245,7 @@ def test_save_refuses_job_or_stage_id_types_the_loader_rejects(
 def test_validate_lists_what_a_save_refuses():
     """validate() is the one list of what a savable trace must satisfy: it
     names a non-string job id, as the save that refuses the trace does."""
-    trace = make_trace(make_stage({"hw01": 1}, job_id=5))
+    trace = make_trace(make_stage({"hw01": 1}), job_id=5)
     assert trace.validate() == ["job 5: bad job record: job_id must be a string"]
 
 
@@ -747,7 +750,7 @@ def test_task_table_refuses_values_outside_the_bound():
 
 
 def test_stages_without_tasks_share_one_read_only_empty_table():
-    first, second = Stage("s0", "j0"), Stage("s1", "j0")
+    first, second = Stage("s0"), Stage("s1")
     assert first.tasks is second.tasks
     assert first.tasks == TaskTable.from_rows([])
     assert (len(first.tasks), first.tasks.task_id, first.tasks.nodes) == (0, (), ())
@@ -954,8 +957,9 @@ def test_any_grouping_saves_the_same_bytes(tmp_path_factory, data):
     """However a trace's series are split into clock groups (any partition
     of the nodes that share a layout and a clock, in any order, groups in
     any order), save writes the bytes it writes for one group per layout
-    and clock: metrics.jsonl holds one line per distinct (layout, clock)
-    with samples, and a load builds one group per line, its nodes sorted."""
+    and clock, and the two traces are equal: metrics.jsonl holds one line
+    per distinct (layout, clock) with samples, and a load builds one group
+    per line, its nodes sorted."""
     draw = data.draw
     stores = []
     for node in draw(st.lists(_NAMES, min_size=1, max_size=6, unique=True)):
@@ -976,11 +980,13 @@ def test_any_grouping_saves_the_same_bytes(tmp_path_factory, data):
                    for lo, hi in zip(cuts, cuts[1:])]
     cluster = sorted(s.node for s in stores)
     merged, split = tmp_path_factory.mktemp("merged"), tmp_path_factory.mktemp("split")
-    save_trace(Trace(cluster=cluster, metrics=clock_groups({s.node: s for s in stores})),
-               str(merged))
-    save_trace(Trace(cluster=cluster, metrics=draw(st.permutations(groups))), str(split))
+    one = Trace(cluster=cluster, metrics=clock_groups({s.node: s for s in stores}))
+    many = Trace(cluster=cluster, metrics=draw(st.permutations(groups)))
+    save_trace(one, str(merged))
+    save_trace(many, str(split))
     for name in TRACE_FILES:
         assert (merged / name).read_bytes() == (split / name).read_bytes()
+    assert one == many
     lines = (merged / "metrics.jsonl").read_text().splitlines()[1:]
     assert len(lines) == sum(1 for _, ts in classes if ts)
     loaded = load_trace(str(merged))
@@ -1053,6 +1059,180 @@ def test_task_round_trip_property(tmp_path_factory, trace):
     save_trace(loaded, str(b))
     for name in TRACE_FILES:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def trace_of(parts):
+    """The Trace of parts [cluster, clock offsets, jobs, groups]: jobs as
+    [job id, [[stage id, Task rows]]], groups as [nodes, columns,
+    timestamps, values], ClockGroup's arguments."""
+    cluster, offsets, jobs, groups = parts
+    return Trace(
+        cluster=list(cluster),
+        jobs=[Job(job_id, [stage_of(rows, stage_id) for stage_id, rows in stages])
+              for job_id, stages in jobs],
+        metrics=[ClockGroup(*group) for group in groups],
+        clock_offsets=dict(offsets),
+    )
+
+
+@st.composite
+def trace_parts(draw):
+    """The parts (see trace_of) of a valid trace of up to three jobs, whose
+    first stage holds a task, and whose first clock group holds two nodes
+    and a sample; cells are drawn from a few that include 0.0, -0.0 and NaN,
+    and the last cluster node has no series."""
+    nodes = [f"hw{i}" for i in range(draw(st.integers(3, 6)))]
+    offsets = draw(st.dictionaries(st.sampled_from(nodes), st.integers(-5, 5), max_size=2))
+    jobs = [[f"j{i}", []] for i in range(draw(st.integers(1, 3)))]
+    task = 0
+    for s in range(draw(st.integers(1, 4))):
+        rows = []
+        for _ in range(draw(st.integers(int(s == 0), 3))):
+            launch = draw(st.integers(0, 50))
+            rows.append(Task(f"t{task}", draw(st.sampled_from(nodes)), launch,
+                             launch + draw(st.integers(0, 9)),
+                             draw(st.sampled_from(list(Locality))), draw(st.integers(0, 9)),
+                             draw(st.booleans())))
+            task += 1
+        draw(st.sampled_from(jobs))[1].append([f"s{s}", rows])
+    groups = []
+    free = nodes[: draw(st.integers(2, len(nodes) - 1))]
+    while free:
+        size = draw(st.integers(1 if groups else 2, len(free)))
+        members, free = free[:size], free[size:]
+        columns = draw(st.sampled_from([("cpu_usage",), ("cpu_usage", "x"), ("IPC", "x")]))
+        ts = sorted(draw(st.sets(st.integers(0, 60), min_size=0 if groups else 1, max_size=4)))
+        shape = (len(members), len(columns), len(ts))
+        count = len(members) * len(columns) * len(ts)
+        cells = draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e300, np.nan]),
+                              min_size=count, max_size=count))
+        groups.append([members, columns, np.array(ts, np.int64),
+                       np.array(cells, np.float64).reshape(shape)])
+    return [nodes, offsets, jobs, groups]
+
+
+# Edits of a trace that a save must not see, and edits it must.
+_KEEPS = ("permute jobs", "permute stages", "permute tasks", "permute cluster",
+          "permute group nodes", "regroup series", "nan payload", "add empty series")
+_CHANGES = ("flip zero", "add nan column", "move stage", "change value", "change timestamp",
+            "change task field")
+
+
+def edit(parts, kind, seed):
+    """Two copies of the parts, the second with edit `kind` made at places
+    drawn from `seed`; the first holds at the edited cell what the edit
+    needs there (0.0 for a flip, NaN for a payload)."""
+    rng = random.Random(seed)
+    t = copy.deepcopy(parts)
+    nodes, offsets, jobs, groups = t
+    g = rng.choice([i for i, group in enumerate(groups) if group[2].size])
+    cell = tuple(rng.randrange(n) for n in groups[g][3].shape)
+    if kind in ("flip zero", "nan payload"):
+        groups[g][3][cell] = 0.0 if kind == "flip zero" else np.nan
+    u = copy.deepcopy(t)
+    nodes, offsets, jobs, groups = u
+    group = groups[g]
+    stages = [stage for _, job_stages in jobs for stage in job_stages]
+    if kind == "permute jobs":
+        rng.shuffle(jobs)
+    elif kind == "permute stages":
+        for _, job_stages in jobs:
+            rng.shuffle(job_stages)
+    elif kind == "permute tasks":
+        for _, rows in stages:
+            rng.shuffle(rows)
+    elif kind == "permute cluster":
+        rng.shuffle(nodes)
+        u[1] = dict(rng.sample(list(offsets.items()), len(offsets)))
+    elif kind == "permute group nodes":
+        order = rng.sample(range(len(group[0])), len(group[0]))
+        group[0], group[3] = [group[0][i] for i in order], group[3][order]
+        rng.shuffle(groups)
+    elif kind == "regroup series":
+        first = groups[0]
+        at = rng.randrange(1, len(first[0]))
+        groups[:1] = [[first[0][:at], first[1], first[2], first[3][:at]],
+                      [first[0][at:], first[1], first[2], first[3][at:]]]
+    elif kind == "nan payload":
+        group[3].view(np.int64)[cell] = rng.choice([0x7FF0000000000001, -1, -(2**51)])
+    elif kind == "add empty series":
+        groups.append([[nodes[-1]], ("x",), np.zeros(0, np.int64), np.zeros((1, 1, 0))])
+    elif kind == "flip zero":
+        group[3][cell] = -0.0
+    elif kind == "add nan column":
+        name = next(c for c in ("IPC", "cpu_usage", "x") if c not in group[1])
+        columns = metric_columns(group[1] + (name,))
+        group[3] = np.insert(group[3], columns.index(name), np.nan, axis=1)
+        group[1] = columns
+    elif kind == "move stage":
+        source = rng.choice([job for job in jobs if job[1]])
+        stage = source[1].pop(rng.randrange(len(source[1])))
+        target = rng.choice([job for job in jobs if job is not source] + [["j9", []]])
+        if target[0] == "j9":
+            jobs.append(target)
+        target[1].insert(rng.randrange(len(target[1]) + 1), stage)
+    elif kind == "change value":
+        group[3][cell] = 7.0 if group[3][cell] == 1.5 else 1.5
+    elif kind == "change timestamp":
+        group[2][-1] += 1
+    elif kind == "change task field":
+        rows = rng.choice([rows for _, rows in stages if rows])
+        i = rng.randrange(len(rows))
+        row = rows[i]
+        name, value = rng.choice([
+            ("task_id", "tz"),
+            ("node", next(n for n in nodes if n != row.node)),
+            ("finish_time", row.finish_time + 1),
+            ("locality", next(loc for loc in Locality if loc is not row.locality)),
+            ("data_size", row.data_size + 1),
+            ("succeeded", not row.succeeded),
+        ])
+        rows[i] = row._replace(**{name: value})
+    return t, u
+
+
+_PARTS = [
+    ["hw0", "hw1", "hw2"],
+    {"hw1": -3},
+    [["j0", [["s0", [Task("t0", "hw0", 0, 5, Locality.NODE_LOCAL, 3), Task("t1", "hw1", 2, 9)]],
+             ["s1", []]]],
+     ["j1", [["s2", [Task("t2", "hw0", 4, 4, succeeded=False)]]]]],
+    [[["hw0", "hw1"], ("cpu_usage", "x"), np.array([0, 10]),
+      np.array([[[0.0, np.nan], [1.5, -0.0]], [[2.0, 3.0], [np.nan, 4.0]]])]],
+]
+
+
+@given(parts=trace_parts(), kind=st.sampled_from(_KEEPS + _CHANGES), seed=st.integers(0, 2**16))
+@example(parts=_PARTS, kind="permute jobs", seed=0)
+@example(parts=_PARTS, kind="permute stages", seed=0)
+@example(parts=_PARTS, kind="permute tasks", seed=0)
+@example(parts=_PARTS, kind="permute cluster", seed=0)
+@example(parts=_PARTS, kind="permute group nodes", seed=0)
+@example(parts=_PARTS, kind="regroup series", seed=0)
+@example(parts=_PARTS, kind="nan payload", seed=0)
+@example(parts=_PARTS, kind="add empty series", seed=0)
+@example(parts=_PARTS, kind="flip zero", seed=0)
+@example(parts=_PARTS, kind="add nan column", seed=0)
+@example(parts=_PARTS, kind="move stage", seed=0)
+@example(parts=_PARTS, kind="change value", seed=0)
+@example(parts=_PARTS, kind="change timestamp", seed=0)
+@example(parts=_PARTS, kind="change task field", seed=0)
+def test_traces_are_equal_exactly_when_they_save_the_same_files(
+    tmp_path_factory, parts, kind, seed
+):
+    """A trace and an edit of it are equal exactly when their saved
+    directories are byte-identical, file by file. Neither sees the order of
+    jobs, stages, tasks, cluster entries or group nodes, how equal series
+    are grouped, a NaN payload, or a series with no rows; both see a 0.0
+    flipped to -0.0, an all-NaN column, a stage moved to another job, and
+    one value, timestamp or task field changed."""
+    t, u = (trace_of(p) for p in edit(parts, kind, seed))
+    a, b = tmp_path_factory.mktemp("t"), tmp_path_factory.mktemp("u")
+    save_trace(t, str(a))
+    save_trace(u, str(b))
+    same = all((a / name).read_bytes() == (b / name).read_bytes() for name in TRACE_FILES)
+    assert (t == u) == same
+    assert same == (kind in _KEEPS)
 
 
 def test_schema_header_is_checked(tmp_path):
@@ -1168,7 +1348,7 @@ def stored_before_offsets(trace, offsets):
             back = np.array([offsets[n] for n in t.nodes], np.int64)[t.node]
             tasks = TaskTable(t.task_id, t.node, t.launch_time - back, t.finish_time - back,
                               t.locality, t.data_size, t.succeeded, nodes=t.nodes)
-            stages.append(Stage(stage.stage_id, stage.job_id, tasks))
+            stages.append(Stage(stage.stage_id, tasks))
         jobs.append(Job(job.job_id, stages))
     metrics = {
         node: MetricStore(node, store.timestamps - offsets[node], store.columns, store.values)
@@ -1420,22 +1600,21 @@ def oracle_validate(trace):
             problems.append(
                 f"node {node}: clock offset {offset!r} must be integer milliseconds in int64"
             )
-    job_ids = set()
+    job_ids = []
     for job in trace.jobs:
         if type(job.job_id) is not str:
             problems.append(f"job {job.job_id}: bad job record: job_id must be a string")
-        if job.job_id in job_ids:
+        elif job.job_id in job_ids:
             problems.append(f"job {job.job_id}: duplicate job_id")
-        job_ids.add(job.job_id)
-    known = set(trace.cluster)
-    stage_ids = set()
+        job_ids.append(job.job_id)
+    stage_ids = []
     task_ids = set()
     for stage in trace.stages():
         if type(stage.stage_id) is not str:
             problems.append(f"stage {stage.stage_id}: bad stage record: stage_id must be a string")
-        if stage.stage_id in stage_ids:
+        elif stage.stage_id in stage_ids:
             problems.append(f"stage {stage.stage_id}: duplicate stage_id")
-        stage_ids.add(stage.stage_id)
+        stage_ids.append(stage.stage_id)
         for task in stage.tasks:
             if task.task_id in task_ids:
                 problems.append(f"task {task.task_id}: duplicate task_id")
@@ -1445,10 +1624,10 @@ def oracle_validate(trace):
                     f"task {task.task_id}: finish_time {task.finish_time} "
                     f"< launch_time {task.launch_time}"
                 )
-            if task.node not in known:
+            if task.node not in trace.cluster:
                 problems.append(f"task {task.task_id}: node {task.node!r} not in cluster")
     for node, store in trace.metrics.items():
-        if node not in known:
+        if node not in trace.cluster:
             problems.append(f"metric series for {node}: node not in cluster")
         problems += oracle_store_problems(node, store)
     return problems
@@ -1528,9 +1707,11 @@ def _one_store(node="hw01", ts=(0, 1, 2), columns=("cpu_usage", "x"), values=Non
     "hw02": MetricStore("hw02", np.array([1, 0]), ("x",), np.zeros((1, 2))),
 }))
 @example(parts=_one_store(ts=(0, 2, 1), values=[[0.5, np.inf, 0.5], [0.5] * 3]))
-@example(parts=as_given(  # every type a save refuses, beside a duplicate job
-    ["hw01", 7], [Job(5, [make_stage({"hw01": 1}, stage_id=3, job_id=5)]), Job(5)], {},
-    clock_offsets={"hw01": 1.5, 2: 3, "hw02": 2**63},
+@example(parts=as_given(  # every type a save refuses, lists too, beside a duplicate job
+    ["hw01", 7, ["hw02"]],
+    [Job(5, [make_stage({"hw01": 1}, stage_id=3)]), Job(5), Job(["x"], [Stage(["s0"])]),
+     Job("j0"), Job("j0")],
+    {}, clock_offsets={"hw01": 1.5, 2: 3, "hw02": 2**63},
 ))
 def test_validate_equals_one_walk_oracle(parts):
     """Building a trace raises MetricSeriesError exactly when the oracle
@@ -1732,7 +1913,7 @@ def test_load_checks_equal_validate(tmp_path_factory, parts, fault, at, drop):
         meta.write_text(header + "\n" + json.dumps({**json.loads(body), "cluster": cluster}) + "\n")
     # The trace as saved: stages and tasks sorted by id, series grouped as
     # the loader groups them.
-    stages = [Stage(s.stage_id, "j0", s.tasks.sorted_by_id())
+    stages = [Stage(s.stage_id, s.tasks.sorted_by_id())
               for s in sorted(trace.jobs[0].stages, key=lambda s: s.stage_id)]
     saved = Trace(cluster=sorted(cluster), jobs=[Job("j0", stages)], metrics=clock_groups(metrics))
     problems = saved.validate()

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import row_groups, store_from_samples
+from stagelens.appdetect import detect_stragglers
 from stagelens.cli import _build_parser, _resolve_config, main
 from stagelens.report import (
     DiagnoseError,
@@ -204,10 +205,19 @@ def test_bad_config_values_rejected():
         config_from_mapping({"bc": "1.4"})
     with pytest.raises(ValueError, match="dmin"):
         PipelineConfig(dmin=2)
-    # The skew screen's rule, checked before any stage is diagnosed.
-    for th_size in (0.5, 1.0):
-        with pytest.raises(ValueError, match="^th_size must exceed 1$"):
-            PipelineConfig(th_size=th_size)
+    # The skew and straggler screens' rule, checked before any stage is
+    # diagnosed: each threshold is a multiple of a median.
+    for name in ("th_size", "th_d"):
+        for value in (0.5, 1.0, 0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match=f"^{name} must exceed 1$"):
+                PipelineConfig(**{name: value})
+    with pytest.raises(ValueError, match="^th_d must exceed 1$"):
+        detect_stragglers({"n1": 1.0, "n2": 3.0}, th_d=1.0)
+    with pytest.raises(ValueError, match="^ultrashort_absolute_ms must be nonnegative$"):
+        PipelineConfig(ultrashort_absolute_ms=-1)
+    for fraction in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"^ultrashort_median_fraction must be in \[0,1\]$"):
+            PipelineConfig(ultrashort_median_fraction=fraction)
 
 
 def test_cli_rejects_th_size_at_most_one(tmp_path, capsys, monkeypatch):
@@ -215,6 +225,19 @@ def test_cli_rejects_th_size_at_most_one(tmp_path, capsys, monkeypatch):
     emit_scenario(preset("case1", seed=1), str(tmp_path))
     assert main(["diagnose", "--trace", str(tmp_path), "--th-size", "0.5"]) == 2
     assert capsys.readouterr().err == "error: th_size must exceed 1\n"
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--th-d", "0"], "th_d must exceed 1"),
+    (["--ultrashort-median-fraction", "nan"], "ultrashort_median_fraction must be in [0,1]"),
+    (["--ultrashort-absolute-ms", "-1"], "ultrashort_absolute_ms must be nonnegative"),
+])
+def test_cli_rejects_th_d_and_ultrashort_values_out_of_range(
+    tmp_path, capsys, monkeypatch, flags, error
+):
+    monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
+    assert main(["diagnose", "--trace", str(tmp_path / "missing"), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_cli_checks_config_before_loading_the_trace(tmp_path, capsys, monkeypatch):

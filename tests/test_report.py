@@ -91,7 +91,7 @@ def _trace(draw):
                 data_size=draw(st.integers(0, 10**12)),
                 succeeded=draw(st.booleans()),
             ))
-        stages.append(Stage(stage_id=f"s{s}", job_id="j0", tasks=TaskTable.from_rows(rows)))
+        stages.append(Stage(stage_id=f"s{s}", tasks=TaskTable.from_rows(rows)))
     without_series = draw(st.sets(st.sampled_from(nodes), max_size=1))
     shared = draw(st.sets(st.sampled_from(_METRICS), min_size=1, max_size=4))
     metrics = {
@@ -141,7 +141,7 @@ def test_reports_ignore_task_order(trace, cfg, data):
         cluster=trace.cluster,
         jobs=[
             Job(job.job_id, [
-                Stage(stage.stage_id, stage.job_id, stage.tasks.take(
+                Stage(stage.stage_id, stage.tasks.take(
                     np.array(data.draw(st.permutations(range(len(stage.tasks)))), dtype=np.int64)
                 ))
                 for stage in job.stages
@@ -173,7 +173,7 @@ def _shifted(trace, shift):
     return Trace(
         cluster=trace.cluster,
         jobs=[
-            Job(job.job_id, [Stage(s.stage_id, s.job_id, tasks(s.tasks)) for s in job.stages])
+            Job(job.job_id, [Stage(s.stage_id, tasks(s.tasks)) for s in job.stages])
             for job in trace.jobs
         ],
         metrics=clock_groups({
@@ -201,7 +201,7 @@ def _renamed(trace, rename):
     return Trace(
         cluster=[rename[n] for n in trace.cluster],
         jobs=[
-            Job(job.job_id, [Stage(s.stage_id, s.job_id, tasks(s.tasks)) for s in job.stages])
+            Job(job.job_id, [Stage(s.stage_id, tasks(s.tasks)) for s in job.stages])
             for job in trace.jobs
         ],
         metrics=clock_groups({
