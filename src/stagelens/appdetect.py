@@ -3,7 +3,7 @@ data placement and the straggler-node screen."""
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -42,8 +42,8 @@ class PlacementConfig:
 
     def __post_init__(self) -> None:
         for loc, weight in self.priorities.items():
-            if weight < 0:
-                raise ValueError(f"priority for {loc} must be nonnegative")
+            if not 0 <= weight < math.inf:
+                raise ValueError(f"priority for {loc.value} must be finite and nonnegative")
 
 
 @dataclass
@@ -51,7 +51,6 @@ class ImbalanceResult:
     evaluable: bool
     unbalanced: bool = False
     mean: float = 0.0
-    diff: Dict[str, float] = field(default_factory=dict)
     tilt: List[Tuple[float, str]] = field(default_factory=list)  # descending
     flagged: List[str] = field(default_factory=list)  # tilt-rank order
 
@@ -85,7 +84,6 @@ def detect_workload_imbalance(
         evaluable=True,
         unbalanced=total_diff > tolerance * p,
         mean=mean,
-        diff=diff,
         tilt=tilt,
         flagged=flagged,
     )
@@ -270,7 +268,7 @@ def detect_stragglers(
     check_multiple("th_d", th_d)
     if len(mean_runtime) < 2:
         return StragglerResult(evaluable=False)
-    med = statistics.median(mean_runtime.values())
+    med = model.median(np.fromiter(mean_runtime.values(), np.float64, len(mean_runtime)))
     if med == 0:
         return StragglerResult(evaluable=False)
     stragglers = [

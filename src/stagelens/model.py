@@ -573,13 +573,19 @@ class Trace:
         if not isinstance(other, Trace):
             return NotImplemented
 
+        # Names and offsets compare by repr: one that validate() refuses may
+        # neither hash, nor order against a str, nor give a bool from ==.
+        def by_name(pairs) -> list:
+            return sorted(((repr(name), value) for name, value in pairs), key=lambda p: p[0])
+
         def content(trace: Trace) -> tuple:
-            jobs = {
-                job.job_id: {stage.stage_id: stage.tasks.sorted_by_id() for stage in job.stages}
+            jobs = by_name(
+                (job.job_id, by_name((s.stage_id, s.tasks.sorted_by_id()) for s in job.stages))
                 for job in trace.jobs
-            }
+            )
+            offsets = sorted(map(repr, trace.clock_offsets.items()))
             series = {node: store for node, store in trace.metrics.items() if len(store)}
-            return sorted(trace.cluster), jobs, trace.clock_offsets, series
+            return sorted(map(repr, trace.cluster)), jobs, offsets, series
 
         return content(self) == content(other)
 

@@ -8,11 +8,11 @@ JSON document that round-trips byte-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Mapping, Tuple
 
 from . import appdetect, metricdetect, nodedetect
-from .appdetect import ImbalanceConfig, PlacementConfig
+from .appdetect import DEFAULT_PRIORITIES, ImbalanceConfig, PlacementConfig
 from .correlate import UltrashortPolicy, build_datasets, slice_metrics, stage_window
 from .metricdetect import OutlierConfig
 from .model import Finding, FindingKind, Locality, Trace
@@ -28,25 +28,31 @@ class DiagnoseError(Exception):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every user-tunable threshold, with the published defaults."""
+    """Every user-tunable threshold, with the published defaults. Each field
+    is one configuration key (file line or `diagnose` flag) of the same name.
+    A threshold a detector config owns takes its default from that class;
+    the pri_* fields are the placement weights, in Locality order."""
 
-    bc: float = 0.1
-    th_ub: float = 0.6
+    bc: float = ImbalanceConfig.bc
+    th_ub: float = ImbalanceConfig.th_ub
     th_size: float = 1.5
     th_d: float = 1.5
-    th_simi: float = 0.5
+    th_simi: float = SimilarityConfig.th_simi
     flag_small: bool = False
-    priorities: Tuple[Tuple[str, float], ...] = tuple(
-        sorted((loc.value, w) for loc, w in appdetect.DEFAULT_PRIORITIES.items())
-    )
-    transform: str = "mean"
-    representative: str = "max_min"
-    dmin: float = 0.6
-    ccrate: float = 0.95
-    magnitude_gap: int = 2
-    ultrashort_absolute_ms: int = 1000
-    ultrashort_median_fraction: float = 0.05
-    homogeneous: bool = True
+    transform: str = OutlierConfig.transform
+    representative: str = OutlierConfig.representative
+    dmin: float = OutlierConfig.dmin
+    ccrate: float = OutlierConfig.ccrate
+    magnitude_gap: int = OutlierConfig.magnitude_gap
+    ultrashort_absolute_ms: int = UltrashortPolicy.absolute_ms
+    ultrashort_median_fraction: float = UltrashortPolicy.median_fraction
+    homogeneous: bool = SimilarityConfig.homogeneous
+    pri_process_local: float = DEFAULT_PRIORITIES[Locality.PROCESS_LOCAL]
+    pri_node_local: float = DEFAULT_PRIORITIES[Locality.NODE_LOCAL]
+    pri_rack_local: float = DEFAULT_PRIORITIES[Locality.RACK_LOCAL]
+    pri_any: float = DEFAULT_PRIORITIES[Locality.ANY]
+    pri_off_switch: float = DEFAULT_PRIORITIES[Locality.OFF_SWITCH]
+    pri_unknown: float = DEFAULT_PRIORITIES[Locality.UNKNOWN]
 
     def __post_init__(self) -> None:
         # The detector configs hold the rules; building each one checks them.
@@ -61,7 +67,7 @@ class PipelineConfig:
 
     def placement(self) -> PlacementConfig:
         return PlacementConfig(
-            priorities={Locality(name): w for name, w in self.priorities}
+            priorities={loc: getattr(self, f"pri_{loc.value.lower()}") for loc in Locality}
         )
 
     def similarity(self) -> SimilarityConfig:
@@ -88,7 +94,6 @@ class PipelineConfig:
         return f"[{transform},{representative},CCRate_d={self.ccrate:g},dmin={self.dmin:g}]"
 
 
-_PRIORITY_KEYS = {f"pri_{loc.value.lower()}": loc for loc in Locality}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
@@ -106,36 +111,25 @@ _PARSERS: Dict[type, Callable[[str], object]] = {
     float: float,
     str: lambda raw: str(raw).strip(),
 }
-# Every flat config key (file line or CLI flag) and the parser for its value,
-# chosen by the type of the field's default. The priorities tuple is set
-# through one pri_<locality> key per Locality instead.
+# Every config key (file line or CLI flag), one per PipelineConfig field, and
+# the parser for its value, chosen by the type of the field's default.
 CONFIG_KEYS: Dict[str, Callable[[str], object]] = {
-    f.name: _PARSERS[type(f.default)]
-    for f in fields(PipelineConfig)
-    if type(f.default) in _PARSERS
+    f.name: _PARSERS[type(f.default)] for f in fields(PipelineConfig)
 }
-CONFIG_KEYS.update(dict.fromkeys(_PRIORITY_KEYS, float))
 
 
 def config_from_mapping(values: Mapping[str, str]) -> PipelineConfig:
     """Build a config from flat text keys (file or CLI), validating names."""
-    cfg = PipelineConfig()
-    priorities = dict(cfg.priorities)
     updates: Dict[str, object] = {}
     for key, raw in values.items():
         key = key.strip().lower()
         if key not in CONFIG_KEYS:
             raise DiagnoseError(f"unknown configuration key {key!r}")
         try:
-            value = CONFIG_KEYS[key](raw)
+            updates[key] = CONFIG_KEYS[key](raw)
         except ValueError as exc:
             raise DiagnoseError(f"bad value {raw!r} for configuration key {key!r}: {exc}") from exc
-        if key in _PRIORITY_KEYS:
-            priorities[_PRIORITY_KEYS[key].value] = value
-        else:
-            updates[key] = value
-    updates["priorities"] = tuple(sorted(priorities.items()))
-    return replace(cfg, **updates)
+    return PipelineConfig(**updates)
 
 
 def read_config_file(path: str) -> Dict[str, str]:

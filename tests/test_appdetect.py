@@ -1,7 +1,10 @@
+import os
 import statistics
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_task, placed_tasks, sized_tasks
@@ -223,6 +226,28 @@ def test_straggler_flags_slow_node():
 def test_equal_means_no_stragglers():
     result = detect_stragglers({"n1": 5.0, "n2": 5.0, "n3": 5.0})
     assert result.evaluable and result.stragglers == []
+
+
+_RUNTIME = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.dictionaries(st.text(max_size=2), _RUNTIME, min_size=2, max_size=9))
+@example({"a": 1.0, "b": 4.0, "c": 2.0})
+@example({"a": 1.0, "b": 4.0, "c": 2.0, "d": 8.5})
+def test_straggler_median_is_statistics_median(mean_runtime):
+    median = statistics.median(mean_runtime.values())
+    result = detect_stragglers(mean_runtime)
+    assert result.evaluable == (median != 0)
+    if result.evaluable:
+        assert result.median == median
+
+
+def test_import_leaves_statistics_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, stagelens; print('statistics' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_straggler_needs_two_nodes_and_nonzero_median():

@@ -1235,6 +1235,23 @@ def test_traces_are_equal_exactly_when_they_save_the_same_files(
     assert same == (kind in _KEEPS)
 
 
+def test_names_a_save_refuses_compare_without_raising():
+    """A cluster entry, job id, stage id or clock offset that validate()
+    refuses makes a trace unequal to the one with a valid value, and equal
+    to its copy."""
+    pairs = [
+        (Trace(cluster=["a", 7]), Trace(cluster=["a"])),
+        (Trace(cluster=["a"], clock_offsets={"a": np.array([1, 2])}),
+         Trace(cluster=["a"], clock_offsets={"a": 1})),
+        (Trace(cluster=["a"], jobs=[Job(["x"])]), Trace(cluster=["a"], jobs=[Job("x")])),
+        (Trace(cluster=["a"], jobs=[Job("j", [Stage(["s"])])]),
+         Trace(cluster=["a"], jobs=[Job("j", [Stage("s")])])),
+    ]
+    for t, u in pairs:
+        assert (t == u) is False and (u == t) is False
+        assert t == copy.deepcopy(t)
+
+
 def test_schema_header_is_checked(tmp_path):
     trace = Trace(cluster=["hw01"])
     out = tmp_path / "trace"

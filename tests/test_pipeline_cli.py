@@ -1,11 +1,15 @@
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import row_groups, store_from_samples
 from stagelens.appdetect import detect_stragglers
 from stagelens.cli import _build_parser, _resolve_config, main
 from stagelens.report import (
+    CONFIG_KEYS,
     DiagnoseError,
     PipelineConfig,
     config_from_mapping,
@@ -163,9 +167,44 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.bc == 0.2
     assert cfg.th_simi == 0.4
     assert cfg.representative == "median"
-    assert dict(cfg.priorities)["ANY"] == 3.0
+    assert cfg.pri_any == 3.0
     # unchanged keys keep their documented defaults
     assert cfg.th_size == 1.5 and cfg.th_d == 1.5
+
+
+_UNIT = st.floats(0, 1, exclude_min=True, exclude_max=True)
+_WEIGHT = st.floats(0, allow_infinity=False)
+# Valid values of every configuration key.
+_VALID = {
+    "bc": _UNIT,
+    "th_ub": st.floats(0, 1, exclude_min=True),
+    "th_size": st.floats(1, exclude_min=True),
+    "th_d": st.floats(1, exclude_min=True),
+    "th_simi": _UNIT,
+    "flag_small": st.booleans(),
+    "transform": st.sampled_from(["mean", "fft"]),
+    "representative": st.sampled_from(["median", "max_min"]),
+    "dmin": _UNIT,
+    "ccrate": st.floats(0, 1, exclude_min=True),
+    "magnitude_gap": st.integers(1, 10**6),
+    "ultrashort_absolute_ms": st.integers(0, 10**12),
+    "ultrashort_median_fraction": st.floats(0, 1),
+    "homogeneous": st.booleans(),
+    **{key: _WEIGHT for key in CONFIG_KEYS if key.startswith("pri_")},
+}
+
+
+@given(st.sampled_from(list(_VALID)).flatmap(lambda key: st.tuples(st.just(key), _VALID[key])))
+def test_each_config_key_is_the_field_and_flag_of_that_name(item):
+    """The PipelineConfig fields, CONFIG_KEYS and the diagnose flags are one
+    list, and a key's text sets the field of its name to the value."""
+    assert [f.name for f in fields(PipelineConfig)] == list(CONFIG_KEYS) == list(_VALID)
+    key, value = item
+    text = str(value)
+    flag = "--" + key.replace("_", "-")
+    args = _build_parser().parse_args(["diagnose", "--trace", "t", f"{flag}={text}"])
+    assert getattr(args, key) == text
+    assert config_from_mapping({key: text}) == PipelineConfig(**{key: value})
 
 
 def test_unknown_config_key_rejected():
@@ -218,6 +257,9 @@ def test_bad_config_values_rejected():
     for fraction in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match=r"^ultrashort_median_fraction must be in \[0,1\]$"):
             PipelineConfig(ultrashort_median_fraction=fraction)
+    for weight in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^priority for ANY must be finite and nonnegative$"):
+            PipelineConfig(pri_any=weight)
 
 
 def test_cli_rejects_th_size_at_most_one(tmp_path, capsys, monkeypatch):
@@ -238,6 +280,15 @@ def test_cli_rejects_th_d_and_ultrashort_values_out_of_range(
     monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
     assert main(["diagnose", "--trace", str(tmp_path / "missing"), *flags]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
+def test_cli_rejects_locality_weights_not_finite_and_nonnegative(
+    tmp_path, capsys, monkeypatch, weight
+):
+    monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
+    assert main(["diagnose", "--trace", str(tmp_path / "missing"), f"--pri-any={weight}"]) == 2
+    assert capsys.readouterr().err == "error: priority for ANY must be finite and nonnegative\n"
 
 
 def test_cli_checks_config_before_loading_the_trace(tmp_path, capsys, monkeypatch):
@@ -261,7 +312,7 @@ def test_cli_flag_beats_config_file(tmp_path, monkeypatch):
 def test_cli_priority_flag_reaches_config(monkeypatch):
     monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
     args = _build_parser().parse_args(["diagnose", "--trace", "t", "--pri-any", "3"])
-    assert dict(_resolve_config(args).priorities)["ANY"] == 3.0
+    assert _resolve_config(args).pri_any == 3.0
 
 
 def test_cli_diagnose_at_ccrate_one(tmp_path, capsys, monkeypatch):

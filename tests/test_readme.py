@@ -31,10 +31,9 @@ def test_readme_config_table_lists_every_key_and_default():
     Locality order, first key to last."""
     rows = dict(re.findall(r"^\| (`[^|]+`) \| ([^|]+?) \| [^|]+\|$", TEXT, re.M))
     cfg = PipelineConfig()
-    weights = dict(cfg.priorities)
     pri = [f"pri_{loc.value.lower()}" for loc in Locality]
     assert rows.pop(f"`{pri[0]}` … `{pri[-1]}`") == ",".join(
-        f"{weights[loc.value]:g}" for loc in Locality
+        f"{getattr(cfg, key):g}" for key in pri
     )
     assert [key.strip("`") for key in rows] + pri == list(CONFIG_KEYS)
     for key, default in rows.items():
