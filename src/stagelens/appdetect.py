@@ -20,6 +20,9 @@ DEFAULT_PRIORITIES: Dict[Locality, float] = {
     Locality.OFF_SWITCH: 2.0,
     Locality.UNKNOWN: 1.0,
 }
+DEFAULT_TH_SIZE = 1.5  # skew: multiple of the median data size
+DEFAULT_TH_D = 1.5  # straggler: multiple of the median mean runtime
+DEFAULT_FLAG_SMALL = False  # skew: also flag sizes th_size below the median
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,6 @@ class JobImbalance:
     evaluable: bool
     unbalanced: bool = False
     ratio_ub: float = 0.0
-    unbalanced_stages: int = 0
-    evaluable_stages: int = 0
 
 
 def judge_job_imbalance(
@@ -105,15 +106,8 @@ def judge_job_imbalance(
     evaluable = [r for r in stage_results if r.evaluable]
     if not evaluable:
         return JobImbalance(evaluable=False)
-    count_ub = sum(1 for r in evaluable if r.unbalanced)
-    ratio = count_ub / len(evaluable)
-    return JobImbalance(
-        evaluable=True,
-        unbalanced=ratio > cfg.th_ub,
-        ratio_ub=ratio,
-        unbalanced_stages=count_ub,
-        evaluable_stages=len(evaluable),
-    )
+    ratio = sum(1 for r in evaluable if r.unbalanced) / len(evaluable)
+    return JobImbalance(evaluable=True, unbalanced=ratio > cfg.th_ub, ratio_ub=ratio)
 
 
 @dataclass
@@ -152,7 +146,8 @@ def check_multiple(name: str, value: float) -> None:
 
 
 def detect_skew_data_size(
-    data_size: TaskTable, th_size: float = 1.5, flag_small: bool = False
+    data_size: TaskTable, th_size: float = DEFAULT_TH_SIZE,
+    flag_small: bool = DEFAULT_FLAG_SMALL,
 ) -> SkewResult:
     """Flag tasks/nodes whose data size outruns the stage median by th_size.
 
@@ -262,7 +257,7 @@ class StragglerResult:
 
 
 def detect_stragglers(
-    mean_runtime: Mapping[str, float], th_d: float = 1.5
+    mean_runtime: Mapping[str, float], th_d: float = DEFAULT_TH_D
 ) -> StragglerResult:
     """Nodes whose mean task runtime exceeds th_d times the cluster median."""
     check_multiple("th_d", th_d)

@@ -35,7 +35,6 @@ class CorrelateError(Exception):
 
 @dataclass(frozen=True)
 class StageWindow:
-    stage_id: str
     start: int
     finish: int
     nodes: frozenset
@@ -46,7 +45,6 @@ def stage_window(stage: Stage) -> StageWindow:
     if not stage.tasks:
         raise CorrelateError(f"stage {stage.stage_id}: cannot window an empty stage")
     return StageWindow(
-        stage_id=stage.stage_id,
         start=stage.start_time,
         finish=stage.finish_time,
         nodes=frozenset(stage.tasks.nodes),
@@ -89,7 +87,6 @@ class MetricSlices:
     gap node), for every window node in sorted order, built when first read.
     """
 
-    window: StageWindow
     cuts: List[GroupCut]
     gaps: List[str]
 
@@ -129,7 +126,7 @@ def slice_metrics(trace: Trace, window: StageWindow) -> MetricSlices:
         else:
             gaps += cut.nodes
     gaps += inside.difference(metrics)  # window nodes without a series
-    return MetricSlices(window=window, cuts=cuts, gaps=sorted(gaps))
+    return MetricSlices(cuts=cuts, gaps=sorted(gaps))
 
 
 @dataclass(frozen=True)

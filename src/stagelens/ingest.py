@@ -69,6 +69,17 @@ class IngestReport:
         self.errors.append((line_no, message))
 
 
+class _Unusable(Exception):
+    """An event field of the wrong JSON type; the message names the rule."""
+
+
+def _event_id(value, name: str) -> str:
+    """An event's id as a str: a JSON integer (not a bool) or a string."""
+    if type(value) is int or type(value) is str:
+        return str(value)
+    raise _Unusable(f"{name} must be an integer or a string")
+
+
 def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
     """Extract tasks (and stage/job grouping) from a Spark event log stream.
 
@@ -96,12 +107,15 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
         kind = event.get("Event")
         if kind == "SparkListenerJobStart":
             stage_ids = event.get("Stage IDs", [])
-            if not isinstance(stage_ids, list):
-                report.note(line_no, "unusable job-start event: Stage IDs must be a list")
+            try:
+                if not isinstance(stage_ids, list):
+                    raise _Unusable("Stage IDs must be a list")
+                job = f"job_{_event_id(event.get('Job ID'), 'Job ID')}"
+                stage_ids = [_event_id(sid, "each of Stage IDs") for sid in stage_ids]
+            except _Unusable as exc:
+                report.note(line_no, f"unusable job-start event: {exc}")
                 continue
-            job_id = str(event.get("Job ID", "job_0"))
-            for sid in stage_ids:
-                stage_to_job[str(sid)] = f"job_{job_id}"
+            stage_to_job.update(dict.fromkeys(stage_ids, job))
             continue
         if kind != "SparkListenerTaskEnd":
             report.skipped_events += 1
@@ -114,18 +128,21 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
             data_size = int(metrics.get("Input Metrics", {}).get("Bytes Read", 0))
             reason = event.get("Task End Reason", {}).get("Reason", "Success")
             host = info.get("Host") or metrics.get("Host Name")
-            if not host:
-                raise KeyError("Host")
-            stage_id = str(event["Stage ID"])
+            if type(host) is not str or not host:
+                raise _Unusable("Host must be a non-empty string")
+            stage_id = _event_id(event["Stage ID"], "Stage ID")
             row = (
-                str(info["Task ID"]),
-                str(host),
+                _event_id(info["Task ID"], "Task ID"),
+                host,
                 launch,
                 finish,
                 parse_locality(info.get("Locality", "UNKNOWN")),
                 data_size,
                 (reason == "Success") and not info.get("Failed", False),
             )
+        except _Unusable as exc:
+            report.note(line_no, f"unusable task-end event: {exc}")
+            continue
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             report.note(line_no, f"unusable task-end event: {exc!r}")
             continue

@@ -558,7 +558,6 @@ class Trace:
     cluster: List[str] = field(default_factory=list)
     jobs: List[Job] = field(default_factory=list)
     metrics: ClockGroups = field(default_factory=ClockGroups)
-    clock_offsets: Dict[str, int] = field(default_factory=dict)
 
     def __setattr__(self, name: str, value) -> None:
         if name == "metrics" and not isinstance(value, ClockGroups):
@@ -573,8 +572,8 @@ class Trace:
         if not isinstance(other, Trace):
             return NotImplemented
 
-        # Names and offsets compare by repr: one that validate() refuses may
-        # neither hash, nor order against a str, nor give a bool from ==.
+        # Names compare by repr: one that validate() refuses may neither
+        # hash, nor order against a str, nor give a bool from ==.
         def by_name(pairs) -> list:
             return sorted(((repr(name), value) for name, value in pairs), key=lambda p: p[0])
 
@@ -583,9 +582,8 @@ class Trace:
                 (job.job_id, by_name((s.stage_id, s.tasks.sorted_by_id()) for s in job.stages))
                 for job in trace.jobs
             )
-            offsets = sorted(map(repr, trace.clock_offsets.items()))
             series = {node: store for node, store in trace.metrics.items() if len(store)}
-            return sorted(map(repr, trace.cluster)), jobs, offsets, series
+            return sorted(map(repr, trace.cluster)), jobs, series
 
         return content(self) == content(other)
 
@@ -596,23 +594,13 @@ class Trace:
         problems: List[str] = []
         if not self.cluster:
             problems.append("cluster must list at least one node")
-        # An id, name or offset type the loader rejects would save a trace it
-        # cannot load, and an int clock_offsets key would reload as a str. A
-        # node name that is not a str would also not sort beside the others.
+        # An id or name type the loader rejects would save a trace it cannot
+        # load. A node name that is not a str would also not sort beside the
+        # others.
         problems += [
             f"node {node!r}: bad cluster entry: node name must be a string"
             for node in self.cluster
             if type(node) is not str
-        ]
-        problems += [
-            f"node {node!r}: bad clock offset: node name must be a string"
-            for node in self.clock_offsets
-            if type(node) is not str
-        ]
-        problems += [
-            f"node {node}: clock offset {offset!r} must be integer milliseconds in int64"
-            for node, offset in self.clock_offsets.items()
-            if type(offset) is not int or not -(2**63) <= offset <= _INT64_MAX
         ]
         # Only strings go in a set: a bad id or name may be a list.
         known = {node for node in self.cluster if type(node) is str}

@@ -30,15 +30,16 @@ class DiagnoseError(Exception):
 class PipelineConfig:
     """Every user-tunable threshold, with the published defaults. Each field
     is one configuration key (file line or `diagnose` flag) of the same name.
-    A threshold a detector config owns takes its default from that class;
-    the pri_* fields are the placement weights, in Locality order."""
+    A threshold a detector config owns takes its default from that class,
+    and the others from appdetect's DEFAULT_* constants; the pri_* fields
+    are the placement weights, in Locality order."""
 
     bc: float = ImbalanceConfig.bc
     th_ub: float = ImbalanceConfig.th_ub
-    th_size: float = 1.5
-    th_d: float = 1.5
+    th_size: float = appdetect.DEFAULT_TH_SIZE
+    th_d: float = appdetect.DEFAULT_TH_D
     th_simi: float = SimilarityConfig.th_simi
-    flag_small: bool = False
+    flag_small: bool = appdetect.DEFAULT_FLAG_SMALL
     transform: str = OutlierConfig.transform
     representative: str = OutlierConfig.representative
     dmin: float = OutlierConfig.dmin

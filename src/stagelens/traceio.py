@@ -16,14 +16,17 @@ by node in index order. Output is deterministic: entities are sorted, keys
 are sorted, a trace's groups are merged by layout and clock, and every
 missing value is the one canonical NaN.
 
-A loaded trace's series are clock groups (see `model`) whose blocks are
-views of the two column files, one per index line; a line splits only by
-the values of unapplied clock offsets. Each group checks its series; the
-loader fails at the `metrics.jsonl` line of the first node in index order
-that a group refuses or whose unapplied offset would move its timestamps
-out of int64. `Trace.validate` then checks the rest: the hierarchy, and
-that each indexed node is in the cluster. A save makes no check of its
-own: it refuses a trace whose `validate()` lists a problem."""
+`meta.jsonl` may declare per-node clock offsets. The loader adds each
+node's offset to its task and metric times, once, so a loaded trace is on
+one clock and holds no offsets; a save writes none. A loaded trace's series
+are clock groups (see `model`) whose blocks are views of the two column
+files, one per index line; a line splits only by the values of its nodes'
+offsets. Each group checks its series; the loader fails at the
+`metrics.jsonl` line of the first node in index order that a group refuses
+or whose offset would move its timestamps out of int64. `Trace.validate`
+then checks the rest: the hierarchy, and that each indexed node is in the
+cluster. A save makes no check of its own: it refuses a trace whose
+`validate()` lists a problem."""
 
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ from .model import (
     metric_columns,
 )
 
-SCHEMA_VERSION = "stagelens-trace/5"
+SCHEMA_VERSION = "stagelens-trace/6"
 
 # The column files: file name and little-endian dtype of each.
 _TASK_VALUES = ("tasks.values.npy", "<i8")
@@ -111,10 +114,7 @@ def _write_npy(
 
 def save_trace(trace: Trace, path: str) -> None:
     """Write a trace directory; two saves of the same trace are byte-identical.
-
-    Clock offsets are recorded as already applied, so a reload never
-    re-adjusts timestamps.
-    """
+    A trace's times are on one clock, so a save writes no clock offsets."""
     problems = trace.validate()
     if problems:
         raise TraceValidationError(problems)
@@ -129,14 +129,7 @@ def save_trace(trace: Trace, path: str) -> None:
     def write(entity: str, lines: Iterable[str]) -> None:
         _write_entity_file(os.path.join(path, f"{entity}.jsonl"), SCHEMA_VERSION, entity, lines)
 
-    meta = [
-        {
-            "cluster": sorted(trace.cluster),
-            "clock_offsets": {k: trace.clock_offsets[k] for k in sorted(trace.clock_offsets)},
-            "offsets_applied": True,
-        }
-    ]
-    write("meta", map(_dumps, meta))
+    write("meta", [_dumps({"cluster": sorted(trace.cluster)})])
     write("jobs", (_dumps({"job_id": j.job_id}) for j in jobs))
     write("stages", map(_dumps, stage_rows))
     tables = [
@@ -328,11 +321,10 @@ def _task_entry(
 
 
 def _task_table(
-    block: np.ndarray, ids: list, nodes: list, offsets: Dict[str, int], applied: bool,
-    path: str, line_no: int,
+    block: np.ndarray, ids: list, nodes: list, offsets: Dict[str, int], path: str, line_no: int,
 ) -> TaskTable:
     """One stage's tasks from its tasks.values.npy rows (_TASK_ROWS), with
-    its clock offsets applied unless they already are."""
+    its nodes' clock offsets added."""
     launch, finish, size, node, locality, succeeded = block
     try:
         flags = (succeeded != 0) & (succeeded != 1)
@@ -342,7 +334,7 @@ def _task_table(
         tasks = TaskTable(ids, node, launch, finish, locality, size, succeeded == 1, nodes=nodes)
     except TaskTableError as exc:
         raise TraceParseError(path, line_no, str(exc)) from exc
-    shift = np.array([0 if applied else offsets.get(n, 0) for n in tasks.nodes], np.int64)
+    shift = np.array([offsets.get(n, 0) for n in tasks.nodes], np.int64)
     if not shift.any():
         return tasks
     # Offsets lie in int64 and times in [0, 2**53), so a clipped offset moves
@@ -365,7 +357,7 @@ def _clock_groups(
     shifts: List[int], path: str, line_no: int,
 ) -> List[ClockGroup]:
     """One metrics.jsonl line's clock group, on views of the column files, its
-    clock moved by each node's unapplied offset `shifts`: the nodes share
+    clock moved by each node's offset `shifts`: the nodes share
     the stored clock, so equal offsets share the moved one, and the line
     splits only by offset (a node whose offset would move the clock out of
     int64 stays unmoved). Fails at the line naming its first node that
@@ -404,7 +396,8 @@ def _clock_groups(
 
 
 def load_trace(path: str) -> Trace:
-    """Read a trace directory, applying any not-yet-applied clock offsets."""
+    """Read a trace directory, adding each node's declared clock offset to
+    its task and metric times."""
     if not os.path.isdir(path):
         raise TraceParseError(path, 0, "trace path is not a directory")
 
@@ -424,9 +417,6 @@ def load_trace(path: str) -> Trace:
         raise TraceParseError(
             meta_path, meta_line, "clock_offsets must map node names to integer milliseconds"
         )
-    applied = meta.get("offsets_applied", False)
-    if type(applied) is not bool:
-        raise TraceParseError(meta_path, meta_line, "offsets_applied must be true or false")
 
     jobs_path = os.path.join(path, "jobs.jsonl")
     jobs: Dict[str, Job] = {}
@@ -473,14 +463,13 @@ def load_trace(path: str) -> Trace:
     values = _read_npy(
         path, _VALUES, sum(len(columns) * len(nodes) * n for _, columns, nodes, n in lines)
     )
-    shift = {} if applied else offsets
     groups: List[ClockGroup] = []
     t = c = 0
     for line_no, columns, nodes, samples in lines:
         size = len(nodes) * len(columns) * samples
         block = values[c : c + size].reshape(len(nodes), len(columns), samples)
         groups += _clock_groups(nodes, columns, timestamps[t : t + samples], block,
-                                [shift.get(node, 0) for node in nodes], metrics_path, line_no)
+                                [offsets.get(node, 0) for node in nodes], metrics_path, line_no)
         t, c = t + samples, c + size
     metrics = ClockGroups(groups)
 
@@ -499,15 +488,9 @@ def load_trace(path: str) -> Trace:
     for stage_id, (line_no, ids, nodes) in task_index.items():
         block = task_values[at : at + width * len(ids)].reshape(width, len(ids))
         at += block.size
-        stages[stage_id].tasks = _task_table(block, ids, nodes, offsets, applied, tasks_path,
-                                             line_no)
+        stages[stage_id].tasks = _task_table(block, ids, nodes, offsets, tasks_path, line_no)
 
-    trace = Trace(
-        cluster=sorted(cluster),
-        jobs=[jobs[k] for k in sorted(jobs)],
-        metrics=metrics,
-        clock_offsets=offsets,
-    )
+    trace = Trace(cluster=sorted(cluster), jobs=[jobs[k] for k in sorted(jobs)], metrics=metrics)
     problems = trace.validate()
     if problems:
         raise TraceValidationError(problems)

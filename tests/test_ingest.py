@@ -160,10 +160,36 @@ def test_job_start_groups_stages():
     assert jobs == {"job_7": ["0", "1"], "job_0": ["2"]}
 
 
+@pytest.mark.parametrize("line, note", [
+    (json.dumps({"Event": "SparkListenerJobStart", "Stage IDs": [0]}),
+     "unusable job-start event: Job ID must be an integer or a string"),
+    (json.dumps({"Event": "SparkListenerJobStart", "Job ID": [1, 2], "Stage IDs": [0]}),
+     "unusable job-start event: Job ID must be an integer or a string"),
+    (json.dumps({"Event": "SparkListenerJobStart", "Job ID": 7, "Stage IDs": [0, [3]]}),
+     "unusable job-start event: each of Stage IDs must be an integer or a string"),
+    (event([3], 2), "unusable task-end event: Stage ID must be an integer or a string"),
+    (event(0, True), "unusable task-end event: Task ID must be an integer or a string"),
+    (event(0, 2, host=["a"]), "unusable task-end event: Host must be a non-empty string"),
+])
+def test_event_id_or_host_of_another_json_type_is_a_note(line, note):
+    trace, report = parse_spark_event_log([line, event(0, 1)])
+    assert report.errors == [(1, note)]
+    assert [(j.job_id, s.stage_id, t.task_id, t.node) for j in trace.jobs for s in j.stages
+            for t in s.tasks] == [("job_0", "0", "1", "hw073")]
+
+
 # --- the event parser against the per-task reference -------------------------
 #
 # The event parser as it was written, with one Task per event.
 # parse_spark_event_log must give the same tables, notes and skipped count.
+
+
+_NOT_AN_ID = "%s must be an integer or a string"
+
+
+def is_id(value):
+    """An event id: a JSON integer (bools are not) or a string."""
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
 def oracle_parse_spark_event_log(lines):
@@ -186,12 +212,18 @@ def oracle_parse_spark_event_log(lines):
         kind = event.get("Event")
         if kind == "SparkListenerJobStart":
             stage_ids = event.get("Stage IDs", [])
+            job_id = event.get("Job ID")
             if not isinstance(stage_ids, list):
-                report.note(line_no, "unusable job-start event: Stage IDs must be a list")
+                rule = "Stage IDs must be a list"
+            elif not is_id(job_id):
+                rule = _NOT_AN_ID % "Job ID"
+            elif not all(map(is_id, stage_ids)):
+                rule = _NOT_AN_ID % "each of Stage IDs"
+            else:
+                for sid in stage_ids:
+                    stage_to_job[str(sid)] = f"job_{job_id}"
                 continue
-            job_id = str(event.get("Job ID", "job_0"))
-            for sid in stage_ids:
-                stage_to_job[str(sid)] = f"job_{job_id}"
+            report.note(line_no, f"unusable job-start event: {rule}")
             continue
         if kind != "SparkListenerTaskEnd":
             report.skipped_events += 1
@@ -204,12 +236,20 @@ def oracle_parse_spark_event_log(lines):
             data_size = int(metrics.get("Input Metrics", {}).get("Bytes Read", 0))
             reason = event.get("Task End Reason", {}).get("Reason", "Success")
             host = info.get("Host") or metrics.get("Host Name")
-            if not host:
-                raise KeyError("Host")
-            stage_id = str(event["Stage ID"])
+            if not (isinstance(host, str) and host):
+                report.note(line_no, "unusable task-end event: Host must be a non-empty string")
+                continue
+            stage_id = event["Stage ID"]
+            if not is_id(stage_id):
+                report.note(line_no, f"unusable task-end event: {_NOT_AN_ID % 'Stage ID'}")
+                continue
+            stage_id = str(stage_id)
+            if not is_id(info["Task ID"]):
+                report.note(line_no, f"unusable task-end event: {_NOT_AN_ID % 'Task ID'}")
+                continue
             task = Task(
                 task_id=str(info["Task ID"]),
-                node=str(host),
+                node=host,
                 launch_time=launch,
                 finish_time=finish,
                 locality=parse_locality(info.get("Locality", "UNKNOWN")),
@@ -257,7 +297,7 @@ def task_end_event(draw):
     """A task-end event; half of them have one field dropped or made odd."""
     launch = draw(st.integers(1_000, 1_010))
     info = {
-        "Task ID": draw(st.one_of(st.integers(0, 30), st.sampled_from(["t1", None]))),
+        "Task ID": draw(st.one_of(st.integers(0, 30), st.sampled_from(["t1", None, True, [1]]))),
         "Launch Time": launch,
         "Finish Time": launch + draw(st.integers(-2, 20)),
         "Host": draw(st.sampled_from(_HOSTS)),
@@ -269,7 +309,7 @@ def task_end_event(draw):
         info["Failed"] = draw(st.sampled_from([False, True, 0, 1, None]))
     data = {
         "Event": "SparkListenerTaskEnd",
-        "Stage ID": draw(st.one_of(st.integers(0, 3), st.just("2"))),
+        "Stage ID": draw(st.one_of(st.integers(0, 3), st.sampled_from(["2", [3], False, 2.0]))),
         "Task Info": info,
     }
     if draw(st.booleans()):
@@ -292,9 +332,9 @@ def task_end_event(draw):
         data["Task Metrics"] = {"Input Metrics": {"Bytes Read": draw(_ODD_INTS)}}
     elif fault == "host":
         # No host, or only the one under the task's metrics.
-        info["Host"] = draw(st.sampled_from(["", None]))
+        info["Host"] = draw(st.sampled_from(["", None, ["a"], 7]))
         if draw(st.booleans()):
-            data["Task Metrics"] = {"Host Name": draw(st.sampled_from(_HOSTS + ("",)))}
+            data["Task Metrics"] = {"Host Name": draw(st.sampled_from(_HOSTS + ("", ["a"])))}
     elif fault == "metrics":
         data["Task Metrics"] = draw(st.sampled_from(
             [None, {}, {"Input Metrics": {}}, [1], 5, {"Input Metrics": [2]}]))
@@ -311,8 +351,10 @@ _EVENT_LINES = st.one_of(
     st.builds(
         lambda job, stages: json.dumps(
             {"Event": "SparkListenerJobStart", "Job ID": job, "Stage IDs": stages}),
-        st.integers(0, 2),
-        st.one_of(st.lists(st.integers(0, 3), max_size=3), st.sampled_from([5, None, "01"])),
+        st.one_of(st.integers(0, 2), st.sampled_from(["1", [1, 2], True, None])),
+        st.one_of(st.lists(st.one_of(st.integers(0, 3), st.sampled_from(["2", [3], True])),
+                           max_size=3),
+                  st.sampled_from([5, None, "01"])),
     ),
     st.sampled_from([
         json.dumps({"Event": "SparkListenerStageCompleted"}),
@@ -339,6 +381,12 @@ def _outcome(parse, lines):
 ])
 @example(lines=[json.dumps({"Event": "SparkListenerJobStart", "Job ID": 7, "Stage IDs": [1]}),
                 event(1, 1), event(2, 2)])
+# Ids and hosts of the wrong JSON type: each line is a note, and its event is skipped.
+@example(lines=[json.dumps({"Event": "SparkListenerJobStart", "Stage IDs": [1]}), event(1, 1)])
+@example(lines=[json.dumps({"Event": "SparkListenerJobStart", "Job ID": [1, 2], "Stage IDs": [1]}),
+                event(1, 1)])
+@example(lines=[event([3], 1), event(1, 2)])
+@example(lines=[event(0, 1, host=["a"]), event(1, 2)])
 def test_event_parser_equals_per_task_oracle(lines):
     got = _outcome(parse_spark_event_log, lines)
     want = _outcome(oracle_parse_spark_event_log, lines)

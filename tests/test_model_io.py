@@ -249,44 +249,24 @@ def test_validate_lists_what_a_save_refuses():
     assert trace.validate() == ["job 5: bad job record: job_id must be a string"]
 
 
-@pytest.mark.parametrize("offset", [1.5, True, 2**70])
-def test_save_refuses_clock_offsets_the_loader_rejects(tmp_path, offset):
-    out = tmp_path / "trace"
-    with pytest.raises(TraceValidationError) as err:
-        save_trace(Trace(cluster=["hw01"], clock_offsets={"hw01": offset}), str(out))
-    assert err.value.problems == [
-        f"node hw01: clock offset {offset!r} must be integer milliseconds in int64"
-    ]
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
-    "cluster, offsets, problem",
+    "cluster, problem",
     [
         # The load would fail at meta.jsonl:2.
-        ([7], {}, "node 7: bad cluster entry: node name must be a string"),
+        ([7], "node 7: bad cluster entry: node name must be a string"),
         # The names would not sort.
-        (["hw01", 7], {}, "node 7: bad cluster entry: node name must be a string"),
-        # The key would reload as "1".
-        (["hw01"], {1: 5}, "node 1: bad clock offset: node name must be a string"),
+        (["hw01", 7], "node 7: bad cluster entry: node name must be a string"),
     ],
-    ids=["int-cluster", "mixed-cluster", "int-offset-key"],
+    ids=["int-cluster", "mixed-cluster"],
 )
-def test_save_refuses_node_names_that_are_not_strings(tmp_path, cluster, offsets, problem):
+def test_save_refuses_node_names_that_are_not_strings(tmp_path, cluster, problem):
     metrics = [MetricStore(7, np.array([1, 2]), ("cpu_usage",), np.zeros((1, 2)))]
-    trace = Trace(cluster=cluster, clock_offsets=offsets,
-                  metrics=row_groups(metrics) if 7 in cluster else ())
+    trace = Trace(cluster=cluster, metrics=row_groups(metrics))
     out = tmp_path / "trace"
     with pytest.raises(TraceValidationError) as err:
         save_trace(trace, str(out))
     assert err.value.problems == [problem]
     assert not out.exists()
-
-
-def test_int64_edge_clock_offsets_round_trip(tmp_path):
-    trace = Trace(cluster=["hw01", "hw02"], clock_offsets={"hw01": -(2**63), "hw02": 2**63 - 1})
-    save_trace(trace, str(tmp_path / "trace"))
-    assert load_trace(str(tmp_path / "trace")) == trace
 
 
 def test_error_line_counts_blank_lines(tmp_path):
@@ -584,6 +564,23 @@ def test_version_4_trace_rejected(tmp_path):
     )
 
 
+def test_version_5_trace_rejected(tmp_path):
+    """A stagelens-trace/5 directory (its meta.jsonl flags whether its clock
+    offsets are applied) fails at line 1 of its first file: there is no
+    reader for it, so no offset it declares is added twice."""
+    out = save_two_nodes(tmp_path / "trace")
+    for name in ("meta", "jobs", "stages", "tasks", "metrics"):
+        path = out / f"{name}.jsonl"
+        path.write_text(path.read_text().replace(SCHEMA_VERSION, "stagelens-trace/5", 1))
+    (out / "meta.jsonl").write_text(
+        '{"entity":"meta","schema":"stagelens-trace/5"}\n'
+        '{"clock_offsets":{"hw01":500},"cluster":["hw01","hw02"],"offsets_applied":true}\n'
+    )
+    assert str(load_error(out)) == (
+        f"{out / 'meta.jsonl'}:1: schema header must declare {SCHEMA_VERSION!r}"
+    )
+
+
 def test_nan_payload_does_not_reach_the_bytes(tmp_path):
     def trace_with(missing: float) -> Trace:
         store = metric_series("hw01", 0, 3, lambda i: {"cpu_usage": 0.5, "x": 1.0})
@@ -775,8 +772,6 @@ def test_bad_succeeded_cell_rejected_at_load(tmp_path):
         ({"clock_offsets": {"hw01": "5"}}, "clock_offsets must map node names to integer"),
         ({"clock_offsets": {"hw01": True}}, "clock_offsets must map node names to integer"),
         ({"clock_offsets": {"hw01": 2**63}}, "clock_offsets must map node names to integer"),
-        ({"offsets_applied": "false"}, "offsets_applied must be true or false"),
-        ({"offsets_applied": 0}, "offsets_applied must be true or false"),
     ],
 )
 def test_bad_meta_record_rejected(tmp_path, change, rule):
@@ -791,7 +786,7 @@ def test_clock_offset_past_int64_rejected(tmp_path):
     out = save_two_nodes(tmp_path / "trace")
     meta = out / "meta.jsonl"
     header, body = meta.read_text().splitlines()
-    change = {"clock_offsets": {"hw02": 2**63 - 1}, "offsets_applied": False}
+    change = {"clock_offsets": {"hw02": 2**63 - 1}}
     meta.write_text(header + "\n" + json.dumps({**json.loads(body), **change}) + "\n")
     assert (
         f"metrics.jsonl:2: node 'hw02': clock offset {2**63 - 1} moves timestamps out of range"
@@ -803,7 +798,7 @@ def test_clock_offset_moving_a_task_out_of_range_rejected(tmp_path):
     out = save_two_tasks(tmp_path / "trace")
     meta = out / "meta.jsonl"
     header, body = meta.read_text().splitlines()
-    change = {"clock_offsets": {"hw01": -(2**62)}, "offsets_applied": False}
+    change = {"clock_offsets": {"hw01": -(2**62)}}
     meta.write_text(header + "\n" + json.dumps({**json.loads(body), **change}) + "\n")
     assert f"tasks.jsonl:2: clock offset {-(2**62)} moves task t0 out of [0, 2**53)" in str(
         load_error(out)
@@ -1062,16 +1057,15 @@ def test_task_round_trip_property(tmp_path_factory, trace):
 
 
 def trace_of(parts):
-    """The Trace of parts [cluster, clock offsets, jobs, groups]: jobs as
-    [job id, [[stage id, Task rows]]], groups as [nodes, columns,
-    timestamps, values], ClockGroup's arguments."""
-    cluster, offsets, jobs, groups = parts
+    """The Trace of parts [cluster, jobs, groups]: jobs as [job id, [[stage
+    id, Task rows]]], groups as [nodes, columns, timestamps, values],
+    ClockGroup's arguments."""
+    cluster, jobs, groups = parts
     return Trace(
         cluster=list(cluster),
         jobs=[Job(job_id, [stage_of(rows, stage_id) for stage_id, rows in stages])
               for job_id, stages in jobs],
         metrics=[ClockGroup(*group) for group in groups],
-        clock_offsets=dict(offsets),
     )
 
 
@@ -1082,7 +1076,6 @@ def trace_parts(draw):
     and a sample; cells are drawn from a few that include 0.0, -0.0 and NaN,
     and the last cluster node has no series."""
     nodes = [f"hw{i}" for i in range(draw(st.integers(3, 6)))]
-    offsets = draw(st.dictionaries(st.sampled_from(nodes), st.integers(-5, 5), max_size=2))
     jobs = [[f"j{i}", []] for i in range(draw(st.integers(1, 3)))]
     task = 0
     for s in range(draw(st.integers(1, 4))):
@@ -1108,7 +1101,7 @@ def trace_parts(draw):
                               min_size=count, max_size=count))
         groups.append([members, columns, np.array(ts, np.int64),
                        np.array(cells, np.float64).reshape(shape)])
-    return [nodes, offsets, jobs, groups]
+    return [nodes, jobs, groups]
 
 
 # Edits of a trace that a save must not see, and edits it must.
@@ -1124,13 +1117,13 @@ def edit(parts, kind, seed):
     needs there (0.0 for a flip, NaN for a payload)."""
     rng = random.Random(seed)
     t = copy.deepcopy(parts)
-    nodes, offsets, jobs, groups = t
+    nodes, jobs, groups = t
     g = rng.choice([i for i, group in enumerate(groups) if group[2].size])
     cell = tuple(rng.randrange(n) for n in groups[g][3].shape)
     if kind in ("flip zero", "nan payload"):
         groups[g][3][cell] = 0.0 if kind == "flip zero" else np.nan
     u = copy.deepcopy(t)
-    nodes, offsets, jobs, groups = u
+    nodes, jobs, groups = u
     group = groups[g]
     stages = [stage for _, job_stages in jobs for stage in job_stages]
     if kind == "permute jobs":
@@ -1143,7 +1136,6 @@ def edit(parts, kind, seed):
             rng.shuffle(rows)
     elif kind == "permute cluster":
         rng.shuffle(nodes)
-        u[1] = dict(rng.sample(list(offsets.items()), len(offsets)))
     elif kind == "permute group nodes":
         order = rng.sample(range(len(group[0])), len(group[0]))
         group[0], group[3] = [group[0][i] for i in order], group[3][order]
@@ -1193,7 +1185,6 @@ def edit(parts, kind, seed):
 
 _PARTS = [
     ["hw0", "hw1", "hw2"],
-    {"hw1": -3},
     [["j0", [["s0", [Task("t0", "hw0", 0, 5, Locality.NODE_LOCAL, 3), Task("t1", "hw1", 2, 9)]],
              ["s1", []]]],
      ["j1", [["s2", [Task("t2", "hw0", 4, 4, succeeded=False)]]]]],
@@ -1236,13 +1227,10 @@ def test_traces_are_equal_exactly_when_they_save_the_same_files(
 
 
 def test_names_a_save_refuses_compare_without_raising():
-    """A cluster entry, job id, stage id or clock offset that validate()
-    refuses makes a trace unequal to the one with a valid value, and equal
-    to its copy."""
+    """A cluster entry, job id or stage id that validate() refuses makes a
+    trace unequal to the one with a valid value, and equal to its copy."""
     pairs = [
         (Trace(cluster=["a", 7]), Trace(cluster=["a"])),
-        (Trace(cluster=["a"], clock_offsets={"a": np.array([1, 2])}),
-         Trace(cluster=["a"], clock_offsets={"a": 1})),
         (Trace(cluster=["a"], jobs=[Job(["x"])]), Trace(cluster=["a"], jobs=[Job("x")])),
         (Trace(cluster=["a"], jobs=[Job("j", [Stage(["s"])])]),
          Trace(cluster=["a"], jobs=[Job("j", [Stage("s")])])),
@@ -1284,16 +1272,16 @@ def test_unapplied_clock_offsets_shift_once(tmp_path):
     lines = meta.read_text().splitlines()
     header, body = lines[0], json.loads(lines[1])
     body["clock_offsets"] = {"hw01": 500}
-    body["offsets_applied"] = False
     meta.write_text(header + "\n" + json.dumps(body, sort_keys=True) + "\n")
 
     shifted = load_trace(str(out))
     task = shifted.jobs[0].stages[0].tasks[0]
     assert task.launch_time == 1_000_500
     assert shifted.metrics["hw01"].timestamps[0] == 1_000_500
-    # a second save/load cycle must not shift again
+    # A save writes no offsets, so a second save/load cycle does not shift again.
     out2 = tmp_path / "trace2"
     save_trace(shifted, str(out2))
+    assert (out2 / "meta.jsonl").read_text().splitlines()[1] == '{"cluster":["hw01"]}'
     assert load_trace(str(out2)) == shifted
 
 
@@ -1306,8 +1294,7 @@ def test_unapplied_offsets_build_each_clock_group_once(tmp_path, monkeypatch):
     save_trace(make_trace(stage, stores=metrics, group=clock_groups), str(out))
     meta = out / "meta.jsonl"
     header, body = meta.read_text().splitlines()
-    body = {**json.loads(body), "clock_offsets": {"hw01": 500, "hw03": 500},
-            "offsets_applied": False}
+    body = {**json.loads(body), "clock_offsets": {"hw01": 500, "hw03": 500}}
     meta.write_text(header + "\n" + json.dumps(body) + "\n")
 
     built = []
@@ -1324,39 +1311,10 @@ def test_unapplied_offsets_build_each_clock_group_once(tmp_path, monkeypatch):
     assert loaded.metrics["hw03"].timestamps.tolist() == [1_000_500, 1_001_500, 1_002_500]
 
 
-def test_applied_offsets_build_one_clock_group_per_line(tmp_path, monkeypatch):
-    """Saved one node per group, two layouts and two clocks make three
-    index lines; with offsets applied, a load builds one group per line
-    on the lines' nodes, and moves no timestamp."""
-    stage = make_stage({"hw01": 1, "hw02": 1, "hw03": 1, "hw04": 1}, launch=1_000_000)
-    metrics = {
-        node: metric_series(node, start, 3, lambda i: {"cpu_usage": 0.1, x: 1.0})
-        for node, start, x in (("hw01", 0, "x"), ("hw02", 0, "y"), ("hw03", 0, "x"),
-                               ("hw04", 5, "x"))
-    }
-    trace = make_trace(stage, stores=metrics)
-    trace.clock_offsets = {"hw01": 500, "hw02": -500}
-    out = tmp_path / "trace"
-    save_trace(trace, str(out))
-    built = []
-
-    class Counted(ClockGroup):
-        def __init__(self, nodes, *args):
-            built.append(tuple(nodes))
-            super().__init__(nodes, *args)
-
-    monkeypatch.setattr(traceio, "ClockGroup", Counted)
-    loaded = load_trace(str(out))
-    assert built == [("hw01", "hw03"), ("hw02",), ("hw04",)]
-    assert [group.nodes for group in loaded.metrics.groups] == built
-    assert len((out / "metrics.jsonl").read_text().splitlines()) == 1 + len(built)
-    assert loaded == trace
-
-
 def stored_before_offsets(trace, offsets):
     """The trace as stored by a collector whose clocks run `offsets` ms
     behind the cluster clock: every task and metric time of a node moved
-    back by its offset, the offsets recorded."""
+    back by its offset."""
     jobs = []
     for job in trace.jobs:
         stages = []
@@ -1371,8 +1329,7 @@ def stored_before_offsets(trace, offsets):
         node: MetricStore(node, store.timestamps - offsets[node], store.columns, store.values)
         for node, store in trace.metrics.items()
     }
-    return Trace(cluster=trace.cluster, jobs=jobs, metrics=clock_groups(metrics),
-                 clock_offsets=dict(offsets))
+    return Trace(cluster=trace.cluster, jobs=jobs, metrics=clock_groups(metrics))
 
 
 @given(
@@ -1381,18 +1338,18 @@ def stored_before_offsets(trace, offsets):
     shifts=st.lists(st.integers(-10**9, 10**9), min_size=6, max_size=6),
 )
 def test_unapplied_offsets_give_the_reports_of_applied_ones(tmp_path_factory, case, seed, shifts):
-    """A trace saved with offsets_applied false and its stored times moved
-    back by each node's offset reports, text and structured, byte for byte
-    what the same trace with the offsets applied reports."""
+    """A trace saved with its stored times moved back by each node's offset,
+    and those offsets written into its meta.jsonl, reports, text and
+    structured, byte for byte what the same trace on one clock reports."""
     trace, _ = generate_trace(preset(case, seed))
     offsets = dict(zip(trace.cluster, shifts))
     applied = tmp_path_factory.mktemp("applied")
-    save_trace(Trace(trace.cluster, trace.jobs, trace.metrics, offsets), str(applied))
+    save_trace(trace, str(applied))
     unapplied = tmp_path_factory.mktemp("unapplied")
     save_trace(stored_before_offsets(trace, offsets), str(unapplied))
     meta = unapplied / "meta.jsonl"
     header, body = meta.read_text().splitlines()
-    body = json.dumps({**json.loads(body), "offsets_applied": False})
+    body = json.dumps({**json.loads(body), "clock_offsets": offsets})
     meta.write_text(header + "\n" + body + "\n")
     fft = PipelineConfig(transform="fft", representative="median", dmin=0.5)
     for cfg in (PipelineConfig(), fft):
@@ -1609,14 +1566,6 @@ def oracle_validate(trace):
     for node in trace.cluster:
         if type(node) is not str:
             problems.append(f"node {node!r}: bad cluster entry: node name must be a string")
-    for node in trace.clock_offsets:
-        if type(node) is not str:
-            problems.append(f"node {node!r}: bad clock offset: node name must be a string")
-    for node, offset in trace.clock_offsets.items():
-        if type(offset) is not int or not -(2**63) <= offset < 2**63:
-            problems.append(
-                f"node {node}: clock offset {offset!r} must be integer milliseconds in int64"
-            )
     job_ids = []
     for job in trace.jobs:
         if type(job.job_id) is not str:
@@ -1650,17 +1599,16 @@ def oracle_validate(trace):
     return problems
 
 
-def as_given(cluster, jobs, metrics, clock_offsets=None):
+def as_given(cluster, jobs, metrics):
     """A trace's parts, not built into a Trace: stores stay as given."""
     return SimpleNamespace(
-        cluster=cluster, jobs=jobs, metrics=metrics, clock_offsets=clock_offsets or {},
+        cluster=cluster, jobs=jobs, metrics=metrics,
         stages=lambda: (stage for job in jobs for stage in job.stages),
     )
 
 
 def build(parts):
-    return Trace(cluster=parts.cluster, jobs=parts.jobs, metrics=row_groups(parts.metrics),
-                 clock_offsets=parts.clock_offsets)
+    return Trace(cluster=parts.cluster, jobs=parts.jobs, metrics=row_groups(parts.metrics))
 
 
 _FLAWS = st.sampled_from(["none"] * 6 + ["task_id", "order", "node"])
@@ -1728,7 +1676,7 @@ def _one_store(node="hw01", ts=(0, 1, 2), columns=("cpu_usage", "x"), values=Non
     ["hw01", 7, ["hw02"]],
     [Job(5, [make_stage({"hw01": 1}, stage_id=3)]), Job(5), Job(["x"], [Stage(["s0"])]),
      Job("j0"), Job("j0")],
-    {}, clock_offsets={"hw01": 1.5, 2: 3, "hw02": 2**63},
+    {},
 ))
 def test_validate_equals_one_walk_oracle(parts):
     """Building a trace raises MetricSeriesError exactly when the oracle
@@ -1949,8 +1897,8 @@ _CLOCKS = (np.array([0, 10, 20, 30]), np.array([10, 20, 30, 40]), np.array([-5, 
 
 @given(data=st.data())
 def test_load_names_the_first_bad_node_of_a_per_node_walk(tmp_path_factory, data):
-    """Saved series with infinite cells, falling timestamps and unapplied
-    clock offsets drawn into the files fail at the metrics.jsonl line of
+    """Saved series with infinite cells, falling timestamps and clock
+    offsets drawn into the files fail at the metrics.jsonl line of
     the first node, in index order, that a walk over each node's own block
     of values and its line's clock finds at fault, with the first rule it
     breaks in the order: an infinite value, falling timestamps, then its
@@ -1977,7 +1925,7 @@ def test_load_names_the_first_bad_node_of_a_per_node_walk(tmp_path_factory, data
     np.save(out / "metrics.values.npy", values)
     meta = out / "meta.jsonl"
     header, body = meta.read_text().splitlines()
-    body = {**json.loads(body), "clock_offsets": offsets, "offsets_applied": False}
+    body = {**json.loads(body), "clock_offsets": offsets}
     meta.write_text(header + "\n" + json.dumps(body) + "\n")
 
     expected, stored = None, {}

@@ -6,6 +6,11 @@ A trace with no stage at all is rejected with DiagnoseError by design
 trace holds at least one stage; stages may hold no task.
 """
 
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -208,7 +213,6 @@ def _renamed(trace, rename):
             rename[node]: MetricStore(rename[node], store.timestamps, store.columns, store.values)
             for node, store in trace.metrics.items()
         }),
-        clock_offsets={rename[n]: offset for n, offset in trace.clock_offsets.items()},
     )
 
 
@@ -262,3 +266,14 @@ def test_a_stage_that_raises_costs_no_other_stage_its_report(monkeypatch, caplog
     assert "FloatingPointError: injected" in caplog.text
     assert STAGE_FAILED.encode() in render_report(after)
     render_report(after, "structured")
+
+
+def test_report_digest_tool_prints_one_line_per_report():
+    """tools/report_digests.py prints `name sha256` for each of its 62 traces
+    x 3 configs x 2 formats, every name once."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
+    out = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert len(out) == 372
+    assert all(re.fullmatch(r"\S+/\S+/(text|structured) [0-9a-f]{64}", line) for line in out)
+    assert len({line.split()[0] for line in out}) == 372
