@@ -24,12 +24,7 @@ from .correlate import (
     stage_window,
 )
 from .evaluate import Score, score, score_report
-from .ingest import (
-    METRIC_SCHEMA,
-    ingest_raw,
-    parse_metric_file,
-    parse_spark_event_log,
-)
+from .ingest import ingest_raw, parse_metric_file, parse_spark_event_log
 from .metricdetect import (
     OutlierConfig,
     db_outlier_oracle,
@@ -38,9 +33,9 @@ from .metricdetect import (
     minmax_normalize,
     pca_select_metrics,
     reduce_fft,
-    reduce_mean,
 )
 from .model import (
+    METRIC_SCHEMA,
     ClockGroup,
     ClockGroups,
     Finding,
@@ -59,7 +54,6 @@ from .report import (
     DiagnosisReport,
     PipelineConfig,
     diagnose,
-    load_config,
     parse_report,
     render_report,
 )

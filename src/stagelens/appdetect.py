@@ -214,7 +214,10 @@ def detect_uneven_placement(
     `locality` is a table of tasks, as in `FeatureDatasets`. Distances are
     runtimes minus the stage median; the suspicion group holds tasks beyond
     the mean absolute deviation, and an outlier must additionally clear 1.96
-    standard deviations on the long-runtime side.
+    standard deviations on the long-runtime side. Each ratio divides by
+    `total`, which defaults to the number of tasks; `diagnose` takes the
+    default, and the parameter is kept only for perfbench/spans.py:124,
+    which passes that same number.
     """
     tasks = locality
     if len(tasks) < 2:

@@ -8,7 +8,7 @@ per node."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from types import MappingProxyType
@@ -85,6 +85,8 @@ class MetricSlices:
 
     `series` is node -> in-window MetricStore (views; an empty store for a
     gap node), for every window node in sorted order, built when first read.
+    The pipeline reads only `cuts` and `gaps`; `series` is kept only for
+    perfbench/spans.py:105, whose replay counts its samples.
     """
 
     cuts: List[GroupCut]
@@ -149,6 +151,13 @@ class UltrashortPolicy:
         return max(float(self.absolute_ms), self.median_fraction * median(np.asarray(runtimes)))
 
 
+#: The byte budget of each temporary array of the detectors' chunked loops:
+#: the node screen's rows of the p x p pair tables and the products behind
+#: them, PCA's centered chunks and the FFT screen's series. nodedetect and
+#: metricdetect read it here when they run.
+_BLOCK_BYTES = 256 * 1024
+
+
 @dataclass(eq=False)
 class FeatureDatasets:
     """One stage's features. The metric features are arrays over `nodes`,
@@ -170,18 +179,21 @@ class FeatureDatasets:
     np.mean takes, node by node). The detectors read the arrays; PCA and the
     FFT screen read the blocks a chunk of nodes at a time.
 
-    `vectors` (a view of the means) and `matrix` (built from the blocks
-    when first read) are read-only, for perfbench/spans.py's traced replay
-    of the pipeline.
+    `data_size` is the table of the stage's successful tasks, which the
+    straggler, skew and placement screens read.
 
-    `data_size` and `locality` both hold the table of the stage's successful
-    tasks, under the names the skew and placement screens take it by.
+    Second forms kept only for perfbench/spans.py's traced replay of the
+    pipeline, which no `diagnose` path reads:
+
+    - `locality`, the same table as `data_size` (spans.py:122-124);
+    - `vectors`, a read-only view of the means (spans.py:129-133), and
+      `matrix`, built from the blocks when first read (spans.py:138-146).
     """
 
     stage_id: str
     tnum: Dict[str, int]
     data_size: TaskTable  # the successful tasks
-    locality: TaskTable  # the same table
+    locality: TaskTable  # the same table, for perfbench/spans.py
     nodes: List[str]
     means: np.ndarray  # float64[len(nodes), len(METRIC_SCHEMA)]
     present: np.ndarray  # bool, the shape of means
@@ -191,7 +203,6 @@ class FeatureDatasets:
     matrix_metrics: List[str]  # metrics every in-window sample reports
     ultrashort_count: int = 0
     failed_count: int = 0
-    missing_metric_nodes: List[str] = field(default_factory=list)
 
     @cached_property
     def vectors(self) -> Mapping[str, Mapping[str, float]]:
@@ -343,5 +354,4 @@ def build_datasets(
         matrix_metrics=columns,
         ultrashort_count=len(ok) - len(counted),
         failed_count=len(tasks) - len(ok),
-        missing_metric_nodes=list(slices.gaps),
     )

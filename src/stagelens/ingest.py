@@ -16,10 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import (  # noqa: F401  (the derived-metric names are re-exported)
-    ARCH_METRICS,
-    METRIC_SCHEMA,
-    SYSTEM_METRICS,
+from .model import (
     ClockGroup,
     Job,
     MetricStore,
@@ -49,7 +46,7 @@ ARCH_COLUMNS = (
 
 # Each schema's columns, and its counters as the one tuple all its blocks share.
 _SYSTEM, _ARCH = ((columns, tuple(columns[1:])) for columns in (SYSTEM_COLUMNS, ARCH_COLUMNS))
-_SCHEMAS = {"system": _SYSTEM, "architecture": _ARCH, "arch": _ARCH}
+_SCHEMAS = {"system": _SYSTEM, "architecture": _ARCH}
 
 SECTOR_BYTES = 512
 
@@ -78,6 +75,13 @@ def _event_id(value, name: str) -> str:
     if type(value) is int or type(value) is str:
         return str(value)
     raise _Unusable(f"{name} must be an integer or a string")
+
+
+def _event_int(value, name: str) -> int:
+    """An event's number: a JSON integer (not a bool)."""
+    if type(value) is int:
+        return value
+    raise _Unusable(f"{name} must be an integer")
 
 
 def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
@@ -122,28 +126,28 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
             continue
         try:
             info = event["Task Info"]
-            launch = int(info["Launch Time"])
-            finish = int(info["Finish Time"])
+            launch = _event_int(info["Launch Time"], "Launch Time")
+            finish = _event_int(info["Finish Time"], "Finish Time")
             metrics = event.get("Task Metrics", {}) or {}
-            data_size = int(metrics.get("Input Metrics", {}).get("Bytes Read", 0))
+            data_size = _event_int(metrics.get("Input Metrics", {}).get("Bytes Read", 0),
+                                   "Bytes Read")
             reason = event.get("Task End Reason", {}).get("Reason", "Success")
             host = info.get("Host") or metrics.get("Host Name")
             if type(host) is not str or not host:
                 raise _Unusable("Host must be a non-empty string")
             stage_id = _event_id(event["Stage ID"], "Stage ID")
-            row = (
-                _event_id(info["Task ID"], "Task ID"),
-                host,
-                launch,
-                finish,
-                parse_locality(info.get("Locality", "UNKNOWN")),
-                data_size,
-                (reason == "Success") and not info.get("Failed", False),
-            )
+            task_id = _event_id(info["Task ID"], "Task ID")
+            locality, failed = info.get("Locality", "UNKNOWN"), info.get("Failed", False)
+            if type(locality) is not str:
+                raise _Unusable("Locality must be a string")
+            if type(failed) is not bool:
+                raise _Unusable("Failed must be true or false")
+            row = (task_id, host, launch, finish, parse_locality(locality), data_size,
+                   reason == "Success" and not failed)
         except _Unusable as exc:
             report.note(line_no, f"unusable task-end event: {exc}")
             continue
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             report.note(line_no, f"unusable task-end event: {exc!r}")
             continue
         bounded = (launch, finish, data_size)
@@ -279,28 +283,27 @@ def parse_metric_file(
     """Parse one node's raw counter dump into a block of timestamp-ordered rows.
 
     `lines` is the file's text, whose lines are its "\n"-separated pieces,
-    or an iterable of its lines. The block is a MetricStore whose columns
-    are the schema's counters (its node is left empty: the file name names
-    it), so len(block) is the number of rows kept. Timestamps below 1e12 are
-    seconds and become milliseconds, rounded half to even. Duplicate
-    timestamps keep the last row read. A column-count mismatch is a hard
-    error; a cell float() cannot read, a non-finite cell, or a timestamp
-    outside int64 milliseconds, only skips that line.
+    or an iterable of its lines, each read as one line: an inner "\n"
+    separates cells as a space does. `ingest_raw` passes text; the iterable
+    form is kept only for perfbench/spans.py:185, which passes an open file.
+
+    The block is a MetricStore whose columns are the schema's counters (its
+    node is left empty: the file name names it), so len(block) is the number
+    of rows kept. Timestamps below 1e12 are seconds and become milliseconds,
+    rounded half to even. Duplicate timestamps keep the last row read. A
+    column-count mismatch is a hard error; a cell float() cannot read, a
+    non-finite cell, or a timestamp outside int64 milliseconds, only skips
+    that line.
     """
     if schema not in _SCHEMAS:
         raise IngestError(f"unknown metric schema {schema!r} (expected system|architecture)")
     columns, counters = _SCHEMAS[schema]
     report = IngestReport()
-    if isinstance(lines, str):
-        table, line_nos = _read_text(lines, columns, schema, report)
-    else:
-        lines = [line[:-1] if line.endswith("\n") else line for line in lines]
-        text = "\n".join(lines)
-        # A line may hold a "\n" of its own, which split() reads as a space.
-        if text.count("\n") + 1 == len(lines):
-            table, line_nos = _read_text(text, columns, schema, report)
-        else:
-            table, line_nos = _read_lines(enumerate(lines, start=1), columns, schema, report)
+    if not isinstance(lines, str):
+        lines = "\n".join(
+            (line[:-1] if line.endswith("\n") else line).replace("\n", " ") for line in lines
+        )
+    table, line_nos = _read_text(lines, columns, schema, report)
 
     # A NaN would read as a missing metric in the trace's store.
     finite = np.isfinite(table).all(axis=1)

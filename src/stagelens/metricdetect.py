@@ -10,7 +10,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from . import nodedetect
+from . import correlate
 from .correlate import FeatureDatasets, stack_samples
 from .model import METRIC_SCHEMA
 
@@ -113,7 +113,7 @@ def _centered_gram(blocks: Sequence[np.ndarray], mean: np.ndarray) -> np.ndarray
     transpose."""
     k = len(mean)
     gram = np.zeros((k, k))
-    budget = max(1, nodedetect._BLOCK_BYTES // (8 * max(k, 1)))  # samples per chunk
+    budget = max(1, correlate._BLOCK_BYTES // (8 * max(k, 1)))  # samples per chunk
     with np.errstate(over="ignore", invalid="ignore"):
         for block in blocks:
             nodes, _, n = block.shape
@@ -166,16 +166,6 @@ def _spectrum_selection(
         selected_metrics=selected,
         ccrate=cumulative,
     )
-
-
-def reduce_mean(series: Sequence[float]) -> Optional[float]:
-    """Arithmetic mean; empty series reduce to missing. A sum that overflows
-    gives inf (or NaN, from opposite infinities), as in build_datasets' mean
-    table, and no numpy warning."""
-    if len(series) == 0:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.mean(series))
 
 
 def _fft_norms(rows: np.ndarray) -> np.ndarray:
@@ -398,7 +388,7 @@ def _fft_table(datasets: FeatureDatasets, columns: Sequence[int], common: int) -
     columns as fit in _BLOCK_BYTES go to one _fft_norms call."""
     nodes = len(datasets.nodes)
     table = np.empty((len(columns), nodes))
-    step = max(1, nodedetect._BLOCK_BYTES // (8 * nodes * common))
+    step = max(1, correlate._BLOCK_BYTES // (8 * nodes * common))
     for a in range(0, len(columns), step):
         picked = list(columns[a : a + step])
         series = np.empty((len(picked), nodes, common))

@@ -300,17 +300,6 @@ class TaskTable:
             ),
         )
 
-    def __getitem__(self, i: int) -> Task:
-        return Task(
-            self.task_id[i],
-            self.nodes[self.node[i]],
-            int(self.launch_time[i]),
-            int(self.finish_time[i]),
-            LOCALITY_CODES[self.locality[i]],
-            int(self.data_size[i]),
-            bool(self.succeeded[i]),
-        )
-
     def __eq__(self, other: object) -> bool:
         """Equal tables hold the same rows in the same order."""
         if not isinstance(other, TaskTable):

@@ -3,10 +3,10 @@ metric vectors.
 
 `detect_abnormal_nodes` computes the pairs in blocks of rows: a block of
 nodes against all p nodes at a time, its products over every metric in as
-few calls as fit, every temporary within _BLOCK_BYTES. The sums add and
-multiply in the same order and with the same operations as the pairwise
-`cosine_similarity`, so the scores are bit-identical to averaging that
-function over all peers.
+few calls as fit, every temporary within `correlate._BLOCK_BYTES`. The sums
+add and multiply in the same order and with the same operations as the
+pairwise `cosine_similarity`, so the scores are bit-identical to averaging
+that function over all peers.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Dict, List, Mapping, Union
 
 import numpy as np
 
+from . import correlate
 from .correlate import FeatureDatasets
 from .model import METRIC_SCHEMA
 
@@ -61,11 +62,6 @@ class AbnormalNodeResult:
     caveat: str = ""
 
 
-#: The byte budget of each temporary array of the screen: a block of rows
-#: of the p x p pair tables, or the metrics x rows x p products behind it.
-_BLOCK_BYTES = 256 * 1024
-
-
 def _similarity_totals(x: np.ndarray, mask: np.ndarray):
     """Each node's sum of cosine similarities over the peers it has a valid
     score with, and the count of those peers.
@@ -78,9 +74,10 @@ def _similarity_totals(x: np.ndarray, mask: np.ndarray):
     and a single row when d * p * 8 > _BLOCK_BYTES.
     """
     p, d = x.shape
-    rows = max(1, min(p, _BLOCK_BYTES // (8 * p)))
+    budget = correlate._BLOCK_BYTES
+    rows = max(1, min(p, budget // (8 * p)))
     # The rows whose products over every metric fit the budget.
-    step = max(1, min(rows, _BLOCK_BYTES // (8 * d * p)))
+    step = max(1, min(rows, budget // (8 * d * p)))
     # Metrics x nodes, so that each metric is a contiguous row.
     xT, maskT = np.ascontiguousarray(x.T), np.ascontiguousarray(mask.T)
     finite = bool(np.isfinite(xT).all())
@@ -153,6 +150,8 @@ def detect_abnormal_nodes(
 
     `vectors` is a stage's datasets, whose mean table is read directly, or a
     node -> metric -> mean mapping, which is first turned into such a table.
+    `diagnose` passes the datasets; the mapping form is kept only for
+    perfbench/spans.py:128, whose replay passes `datasets.vectors`.
     """
     if isinstance(vectors, FeatureDatasets):
         nodes, dims = vectors.nodes, list(METRIC_SCHEMA)

@@ -148,10 +148,6 @@ def read_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-def load_config(path: str) -> PipelineConfig:
-    return config_from_mapping(read_config_file(path))
-
-
 @dataclass
 class StageReport:
     """One stage's verdicts; the per-kind views below are read from findings."""
@@ -236,7 +232,7 @@ def _diagnose_stage(
     datasets = build_datasets(stage, slices, trace.cluster, cfg.ultrashort())
 
     # Straggler screen over per-node mean runtimes of successful tasks.
-    straggle = appdetect.detect_stragglers(appdetect.mean_runtimes(datasets.locality), cfg.th_d)
+    straggle = appdetect.detect_stragglers(appdetect.mean_runtimes(datasets.data_size), cfg.th_d)
     if straggle.evaluable:
         for node, scale in straggle.stragglers:
             found(FindingKind.STRAGGLER, (node,), scale, cfg.th_d)
@@ -263,10 +259,8 @@ def _diagnose_stage(
     else:
         report.warnings.append("skew screen not evaluable (median data size is zero)")
 
-    if len(datasets.locality) >= 2:
-        for entry in appdetect.detect_uneven_placement(
-            datasets.locality, cfg.placement(), total=len(datasets.locality)
-        ):
+    if len(datasets.data_size) >= 2:
+        for entry in appdetect.detect_uneven_placement(datasets.data_size, cfg.placement()):
             subjects = (entry.node, entry.locality.value)
             found(FindingKind.UNEVEN_PLACEMENT, subjects, entry.ratio, 0.0)
 

@@ -390,12 +390,12 @@ def test_task_columns_equal_per_task_oracle(rows, cluster, policy, th_size, flag
     assert list(ds.tnum.items()) == list(tnum.items())
     assert (ds.ultrashort_count, ds.failed_count) == (ultrashort, failed)
     assert [(t.node, t.task_id, t.data_size) for t in ds.data_size] == data_size
-    assert mean_runtimes(ds.locality) == means
-    assert detect_stragglers(mean_runtimes(ds.locality)) == detect_stragglers(means)
+    assert mean_runtimes(ds.data_size) == means
+    assert detect_stragglers(mean_runtimes(ds.data_size)) == detect_stragglers(means)
     assert detect_skew_data_size(ds.data_size, th_size, flag_small) == skew
     assert detect_skew_data_size(sized_tasks(data_size), th_size, flag_small) == skew
     if placement is not None:
-        assert detect_uneven_placement(ds.locality, cfg, total=len(ds.locality)) == placement
+        assert detect_uneven_placement(ds.data_size, cfg) == placement
 
 
 def test_node_sums_past_int64_stay_exact():

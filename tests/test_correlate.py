@@ -36,7 +36,7 @@ def per_sample_oracle(series, start, finish):
     intersections and Python-list means. `series` maps each window node to
     its rows in timestamp order (absent: no series).
 
-    Returns (vectors, matrix, matrix_metrics, missing_metric_nodes).
+    Returns (vectors, matrix, matrix_metrics, nodes without samples).
     """
     sliced = {
         node: [s for s in series.get(node, []) if start <= s.timestamp <= finish]
@@ -180,14 +180,12 @@ def assert_datasets_equal_oracle(rows, with_series, start, finish, outside=(), s
                 assert cut == MetricStore(node, store.timestamps[lo:hi], store.columns,
                                           store.values[:, lo:hi])
         ds = build_datasets(stage, slices, t.cluster)
-        assert_datasets_equal(ds, vectors, matrix, columns, missing)
+        assert_datasets_equal(ds, vectors, matrix, columns)
 
 
-def assert_datasets_equal(ds, vectors, matrix, columns, missing):
-    """The datasets equal the oracle's vectors, matrix, matrix columns and
-    nodes without samples."""
+def assert_datasets_equal(ds, vectors, matrix, columns):
+    """The datasets equal the oracle's vectors, matrix and matrix columns."""
     assert ds.matrix_metrics == columns
-    assert ds.missing_metric_nodes == missing
 
     # The arrays.
     assert ds.nodes == sorted(vectors)
@@ -484,8 +482,9 @@ def test_node_without_samples_is_marked_missing():
     stage = make_stage({"hw01": 1, "hw02": 1}, runtime=10_000)
     metrics = {"hw01": metric_series("hw01", T0, 11, lambda i: {"cpu_usage": 0.2})}
     trace = make_trace(stage, stores=metrics)
-    ds = build_datasets(stage, slice_metrics(trace, stage_window(stage)), trace.cluster)
-    assert "hw02" in ds.missing_metric_nodes
+    slices = slice_metrics(trace, stage_window(stage))
+    ds = build_datasets(stage, slices, trace.cluster)
+    assert "hw02" in slices.gaps
     assert "hw02" not in ds.vectors
 
 

@@ -15,7 +15,6 @@ from conftest import MetricSample, row_groups, store_from_samples
 from stagelens import ingest
 from stagelens.ingest import (
     ARCH_COLUMNS,
-    METRIC_SCHEMA,
     SECTOR_BYTES,
     SYSTEM_COLUMNS,
     IngestError,
@@ -26,6 +25,7 @@ from stagelens.ingest import (
     parse_spark_event_log,
 )
 from stagelens.model import (
+    METRIC_SCHEMA,
     TASK_INT_BOUND,
     Job,
     Locality,
@@ -75,6 +75,16 @@ def event(stage, task, host="hw073", launch=1456896044081, finish=1456896045955)
     data["Task Info"]["Host"] = host
     data["Task Info"]["Launch Time"] = launch
     data["Task Info"]["Finish Time"] = finish
+    return json.dumps(data)
+
+
+def field_event(key, value):
+    """event(0, 2) with one Task Info field, or its Bytes Read, set to value."""
+    data = json.loads(event(0, 2))
+    if key == "Bytes Read":
+        data["Task Metrics"]["Input Metrics"] = {"Bytes Read": value}
+    else:
+        data["Task Info"][key] = value
     return json.dumps(data)
 
 
@@ -170,6 +180,12 @@ def test_job_start_groups_stages():
     (event([3], 2), "unusable task-end event: Stage ID must be an integer or a string"),
     (event(0, True), "unusable task-end event: Task ID must be an integer or a string"),
     (event(0, 2, host=["a"]), "unusable task-end event: Host must be a non-empty string"),
+    # Numbers must be JSON integers, Locality a string and Failed a bool.
+    (event(0, 2, launch=4.9), "unusable task-end event: Launch Time must be an integer"),
+    (event(0, 2, finish="2500"), "unusable task-end event: Finish Time must be an integer"),
+    (field_event("Bytes Read", True), "unusable task-end event: Bytes Read must be an integer"),
+    (field_event("Locality", 3), "unusable task-end event: Locality must be a string"),
+    (field_event("Failed", "no"), "unusable task-end event: Failed must be true or false"),
 ])
 def test_event_id_or_host_of_another_json_type_is_a_note(line, note):
     trace, report = parse_spark_event_log([line, event(0, 1)])
@@ -190,6 +206,11 @@ _NOT_AN_ID = "%s must be an integer or a string"
 def is_id(value):
     """An event id: a JSON integer (bools are not) or a string."""
     return isinstance(value, (int, str)) and not isinstance(value, bool)
+
+
+def is_int(value):
+    """An event number: a JSON integer (bools are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def oracle_parse_spark_event_log(lines):
@@ -230,10 +251,19 @@ def oracle_parse_spark_event_log(lines):
             continue
         try:
             info = event["Task Info"]
-            launch = int(info["Launch Time"])
-            finish = int(info["Finish Time"])
+            launch = info["Launch Time"]
+            if not is_int(launch):
+                report.note(line_no, "unusable task-end event: Launch Time must be an integer")
+                continue
+            finish = info["Finish Time"]
+            if not is_int(finish):
+                report.note(line_no, "unusable task-end event: Finish Time must be an integer")
+                continue
             metrics = event.get("Task Metrics", {}) or {}
-            data_size = int(metrics.get("Input Metrics", {}).get("Bytes Read", 0))
+            data_size = metrics.get("Input Metrics", {}).get("Bytes Read", 0)
+            if not is_int(data_size):
+                report.note(line_no, "unusable task-end event: Bytes Read must be an integer")
+                continue
             reason = event.get("Task End Reason", {}).get("Reason", "Success")
             host = info.get("Host") or metrics.get("Host Name")
             if not (isinstance(host, str) and host):
@@ -247,14 +277,22 @@ def oracle_parse_spark_event_log(lines):
             if not is_id(info["Task ID"]):
                 report.note(line_no, f"unusable task-end event: {_NOT_AN_ID % 'Task ID'}")
                 continue
+            locality = info.get("Locality", "UNKNOWN")
+            if not isinstance(locality, str):
+                report.note(line_no, "unusable task-end event: Locality must be a string")
+                continue
+            failed = info.get("Failed", False)
+            if not isinstance(failed, bool):
+                report.note(line_no, "unusable task-end event: Failed must be true or false")
+                continue
             task = Task(
                 task_id=str(info["Task ID"]),
                 node=host,
                 launch_time=launch,
                 finish_time=finish,
-                locality=parse_locality(info.get("Locality", "UNKNOWN")),
+                locality=parse_locality(locality),
                 data_size=data_size,
-                succeeded=(reason == "Success") and not info.get("Failed", False),
+                succeeded=(reason == "Success") and not failed,
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             report.note(line_no, f"unusable task-end event: {exc!r}")
@@ -286,9 +324,11 @@ def oracle_parse_spark_event_log(lines):
 
 
 _HOSTS = ("hw01", "hw02", "hw10")
-# Just outside [0, 2**53); a string or float int() reads; a value int() rejects.
+# Just outside [0, 2**53); values of other JSON types, each a note: strings,
+# floats (an integral one too), a bool, null, a list and an object.
 _ODD_INTS = st.sampled_from(
-    [-1, 2**53, 2**63, -(2**63), "1005", " 1007 ", 1004.5, True, "12a", None, [1], {}, "1e3"]
+    [-1, 2**53, 2**63, -(2**63), "1005", " 1007 ", 1004.5, 1006.0, True, "12a", None, [1], {},
+     "1e3"]
 )
 
 
@@ -304,9 +344,9 @@ def task_end_event(draw):
     }
     if draw(st.booleans()):
         info["Locality"] = draw(st.sampled_from(
-            ["NODE_LOCAL", "process_local", " rack_locality ", "ANY", "elsewhere", 3]))
+            ["NODE_LOCAL", "process_local", " rack_locality ", "ANY", "elsewhere", 3, None]))
     if draw(st.booleans()):
-        info["Failed"] = draw(st.sampled_from([False, True, 0, 1, None]))
+        info["Failed"] = draw(st.sampled_from([False, True, 0, 1, None, "no"]))
     data = {
         "Event": "SparkListenerTaskEnd",
         "Stage ID": draw(st.one_of(st.integers(0, 3), st.sampled_from(["2", [3], False, 2.0]))),
@@ -387,6 +427,10 @@ def _outcome(parse, lines):
                 event(1, 1)])
 @example(lines=[event([3], 1), event(1, 2)])
 @example(lines=[event(0, 1, host=["a"]), event(1, 2)])
+# Numbers, localities and flags of the wrong JSON type: each line is a note.
+@example(lines=[event(0, 1, launch=4.9), event(0, 2, finish="2500"),
+                field_event("Bytes Read", True), event(1, 3)])
+@example(lines=[field_event("Locality", 3), field_event("Failed", "no"), event(1, 3)])
 def test_event_parser_equals_per_task_oracle(lines):
     got = _outcome(parse_spark_event_log, lines)
     want = _outcome(oracle_parse_spark_event_log, lines)
@@ -1222,3 +1266,35 @@ def test_parse_metric_file_equals_per_row_oracle(case, end):
         again, again_report = parse_metric_file(given_lines, schema)
         assert again_report.errors == expected_errors
         assert again.values.tobytes() == block.values.tobytes()
+
+
+def _inner_newline(row, at=1):
+    """The row with its at-th space replaced by a "\n"."""
+    cells = row.split(" ")
+    return " ".join(cells[:at]) + "\n" + " ".join(cells[at:])
+
+
+@pytest.mark.parametrize("items", [
+    # A digit row among digit rows, with and without its own line end.
+    [_arch_row("1"), _inner_newline(_arch_row("2")), _inner_newline(_arch_row("3"), 7) + "\n"],
+    # Plain rows, and a row with a cell float() rejects.
+    [_arch_row("1", "0.5"), _inner_newline(_arch_row("2", "1e3"), 5),
+     _inner_newline(_arch_row("3", "n/a")) + "\n", _arch_row("4", "2.5")],
+    # A wrong-width row: the first wrong-width line is named.
+    [_arch_row("1"), _inner_newline("2 3 4"), "5 6"],
+])
+def test_line_list_item_with_an_inner_newline_is_one_line(items):
+    """A list item that holds a "\n" of its own is one line, whose cells
+    that "\n" separates as a space does."""
+    spaced = [(item[:-1] if item.endswith("\n") else item).replace("\n", " ") for item in items]
+    try:
+        expected, expected_errors = oracle_parse(spaced, "architecture")
+    except IngestError as exc:
+        with pytest.raises(IngestError) as err:
+            parse_metric_file(items, "architecture")
+        assert str(err.value) == str(exc)
+        return
+    block, report = parse_metric_file(items, "architecture")
+    assert report.errors == expected_errors
+    assert block.timestamps.tolist() == [row.timestamp_ms for row in expected]
+    assert block.values.tobytes() == block_of(expected, "architecture").values.tobytes()

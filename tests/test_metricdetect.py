@@ -8,8 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import clock_groups, make_stage, make_trace, metric_series, stacked_samples
+from stagelens import correlate
 from stagelens.correlate import build_datasets, slice_metrics, stage_window
-from stagelens import nodedetect
 from stagelens.model import METRIC_SCHEMA, MetricStore, metric_columns
 from stagelens.report import PipelineConfig, diagnose, render_report
 from stagelens.metricdetect import (
@@ -26,7 +26,6 @@ from stagelens.metricdetect import (
     minmax_normalize,
     pca_select_metrics,
     reduce_fft,
-    reduce_mean,
 )
 
 T0 = 1_460_000_000_000
@@ -154,16 +153,6 @@ def test_eigen_reconstruction_and_ccrate_monotone(rng):
 
 
 # --- reductions ------------------------------------------------------------
-
-def test_reduce_mean_examples(rng):
-    assert reduce_mean([3.3] * 7) == pytest.approx(3.3)
-    assert reduce_mean([0.0, 1.0]) == pytest.approx(0.5)
-    assert reduce_mean([]) is None
-    series = rng.uniform(-5, 5, size=60)
-    assert reduce_mean(series) == pytest.approx(sum(series) / 60, abs=1e-12)
-    # An overflowing sum is inf, without a numpy warning (tier-1 makes one an error).
-    assert reduce_mean([1e308, 1e308]) == math.inf
-
 
 def test_fft_of_constant_is_zero():
     assert reduce_fft([4.2] * 32) == pytest.approx(0.0, abs=1e-9)
@@ -378,7 +367,8 @@ def two_metric_stage(deviations_by_node, n_samples=24):
 )
 def test_mean_table_equals_reduce_mean_of_each_column(lengths, exponent, seed, start, span):
     """The mean transform's reductions, read from the mean table, equal
-    reduce_mean over each node's matrix column, bit for bit."""
+    np.mean of each node's matrix column, bit for bit; a sum that overflows
+    gives inf (or NaN, from opposite infinities) in both."""
     rng = np.random.default_rng(seed)
     columns = METRIC_SCHEMA[::3]
     nodes = [f"hw{i:02d}" for i in range(len(lengths))]
@@ -397,7 +387,8 @@ def test_mean_table_equals_reduce_mean_of_each_column(lengths, exponent, seed, s
     assert ds.matrix_metrics == list(columns) or not ds.nodes
     for i, node in enumerate(ds.nodes):
         for c, metric in enumerate(ds.matrix_metrics):
-            expected = reduce_mean(ds.matrix[node][:, c])
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = float(np.mean(ds.matrix[node][:, c]))
             got = ds.means[i, METRIC_SCHEMA.index(metric)]
             assert ds.present[i, METRIC_SCHEMA.index(metric)]
             assert got == expected or (math.isnan(got) and math.isnan(expected))
@@ -458,7 +449,7 @@ def test_pct_other_than_one_is_refused():
 def test_corpus_selection_mixes_metric_levels():
     # across the evaluation corpus, the 0.95 cut keeps both system-level and
     # architecture-level metrics in play
-    from stagelens.ingest import ARCH_METRICS, SYSTEM_METRICS
+    from stagelens.model import ARCH_METRICS, SYSTEM_METRICS
     from stagelens.simulate import generate_trace, preset
 
     selected = set()
@@ -747,7 +738,7 @@ _WITH_MEM = metric_columns(_CORE + ("mem_usage",))
 
 
 @given(case=_block_stages(), ccrate=st.sampled_from([0.5, 0.8, 0.95, 1.0]),
-       budget=st.sampled_from([8, 2560, nodedetect._BLOCK_BYTES]))
+       budget=st.sampled_from([8, 2560, correlate._BLOCK_BYTES]))
 # 0.1 everywhere on three clocks, 4 + 2 + 1 samples: the node means
 # weighted by counts give 0.1 exactly, the row-by-row mean does not, so
 # the oracle's covariance is not zero.
@@ -761,12 +752,12 @@ _WITH_MEM = metric_columns(_CORE + ("mem_usage",))
 # float, so the covariance is finite and zero.
 @example(case=({"hw00": (250, _CORE, _ones(1, _BIG / 2)),
                 "hw01": (400, _CORE, _ones(1, _BIG / 2))}, 0, 0),
-         ccrate=0.95, budget=nodedetect._BLOCK_BYTES)
+         ccrate=0.95, budget=correlate._BLOCK_BYTES)
 # +-1e308 alternating on one node of nine samples: its pairwise sum
 # overflows, a row-by-row sum does not; the other nodes stay small.
 @example(case=({"hw00": (250, _CORE, np.array([[1e308, -1e308] * 4 + [1e308], [1.0] * 9])),
                 "hw01": (250, _CORE, np.array([[2.0] * 9, [3.0] * 9]))}, 0, 2000),
-         ccrate=0.95, budget=nodedetect._BLOCK_BYTES)
+         ccrate=0.95, budget=correlate._BLOCK_BYTES)
 # Three batches whose nodes interleave; hw00 and hw02 are two clocks cut
 # to one window length, so their batch is a copy, and mem_usage (a hole on
 # hw02) sits between its matrix columns.
@@ -787,7 +778,7 @@ def test_stage_selection_equals_oracle_pca(case, ccrate, budget):
         return
     stacked = stacked_samples(ds)
     expected = oracle_pca(stacked, ds.matrix_metrics, ccrate)
-    with mock.patch.object(nodedetect, "_BLOCK_BYTES", budget):
+    with mock.patch.object(correlate, "_BLOCK_BYTES", budget):
         selections = [_stage_selection(ds, ccrate),
                       pca_select_metrics(stacked, ds.matrix_metrics, ccrate)]
     m, k = stacked.shape
@@ -807,7 +798,7 @@ def test_stage_selection_equals_oracle_pca(case, ccrate, budget):
             assert got.selected_metrics == expected.selected_metrics
 
 
-@given(case=_block_stages(), budget=st.sampled_from([8, 2560, nodedetect._BLOCK_BYTES]),
+@given(case=_block_stages(), budget=st.sampled_from([8, 2560, correlate._BLOCK_BYTES]),
        data=st.data())
 # Interleaved groups of unequal window lengths, truncated to the shortest.
 @example(case=({"hw00": (250, _CORE, np.arange(20.0).reshape(2, 10) ** 2),
@@ -830,7 +821,7 @@ def test_fft_table_from_blocks_equals_stacked_gather(case, budget, data):
     offsets = np.concatenate([[0], np.cumsum(ds.counts)])
     at = offsets[:-1, None] + np.arange(common)
     expected = np.array([_fft_norms(stacked[at, j]) for j in columns])
-    with mock.patch.object(nodedetect, "_BLOCK_BYTES", budget):
+    with mock.patch.object(correlate, "_BLOCK_BYTES", budget):
         got = _fft_table(ds, columns, common)
     assert got.tobytes() == expected.tobytes()
 

@@ -1275,8 +1275,7 @@ def test_unapplied_clock_offsets_shift_once(tmp_path):
     meta.write_text(header + "\n" + json.dumps(body, sort_keys=True) + "\n")
 
     shifted = load_trace(str(out))
-    task = shifted.jobs[0].stages[0].tasks[0]
-    assert task.launch_time == 1_000_500
+    assert shifted.jobs[0].stages[0].tasks.launch_time[0] == 1_000_500
     assert shifted.metrics["hw01"].timestamps[0] == 1_000_500
     # A save writes no offsets, so a second save/load cycle does not shift again.
     out2 = tmp_path / "trace2"

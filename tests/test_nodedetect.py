@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stagelens import nodedetect
+from stagelens import correlate
 from stagelens.correlate import FeatureDatasets
 from stagelens.model import METRIC_SCHEMA
 from stagelens.nodedetect import (
@@ -280,7 +280,7 @@ def test_mean_table_screen_equals_dict_input_and_bruteforce(vectors, th_simi):
 # bytes, blocks of several rows take their products a few rows or one row at
 # a time, the last step often shorter; at 2**40 every node is in one block,
 # its products taken in one call.
-_BUDGETS = {"one-row": 8, "steps": 2560, "default": nodedetect._BLOCK_BYTES, "one-block": 2**40}
+_BUDGETS = {"one-row": 8, "steps": 2560, "default": correlate._BLOCK_BYTES, "one-block": 2**40}
 _SHAPES = pytest.mark.parametrize("budget", _BUDGETS.values(), ids=_BUDGETS.keys())
 
 
@@ -318,7 +318,7 @@ def assert_bits_match_bruteforce(vectors, cfg=SimilarityConfig()):
 @_SHAPES
 @given(vectors=_schema_tables(), th_simi=st.floats(0.01, 0.99))
 def test_every_block_shape_equals_bruteforce(budget, vectors, th_simi):
-    with mock.patch.object(nodedetect, "_BLOCK_BYTES", budget):
+    with mock.patch.object(correlate, "_BLOCK_BYTES", budget):
         assert_bits_match_bruteforce(vectors, SimilarityConfig(th_simi=th_simi))
 
 
@@ -335,7 +335,7 @@ def test_blocks_of_a_wide_cluster_equal_bruteforce(budget):
         f"hw{i:03d}": {m: v for m, v in zip(METRIC_SCHEMA, row) if not math.isnan(v)}
         for i, row in enumerate(values.tolist())
     }
-    with mock.patch.object(nodedetect, "_BLOCK_BYTES", budget):
+    with mock.patch.object(correlate, "_BLOCK_BYTES", budget):
         assert_bits_match_bruteforce(vectors)
 
 
@@ -345,7 +345,7 @@ def test_products_that_are_all_minus_zero_sum_to_plus_zero(budget):
     # cosine_similarity's sum from 0 gives: not -0.0.
     vectors = {"n0": {"IPC": 5.0, "cpu_usage": -0.0}, "n1": {"IPC": -0.0, "cpu_usage": 3.0}}
     assert cosine_similarity(vectors["n0"], vectors["n1"]).hex() == "0x0.0p+0"
-    with mock.patch.object(nodedetect, "_BLOCK_BYTES", budget):
+    with mock.patch.object(correlate, "_BLOCK_BYTES", budget):
         assert_bits_match_bruteforce(vectors)
 
 

@@ -14,8 +14,8 @@ from stagelens.report import (
     PipelineConfig,
     config_from_mapping,
     diagnose,
-    load_config,
     parse_report,
+    read_config_file,
     render_report,
 )
 from stagelens.simulate import (
@@ -163,7 +163,7 @@ def test_config_file_and_overrides(tmp_path):
         "representative = median\n"
         "pri_any = 3\n"
     )
-    cfg = load_config(str(cfg_file))
+    cfg = config_from_mapping(read_config_file(str(cfg_file)))
     assert cfg.bc == 0.2
     assert cfg.th_simi == 0.4
     assert cfg.representative == "median"
