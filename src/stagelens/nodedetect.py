@@ -1,12 +1,13 @@
 """Abnormal-node detection via pairwise cosine similarity of per-node mean
 metric vectors.
 
-`detect_abnormal_nodes` computes the pairs in blocks of rows: a block of
-nodes against all p nodes at a time, its products over every metric in as
-few calls as fit, every temporary within `correlate._BLOCK_BYTES`. The sums
-add and multiply in the same order and with the same operations as the
-pairwise `cosine_similarity`, so the scores are bit-identical to averaging
-that function over all peers.
+`detect_abnormal_nodes` scores each pair once: in blocks of rows, each
+block's nodes against the nodes from its first on, its products over every
+metric in as few calls as fit, every temporary within
+`correlate._BLOCK_BYTES`. A running total per node carries its scores from
+block to block. The sums add and multiply in the same order and with the
+same operations as the pairwise `cosine_similarity`, so the scores are
+bit-identical to averaging that function over all peers.
 """
 
 from __future__ import annotations
@@ -67,17 +68,16 @@ def _similarity_totals(x: np.ndarray, mask: np.ndarray):
     score with, and the count of those peers.
 
     x is p nodes x d metrics (0 where missing), mask True where present,
-    p >= 2. The pair tables are built `rows` nodes against all p at a time,
-    and their products over every metric `step` rows at a time, one call
-    each, so no temporary holds more than _BLOCK_BYTES. The exceptions are
-    the inputs, the p x (distinct presence patterns) table of squared norms,
-    and a single row when d * p * 8 > _BLOCK_BYTES.
+    p >= 2. The p x p pair table is symmetric bit for bit, so only its part
+    on and right of the diagonal is built, in blocks of rows taken in row
+    order, and each node's total is carried from block to block. No
+    temporary holds more than _BLOCK_BYTES, except the inputs, the
+    p x (distinct presence patterns) table of squared norms, and a single
+    row with its running totals, or a single row's products, when one does
+    not fit.
     """
     p, d = x.shape
     budget = correlate._BLOCK_BYTES
-    rows = max(1, min(p, budget // (8 * p)))
-    # The rows whose products over every metric fit the budget.
-    step = max(1, min(rows, budget // (8 * d * p)))
     # Metrics x nodes, so that each metric is a contiguous row.
     xT, maskT = np.ascontiguousarray(x.T), np.ascontiguousarray(mask.T)
     finite = bool(np.isfinite(xT).all())
@@ -90,19 +90,24 @@ def _similarity_totals(x: np.ndarray, mask: np.ndarray):
     patterns, pattern_of = np.unique(items, return_inverse=True)
     patternsT = patterns.view(bool).reshape(-1, d).T
     per_pattern = np.empty((p, len(patterns)))
-    totals, counts = np.empty(p), np.empty(p, dtype=np.int64)
-    dots_buffer = np.empty((rows, p))
+    totals, counts = np.zeros(p), np.zeros(p, dtype=np.int64)
+    # One buffer holds each step's products. Their shapes differ from step to
+    # step, and arrays allocated anew leave holes in the heap that later
+    # ones do not fit, which raises peak RSS.
+    buffer = np.empty(max(d * p, min(budget // 8, d * p * p)))
     # Overflow gives inf here, where cosine_similarity's `** 2` raises
     # OverflowError; the pairs it touches are dropped below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # float_power calls libm pow, as cosine_similarity's `** 2` does;
         # x * x rounds differently for about one value in a thousand.
         x2T = np.float_power(xT, 2)
-        # Each reduce below runs over the metric axis, outermost in memory
-        # (the products are built in C order; np.where keeps its inputs'),
-        # and each slice holds at least p >= 2 values; so it adds slice after
-        # slice in sorted metric order, as cosine_similarity's sums do. Only
-        # a reduce along the innermost axis sums pairwise.
+        # Each reduce over the metric axis below runs over the outermost axis
+        # in memory (the products are built in C order; np.where keeps its
+        # inputs'), and each slice holds at least two values; so it adds
+        # slice after slice in sorted metric order, as cosine_similarity's
+        # sums do. Only a reduce along the innermost axis sums pairwise. (The
+        # last node's product with itself is one value a slice: no score.)
+        step = max(1, budget // (8 * d * p))
         for lo in range(0, len(patterns), step):
             # per_pattern[b, j] is |b|^2 over the dims of pattern j, `step`
             # patterns at a time; a dim outside the pattern adds an exact 0,
@@ -117,27 +122,53 @@ def _similarity_totals(x: np.ndarray, mask: np.ndarray):
         roots = np.where(
             (per_pattern > 0) & np.isfinite(per_pattern), np.sqrt(per_pattern), np.nan
         )
-        for lo in range(0, p, rows):
-            hi = min(lo + rows, p)
-            dots = dots_buffer[: hi - lo]
-            for top in range(lo, hi, step):
-                end = min(top + step, hi)
-                block = np.multiply(xT[:, top:end, None], xT[:, None, :], order="C")
+        lo = 0
+        while lo < p:
+            # A block: rows [lo, lo + n) against columns [lo, p), under a row
+            # of each column's running total over the rows above the block.
+            m = p - lo
+            n = max(1, min(m, budget // (8 * m) - 1))
+            hi = lo + n
+            table = np.empty((n + 1, m))
+            table[0] = totals[lo:]
+            dots = table[1:]
+            a = 0
+            while a < n:
+                # A step: block rows [a, b) against block columns [a, m).
+                b = min(n, a + max(1, budget // (8 * d * (m - a))))
+                rows, cols = slice(lo + a, lo + b), slice(lo + a, p)
+                products = buffer[: d * (b - a) * (m - a)].reshape(d, b - a, m - a)
+                np.multiply(xT[:, rows, None], xT[:, None, cols], out=products)
                 if not finite:
                     # 0 * inf is NaN, but a dim one side lacks must add 0.
-                    block[~(maskT[:, top:end, None] & maskT[:, None, :])] = 0.0
-                np.add.reduce(block, axis=0, out=dots[top - lo : end - lo])
-            # Some numpy versions start a reduce from its first slice, not
-            # from +0.0: adding 0.0 turns a sum of only -0.0 into +0.0.
-            dots += 0.0
-            # Row a, column b: |a| over b's dims times |b| over a's dims.
-            norms = roots[lo:hi][:, pattern_of] * roots[:, pattern_of[lo:hi]].T
-            sims = np.divide(dots, norms, out=dots)
-            valid = np.isfinite(sims)  # C-contiguous, as dots is
-            valid.reshape(-1)[lo :: p + 1] = False  # the diagonal
-            # cumsum adds each row left to right, as sum() over the peers does.
-            totals[lo:hi] = np.cumsum(np.where(valid, sims, 0.0), axis=1)[:, -1]
-            counts[lo:hi] = valid.sum(axis=1)
+                    products[~(maskT[:, rows, None] & maskT[:, None, cols])] = 0.0
+                np.add.reduce(products, axis=0, out=dots[a:b, a:])
+                if a:
+                    # The columns left of the step: the same products added
+                    # in the same order, so dots[j, i] is dots[i, j] bit for bit.
+                    dots[a:b, :a] = dots[:a, a:b].T
+                a = b
+            # Row i, column j: |i| over j's dims times |j| over i's dims.
+            np.divide(
+                dots, roots[lo:hi][:, pattern_of[lo:]] * roots[lo:, pattern_of[lo:hi]].T, out=dots
+            )
+            valid = np.isfinite(table)  # C-contiguous, as table is
+            valid[1:].reshape(-1)[:: m + 1] = False  # the diagonal
+            table[~valid] = 0.0
+            # One pass down the table adds to each column's running total its
+            # scores with the block's rows, top to bottom: a row below the
+            # block takes its next peers in order, and a block row, by
+            # symmetry, its peers in the block. The totals start from +0.0, as
+            # sum() does, so a score of -0.0 adds as +0.0 does.
+            totals[lo:] = np.add.reduce(table, axis=0)
+            counts[lo:] += valid[1:].sum(axis=0)
+            if n < m:
+                # Then a block row adds its peers right of the block in order,
+                # from its total so far, put in a block column already summed.
+                dots[:, n - 1] = totals[lo:hi]
+                totals[lo:hi] = np.cumsum(dots[:, n - 1 :], axis=1)[:, -1]
+                counts[lo:hi] += valid[1:, n:].sum(axis=1)
+            lo = hi
     return totals, counts
 
 

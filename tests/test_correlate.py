@@ -1,4 +1,6 @@
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from conftest import (
     stage_of,
     store_from_samples,
 )
+from stagelens import correlate
 from stagelens.correlate import (
     CorrelateError,
     UltrashortPolicy,
@@ -24,7 +27,9 @@ from stagelens.correlate import (
     slice_metrics,
     stage_window,
 )
+from stagelens.metricdetect import _centered_gram
 from stagelens.model import METRIC_SCHEMA, MetricStore, Stage, Trace, window_bounds
+from stagelens.nodedetect import _similarity_totals
 from stagelens.traceio import load_trace, save_trace
 
 T0 = 1_460_000_000_000
@@ -508,3 +513,29 @@ def test_matrix_block_is_a_view_when_its_columns_are_consecutive():
         assert ds.matrix_metrics == expected
         assert np.shares_memory(block, group.values) == shared
         assert (stacked_samples(ds) == np.vstack([ds.matrix[n] for n in ds.nodes])).all()
+
+
+@pytest.mark.parametrize("detector", ["node screen", "pca"])
+def test_detectors_keep_within_the_patched_chunk_budget(detector):
+    # 600 nodes under a 4 KiB budget. Read at the default 256 KiB, the node
+    # screen's pair tables peak at about 1.6 MB and PCA's centered chunks at
+    # about 0.5 MB, well above these bounds.
+    rng = np.random.default_rng(600)
+    if detector == "node screen":
+        x = rng.lognormal(0.0, 1.0, size=(600, len(METRIC_SCHEMA)))
+        mask = np.ones(x.shape, dtype=bool)
+        # The screen's own copies of x (its transpose, squares, and one row's
+        # products) are not chunked.
+        run, bound = (lambda: _similarity_totals(x, mask)), 8 * x.nbytes
+    else:
+        blocks = [rng.lognormal(0.0, 1.0, size=(600, 12, 40))]
+        mean = blocks[0].mean(axis=(0, 2))
+        run, bound = (lambda: _centered_gram(blocks, mean)), 8 * 4096
+    with mock.patch.object(correlate, "_BLOCK_BYTES", 4096):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < bound

@@ -349,6 +349,39 @@ def test_products_that_are_all_minus_zero_sum_to_plus_zero(budget):
         assert_bits_match_bruteforce(vectors)
 
 
+# Block shapes where a node's total could lose its peers' left-to-right
+# order: numpy sums a reduce of 8 or more terms pairwise if it runs along a
+# row, or down an array that is one column wide or in Fortran order.
+_ORDER_SHAPES = {
+    # 12 nodes at 8 * 12 * 12 bytes: a first block of 11 rows, whose
+    # transposed remainder is the one column of node 11.
+    "one-column-remainder": (12, 8 * 12 * 12),
+    # 10 nodes at 8 bytes, in one-row blocks: node 0 adds its 9 peers along
+    # its row, node 9 its 9 peers as 9 blocks' running totals.
+    "one-row": (10, 8),
+    # 30 nodes at 8 * 30 * 10 bytes: a first block of 9 rows, whose scores
+    # add to the running totals of the 21 columns right of it, then blocks of
+    # 13 and 8 rows.
+    "running-totals": (30, 8 * 30 * 10),
+}
+
+
+@pytest.mark.parametrize("p, budget", _ORDER_SHAPES.values(), ids=_ORDER_SHAPES.keys())
+def test_block_shapes_keep_each_total_in_peer_order(p, budget):
+    # Means over 16 decades, so that scores far apart in size meet in one sum,
+    # whose rounding then turns on the order of its terms.
+    rng = np.random.default_rng(p)
+    values = rng.normal(size=(p, len(METRIC_SCHEMA)))
+    values *= 10.0 ** rng.integers(-8, 9, size=values.shape)
+    values[rng.random(values.shape) < 0.1] = np.nan  # missing
+    vectors = {
+        f"hw{i:02d}": {m: v for m, v in zip(METRIC_SCHEMA, row) if not math.isnan(v)}
+        for i, row in enumerate(values.tolist())
+    }
+    with mock.patch.object(correlate, "_BLOCK_BYTES", budget):
+        assert_bits_match_bruteforce(vectors)
+
+
 def test_screen_holds_no_table_of_all_pairs():
     # At 600 nodes one p x p float table is 2.88 MB; a block of the products
     # is at most _BLOCK_BYTES.
