@@ -250,15 +250,11 @@ def stack_samples(
 _SCHEMA_POSITION = {m: j for j, m in enumerate(METRIC_SCHEMA)}
 
 
-def _schema_rows(layout: Tuple[str, ...]) -> Tuple[Union[slice, List[int]], List[int]]:
-    """The rows of a column layout that hold schema metrics (a slice when
-    they are consecutive, as in store order, where they lead), and those
-    metrics' positions in METRIC_SCHEMA."""
-    rows = [r for r, c in enumerate(layout) if c in _SCHEMA_POSITION]
-    cells = [_SCHEMA_POSITION[layout[r]] for r in rows]
-    if rows == list(range(len(rows))):
-        return slice(0, len(rows)), cells
-    return rows, cells
+def _schema_rows(layout: Tuple[str, ...]) -> Tuple[slice, List[int]]:
+    """The rows of a layout that hold schema metrics, which lead a group's
+    columns (store order), and those metrics' positions in METRIC_SCHEMA."""
+    cells = [_SCHEMA_POSITION[c] for c in layout if c in _SCHEMA_POSITION]
+    return slice(0, len(cells)), cells
 
 
 def build_datasets(

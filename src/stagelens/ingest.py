@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -175,17 +174,13 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
     return trace, report
 
 
-# Each byte's class. Numpy's text reader and float() split a line of digit
-# and plain bytes alike (at spaces and tabs) and read each cell to the same
-# double, so such lines are read by numpy; a line with any other byte is
-# read by float() alone. A file whose rows hold digits alone is read as
-# int64: float() of a digit string and the int64 -> float64 cast both round
-# to nearest, ties to even, and with no sign no cell is -0.
-_BLANK, _DIGIT, _PLAIN, _OTHER = 0, 1, 2, 3
+# Each byte's class. A line of digit and blank bytes alone is a digit row,
+# read as int64: float() of a digit string and the int64 -> float64 cast both
+# round to nearest, ties to even, and with no sign no cell is -0. A line with
+# any other byte is read by float() alone.
+_BLANK, _DIGIT, _OTHER = 0, 1, 2
 _BYTE_CLASS = bytes(
-    _BLANK if c in b" \t\n" else _DIGIT if c in b"0123456789" else _PLAIN if c in b".eE+-"
-    else _OTHER
-    for c in range(256)
+    _BLANK if c in b" \t\n" else _DIGIT if c in b"0123456789" else _OTHER for c in range(256)
 )
 
 
@@ -216,24 +211,24 @@ def _read_lines(
 
 
 def _read_digits(
-    data: bytes, classes: np.ndarray, bounds: np.ndarray, numeric: np.ndarray, other: np.ndarray,
+    data: bytes, classes: np.ndarray, bounds: np.ndarray, digit: np.ndarray, other: np.ndarray,
     width: int,
 ) -> Optional[np.ndarray]:
-    """The int64 rows of a file whose numeric lines hold digits alone (line i
-    is data[bounds[i]:bounds[i + 1]]), read by one np.fromstring call with the
+    """The int64 rows of the digit lines `digit` (line i is
+    data[bounds[i]:bounds[i + 1]]), read by one np.fromstring call with the
     other lines cut out; or None where the scan, which raises on none of them,
-    would not read loadtxt's rows: cell counts that differ between rows, not
+    would not read float()'s rows: cell counts that differ between rows, not
     rows x `width` cells, or a value of 2**63 - 1, strtoll's for a cell above int64."""
     # A cell of a digit line ends where a digit is followed by a blank.
-    row_cells = np.diff(np.flatnonzero(classes[:-1] > classes[1:]).searchsorted(bounds))[numeric]
+    row_cells = np.diff(np.flatnonzero(classes[:-1] > classes[1:]).searchsorted(bounds))[digit]
     if len(other):
         cuts = [0, *np.column_stack((bounds[other], bounds[other + 1])).ravel().tolist(), len(data)]
         data = b"".join(data[a:b] for a, b in zip(cuts[::2], cuts[1::2]))
     cells = np.fromstring(data, dtype=np.int64, sep=" ")
     saturated = (cells == 2**63 - 1).any()
-    if saturated or (row_cells != row_cells[0]).any() or cells.size != len(numeric) * width:
+    if saturated or (row_cells != row_cells[0]).any() or cells.size != len(digit) * width:
         return None
-    return cells.reshape(len(numeric), width)
+    return cells.reshape(len(digit), width)
 
 
 def _read_text(
@@ -241,11 +236,10 @@ def _read_text(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every row of text.split("\n") in line order, with its line number.
 
-    Digit and plain rows are read by _read_digits (an int64 table) where they
-    hold digits alone, else by one float64 loadtxt call; the other lines by
-    _read_lines. Where loadtxt fails (a ragged row, or a plain cell such as
-    "1.2.3" that float() rejects), every line is read by _read_lines, so the
-    first wrong-width line and each note come out as they would line by line.
+    Digit rows are read by _read_digits (an int64 table), every other line by
+    _read_lines. Where _read_digits refuses the file, every line is read by
+    _read_lines, so the first wrong-width line and each note come out as they
+    would line by line.
     """
     data = (text + "\n").encode("utf-8", "surrogatepass")
     ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
@@ -253,26 +247,19 @@ def _read_text(
     bounds = np.concatenate(([0], ends + 1))
     classes = np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)
     line_class = np.maximum.reduceat(classes, bounds[:-1])
-    numeric = np.flatnonzero((line_class == _DIGIT) | (line_class == _PLAIN))
+    digit = np.flatnonzero(line_class == _DIGIT)
     other = np.flatnonzero(line_class == _OTHER)
     table = np.empty((0, len(columns)))
-    if len(numeric):  # loadtxt warns on input with no row
-        table = None if (line_class == _PLAIN).any() else _read_digits(
-            data, classes, bounds, numeric, other, len(columns))
-        if table is None:
-            lines = text.split("\n")
-            for i in other.tolist():
-                lines[i] = ""  # loadtxt skips blank lines
-            with suppress(ValueError):
-                table = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    if table is None or table.shape != (len(numeric), len(columns)):
+    if len(digit):  # the guards compare each digit row with the first
+        table = _read_digits(data, classes, bounds, digit, other, len(columns))
+    if table is None:
         return _read_lines(enumerate(text.split("\n"), start=1), columns, schema, report)
     numbered = [(i + 1, data[bounds[i] : bounds[i + 1] - 1].decode("utf-8", "surrogatepass"))
                 for i in other.tolist()]
     rows, line_nos = _read_lines(numbered, columns, schema, report)
     if not len(rows):
-        return table, numeric + 1
-    line_nos = np.concatenate([numeric + 1, line_nos])
+        return table, digit + 1
+    line_nos = np.concatenate([digit + 1, line_nos])
     order = np.argsort(line_nos, kind="stable")
     return np.concatenate([table, rows])[order], line_nos[order]
 

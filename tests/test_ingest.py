@@ -698,23 +698,32 @@ def test_seconds_and_milliseconds_normalize():
 
 
 @pytest.mark.parametrize(
-    "cell, dtypes",
+    "cell, float_lines",
     [
-        ("7", ([np.int64], [])),  # digits alone: one int64 scan
-        # Above int64 strtoll saturates to 2**63 - 1: read again as float.
-        ("99999999999999999999", ([np.int64], [np.float64])),
-        ("7.5", ([], [np.float64])),  # a plain cell: the float read alone
-        ("9223372036854775808", ([np.int64], [np.float64])),
-        ("9223372036854775807", ([np.int64], [np.float64])),  # the saturated value itself
+        ("7", []),  # digits alone: the int64 scan alone
+        # Above int64 strtoll saturates to 2**63 - 1: every line is read by float().
+        ("99999999999999999999", [1, 2]),
+        ("7.5", [1]),  # a decimal cell: its line alone is read by float()
+        ("9223372036854775808", [1, 2]),
+        ("9223372036854775807", [1, 2]),  # the saturated value itself
     ],
 )
-def test_digit_only_files_are_read_as_int64(cell, dtypes):
+def test_digit_only_files_are_read_as_int64(cell, float_lines, monkeypatch):
     lines = [row_text(10, len(SYSTEM_COLUMNS), cell), row_text(20, len(SYSTEM_COLUMNS), 1)]
+    read, read_lines = [], ingest._read_lines
+
+    def spy(numbered, *args):
+        numbered = list(numbered)
+        read.extend(line_no for line_no, line in numbered if line.split())
+        return read_lines(numbered, *args)
+
+    monkeypatch.setattr(ingest, "_read_lines", spy)
     with mock.patch.object(np, "fromstring", wraps=np.fromstring) as scans, \
             mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as reads:
         block, report = parse_metric_file("\n".join(lines), "system")
-    assert ([call.kwargs["dtype"] for call in scans.call_args_list],
-            [call.kwargs["dtype"] for call in reads.call_args_list]) == dtypes
+    # Line 2 is a digit row, so every case makes one int64 scan.
+    assert [call.kwargs["dtype"] for call in scans.call_args_list] == [np.int64]
+    assert not reads.called and read == float_lines
     assert block.values[0, 0] == float(cell) and not report.errors
 
 
@@ -1130,14 +1139,14 @@ def test_ingest_raw_equals_per_row_oracle(data, wrap_detection, newline):
 
 # --- the two readers of parse_metric_file against the per-row reference -----
 #
-# Rows of plain characters (digits, ".", "e", "E", signs, spaces and tabs) are
-# read by numpy in one pass, every other line by float(). The cases below mix
-# the two in one file: rows of both kinds sharing a timestamp (the later line
-# wins), a wrong-width line on either side of the other kind, plain tokens
-# that float() rejects too, and files with no plain row at all.
+# Rows of digits, spaces and tabs alone are read by one int64 scan, every
+# other line by float(). The cases below mix the two in one file: rows of both
+# kinds sharing a timestamp (the later line wins), a wrong-width line on
+# either side of the other kind, plain rows (digits, ".", "e", "E" and signs)
+# and plain tokens that float() rejects, and files with no digit row at all.
 
 _PLAIN_SEPARATORS = (" ", "  ", "\t", " \t")
-# str.split reads each as whitespace, numpy's reader does not see the line.
+# str.split reads each as whitespace; the int64 scan does not see the line.
 _OTHER_SEPARATORS = ("\x0b", "\x1c", "\x85", "\u3000", "\x0c", "\r", " \x0b ")
 _PLAIN_STAMPS = st.one_of(
     st.integers(0, 2).map(lambda k: str(1_460_000_000 + k)),
@@ -1148,10 +1157,9 @@ _PLAIN_CELLS = st.one_of(
     st.sampled_from(["0", "-0", "+7", "2.5", ".5", "5.", "1E3", "1e-400", "1e308"]),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
 )
-# float() reads these and numpy's reader never sees them.
+# float() reads these and the int64 scan never sees them.
 _OTHER_CELLS = st.sampled_from(["1_0", "\u0663", "\uff11", "nan", "-Infinity", "inf", "0x10", "n/a"])
-# Plain characters that float() rejects: numpy's reader raises, so the whole
-# file is read line by line.
+# Plain characters that float() rejects: each such row is noted.
 _BAD_PLAIN_CELLS = st.sampled_from(["1.2.3", "-", ".", "e5", "1e", "+-1"])
 _BLANK_LINES = st.sampled_from(["", " ", "\t", " \t  ", "\x0b", "\x1c "])
 
@@ -1205,9 +1213,9 @@ def _arch_row(stamp, cell="1", separator=" "):
     case=st.sampled_from(["architecture", "system"]).flatmap(_metric_case),
     end=st.sampled_from(["", "\n"]),
 )
-# A wrong-width plain row after a line float() alone reads.
+# A wrong-width digit row after a line float() alone reads.
 @example(case=("architecture", [_arch_row("1", "1_0"), "1 2 3"]), end="\n")
-# A wrong-width line float() alone reads, between plain rows.
+# A wrong-width line float() alone reads, between digit rows.
 @example(case=("architecture", [_arch_row("1"), "1_0 2", _arch_row("3")]), end="")
 # Wrong-width lines of both kinds: the first one is named.
 @example(case=("architecture", [_arch_row("1"), "1 2 3", "1_0 2"]), end="")
@@ -1218,7 +1226,7 @@ def _arch_row(stamp, cell="1", separator=" "):
 # A plain token float() rejects, between rows of both readers.
 @example(case=("architecture", [_arch_row("1", "1_0"), _arch_row("2", "1.2.3"),
                                 _arch_row("1")]), end="\n")
-# No plain row; only blank lines.
+# No digit row; only blank lines.
 @example(case=("architecture", [_arch_row("1", "nan"), "\x0b", " "]), end="")
 @example(case=("architecture", ["", " \t", "\t"]), end="\n")
 # Digit files. The largest int64 cell; a 20-digit cell, read by the float

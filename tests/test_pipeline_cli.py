@@ -309,6 +309,18 @@ def test_cli_flag_beats_config_file(tmp_path, monkeypatch):
     assert cfg.representative == "median"
 
 
+def test_env_config_is_read_unless_config_flag_names_a_file(tmp_path, monkeypatch):
+    env_file, flag_file = tmp_path / "env.conf", tmp_path / "flag.conf"
+    env_file.write_text("dmin = 0.9\nrepresentative = median\n")
+    flag_file.write_text("dmin = 0.3\n")
+    monkeypatch.setenv("STAGELENS_CONFIG", str(env_file))
+    parse = _build_parser().parse_args
+    assert _resolve_config(parse(["diagnose", "--trace", "t"])).dmin == 0.9
+    # --config replaces the variable's file: none of its keys is read.
+    cfg = _resolve_config(parse(["diagnose", "--trace", "t", "--config", str(flag_file)]))
+    assert (cfg.dmin, cfg.representative) == (0.3, PipelineConfig().representative)
+
+
 def test_cli_priority_flag_reaches_config(monkeypatch):
     monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
     args = _build_parser().parse_args(["diagnose", "--trace", "t", "--pri-any", "3"])
