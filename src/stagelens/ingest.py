@@ -83,11 +83,17 @@ def _event_int(value, name: str) -> int:
     raise _Unusable(f"{name} must be an integer")
 
 
+# The code points a byte that is not UTF-8 decodes to under "surrogateescape".
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
 def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
     """Extract tasks (and stage/job grouping) from a Spark event log stream.
 
     Returns a partial trace: jobs/stages/tasks populated, metrics empty.
-    Raises IngestError when no usable task-end event is found.
+    Raises IngestError when no usable task-end event is found. A line
+    holding a byte that is not UTF-8 (decoded with "surrogateescape") is
+    noted and skipped, as a line of invalid JSON is.
     """
     report = IngestReport()
     # Stage id -> its tasks as plain tuples in Task's field order, in event
@@ -98,6 +104,9 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
+            continue
+        if not line.isascii() and _NOT_UTF8.search(line):
+            report.note(line_no, "invalid JSON: not UTF-8")
             continue
         try:
             event = json.loads(line)
@@ -174,16 +183,6 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
     return trace, report
 
 
-# Each byte's class. A line of digit and blank bytes alone is a digit row,
-# read as int64: float() of a digit string and the int64 -> float64 cast both
-# round to nearest, ties to even, and with no sign no cell is -0. A line with
-# any other byte is read by float() alone.
-_BLANK, _DIGIT, _OTHER = 0, 1, 2
-_BYTE_CLASS = bytes(
-    _BLANK if c in b" \t\n" else _DIGIT if c in b"0123456789" else _OTHER for c in range(256)
-)
-
-
 def _read_lines(
     numbered: Iterable[Tuple[int, str]], columns: Sequence[str], schema: str, report: IngestReport
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -211,24 +210,22 @@ def _read_lines(
 
 
 def _read_digits(
-    data: bytes, classes: np.ndarray, bounds: np.ndarray, digit: np.ndarray, other: np.ndarray,
-    width: int,
+    data: bytes, row_cells: np.ndarray, bounds: np.ndarray, other: np.ndarray, width: int
 ) -> Optional[np.ndarray]:
-    """The int64 rows of the digit lines `digit` (line i is
-    data[bounds[i]:bounds[i + 1]]), read by one np.fromstring call with the
-    other lines cut out; or None where the scan, which raises on none of them,
-    would not read float()'s rows: cell counts that differ between rows, not
-    rows x `width` cells, or a value of 2**63 - 1, strtoll's for a cell above int64."""
-    # A cell of a digit line ends where a digit is followed by a blank.
-    row_cells = np.diff(np.flatnonzero(classes[:-1] > classes[1:]).searchsorted(bounds))[digit]
+    """The int64 rows of the digit lines, `row_cells` cells each, read by
+    one np.fromstring call with the other lines `other` cut out (line i is
+    data[bounds[i]:bounds[i + 1]]); or None where the scan, which raises on
+    none of them, would not read float()'s rows: cell counts that differ
+    between rows, not rows x `width` cells, or a value of 2**63 - 1,
+    strtoll's for a cell above int64."""
     if len(other):
         cuts = [0, *np.column_stack((bounds[other], bounds[other + 1])).ravel().tolist(), len(data)]
         data = b"".join(data[a:b] for a, b in zip(cuts[::2], cuts[1::2]))
     cells = np.fromstring(data, dtype=np.int64, sep=" ")
     saturated = (cells == 2**63 - 1).any()
-    if saturated or (row_cells != row_cells[0]).any() or cells.size != len(digit) * width:
+    if saturated or (row_cells != row_cells[0]).any() or cells.size != len(row_cells) * width:
         return None
-    return cells.reshape(len(digit), width)
+    return cells.reshape(len(row_cells), width)
 
 
 def _read_text(
@@ -242,16 +239,37 @@ def _read_text(
     would line by line.
     """
     data = (text + "\n").encode("utf-8", "surrogatepass")
-    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    raw = np.frombuffer(data, dtype=np.uint8)
+    newline = raw == ord("\n")
     # Every line holds at least its "\n", so none is empty.
-    bounds = np.concatenate(([0], ends + 1))
-    classes = np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)
-    line_class = np.maximum.reduceat(classes, bounds[:-1])
-    digit = np.flatnonzero(line_class == _DIGIT)
-    other = np.flatnonzero(line_class == _OTHER)
+    bounds = np.concatenate(([0], np.flatnonzero(newline) + 1))
+    # A line of digits and blanks ("\n", space, tab) alone is a digit row,
+    # read as int64: float() of a digit string and the int64 -> float64 cast
+    # both round to nearest, ties to even, and with no sign no cell is -0. A
+    # line with any other byte is read by float() alone.
+    digit_byte = raw - np.uint8(ord("0")) < 10  # bytes below "0" wrap above 9
+    plain = digit_byte | newline
+    plain |= raw == ord(" ")
+    plain |= raw == ord("\t")
+    other = np.empty(0, dtype=np.intp)
+    if not plain.all():
+        other = np.unique(bounds.searchsorted(np.flatnonzero(~plain), "right") - 1)
+    del plain, newline
+    # A cell ends at a digit that a non-digit follows. The mask spans every
+    # byte, so a last line of "\n" alone starts inside it; that "\n" ends no
+    # cell.
+    cell_end = np.zeros(len(raw), dtype=bool)
+    np.greater(digit_byte[:-1], digit_byte[1:], out=cell_end[:-1])
+    del digit_byte
+    # uint32 counts take half the time of int64 and wrap at 2**32 cells in a
+    # line. reduceat casts the whole mask to them, 4 bytes a byte, so that
+    # copy is a parse's peak: the other masks are freed before it.
+    row_cells = np.add.reduceat(cell_end, bounds[:-1], dtype=np.uint32)
+    row_cells[other] = 0
+    digit = np.flatnonzero(row_cells)
     table = np.empty((0, len(columns)))
     if len(digit):  # the guards compare each digit row with the first
-        table = _read_digits(data, classes, bounds, digit, other, len(columns))
+        table = _read_digits(data, row_cells[digit], bounds, other, len(columns))
     if table is None:
         return _read_lines(enumerate(text.split("\n"), start=1), columns, schema, report)
     numbered = [(i + 1, data[bounds[i] : bounds[i + 1] - 1].decode("utf-8", "surrogatepass"))
@@ -293,7 +311,9 @@ def parse_metric_file(
     table, line_nos = _read_text(lines, columns, schema, report)
 
     # A NaN would read as a missing metric in the trace's store.
-    finite = np.isfinite(table).all(axis=1)
+    finite = np.ones(len(table), dtype=bool)
+    if table.dtype != np.int64:  # an int64 table holds no NaN
+        finite = np.isfinite(table).all(axis=1)
     # Epoch seconds are ~1.5e9, epoch ms ~1.5e12; treat small values as seconds.
     ms = np.rint(np.where(np.abs(table[:, 0]) < 1e12, table[:, 0] * 1000.0, table[:, 0]))
     # Checked before the cast, which would wrap silently.
@@ -450,9 +470,11 @@ def ingest_raw(
     """Build a full canonical trace from an event log plus a metric-file dir.
 
     Metric files follow the <node>.<system|arch>.tsv naming pattern; system
-    and architecture samples for one node are merged by timestamp.
+    and architecture samples for one node are merged by timestamp. Every
+    file is read as UTF-8: a byte that is not UTF-8 makes its counter row a
+    row with a non-numeric cell and its event line a note.
     """
-    with open(event_log_path, encoding="utf-8") as fh:
+    with open(event_log_path, encoding="utf-8", errors="surrogateescape") as fh:
         trace, report = parse_spark_event_log(fh)
 
     if metrics_dir:
@@ -463,7 +485,8 @@ def ingest_raw(
                 continue
             node = match.group("node")
             schema = "architecture" if match.group("schema") == "arch" else "system"
-            with open(os.path.join(metrics_dir, name), encoding="utf-8") as fh:
+            with open(os.path.join(metrics_dir, name), encoding="utf-8",
+                      errors="surrogateescape") as fh:
                 block, sub_report = parse_metric_file(fh.read(), schema)
             report.errors.extend((ln, f"{name}: {msg}") for ln, msg in sub_report.errors)
             store = derive_series(block, schema, node, wrap_detection=wrap_detection)

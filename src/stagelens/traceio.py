@@ -33,7 +33,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -334,12 +334,12 @@ def _task_table(
         tasks = TaskTable(ids, node, launch, finish, locality, size, succeeded == 1, nodes=nodes)
     except TaskTableError as exc:
         raise TraceParseError(path, line_no, str(exc)) from exc
-    shift = np.array([offsets.get(n, 0) for n in tasks.nodes], np.int64)
-    if not shift.any():
+    shift = [offsets.get(n, 0) for n in tasks.nodes] if offsets else ()
+    if not any(shift):
         return tasks
     # Offsets lie in int64 and times in [0, 2**53), so a clipped offset moves
     # a time out of range exactly when the offset does, and never wraps.
-    shift = np.clip(shift, -TASK_INT_BOUND, TASK_INT_BOUND)[tasks.node]
+    shift = np.clip(np.array(shift, np.int64), -TASK_INT_BOUND, TASK_INT_BOUND)[tasks.node]
     launch, finish = tasks.launch_time + shift, tasks.finish_time + shift
     flags = (np.minimum(launch, finish) < 0) | (np.maximum(launch, finish) >= TASK_INT_BOUND)
     if flags.any():
@@ -354,28 +354,32 @@ def _task_table(
 
 def _clock_groups(
     nodes: list, columns: Tuple[str, ...], clock: np.ndarray, block: np.ndarray,
-    shifts: List[int], path: str, line_no: int,
+    offsets: Dict[str, int], path: str, line_no: int,
 ) -> List[ClockGroup]:
     """One metrics.jsonl line's clock group, on views of the column files, its
-    clock moved by each node's offset `shifts`: the nodes share
-    the stored clock, so equal offsets share the moved one, and the line
-    splits only by offset (a node whose offset would move the clock out of
-    int64 stays unmoved). Fails at the line naming its first node that
-    breaks a rule, for the first it breaks: an infinite value, a timestamp
-    that does not rise (named as stored), then the offset."""
-    low, high = (int(clock.min()), int(clock.max())) if any(shifts) and len(clock) else (0, 0)
-    members: Dict[int, List[int]] = {}  # shift -> rows
+    clock moved by each node's offset: the nodes share the stored clock, so
+    equal offsets share the moved one, and the line splits only by offset
+    (a node whose offset would move the clock out of int64 stays unmoved).
+    Fails at the line naming its first node that breaks a rule, for the
+    first it breaks: an infinite value, a timestamp that does not rise
+    (named as stored), then the offset."""
+    shifts = [offsets.get(node, 0) for node in nodes] if offsets else ()
+    members: Dict[int, Sequence[int]] = {0: range(len(nodes))}  # shift -> rows
     outside = len(nodes)  # the first node whose offset is refused
-    for i, shift in enumerate(shifts):
-        if not _INT64.min <= low + shift <= high + shift <= _INT64.max:
-            outside, shift = min(outside, i), 0
-        members.setdefault(shift, []).append(i)
+    if any(shifts):
+        low, high = (int(clock.min()), int(clock.max())) if len(clock) else (0, 0)
+        members = {}
+        for i, shift in enumerate(shifts):
+            if not _INT64.min <= low + shift <= high + shift <= _INT64.max:
+                outside, shift = min(outside, i), 0
+            members.setdefault(shift, []).append(i)
     groups, refused = [], []
     for shift, rows in members.items():
-        part = block if len(rows) == len(nodes) else block[rows]
+        whole = len(rows) == len(nodes)
         try:
-            groups.append(ClockGroup([nodes[i] for i in rows], columns,
-                                     clock + shift if shift else clock, part))
+            groups.append(ClockGroup(nodes if whole else [nodes[i] for i in rows], columns,
+                                     clock + shift if shift else clock,
+                                     block if whole else block[rows]))
         except MetricSeriesError as exc:
             refused.append((nodes.index(exc.node), exc.rule, shift))
     if refused:
@@ -468,8 +472,8 @@ def load_trace(path: str) -> Trace:
     for line_no, columns, nodes, samples in lines:
         size = len(nodes) * len(columns) * samples
         block = values[c : c + size].reshape(len(nodes), len(columns), samples)
-        groups += _clock_groups(nodes, columns, timestamps[t : t + samples], block,
-                                [offsets.get(node, 0) for node in nodes], metrics_path, line_no)
+        groups += _clock_groups(nodes, columns, timestamps[t : t + samples], block, offsets,
+                                metrics_path, line_no)
         t, c = t + samples, c + size
     metrics = ClockGroups(groups)
 

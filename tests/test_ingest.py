@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import MetricSample, row_groups, store_from_samples
+from conftest import MetricSample, clock_groups, store_from_samples
 from stagelens import ingest
 from stagelens.ingest import (
     ARCH_COLUMNS,
@@ -573,10 +573,11 @@ def oracle_ingest_raw(event_log_path, metrics_dir, wrap_detection=True):
         for prev, curr in zip(rows, rows[1:]):
             sample = derive_metrics(prev, curr, schema, node, wrap_detection)
             merged.setdefault(node, {}).setdefault(sample.timestamp, {}).update(sample.values)
-    trace.metrics = row_groups(
-        store_from_samples(node, (MetricSample(node, ts, values) for ts, values in by_ts.items()))
+    # Grouped as _join groups them: by column layout and clock, in node order.
+    trace.metrics = clock_groups({
+        node: store_from_samples(node, (MetricSample(node, ts, v) for ts, v in by_ts.items()))
         for node, by_ts in merged.items()
-    )
+    })
     trace.cluster = sorted(set(trace.cluster) | set(merged))
     return trace, report
 
@@ -863,6 +864,36 @@ def test_ingest_raw_end_to_end(tmp_path):
     assert trace.cluster == ["hw073", "hw074"]
     assert len(trace.metrics["hw073"]) == 4  # derived samples: one per interval
     assert sum(len(s.tasks) for s in trace.stages()) == 2
+
+
+def test_byte_that_is_not_utf8_is_a_note_at_its_line(tmp_path):
+    """A counter row or an event line holding a byte that is not UTF-8 is
+    skipped and noted at its line, and the rest of each file is read: the
+    trace equals the one ingested without those lines."""
+    lines = [event(0, 1, launch=1_000_000, finish=1_010_000).encode(),
+             event(0, 2, host="hw", launch=1_000_000).encode().replace(b'"hw"', b'"hw\xff"'),
+             b"\xff" + event(0, 3).encode(),
+             event(0, 4, host="hw074", launch=1_000_000, finish=1_012_000).encode()]
+    n = len(SYSTEM_COLUMNS)
+    rows = [row_text(1000 + i, n, fill=i).encode() for i in range(5)]
+    rows[2] = rows[2].replace(b" 2 ", b" 2\xff3 ", 1)
+    for name, dropped in (("dirty", ()), ("clean", (1, 2))):
+        (tmp_path / name / "metrics").mkdir(parents=True)
+        (tmp_path / name / "app.log").write_bytes(
+            b"\n".join(line for i, line in enumerate(lines) if i not in dropped))
+        (tmp_path / name / "metrics" / "hw073.system.tsv").write_bytes(
+            b"\n".join(row for i, row in enumerate(rows) if i not in dropped[1:]) + b"\n")
+    dirty, dirty_report = ingest_raw(str(tmp_path / "dirty" / "app.log"),
+                                     str(tmp_path / "dirty" / "metrics"))
+    clean, clean_report = ingest_raw(str(tmp_path / "clean" / "app.log"),
+                                     str(tmp_path / "clean" / "metrics"))
+    assert dirty_report.errors == [(2, "invalid JSON: not UTF-8"), (3, "invalid JSON: not UTF-8"),
+                                   (3, "hw073.system.tsv: non-numeric cell")]
+    assert not clean_report.errors
+    assert [s.tasks.task_id for s in dirty.stages()] == [("1", "4")]
+    assert [s.tasks.task_id for s in clean.stages()] == [("1", "4")]
+    assert dirty.metrics["hw073"].timestamps.tolist() == [1001000, 1003000, 1004000]
+    assert dirty.metrics["hw073"].values.tobytes() == clean.metrics["hw073"].values.tobytes()
 
 
 def test_ingest_raw_hands_over_the_blocks_it_joins(tmp_path):
@@ -1254,6 +1285,15 @@ def _arch_row(stamp, cell="1", separator=" "):
 # Digit rows around a row that float() alone reads.
 @example(case=("architecture", [_arch_row("1", "12"), _arch_row("2", "34", " \x0b "),
                                 _arch_row("3", "56")]), end="\n")
+# The bytes on either side of the digits, ":" above "9" and "/" below "0";
+# a NUL and a DEL byte; a digit row that ends in a tab.
+@example(case=("architecture", [_arch_row("1"), _arch_row("2", "1:2"), _arch_row("3", "12:")]),
+         end="")
+@example(case=("architecture", [_arch_row("1"), _arch_row("2", "1/2"), _arch_row("3", "/5")]),
+         end="\n")
+@example(case=("architecture", [_arch_row("1", "\x00"), _arch_row("2"), _arch_row("3", "7\x7f")]),
+         end="")
+@example(case=("architecture", [_arch_row("1") + "\t", _arch_row("2", "3", "\t") + "\t"]), end="")
 def test_parse_metric_file_equals_per_row_oracle(case, end):
     schema, lines = case
     text = "\n".join(lines) + end

@@ -270,10 +270,15 @@ def test_a_stage_that_raises_costs_no_other_stage_its_report(monkeypatch, caplog
 
 def test_report_digest_tool_prints_one_line_per_report():
     """tools/report_digests.py prints `name sha256` for each of its 62 traces
-    x 3 configs x 2 formats, every name once."""
+    x 3 configs x 2 formats, and for the notes of each of its 3 raw ingests,
+    every name once."""
     tool = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
     out = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True,
                          check=True).stdout.splitlines()
-    assert len(out) == 372
-    assert all(re.fullmatch(r"\S+/\S+/(text|structured) [0-9a-f]{64}", line) for line in out)
-    assert len({line.split()[0] for line in out}) == 372
+    notes = [line for line in out if line.split()[0].endswith("/notes")]
+    reports = [line for line in out if line not in notes]
+    assert len(reports) == 372
+    assert all(re.fullmatch(r"\S+/\S+/(text|structured) [0-9a-f]{64}", line) for line in reports)
+    assert [line.split()[0] for line in notes] == [f"raw-ingest-seed{s}/notes" for s in (1, 2, 3)]
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in notes)
+    assert len({line.split()[0] for line in out}) == 375

@@ -1,18 +1,22 @@
-"""Print the sha256 of every report in the fixed digest set, one
-`name sha256` line each, computed from the checkout this script sits in.
+"""Print the sha256 of every report in the fixed digest set, and of the
+notes of each raw ingest, one `name sha256` line each, computed from the
+checkout this script sits in.
 
     python3 tools/report_digests.py > digests.txt
 
 A change that must keep every report byte-identical runs this script on the
 parent checkout and on the change, each from its own directory, and diffs
-the two outputs. The set holds 372 reports:
+the two outputs. The set holds 372 reports and 3 notes lines:
 
 - traces: the case1-3 presets at seeds 1-3, the 50-trace eval corpus, and
   the raw-ingest inputs of perfbench/rawgen.py at seeds 1-3 and
   `workloads.RAW_SIZES["full"]`, ingested with `ingest_raw`;
 - each trace saved with `save_trace` and read back with `load_trace`;
 - configs: the defaults, median/0.5 and fft/median/0.5;
-- formats: text and structured.
+- formats: text and structured;
+- notes: for each raw-ingest seed, `raw-ingest-seedN/notes`, the sha256 of
+  its IngestReport's `errors` and `skipped_events` as JSON, since a change
+  to ingest may alter its notes and no report.
 
 The script imports stagelens from `src/` and the raw-input writer from
 `perfbench/` of its own checkout; it writes only to a temporary directory.
@@ -21,6 +25,7 @@ The script imports stagelens from `src/` and the raw-input writer from
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -46,21 +51,25 @@ SEEDS = (1, 2, 3)
 
 
 def traces(work: str):
-    """(name, trace) for every trace of the set, in a fixed order."""
+    """(name, trace, its IngestReport or None) for every trace of the set,
+    in a fixed order."""
     for case in ("case1", "case2", "case3"):
         for seed in SEEDS:
-            yield f"{case}-seed{seed}", generate_trace(preset(case, seed))[0]
+            yield f"{case}-seed{seed}", generate_trace(preset(case, seed))[0], None
     for i, spec in enumerate(preset("eval-corpus")):
-        yield f"eval-corpus-{i:02d}", generate_trace(spec)[0]
+        yield f"eval-corpus-{i:02d}", generate_trace(spec)[0], None
     for seed in SEEDS:
         raw = os.path.join(work, f"raw-seed{seed}")
         manifest = write_raw_inputs(raw, seed, RAW_SIZES["full"])
-        yield f"raw-ingest-seed{seed}", ingest_raw(manifest["events"], manifest["metrics_dir"])[0]
+        yield f"raw-ingest-seed{seed}", *ingest_raw(manifest["events"], manifest["metrics_dir"])
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
-        for name, trace in traces(work):
+        for name, trace, notes in traces(work):
+            if notes is not None:
+                payload = json.dumps([notes.errors, notes.skipped_events]).encode()
+                print(f"{name}/notes {hashlib.sha256(payload).hexdigest()}")
             path = os.path.join(work, name)
             save_trace(trace, path)
             loaded = load_trace(path)
