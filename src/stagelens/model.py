@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
 from typing import (
     Dict,
     FrozenSet,
@@ -475,8 +474,8 @@ class ClockGroup:
             raise MetricSeriesError(
                 first, f"needs int64[n] timestamps and float64[{len(columns)}, n] values"
             )
-        cells = np.isinf(values)
-        infinite = int(cells.any(axis=(1, 2)).argmax()) if cells.any() else len(self.nodes)
+        rows = np.isinf(values).any(axis=(1, 2))
+        infinite = int(rows.argmax()) if rows.any() else len(self.nodes)
         rising = bool((ts[1:] > ts[:-1]).all())
         if infinite == 0 or (rising and infinite < len(self.nodes)):
             raise MetricSeriesError(self.nodes[infinite], "infinite value")
@@ -508,14 +507,10 @@ class ClockGroups(Mapping):
             raise TypeError("metrics are a sequence of ClockGroup, not a mapping of stores")
         self._at: Dict[str, Tuple[ClockGroup, int]] = {}
         for group in self.groups:
-            rows = dict(zip(group.nodes, zip(repeat(group), range(len(group.nodes)))))
-            if len(rows) < len(group.nodes) or not self._at.keys().isdisjoint(rows):
-                seen = set(self._at)
-                for node in group.nodes:
-                    if node in seen:
-                        raise MetricSeriesError(node, "node held twice")
-                    seen.add(node)
-            self._at.update(rows)
+            for row, node in enumerate(group.nodes):
+                if node in self._at:
+                    raise MetricSeriesError(node, "node held twice")
+                self._at[node] = (group, row)
 
     def __getitem__(self, node: str) -> MetricStore:
         group, row = self._at[node]

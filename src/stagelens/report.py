@@ -136,15 +136,19 @@ def config_from_mapping(values: Mapping[str, str]) -> PipelineConfig:
 def read_config_file(path: str) -> Dict[str, str]:
     """Flat key=value file; blank lines and #-comments are ignored."""
     values: Dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise DiagnoseError(f"{path}:{line_no}: expected key = value")
-            key, _, value = stripped.partition("=")
-            values[key.strip().lower()] = value.strip()
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at \n, \r and \r\n, as text mode splits
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            stripped = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise DiagnoseError(f"{path}:{line_no}: not UTF-8: {exc.reason}") from exc
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise DiagnoseError(f"{path}:{line_no}: expected key = value")
+        key, _, value = stripped.partition("=")
+        values[key.strip().lower()] = value.strip()
     return values
 
 

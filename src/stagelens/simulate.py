@@ -280,20 +280,14 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
         windows[sid] = (clock, int(stage_end))
         clock = int(stage_end) + STAGE_GAP_MS
 
-    # Shared baseline series, then per-fault multiplicative deviations.
+    # Every node's series on one clock, one nodes x metrics x samples block:
+    # the shared baseline series, then per-fault multiplicative deviations.
     step_ms = max(1, int(round(1000.0 / spec.metric_rate_hz)))
-    t_start = BASE_EPOCH_MS
-    t_end = clock + 5_000
-    timestamps = np.arange(t_start, t_end, step_ms, dtype=np.int64)
-    baseline_series: Dict[str, np.ndarray] = {}
-    for metric in METRIC_SCHEMA:
+    timestamps = np.arange(BASE_EPOCH_MS, clock + 5_000, step_ms, dtype=np.int64)
+    values = np.empty((len(nodes), len(METRIC_SCHEMA), len(timestamps)))
+    for m, metric in enumerate(METRIC_SCHEMA):
         mean, jitter = BASELINE_V1[metric]
-        u = rng.uniform(-1.0, 1.0, size=len(timestamps))
-        baseline_series[metric] = mean * (1.0 + jitter * u)
-
-    per_node: Dict[str, Dict[str, np.ndarray]] = {
-        node: {m: baseline_series[m].copy() for m in METRIC_SCHEMA} for node in nodes
-    }
+        values[:, m] = mean * (1.0 + jitter * rng.uniform(-1.0, 1.0, size=len(timestamps)))
     for fault in spec.faults:
         effects = _EFFECTS[fault.kind].metrics
         for sid in _fault_stages(fault, sids):
@@ -310,11 +304,8 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
                     phase = int(rng.integers(0, 2 * period))
                     deviation = (mult - 1.0) * fault.intensity
                     wave = 1.0 + mod * _alternating(len(timestamps), period, phase)
-                    series = per_node[node][metric]
+                    series = values[nodes.index(node), METRIC_SCHEMA.index(metric)]
                     series[mask] = series[mask] * (1.0 + deviation * wave[mask])
-
-    # Every node's series on one clock: one nodes x metrics x samples block.
-    values = np.array([[per_node[node][m] for m in METRIC_SCHEMA] for node in nodes])
 
     # One label per (stage, node, fault kind), however many faults repeat it.
     labeled = {

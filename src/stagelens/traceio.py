@@ -33,6 +33,7 @@ from __future__ import annotations
 import io
 import json
 import os
+from contextlib import suppress
 from typing import BinaryIO, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -242,24 +243,16 @@ def _require(record: dict, key: str, path: str, line_no: int):
     return record[key]
 
 
-def _columns_rule(columns) -> str:
-    """The rule a metrics.jsonl `columns` value breaks, or "" for none."""
-    if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
-        return "columns must be a list of metric names"
-    if tuple(columns) != metric_columns(columns):
-        return "columns must be distinct and in store order"
-    return ""
-
-
 def _index_line(record: dict, path: str, line_no: int) -> Tuple[Tuple[str, ...], list, int]:
     """One metrics.jsonl line: a clock group's column layout in store order,
     its nodes and its sample count."""
     columns = _require(record, "columns", path, line_no)
     nodes = _require(record, "nodes", path, line_no)
     samples = _require(record, "samples", path, line_no)
-    rule = _columns_rule(columns)
-    if rule:
-        raise TraceParseError(path, line_no, rule)
+    if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
+        raise TraceParseError(path, line_no, "columns must be a list of metric names")
+    if tuple(columns) != metric_columns(columns):
+        raise TraceParseError(path, line_no, "columns must be distinct and in store order")
     if not isinstance(nodes, list):
         raise TraceParseError(path, line_no, "nodes must be a list of node names")
     if not nodes:
@@ -358,11 +351,11 @@ def _clock_groups(
 ) -> List[ClockGroup]:
     """One metrics.jsonl line's clock group, on views of the column files, its
     clock moved by each node's offset: the nodes share the stored clock, so
-    equal offsets share the moved one, and the line splits only by offset
-    (a node whose offset would move the clock out of int64 stays unmoved).
+    equal offsets share the moved one, and the line splits only by offset.
     Fails at the line naming its first node that breaks a rule, for the
-    first it breaks: an infinite value, a timestamp that does not rise
-    (named as stored), then the offset."""
+    first it breaks: an infinite value, a timestamp that does not rise, then
+    the offset. A shift moves no value and keeps the clock's order, so the
+    whole line on its stored clock names that node and rule."""
     shifts = [offsets.get(node, 0) for node in nodes] if offsets else ()
     members: Dict[int, Sequence[int]] = {0: range(len(nodes))}  # shift -> rows
     outside = len(nodes)  # the first node whose offset is refused
@@ -371,32 +364,28 @@ def _clock_groups(
         members = {}
         for i, shift in enumerate(shifts):
             if not _INT64.min <= low + shift <= high + shift <= _INT64.max:
-                outside, shift = min(outside, i), 0
+                outside = min(outside, i)
             members.setdefault(shift, []).append(i)
-    groups, refused = [], []
-    for shift, rows in members.items():
-        whole = len(rows) == len(nodes)
-        try:
-            groups.append(ClockGroup(nodes if whole else [nodes[i] for i in rows], columns,
-                                     clock + shift if shift else clock,
-                                     block if whole else block[rows]))
-        except MetricSeriesError as exc:
-            refused.append((nodes.index(exc.node), exc.rule, shift))
-    if refused:
-        first, rule, shift = min(refused)
-        if first <= outside:
-            falling = "timestamps not strictly increasing at "
-            if rule == "infinite value":
-                rule = "metric values must be finite numbers"
-            elif rule.startswith(falling):
-                rule = f"{falling}{int(rule[len(falling):]) - shift}"
-            raise TraceParseError(path, line_no, f"node {nodes[first]!r}: {rule}")
-    if outside < len(nodes):
-        raise TraceParseError(
-            path, line_no,
-            f"node {nodes[outside]!r}: clock offset {shifts[outside]} moves timestamps out of range",
-        )
-    return groups
+    if outside == len(nodes):
+        with suppress(MetricSeriesError):
+            groups = []
+            for shift, rows in members.items():
+                whole = len(rows) == len(nodes)
+                groups.append(ClockGroup(nodes if whole else [nodes[i] for i in rows], columns,
+                                         clock + shift if shift else clock,
+                                         block if whole else block[rows]))
+            return groups
+    try:
+        ClockGroup(nodes, columns, clock, block)
+    except MetricSeriesError as exc:
+        if nodes.index(exc.node) <= outside:
+            rule = ("metric values must be finite numbers" if exc.rule == "infinite value"
+                    else exc.rule)
+            raise TraceParseError(path, line_no, f"node {exc.node!r}: {rule}") from exc
+    raise TraceParseError(
+        path, line_no,
+        f"node {nodes[outside]!r}: clock offset {shifts[outside]} moves timestamps out of range",
+    )
 
 
 def load_trace(path: str) -> Trace:
@@ -421,6 +410,11 @@ def load_trace(path: str) -> Trace:
         raise TraceParseError(
             meta_path, meta_line, "clock_offsets must map node names to integer milliseconds"
         )
+    known = set(cluster)
+    for node in offsets:
+        if node not in known:
+            raise TraceParseError(meta_path, meta_line,
+                                  f"clock_offsets names node {node!r}, which is not in cluster")
 
     jobs_path = os.path.join(path, "jobs.jsonl")
     jobs: Dict[str, Job] = {}
@@ -455,13 +449,10 @@ def load_trace(path: str) -> Trace:
     indexed: Set[str] = set()
     for line_no, row in _read_entity_file(metrics_path, SCHEMA_VERSION, "metrics"):
         columns, nodes, samples = _index_line(row, metrics_path, line_no)
-        if len(set(nodes)) < len(nodes) or not indexed.isdisjoint(nodes):
-            seen = set(indexed)
-            for node in nodes:
-                if node in seen:
-                    raise TraceParseError(metrics_path, line_no, f"duplicate node {node!r}")
-                seen.add(node)
-        indexed.update(nodes)
+        for node in nodes:
+            if node in indexed:
+                raise TraceParseError(metrics_path, line_no, f"duplicate node {node!r}")
+            indexed.add(node)
         lines.append((line_no, columns, nodes, samples))
     timestamps = _read_npy(path, _TIMESTAMPS, sum(samples for *_, samples in lines))
     values = _read_npy(

@@ -772,6 +772,7 @@ def test_bad_succeeded_cell_rejected_at_load(tmp_path):
         ({"clock_offsets": {"hw01": "5"}}, "clock_offsets must map node names to integer"),
         ({"clock_offsets": {"hw01": True}}, "clock_offsets must map node names to integer"),
         ({"clock_offsets": {"hw01": 2**63}}, "clock_offsets must map node names to integer"),
+        ({"clock_offsets": {"hw99": 500}}, "clock_offsets names node 'hw99', which is not in cluster"),
     ],
 )
 def test_bad_meta_record_rejected(tmp_path, change, rule):
@@ -1887,6 +1888,43 @@ def test_load_checks_equal_validate(tmp_path_factory, parts, fault, at, drop):
         assert err.value.problems == problems
     else:
         assert load_trace(str(out)) == saved
+
+
+@pytest.mark.parametrize(
+    "offsets, infinite, falls, rule",
+    [
+        # The offsets split hw1 off; the shift-0 group {hw0, hw2} is built
+        # first and refuses hw2, but hw1 comes first in index order.
+        ({"hw1": 5}, ("hw1", "hw2"), False, "node 'hw1': metric values must be finite numbers"),
+        # Every node moves, by one of two offsets; the fall is named as
+        # stored (5), not as moved (10 or 12).
+        ({"hw0": 5, "hw1": 7, "hw2": 5}, (), True,
+         "node 'hw0': timestamps not strictly increasing at 5"),
+        # A refused offset and an infinite value: the first node names its rule.
+        ({"hw0": 2**63 - 1}, ("hw1",), False,
+         f"node 'hw0': clock offset {2**63 - 1} moves timestamps out of range"),
+        ({"hw1": 2**63 - 1}, ("hw0",), False, "node 'hw0': metric values must be finite numbers"),
+    ],
+    ids=["split-infinite", "moved-fall", "offset-first", "infinite-first"],
+)
+def test_load_names_the_first_bad_node_of_a_line_split_by_offsets(
+    tmp_path, offsets, infinite, falls, rule
+):
+    nodes = ["hw0", "hw1", "hw2"]
+    ts = np.array([0, 10, 20, 30], np.int64)
+    stores = [MetricStore(node, ts, ("cpu_usage",), np.full((1, 4), 0.5)) for node in nodes]
+    save_trace(Trace(cluster=nodes, metrics=row_groups(stores)), str(tmp_path))
+    values = np.load(tmp_path / "metrics.values.npy")
+    for node in infinite:
+        values[4 * nodes.index(node) + 1] = np.inf
+    np.save(tmp_path / "metrics.values.npy", values)
+    if falls:
+        np.save(tmp_path / "metrics.timestamps.npy", np.array([0, 10, 5, 30], np.int64))
+    meta = tmp_path / "meta.jsonl"
+    header, body = meta.read_text().splitlines()
+    body = {**json.loads(body), "clock_offsets": offsets}
+    meta.write_text(header + "\n" + json.dumps(body) + "\n")
+    assert str(load_error(tmp_path)) == f"{tmp_path / 'metrics.jsonl'}:2: {rule}"
 
 
 # Clocks the nodes draw from: equal ones group nodes, and the negative one

@@ -297,6 +297,15 @@ def test_cli_checks_config_before_loading_the_trace(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == "error: dmin must be in (0,1)\n"
 
 
+def test_config_file_byte_that_is_not_utf8_names_its_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
+    cfg_file = tmp_path / "bad.cfg"
+    # Lines end in \n, \r\n and \r, each one line, as a text-mode read counts them.
+    cfg_file.write_bytes(b"# comment\ndmin = 0.5\r\nbc = 0.1\rth_d = \xff2\n")
+    assert main(["diagnose", "--trace", str(tmp_path / "missing"), "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg_file}:4: not UTF-8: invalid start byte\n"
+
+
 def test_cli_flag_beats_config_file(tmp_path, monkeypatch):
     monkeypatch.delenv("STAGELENS_CONFIG", raising=False)
     cfg_file = tmp_path / "conf"

@@ -270,15 +270,20 @@ def test_a_stage_that_raises_costs_no_other_stage_its_report(monkeypatch, caplog
 
 def test_report_digest_tool_prints_one_line_per_report():
     """tools/report_digests.py prints `name sha256` for each of its 62 traces
-    x 3 configs x 2 formats, and for the notes of each of its 3 raw ingests,
-    every name once."""
+    x 3 configs x 2 formats, for the notes of each of its 3 raw ingests, and
+    for the saved files of each of its 62 traces, every name once."""
     tool = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
     out = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True,
                          check=True).stdout.splitlines()
     notes = [line for line in out if line.split()[0].endswith("/notes")]
-    reports = [line for line in out if line not in notes]
+    saved = [line for line in out if line.startswith("trace:")]
+    reports = [line for line in out if line not in notes and line not in saved]
     assert len(reports) == 372
     assert all(re.fullmatch(r"\S+/\S+/(text|structured) [0-9a-f]{64}", line) for line in reports)
     assert [line.split()[0] for line in notes] == [f"raw-ingest-seed{s}/notes" for s in (1, 2, 3)]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in notes)
-    assert len({line.split()[0] for line in out}) == 375
+    assert [line.split()[0] for line in saved] == [
+        "trace:" + line.split()[0].split("/")[0] for line in reports[::6]
+    ]
+    assert all(re.fullmatch(r"trace:\S+ [0-9a-f]{64}", line) for line in saved)
+    assert len({line.split()[0] for line in out}) == 437
