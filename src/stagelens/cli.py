@@ -13,8 +13,6 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .evaluate import score_report
-from .ingest import IngestError, ingest_raw
 from .model import FindingKind
 from .report import (
     CONFIG_KEYS,
@@ -83,6 +81,8 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    from .ingest import ingest_raw
+
     trace, report = ingest_raw(
         args.events, args.metrics_dir, wrap_detection=not args.keep_wrapped_counters
     )
@@ -123,6 +123,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluate import score_report
+
     with open(args.report, "rb") as fh:
         report = parse_report(fh.read())
     labels = load_labels(args.labels)
@@ -142,7 +144,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return handlers[args.command](args)
     except (
-        IngestError,
         TraceParseError,
         TraceValidationError,
         DiagnoseError,

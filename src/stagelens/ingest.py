@@ -50,8 +50,9 @@ _SCHEMAS = {"system": _SYSTEM, "architecture": _ARCH}
 SECTOR_BYTES = 512
 
 
-class IngestError(Exception):
-    pass
+class IngestError(ValueError):
+    """Raw input that cannot become a trace; a ValueError, so the CLI reports
+    it without importing this module."""
 
 
 @dataclass
@@ -81,6 +82,15 @@ def _event_int(value, name: str) -> int:
     if type(value) is int:
         return value
     raise _Unusable(f"{name} must be an integer")
+
+
+def _id_order(text: str) -> Tuple[bool, int, str, str]:
+    """An event id's sort key: ids of ASCII digits by value, ahead of every
+    other id in text order; ties in value ("07", "7") go by text."""
+    if text.isascii() and text.isdigit():
+        value = text.lstrip("0")  # compared as digits: int() refuses over 4,300 of them
+        return False, len(value), value, text
+    return True, 0, "", text
 
 
 # The code points a byte that is not UTF-8 decodes to under "surrogateescape".
@@ -173,13 +183,14 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
 
     jobs: Dict[str, Job] = {}
     cluster = set()
-    for stage_id in sorted(rows):
+    for stage_id in sorted(rows, key=_id_order):
         job_id = stage_to_job.get(stage_id, "job_0")
         stage = Stage(stage_id=stage_id, tasks=TaskTable.from_rows(rows[stage_id]))
         jobs.setdefault(job_id, Job(job_id=job_id)).stages.append(stage)
         cluster.update(stage.tasks.nodes)
 
-    trace = Trace(cluster=sorted(cluster), jobs=[jobs[k] for k in sorted(jobs)])
+    order = sorted(jobs, key=lambda job_id: _id_order(job_id.removeprefix("job_")))
+    trace = Trace(cluster=sorted(cluster), jobs=[jobs[k] for k in order])
     return trace, report
 
 

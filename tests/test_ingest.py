@@ -170,6 +170,24 @@ def test_job_start_groups_stages():
     assert jobs == {"job_7": ["0", "1"], "job_0": ["2"]}
 
 
+def test_stage_and_job_ids_of_digits_sort_by_value():
+    # Job j starts stage j; stages 11, "07", -1 and "s1" fall to job_0. As
+    # text, stage 10 would sort before 2 and job_10 before job_2.
+    lines = [json.dumps({"Event": "SparkListenerJobStart", "Job ID": j, "Stage IDs": [j]})
+             for j in range(11)]
+    lines += [event(stage, task) for task, stage in enumerate([*range(11, -1, -1), "s1", -1, "07"])]
+    trace, _ = parse_spark_event_log(lines)
+    assert [j.job_id for j in trace.jobs] == [f"job_{j}" for j in range(11)]
+    assert [s.stage_id for s in trace.jobs[0].stages] == ["0", "07", "11", "-1", "s1"]
+    assert [s.stage_id for s in trace.stages()][5:] == [str(s) for s in range(1, 11)]
+
+
+def test_ids_of_more_digits_than_int_reads_sort_by_value():
+    big, bigger = "9" * 4400, "1" + "0" * 4400
+    trace, _ = parse_spark_event_log([event(bigger, 1), event(big, 2), event("2", 3)])
+    assert [s.stage_id for s in trace.stages()] == ["2", big, bigger]
+
+
 @pytest.mark.parametrize("line, note", [
     (json.dumps({"Event": "SparkListenerJobStart", "Stage IDs": [0]}),
      "unusable job-start event: Job ID must be an integer or a string"),
@@ -211,6 +229,11 @@ def is_id(value):
 def is_int(value):
     """An event number: a JSON integer (bools are not)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def id_order(text):
+    """Ids of ASCII digits by value (then as text), before other ids as text."""
+    return (0, int(text), text) if text.isascii() and text.isdigit() else (1, 0, text)
 
 
 def oracle_parse_spark_event_log(lines):
@@ -313,13 +336,14 @@ def oracle_parse_spark_event_log(lines):
 
     jobs = {}
     cluster = set()
-    for stage_id in sorted(tasks):
+    for stage_id in sorted(tasks, key=id_order):
         job_id = stage_to_job.get(stage_id, "job_0")
         stage = Stage(stage_id=stage_id, tasks=TaskTable.from_rows(tasks[stage_id]))
         jobs.setdefault(job_id, Job(job_id=job_id)).stages.append(stage)
         cluster.update(stage.tasks.nodes)
 
-    trace = Trace(cluster=sorted(cluster), jobs=[jobs[k] for k in sorted(jobs)])
+    order = sorted(jobs, key=lambda job_id: id_order(job_id[len("job_"):]))
+    trace = Trace(cluster=sorted(cluster), jobs=[jobs[k] for k in order])
     return trace, report
 
 
@@ -349,7 +373,8 @@ def task_end_event(draw):
         info["Failed"] = draw(st.sampled_from([False, True, 0, 1, None, "no"]))
     data = {
         "Event": "SparkListenerTaskEnd",
-        "Stage ID": draw(st.one_of(st.integers(0, 3), st.sampled_from(["2", [3], False, 2.0]))),
+        "Stage ID": draw(st.one_of(st.integers(-1, 12), st.sampled_from(
+            ["2", "10", "07", "s1", [3], False, 2.0]))),
         "Task Info": info,
     }
     if draw(st.booleans()):
@@ -391,8 +416,9 @@ _EVENT_LINES = st.one_of(
     st.builds(
         lambda job, stages: json.dumps(
             {"Event": "SparkListenerJobStart", "Job ID": job, "Stage IDs": stages}),
-        st.one_of(st.integers(0, 2), st.sampled_from(["1", [1, 2], True, None])),
-        st.one_of(st.lists(st.one_of(st.integers(0, 3), st.sampled_from(["2", [3], True])),
+        st.one_of(st.integers(0, 11), st.sampled_from(["1", "010", "j", [1, 2], True, None])),
+        st.one_of(st.lists(st.one_of(st.integers(-1, 12),
+                                     st.sampled_from(["2", "10", "07", "s1", [3], True])),
                            max_size=3),
                   st.sampled_from([5, None, "01"])),
     ),

@@ -480,6 +480,15 @@ def test_cli_ingest(tmp_path, capsys):
     assert trace.cluster == ["hw073"]
 
 
+def test_cli_ingest_of_a_log_without_tasks_is_an_error(tmp_path, capsys):
+    events = tmp_path / "app.log"
+    events.write_text(json.dumps({"Event": "SparkListenerJobStart"}) + "\n")
+    assert main(["ingest", "--events", str(events), "--out", str(tmp_path / "trace")]) == 2
+    assert capsys.readouterr().err == (
+        "error: no tasks: the event stream held no usable task-end events\n"
+    )
+
+
 @pytest.mark.parametrize("name", _PRESET_NAMES)
 def test_every_preset_name_parses(name):
     """The simulate --preset choices are the simulator's preset table."""
