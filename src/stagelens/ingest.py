@@ -102,8 +102,9 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
 
     Returns a partial trace: jobs/stages/tasks populated, metrics empty.
     Raises IngestError when no usable task-end event is found. A line
-    holding a byte that is not UTF-8 (decoded with "surrogateescape") is
-    noted and skipped, as a line of invalid JSON is.
+    holding a byte that is not UTF-8 (decoded with "surrogateescape"), or
+    an integer of more digits than the interpreter converts, is noted and
+    skipped, as a line of invalid JSON is.
     """
     report = IngestReport()
     # Stage id -> its tasks as plain tuples in Task's field order, in event
@@ -122,6 +123,9 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
             event = json.loads(line)
         except json.JSONDecodeError as exc:
             report.note(line_no, f"invalid JSON: {exc.msg}")
+            continue
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            report.note(line_no, f"invalid JSON: {exc}")
             continue
         if not isinstance(event, dict):
             report.note(line_no, "event is not a JSON object")

@@ -24,13 +24,13 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .model import (
+    LOCALITY_CODES,
     METRIC_SCHEMA,
     ClockGroup,
     FindingKind,
     Job,
     Locality,
     Stage,
-    Task,
     TaskTable,
     Trace,
 )
@@ -211,8 +211,10 @@ def _fault_stages(fault: FaultSpec, sids: Sequence[str]) -> Tuple[str, ...]:
     return fault.stages if fault.stages else tuple(sids)
 
 
-def _alternating(length: int, period: int, phase: int) -> np.ndarray:
-    idx = np.arange(length) + phase
+def _alternating(span: slice, period: int, phase: int) -> np.ndarray:
+    """The +1/-1 pattern of `period` samples each, shifted by `phase`, at
+    the samples of `span`."""
+    idx = np.arange(span.start, span.stop) + phase
     return np.where((idx // period) % 2 == 0, 1.0, -1.0)
 
 
@@ -240,7 +242,10 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
                     count_shift[key] = max(1, round(0.1 * base * fault.intensity))
 
     # Task generation: balanced round counts unless an imbalance fault shifts
-    # them; per node, tasks run back-to-back from the stage start.
+    # them; per node, tasks run back-to-back from the stage start. Each
+    # stage draws a runtime jitter then a size jitter per task, node after
+    # node, in one block: runtimes at the even positions, sizes at the odd.
+    node_code = {node: i for i, node in enumerate(nodes)}
     stages: List[Stage] = []
     windows: Dict[str, Tuple[int, int]] = {}
     clock = BASE_EPOCH_MS + 10_000
@@ -258,54 +263,79 @@ def generate_trace(spec: ScenarioSpec) -> Tuple[Trace, List[LabeledAnomaly]]:
                 counts[donor] -= donated
                 counts[node] += donated
 
-        rows: List[Task] = []
+        per_node = np.array([counts[node] for node in nodes], dtype=np.int64)
+        total = int(per_node.sum())
+        jitter = rng.uniform(-1.0, 1.0, size=2 * total)
+        mult = np.repeat([runtime_mult.get((sid, node), 1.0) for node in nodes], per_node)
+        runtime = (BASE_RUNTIME_MS * mult) * (1.0 + RUNTIME_JITTER * jitter[0::2])
+        size = BASE_DATA_SIZE * (1.0 + DATA_JITTER * jitter[1::2])
+        steps = np.maximum(1.0, runtime).tolist()
+        launch: List[int] = []
+        finish: List[int] = []
         stage_end = clock
-        for node in nodes:
+        top = 0
+        for node, count in zip(nodes, per_node.tolist()):
+            if (sid, node) in skew_mult:
+                size[top : top + math.ceil(_SKEW_FRACTION * count)] *= skew_mult[(sid, node)]
+            # A finish rounds through a float at the cursor's scale, so the
+            # cursor walks the node's tasks one by one, not by a cumulative sum.
             cursor = clock
-            n_skewed = math.ceil(_SKEW_FRACTION * counts[node]) if (sid, node) in skew_mult else 0
-            locality = locality_override.get((sid, node), Locality.PROCESS_LOCAL)
-            for k in range(counts[node]):
-                runtime = BASE_RUNTIME_MS * runtime_mult.get((sid, node), 1.0)
-                runtime *= 1.0 + RUNTIME_JITTER * rng.uniform(-1.0, 1.0)
-                size = BASE_DATA_SIZE * (1.0 + DATA_JITTER * rng.uniform(-1.0, 1.0))
-                if k < n_skewed:
-                    size *= skew_mult[(sid, node)]
-                finish = int(cursor + max(1.0, runtime))
-                rows.append(
-                    Task(f"{sid}-t{len(rows):04d}", node, cursor, finish, locality, int(size))
-                )
-                cursor = finish
+            for step in steps[top : top + count]:
+                launch.append(cursor)
+                cursor = int(cursor + step)
+                finish.append(cursor)
             stage_end = max(stage_end, cursor)
-        stages.append(Stage(stage_id=sid, tasks=TaskTable.from_rows(rows)))
+            top += count
+        locality = [
+            LOCALITY_CODES.index(locality_override.get((sid, node), Locality.PROCESS_LOCAL))
+            for node in nodes
+        ]
+        tasks = TaskTable(
+            [f"{sid}-t{i:04d}" for i in range(total)],
+            np.repeat(np.arange(len(nodes)), per_node),
+            np.array(launch, dtype=np.int64),
+            np.array(finish, dtype=np.int64),
+            np.repeat(locality, per_node),
+            size.astype(np.int64),
+            nodes=nodes,
+        )
+        stages.append(Stage(stage_id=sid, tasks=tasks))
         windows[sid] = (clock, int(stage_end))
         clock = int(stage_end) + STAGE_GAP_MS
 
     # Every node's series on one clock, one nodes x metrics x samples block:
-    # the shared baseline series, then per-fault multiplicative deviations.
+    # the shared baseline series, drawn metric after metric in one block,
+    # then per-fault multiplicative deviations.
     step_ms = max(1, int(round(1000.0 / spec.metric_rate_hz)))
     timestamps = np.arange(BASE_EPOCH_MS, clock + 5_000, step_ms, dtype=np.int64)
+    level, spread = np.array([BASELINE_V1[metric] for metric in METRIC_SCHEMA]).T[:, :, None]
     values = np.empty((len(nodes), len(METRIC_SCHEMA), len(timestamps)))
-    for m, metric in enumerate(METRIC_SCHEMA):
-        mean, jitter = BASELINE_V1[metric]
-        values[:, m] = mean * (1.0 + jitter * rng.uniform(-1.0, 1.0, size=len(timestamps)))
+    values[:] = level * (
+        1.0 + spread * rng.uniform(-1.0, 1.0, size=(len(METRIC_SCHEMA), len(timestamps)))
+    )
+    # A stage window is a run of samples: the clock is evenly spaced.
+    spans = {
+        sid: slice(*np.searchsorted(timestamps, [lo, hi + 1]).tolist())
+        for sid, (lo, hi) in windows.items()
+    }
     for fault in spec.faults:
         effects = _EFFECTS[fault.kind].metrics
+        # Distinct periods per co-perturbed metric: colliding wave patterns
+        # would re-correlate the columns and collapse the fault back into a
+        # single principal component.
+        affected = [
+            (m, *effects[metric]) for m, metric in enumerate(METRIC_SCHEMA) if metric in effects
+        ]
         for sid in _fault_stages(fault, sids):
-            lo, hi = windows[sid]
-            mask = (timestamps >= lo) & (timestamps <= hi)
+            span = spans[sid]
             for node in fault.nodes:
-                # Distinct periods per co-perturbed metric: colliding wave
-                # patterns would re-correlate the columns and collapse the
-                # fault back into a single principal component.
-                affected = [m for m in METRIC_SCHEMA if m in effects]
-                for eff_idx, metric in enumerate(affected):
-                    mult, mod = effects[metric]
+                row = values[node_code[node]]
+                for eff_idx, (m, mult, mod) in enumerate(affected):
                     period = _WAVE_PERIODS[eff_idx % len(_WAVE_PERIODS)]
                     phase = int(rng.integers(0, 2 * period))
                     deviation = (mult - 1.0) * fault.intensity
-                    wave = 1.0 + mod * _alternating(len(timestamps), period, phase)
-                    series = values[nodes.index(node), METRIC_SCHEMA.index(metric)]
-                    series[mask] = series[mask] * (1.0 + deviation * wave[mask])
+                    wave = 1.0 + mod * _alternating(span, period, phase)
+                    row[m, span] = row[m, span] * (1.0 + deviation * wave)
 
     # One label per (stage, node, fault kind), however many faults repeat it.
     labeled = {

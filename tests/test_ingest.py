@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from typing import Tuple
@@ -249,6 +250,9 @@ def oracle_parse_spark_event_log(lines):
             event = json.loads(line)
         except json.JSONDecodeError as exc:
             report.note(line_no, f"invalid JSON: {exc.msg}")
+            continue
+        except ValueError as exc:
+            report.note(line_no, f"invalid JSON: {exc}")
             continue
         if not isinstance(event, dict):
             report.note(line_no, "event is not a JSON object")
@@ -920,6 +924,26 @@ def test_byte_that_is_not_utf8_is_a_note_at_its_line(tmp_path):
     assert [s.tasks.task_id for s in clean.stages()] == [("1", "4")]
     assert dirty.metrics["hw073"].timestamps.tolist() == [1001000, 1003000, 1004000]
     assert dirty.metrics["hw073"].values.tobytes() == clean.metrics["hw073"].values.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter converts integers of any length")
+def test_integer_past_the_digit_limit_is_a_note_at_its_line(tmp_path):
+    """An event whose Stage ID has more digits than json.loads converts
+    (4,300 by default) is noted as invalid JSON at its line and skipped:
+    the trace equals the one ingested without that line."""
+    huge = event(0, 2).replace('"Stage ID": 0', '"Stage ID": ' + "9" * 5_001)
+    assert huge != event(0, 2)
+    good = event(0, 1, launch=1_000_000, finish=1_010_000)
+    (tmp_path / "metrics").mkdir()
+    for name, lines in (("dirty.log", [good, huge]), ("clean.log", [good])):
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    dirty, dirty_report = ingest_raw(str(tmp_path / "dirty.log"), str(tmp_path / "metrics"))
+    clean, clean_report = ingest_raw(str(tmp_path / "clean.log"), str(tmp_path / "metrics"))
+    ((line_no, note),) = dirty_report.errors
+    assert line_no == 2 and note.startswith("invalid JSON: Exceeds the limit (4300 digits)")
+    assert not clean_report.errors
+    assert dirty == clean
 
 
 def test_ingest_raw_hands_over_the_blocks_it_joins(tmp_path):

@@ -1,16 +1,35 @@
 import json
+import math
 import os
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stagelens import simulate
 from stagelens.correlate import build_datasets, slice_metrics, stage_window
-from stagelens.model import ClockGroup, FindingKind
+from stagelens.model import (
+    METRIC_SCHEMA,
+    ClockGroup,
+    FindingKind,
+    Job,
+    Locality,
+    Stage,
+    Task,
+    TaskTable,
+    Trace,
+)
 from stagelens.report import PipelineConfig, diagnose
 from stagelens.simulate import (
+    BASE_DATA_SIZE,
+    BASE_EPOCH_MS,
+    BASE_RUNTIME_MS,
     BASELINE_V1,
+    DATA_JITTER,
+    RUNTIME_JITTER,
+    STAGE_GAP_MS,
     FaultKind,
     FaultSpec,
     ScenarioError,
@@ -18,8 +37,10 @@ from stagelens.simulate import (
     emit_scenario,
     generate_trace,
     load_labels,
+    node_names,
     preset,
     save_labels,
+    stage_ids,
 )
 from stagelens.traceio import load_trace, save_trace
 
@@ -291,3 +312,171 @@ def test_trace_is_save_load_stable(tmp_path):
     out = tmp_path / "t"
     save_trace(trace, str(out))
     assert load_trace(str(out)) == trace
+
+
+# --- the per-task reference -------------------------------------------------
+
+
+def per_task_oracle(spec):
+    """The simulator one scalar draw at a time: per stage, a runtime then a
+    size jitter for each task, node by node, each task a Task row; then each
+    metric's baseline series in schema order; then each fault's phase draws
+    and a masked update per (stage, node, metric). Returns the trace and
+    each stage's (start, end) window."""
+    effects_of = simulate._EFFECTS
+    nodes, sids = simulate._validate(spec)
+    rng = np.random.default_rng(spec.seed)
+
+    def fault_stages(fault):
+        return fault.stages if fault.stages else tuple(sids)
+
+    runtime_mult, locality_override, skew_mult, count_shift = {}, {}, {}, {}
+    for fault in spec.faults:
+        mult = 1.0 + (effects_of[fault.kind].runtime_mult - 1.0) * fault.intensity
+        for sid in fault_stages(fault):
+            for node in fault.nodes:
+                key = (sid, node)
+                runtime_mult[key] = runtime_mult.get(key, 1.0) * mult
+                if fault.kind is FaultKind.UNEVEN_PLACEMENT:
+                    locality_override[key] = Locality.ANY
+                elif fault.kind is FaultKind.SKEW_DATA_SIZE:
+                    skew_mult[key] = 1.0 + 4.0 * fault.intensity
+                elif fault.kind is FaultKind.TASK_IMBALANCE:
+                    base = spec.tasks_per_stage // spec.nodes
+                    count_shift[key] = max(1, round(0.1 * base * fault.intensity))
+
+    stages, windows = [], {}
+    clock = BASE_EPOCH_MS + 10_000
+    for sid in sids:
+        base = spec.tasks_per_stage // spec.nodes
+        counts = {node: base for node in nodes}
+        leftover = spec.tasks_per_stage - base * spec.nodes
+        for node in nodes[:leftover]:
+            counts[node] += 1
+        for (stage_key, node), shift in count_shift.items():
+            if stage_key != sid:
+                continue
+            for donor in (n for n in nodes if n != node):
+                donated = min(shift, counts[donor])
+                counts[donor] -= donated
+                counts[node] += donated
+
+        rows = []
+        stage_end = clock
+        for node in nodes:
+            cursor = clock
+            n_skewed = (math.ceil(simulate._SKEW_FRACTION * counts[node])
+                        if (sid, node) in skew_mult else 0)
+            locality = locality_override.get((sid, node), Locality.PROCESS_LOCAL)
+            for k in range(counts[node]):
+                runtime = BASE_RUNTIME_MS * runtime_mult.get((sid, node), 1.0)
+                runtime *= 1.0 + RUNTIME_JITTER * rng.uniform(-1.0, 1.0)
+                size = BASE_DATA_SIZE * (1.0 + DATA_JITTER * rng.uniform(-1.0, 1.0))
+                if k < n_skewed:
+                    size *= skew_mult[(sid, node)]
+                finish = int(cursor + max(1.0, runtime))
+                rows.append(
+                    Task(f"{sid}-t{len(rows):04d}", node, cursor, finish, locality, int(size))
+                )
+                cursor = finish
+            stage_end = max(stage_end, cursor)
+        stages.append(Stage(stage_id=sid, tasks=TaskTable.from_rows(rows)))
+        windows[sid] = (clock, int(stage_end))
+        clock = int(stage_end) + STAGE_GAP_MS
+
+    step_ms = max(1, int(round(1000.0 / spec.metric_rate_hz)))
+    timestamps = np.arange(BASE_EPOCH_MS, clock + 5_000, step_ms, dtype=np.int64)
+    values = np.empty((len(nodes), len(METRIC_SCHEMA), len(timestamps)))
+    for m, metric in enumerate(METRIC_SCHEMA):
+        mean, jitter = BASELINE_V1[metric]
+        values[:, m] = mean * (1.0 + jitter * rng.uniform(-1.0, 1.0, size=len(timestamps)))
+    for fault in spec.faults:
+        effects = effects_of[fault.kind].metrics
+        for sid in fault_stages(fault):
+            lo, hi = windows[sid]
+            mask = (timestamps >= lo) & (timestamps <= hi)
+            for node in fault.nodes:
+                affected = [m for m in METRIC_SCHEMA if m in effects]
+                for eff_idx, metric in enumerate(affected):
+                    mult, mod = effects[metric]
+                    period = simulate._WAVE_PERIODS[eff_idx % len(simulate._WAVE_PERIODS)]
+                    phase = int(rng.integers(0, 2 * period))
+                    deviation = (mult - 1.0) * fault.intensity
+                    idx = np.arange(len(timestamps)) + phase
+                    wave = 1.0 + mod * np.where((idx // period) % 2 == 0, 1.0, -1.0)
+                    series = values[nodes.index(node), METRIC_SCHEMA.index(metric)]
+                    series[mask] = series[mask] * (1.0 + deviation * wave[mask])
+
+    trace = Trace(
+        cluster=list(nodes),
+        jobs=[Job(job_id="job_0", stages=stages)],
+        metrics=[ClockGroup(nodes, METRIC_SCHEMA, timestamps, values)],
+    )
+    return trace, windows
+
+
+@st.composite
+def scenario_specs(draw):
+    """Specs of 2-9 nodes and 1-3 stages, task counts with leftovers (and a
+    few below the node count), and up to three faults of any kind, some
+    restricted to stages and some naming a node the cluster lacks."""
+    n_nodes = draw(st.integers(2, 9))
+    n_stages = draw(st.integers(1, 3))
+    names = node_names(n_nodes + (draw(st.integers(0, 9)) == 0))
+    faults = tuple(
+        FaultSpec(
+            draw(st.sampled_from(list(FaultKind))),
+            tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))),
+            intensity=draw(st.floats(0.05, 20.0)),
+            stages=tuple(draw(st.lists(st.sampled_from(stage_ids(n_stages)), max_size=2,
+                                       unique=True))),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    tasks = draw(st.integers(n_nodes, 7 * n_nodes + 3)) - (draw(st.integers(0, 9)) == 0)
+    return ScenarioSpec(
+        seed=draw(st.integers(0, 2**32)),
+        nodes=n_nodes,
+        stages=n_stages,
+        tasks_per_stage=tasks,
+        metric_rate_hz=draw(st.sampled_from([0.5, 1.0, 3.0])),
+        faults=faults,
+    )
+
+
+def _outcome(generate, spec):
+    try:
+        return generate(spec)
+    except Exception as exc:  # noqa: BLE001 - both sides must raise alike
+        return type(exc), str(exc)
+
+
+@given(spec=scenario_specs())
+@example(spec=ScenarioSpec(seed=1, nodes=3, tasks_per_stage=6, faults=(
+    FaultSpec(FaultKind.TASK_IMBALANCE, ("hw01",), intensity=20.0),)))
+def test_generate_trace_equals_per_task_oracle(spec):
+    """generate_trace draws each stage's tasks and every node's series as
+    whole arrays; the result equals the per-task reference in every task
+    column, every stage window and the series bits, or both raise alike. An
+    imbalance may leave a donor with no task (the example: hw02 and hw03
+    give all their tasks to hw01)."""
+    got, want = _outcome(generate_trace, spec), _outcome(per_task_oracle, spec)
+    if not (isinstance(got[0], Trace) and isinstance(want[0], Trace)):
+        assert got == want
+        return
+    (trace, _), (oracle, windows) = got, want
+    assert trace.cluster == oracle.cluster
+    assert [s.stage_id for s in trace.stages()] == list(windows)
+    for stage, expected in zip(trace.stages(), oracle.stages()):
+        ours, theirs = stage.tasks, expected.tasks
+        assert ours.task_id == theirs.task_id and ours.nodes == theirs.nodes
+        for column in ("node", "launch_time", "finish_time", "locality", "data_size",
+                       "succeeded"):
+            a, b = getattr(ours, column), getattr(theirs, column)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), column
+        assert (stage.start_time, stage.finish_time) == windows[stage.stage_id]
+    (group,), (expected,) = trace.metrics.groups, oracle.metrics.groups
+    assert group.nodes == expected.nodes and group.columns == expected.columns
+    assert group.timestamps.tobytes() == expected.timestamps.tobytes()
+    assert group.values.shape == expected.values.shape
+    assert group.values.tobytes() == expected.values.tobytes()
