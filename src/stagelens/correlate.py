@@ -9,7 +9,7 @@ per node."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -250,11 +250,26 @@ def stack_samples(
 _SCHEMA_POSITION = {m: j for j, m in enumerate(METRIC_SCHEMA)}
 
 
-def _schema_rows(layout: Tuple[str, ...]) -> Tuple[slice, List[int]]:
+@lru_cache(maxsize=64)
+def _schema_rows(layout: Tuple[str, ...]) -> Tuple[slice, Tuple[int, ...]]:
     """The rows of a layout that hold schema metrics, which lead a group's
-    columns (store order), and those metrics' positions in METRIC_SCHEMA."""
-    cells = [_SCHEMA_POSITION[c] for c in layout if c in _SCHEMA_POSITION]
+    columns (store order), and those metrics' positions in METRIC_SCHEMA.
+    Kept per layout, as model.metric_columns keeps the layouts."""
+    cells = tuple([_SCHEMA_POSITION[c] for c in layout if c in _SCHEMA_POSITION])
     return slice(0, len(cells)), cells
+
+
+@lru_cache(maxsize=64)
+def _matrix_index(
+    layout: Tuple[str, ...], columns: Tuple[str, ...]
+) -> Union[slice, Tuple[int, ...]]:
+    """The rows of a layout that hold `columns`, in their order: a slice
+    when they are consecutive, so that taking them is a view, not a copy."""
+    index = tuple([layout.index(m) for m in columns])
+    first = index[0] if index else 0
+    if index == tuple(range(first, first + len(index))):
+        return slice(first, first + len(index))
+    return index
 
 
 def build_datasets(
@@ -278,8 +293,7 @@ def build_datasets(
     # Cluster nodes first; a node outside the cluster follows at its first
     # counted task.
     tnum = dict.fromkeys(cluster, 0)
-    first = np.unique(counted, return_index=True)[1]
-    for code in counted[np.sort(first)].tolist():
+    for code in dict.fromkeys(counted.tolist()):
         tnum[ok.nodes[code]] = tally[code]
 
     # Cuts with one column layout and window length form one batch, whose
@@ -327,12 +341,9 @@ def build_datasets(
     shared = complete.all(axis=0).tolist() if nodes else [False] * len(METRIC_SCHEMA)
     columns = [m for m, keep in zip(METRIC_SCHEMA, shared) if keep]
     matrix_blocks = []
+    wanted = tuple(columns)
     for (layout, _), block in zip(batches, blocks):
-        index: Union[slice, List[int]] = [layout.index(m) for m in columns]
-        first = index[0] if index else 0
-        if index == list(range(first, first + len(index))):
-            index = slice(first, first + len(index))  # a view, not a copy
-        matrix_block = block[:, index]
+        matrix_block = block[:, _matrix_index(layout, wanted)]
         matrix_block.flags.writeable = False
         matrix_blocks.append(matrix_block)
 

@@ -102,9 +102,10 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
 
     Returns a partial trace: jobs/stages/tasks populated, metrics empty.
     Raises IngestError when no usable task-end event is found. A line
-    holding a byte that is not UTF-8 (decoded with "surrogateescape"), or
-    an integer of more digits than the interpreter converts, is noted and
-    skipped, as a line of invalid JSON is.
+    holding a byte that is not UTF-8 (decoded with "surrogateescape"), an
+    integer of more digits than the interpreter converts, or arrays and
+    objects nested deeper than the decoder recurses, is noted and skipped,
+    as a line of invalid JSON is.
     """
     report = IngestReport()
     # Stage id -> its tasks as plain tuples in Task's field order, in event
@@ -126,6 +127,9 @@ def parse_spark_event_log(lines: Iterable[str]) -> Tuple[Trace, IngestReport]:
             continue
         except ValueError as exc:  # an integer past the interpreter's digit limit
             report.note(line_no, f"invalid JSON: {exc}")
+            continue
+        except RecursionError:
+            report.note(line_no, "invalid JSON: nesting too deep")
             continue
         if not isinstance(event, dict):
             report.note(line_no, "event is not a JSON object")

@@ -11,8 +11,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import correlate
-from .correlate import FeatureDatasets, stack_samples
-from .model import METRIC_SCHEMA
+from .correlate import _SCHEMA_POSITION, FeatureDatasets, stack_samples
+
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,13 @@ def _stage_selection(datasets: FeatureDatasets, ccrate: float) -> PcaSelection:
     the covariance about any mean.)
     """
     counts = datasets.counts
-    columns = [METRIC_SCHEMA.index(m) for m in datasets.matrix_metrics]
+    columns = [_SCHEMA_POSITION[m] for m in datasets.matrix_metrics]
     m = int(counts.sum())
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.add.reduce(datasets.means[:, columns] * counts[:, None], axis=0) / m
         cov = _centered_gram(datasets.blocks, mean) / m
-        slack = 2 * (m + 8) * np.finfo(float).eps * np.abs(mean)
-        if not (np.diagonal(cov) > 2 * slack * slack + np.finfo(float).tiny).any():
+        slack = 2 * (m + 8) * _EPS * np.abs(mean)
+        if not (np.diagonal(cov) > 2 * slack * slack + _TINY).any():
             mean = stack_samples(datasets.blocks, datasets.positions, counts).mean(axis=0)
             cov = _centered_gram(datasets.blocks, mean) / m
     return _spectrum_selection(cov, datasets.matrix_metrics, ccrate)
@@ -429,7 +430,7 @@ def diagnose_outlier_metrics(
             columns = [datasets.matrix_metrics.index(m) for m in selected]
             table = _fft_table(datasets, columns, common)
     else:
-        table = datasets.means[:, [METRIC_SCHEMA.index(m) for m in selected]].T
+        table = datasets.means[:, [_SCHEMA_POSITION[m] for m in selected]].T
     findings: List[Tuple[str, str, str, float]] = []
     for metric, result in zip(selected, _detect_rows(nodes, table, cfg)):
         warnings.extend(f"{metric}: {w}" for w in result.warnings)

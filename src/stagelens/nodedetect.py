@@ -82,14 +82,20 @@ def _similarity_totals(x: np.ndarray, mask: np.ndarray):
     xT, maskT = np.ascontiguousarray(x.T), np.ascontiguousarray(mask.T)
     finite = bool(np.isfinite(xT).all())
     # |a|^2 over the dims b has depends on b only through b's mask row: sum
-    # once per distinct mask row, then spread. np.unique sees each row as
-    # one d-byte item: its axis=0 form does the same through a d-field
-    # record type, 5-20x slower, and leaves d-item tuples on CPython's
-    # free list.
-    items = np.ascontiguousarray(mask).view(np.dtype((np.void, d))).reshape(p)
-    patterns, pattern_of = np.unique(items, return_inverse=True)
-    patternsT = patterns.view(bool).reshape(-1, d).T
-    per_pattern = np.empty((p, len(patterns)))
+    # once per distinct mask row, then spread. When every node reports every
+    # metric, the one pattern is all True and every node has it: the arrays
+    # np.unique would return, without its sort. Else np.unique sees each row
+    # as one d-byte item: its axis=0 form does the same through a d-field
+    # record type, 5-20x slower, and leaves d-item tuples on CPython's free
+    # list.
+    if mask.all():
+        patternsT, pattern_of = np.ones((d, 1), dtype=bool), np.zeros(p, dtype=np.intp)
+    else:
+        items = np.ascontiguousarray(mask).view(np.dtype((np.void, d))).reshape(p)
+        patterns, pattern_of = np.unique(items, return_inverse=True)
+        patternsT = patterns.view(bool).reshape(-1, d).T
+    kinds = patternsT.shape[1]
+    per_pattern = np.empty((p, kinds))
     totals, counts = np.zeros(p), np.zeros(p, dtype=np.int64)
     # One buffer holds each step's products. Their shapes differ from step to
     # step, and arrays allocated anew leave holes in the heap that later
@@ -108,7 +114,7 @@ def _similarity_totals(x: np.ndarray, mask: np.ndarray):
         # sums do. Only a reduce along the innermost axis sums pairwise. (The
         # last node's product with itself is one value a slice: no score.)
         step = max(1, budget // (8 * d * p))
-        for lo in range(0, len(patterns), step):
+        for lo in range(0, kinds, step):
             # per_pattern[b, j] is |b|^2 over the dims of pattern j, `step`
             # patterns at a time; a dim outside the pattern adds an exact 0,
             # and no square is -0.0.

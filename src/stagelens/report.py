@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Tuple
 
 from . import appdetect, metricdetect, nodedetect
 from .appdetect import DEFAULT_PRIORITIES, ImbalanceConfig, PlacementConfig
@@ -219,8 +219,23 @@ class DiagnosisReport:
         return out
 
 
+class DetectorConfigs(NamedTuple):
+    """The detector configs a PipelineConfig builds, built once per report."""
+
+    ultrashort: UltrashortPolicy
+    imbalance: ImbalanceConfig
+    placement: PlacementConfig
+    similarity: SimilarityConfig
+    outlier: OutlierConfig
+
+    @classmethod
+    def of(cls, cfg: PipelineConfig) -> "DetectorConfigs":
+        return cls(cfg.ultrashort(), cfg.imbalance(), cfg.placement(), cfg.similarity(),
+                   cfg.outlier())
+
+
 def _diagnose_stage(
-    trace: Trace, stage, cfg: PipelineConfig
+    trace: Trace, stage, cfg: PipelineConfig, built: DetectorConfigs
 ) -> Tuple[StageReport, appdetect.ImbalanceResult]:
     report = StageReport(stage_id=stage.stage_id)
 
@@ -233,7 +248,7 @@ def _diagnose_stage(
         report.warnings.append(
             "no in-window metric samples for: " + ", ".join(slices.gaps)
         )
-    datasets = build_datasets(stage, slices, trace.cluster, cfg.ultrashort())
+    datasets = build_datasets(stage, slices, trace.cluster, built.ultrashort)
 
     # Straggler screen over per-node mean runtimes of successful tasks.
     straggle = appdetect.detect_stragglers(appdetect.mean_runtimes(datasets.data_size), cfg.th_d)
@@ -243,7 +258,7 @@ def _diagnose_stage(
     else:
         report.warnings.append("straggler screen not evaluable")
 
-    imbalance = appdetect.detect_workload_imbalance(datasets.tnum, cfg.imbalance())
+    imbalance = appdetect.detect_workload_imbalance(datasets.tnum, built.imbalance)
     if imbalance.evaluable:
         if imbalance.unbalanced:
             tilt = dict((node, t) for t, node in imbalance.tilt)
@@ -264,11 +279,11 @@ def _diagnose_stage(
         report.warnings.append("skew screen not evaluable (median data size is zero)")
 
     if len(datasets.data_size) >= 2:
-        for entry in appdetect.detect_uneven_placement(datasets.data_size, cfg.placement()):
+        for entry in appdetect.detect_uneven_placement(datasets.data_size, built.placement):
             subjects = (entry.node, entry.locality.value)
             found(FindingKind.UNEVEN_PLACEMENT, subjects, entry.ratio, 0.0)
 
-    similarity = nodedetect.detect_abnormal_nodes(datasets, cfg.similarity())
+    similarity = nodedetect.detect_abnormal_nodes(datasets, built.similarity)
     if similarity.evaluable:
         report.similarity = dict(similarity.similarity)
         for node in similarity.abnormal:
@@ -282,7 +297,7 @@ def _diagnose_stage(
     else:
         report.warnings.append("abnormal-node screen not evaluable")
 
-    diagnosis = metricdetect.diagnose_outlier_metrics(datasets, cfg.outlier())
+    diagnosis = metricdetect.diagnose_outlier_metrics(datasets, built.outlier)
     report.warnings.extend(diagnosis.warnings)
     if diagnosis.evaluable:
         for metric, node, branch, distance in diagnosis.findings:
@@ -304,6 +319,7 @@ def diagnose(trace: Trace, cfg: PipelineConfig = PipelineConfig()) -> DiagnosisR
     if not stages:
         raise DiagnoseError("trace holds no stages to diagnose")
     report = DiagnosisReport(mode_label=cfg.mode_label())
+    built = DetectorConfigs.of(cfg)
     for job in trace.jobs:
         results: List[appdetect.ImbalanceResult] = []
         for stage in job.stages:
@@ -313,7 +329,7 @@ def diagnose(trace: Trace, cfg: PipelineConfig = PipelineConfig()) -> DiagnosisR
                 )
                 continue
             try:
-                stage_report, imbalance = _diagnose_stage(trace, stage, cfg)
+                stage_report, imbalance = _diagnose_stage(trace, stage, cfg, built)
             except Exception:
                 # Imported here: importing logging costs more than a report,
                 # and only a failing stage needs it.
@@ -326,7 +342,7 @@ def diagnose(trace: Trace, cfg: PipelineConfig = PipelineConfig()) -> DiagnosisR
                 continue
             report.stages.append(stage_report)
             results.append(imbalance)
-        verdict = appdetect.judge_job_imbalance(results, cfg.imbalance())
+        verdict = appdetect.judge_job_imbalance(results, built.imbalance)
         report.jobs.append(
             JobSummary(
                 job_id=job.job_id,

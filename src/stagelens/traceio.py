@@ -30,7 +30,6 @@ cluster. A save makes no check of its own: it refuses a trace whose
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from contextlib import suppress
@@ -93,12 +92,14 @@ def _write_entity_file(path: str, schema: str, entity: str, lines: Iterable[str]
 
 
 def _npy_header(dtype: str, length: int) -> bytes:
-    """The header np.save writes for a 1-D array of `length` values."""
-    buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        buf, {"descr": dtype, "fortran_order": False, "shape": (length,)}
-    )
-    return buf.getvalue()
+    """The header np.save writes for a 1-D array of `length` values: the
+    magic string, format version 1.0 and the 2-byte little-endian length of
+    the header dict, whose text is padded with spaces to end in a newline
+    at a multiple of 64 bytes. (numpy leaves room for a 21-digit length,
+    which pads every int64 length to the same 128 bytes as this does.)"""
+    text = f"{{'descr': '{dtype}', 'fortran_order': False, 'shape': ({length},), }}"
+    header = text + " " * (-(10 + len(text) + 1) % 64) + "\n"
+    return b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header.encode()
 
 
 def _write_npy(
@@ -218,6 +219,8 @@ def _read_entity_file(path: str, schema: str, entity: str) -> Iterator[Tuple[int
                 record, end = decode(text)
             except json.JSONDecodeError as exc:
                 raise TraceParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            except RecursionError:
+                raise TraceParseError(path, line_no, "invalid JSON: nesting too deep") from None
             except ValueError as exc:
                 raise TraceParseError(path, line_no, str(exc)) from exc
             if end != len(text):

@@ -254,6 +254,9 @@ def oracle_parse_spark_event_log(lines):
         except ValueError as exc:
             report.note(line_no, f"invalid JSON: {exc}")
             continue
+        except RecursionError:
+            report.note(line_no, "invalid JSON: nesting too deep")
+            continue
         if not isinstance(event, dict):
             report.note(line_no, "event is not a JSON object")
             continue
@@ -942,6 +945,24 @@ def test_integer_past_the_digit_limit_is_a_note_at_its_line(tmp_path):
     clean, clean_report = ingest_raw(str(tmp_path / "clean.log"), str(tmp_path / "metrics"))
     ((line_no, note),) = dirty_report.errors
     assert line_no == 2 and note.startswith("invalid JSON: Exceeds the limit (4300 digits)")
+    assert not clean_report.errors
+    assert dirty == clean
+
+
+def test_deeply_nested_json_is_a_note_at_its_line(tmp_path):
+    """An event line nested deeper than json.loads recurses raises
+    RecursionError there; it is noted as invalid JSON at its line and
+    skipped: the trace equals the one ingested without that line."""
+    good = event(0, 1, launch=1_000_000, finish=1_010_000)
+    nested = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(RecursionError):
+        json.loads(nested)
+    (tmp_path / "metrics").mkdir()
+    for name, lines in (("dirty.log", [good, nested]), ("clean.log", [good])):
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    dirty, dirty_report = ingest_raw(str(tmp_path / "dirty.log"), str(tmp_path / "metrics"))
+    clean, clean_report = ingest_raw(str(tmp_path / "clean.log"), str(tmp_path / "metrics"))
+    assert dirty_report.errors == [(2, "invalid JSON: nesting too deep")]
     assert not clean_report.errors
     assert dirty == clean
 

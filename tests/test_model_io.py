@@ -46,6 +46,7 @@ from stagelens.traceio import (
     SCHEMA_VERSION,
     TraceParseError,
     TraceValidationError,
+    _npy_header,
     _read_entity_file,
     load_trace,
     save_trace,
@@ -292,6 +293,33 @@ def test_non_object_record_rejected(tmp_path, line):
     with pytest.raises(TraceParseError) as err:
         load_trace(str(out))
     assert "jobs.jsonl:2: record must be a JSON object" in str(err.value)
+
+
+def test_deeply_nested_line_names_its_line(tmp_path):
+    """A line nested deeper than the JSON decoder recurses fails at its
+    path:line, not with the decoder's RecursionError."""
+    out = tmp_path / "trace"
+    save_trace(make_trace(make_stage({"hw01": 1})), str(out))
+    jobs_file = out / "jobs.jsonl"
+    jobs_file.write_text(jobs_file.read_text() + "[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(TraceParseError) as err:
+        load_trace(str(out))
+    assert str(err.value) == f"{jobs_file}:3: invalid JSON: nesting too deep"
+
+
+@pytest.mark.parametrize("dtype", ["<i8", "<f8"])
+def test_npy_header_is_numpys(dtype):
+    """The header save_trace writes and the loader expects is the one numpy
+    writes, across several 64-byte padding steps and up to 18 digits."""
+    def numpys(length):
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            buf, {"descr": dtype, "fortran_order": False, "shape": (length,)}
+        )
+        return buf.getvalue()
+
+    for length in [*range(2001), *(10**k for k in range(1, 18))]:
+        assert _npy_header(dtype, length) == numpys(length), length
 
 
 def save_two_nodes(out):
@@ -1425,6 +1453,8 @@ def oracle_read_entity_file(path, schema, entity):
                 raise TraceParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
             except ValueError as exc:
                 raise TraceParseError(path, line_no, str(exc)) from exc
+            except RecursionError:
+                raise TraceParseError(path, line_no, "invalid JSON: nesting too deep") from None
             if not isinstance(record, dict):
                 raise TraceParseError(path, line_no, "record must be a JSON object")
             if line_no == 1:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stagelens import correlate
@@ -317,6 +317,15 @@ def assert_bits_match_bruteforce(vectors, cfg=SimilarityConfig()):
 
 @_SHAPES
 @given(vectors=_schema_tables(), th_simi=st.floats(0.01, 0.99))
+# Every usable node reports every metric: one presence pattern, found
+# without np.unique. The all-zero node is skipped before the patterns.
+@example(
+    vectors={
+        f"n{i:02d}": {m: (j + 1.0) * (i + 1) ** (j % 3) for j, m in enumerate(METRIC_SCHEMA)}
+        for i in range(5)
+    } | {"n05": dict.fromkeys(METRIC_SCHEMA, 0.0)},
+    th_simi=0.9,
+)
 def test_every_block_shape_equals_bruteforce(budget, vectors, th_simi):
     with mock.patch.object(correlate, "_BLOCK_BYTES", budget):
         assert_bits_match_bruteforce(vectors, SimilarityConfig(th_simi=th_simi))

@@ -30,6 +30,7 @@ from stagelens.model import (
 from stagelens import metricdetect
 from stagelens.report import (
     STAGE_FAILED,
+    DetectorConfigs,
     PipelineConfig,
     _diagnose_stage,
     diagnose,
@@ -125,7 +126,7 @@ def test_diagnose_and_render_never_raise(trace, cfg):
     # diagnose turns a stage's exception into a warning; no stage raises.
     for stage in trace.stages():
         if stage.tasks:
-            _diagnose_stage(trace, stage, cfg)
+            _diagnose_stage(trace, stage, cfg, DetectorConfigs.of(cfg))
     text, structured = _rendered(trace, cfg)
     assert STAGE_FAILED.encode() not in text
 

@@ -186,6 +186,8 @@ def test_labels_round_trip(tmp_path):
          "non-finite number NaN is not allowed"),
         ('["stage_0"]', "record must be a JSON object"),
         ("\xff", "'utf-8' codec can't decode byte 0xff"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "invalid JSON: nesting too deep",
+                     id="nested-too-deep"),
     ],
 )
 def test_malformed_label_row_rejected(tmp_path, line, rule):
